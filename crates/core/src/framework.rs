@@ -4,7 +4,9 @@ use crate::attrs::{InfoVector, InitiatorProfile, VectorError};
 use crate::gain::{run_gain_phase, GainPhaseOutput};
 use crate::offline::{OfflineStock, StockFingerprint};
 use crate::params::FrameworkParams;
-use crate::sorting::{KeygenVerifyJob, SortError, SortMachine, SortOptions, SortStatus};
+use crate::sorting::{
+    resolve_threads, KeygenVerifyJob, SortError, SortMachine, SortOptions, SortStatus,
+};
 use crate::submit::{honest_submissions, verify_submissions, AcceptedSubmission};
 use crate::timing::PartyTimer;
 use ppgr_elgamal::Ciphertext;
@@ -418,11 +420,11 @@ impl SessionMachine {
                     // A defer-verify run skips minting-time proof
                     // verification too — the check belongs to the
                     // cross-session batch; the stock bytes are identical.
-                    self.offline = Some(if self.sort_options.defer_verify {
-                        OfflineStock::generate_deferred(self.offline_fingerprint())
-                    } else {
-                        OfflineStock::generate(self.offline_fingerprint())
-                    });
+                    self.offline = Some(OfflineStock::generate_cold(
+                        self.offline_fingerprint(),
+                        resolve_threads(self.sort_options.threads),
+                        !self.sort_options.defer_verify,
+                    ));
                 }
                 self.phase = SessionPhase::Gain;
                 Ok(SessionStatus::Pending)

@@ -36,6 +36,7 @@
 //! the session's `b"protocol"` fork — so a session that receives a
 //! pool-generated stock and one that builds its own cold are bit-identical.
 
+use crate::sorting::fan_out;
 use ppgr_bigint::Secret;
 use ppgr_elgamal::{ExpElGamal, JointKey, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
@@ -48,6 +49,18 @@ use std::fmt;
 /// The draw-order layout this module currently mints (see
 /// [`StockFingerprint::layout`]).
 pub const STOCK_LAYOUT: u32 = 2;
+
+/// How far a stock is minted, and on how many workers.
+#[derive(Clone, Copy, Debug)]
+struct Mint {
+    tier: StockTier,
+    /// Run every verifier's batch proof check at minting time (keygen
+    /// tier only); `false` leaves the stock's `verified` verdict unset.
+    verify_at_mint: bool,
+    /// Threads the exponentiation batches are split across; the scalar
+    /// stream itself is always drawn serially.
+    workers: usize,
+}
 
 /// The session shape a DRBG-generated stock was built for.
 ///
@@ -243,39 +256,53 @@ impl fmt::Debug for OfflineStock {
 
 impl OfflineStock {
     /// Draws a full keygen-tier stock for an `n`-party, `l`-bit session
-    /// from `rng`.
+    /// from `rng`, on the calling thread.
     ///
     /// This is the cold path: a machine with no pool-supplied stock draws
     /// one from its own stream at its offline step, paying the minting cost
     /// on the session clock. The scalar draw order is fixed regardless of
     /// the run's options (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`: the sorting chain needs at least two parties.
     pub fn draw_from<R: Rng + ?Sized>(group: &Group, n: usize, l: usize, rng: &mut R) -> Self {
-        // A `false` cancellation hook never fires, so generation completes.
-        Self::draw_cancellable_from(group, n, l, rng, &mut || false, StockTier::Keygen, true)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
+        Self::draw_cold(group, n, l, rng, 1, true)
     }
 
-    /// [`OfflineStock::draw_from`] with the minting-time proof verification
-    /// skipped, leaving the stock's `verified` verdict `false`.
+    /// [`OfflineStock::draw_from`] with the minting spread over `workers`
+    /// threads and, when `verify_at_mint` is `false`, the minting-time
+    /// proof verification skipped (the stock's `verified` verdict stays
+    /// `false`).
     ///
-    /// Verification reads only minted material and draws nothing from the
-    /// stream, so the stock is bit-identical to [`OfflineStock::draw_from`]
-    /// output — only the verdict differs. Used by deferred-verification
-    /// sessions (see [`SortOptions::defer_verify`]), which stash the keygen
-    /// proof check as a [`KeygenVerifyJob`] for a cross-session batch
-    /// instead of paying for it at draw time.
+    /// Neither choice touches the stream: the scalars are drawn serially
+    /// in the canonical order before any worker starts, and verification
+    /// reads only minted material, so the stock is bit-identical to
+    /// [`OfflineStock::draw_from`] output — only the verdict may differ.
+    /// The sorting machine's cold offline step calls this with its
+    /// [`SortOptions::threads`] workers; deferred-verification sessions
+    /// (see [`SortOptions::defer_verify`]) stash the keygen proof check as
+    /// a [`KeygenVerifyJob`] for a cross-session batch instead of paying
+    /// for it at draw time.
     ///
+    /// [`SortOptions::threads`]: crate::sorting::SortOptions
     /// [`SortOptions::defer_verify`]: crate::sorting::SortOptions
     /// [`KeygenVerifyJob`]: crate::sorting::KeygenVerifyJob
-    pub(crate) fn draw_from_deferred<R: Rng + ?Sized>(
+    pub(crate) fn draw_cold<R: Rng + ?Sized>(
         group: &Group,
         n: usize,
         l: usize,
         rng: &mut R,
+        workers: usize,
+        verify_at_mint: bool,
     ) -> Self {
-        // See `draw_from`: the hook never fires.
-        Self::draw_cancellable_from(group, n, l, rng, &mut || false, StockTier::Keygen, false)
+        let mint = Mint {
+            tier: StockTier::Keygen,
+            verify_at_mint,
+            workers,
+        };
+        // A `false` cancellation hook never fires, so generation completes.
+        Self::draw_cancellable_from(group, n, l, rng, &mut || false, mint)
             // tidy:allow(panic) — the never-cancelling hook makes None unreachable
             .expect("generation with a never-cancelling hook always completes")
     }
@@ -303,40 +330,40 @@ impl OfflineStock {
 
     /// Generates the keygen-tier stock a session with fingerprint `fp`
     /// expects: keys, proofs, joint-key table and every `(g^r, y^r)` pair
-    /// fully minted.
+    /// fully minted, on the calling thread.
     ///
     /// Derives the session's dedicated offline stream
     /// (`HashDrbg::seed_from_u64(seed).fork(b"offline")`) and draws from
     /// it, so the result is identical to what the session itself would
     /// build cold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fp.participants < 2`.
     pub fn generate(fp: StockFingerprint) -> Self {
-        // See `draw_from`: the hook never fires.
-        Self::generate_cancellable(fp, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("generation with a never-cancelling hook always completes")
+        Self::generate_cold(fp, 1, true)
     }
 
-    /// [`OfflineStock::generate`] with the minting-time proof verification
-    /// skipped (`verified` stays `false`), for deferred-verification
-    /// sessions generating their stock cold. Stock bytes are identical to
-    /// [`OfflineStock::generate`] output — see
-    /// [`OfflineStock::draw_from_deferred`].
-    pub(crate) fn generate_deferred(fp: StockFingerprint) -> Self {
-        let group = fp.group.group();
-        let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::draw_cancellable_from(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
-            &mut || false,
-            StockTier::Keygen,
-            false,
-        )
-        // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-        .expect("generation with a never-cancelling hook always completes");
-        stock.fingerprint = Some(fp);
-        stock
+    /// [`OfflineStock::generate`] as a session's cold offline step runs
+    /// it: the minting spread over `workers` threads (its
+    /// [`SortOptions::threads`](crate::sorting::SortOptions)) and, when
+    /// `verify_at_mint` is `false`, the minting-time proof verification
+    /// skipped. Stock bytes are identical to [`OfflineStock::generate`]
+    /// output — see [`OfflineStock::draw_cold`].
+    pub(crate) fn generate_cold(
+        fp: StockFingerprint,
+        workers: usize,
+        verify_at_mint: bool,
+    ) -> Self {
+        let mint = Mint {
+            tier: StockTier::Keygen,
+            verify_at_mint,
+            workers,
+        };
+        // See `draw_cold`: the hook never fires.
+        Self::from_fingerprint(fp, &mut || false, mint)
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("generation with a never-cancelling hook always completes")
     }
 
     /// [`OfflineStock::generate`] stopped at the masks tier: the same
@@ -347,22 +374,20 @@ impl OfflineStock {
     /// Exists so the bench harness can measure the two tiers against the
     /// same cold baseline; a session consuming this stock is bit-identical
     /// to one consuming the keygen tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fp.participants < 2`.
     pub fn generate_masks_only(fp: StockFingerprint) -> Self {
-        let group = fp.group.group();
-        let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::draw_cancellable_from(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
-            &mut || false,
-            StockTier::Masks,
-            true,
-        )
-        // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-        .expect("generation with a never-cancelling hook always completes");
-        stock.fingerprint = Some(fp);
-        stock
+        let mint = Mint {
+            tier: StockTier::Masks,
+            verify_at_mint: true,
+            workers: 1,
+        };
+        // See `draw_cold`: the hook never fires.
+        Self::from_fingerprint(fp, &mut || false, mint)
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("generation with a never-cancelling hook always completes")
     }
 
     /// [`OfflineStock::generate`] with a cancellation hook for background
@@ -370,39 +395,54 @@ impl OfflineStock {
     /// sets and between minting batches; once it returns `true`, generation
     /// stops and `None` is returned. A completed generation is
     /// bit-identical to [`OfflineStock::generate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fp.participants < 2`.
     pub fn generate_cancellable(
         fp: StockFingerprint,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Self> {
+        let mint = Mint {
+            tier: StockTier::Keygen,
+            verify_at_mint: true,
+            workers: 1,
+        };
+        Self::from_fingerprint(fp, cancel, mint)
+    }
+
+    /// Draws from `fp`'s dedicated offline stream and stamps the result
+    /// with `fp`.
+    fn from_fingerprint(
+        fp: StockFingerprint,
+        cancel: &mut dyn FnMut() -> bool,
+        mint: Mint,
+    ) -> Option<Self> {
         let group = fp.group.group();
         let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::draw_cancellable_from(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
-            cancel,
-            StockTier::Keygen,
-            true,
-        )?;
+        let mut stock =
+            Self::draw_cancellable_from(&group, fp.participants, fp.bits, &mut rng, cancel, mint)?;
         stock.fingerprint = Some(fp);
         Some(stock)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn draw_cancellable_from<R: Rng + ?Sized>(
         group: &Group,
         n: usize,
         l: usize,
         rng: &mut R,
         cancel: &mut dyn FnMut() -> bool,
-        tier: StockTier,
-        verify_at_mint: bool,
+        mint: Mint,
     ) -> Option<Self> {
+        // Checked up front: every shape below is built from `n − 1`.
+        assert!(
+            n >= 2,
+            "an offline stock needs at least 2 participants, got {n}"
+        );
         // ---- canonical scalar stream -----------------------------------
-        // Both tiers draw exactly this sequence; they differ only in how
-        // much is exponentiated afterwards. Any change here is a new
-        // STOCK_LAYOUT.
+        // Both tiers draw exactly this sequence, serially and before any
+        // worker starts; they differ only in how much is exponentiated
+        // afterwards. Any change here is a new STOCK_LAYOUT.
         let mut secrets = Vec::with_capacity(n);
         for _ in 0..n {
             if cancel() {
@@ -419,50 +459,42 @@ impl OfflineStock {
             nonces.push(SchnorrNonce::draw(group, rng));
             challenges.push((0..n - 1).map(|_| group.random_scalar(rng)).collect());
         }
-        let mut enc: VecDeque<Vec<MaskPair>> = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            if cancel() {
-                return None;
-            }
-            enc.push_back((0..l).map(|_| MaskPair::draw(group, rng)).collect());
-        }
-        // One rerandomization mask per comparison-set ciphertext: each
-        // party's τ set is a deterministic homomorphic combination of
-        // published bit encryptions, so it must be re-randomized before it
-        // is contributed to the chain.
+        // The n encryption mask rows (l masks each), then one
+        // rerandomization mask per comparison-set ciphertext: each party's
+        // τ set is a deterministic homomorphic combination of published
+        // bit encryptions, so it must be re-randomized before it is
+        // contributed to the chain. Drawn row by row into one run, which
+        // the minting below splits across workers and then into rows.
         let set_len = (n - 1) * l;
-        let mut compare: VecDeque<Vec<MaskPair>> = VecDeque::with_capacity(n);
-        for _ in 0..n {
+        let rows = std::iter::repeat_n(l, n).chain(std::iter::repeat_n(set_len, n));
+        let mut masks: Vec<MaskPair> = Vec::with_capacity(n * l + n * set_len);
+        for row_len in rows {
             if cancel() {
                 return None;
             }
-            compare.push_back((0..set_len).map(|_| MaskPair::draw(group, rng)).collect());
+            masks.extend(MaskPair::draw(group, rng, row_len));
         }
         // n hops, each touching the n−1 foreign sets (ascending owner) of
         // (n−1)·l ciphertexts each. Hop randomizers must be nonzero — a
         // zero multiplier would erase a plaintext, forging a rank. They
         // stay plain scalars: the hop applies them to *foreign* ciphertexts
         // with variable bases, which no table can precompute.
-        let mut hops = VecDeque::with_capacity(n * (n - 1));
-        for _hop in 0..n {
-            for _set in 0..n - 1 {
-                if cancel() {
-                    return None;
-                }
-                hops.push_back(HopSet::Raw(
-                    (0..set_len)
-                        .map(|_| group.random_nonzero_scalar(rng))
-                        .collect(),
-                ));
+        let mut raw_hops: Vec<Vec<Scalar>> = Vec::with_capacity(n * (n - 1));
+        for _set in 0..n * (n - 1) {
+            if cancel() {
+                return None;
             }
+            raw_hops.push(
+                (0..set_len)
+                    .map(|_| group.random_nonzero_scalar(rng))
+                    .collect(),
+            );
         }
         // ---- tier-dependent minting (no further stream draws) ----------
-        let keys = match tier {
-            StockTier::Masks => KeyStock(KeyMaterial::Seeds {
-                secrets,
-                nonces,
-                challenges,
-            }),
+        // Batches run over `mint.workers` near-equal ranges; the hook is
+        // polled between them.
+        let minted = match mint.tier {
+            StockTier::Masks => None,
             StockTier::Keygen => {
                 if cancel() {
                     return None;
@@ -474,6 +506,36 @@ impl OfflineStock {
                 let shares: Vec<Element> = pairs.iter().map(|p| p.public_key().clone()).collect();
                 let joint = JointKey::combine(group, &shares);
                 let table = ExpElGamal::new(group.clone()).prepare_key(joint.public_key());
+                Some((pairs, joint, table))
+            }
+        };
+        if cancel() {
+            return None;
+        }
+        // Every mask's `g^r` half and, once the joint key is known, its
+        // `y^r` half: one fixed-base batch of each per range.
+        let key_table = minted.as_ref().map(|(_, _, table)| table);
+        let mut rest = masks.as_mut_slice();
+        fan_out(
+            rest.len(),
+            mint.workers,
+            |range| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                chunk
+            },
+            |chunk| MaskPair::fill(group, key_table, chunk),
+        );
+        let (keys, hops) = match minted {
+            None => (
+                KeyStock(KeyMaterial::Seeds {
+                    secrets,
+                    nonces,
+                    challenges,
+                }),
+                raw_hops.into_iter().map(HopSet::Raw).collect(),
+            ),
+            Some((pairs, joint, table)) => {
                 let proofs: Vec<MultiVerifierTranscript> = pairs
                     .iter()
                     .zip(nonces)
@@ -482,18 +544,6 @@ impl OfflineStock {
                         MultiVerifierProof::assemble(group, pair.secret_key(), nonce, chals)
                     })
                     .collect();
-                for row in enc.iter_mut() {
-                    if cancel() {
-                        return None;
-                    }
-                    MaskPair::fill_key_halves(group, &table, row);
-                }
-                for row in compare.iter_mut() {
-                    if cancel() {
-                        return None;
-                    }
-                    MaskPair::fill_key_halves(group, &table, row);
-                }
                 // Every verifier's batch check over the other parties'
                 // proofs (paper Sec. IV keygen round) reads only material
                 // minted above, so it is offline work: run it now and
@@ -507,7 +557,7 @@ impl OfflineStock {
                 if cancel() {
                     return None;
                 }
-                let verified = verify_at_mint
+                let verified = mint.verify_at_mint
                     && (0..n).all(|vidx| {
                         let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
                             .filter(|&p| p != vidx)
@@ -521,24 +571,38 @@ impl OfflineStock {
                 // products and the hop ladder's signed-digit recodings are
                 // a pure function of offline material: fold them into the
                 // sets now. Sets were drawn hop-major, `n − 1` per hop.
-                for (idx, set) in hops.iter_mut().enumerate() {
-                    if cancel() {
-                        return None;
-                    }
-                    if let HopSet::Raw(rs) = set {
-                        let secret = pairs[idx / (n - 1)].secret_key();
-                        *set = HopSet::Prepared(group.prepare_hop_scalars(secret, rs));
-                    }
+                if cancel() {
+                    return None;
                 }
-                KeyStock(KeyMaterial::Minted {
+                let (prepared, _cpu) = fan_out(
+                    raw_hops.len(),
+                    mint.workers,
+                    |range| range,
+                    |range| {
+                        range
+                            .map(|idx| {
+                                let secret = pairs[idx / (n - 1)].secret_key();
+                                HopSet::Prepared(group.prepare_hop_scalars(secret, &raw_hops[idx]))
+                            })
+                            .collect::<Vec<_>>()
+                    },
+                );
+                let keys = KeyStock(KeyMaterial::Minted {
                     pairs,
                     proofs,
                     joint,
                     table,
                     verified,
-                })
+                });
+                (keys, prepared.into_iter().flatten().collect())
             }
         };
+        let mut masks = masks.into_iter();
+        let mut rows = |len: usize| -> VecDeque<Vec<MaskPair>> {
+            (0..n).map(|_| masks.by_ref().take(len).collect()).collect()
+        };
+        let enc = rows(l);
+        let compare = rows(set_len);
         Some(OfflineStock {
             keys: Some(keys),
             enc,
@@ -616,6 +680,103 @@ mod tests {
         s.hops.iter().map(HopSet::randomizers).collect()
     }
 
+    /// The `(g^r, y^r)` halves of every encryption and comparison mask, in
+    /// consumption order.
+    fn halves(s: &OfflineStock) -> Vec<(Option<Element>, Option<Element>)> {
+        s.enc
+            .iter()
+            .chain(s.compare.iter())
+            .flatten()
+            .map(|p| (p.g_r().cloned(), p.y_r().cloned()))
+            .collect()
+    }
+
+    /// The prepared hop sets of a keygen-tier stock.
+    fn prepared(s: &OfflineStock) -> Vec<&[HopScalars]> {
+        s.hops
+            .iter()
+            .map(|set| match set {
+                HopSet::Prepared(ps) => ps.as_slice(),
+                HopSet::Raw(_) => panic!("keygen tier expected"),
+            })
+            .collect()
+    }
+
+    /// The joint key and the minting-time verdict of a keygen-tier stock.
+    fn joint_and_verdict(s: &OfflineStock) -> (Element, bool) {
+        match &s.keys.as_ref().unwrap().0 {
+            KeyMaterial::Minted {
+                joint, verified, ..
+            } => (joint.public_key().clone(), *verified),
+            KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
+        }
+    }
+
+    #[test]
+    fn any_worker_count_mints_the_serial_stock() {
+        // The scalar stream is drawn before any worker starts and the
+        // batches are pure functions of it, so splitting the minting
+        // across k workers must reproduce the one-worker stock and what a
+        // pool's `generate` hands out for the same fingerprint — with and
+        // without the minting-time verification.
+        for (kind, n, l) in [
+            (GroupKind::Ecc160, 3, 4),
+            (GroupKind::Ecc160, 5, 3),
+            (GroupKind::Dl1024, 3, 2),
+        ] {
+            let fp = StockFingerprint::new(21, n, l, kind);
+            let pool = OfflineStock::generate(fp);
+            assert!(
+                joint_and_verdict(&pool).1,
+                "{kind} n={n}: honest stock verifies"
+            );
+            for workers in [1, 2, 3, 4] {
+                for verify in [true, false] {
+                    let cold = OfflineStock::generate_cold(fp, workers, verify);
+                    let label = format!("{kind} n={n} workers={workers} verify={verify}");
+                    assert_eq!(prepared(&cold), prepared(&pool), "{label}: hop sets");
+                    assert_eq!(halves(&cold), halves(&pool), "{label}: mask halves");
+                    let (joint, verified) = joint_and_verdict(&cold);
+                    assert_eq!(joint, joint_and_verdict(&pool).0, "{label}: joint key");
+                    assert_eq!(verified, verify, "{label}: verdict");
+                }
+            }
+            // The ad hoc draw on a machine's own stream agrees too.
+            let group = kind.group();
+            let mut serial_rng = StdRng::seed_from_u64(5);
+            let mut fanned_rng = StdRng::seed_from_u64(5);
+            let serial = OfflineStock::draw_from(&group, n, l, &mut serial_rng);
+            let fanned = OfflineStock::draw_cold(&group, n, l, &mut fanned_rng, 3, true);
+            assert_eq!(
+                prepared(&serial),
+                prepared(&fanned),
+                "{kind} draw_cold hop sets"
+            );
+            assert_eq!(
+                halves(&serial),
+                halves(&fanned),
+                "{kind} draw_cold mask halves"
+            );
+            assert_eq!(joint_and_verdict(&serial), joint_and_verdict(&fanned));
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_participants_are_rejected_up_front() {
+        for participants in [0, 1] {
+            let fp = StockFingerprint::new(1, participants, 4, GroupKind::Ecc160);
+            let outcome = std::panic::catch_unwind(|| OfflineStock::generate(fp));
+            let message = outcome
+                .err()
+                .and_then(|e| e.downcast::<String>().ok())
+                .unwrap_or_else(|| panic!("participants = {participants} must panic"));
+            assert!(
+                message.contains("at least 2 participants"),
+                "participants = {participants}: {message}"
+            );
+        }
+    }
+
     #[test]
     fn fingerprint_constructor_pins_the_current_layout() {
         assert_eq!(fp(1).layout, STOCK_LAYOUT);
@@ -670,28 +831,15 @@ mod tests {
             .iter()
             .all(|set| matches!(set, HopSet::Prepared(_))));
         assert!(masks.hops.iter().all(|set| matches!(set, HopSet::Raw(_))));
-        let g_rs = |s: &OfflineStock| -> Vec<_> {
-            s.enc
-                .iter()
-                .chain(s.compare.iter())
-                .flatten()
-                .map(|p| p.g_r().clone())
-                .collect()
-        };
-        assert_eq!(g_rs(&full), g_rs(&masks));
+        // Both tiers carry every `g^r` half, and the same ones.
+        assert!(halves(&full).iter().all(|(g_r, _)| g_r.is_some()));
+        assert_eq!(
+            halves(&full).iter().map(|h| &h.0).collect::<Vec<_>>(),
+            halves(&masks).iter().map(|h| &h.0).collect::<Vec<_>>()
+        );
         // Full tier carries every key half; masks tier carries none.
-        assert!(full
-            .enc
-            .iter()
-            .chain(full.compare.iter())
-            .flatten()
-            .all(MaskPair::has_key_half));
-        assert!(!masks
-            .enc
-            .iter()
-            .chain(masks.compare.iter())
-            .flatten()
-            .any(MaskPair::has_key_half));
+        assert!(halves(&full).iter().all(|(_, y_r)| y_r.is_some()));
+        assert!(halves(&masks).iter().all(|(_, y_r)| y_r.is_none()));
         // The minted keys are exactly the masks tier's seeds, exponentiated.
         let group = GroupKind::Ecc160.group();
         let (pairs, proofs, joint) = match full.keys.unwrap().0 {

@@ -36,7 +36,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
 use std::time::{Duration, Instant};
 
@@ -113,9 +113,15 @@ pub struct SortOptions {
     /// Multiply plaintexts by a fresh random at every hop (the gain-hiding
     /// mechanism for non-zero `τ`).
     pub randomize: bool,
-    /// Worker threads for each party's local crypto (`0` = one per
-    /// available core, `1` = serial). Randomness is pre-drawn serially, so
-    /// every thread count produces bit-identical transcripts and ranks.
+    /// Worker threads for each step's local crypto (`0` = one per
+    /// available core, `1` = serial). Every fanned-out step splits a flat
+    /// index space into near-equal contiguous ranges, one per worker: the
+    /// cold offline mint (its mask halves and hop-scalar preparations),
+    /// the comparison step (opponents, then the set's rerandomization
+    /// masks), each hop (the output positions of all `n − 1` foreign sets
+    /// laid end to end) and the finish (every owner's returned ciphertexts
+    /// laid end to end). Randomness is pre-drawn serially, so every thread
+    /// count produces bit-identical transcripts and ranks.
     /// Only *local* work parallelizes: the hop-to-hop chain itself stays
     /// sequential because each hop must shuffle and re-randomize the
     /// previous hop's output before anyone else may see it — pipelining
@@ -247,7 +253,7 @@ pub fn verify_deferred_jobs(jobs: &[KeygenVerifyJob]) -> Vec<Result<(), SortErro
 }
 
 /// Resolves [`SortOptions::threads`] to a concrete worker count.
-fn resolve_threads(threads: usize) -> usize {
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -257,57 +263,68 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `f` over `items` on up to `workers` scoped threads, preserving
-/// item order in the output. Returns the results plus the total CPU time
-/// summed across workers (for [`PartyTimer::record`]). `f` must not touch
-/// the protocol RNG — callers pre-draw any randomness serially.
-fn parallel_map<T: Sync, U: Send>(
-    items: &[T],
+/// Splits the flat index space `0..total` into at most `workers`
+/// contiguous ranges of near-equal length (sizes differ by at most one)
+/// and runs `work` on each range on its own scoped thread — inline, with
+/// no spawn, when there is a single range. `take` builds each range's
+/// input on the calling thread, in range order, so it may split off owned
+/// or `&mut` data for the range. Returns the results in range order plus
+/// the CPU time summed over the workers (for [`PartyTimer::record`]).
+/// `work` must not touch the protocol RNG — callers pre-draw any
+/// randomness serially, which keeps every worker count bit-identical.
+pub(crate) fn fan_out<T: Send, U: Send>(
+    total: usize,
     workers: usize,
-    f: impl Fn(&T) -> U + Sync,
+    take: impl FnMut(Range<usize>) -> T,
+    work: impl Fn(T) -> U + Sync,
 ) -> (Vec<U>, Duration) {
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers == 1 {
+    let parts = workers.clamp(1, total.max(1));
+    let inputs: Vec<T> = (0..parts)
+        .map(|p| p * total / parts..(p + 1) * total / parts)
+        .map(take)
+        .collect();
+    let timed = |input: T| {
         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
         let start = Instant::now();
-        let out: Vec<U> = items.iter().map(&f).collect();
-        return (out, start.elapsed());
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    let mut cpu = Duration::ZERO;
+        let out = work(input);
+        (out, start.elapsed())
+    };
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return (Vec::new(), Duration::ZERO);
+    };
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-                    let start = Instant::now();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&items[i])));
-                    }
-                    (out, start.elapsed())
-                })
-            })
-            .collect();
+        let handles: Vec<_> = inputs.map(|input| s.spawn(|| timed(input))).collect();
+        // The calling thread takes the first range itself.
+        let (out, mut cpu) = timed(first);
+        let mut outs = vec![out];
         for handle in handles {
-            // A worker that panicked (e.g. an assert in `f`) must not be
+            // A worker that panicked (e.g. an assert in `work`) must not be
             // swallowed into a bogus result; re-raise its payload on the
             // caller's thread instead.
-            let (part, spent) = match handle.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            indexed.extend(part);
+            let (out, spent) = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            outs.push(out);
             cpu += spent;
         }
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    (indexed.into_iter().map(|(_, u)| u).collect(), cpu)
+        (outs, cpu)
+    })
+}
+
+/// The pieces of the flat range `range` over consecutive segments of
+/// `len` indices each: `(segment, range within the segment)`, in order.
+fn pieces(range: Range<usize>, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let (mut at, end) = (range.start, range.end);
+    std::iter::from_fn(move || {
+        if at >= end || len == 0 {
+            return None;
+        }
+        let (segment, offset) = (at / len, at % len);
+        let stop = (offset + end - at).min(len);
+        at += stop - offset;
+        Some((segment, offset..stop))
+    })
 }
 
 /// Everything a run exposes beyond the ranks — consumed by the
@@ -446,10 +463,9 @@ pub struct SortMachine {
     encrypted_bits: Vec<Vec<Ciphertext>>,
     sets: Vec<Vec<Ciphertext>>,
     opponent_order: Vec<Vec<usize>>,
-    /// Reusable hop output buffer (serial path): each hop writes the next
-    /// version of a set here, then swaps it with the live set, so the
-    /// chain's dominant loop reuses two buffers per set instead of
-    /// allocating and cloning fresh vectors every hop.
+    /// Reusable hop output buffer: each hop writes its first output piece
+    /// here and keeps a replaced set's buffer for the next hop, so a
+    /// serial chain reuses one set's capacity from hop to hop.
     hop_scratch: Vec<Ciphertext>,
     /// Precomputed randomness, attached warm by a pool or drawn cold at the
     /// offline step; consumed front-to-back in protocol order.
@@ -611,11 +627,14 @@ impl SortMachine {
                     // verification here either — the check belongs to the
                     // cross-session batch. The deferred draw skips only the
                     // verdict; the stock bytes are identical.
-                    self.stock = Some(if self.options.defer_verify {
-                        OfflineStock::draw_from_deferred(&self.group, self.n, self.l, rng)
-                    } else {
-                        OfflineStock::draw_from(&self.group, self.n, self.l, rng)
-                    });
+                    self.stock = Some(OfflineStock::draw_cold(
+                        &self.group,
+                        self.n,
+                        self.l,
+                        rng,
+                        self.workers,
+                        !self.options.defer_verify,
+                    ));
                 }
                 self.state = SortState::KeyGen;
                 Ok(SortStatus::Pending)
@@ -867,10 +886,19 @@ impl SortMachine {
         let value = &self.values[idx];
         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
         let start = Instant::now();
-        let (chunks, cpu) = parallel_map(&opponents, self.workers, |&opp| {
-            compare_encrypted(&self.scheme, value, &self.encrypted_bits[opp], self.l)
-        });
-        timer.record(party, start.elapsed(), cpu);
+        let (chunks, compare_cpu) = fan_out(
+            opponents.len(),
+            self.workers,
+            |range| range,
+            |range| {
+                opponents[range]
+                    .iter()
+                    .flat_map(|&opp| {
+                        compare_encrypted(&self.scheme, value, &self.encrypted_bits[opp], self.l)
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
         let raw: Vec<Ciphertext> = chunks.into_iter().flatten().collect();
         let row = self
             .stock
@@ -884,10 +912,19 @@ impl SortMachine {
             .key_table
             .as_ref()
             .ok_or(SortError::Internal("no key table at compare"))?;
-        let set = timer.time(party, || {
-            self.scheme
-                .rerandomize_batch_with_precomputed(key_table, &raw, row)
-        });
+        // Each range takes its own slice of the (single-use) mask row.
+        let mut masks = row.into_iter();
+        let (parts, rerandomize_cpu) = fan_out(
+            raw.len(),
+            self.workers,
+            |range| (masks.by_ref().take(range.len()).collect(), range),
+            |(masks, range)| {
+                self.scheme
+                    .rerandomize_batch_with_precomputed(key_table, &raw[range], masks)
+            },
+        );
+        let set: Vec<Ciphertext> = parts.into_iter().flatten().collect();
+        timer.record(party, start.elapsed(), compare_cpu + rerandomize_cpu);
         if party != 1 {
             log.record(
                 self.round,
@@ -903,11 +940,12 @@ impl SortMachine {
     }
 
     /// Step 8 for one party: her hop of the shuffle-decrypt chain
-    /// P₁ → P₂ → … → P_n. Within the hop the n−1 foreign sets are
-    /// independent; the plaintext randomizers come from the offline stock
-    /// and the shuffle permutations are pre-drawn in the serial order, so
-    /// the transcript is identical for any thread count, then the
-    /// exponentiations run batched — the fused decrypt-and-randomize hop
+    /// P₁ → P₂ → … → P_n. Within the hop every output position of the n−1
+    /// foreign sets is independent; the plaintext randomizers come from
+    /// the offline stock and the shuffle permutations are pre-drawn in the
+    /// serial order, so the transcript is identical for any thread count,
+    /// then the exponentiations run batched over near-equal ranges of
+    /// those positions, one per worker — the fused decrypt-and-randomize hop
     /// costs ~1.7 exponentiations per ciphertext instead of 3, and the
     /// shuffle is fused into result placement so no permutation pass (or
     /// its per-ciphertext clones) remains.
@@ -927,11 +965,11 @@ impl SortMachine {
             .stock
             .take()
             .ok_or(SortError::Internal("no offline stock at hop"))?;
-        // (owner, randomizers, shuffle permutation) per foreign set. The
-        // stock always holds a randomizer set per (hop, foreign set) —
-        // its shape is options-independent — so a non-randomizing run
-        // simply leaves them unconsumed.
-        let jobs: Vec<(usize, HopSet, Option<Vec<usize>>)> = self
+        // (owner, randomizers, output order) per foreign set. The stock
+        // always holds a randomizer set per (hop, foreign set) — its shape
+        // is options-independent — so a non-randomizing run simply leaves
+        // them unconsumed.
+        let jobs: Vec<(usize, HopSet, Vec<usize>)> = self
             .sets
             .iter()
             .enumerate()
@@ -951,12 +989,11 @@ impl SortMachine {
                 // A permutation shuffled with the same draws the in-place
                 // `shuffle` would consume (Fisher–Yates swaps depend only
                 // on the length), fused into result placement below.
-                let perm = self.options.shuffle.then(|| {
-                    let mut p: Vec<usize> = (0..set.len()).collect();
-                    p.shuffle(rng);
-                    p
-                });
-                Ok((owner, rs, perm))
+                let mut order: Vec<usize> = (0..set.len()).collect();
+                if self.options.shuffle {
+                    order.shuffle(rng);
+                }
+                Ok((owner, rs, order))
             })
             .collect::<Result<_, SortError>>()?;
         self.stock = Some(stock);
@@ -972,73 +1009,62 @@ impl SortMachine {
         } = self;
         let secret = keys[idx].secret_key();
         let randomize = options.randomize;
-        if *workers == 1 {
-            // Serial fast path: reuse one scratch buffer for every hop of
-            // the whole chain — the output is written straight into its
-            // shuffled order and swapped with the live set.
-            for (owner, hop_set, perm) in &jobs {
-                let set = &sets[*owner];
-                match (randomize, hop_set) {
-                    // Keygen-tier stock: `−x·r` and the recodings came
-                    // precomputed; the stored secret products already bind
-                    // to this party's share (the keygen step installed the
-                    // same stock's key pairs).
-                    (true, HopSet::Prepared(prep)) => scheme
-                        .partial_decrypt_randomize_prepared_gather_into(
-                            set,
-                            prep,
-                            perm.as_deref(),
-                            hop_scratch,
-                        ),
-                    (true, HopSet::Raw(rs)) => scheme.partial_decrypt_randomize_gather_into(
-                        set,
-                        secret,
-                        rs,
-                        perm.as_deref(),
-                        hop_scratch,
-                    ),
-                    (false, _) => scheme.partial_decrypt_gather_into(
-                        set,
-                        secret,
-                        perm.as_deref(),
-                        hop_scratch,
-                    ),
-                }
-                std::mem::swap(&mut sets[*owner], hop_scratch);
+        // Every set in a session has the same length, (n − 1)·l.
+        let len = sets[0].len();
+        // The hop's output positions — the n − 1 foreign sets laid end to
+        // end — split into near-equal ranges across the workers, so a set
+        // may be shared between two workers. The first range writes its
+        // first piece into the reusable scratch buffer.
+        let mut scratch = std::mem::take(hop_scratch);
+        let (outputs, cpu) = fan_out(
+            jobs.len() * len,
+            *workers,
+            |range| (range, std::mem::take(&mut scratch)),
+            |(range, mut buffer)| {
+                pieces(range, len)
+                    .map(|(k, local)| {
+                        let (owner, hop_set, order) = &jobs[k];
+                        let (set, order) = (&sets[*owner], Some(&order[local]));
+                        let mut out = std::mem::take(&mut buffer);
+                        match (randomize, hop_set) {
+                            // Keygen-tier stock: `−x·r` and the recodings
+                            // came precomputed; the stored secret products
+                            // already bind to this party's share (the keygen
+                            // step installed the same stock's key pairs).
+                            (true, HopSet::Prepared(prep)) => scheme
+                                .partial_decrypt_randomize_prepared_gather_into(
+                                    set, prep, order, &mut out,
+                                ),
+                            (true, HopSet::Raw(rs)) => scheme
+                                .partial_decrypt_randomize_gather_into(
+                                    set, secret, rs, order, &mut out,
+                                ),
+                            (false, _) => {
+                                scheme.partial_decrypt_gather_into(set, secret, order, &mut out)
+                            }
+                        }
+                        (k, out)
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        // Reassemble each set from its pieces (in order) and swap it in; a
+        // replaced set's buffer becomes the next hop's scratch.
+        let mut assembled: Vec<Vec<Ciphertext>> = vec![Vec::new(); jobs.len()];
+        for (k, piece) in outputs.into_iter().flatten() {
+            if assembled[k].is_empty() {
+                assembled[k] = piece;
+            } else {
+                assembled[k].extend(piece);
             }
-            // Single-threaded: wall time is the CPU time (draws included).
-            let elapsed = start.elapsed();
-            timer.record(party, elapsed, elapsed);
-        } else {
-            let (processed, cpu) = parallel_map(&jobs, *workers, |(owner, hop_set, perm)| {
-                let set = &sets[*owner];
-                let mut out = Vec::with_capacity(set.len());
-                match (randomize, hop_set) {
-                    (true, HopSet::Prepared(prep)) => scheme
-                        .partial_decrypt_randomize_prepared_gather_into(
-                            set,
-                            prep,
-                            perm.as_deref(),
-                            &mut out,
-                        ),
-                    (true, HopSet::Raw(rs)) => scheme.partial_decrypt_randomize_gather_into(
-                        set,
-                        secret,
-                        rs,
-                        perm.as_deref(),
-                        &mut out,
-                    ),
-                    (false, _) => {
-                        scheme.partial_decrypt_gather_into(set, secret, perm.as_deref(), &mut out)
-                    }
-                }
-                out
-            });
-            for ((owner, _, _), hopped) in jobs.iter().zip(processed) {
-                sets[*owner] = hopped;
-            }
-            timer.record(party, start.elapsed(), draw_cpu + cpu);
         }
+        for ((owner, _, _), hopped) in jobs.iter().zip(assembled) {
+            let old = std::mem::replace(&mut sets[*owner], hopped);
+            if hop_scratch.capacity() == 0 {
+                *hop_scratch = old;
+            }
+        }
+        timer.record(party, start.elapsed(), draw_cpu + cpu);
         // Hand the whole vector V to the next party in the chain.
         if party < self.n {
             let v_bytes: usize = self.sets.iter().map(|s| s.len() * self.ct_len).sum();
@@ -1062,32 +1088,56 @@ impl SortMachine {
         }
         self.round += 1;
 
-        let mut ranks = Vec::with_capacity(n);
-        for idx in 0..n {
-            let party = idx + 1;
-            // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-            let start = Instant::now();
-            let secret = self.keys[idx].secret_key();
-            // One gathered partial decryption strips the owner's layer from
-            // the whole set — the key share's digit recoding is done once
-            // and the masks share a single inversion — then the zero test
-            // is an identity check on each exposed `α·β^{−x}`. This is
-            // RNG-free and wire-free, so the transcript is unchanged.
-            self.scheme.partial_decrypt_gather_into(
-                &self.sets[idx],
-                secret,
-                None,
-                &mut self.hop_scratch,
-            );
-            let zeros = self
-                .hop_scratch
-                .iter()
-                .filter(|ct| self.group.is_identity(&ct.alpha))
-                .count();
-            let elapsed = start.elapsed();
-            timer.record(party, elapsed, elapsed);
-            ranks.push(zeros + 1);
+        // Every owner's returned ciphertexts, laid end to end, split into
+        // near-equal ranges across the workers. Each piece strips its
+        // owner's layer with one gathered partial decryption — the key
+        // share's digit recoding is done once per piece and the masks
+        // share a single inversion — then the zero test is an identity
+        // check on each exposed `α·β^{−x}`. This is RNG-free and
+        // wire-free, so the transcript is unchanged.
+        let len = self.sets[0].len();
+        let positions: Vec<usize> = (0..len).collect();
+        let (counted, _cpu) = fan_out(
+            n * len,
+            self.workers,
+            |range| range,
+            |range| {
+                pieces(range, len)
+                    .map(|(owner, local)| {
+                        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
+                        let start = Instant::now();
+                        let mut out = Vec::new();
+                        self.scheme.partial_decrypt_gather_into(
+                            &self.sets[owner],
+                            self.keys[owner].secret_key(),
+                            Some(&positions[local]),
+                            &mut out,
+                        );
+                        let zeros = out
+                            .iter()
+                            .filter(|ct| self.group.is_identity(&ct.alpha))
+                            .count();
+                        (owner, zeros, start.elapsed())
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        // Zero counts sum per owner. Each owner is charged only for the
+        // time spent on her own ciphertexts: the CPU summed over her
+        // pieces, and as wall-clock the longest of them (her pieces sit in
+        // different ranges, so they ran side by side).
+        let mut zeros = vec![0usize; n];
+        let mut wall = vec![Duration::ZERO; n];
+        let mut cpu = vec![Duration::ZERO; n];
+        for (owner, count, spent) in counted.into_iter().flatten() {
+            zeros[owner] += count;
+            wall[owner] = wall[owner].max(spent);
+            cpu[owner] += spent;
         }
+        for owner in 0..n {
+            timer.record(owner + 1, wall[owner], cpu[owner]);
+        }
+        let ranks: Vec<usize> = zeros.iter().map(|z| z + 1).collect();
         let trace = SortTrace {
             keys: std::mem::take(&mut self.keys),
             returned_sets: std::mem::take(&mut self.sets),
@@ -1402,7 +1452,7 @@ mod tests {
             // (a `draw_from` stock is batch-checked at minting time and
             // would make the session skip verification entirely, parking no
             // job). Bytes are identical either way.
-            let mut stock = OfflineStock::draw_from_deferred(&group, 3, 4, &mut stock_rng);
+            let mut stock = OfflineStock::draw_cold(&group, 3, 4, &mut stock_rng, 1, false);
             if let Some(party) = corrupt {
                 stock.corrupt_key_proof(&group, party);
             }

@@ -79,10 +79,11 @@ pub fn encrypt_bits_prepared<R: Rng + ?Sized>(
 }
 
 /// [`encrypt_bits_prepared`] with the exponentiations done ahead of time:
-/// `masks[i]` carries `(r_i, g^{r_i})` — and, when the offline phase knew
-/// the joint key, `y^{r_i}` — for bit `i` (least-significant first). With
-/// full pairs the online cost is one group operation per set bit; any
-/// missing `y^{r_i}` halves are computed in one batch through `key_table`.
+/// `masks[i]` carries `r_i` and, as filled by [`MaskPair::fill`], `g^{r_i}`
+/// and — when the offline phase knew the joint key — `y^{r_i}` for bit `i`
+/// (least-significant first). With full pairs the online cost is one group
+/// operation per set bit; any missing halves are computed in one batch
+/// each.
 ///
 /// Consumes the masks: each is single-use. For masks drawn from the same
 /// stream positions the inline path would have used, the output is
@@ -105,19 +106,11 @@ pub fn encrypt_bits_with_precomputed(
     let mask_count = masks.len();
     assert_eq!(mask_count, l, "one mask pair per bit");
     let group = scheme.group();
-    MaskPair::fill_key_halves(group, key_table, &mut masks);
+    MaskPair::fill(group, Some(key_table), &mut masks);
     let g1 = group.generator();
     let parts: Vec<(Element, Element)> = masks
         .into_iter()
-        .map(|pre| {
-            let (r, beta, yr) = pre.into_parts();
-            let mask = match yr {
-                // `fill_key_halves` above makes this the only live arm.
-                Some(m) => m,
-                None => group.exp_prepared(key_table, r.expose()),
-            };
-            (mask, beta)
-        })
+        .map(|pre| pre.into_halves(group, key_table))
         .collect();
     // The set bits' `g·y^r` products share one batched affine conversion
     // instead of paying a field inversion per one-bit.
@@ -211,14 +204,11 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(77);
         let mut rng_c = StdRng::seed_from_u64(77);
         let inline = encrypt_bits_prepared(&scheme, &table, &v, 10, &mut rng_a);
-        let half: Vec<MaskPair> = (0..10)
-            .map(|_| MaskPair::draw(&group, &mut rng_b))
-            .collect();
-        let mut full: Vec<MaskPair> = (0..10)
-            .map(|_| MaskPair::draw(&group, &mut rng_c))
-            .collect();
-        MaskPair::fill_key_halves(&group, &table, &mut full);
-        assert!(full.iter().all(MaskPair::has_key_half));
+        let mut half = MaskPair::draw(&group, &mut rng_b, 10);
+        MaskPair::fill(&group, None, &mut half);
+        let mut full = MaskPair::draw(&group, &mut rng_c, 10);
+        MaskPair::fill(&group, Some(&table), &mut full);
+        assert!(full.iter().all(|p| p.y_r().is_some()));
         let warm_half = encrypt_bits_with_precomputed(&scheme, &table, &v, 10, half);
         let warm_full = encrypt_bits_with_precomputed(&scheme, &table, &v, 10, full);
         assert_eq!(inline, warm_half);

@@ -3,6 +3,7 @@
 use ppgr_bigint::Secret;
 use ppgr_group::{Element, FixedBaseTable, Group, HopScalars, Scalar};
 use rand::Rng;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An ElGamal ciphertext `(α, β)`.
@@ -34,68 +35,69 @@ impl Ciphertext {
 /// A precomputed encryption mask `(r, g^r, y^r)` for the offline/online
 /// phase split.
 ///
-/// The fixed-base half of an encryption or re-randomization — `g^r` — does
-/// not depend on the public key, so it can always be computed before the
-/// session's joint key even exists. The key-dependent half `y^r` can join
-/// it once the joint key is known: a pool that mints keys offline fills it
-/// in ([`MaskPair::fill_key_halves`]), leaving the online consumer nothing
-/// but group multiplications. A half pair (`y^r` absent) still works — the
-/// consuming APIs compute the missing halves through the prepared key
-/// table, batched.
+/// Neither half of an encryption or re-randomization mask depends on the
+/// message, so both can be computed before the session's inputs exist:
+/// the fixed-base half `g^r` always, the key-dependent half `y^r` once
+/// the joint key is known. [`MaskPair::draw`] only draws the scalars;
+/// [`MaskPair::fill`] then computes the missing halves in batches — a
+/// pool that mints keys offline fills both, leaving the online consumer
+/// nothing but group multiplications. A mask with a half still missing
+/// works too: the consuming APIs compute it through the prepared key
+/// table.
 ///
 /// A mask is strictly single-use — re-using `r` across two ciphertexts
 /// gives them identical `β` components, visibly linking them — so
 /// consuming APIs take it by value.
 pub struct MaskPair {
     r: Secret<Scalar>,
-    g_r: Element,
+    g_r: Option<Element>,
     y_r: Option<Element>,
 }
 
 impl MaskPair {
-    /// Draws a fresh mask and computes `g^r` (the key-independent offline
-    /// work); `y^r` is left for [`MaskPair::fill_key_halves`] or the
-    /// online consumer.
+    /// Draws a row of `count` fresh masks, one scalar each, in row order;
+    /// nothing is exponentiated until [`MaskPair::fill`].
     ///
-    /// Draws exactly one scalar from `rng` — the same single draw the
-    /// inline encryption paths perform — so a precomputed encryption fed
-    /// from the same randomness stream is bit-identical to an inline one.
-    pub fn draw<R: Rng + ?Sized>(group: &Group, rng: &mut R) -> Self {
-        let r = group.random_scalar(rng);
-        let g_r = group.exp_gen(&r);
-        MaskPair {
-            r: Secret::new(r),
-            g_r,
-            y_r: None,
-        }
+    /// Each mask takes exactly one scalar from `rng` — the same single
+    /// draw the inline encryption paths perform — so a precomputed
+    /// encryption fed from the same randomness stream is bit-identical to
+    /// an inline one. Drawing first and exponentiating later lets a caller
+    /// keep the stream serial while the exponentiations are split across
+    /// workers.
+    pub fn draw<R: Rng + ?Sized>(group: &Group, rng: &mut R, count: usize) -> Vec<MaskPair> {
+        (0..count)
+            .map(|_| MaskPair {
+                r: Secret::new(group.random_scalar(rng)),
+                g_r: None,
+                y_r: None,
+            })
+            .collect()
     }
 
-    /// The fixed-base component `g^r` (a ciphertext's `β`).
-    pub fn g_r(&self) -> &Element {
-        &self.g_r
+    /// The fixed-base component `g^r` (a ciphertext's `β`), once filled.
+    pub fn g_r(&self) -> Option<&Element> {
+        self.g_r.as_ref()
     }
 
-    /// Whether the key-dependent half `y^r` has been filled in.
-    pub fn has_key_half(&self) -> bool {
-        self.y_r.is_some()
+    /// The key-dependent component `y^r`, once filled.
+    pub fn y_r(&self) -> Option<&Element> {
+        self.y_r.as_ref()
     }
 
-    /// Fills the `y^r` halves of every mask in `pairs` through the
-    /// prepared table for `y`, one batch (elliptic-curve results share a
-    /// single field inversion). Masks that already carry their key half
-    /// are left untouched, so the call is idempotent.
-    pub fn fill_key_halves(group: &Group, key_table: &FixedBaseTable, pairs: &mut [MaskPair]) {
-        let todo: Vec<usize> = (0..pairs.len())
-            .filter(|&i| pairs[i].y_r.is_none())
-            .collect();
-        if todo.is_empty() {
-            return;
-        }
-        // tidy:allow(secret-escape) — the cloned nonce batch feeds exp_prepared_batch on the next line and drops at end of call; the pooled originals stay Secret-wrapped
-        let rs: Vec<Scalar> = todo.iter().map(|&i| pairs[i].r.expose().clone()).collect();
-        let masks = group.exp_prepared_batch(key_table, &rs);
-        for (&i, y_r) in todo.iter().zip(masks) {
-            pairs[i].y_r = Some(y_r);
+    /// Computes the missing halves of every mask in `pairs`: all absent
+    /// `g^r` in one fixed-base batch and, given the prepared table for `y`,
+    /// all absent `y^r` in one batch through it (elliptic-curve results of
+    /// a batch share a single field inversion). Halves already present are
+    /// left untouched, so the call is idempotent, and filling a row in
+    /// pieces gives the same masks as filling it whole.
+    pub fn fill(group: &Group, key_table: Option<&FixedBaseTable>, pairs: &mut [MaskPair]) {
+        fill_half(pairs, |p| &mut p.g_r, |rs| group.exp_gen_batch(rs));
+        if let Some(table) = key_table {
+            fill_half(
+                pairs,
+                |p| &mut p.y_r,
+                |rs| group.exp_prepared_batch(table, rs),
+            );
         }
     }
 
@@ -104,9 +106,45 @@ impl MaskPair {
         self.r.expose()
     }
 
-    pub(crate) fn into_parts(self) -> (Secret<Scalar>, Element, Option<Element>) {
-        (self.r, self.g_r, self.y_r)
+    /// Consumes the mask into its `(y^r, g^r)` halves, computing any half
+    /// still missing on the spot.
+    pub(crate) fn into_halves(
+        self,
+        group: &Group,
+        key_table: &FixedBaseTable,
+    ) -> (Element, Element) {
+        let MaskPair { r, g_r, y_r } = self;
+        let y_r = y_r.unwrap_or_else(|| group.exp_prepared(key_table, r.expose()));
+        let g_r = g_r.unwrap_or_else(|| group.exp_gen(r.expose()));
+        (y_r, g_r)
     }
+}
+
+/// Fills one half of every mask in `pairs` that lacks it, with one call of
+/// `exp` over the missing masks' scalars.
+fn fill_half(
+    pairs: &mut [MaskPair],
+    half: fn(&mut MaskPair) -> &mut Option<Element>,
+    exp: impl FnOnce(&[Scalar]) -> Vec<Element>,
+) {
+    let todo: Vec<usize> = (0..pairs.len())
+        .filter(|&i| half(&mut pairs[i]).is_none())
+        .collect();
+    if todo.is_empty() {
+        return;
+    }
+    // tidy:allow(secret-escape) — the cloned nonce batch feeds the batched exponentiation on the next line and drops at end of call; the pooled originals stay Secret-wrapped
+    let rs: Vec<Scalar> = todo.iter().map(|&i| pairs[i].r.expose().clone()).collect();
+    for (&i, value) in todo.iter().zip(exp(&rs)) {
+        *half(&mut pairs[i]) = Some(value);
+    }
+}
+
+/// The input indices a gather visits, in output order: `order` itself, or
+/// every index of `cts` when `None`. Callers index `cts` with them, so an
+/// out-of-range index panics there.
+fn gather<'a>(cts: &[Ciphertext], order: Option<&'a [usize]>) -> Cow<'a, [usize]> {
+    order.map_or_else(|| Cow::Owned((0..cts.len()).collect()), Cow::Borrowed)
 }
 
 impl fmt::Debug for MaskPair {
@@ -317,11 +355,7 @@ impl ExpElGamal {
         a: &Ciphertext,
         pre: MaskPair,
     ) -> Ciphertext {
-        let (r, gr, yr) = pre.into_parts();
-        let mask = match yr {
-            Some(m) => m,
-            None => self.group.exp_prepared(key_table, r.expose()),
-        };
+        let (mask, gr) = pre.into_halves(&self.group, key_table);
         Ciphertext {
             alpha: self.group.op(&a.alpha, &mask),
             beta: self.group.op(&a.beta, &gr),
@@ -347,18 +381,10 @@ impl ExpElGamal {
         // the mask vector itself.
         let mask_count = pres.len();
         assert_eq!(cts.len(), mask_count, "one mask per ciphertext");
-        MaskPair::fill_key_halves(&self.group, key_table, &mut pres);
+        MaskPair::fill(&self.group, Some(key_table), &mut pres);
         let parts: Vec<(Element, Element)> = pres
             .into_iter()
-            .map(|pre| {
-                let (r, gr, yr) = pre.into_parts();
-                let mask = match yr {
-                    // `fill_key_halves` above makes this the only live arm.
-                    Some(m) => m,
-                    None => self.group.exp_prepared(key_table, r.expose()),
-                };
-                (mask, gr)
-            })
+            .map(|pre| pre.into_halves(&self.group, key_table))
             .collect();
         // One batched multiply for all 2·n component products: on the EC
         // family that is one shared affine conversion instead of a field
@@ -400,13 +426,14 @@ impl ExpElGamal {
 
     /// Gathered batch [`ExpElGamal::partial_decrypt`]: writes
     /// `out[j] = partial_decrypt(cts[order[j]])` into the caller's reusable
-    /// buffer (`order = None` keeps input order). Fuses the chain hop's
-    /// shuffle into the output placement, so no separate permutation pass
-    /// (and none of its per-ciphertext clones) is needed.
+    /// buffer. `order` may select any subset of the indices in any order
+    /// (`out.len() == order.len()`), so a caller can fuse the chain hop's
+    /// shuffle into the output placement and split one set across workers;
+    /// `None` takes every ciphertext in input order.
     ///
-    /// The whole set shares one exponent: every new `α` is computed as
+    /// The whole call shares one exponent: every new `α` is computed as
     /// `α·β^{q−x_j}` through [`Group::exp_same_mul_batch`], so the key
-    /// share's digit recoding is done once per hop (not once per
+    /// share's digit recoding is done once per call (not once per
     /// ciphertext), the multiply by `α` is fused into the batched ladder
     /// (no per-ciphertext affine addition, hence no per-ciphertext field
     /// inversion on the EC family), and the DL family drops the division
@@ -415,7 +442,7 @@ impl ExpElGamal {
     ///
     /// # Panics
     ///
-    /// Panics if `order` is given and is not the same length as `cts`.
+    /// Panics if an index in `order` is out of range for `cts`.
     pub fn partial_decrypt_gather_into(
         &self,
         cts: &[Ciphertext],
@@ -423,23 +450,20 @@ impl ExpElGamal {
         order: Option<&[usize]>,
         out: &mut Vec<Ciphertext>,
     ) {
-        if let Some(o) = order {
-            assert_eq!(o.len(), cts.len(), "one output slot per ciphertext");
-        }
         let neg_share = self.group.scalar_neg(secret_share);
-        let idx = |j: usize| order.map_or(j, |o| o[j]);
-        let alphas: Vec<&Element> = (0..cts.len()).map(|j| &cts[idx(j)].alpha).collect();
-        let betas: Vec<&Element> = (0..cts.len()).map(|j| &cts[idx(j)].beta).collect();
+        let picked = gather(cts, order);
+        let alphas: Vec<&Element> = picked.iter().map(|&i| &cts[i].alpha).collect();
+        let betas: Vec<&Element> = picked.iter().map(|&i| &cts[i].beta).collect();
         let new_alphas = self.group.exp_same_mul_batch(&alphas, &betas, &neg_share);
         out.clear();
-        out.reserve(cts.len());
+        out.reserve(picked.len());
         out.extend(
             new_alphas
                 .into_iter()
-                .enumerate()
-                .map(|(j, alpha)| Ciphertext {
+                .zip(picked.iter())
+                .map(|(alpha, &i)| Ciphertext {
                     alpha,
-                    beta: cts[idx(j)].beta.clone(),
+                    beta: cts[i].beta.clone(),
                 }),
         );
     }
@@ -526,21 +550,23 @@ impl ExpElGamal {
 
     /// Gathered batch [`ExpElGamal::partial_decrypt_randomize`] writing into
     /// a caller-provided buffer: `out[j]` is the fused hop applied to
-    /// `cts[order[j]]` with randomizer `rs[order[j]]` (`order = None` keeps
-    /// input order).
+    /// `cts[order[j]]` with randomizer `rs[order[j]]`. `order` may select
+    /// any subset of the indices in any order (`out.len() == order.len()`);
+    /// `None` takes every ciphertext in input order.
     ///
     /// This is the allocation-lean form of the chain hop: the shuffle
     /// permutation is fused into the *placement* of each result, so the
     /// caller never materializes the un-shuffled set and never clones a
     /// ciphertext to reorder it, and `out`'s capacity is reused across
-    /// hops. Element-for-element the results equal
-    /// [`ExpElGamal::partial_decrypt_randomize_batch`] followed by a gather
-    /// (`permuted[j] = batch[order[j]]`).
+    /// hops. A subset `order` (a slice of the permutation) lets the hop's
+    /// output positions be split across workers. Element-for-element the
+    /// results equal [`ExpElGamal::partial_decrypt_randomize_batch`]
+    /// followed by a gather (`permuted[j] = batch[order[j]]`).
     ///
     /// # Panics
     ///
-    /// Panics if `rs` (or `order`, when given) is not the same length as
-    /// `cts`.
+    /// Panics if `rs` is not the same length as `cts`, or an index in
+    /// `order` is out of range.
     pub fn partial_decrypt_randomize_gather_into(
         &self,
         cts: &[Ciphertext],
@@ -550,28 +576,25 @@ impl ExpElGamal {
         out: &mut Vec<Ciphertext>,
     ) {
         assert_eq!(cts.len(), rs.len(), "one randomizer per ciphertext");
-        if let Some(o) = order {
-            assert_eq!(o.len(), cts.len(), "one output slot per ciphertext");
-        }
-        let idx = |j: usize| order.map_or(j, |o| o[j]);
-        let neg_xrs: Vec<Scalar> = (0..cts.len())
-            .map(|j| {
+        let picked = gather(cts, order);
+        let neg_xrs: Vec<Scalar> = picked
+            .iter()
+            .map(|&i| {
                 self.group
-                    .scalar_neg(&self.group.scalar_mul(secret_share, &rs[idx(j)]))
+                    .scalar_neg(&self.group.scalar_mul(secret_share, &rs[i]))
             })
             .collect();
         // One fused kernel per hop: `(α^r·β^{−xr}, β^r)` share the wNAF
         // recoding of `r` and the precomputed table of `β`, so the hop
         // costs one dual ladder plus one single ladder over *shared*
         // tables instead of a dual batch plus an unrelated single batch.
-        let items: Vec<(&Element, &Scalar, &Element, &Scalar)> = (0..cts.len())
-            .map(|j| {
-                let i = idx(j);
-                (&cts[i].alpha, &rs[i], &cts[i].beta, &neg_xrs[j])
-            })
+        let items: Vec<(&Element, &Scalar, &Element, &Scalar)> = picked
+            .iter()
+            .zip(&neg_xrs)
+            .map(|(&i, neg_xr)| (&cts[i].alpha, &rs[i], &cts[i].beta, neg_xr))
             .collect();
         out.clear();
-        out.reserve(cts.len());
+        out.reserve(picked.len());
         out.extend(
             self.group
                 .exp_hop_batch(&items)
@@ -586,13 +609,13 @@ impl ExpElGamal {
     /// the curve-side recodings were paid when the preparation was built,
     /// so this call is nothing but the fused variable-base ladders.
     /// Results are element-for-element identical to the unprepared form
-    /// called with the same randomizers and the secret share the
-    /// preparation was built from.
+    /// called with the same randomizers, the same `order` and the secret
+    /// share the preparation was built from.
     ///
     /// # Panics
     ///
-    /// Panics if `prep` (or `order`, when given) is not the same length as
-    /// `cts`.
+    /// Panics if `prep` is not the same length as `cts`, or an index in
+    /// `order` is out of range.
     pub fn partial_decrypt_randomize_prepared_gather_into(
         &self,
         cts: &[Ciphertext],
@@ -601,18 +624,13 @@ impl ExpElGamal {
         out: &mut Vec<Ciphertext>,
     ) {
         assert_eq!(cts.len(), prep.len(), "one preparation per ciphertext");
-        if let Some(o) = order {
-            assert_eq!(o.len(), cts.len(), "one output slot per ciphertext");
-        }
-        let idx = |j: usize| order.map_or(j, |o| o[j]);
-        let items: Vec<(&Element, &HopScalars, &Element)> = (0..cts.len())
-            .map(|j| {
-                let i = idx(j);
-                (&cts[i].alpha, &prep[i], &cts[i].beta)
-            })
+        let picked = gather(cts, order);
+        let items: Vec<(&Element, &HopScalars, &Element)> = picked
+            .iter()
+            .map(|&i| (&cts[i].alpha, &prep[i], &cts[i].beta))
             .collect();
         out.clear();
-        out.reserve(cts.len());
+        out.reserve(picked.len());
         out.extend(
             self.group
                 .exp_hop_prepared_batch(&items)
@@ -881,6 +899,25 @@ mod tests {
             let mut plain = Vec::new();
             scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), Some(&perm), &mut plain);
             assert_eq!(plain, singles, "{kind} unrandomized gather");
+
+            // A slice of the permutation selects a subset: the matching
+            // slice of the full gather, for every gather entry point.
+            let prep = group.prepare_hop_scalars(kp.secret_key(), &rs);
+            for (a, b) in [(0, 2), (2, 5), (1, 4), (3, 3)] {
+                let part = Some(&perm[a..b]);
+                scheme.partial_decrypt_randomize_gather_into(
+                    &cts,
+                    kp.secret_key(),
+                    &rs,
+                    part,
+                    &mut out,
+                );
+                assert_eq!(out, permuted[a..b], "{kind} hop gather {a}..{b}");
+                scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, part, &mut out);
+                assert_eq!(out, permuted[a..b], "{kind} prepared gather {a}..{b}");
+                scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), part, &mut plain);
+                assert_eq!(plain, singles[a..b], "{kind} plain gather {a}..{b}");
+            }
         }
     }
 
@@ -926,20 +963,53 @@ mod tests {
         let ct = scheme.encrypt(kp.public_key(), &g.scalar_from_u64(6), &mut rng);
         // Same seed → same stream → identical outputs.
         let mut rng_a = StdRng::seed_from_u64(55);
-        let mut rng_b = StdRng::seed_from_u64(55);
         let inline = scheme.rerandomize_prepared(&table, &ct, &mut rng_a);
-        let pre = MaskPair::draw(&g, &mut rng_b);
-        let warm = scheme.rerandomize_with_precomputed(&table, &ct, pre);
-        assert_eq!(inline, warm);
-        assert_eq!(scheme.decrypt_small(kp.secret_key(), &warm, 100), Some(6));
-        // A full pair (y^r minted offline) must land on the same bytes.
-        let mut rng_c = StdRng::seed_from_u64(55);
-        let mut full = vec![MaskPair::draw(&g, &mut rng_c)];
-        MaskPair::fill_key_halves(&g, &table, &mut full);
-        let warm_full = full
-            .pop()
-            .map(|p| scheme.rerandomize_with_precomputed(&table, &ct, p));
-        assert_eq!(Some(inline), warm_full);
+        // The same stream position must land on the same bytes whether the
+        // mask arrives bare, with its g^r half, or with y^r minted offline.
+        let warm = |fill: Option<Option<&FixedBaseTable>>| {
+            let mut pres = MaskPair::draw(&g, &mut StdRng::seed_from_u64(55), 1);
+            if let Some(key_table) = fill {
+                MaskPair::fill(&g, key_table, &mut pres);
+            }
+            scheme.rerandomize_with_precomputed(&table, &ct, pres.remove(0))
+        };
+        assert_eq!(warm(None), inline);
+        assert_eq!(warm(Some(None)), inline);
+        assert_eq!(warm(Some(Some(&table))), inline);
+        assert_eq!(scheme.decrypt_small(kp.secret_key(), &inline, 100), Some(6));
+    }
+
+    #[test]
+    fn a_row_filled_in_pieces_equals_one_filled_whole() {
+        // The offline mint draws a row serially and fills it range by
+        // range across workers; that must give the masks a single batch
+        // over the row gives, and the row's draws must be the per-mask
+        // draws in order.
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let g = kind.group();
+            let mut rng = StdRng::seed_from_u64(3);
+            let kp = KeyPair::generate(&g, &mut rng);
+            let table = ExpElGamal::new(g.clone()).prepare_key(kp.public_key());
+            let mut whole = MaskPair::draw(&g, &mut StdRng::seed_from_u64(8), 7);
+            let mut singles: Vec<MaskPair> = {
+                let mut rng = StdRng::seed_from_u64(8);
+                (0..7)
+                    .flat_map(|_| MaskPair::draw(&g, &mut rng, 1))
+                    .collect()
+            };
+            MaskPair::fill(&g, Some(&table), &mut whole);
+            let (head, tail) = singles.split_at_mut(3);
+            MaskPair::fill(&g, Some(&table), head);
+            MaskPair::fill(&g, None, tail);
+            MaskPair::fill(&g, Some(&table), tail);
+            for (a, b) in whole.iter().zip(&singles) {
+                assert_eq!(a.scalar(), b.scalar(), "{kind}");
+                assert_eq!(a.g_r(), Some(&g.exp_gen(a.scalar())), "{kind}");
+                assert_eq!(a.g_r(), b.g_r(), "{kind}");
+                assert!(a.y_r().is_some(), "{kind}");
+                assert_eq!(a.y_r(), b.y_r(), "{kind}");
+            }
+        }
     }
 
     #[test]
@@ -955,11 +1025,11 @@ mod tests {
         let singles: Vec<Ciphertext> = cts
             .iter()
             .map(|ct| {
-                let pre = MaskPair::draw(&g, &mut rng_a);
+                let pre = MaskPair::draw(&g, &mut rng_a, 1).remove(0);
                 scheme.rerandomize_with_precomputed(&table, ct, pre)
             })
             .collect();
-        let pres: Vec<MaskPair> = (0..4).map(|_| MaskPair::draw(&g, &mut rng_b)).collect();
+        let pres = MaskPair::draw(&g, &mut rng_b, 4);
         let batch = scheme.rerandomize_batch_with_precomputed(&table, &cts, pres);
         assert_eq!(singles, batch);
         for (m, ct) in batch.iter().enumerate() {
@@ -974,7 +1044,7 @@ mod tests {
     fn mask_pair_debug_redacts_scalar() {
         let (scheme, _kp, mut rng) = setup();
         let g = scheme.group().clone();
-        let pre = MaskPair::draw(&g, &mut rng);
+        let pre = MaskPair::draw(&g, &mut rng, 1).remove(0);
         let digits = pre.scalar().to_string();
         let dump = format!("{:?}", pre);
         assert!(dump.contains("Secret(<redacted>)"), "got: {dump}");

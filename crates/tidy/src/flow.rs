@@ -16,7 +16,8 @@
 //!
 //! Taint propagates through arithmetic, references, `?`, casts, tuples,
 //! closures (iterator-style closures inherit the receiver's taint into
-//! their parameters), indexing, and secret-dependent `if`/`match`
+//! their parameters; a `map` closure's result replaces the receiver's
+//! taint), indexing, and secret-dependent `if`/`match`
 //! selection results. It **ends** at a declassification point: a registry
 //! of constructions whose output is public by cryptographic argument
 //! (exponentiations under the DL assumption, hashes, ciphertext/proof
@@ -59,9 +60,9 @@ use std::collections::HashMap;
 /// Calls whose result is public even when fed secrets — the points where
 /// taint legitimately ends, each with a cryptographic argument:
 ///
-/// * the exponentiation family (`exp*`, `multi_exp`): one-way under the
-///   DL assumption — `g^x` reveals nothing efficiently computable about
-///   `x`;
+/// * the exponentiation family (`exp*`, `multi_exp`, and `into_halves`,
+///   which yields a mask's `y^r` and `g^r`): one-way under the DL
+///   assumption — `g^x` reveals nothing efficiently computable about `x`;
 /// * hashes/KDFs (`sha256`, `hmac_sha256`, `hkdf_*`): one-wayness in the
 ///   random-oracle model;
 /// * ciphertext constructors (`encrypt*`, `rerandomize*`,
@@ -99,6 +100,8 @@ const DECLASSIFIERS: &[&str] = &[
     "exp_hop_prepared_batch",
     "exp_prepared",
     "exp_prepared_batch",
+    // a mask pair's `(y^r, g^r)` halves: both exponentiations of `r`
+    "into_halves",
     // hashes / KDFs
     "sha256",
     "hmac_sha256",
@@ -515,7 +518,12 @@ impl Flow<'_> {
                 if declassifies {
                     self.suppress_escape += 1;
                 }
-                let mut taint = recv_taint.clone();
+                // `map` with a closure yields the closure's results, not the
+                // receiver's elements: its output is as secret as the
+                // closure body makes it (a declassifying body yields public
+                // elements; the element count is a conceded `len`).
+                let maps = name == "map" && matches!(args.as_slice(), [Expr::Closure { .. }]);
+                let mut taint = if maps { None } else { recv_taint.clone() };
                 for a in args {
                     let t = match a {
                         // Iterator-style closure: elements of a secret
@@ -840,6 +848,20 @@ mod tests {
             "fn f(secrets: Vec<Secret<u64>>) {\n let v = secrets.iter().map(|s| if s.odd() { 1 } else { 0 });\n use_it(v);\n}",
         );
         assert_eq!(d, vec![(2, "secret-branch")]);
+    }
+
+    #[test]
+    fn map_through_a_declassifier_is_silent() {
+        // Each element is exponentiated, so the mapped collection is
+        // public; mapping through anything else keeps the taint.
+        let d = run(
+            "fn f(g: &Group, secrets: Vec<Secret<u64>>) -> Vec<u64> {\n secrets.iter().map(|s| g.exp_gen(s)).collect()\n}",
+        );
+        assert!(d.is_empty(), "{d:?}");
+        let d = run(
+            "fn f(secrets: Vec<Secret<u64>>) -> Vec<u64> {\n secrets.iter().map(|s| s.double()).collect()\n}",
+        );
+        assert_eq!(d, vec![(2, "secret-escape")]);
     }
 
     #[test]

@@ -11,21 +11,33 @@
 use ppgr::bigint::BigUint;
 use ppgr::core::sorting::{plain_ranks, run_sort, SortOptions};
 use ppgr::core::PartyTimer;
+use ppgr::elgamal::Ciphertext;
 use ppgr::group::GroupKind;
-use ppgr::net::TrafficLog;
+use ppgr::net::{TrafficLog, TrafficSummary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn sort_with(values: &[u64], l: usize, seed: u64, options: SortOptions) -> Vec<usize> {
+    run_with(values, l, seed, options).0
+}
+
+/// Ranks, the sets returned to their owners and the traffic summary of one
+/// run.
+fn run_with(
+    values: &[u64],
+    l: usize,
+    seed: u64,
+    options: SortOptions,
+) -> (Vec<usize>, Vec<Vec<Ciphertext>>, TrafficSummary) {
     let group = GroupKind::Ecc160.group();
     let values: Vec<BigUint> = values.iter().map(|&v| BigUint::from(v)).collect();
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let (out, _trace) =
+    let (out, trace) =
         run_sort(&group, &values, l, options, &mut rng, &log, &mut timer, 0).unwrap();
-    out.ranks
+    (out.ranks, trace.returned_sets, log.summary())
 }
 
 #[test]
@@ -93,31 +105,40 @@ fn duplicate_partial_gains_tie_through_the_full_framework() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Serial (`threads = 1`) and fanned-out (`threads = 4`) executions of
-    /// the sorting engine are indistinguishable for the same RNG seed —
+    /// Serial (`threads = 1`) and fanned-out (`threads = 2, 3`) executions
+    /// of the sorting engine are indistinguishable for the same RNG seed —
     /// randomness is pre-drawn serially, so the parallel schedule cannot
-    /// leak into ranks or transcripts. Duplicates are likely at this value
-    /// range, so tie handling is exercised under parallelism too.
+    /// leak into ranks or transcripts: every returned ciphertext and the
+    /// whole traffic summary match. With n from 2 to 7 and (n − 1)·3
+    /// ciphertexts per set, the workers' range boundaries fall both inside
+    /// a set and between sets. Duplicates are likely at this value range,
+    /// so tie handling is exercised under parallelism too.
     #[test]
     fn parallel_and_serial_sorting_agree(
-        values in prop::collection::vec(0u64..8, 2..5),
+        values in prop::collection::vec(0u64..8, 2..=7),
         seed in 0u64..1_000,
     ) {
-        let serial = sort_with(
-            &values,
-            3,
-            seed,
-            SortOptions { threads: 1, ..SortOptions::default() },
-        );
-        let parallel = sort_with(
-            &values,
-            3,
-            seed,
-            SortOptions { threads: 4, ..SortOptions::default() },
-        );
-        prop_assert_eq!(&serial, &parallel);
+        let run = |threads: usize| {
+            run_with(&values, 3, seed, SortOptions { threads, ..SortOptions::default() })
+        };
+        let (ranks, returned, traffic) = run(1);
+        for threads in [2, 3] {
+            let (p_ranks, p_returned, p_traffic) = run(threads);
+            prop_assert_eq!(&p_ranks, &ranks, "threads = {}", threads);
+            prop_assert_eq!(p_returned.len(), returned.len());
+            for (owner, (p_set, set)) in p_returned.iter().zip(&returned).enumerate() {
+                prop_assert_eq!(p_set.len(), set.len(), "owner {}", owner);
+                for (i, (p_ct, ct)) in p_set.iter().zip(set).enumerate() {
+                    prop_assert_eq!(
+                        p_ct, ct,
+                        "threads = {}, owner {}, ciphertext {}", threads, owner, i
+                    );
+                }
+            }
+            prop_assert_eq!(&p_traffic, &traffic, "threads = {}", threads);
+        }
         let as_big: Vec<BigUint> = values.iter().map(|&v| BigUint::from(v)).collect();
-        prop_assert_eq!(serial, plain_ranks(&as_big));
+        prop_assert_eq!(ranks, plain_ranks(&as_big));
     }
 
     /// N sessions interleaved on the throughput runtime are bit-identical
