@@ -2,11 +2,11 @@
 //!
 //! Runs N independent ranking sessions three ways — *cold* (the session
 //! generates its offline stock inline, on the clock), *warm-masks* (a
-//! masks-only stock: scalars and `g^r` halves precomputed, keygen and
-//! `y^r` halves still online) and *warm-keygen* (the full keygen tier:
-//! pooled joint keys, assembled Schnorr proofs and `y^r` mask halves,
-//! exactly what the runtime's precompute lanes now mint) — asserts all
-//! three outcomes are bit-identical per seed, and writes
+//! masks-only stock: scalars, `g^r` halves and prepared hop scalars
+//! precomputed, keygen and `y^r` halves still online) and *warm-keygen*
+//! (the full keygen tier: pooled joint keys, assembled Schnorr proofs and
+//! `y^r` mask halves, exactly what the runtime's precompute lanes now
+//! mint) — asserts all three outcomes are bit-identical per seed, and writes
 //! machine-readable results to `BENCH_latency.json`
 //! (schema: `crates/bench/schema/BENCH_latency.schema.json`).
 //!
@@ -128,8 +128,8 @@ fn main() {
     );
 
     // Cold: the Offline phase generates the full stock inline, on the
-    // clock. Warm-masks: scalars and `g^r` halves attached off the clock;
-    // keygen and `y^r` halves stay online. Warm-keygen: the full tier —
+    // clock. Warm-masks: scalars, `g^r` halves and prepared hop scalars
+    // attached off the clock; keygen and `y^r` halves stay online. Warm-keygen: the full tier —
     // pooled keys, assembled proofs, both mask halves — attached off the
     // clock; online work is reduced to exchanging shares, batch-verifying
     // proofs and the inherently-online variable-base hop exponentiations.

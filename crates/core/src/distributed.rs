@@ -9,6 +9,16 @@
 //! and is the starting point for a networked deployment. Integration
 //! tests assert both runners produce identical rankings.
 //!
+//! Each party runs the same batch crypto entry points as the orchestrated
+//! [`SortMachine`](crate::sorting::SortMachine): bit encryption and τ-set
+//! rerandomization through the joint key's prepared comb table, the fused
+//! prepared hop kernel with the shuffle folded into result placement, and
+//! a gathered partial decryption for the final zero count. A party's τ set
+//! is rerandomized under the joint key before it leaves her hands: the raw
+//! set is a deterministic function of the published bit encryptions and
+//! her value, so whoever receives it first (P₁, or P₂ for P₁'s own set)
+//! could otherwise confirm her value one bit at a time.
+//!
 //! # Fault tolerance
 //!
 //! The protocol is strictly lockstep, so a single crashed or silent party
@@ -30,15 +40,18 @@ use crate::submit::{verify_submissions, Submission, VerificationReport};
 use crate::timing::PartyTimer;
 use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer};
 use bytes::Bytes;
-use ppgr_bigint::Fp;
+use ppgr_bigint::{BigUint, Fp};
 use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
-use ppgr_elgamal::{encrypt_bits, Ciphertext, ExpElGamal, JointKey, KeyPair};
-use ppgr_group::{Group, Scalar};
+use ppgr_elgamal::{
+    encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair, MaskPair,
+};
+use ppgr_group::{FixedBaseTable, Group, Scalar};
 use ppgr_hash::{HashDrbg, Sha256};
 use ppgr_net::{
     CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget, TrafficLog,
 };
 use ppgr_zkp::{verify_batch, SchnorrProver, SchnorrTranscript};
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -920,10 +933,14 @@ fn participant_thread(
             .map(|j| public_shares[j].clone())
             .collect::<Vec<_>>(),
     );
+    // One comb table for the joint key serves every encryption and
+    // rerandomization below.
+    let key_table = scheme.prepare_key(joint.public_key());
 
     // ---- Step 6: bitwise encryption, broadcast. ------------------------
     ctx.enter(Phase::Encrypt)?;
-    let my_bits = encrypt_bits(&scheme, joint.public_key(), &beta, l, &mut rng);
+    let masks = MaskPair::draw(&group, &mut rng, l);
+    let my_bits = encrypt_bits_with_precomputed(&scheme, &key_table, &beta, l, masks);
     {
         let mut w_out = Writer::framed();
         try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_bits));
@@ -952,25 +969,19 @@ fn participant_thread(
 
     // ---- Step 7: comparisons against every opponent. --------------------
     ctx.enter(Phase::Compare)?;
-    let mut my_set: Vec<Ciphertext> = Vec::with_capacity((n - 1) * l);
-    for j in participants_except(n, me) {
-        my_set.extend(compare_encrypted(&scheme, &beta, &all_bits[j], l));
-    }
+    let my_set = compare_set(&scheme, &key_table, &beta, &all_bits, me, l, &mut rng);
 
     // ---- Step 8: the shuffle-decrypt chain. -----------------------------
     ctx.enter(Phase::Hop)?;
     let process = |sets: &mut Vec<Vec<Ciphertext>>, rng: &mut HashDrbg| {
+        // A replaced set's buffer holds the next set's output.
+        let mut scratch = Vec::new();
         for (owner_minus_1, set) in sets.iter_mut().enumerate() {
             if owner_minus_1 + 1 == me {
                 continue;
             }
-            for ct in set.iter_mut() {
-                let c = scheme.partial_decrypt(ct, kp.secret_key());
-                let rr = group.random_nonzero_scalar(rng);
-                *ct = scheme.randomize_plaintext(&c, &rr);
-            }
-            use rand::seq::SliceRandom;
-            set.shuffle(rng);
+            hop_set(&scheme, kp.secret_key(), set, rng, &mut scratch);
+            std::mem::swap(set, &mut scratch);
         }
     };
     let encode_sets = |sets: &[Vec<Ciphertext>]| {
@@ -1050,9 +1061,11 @@ fn participant_thread(
     }
 
     // ---- Step 9: count zeros → rank. ------------------------------------
-    let zeros = my_final_set
+    let mut stripped = Vec::with_capacity(my_final_set.len());
+    scheme.partial_decrypt_gather_into(&my_final_set, kp.secret_key(), None, &mut stripped);
+    let zeros = stripped
         .iter()
-        .filter(|ct| scheme.decrypts_to_zero(kp.secret_key(), ct))
+        .filter(|ct| group.is_identity(&ct.alpha))
         .count();
     let rank = zeros + 1;
 
@@ -1071,6 +1084,54 @@ fn participant_thread(
     ctx.send(0, w_out.finish())?;
 
     Ok(rank)
+}
+
+/// Step 7 for party `me`: her comparison set against every opponent in id
+/// order (`all_bits[j]` holds party `j`'s `l` published bit encryptions),
+/// then rerandomized under the joint key with masks drawn from `rng`. The
+/// raw set is a deterministic function of public bit encryptions and
+/// `beta`, so it must never leave her hands unrerandomized.
+fn compare_set<R: Rng + ?Sized>(
+    scheme: &ExpElGamal,
+    key_table: &FixedBaseTable,
+    beta: &BigUint,
+    all_bits: &[Vec<Ciphertext>],
+    me: usize,
+    l: usize,
+    rng: &mut R,
+) -> Vec<Ciphertext> {
+    let n = all_bits.len() - 1;
+    let raw: Vec<Ciphertext> = participants_except(n, me)
+        .flat_map(|j| compare_encrypted(scheme, beta, &all_bits[j], l))
+        .collect();
+    let masks = MaskPair::draw(scheme.group(), rng, raw.len());
+    scheme.rerandomize_batch_with_precomputed(key_table, &raw, masks)
+}
+
+/// One foreign set's share of a chain hop (paper Fig. 1 step 8), written
+/// into `out`: strip the hop owner's key layer, multiply every plaintext
+/// by a fresh nonzero randomizer, and shuffle. The randomizers are drawn
+/// in input order and the shuffle after them — the draws a per-ciphertext
+/// loop followed by an in-place shuffle would make — and the shuffle is
+/// folded into result placement by the gathered hop kernel.
+fn hop_set<R: Rng + ?Sized>(
+    scheme: &ExpElGamal,
+    secret: &Scalar,
+    set: &[Ciphertext],
+    rng: &mut R,
+    out: &mut Vec<Ciphertext>,
+) {
+    let group = scheme.group();
+    let rs: Vec<Scalar> = (0..set.len())
+        .map(|_| group.random_nonzero_scalar(rng))
+        .collect();
+    // Fisher–Yates swaps depend only on the length, so shuffling the
+    // identity permutation consumes exactly the draws shuffling the set
+    // would, and `order[j]` names the input landing at position `j`.
+    let mut order: Vec<usize> = (0..set.len()).collect();
+    order.shuffle(rng);
+    let prep = group.prepare_hop_scalars(secret, &rs);
+    scheme.partial_decrypt_randomize_prepared_gather_into(set, &prep, Some(&order), out);
 }
 
 /// Domain-separated digest binding a keygen challenge share to its prover
@@ -1152,6 +1213,7 @@ mod tests {
     use super::*;
     use crate::attrs::Questionnaire;
     use crate::framework::GroupRanking;
+    use ppgr_elgamal::encrypt_bits;
     use ppgr_group::GroupKind;
 
     fn params(n: usize, seed: u64) -> FrameworkParams {
@@ -1218,6 +1280,92 @@ mod tests {
         let mut sorted = out.ranks.clone();
         sorted.sort_unstable();
         assert!(sorted == vec![1, 2] || sorted == vec![1, 1]);
+    }
+
+    #[test]
+    fn hop_set_matches_the_per_ciphertext_loop() {
+        // The batched hop must return exactly what the reference loop does
+        // — partial_decrypt, a fresh nonzero randomizer, randomize_plaintext
+        // per ciphertext, then a shuffle of the set — and leave the stream
+        // where that loop leaves it.
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let group = kind.group();
+            let scheme = ExpElGamal::new(group.clone());
+            let mut rng = HashDrbg::seed_from_u64(3);
+            let kp = KeyPair::generate(&group, &mut rng);
+            let set: Vec<Ciphertext> = (0..7)
+                .map(|m| scheme.encrypt(kp.public_key(), &group.scalar_from_u64(m % 3), &mut rng))
+                .collect();
+            let mut loop_rng = HashDrbg::seed_from_u64(17);
+            let mut expect: Vec<Ciphertext> = set
+                .iter()
+                .map(|ct| {
+                    let c = scheme.partial_decrypt(ct, kp.secret_key());
+                    let r = group.random_nonzero_scalar(&mut loop_rng);
+                    scheme.randomize_plaintext(&c, &r)
+                })
+                .collect();
+            let unshuffled = expect.clone();
+            expect.shuffle(&mut loop_rng);
+            let mut hop_rng = HashDrbg::seed_from_u64(17);
+            // Stale buffer contents must be replaced, not appended to.
+            let mut out = vec![set[0].clone()];
+            hop_set(&scheme, kp.secret_key(), &set, &mut hop_rng, &mut out);
+            assert_eq!(out, expect, "{kind}");
+            assert_ne!(out, unshuffled, "{kind}: the shuffle applies");
+            assert_eq!(
+                hop_rng.gen::<u64>(),
+                loop_rng.gen::<u64>(),
+                "{kind}: same draws consumed"
+            );
+        }
+    }
+
+    #[test]
+    fn compare_set_is_rerandomized_with_the_raw_zero_pattern() {
+        // The τ set a party sends must decrypt, under the joint secret, to
+        // the raw circuit output's zero pattern, yet share no ciphertext
+        // with it — the raw bytes are recomputable from public data.
+        let group = GroupKind::Ecc160.group();
+        let scheme = ExpElGamal::new(group.clone());
+        let mut rng = HashDrbg::seed_from_u64(29);
+        let (n, l, me) = (3, 5, 2);
+        let values = [0u64, 21, 9, 30]; // index 0 is the initiator
+        let kps: Vec<KeyPair> = (0..n)
+            .map(|_| KeyPair::generate(&group, &mut rng))
+            .collect();
+        let shares: Vec<_> = kps.iter().map(|k| k.public_key().clone()).collect();
+        let joint = JointKey::combine(&group, &shares);
+        let joint_secret = kps.iter().fold(group.scalar_from_u64(0), |acc, k| {
+            group.scalar_add(&acc, k.secret_key())
+        });
+        let key_table = scheme.prepare_key(joint.public_key());
+        let all_bits: Vec<Vec<Ciphertext>> = (0..=n)
+            .map(|j| match j {
+                0 => Vec::new(),
+                _ => {
+                    let v = BigUint::from(values[j]);
+                    encrypt_bits(&scheme, joint.public_key(), &v, l, &mut rng)
+                }
+            })
+            .collect();
+        let beta = BigUint::from(values[me]);
+        let raw: Vec<Ciphertext> = participants_except(n, me)
+            .flat_map(|j| compare_encrypted(&scheme, &beta, &all_bits[j], l))
+            .collect();
+        let sent = compare_set(&scheme, &key_table, &beta, &all_bits, me, l, &mut rng);
+        let zeros = |set: &[Ciphertext]| -> Vec<bool> {
+            set.iter()
+                .map(|ct| scheme.decrypts_to_zero(&joint_secret, ct))
+                .collect()
+        };
+        let pattern = zeros(&raw);
+        assert!(pattern.contains(&true) && pattern.contains(&false));
+        assert_eq!(zeros(&sent), pattern);
+        let published: HashSet<Vec<u8>> = raw.iter().map(|ct| ct.encode(&group)).collect();
+        assert!(sent
+            .iter()
+            .all(|ct| !published.contains(&ct.encode(&group))));
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!
 //! * **masks tier** ([`generate_masks_only`](OfflineStock::generate_masks_only)):
 //!   key-independent work only — key-share seeds, Schnorr nonces and
-//!   challenge shares, the fixed-base `g^r` half of every mask, hop
-//!   scalars. Keygen, the joint-key table and the `y^r` halves stay online.
+//!   challenge shares, the fixed-base `g^r` half of every mask, and the
+//!   prepared hop scalars (which need each hop owner's secret seed, not
+//!   her public key). Keygen, the joint-key table and the `y^r` halves
+//!   stay online.
 //! * **keygen tier** ([`generate`](OfflineStock::generate)): the masks tier
 //!   plus minted [`KeyPair`]s, assembled key-knowledge proofs, the combined
 //!   [`JointKey`] with its prepared comb table, and the `y^r` half of every
@@ -193,40 +195,6 @@ impl fmt::Debug for KeyStock {
     }
 }
 
-/// One hop's randomizers for a single foreign τ set.
-///
-/// Drawn as raw nonzero scalars; the keygen tier — which knows every hop
-/// secret — upgrades each set in place with the `−x·r` partial-decryption
-/// products and the signed-digit recodings the hop ladder consumes, moving
-/// that scalar arithmetic off the session clock. The masks tier (and cold
-/// sessions) keep the raw form and pay for the recoding online; both forms
-/// drive the exponentiation to bit-identical outputs.
-pub(crate) enum HopSet {
-    /// Raw randomizers as drawn from the stream.
-    Raw(Vec<Scalar>),
-    /// Keygen-tier form with precomputed `−x·r` and recodings.
-    Prepared(Vec<HopScalars>),
-}
-
-impl HopSet {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            HopSet::Raw(rs) => rs.len(),
-            HopSet::Prepared(ps) => ps.len(),
-        }
-    }
-
-    /// The underlying randomizer scalars, tier-independent (tests compare
-    /// stocks across tiers through this view).
-    #[cfg(test)]
-    fn randomizers(&self) -> Vec<Scalar> {
-        match self {
-            HopSet::Raw(rs) => rs.clone(),
-            HopSet::Prepared(ps) => ps.iter().map(|p| p.randomizer().clone()).collect(),
-        }
-    }
-}
-
 /// One session's worth of precomputed randomness (see the module docs).
 ///
 /// Consumed front-to-back by a [`SortMachine`](crate::sorting::SortMachine)
@@ -238,7 +206,8 @@ pub struct OfflineStock {
     keys: Option<KeyStock>,
     enc: VecDeque<Vec<MaskPair>>,
     compare: VecDeque<Vec<MaskPair>>,
-    hops: VecDeque<HopSet>,
+    /// One prepared randomizer set per (hop, foreign τ set).
+    hops: VecDeque<Vec<HopScalars>>,
     fingerprint: Option<StockFingerprint>,
 }
 
@@ -367,9 +336,10 @@ impl OfflineStock {
     }
 
     /// [`OfflineStock::generate`] stopped at the masks tier: the same
-    /// scalar stream, but only the key-independent exponentiations (`g^r`
-    /// halves, Schnorr commitments) are done. Keygen, the joint-key table
-    /// and the `y^r` halves remain online work for the session.
+    /// scalar stream, but only the key-independent work (`g^r` halves,
+    /// Schnorr commitments, prepared hop scalars) is done. Keygen, the
+    /// joint-key table and the `y^r` halves remain online work for the
+    /// session.
     ///
     /// Exists so the bench harness can measure the two tiers against the
     /// same cold baseline; a session consuming this stock is bit-identical
@@ -476,9 +446,10 @@ impl OfflineStock {
         }
         // n hops, each touching the n−1 foreign sets (ascending owner) of
         // (n−1)·l ciphertexts each. Hop randomizers must be nonzero — a
-        // zero multiplier would erase a plaintext, forging a rank. They
-        // stay plain scalars: the hop applies them to *foreign* ciphertexts
-        // with variable bases, which no table can precompute.
+        // zero multiplier would erase a plaintext, forging a rank. The hop
+        // applies them to *foreign* ciphertexts with variable bases, which
+        // no table can precompute; only their scalar-side work is prepared
+        // below.
         let mut raw_hops: Vec<Vec<Scalar>> = Vec::with_capacity(n * (n - 1));
         for _set in 0..n * (n - 1) {
             if cancel() {
@@ -526,15 +497,34 @@ impl OfflineStock {
             },
             |chunk| MaskPair::fill(group, key_table, chunk),
         );
-        let (keys, hops) = match minted {
-            None => (
-                KeyStock(KeyMaterial::Seeds {
-                    secrets,
-                    nonces,
-                    challenges,
-                }),
-                raw_hops.into_iter().map(HopSet::Raw).collect(),
-            ),
+        // Hop h is run by party h with her own secret share, which every
+        // tier holds (as a seed or a minted key pair), so the `−x_h·r`
+        // partial-decryption products and the hop ladder's signed-digit
+        // recodings are a pure function of offline material: prepare them
+        // now. Sets were drawn hop-major, `n − 1` per hop.
+        if cancel() {
+            return None;
+        }
+        let (prepared, _cpu) = fan_out(
+            raw_hops.len(),
+            mint.workers,
+            |range| range,
+            |range| {
+                range
+                    .map(|idx| {
+                        let secret = secrets[idx / (n - 1)].expose();
+                        group.prepare_hop_scalars(secret, &raw_hops[idx])
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        let hops = prepared.into_iter().flatten().collect();
+        let keys = match minted {
+            None => KeyStock(KeyMaterial::Seeds {
+                secrets,
+                nonces,
+                challenges,
+            }),
             Some((pairs, joint, table)) => {
                 let proofs: Vec<MultiVerifierTranscript> = pairs
                     .iter()
@@ -565,36 +555,13 @@ impl OfflineStock {
                             .collect();
                         verify_multi_batch(group, &foreign).is_ok()
                     });
-                // Hop h is run by party h with her own secret share, and
-                // both the keygen tier above and the sorting machine are
-                // the same stock, so the `−x_h·r` partial-decryption
-                // products and the hop ladder's signed-digit recodings are
-                // a pure function of offline material: fold them into the
-                // sets now. Sets were drawn hop-major, `n − 1` per hop.
-                if cancel() {
-                    return None;
-                }
-                let (prepared, _cpu) = fan_out(
-                    raw_hops.len(),
-                    mint.workers,
-                    |range| range,
-                    |range| {
-                        range
-                            .map(|idx| {
-                                let secret = pairs[idx / (n - 1)].secret_key();
-                                HopSet::Prepared(group.prepare_hop_scalars(secret, &raw_hops[idx]))
-                            })
-                            .collect::<Vec<_>>()
-                    },
-                );
-                let keys = KeyStock(KeyMaterial::Minted {
+                KeyStock(KeyMaterial::Minted {
                     pairs,
                     proofs,
                     joint,
                     table,
                     verified,
-                });
-                (keys, prepared.into_iter().flatten().collect())
+                })
             }
         };
         let mut masks = masks.into_iter();
@@ -660,8 +627,8 @@ impl OfflineStock {
         self.compare.pop_front()
     }
 
-    /// The next hop randomizer set, or `None` if exhausted.
-    pub(crate) fn take_hop_set(&mut self) -> Option<HopSet> {
+    /// The next prepared hop randomizer set, or `None` if exhausted.
+    pub(crate) fn take_hop_set(&mut self) -> Option<Vec<HopScalars>> {
         self.hops.pop_front()
     }
 }
@@ -675,11 +642,6 @@ mod tests {
         StockFingerprint::new(seed, 3, 4, GroupKind::Ecc160)
     }
 
-    /// Tier-independent view of a stock's hop randomizers.
-    fn hop_rs(s: &OfflineStock) -> Vec<Vec<Scalar>> {
-        s.hops.iter().map(HopSet::randomizers).collect()
-    }
-
     /// The `(g^r, y^r)` halves of every encryption and comparison mask, in
     /// consumption order.
     fn halves(s: &OfflineStock) -> Vec<(Option<Element>, Option<Element>)> {
@@ -691,15 +653,9 @@ mod tests {
             .collect()
     }
 
-    /// The prepared hop sets of a keygen-tier stock.
+    /// A stock's prepared hop sets.
     fn prepared(s: &OfflineStock) -> Vec<&[HopScalars]> {
-        s.hops
-            .iter()
-            .map(|set| match set {
-                HopSet::Prepared(ps) => ps.as_slice(),
-                HopSet::Raw(_) => panic!("keygen tier expected"),
-            })
-            .collect()
+        s.hops.iter().map(Vec::as_slice).collect()
     }
 
     /// The joint key and the minting-time verdict of a keygen-tier stock.
@@ -812,8 +768,8 @@ mod tests {
         };
         assert_eq!(joint(&a), joint(&b));
         assert_ne!(joint(&a), joint(&c));
-        assert_eq!(hop_rs(&a), hop_rs(&b));
-        assert_ne!(hop_rs(&a), hop_rs(&c));
+        assert_eq!(prepared(&a), prepared(&b));
+        assert_ne!(prepared(&a), prepared(&c));
     }
 
     #[test]
@@ -823,14 +779,9 @@ mod tests {
         // and keygen-warm sessions bit-identical.
         let full = OfflineStock::generate(fp(13));
         let masks = OfflineStock::generate_masks_only(fp(13));
-        assert_eq!(hop_rs(&full), hop_rs(&masks));
-        // The keygen tier also carries the hops in prepared form; the
-        // masks tier leaves them raw for the session to recode.
-        assert!(full
-            .hops
-            .iter()
-            .all(|set| matches!(set, HopSet::Prepared(_))));
-        assert!(masks.hops.iter().all(|set| matches!(set, HopSet::Raw(_))));
+        // Both tiers hold every hop owner's secret, so both carry the hops
+        // prepared, and identically.
+        assert_eq!(prepared(&full), prepared(&masks));
         // Both tiers carry every `g^r` half, and the same ones.
         assert!(halves(&full).iter().all(|(g_r, _)| g_r.is_some()));
         assert_eq!(
@@ -875,7 +826,7 @@ mod tests {
     fn cancellable_generation_matches_uncancelled() {
         let a = OfflineStock::generate(fp(11));
         let b = OfflineStock::generate_cancellable(fp(11), &mut || false).unwrap();
-        assert_eq!(hop_rs(&a), hop_rs(&b));
+        assert_eq!(prepared(&a), prepared(&b));
         let joint = |s: &OfflineStock| match &s.keys.as_ref().unwrap().0 {
             KeyMaterial::Minted { joint, .. } => joint.public_key().clone(),
             KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),

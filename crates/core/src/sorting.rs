@@ -22,11 +22,11 @@
 //!    and counts zeros: `rank = zeros + 1`.
 
 use crate::circuit::compare_encrypted;
-use crate::offline::{HopSet, KeyMaterial, OfflineStock};
+use crate::offline::{KeyMaterial, OfflineStock};
 use crate::timing::PartyTimer;
 use ppgr_bigint::BigUint;
 use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair};
-use ppgr_group::{Element, Group, GroupKind};
+use ppgr_group::{Element, Group, GroupKind, HopScalars};
 use ppgr_net::TrafficLog;
 use ppgr_zkp::{
     verify_multi_batch, verify_multi_batch_all, verify_sessions_multi_batch, MultiVerifierProof,
@@ -969,22 +969,22 @@ impl SortMachine {
         // always holds a randomizer set per (hop, foreign set) — its shape
         // is options-independent — so a non-randomizing run simply leaves
         // them unconsumed.
-        let jobs: Vec<(usize, HopSet, Vec<usize>)> = self
+        let jobs: Vec<(usize, Vec<HopScalars>, Vec<usize>)> = self
             .sets
             .iter()
             .enumerate()
             .filter(|&(owner, _)| owner != idx) // never her own set
             .map(|(owner, set)| {
-                let rs: HopSet = if self.options.randomize {
-                    let rs = stock
+                let prep = if self.options.randomize {
+                    let prep = stock
                         .take_hop_set()
                         .ok_or(SortError::Internal("offline hop stock exhausted"))?;
-                    if rs.len() != set.len() {
+                    if prep.len() != set.len() {
                         return Err(SortError::Internal("offline hop stock shape mismatch"));
                     }
-                    rs
+                    prep
                 } else {
-                    HopSet::Raw(Vec::new())
+                    Vec::new()
                 };
                 // A permutation shuffled with the same draws the in-place
                 // `shuffle` would consume (Fisher–Yates swaps depend only
@@ -993,7 +993,7 @@ impl SortMachine {
                 if self.options.shuffle {
                     order.shuffle(rng);
                 }
-                Ok((owner, rs, order))
+                Ok((owner, prep, order))
             })
             .collect::<Result<_, SortError>>()?;
         self.stock = Some(stock);
@@ -1023,25 +1023,19 @@ impl SortMachine {
             |(range, mut buffer)| {
                 pieces(range, len)
                     .map(|(k, local)| {
-                        let (owner, hop_set, order) = &jobs[k];
+                        let (owner, prep, order) = &jobs[k];
                         let (set, order) = (&sets[*owner], Some(&order[local]));
                         let mut out = std::mem::take(&mut buffer);
-                        match (randomize, hop_set) {
-                            // Keygen-tier stock: `−x·r` and the recodings
-                            // came precomputed; the stored secret products
-                            // already bind to this party's share (the keygen
-                            // step installed the same stock's key pairs).
-                            (true, HopSet::Prepared(prep)) => scheme
-                                .partial_decrypt_randomize_prepared_gather_into(
-                                    set, prep, order, &mut out,
-                                ),
-                            (true, HopSet::Raw(rs)) => scheme
-                                .partial_decrypt_randomize_gather_into(
-                                    set, secret, rs, order, &mut out,
-                                ),
-                            (false, _) => {
-                                scheme.partial_decrypt_gather_into(set, secret, order, &mut out)
-                            }
+                        if randomize {
+                            // `−x·r` and the recodings came precomputed; the
+                            // stored secret products already bind to this
+                            // party's share (the keygen step installed the
+                            // same stock's keys).
+                            scheme.partial_decrypt_randomize_prepared_gather_into(
+                                set, prep, order, &mut out,
+                            );
+                        } else {
+                            scheme.partial_decrypt_gather_into(set, secret, order, &mut out);
                         }
                         (k, out)
                     })

@@ -12,7 +12,9 @@ use rand::Rng;
 
 /// Encrypts the low `l` bits of `value` under `public_key`.
 ///
-/// Returns `l` ciphertexts, least-significant bit first.
+/// Returns `l` ciphertexts, least-significant bit first. This is the
+/// per-bit reference form; protocol parties encrypt through
+/// [`encrypt_bits_with_precomputed`].
 ///
 /// # Panics
 ///
@@ -37,57 +39,18 @@ pub fn encrypt_bits<R: Rng + ?Sized>(
         .collect()
 }
 
-/// [`encrypt_bits`] through a prepared public-key table, batched.
-///
-/// Draws the per-bit randomness in the same order as [`encrypt_bits`]
-/// (least-significant bit first), then computes all `2l` exponentiations
-/// through comb tables with shared affine conversions. For the same
-/// randomness stream the output is bit-identical to [`encrypt_bits`].
-///
-/// # Panics
-///
-/// Panics if `value` does not fit in `l` bits.
-pub fn encrypt_bits_prepared<R: Rng + ?Sized>(
-    scheme: &ExpElGamal,
-    key_table: &FixedBaseTable,
-    value: &BigUint,
-    l: usize,
-    rng: &mut R,
-) -> Vec<Ciphertext> {
-    assert!(value.bits() <= l, "value exceeds the declared bit length l");
-    let group = scheme.group();
-    // Same draw order as the per-bit loop in `encrypt_bits`.
-    let rs: Vec<Scalar> = (0..l).map(|_| group.random_scalar(rng)).collect();
-    let masks = group.exp_prepared_batch(key_table, &rs); // y^r_i
-    let betas = group.exp_gen_batch(&rs); // g^r_i
-    let g1 = group.generator();
-    masks
-        .into_iter()
-        .zip(betas)
-        .enumerate()
-        .map(|(i, (mask, beta))| {
-            // α = g^bit · y^r; g^0 is the identity, so only set bits cost
-            // a group operation.
-            let alpha = if value.bit(i) {
-                group.op(g1, &mask)
-            } else {
-                mask
-            };
-            Ciphertext { alpha, beta }
-        })
-        .collect()
-}
-
-/// [`encrypt_bits_prepared`] with the exponentiations done ahead of time:
-/// `masks[i]` carries `r_i` and, as filled by [`MaskPair::fill`], `g^{r_i}`
-/// and — when the offline phase knew the joint key — `y^{r_i}` for bit `i`
+/// [`encrypt_bits`] through a prepared public-key table, batched, with
+/// the exponentiations optionally done ahead of time: `masks[i]` carries
+/// `r_i` and, as filled by [`MaskPair::fill`], `g^{r_i}` and — when the
+/// offline phase knew the joint key — `y^{r_i}` for bit `i`
 /// (least-significant first). With full pairs the online cost is one group
 /// operation per set bit; any missing halves are computed in one batch
-/// each.
+/// each, through comb tables with shared affine conversions.
 ///
-/// Consumes the masks: each is single-use. For masks drawn from the same
-/// stream positions the inline path would have used, the output is
-/// bit-identical to [`encrypt_bits_prepared`].
+/// Consumes the masks: each is single-use. For masks drawn from the
+/// stream positions [`encrypt_bits`] would have used
+/// ([`MaskPair::draw`] takes one scalar per mask, in bit order), the
+/// output is bit-identical to [`encrypt_bits`].
 ///
 /// # Panics
 ///
@@ -171,49 +134,30 @@ mod tests {
     }
 
     #[test]
-    fn prepared_batch_matches_per_bit_encryption() {
-        let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(5);
-        let kp = KeyPair::generate(&group, &mut rng);
-        let scheme = ExpElGamal::new(group);
-        let table = scheme.prepare_key(kp.public_key());
-        let v = BigUint::from(0b1010_1100u64);
-        // Identical seed → identical randomness stream → identical wire
-        // ciphertexts from both paths.
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let mut rng_b = StdRng::seed_from_u64(99);
-        let serial = encrypt_bits(&scheme, kp.public_key(), &v, 12, &mut rng_a);
-        let batched = encrypt_bits_prepared(&scheme, &table, &v, 12, &mut rng_b);
-        assert_eq!(serial, batched);
-        assert_eq!(decrypt_bits(&scheme, kp.secret_key(), &batched), v);
-    }
-
-    #[test]
-    fn precomputed_masks_match_prepared_encryption() {
+    fn precomputed_masks_match_per_bit_encryption() {
         // Same stream position → bit-identical ciphertexts, which is what
         // lets the offline pool swap in without changing any wire bytes.
-        // Half pairs (g^r only) and full pairs (y^r minted offline) must
-        // both reproduce the inline path exactly.
-        let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(6);
-        let kp = KeyPair::generate(&group, &mut rng);
-        let scheme = ExpElGamal::new(group.clone());
-        let table = scheme.prepare_key(kp.public_key());
-        let v = BigUint::from(0b0110_0101u64);
-        let mut rng_a = StdRng::seed_from_u64(77);
-        let mut rng_b = StdRng::seed_from_u64(77);
-        let mut rng_c = StdRng::seed_from_u64(77);
-        let inline = encrypt_bits_prepared(&scheme, &table, &v, 10, &mut rng_a);
-        let mut half = MaskPair::draw(&group, &mut rng_b, 10);
-        MaskPair::fill(&group, None, &mut half);
-        let mut full = MaskPair::draw(&group, &mut rng_c, 10);
-        MaskPair::fill(&group, Some(&table), &mut full);
-        assert!(full.iter().all(|p| p.y_r().is_some()));
-        let warm_half = encrypt_bits_with_precomputed(&scheme, &table, &v, 10, half);
-        let warm_full = encrypt_bits_with_precomputed(&scheme, &table, &v, 10, full);
-        assert_eq!(inline, warm_half);
-        assert_eq!(inline, warm_full);
-        assert_eq!(decrypt_bits(&scheme, kp.secret_key(), &warm_full), v);
+        // Bare masks, half pairs (g^r only) and full pairs (y^r minted
+        // offline) must all reproduce the per-bit path exactly.
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let group = kind.group();
+            let mut rng = StdRng::seed_from_u64(6);
+            let kp = KeyPair::generate(&group, &mut rng);
+            let scheme = ExpElGamal::new(group.clone());
+            let table = scheme.prepare_key(kp.public_key());
+            let v = BigUint::from(0b0110_0101u64);
+            let mut rng_a = StdRng::seed_from_u64(77);
+            let serial = encrypt_bits(&scheme, kp.public_key(), &v, 10, &mut rng_a);
+            for fill in [None, Some(None), Some(Some(&table))] {
+                let mut masks = MaskPair::draw(&group, &mut StdRng::seed_from_u64(77), 10);
+                if let Some(key_table) = fill {
+                    MaskPair::fill(&group, key_table, &mut masks);
+                }
+                let warm = encrypt_bits_with_precomputed(&scheme, &table, &v, 10, masks);
+                assert_eq!(warm, serial, "{kind}");
+            }
+            assert_eq!(decrypt_bits(&scheme, kp.secret_key(), &serial), v);
+        }
     }
 
     #[test]

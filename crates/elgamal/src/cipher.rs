@@ -210,6 +210,10 @@ impl ExpElGamal {
     }
 
     /// Encrypts the scalar message `m` as `(g^m·y^r, g^r)`.
+    ///
+    /// The one-ciphertext reference form: protocol parties encrypt through
+    /// [`crate::encrypt_bits_with_precomputed`], which tests pin to this
+    /// for the same randomness stream.
     pub fn encrypt<R: Rng + ?Sized>(
         &self,
         public_key: &Element,
@@ -236,37 +240,16 @@ impl ExpElGamal {
         }
     }
 
-    /// Builds (or fetches from the process-wide cache) a fixed-base
-    /// exponentiation table for a public key.
+    /// Builds a fixed-base exponentiation table for a public key, owned by
+    /// the caller (see [`Group::prepare_base`]).
     ///
     /// Every encryption and re-randomization under key `y` computes `y^r`;
     /// with a prepared table that costs about a quarter of a generic
     /// exponentiation. The build cost amortizes after a few uses, so
-    /// prepare long-lived keys (the joint key of a protocol run), not
-    /// one-shot ones.
+    /// prepare long-lived keys (the joint key of a protocol run) once and
+    /// keep the table, not one-shot ones.
     pub fn prepare_key(&self, public_key: &Element) -> FixedBaseTable {
         self.group.prepare_base(public_key)
-    }
-
-    /// [`ExpElGamal::encrypt`] through a prepared public-key table.
-    ///
-    /// Draws the same single scalar from `rng` as `encrypt`, so it is a
-    /// drop-in replacement producing bit-identical ciphertexts for the same
-    /// randomness stream.
-    pub fn encrypt_prepared<R: Rng + ?Sized>(
-        &self,
-        key_table: &FixedBaseTable,
-        m: &Scalar,
-        rng: &mut R,
-    ) -> Ciphertext {
-        let r = self.group.random_scalar(rng);
-        Ciphertext {
-            alpha: self.group.op(
-                &self.group.exp_gen(m),
-                &self.group.exp_prepared(key_table, &r),
-            ),
-            beta: self.group.exp_gen(&r),
-        }
     }
 
     /// Homomorphic addition: `E(m₁) ∘ E(m₂) = E(m₁+m₂)`.
@@ -310,6 +293,10 @@ impl ExpElGamal {
     }
 
     /// Fresh re-randomization under `y`: same plaintext, new randomness.
+    ///
+    /// The one-ciphertext reference form of
+    /// [`ExpElGamal::rerandomize_batch_with_precomputed`], which tests pin
+    /// to this for the same randomness stream.
     pub fn rerandomize<R: Rng + ?Sized>(
         &self,
         public_key: &Element,
@@ -323,50 +310,16 @@ impl ExpElGamal {
         }
     }
 
-    /// [`ExpElGamal::rerandomize`] through a prepared public-key table;
-    /// draws the same single scalar from `rng`.
-    pub fn rerandomize_prepared<R: Rng + ?Sized>(
-        &self,
-        key_table: &FixedBaseTable,
-        a: &Ciphertext,
-        rng: &mut R,
-    ) -> Ciphertext {
-        let r = self.group.random_scalar(rng);
-        Ciphertext {
-            alpha: self
-                .group
-                .op(&a.alpha, &self.group.exp_prepared(key_table, &r)),
-            beta: self.group.op(&a.beta, &self.group.exp_gen(&r)),
-        }
-    }
-
-    /// [`ExpElGamal::rerandomize_prepared`] with the exponentiations done
-    /// ahead of time: `pre` carries `(r, g^r)` — and, if the offline phase
-    /// knew the key, `y^r` — so the online work is two group
-    /// multiplications for a full pair, or one prepared exponentiation plus
-    /// the multiplications for a half pair.
+    /// Re-randomizes a ciphertext set with single-use masks: `pres[i]`
+    /// re-randomizes `cts[i]` as `(α·y^r, β·g^r)`. Any missing halves are
+    /// computed first in one batch each — `g^r` through the generator
+    /// table, `y^r` through the prepared key table — so full pairs minted
+    /// offline reduce the whole call to `2·n` group multiplications, which
+    /// share one affine conversion.
     ///
-    /// For a `pre` drawn from the same stream position the inline path
-    /// would have used, the output is bit-identical to
-    /// [`ExpElGamal::rerandomize_prepared`] either way.
-    pub fn rerandomize_with_precomputed(
-        &self,
-        key_table: &FixedBaseTable,
-        a: &Ciphertext,
-        pre: MaskPair,
-    ) -> Ciphertext {
-        let (mask, gr) = pre.into_halves(&self.group, key_table);
-        Ciphertext {
-            alpha: self.group.op(&a.alpha, &mask),
-            beta: self.group.op(&a.beta, &gr),
-        }
-    }
-
-    /// Batch [`ExpElGamal::rerandomize_with_precomputed`] over a ciphertext
-    /// set: `pres[i]` re-randomizes `cts[i]`. Any missing `y^r` halves are
-    /// computed first in one batch through the prepared table (shared
-    /// affine conversion); full pairs reduce the whole call to `2·n` group
-    /// multiplications.
+    /// Masks drawn from the stream position [`ExpElGamal::rerandomize`]
+    /// would have used give bit-identical ciphertexts, whether they arrive
+    /// bare, with `g^r`, or with both halves.
     ///
     /// # Panics
     ///
@@ -408,20 +361,14 @@ impl ExpElGamal {
     /// Strips one layer of a joint-key encryption: `α ← α / β^{x_j}`.
     ///
     /// After every key-share holder has applied this, `α = g^m`
-    /// (paper Fig. 1, step 8, first bullet).
+    /// (paper Fig. 1, step 8, first bullet). The one-ciphertext reference
+    /// form of [`ExpElGamal::partial_decrypt_gather_into`].
     pub fn partial_decrypt(&self, a: &Ciphertext, secret_share: &Scalar) -> Ciphertext {
         let mask = self.group.exp(&a.beta, secret_share);
         Ciphertext {
             alpha: self.group.div(&a.alpha, &mask),
             beta: a.beta.clone(),
         }
-    }
-
-    /// [`ExpElGamal::partial_decrypt`] without allocating a new ciphertext:
-    /// rewrites `α` in place and leaves `β` untouched (no clone).
-    pub fn partial_decrypt_in_place(&self, a: &mut Ciphertext, secret_share: &Scalar) {
-        let mask = self.group.exp(&a.beta, secret_share);
-        a.alpha = self.group.div(&a.alpha, &mask);
     }
 
     /// Gathered batch [`ExpElGamal::partial_decrypt`]: writes
@@ -470,147 +417,29 @@ impl ExpElGamal {
 
     /// Multiplies the plaintext by `r` by raising both components:
     /// `E(m) → E(r·m)`. Zero is a fixed point — the step-8 randomization.
+    /// Composed after [`ExpElGamal::partial_decrypt`], it is the
+    /// one-ciphertext reference for
+    /// [`ExpElGamal::partial_decrypt_randomize_prepared_gather_into`].
     pub fn randomize_plaintext(&self, a: &Ciphertext, r: &Scalar) -> Ciphertext {
         self.scalar_mul(a, r)
     }
 
-    /// [`ExpElGamal::randomize_plaintext`] without allocating a new
-    /// ciphertext: rewrites both components in place.
-    pub fn randomize_plaintext_in_place(&self, a: &mut Ciphertext, r: &Scalar) {
-        a.alpha = self.group.exp(&a.alpha, r);
-        a.beta = self.group.exp(&a.beta, r);
-    }
-
-    /// Batch [`ExpElGamal::randomize_plaintext`]: all 2·n component
-    /// exponentiations share one batched affine conversion.
+    /// One shuffle-chain hop (paper Fig. 1 step 8) over a ciphertext set:
+    /// `out[j]` is `randomize_plaintext(partial_decrypt(cts[i], x), r_i)`
+    /// for `i = order[j]`, where `prep[i]` was built from the hop owner's
+    /// secret share `x` and the randomizer `r_i` by
+    /// [`Group::prepare_hop_scalars`]. `order` may select any subset of the
+    /// indices in any order (`out.len() == order.len()`); `None` takes
+    /// every ciphertext in input order.
     ///
-    /// # Panics
-    ///
-    /// Panics if `cts` and `rs` have different lengths.
-    pub fn randomize_plaintext_batch(&self, cts: &[Ciphertext], rs: &[Scalar]) -> Vec<Ciphertext> {
-        assert_eq!(cts.len(), rs.len(), "one randomizer per ciphertext");
-        let pairs: Vec<(&Element, &Scalar)> = cts
-            .iter()
-            .zip(rs)
-            .flat_map(|(ct, r)| [(&ct.alpha, r), (&ct.beta, r)])
-            .collect();
-        let mut exps = self.group.exp_batch(&pairs).into_iter();
-        let mut out = Vec::with_capacity(cts.len());
-        // `exp_batch` returns exactly one element per input pair, and two
-        // pairs were pushed per ciphertext, so the iterator yields pairs
-        // until it is exhausted.
-        while let (Some(alpha), Some(beta)) = (exps.next(), exps.next()) {
-            out.push(Ciphertext { alpha, beta });
-        }
-        out
-    }
-
-    /// Fused `randomize_plaintext(partial_decrypt(a, x), r)` — one shuffle
-    /// chain hop (paper Fig. 1 step 8) in a single pass:
-    ///
-    /// `α′ = α^r · β^{−x·r}`,  `β′ = β^r`.
-    ///
-    /// The double exponentiation shares one squaring ladder, so the hop
-    /// costs ≈ 1.7 exponentiations instead of the 3 paid by composing the
-    /// two primitive calls. The output is element-for-element identical to
-    /// the composition.
-    pub fn partial_decrypt_randomize(
-        &self,
-        a: &Ciphertext,
-        secret_share: &Scalar,
-        r: &Scalar,
-    ) -> Ciphertext {
-        let neg_xr = self
-            .group
-            .scalar_neg(&self.group.scalar_mul(secret_share, r));
-        Ciphertext {
-            alpha: self.group.exp_dual(&a.alpha, r, &a.beta, &neg_xr),
-            beta: self.group.exp(&a.beta, r),
-        }
-    }
-
-    /// Batch [`ExpElGamal::partial_decrypt_randomize`] over a whole
-    /// ciphertext set: elliptic-curve results additionally share their
-    /// affine conversions (two field inversions per set instead of two per
-    /// ciphertext).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cts` and `rs` have different lengths.
-    pub fn partial_decrypt_randomize_batch(
-        &self,
-        cts: &[Ciphertext],
-        secret_share: &Scalar,
-        rs: &[Scalar],
-    ) -> Vec<Ciphertext> {
-        let mut out = Vec::with_capacity(cts.len());
-        self.partial_decrypt_randomize_gather_into(cts, secret_share, rs, None, &mut out);
-        out
-    }
-
-    /// Gathered batch [`ExpElGamal::partial_decrypt_randomize`] writing into
-    /// a caller-provided buffer: `out[j]` is the fused hop applied to
-    /// `cts[order[j]]` with randomizer `rs[order[j]]`. `order` may select
-    /// any subset of the indices in any order (`out.len() == order.len()`);
-    /// `None` takes every ciphertext in input order.
-    ///
-    /// This is the allocation-lean form of the chain hop: the shuffle
-    /// permutation is fused into the *placement* of each result, so the
-    /// caller never materializes the un-shuffled set and never clones a
-    /// ciphertext to reorder it, and `out`'s capacity is reused across
-    /// hops. A subset `order` (a slice of the permutation) lets the hop's
-    /// output positions be split across workers. Element-for-element the
-    /// results equal [`ExpElGamal::partial_decrypt_randomize_batch`]
-    /// followed by a gather (`permuted[j] = batch[order[j]]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rs` is not the same length as `cts`, or an index in
-    /// `order` is out of range.
-    pub fn partial_decrypt_randomize_gather_into(
-        &self,
-        cts: &[Ciphertext],
-        secret_share: &Scalar,
-        rs: &[Scalar],
-        order: Option<&[usize]>,
-        out: &mut Vec<Ciphertext>,
-    ) {
-        assert_eq!(cts.len(), rs.len(), "one randomizer per ciphertext");
-        let picked = gather(cts, order);
-        let neg_xrs: Vec<Scalar> = picked
-            .iter()
-            .map(|&i| {
-                self.group
-                    .scalar_neg(&self.group.scalar_mul(secret_share, &rs[i]))
-            })
-            .collect();
-        // One fused kernel per hop: `(α^r·β^{−xr}, β^r)` share the wNAF
-        // recoding of `r` and the precomputed table of `β`, so the hop
-        // costs one dual ladder plus one single ladder over *shared*
-        // tables instead of a dual batch plus an unrelated single batch.
-        let items: Vec<(&Element, &Scalar, &Element, &Scalar)> = picked
-            .iter()
-            .zip(&neg_xrs)
-            .map(|(&i, neg_xr)| (&cts[i].alpha, &rs[i], &cts[i].beta, neg_xr))
-            .collect();
-        out.clear();
-        out.reserve(picked.len());
-        out.extend(
-            self.group
-                .exp_hop_batch(&items)
-                .into_iter()
-                .map(|(alpha, beta)| Ciphertext { alpha, beta }),
-        );
-    }
-
-    /// [`ExpElGamal::partial_decrypt_randomize_gather_into`] over hop
-    /// scalars prepared ahead of time with
-    /// [`ppgr_group::Group::prepare_hop_scalars`]: the `−x·r` products and
-    /// the curve-side recodings were paid when the preparation was built,
-    /// so this call is nothing but the fused variable-base ladders.
-    /// Results are element-for-element identical to the unprepared form
-    /// called with the same randomizers, the same `order` and the secret
-    /// share the preparation was built from.
+    /// Each result is `(α^r·β^{−x·r}, β^r)` from one fused kernel call:
+    /// the double exponentiation shares one ladder, so a hop costs ≈ 1.7
+    /// exponentiations instead of the 3 of the composition, and the
+    /// `−x·r` products and curve-side recodings were paid when the
+    /// preparation was built. The shuffle is fused into the *placement* of
+    /// each result, so the caller never materializes the un-shuffled set,
+    /// and `out`'s capacity is reused across hops. Results are
+    /// element-for-element identical to the composition.
     ///
     /// # Panics
     ///
@@ -815,10 +644,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_hop_identical_to_composed_hop() {
+    fn prepared_hop_identical_to_composed_hop() {
         // The fused chain hop must be element-for-element identical to
-        // partial_decrypt followed by randomize_plaintext — the sorting
-        // phase relies on this to keep serial and batched paths bit-equal.
+        // partial_decrypt followed by randomize_plaintext: the mesh runner
+        // and the sorting machine both hop through it, and their byte
+        // tests rest on this equality.
         for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
             let group = kind.group();
             let mut rng = StdRng::seed_from_u64(7);
@@ -837,26 +667,19 @@ mod tests {
                     scheme.randomize_plaintext(&scheme.partial_decrypt(ct, kp.secret_key()), r)
                 })
                 .collect();
-            for (i, (ct, r)) in cts.iter().zip(&rs).enumerate() {
-                assert_eq!(
-                    scheme.partial_decrypt_randomize(ct, kp.secret_key(), r),
-                    composed[i],
-                    "{kind} fused hop #{i}"
-                );
-            }
-            assert_eq!(
-                scheme.partial_decrypt_randomize_batch(&cts, kp.secret_key(), &rs),
-                composed,
-                "{kind} batched hop"
-            );
+            let prep = group.prepare_hop_scalars(kp.secret_key(), &rs);
+            let mut out = Vec::new();
+            scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, None, &mut out);
+            assert_eq!(out, composed, "{kind} prepared hop");
         }
     }
 
     #[test]
-    fn gathered_hop_equals_batch_then_permute() {
-        // The sorting chain relies on this: computing each hop directly
-        // into its shuffled slot must give exactly the ciphertexts the
-        // compute-then-permute path produced.
+    fn gathered_hop_equals_composition_then_permute() {
+        // The shuffle is fused into result placement: computing each hop
+        // directly into its shuffled slot, for the whole permutation or
+        // any slice of it, must give exactly the composed ciphertexts in
+        // permuted order.
         for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
             let group = kind.group();
             let mut rng = StdRng::seed_from_u64(11);
@@ -869,27 +692,22 @@ mod tests {
                 .map(|_| group.random_nonzero_scalar(&mut rng))
                 .collect();
             let perm = [3usize, 0, 4, 1, 2];
-            let batch = scheme.partial_decrypt_randomize_batch(&cts, kp.secret_key(), &rs);
-            let permuted: Vec<Ciphertext> = perm.iter().map(|&i| batch[i].clone()).collect();
+            let permuted: Vec<Ciphertext> = perm
+                .iter()
+                .map(|&i| {
+                    let stripped = scheme.partial_decrypt(&cts[i], kp.secret_key());
+                    scheme.randomize_plaintext(&stripped, &rs[i])
+                })
+                .collect();
+            let prep = group.prepare_hop_scalars(kp.secret_key(), &rs);
             let mut out = Vec::new();
-            scheme.partial_decrypt_randomize_gather_into(
+            scheme.partial_decrypt_randomize_prepared_gather_into(
                 &cts,
-                kp.secret_key(),
-                &rs,
+                &prep,
                 Some(&perm),
                 &mut out,
             );
             assert_eq!(out, permuted, "{kind} gathered hop");
-            // Buffer reuse: a second gather into the same buffer replaces
-            // its contents.
-            scheme.partial_decrypt_randomize_gather_into(
-                &cts,
-                kp.secret_key(),
-                &rs,
-                None,
-                &mut out,
-            );
-            assert_eq!(out, batch, "{kind} identity-order gather");
 
             // And the unrandomized gather matches partial_decrypt.
             let singles: Vec<Ciphertext> = perm
@@ -901,82 +719,16 @@ mod tests {
             assert_eq!(plain, singles, "{kind} unrandomized gather");
 
             // A slice of the permutation selects a subset: the matching
-            // slice of the full gather, for every gather entry point.
-            let prep = group.prepare_hop_scalars(kp.secret_key(), &rs);
+            // slice of the full gather, for both gather entry points. The
+            // buffers are reused, so each call must replace their contents.
             for (a, b) in [(0, 2), (2, 5), (1, 4), (3, 3)] {
                 let part = Some(&perm[a..b]);
-                scheme.partial_decrypt_randomize_gather_into(
-                    &cts,
-                    kp.secret_key(),
-                    &rs,
-                    part,
-                    &mut out,
-                );
-                assert_eq!(out, permuted[a..b], "{kind} hop gather {a}..{b}");
                 scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, part, &mut out);
                 assert_eq!(out, permuted[a..b], "{kind} prepared gather {a}..{b}");
                 scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), part, &mut plain);
                 assert_eq!(plain, singles[a..b], "{kind} plain gather {a}..{b}");
             }
         }
-    }
-
-    #[test]
-    fn in_place_variants_match_allocating_ones() {
-        let (scheme, kp, mut rng) = setup();
-        let g = scheme.group().clone();
-        let ct = scheme.encrypt(kp.public_key(), &g.scalar_from_u64(3), &mut rng);
-        let r = g.random_nonzero_scalar(&mut rng);
-
-        let mut a = ct.clone();
-        scheme.partial_decrypt_in_place(&mut a, kp.secret_key());
-        assert_eq!(a, scheme.partial_decrypt(&ct, kp.secret_key()));
-
-        let mut b = ct.clone();
-        scheme.randomize_plaintext_in_place(&mut b, &r);
-        assert_eq!(b, scheme.randomize_plaintext(&ct, &r));
-    }
-
-    #[test]
-    fn prepared_key_paths_match_generic_paths() {
-        let (scheme, kp, _rng) = setup();
-        let g = scheme.group().clone();
-        let table = scheme.prepare_key(kp.public_key());
-        // Same seed → same randomness stream → identical ciphertexts.
-        let mut rng2 = StdRng::seed_from_u64(123);
-        let mut rng3 = StdRng::seed_from_u64(123);
-        let m = g.scalar_from_u64(6);
-        let a = scheme.encrypt(kp.public_key(), &m, &mut rng2);
-        let b = scheme.encrypt_prepared(&table, &m, &mut rng3);
-        assert_eq!(a, b);
-        let a2 = scheme.rerandomize(kp.public_key(), &a, &mut rng2);
-        let b2 = scheme.rerandomize_prepared(&table, &b, &mut rng3);
-        assert_eq!(a2, b2);
-        assert_eq!(scheme.decrypt_small(kp.secret_key(), &b2, 100), Some(6));
-    }
-
-    #[test]
-    fn precomputed_rerandomization_matches_prepared_path() {
-        let (scheme, kp, mut rng) = setup();
-        let g = scheme.group().clone();
-        let table = scheme.prepare_key(kp.public_key());
-        let ct = scheme.encrypt(kp.public_key(), &g.scalar_from_u64(6), &mut rng);
-        // Same seed → same stream → identical outputs.
-        let mut rng_a = StdRng::seed_from_u64(55);
-        let inline = scheme.rerandomize_prepared(&table, &ct, &mut rng_a);
-        // The same stream position must land on the same bytes whether the
-        // mask arrives bare, with its g^r half, or with y^r minted offline.
-        let warm = |fill: Option<Option<&FixedBaseTable>>| {
-            let mut pres = MaskPair::draw(&g, &mut StdRng::seed_from_u64(55), 1);
-            if let Some(key_table) = fill {
-                MaskPair::fill(&g, key_table, &mut pres);
-            }
-            scheme.rerandomize_with_precomputed(&table, &ct, pres.remove(0))
-        };
-        assert_eq!(warm(None), inline);
-        assert_eq!(warm(Some(None)), inline);
-        assert_eq!(warm(Some(Some(&table))), inline);
-        assert_eq!(scheme.decrypt_small(kp.secret_key(), &inline, 100), Some(6));
     }
 
     #[test]
@@ -1013,30 +765,39 @@ mod tests {
     }
 
     #[test]
-    fn batch_rerandomization_matches_singles() {
-        let (scheme, kp, mut rng) = setup();
-        let g = scheme.group().clone();
-        let table = scheme.prepare_key(kp.public_key());
-        let cts: Vec<Ciphertext> = (0..4)
-            .map(|m| scheme.encrypt(kp.public_key(), &g.scalar_from_u64(m), &mut rng))
-            .collect();
-        let mut rng_a = StdRng::seed_from_u64(91);
-        let mut rng_b = StdRng::seed_from_u64(91);
-        let singles: Vec<Ciphertext> = cts
-            .iter()
-            .map(|ct| {
-                let pre = MaskPair::draw(&g, &mut rng_a, 1).remove(0);
-                scheme.rerandomize_with_precomputed(&table, ct, pre)
-            })
-            .collect();
-        let pres = MaskPair::draw(&g, &mut rng_b, 4);
-        let batch = scheme.rerandomize_batch_with_precomputed(&table, &cts, pres);
-        assert_eq!(singles, batch);
-        for (m, ct) in batch.iter().enumerate() {
-            assert_eq!(
-                scheme.decrypt_small(kp.secret_key(), ct, 100),
-                Some(m as u64)
-            );
+    fn batch_rerandomization_matches_scalar_rerandomize() {
+        // Same stream position → same bytes, whether a mask arrives bare,
+        // with its g^r half, or with y^r minted offline too.
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let group = kind.group();
+            let mut rng = StdRng::seed_from_u64(42);
+            let kp = KeyPair::generate(&group, &mut rng);
+            let scheme = ExpElGamal::new(group.clone());
+            let table = scheme.prepare_key(kp.public_key());
+            let cts: Vec<Ciphertext> = (0..4)
+                .map(|m| scheme.encrypt(kp.public_key(), &group.scalar_from_u64(m), &mut rng))
+                .collect();
+            let mut rng_a = StdRng::seed_from_u64(91);
+            let singles: Vec<Ciphertext> = cts
+                .iter()
+                .map(|ct| scheme.rerandomize(kp.public_key(), ct, &mut rng_a))
+                .collect();
+            for fill in [None, Some(None), Some(Some(&table))] {
+                let mut pres = MaskPair::draw(&group, &mut StdRng::seed_from_u64(91), 4);
+                if let Some(key_table) = fill {
+                    MaskPair::fill(&group, key_table, &mut pres);
+                }
+                let batch = scheme.rerandomize_batch_with_precomputed(&table, &cts, pres);
+                assert_eq!(batch, singles, "{kind}");
+            }
+            for (m, ct) in singles.iter().enumerate() {
+                assert_ne!(ct, &cts[m], "{kind}");
+                assert_eq!(
+                    scheme.decrypt_small(kp.secret_key(), ct, 100),
+                    Some(m as u64),
+                    "{kind}"
+                );
+            }
         }
     }
 
@@ -1052,20 +813,6 @@ mod tests {
             !dump.contains(&digits),
             "mask scalar leaked through Debug: {dump}"
         );
-    }
-
-    #[test]
-    fn randomize_plaintext_batch_matches_singles() {
-        let (scheme, kp, mut rng) = setup();
-        let g = scheme.group().clone();
-        let cts: Vec<Ciphertext> = (0..3)
-            .map(|m| scheme.encrypt(kp.public_key(), &g.scalar_from_u64(m), &mut rng))
-            .collect();
-        let rs: Vec<_> = (0..3).map(|_| g.random_nonzero_scalar(&mut rng)).collect();
-        let batch = scheme.randomize_plaintext_batch(&cts, &rs);
-        for ((ct, r), got) in cts.iter().zip(&rs).zip(&batch) {
-            assert_eq!(got, &scheme.randomize_plaintext(ct, r));
-        }
     }
 
     #[test]

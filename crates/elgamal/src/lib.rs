@@ -45,6 +45,6 @@ mod bits;
 mod cipher;
 mod keys;
 
-pub use bits::{decrypt_bits, encrypt_bits, encrypt_bits_prepared, encrypt_bits_with_precomputed};
+pub use bits::{decrypt_bits, encrypt_bits, encrypt_bits_with_precomputed};
 pub use cipher::{Ciphertext, ElGamal, ExpElGamal, MaskPair};
 pub use keys::{JointKey, KeyPair};

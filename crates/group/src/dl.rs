@@ -6,7 +6,6 @@
 //! 1024 (RFC 2409 Oakley group 2), 2048 and 3072 bits, with generator
 //! `4 = 2²` (a residue, hence a generator of the order-`q` subgroup).
 
-use crate::cache::ShardedLru;
 use crate::traits::DecodeElementError;
 use crate::Element;
 use ppgr_bigint::{modular, BigUint, MontElem, Montgomery};
@@ -88,11 +87,6 @@ pub struct DlGroup {
     element_len: usize,
     /// Comb table for fixed-base exponentiation by the generator.
     gen_table: OnceLock<DlComb>,
-    /// Sharded read-mostly LRU of comb tables for other frequently used
-    /// bases (joint public keys); shared process-wide via the group
-    /// singleton. Hits take a per-shard read lock only, so concurrent
-    /// sessions exponentiating under different joint keys don't serialize.
-    comb_cache: ShardedLru<BigUint, DlComb>,
 }
 
 impl DlGroup {
@@ -117,28 +111,7 @@ impl DlGroup {
             mont,
             element_len,
             gen_table: OnceLock::new(),
-            comb_cache: ShardedLru::new(Self::COMB_CACHE_SHARDS, Self::COMB_CACHE_CAP),
         }
-    }
-
-    /// Shards of the per-group comb-table cache.
-    pub const COMB_CACHE_SHARDS: usize = 4;
-    /// Per-shard capacity of the comb-table cache (LRU eviction).
-    pub const COMB_CACHE_CAP: usize = 16;
-
-    /// Returns (building and caching on first use) the comb table for `a`.
-    ///
-    /// Backed by a sharded LRU: cache hits take a shard read lock only and
-    /// bump the entry's recency, so a hot joint key survives streams of
-    /// one-shot bases and concurrent lookups don't serialize.
-    pub fn comb_for(&self, a: &BigUint) -> std::sync::Arc<DlComb> {
-        self.comb_cache.get_or_insert_with(a, || self.build_comb(a))
-    }
-
-    /// Hit/miss/eviction counters for the comb-table cache (scrape-ready;
-    /// the process-wide group singleton makes these cross-session totals).
-    pub fn comb_cache_stats(&self) -> crate::cache::CacheStats {
-        self.comb_cache.stats()
     }
 
     /// Builds a fixed-base comb table for `a` (an element below `p`).

@@ -6,7 +6,6 @@
 //! elements kept in Montgomery form, which is what makes the ECC framework
 //! instantiation markedly faster than the DL one (the paper's Fig. 2/3).
 
-use crate::cache::ShardedLru;
 use crate::traits::DecodeElementError;
 use crate::Element;
 use ppgr_bigint::{modular, BigUint, MontElem4, Montgomery4};
@@ -116,11 +115,6 @@ impl std::fmt::Debug for EcPoint {
     }
 }
 
-/// A signed-wNAF plan entry: the recoded digits of one scalar plus the
-/// index of its base's odd-multiple table (`None` when the term is the
-/// identity and contributes nothing).
-type WnafPlan = Option<(Vec<i64>, usize)>;
-
 /// A Jacobian point with Montgomery-form coordinates: `(X : Y : Z)`,
 /// representing affine `(X/Z², Y/Z³)`; `Z = 0` is infinity.
 #[derive(Clone, Debug)]
@@ -169,11 +163,6 @@ pub struct EcGroup {
     element_len: usize,
     /// Comb table for fixed-base scalar multiplication by the generator.
     gen_table: std::sync::OnceLock<EcComb>,
-    /// Sharded read-mostly LRU of comb tables for other frequently used
-    /// bases (joint public keys); shared process-wide via the group
-    /// singleton. Hits take a per-shard read lock only, so concurrent
-    /// sessions exponentiating under different joint keys don't serialize.
-    comb_cache: ShardedLru<EcPoint, EcComb>,
 }
 
 impl EcGroup {
@@ -199,7 +188,6 @@ impl EcGroup {
             a_is_minus3,
             element_len,
             gen_table: std::sync::OnceLock::new(),
-            comb_cache: ShardedLru::new(Self::COMB_CACHE_SHARDS, Self::COMB_CACHE_CAP),
         };
         let Element::Ec(base) = &g.generator else {
             // tidy:allow(panic) — the group's own generator is Element::Ec by construction
@@ -463,51 +451,6 @@ impl EcGroup {
         self.to_affine(&self.scalar_mul_jac(&self.to_jacobian(p), &k))
     }
 
-    /// Simultaneous double-base multiplication `k₁·P + k₂·Q` (Shamir's
-    /// trick): both scalars share one doubling ladder, so the combined cost
-    /// is roughly one scalar multiplication plus one extra table and one
-    /// extra addition per window — about two-thirds the cost of two
-    /// independent multiplications.
-    pub fn scalar_mul_dual(&self, p: &EcPoint, k1: &BigUint, q: &EcPoint, k2: &BigUint) -> EcPoint {
-        let k1 = k1 % &self.params.n;
-        let k2 = k2 % &self.params.n;
-        self.to_affine(&self.dual_mul_jac(p, &k1, q, &k2))
-    }
-
-    fn dual_mul_jac(&self, p: &EcPoint, k1: &BigUint, q: &EcPoint, k2: &BigUint) -> Jacobian {
-        if k1.is_zero() || p.is_infinity() {
-            return self.scalar_mul_jac(&self.to_jacobian(q), k2);
-        }
-        if k2.is_zero() || q.is_infinity() {
-            return self.scalar_mul_jac(&self.to_jacobian(p), k1);
-        }
-        let table_p = self.window_table(&self.to_jacobian(p));
-        let table_q = self.window_table(&self.to_jacobian(q));
-        let bits = k1.bits().max(k2.bits());
-        let windows = bits.div_ceil(4);
-        let mut acc: Option<Jacobian> = None;
-        for w in (0..windows).rev() {
-            if let Some(a) = acc.as_mut() {
-                for _ in 0..4 {
-                    *a = self.jac_double(a);
-                }
-            }
-            for (k, table) in [(&k1, &table_p), (&k2, &table_q)] {
-                let mut window = 0usize;
-                for b in 0..4 {
-                    window |= (k.bit(4 * w + b) as usize) << b;
-                }
-                if window != 0 {
-                    acc = Some(match acc {
-                        None => table[window].clone(),
-                        Some(a) => self.jac_add(&a, &table[window]),
-                    });
-                }
-            }
-        }
-        acc.unwrap_or_else(|| self.jac_infinity())
-    }
-
     /// Builds a fixed-base comb table for `p`: `rows[i][d] = (d·16^i)·P`.
     pub fn build_comb(&self, p: &EcPoint) -> EcComb {
         let rows = self.params.n.bits().div_ceil(4);
@@ -587,79 +530,17 @@ impl EcGroup {
         self.to_affine_batch(&jacs)
     }
 
-    /// Batch double-base multiplication `k₁·P + k₂·Q` per entry: one
-    /// shared doubling ladder per entry (Shamir), signed-wNAF mixed
-    /// additions, tables and results each normalized through one batched
-    /// field inversion.
-    pub fn scalar_mul_dual_batch(
-        &self,
-        items: &[(&EcPoint, &BigUint, &EcPoint, &BigUint)],
-    ) -> Vec<EcPoint> {
-        let mut bases: Vec<Jacobian> = Vec::new();
-        let plan: Vec<[WnafPlan; 2]> = {
-            let mut side = |pt: &EcPoint, k: &BigUint| -> WnafPlan {
-                let k = k % &self.params.n;
-                if k.is_zero() || pt.is_infinity() {
-                    return None;
-                }
-                bases.push(self.to_jacobian(pt));
-                Some((crate::msm::wnaf_digits(&k, 4), bases.len() - 1))
-            };
-            items
-                .iter()
-                .map(|(p, k1, q, k2)| [side(p, k1), side(q, k2)])
-                .collect()
-        };
-        let tables = self.wnaf_tables(&bases);
-        let jacs: Vec<Jacobian> = plan
-            .iter()
-            .map(|entry| match entry {
-                [None, None] => self.jac_infinity(),
-                [Some((d, t)), None] | [None, Some((d, t))] => self.wnaf_mul_jac(d, &tables[*t]),
-                [Some((d1, t1)), Some((d2, t2))] => {
-                    self.wnaf_dual_mul_jac(d1, &tables[*t1], d2, &tables[*t2])
-                }
-            })
-            .collect();
-        self.to_affine_batch(&jacs)
-    }
-
-    /// Fused hop batch: for each `(a, k₁, b, k₂)` computes the pair
-    /// `(a^{k₁}·b^{k₂}, b^{k₁})` — the shape of a re-randomized partial
-    /// decryption, whose new `β = b^{k₁}` reuses both the wNAF recoding of
-    /// `k₁` and the odd-multiple table of `b` that the double-base half
-    /// already paid for. Versus composing [`EcGroup::scalar_mul_dual_batch`]
-    /// with [`EcGroup::scalar_mul_batch`], each entry saves one table build,
-    /// one recoding, and a share of two batch inversions.
-    pub fn scalar_mul_hop_batch(
-        &self,
-        items: &[(&EcPoint, &BigUint, &EcPoint, &BigUint)],
-    ) -> Vec<(EcPoint, EcPoint)> {
-        let recode = |k: &BigUint| {
-            let k = k % &self.params.n;
-            if k.is_zero() {
-                Vec::new()
-            } else {
-                crate::msm::wnaf_digits(&k, 4)
-            }
-        };
-        let digits: Vec<(Vec<i64>, Vec<i64>)> = items
-            .iter()
-            .map(|(_, k1, _, k2)| (recode(k1), recode(k2)))
-            .collect();
-        let with_digits: Vec<(&EcPoint, &[i64], &EcPoint, &[i64])> = items
-            .iter()
-            .zip(&digits)
-            .map(|((a, _, b, _), (d1, d2))| (*a, d1.as_slice(), *b, d2.as_slice()))
-            .collect();
-        self.scalar_mul_hop_digits_batch(&with_digits)
-    }
-
-    /// [`EcGroup::scalar_mul_hop_batch`] over pre-recoded scalars: each
-    /// entry is `(a, wnaf(k₁), b, wnaf(k₂))` with empty digit vectors
-    /// encoding zero scalars. An offline phase that knows the hop's
-    /// randomizers (but not its ciphertexts) can pay the order reductions
-    /// and recodings ahead of time and hand the digits in here.
+    /// Fused hop batch over pre-recoded scalars: each entry is
+    /// `(a, wnaf(k₁), b, wnaf(k₂))`, with empty digit vectors encoding zero
+    /// scalars, and yields the pair `(a^{k₁}·b^{k₂}, b^{k₁})` — the shape
+    /// of a re-randomized partial decryption. The first half shares one
+    /// doubling ladder between both bases (Shamir's trick with mixed
+    /// additions); the new `β = b^{k₁}` reuses both `k₁`'s digits and the
+    /// odd-multiple table of `b` the first half already built. Tables and
+    /// results are each normalized through one batched field inversion.
+    /// An offline phase that knows the hop's randomizers (but not its
+    /// ciphertexts) pays the order reductions and recodings ahead of time
+    /// and hands the digits in here.
     pub fn scalar_mul_hop_digits_batch(
         &self,
         items: &[(&EcPoint, &[i64], &EcPoint, &[i64])],
@@ -708,26 +589,6 @@ impl EcGroup {
             })
             .collect()
     }
-
-    /// Returns (building and caching on first use) the comb table for `p`.
-    ///
-    /// Backed by a sharded LRU: cache hits take a shard read lock only and
-    /// bump the entry's recency, so a hot joint key survives streams of
-    /// one-shot bases and concurrent sessions don't serialize on lookups.
-    pub fn comb_for(&self, p: &EcPoint) -> std::sync::Arc<EcComb> {
-        self.comb_cache.get_or_insert_with(p, || self.build_comb(p))
-    }
-
-    /// Hit/miss/eviction counters for the comb-table cache (scrape-ready;
-    /// the process-wide group singleton makes these cross-session totals).
-    pub fn comb_cache_stats(&self) -> crate::cache::CacheStats {
-        self.comb_cache.stats()
-    }
-
-    /// Shards of the per-group comb-table cache.
-    pub const COMB_CACHE_SHARDS: usize = 4;
-    /// Per-shard capacity of the comb-table cache (LRU eviction).
-    pub const COMB_CACHE_CAP: usize = 16;
 
     fn gen_comb(&self) -> &EcComb {
         self.gen_table.get_or_init(|| {
@@ -869,48 +730,11 @@ impl EcGroup {
         acc
     }
 
-    /// Shared-recoding batch multiplication: every point times the *same*
-    /// scalar. The scalar's width-4 wNAF digits are recoded once
-    /// ([`crate::msm::wnaf_digits`]) and replayed for every point; each
-    /// point then needs only its odd-multiple table `{P, 3P, …, 15P}`
-    /// (one doubling plus seven additions — signed digits make the
-    /// negative half free) and the shared double-and-add schedule. All
-    /// results are normalized through one batched field inversion.
-    ///
-    /// This is the shape of a decryption hop: one key share, many `β`s.
-    pub fn scalar_mul_same_batch(&self, points: &[&EcPoint], k: &BigUint) -> Vec<EcPoint> {
-        if points.is_empty() {
-            return Vec::new();
-        }
-        let k = k % &self.params.n;
-        if k.is_zero() {
-            return vec![EcPoint::infinity(); points.len()];
-        }
-        let digits = crate::msm::wnaf_digits(&k, 4);
-        let mut bases: Vec<Jacobian> = Vec::new();
-        let idxs: Vec<Option<usize>> = points
-            .iter()
-            .map(|p| {
-                if p.is_infinity() {
-                    return None;
-                }
-                bases.push(self.to_jacobian(p));
-                Some(bases.len() - 1)
-            })
-            .collect();
-        let tables = self.wnaf_tables(&bases);
-        let jacs: Vec<Jacobian> = idxs
-            .iter()
-            .map(|t| match t {
-                Some(t) => self.wnaf_mul_jac(&digits, &tables[*t]),
-                None => self.jac_infinity(),
-            })
-            .collect();
-        self.to_affine_batch(&jacs)
-    }
-
-    /// [`EcGroup::scalar_mul_same_batch`] with a fused affine addend:
-    /// `out[i] = c[i] + k·p[i]`. The addend lands as one mixed addition on
+    /// Shared-recoding batch multiplication with a fused affine addend:
+    /// `out[i] = c[i] + k·p[i]`. The scalar's width-4 wNAF digits are
+    /// recoded once and replayed for every point, each point needing only
+    /// its odd-multiple table `{P, 3P, …, 15P}`. The addend lands as one
+    /// mixed addition on
     /// the Jacobian accumulator *before* the shared normalization, so it
     /// replaces a separate affine addition — and the full field inversion
     /// that affine addition would pay per point — with three field
@@ -1168,26 +992,48 @@ mod tests {
     }
 
     #[test]
-    fn dual_mul_matches_two_single_muls() {
+    fn hop_digits_match_single_muls() {
+        let recode = |k: &BigUint| {
+            if k.is_zero() {
+                Vec::new()
+            } else {
+                crate::msm::wnaf_digits(k, 4)
+            }
+        };
         for g in groups() {
             let p = gen_point(&g);
             let q = g.scalar_mul(&p, &BigUint::from(0xdead_beefu64));
-            for (k1, k2) in [
+            let inf = EcPoint::infinity();
+            let cases: Vec<(&EcPoint, BigUint, &EcPoint, BigUint)> = [
                 (0u64, 0u64),
                 (0, 5),
                 (7, 0),
                 (1, 1),
                 (123_456_789, 987_654_321),
                 (u64::MAX, 3),
-            ] {
-                let (k1, k2) = (BigUint::from(k1), BigUint::from(k2));
-                let expect = g.add(&g.scalar_mul(&p, &k1), &g.scalar_mul(&q, &k2));
-                assert_eq!(
-                    g.scalar_mul_dual(&p, &k1, &q, &k2),
-                    expect,
-                    "{} k1={k1:?} k2={k2:?}",
-                    g.params().name
-                );
+            ]
+            .iter()
+            .map(|&(k1, k2)| (&p, BigUint::from(k1), &q, BigUint::from(k2)))
+            .chain([
+                (&inf, BigUint::from(9u64), &q, BigUint::from(4u64)),
+                (&p, BigUint::from(9u64), &inf, BigUint::from(4u64)),
+            ])
+            .collect();
+            let digits: Vec<(Vec<i64>, Vec<i64>)> = cases
+                .iter()
+                .map(|(_, k1, _, k2)| (recode(k1), recode(k2)))
+                .collect();
+            let items: Vec<(&EcPoint, &[i64], &EcPoint, &[i64])> = cases
+                .iter()
+                .zip(&digits)
+                .map(|((a, _, b, _), (d1, d2))| (*a, d1.as_slice(), *b, d2.as_slice()))
+                .collect();
+            let hops = g.scalar_mul_hop_digits_batch(&items);
+            for ((a, k1, b, k2), (first, second)) in cases.iter().zip(&hops) {
+                let expect = g.add(&g.scalar_mul(a, k1), &g.scalar_mul(b, k2));
+                let label = format!("{} k1={k1:?} k2={k2:?}", g.params().name);
+                assert_eq!(first, &expect, "{label}");
+                assert_eq!(second, &g.scalar_mul(b, k1), "{label}");
             }
         }
     }
@@ -1227,12 +1073,13 @@ mod tests {
             assert_eq!(got, &g.scalar_mul(&q, k));
         }
         assert_eq!(g.scalar_mul_gen_batch(&k_refs)[2], g.scalar_mul(&p, &ks[2]));
-        let same = g.scalar_mul_same_batch(&[&p, &q, &EcPoint::infinity()], &ks[3]);
+        let inf = EcPoint::infinity();
+        let same = g.scalar_mul_same_mul_batch(&[&inf, &inf, &p], &[&p, &q, &inf], &ks[3]);
         assert_eq!(same[0], g.scalar_mul(&p, &ks[3]));
         assert_eq!(same[1], g.scalar_mul(&q, &ks[3]));
-        assert!(same[2].is_infinity());
+        assert_eq!(same[2], p);
         assert!(g
-            .scalar_mul_same_batch(&[&p, &q], &BigUint::zero())
+            .scalar_mul_same_mul_batch(&[&inf, &inf], &[&p, &q], &BigUint::zero())
             .iter()
             .all(EcPoint::is_infinity));
         let pairs: Vec<(&EcPoint, &BigUint)> = ks.iter().map(|k| (&q, k)).collect();
@@ -1240,10 +1087,6 @@ mod tests {
         for (k, got) in ks.iter().zip(&batch) {
             assert_eq!(got, &g.scalar_mul(&q, k));
         }
-        let items = vec![(&p, &ks[2], &q, &ks[3]), (&p, &ks[0], &q, &ks[0])];
-        let duals = g.scalar_mul_dual_batch(&items);
-        assert_eq!(duals[0], g.scalar_mul_dual(&p, &ks[2], &q, &ks[3]));
-        assert!(duals[1].is_infinity());
     }
 
     #[test]

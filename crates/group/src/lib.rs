@@ -34,7 +34,6 @@
 #![deny(unused_must_use)]
 #![warn(missing_docs)]
 
-pub mod cache;
 mod dl;
 mod ec;
 mod kind;
@@ -42,7 +41,6 @@ mod msm;
 mod scalar;
 mod traits;
 
-pub use cache::{CacheStats, ShardedLru};
 pub use dl::{DlComb, DlGroup, DlParams};
 pub use ec::{CurveParams, EcComb, EcGroup, EcPoint};
 pub use kind::{GroupKind, SecurityLevel};

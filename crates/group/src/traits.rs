@@ -79,9 +79,9 @@ impl Error for GroupError {}
 /// framework, the joint public key that every encryption and
 /// re-randomization exponentiates by.
 ///
-/// Cloning is cheap (`Arc` internally). Tables are also cached inside the
-/// group singleton, so repeated `prepare_base` calls for the same base are
-/// shared across the process.
+/// Cloning is cheap (`Arc` internally). The group keeps no copy: a table
+/// lives exactly as long as its holders — an offline stock, a sorting
+/// machine or a mesh party — keep it.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
     base: Element,
@@ -106,13 +106,6 @@ pub struct HopScalars {
     /// wNAF recodings of `(r, −x·r)` on the elliptic-curve family; an
     /// empty digit vector encodes the zero scalar.
     pub(crate) digits: Option<(Vec<i64>, Vec<i64>)>,
-}
-
-impl HopScalars {
-    /// The hop randomizer `r` this preparation was built from.
-    pub fn randomizer(&self) -> &Scalar {
-        &self.r
-    }
 }
 
 impl FixedBaseTable {
@@ -142,18 +135,6 @@ impl Group {
     /// Which concrete instantiation this is.
     pub fn kind(&self) -> GroupKind {
         self.kind
-    }
-
-    /// Hit/miss/eviction counters for this group's fixed-base comb-table
-    /// cache ([`crate::ShardedLru`]). [`GroupKind::group`] hands every
-    /// session the same process-wide instantiation, so these are
-    /// cross-session totals — a service scrapes them to observe how well
-    /// warm tables amortize across its traffic.
-    pub fn comb_cache_stats(&self) -> crate::cache::CacheStats {
-        match &self.inner {
-            GroupImpl::Dl(g) => g.comb_cache_stats(),
-            GroupImpl::Ec(g) => g.comb_cache_stats(),
-        }
     }
 
     /// The prime group order `q`.
@@ -258,71 +239,6 @@ impl Group {
     pub fn exp(&self, a: &Element, s: &Scalar) -> Element {
         // tidy:allow(panic) — documented panicking twin of try_exp; protocol paths use try_* on untrusted input
         self.try_exp(a, s).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Simultaneous double-base exponentiation `a^s · b^t`.
-    ///
-    /// Both exponentiations share one squaring/doubling ladder (Shamir's
-    /// trick), costing roughly two-thirds of two separate [`Group::exp`]
-    /// calls. This is the shape of a fused re-randomized partial decryption
-    /// (`α^r · β^{−x·r}`), the dominant operation of the shuffle chain.
-    pub fn exp_dual(&self, a: &Element, s: &Scalar, b: &Element, t: &Scalar) -> Element {
-        match (&self.inner, a, b) {
-            (GroupImpl::Dl(g), Element::Dl(a), Element::Dl(b)) => {
-                Element::Dl(g.pow_dual(a, &s.0, b, &t.0))
-            }
-            (GroupImpl::Ec(g), Element::Ec(a), Element::Ec(b)) => {
-                Element::Ec(g.scalar_mul_dual(a, &s.0, b, &t.0))
-            }
-            // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-            _ => panic!(
-                "{}",
-                GroupError::FamilyMismatch {
-                    operation: "exp_dual"
-                }
-            ),
-        }
-    }
-
-    /// Batch [`Group::exp_dual`]: elliptic-curve results share a single
-    /// field inversion for the final affine conversion.
-    pub fn exp_dual_batch(&self, items: &[(&Element, &Scalar, &Element, &Scalar)]) -> Vec<Element> {
-        match &self.inner {
-            GroupImpl::Dl(g) => items
-                .iter()
-                .map(|(a, s, b, t)| match (a, b) {
-                    (Element::Dl(a), Element::Dl(b)) => Element::Dl(g.pow_dual(a, &s.0, b, &t.0)),
-                    // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                    _ => panic!(
-                        "{}",
-                        GroupError::FamilyMismatch {
-                            operation: "exp_dual_batch"
-                        }
-                    ),
-                })
-                .collect(),
-            GroupImpl::Ec(g) => {
-                let pts: Vec<(&EcPoint, &BigUint, &EcPoint, &BigUint)> = items
-                    .iter()
-                    .map(|(a, s, b, t)| match (a, b) {
-                        (Element::Ec(a), Element::Ec(b)) => (a, &s.0, b, &t.0),
-                        _ => {
-                            // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                            panic!(
-                                "{}",
-                                GroupError::FamilyMismatch {
-                                    operation: "exp_dual_batch"
-                                }
-                            )
-                        }
-                    })
-                    .collect();
-                g.scalar_mul_dual_batch(&pts)
-                    .into_iter()
-                    .map(Element::Ec)
-                    .collect()
-            }
-        }
     }
 
     /// Batch [`Group::exp`] over independent (base, scalar) pairs;
@@ -446,60 +362,6 @@ impl Group {
     pub fn multi_exp(&self, pairs: &[(&Element, &Scalar)]) -> Element {
         // tidy:allow(panic) — documented panicking twin of try_multi_exp; protocol paths use try_* on untrusted input
         self.try_multi_exp(pairs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Batch exponentiation of many bases by one *shared* scalar.
-    ///
-    /// The scalar's digit recoding is computed once and replayed for
-    /// every base (wNAF odd-multiple tables on the EC family, shared
-    /// window digits on the DL family), and the elliptic-curve results
-    /// share a single field inversion. This is the shape of a decryption
-    /// hop: one key share, every ciphertext's `β`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any element belongs to the other group family.
-    pub fn exp_same_batch(&self, bases: &[&Element], s: &Scalar) -> Vec<Element> {
-        match &self.inner {
-            GroupImpl::Dl(g) => {
-                let bs: Vec<&BigUint> = bases
-                    .iter()
-                    .map(|a| match a {
-                        Element::Dl(a) => a,
-                        // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                        _ => panic!(
-                            "{}",
-                            GroupError::FamilyMismatch {
-                                operation: "exp_same_batch"
-                            }
-                        ),
-                    })
-                    .collect();
-                g.pow_same_batch(&bs, &s.0)
-                    .into_iter()
-                    .map(Element::Dl)
-                    .collect()
-            }
-            GroupImpl::Ec(g) => {
-                let pts: Vec<&EcPoint> = bases
-                    .iter()
-                    .map(|a| match a {
-                        Element::Ec(a) => a,
-                        // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                        _ => panic!(
-                            "{}",
-                            GroupError::FamilyMismatch {
-                                operation: "exp_same_batch"
-                            }
-                        ),
-                    })
-                    .collect();
-                g.scalar_mul_same_batch(&pts, &s.0)
-                    .into_iter()
-                    .map(Element::Ec)
-                    .collect()
-            }
-        }
     }
 
     /// Batch [`Group::op`]: elliptic-curve sums stay in Jacobian form and
@@ -670,61 +532,6 @@ impl Group {
         }
     }
 
-    /// Fused hop batch: for each `(a, s, b, t)` returns the pair
-    /// `(a^s·b^t, b^s)` — a re-randomized partial decryption and its new
-    /// `β` in one call. The elliptic-curve kernel reuses the recoding of
-    /// `s` and the precomputed table of `b` across both halves and shares
-    /// the affine conversions batch-wide; composing [`Group::exp_dual_batch`]
-    /// with [`Group::exp_batch`] pays for both again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any element belongs to the other group family.
-    pub fn exp_hop_batch(
-        &self,
-        items: &[(&Element, &Scalar, &Element, &Scalar)],
-    ) -> Vec<(Element, Element)> {
-        match &self.inner {
-            GroupImpl::Dl(g) => items
-                .iter()
-                .map(|(a, s, b, t)| match (a, b) {
-                    (Element::Dl(a), Element::Dl(b)) => (
-                        Element::Dl(g.pow_dual(a, &s.0, b, &t.0)),
-                        Element::Dl(g.pow(b, &s.0)),
-                    ),
-                    // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                    _ => panic!(
-                        "{}",
-                        GroupError::FamilyMismatch {
-                            operation: "exp_hop_batch"
-                        }
-                    ),
-                })
-                .collect(),
-            GroupImpl::Ec(g) => {
-                let pts: Vec<(&EcPoint, &BigUint, &EcPoint, &BigUint)> = items
-                    .iter()
-                    .map(|(a, s, b, t)| match (a, b) {
-                        (Element::Ec(a), Element::Ec(b)) => (a, &s.0, b, &t.0),
-                        _ => {
-                            // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                            panic!(
-                                "{}",
-                                GroupError::FamilyMismatch {
-                                    operation: "exp_hop_batch"
-                                }
-                            )
-                        }
-                    })
-                    .collect();
-                g.scalar_mul_hop_batch(&pts)
-                    .into_iter()
-                    .map(|(x, y)| (Element::Ec(x), Element::Ec(y)))
-                    .collect()
-            }
-        }
-    }
-
     /// Prepares a hop's scalar pair ahead of time: for each randomizer `r`
     /// the product `−x·r` with the hop owner's secret share, plus the
     /// curve-side order reduction and wNAF recoding of both scalars. All
@@ -759,11 +566,14 @@ impl Group {
             .collect()
     }
 
-    /// [`Group::exp_hop_batch`] over scalars prepared by
+    /// Fused hop batch over scalars prepared by
     /// [`Group::prepare_hop_scalars`]: for each `(a, prep, b)` returns
-    /// `(a^r·b^{−xr}, b^r)`, reusing the stored recodings instead of
-    /// reducing and recoding every scalar inside the call. Results are
-    /// element-for-element identical to the unprepared batch.
+    /// `(a^r·b^{−xr}, b^r)` — a re-randomized partial decryption and its
+    /// new `β` in one call. The elliptic-curve kernel shares one doubling
+    /// ladder between the two bases of the first half (Shamir's trick),
+    /// reuses `b`'s odd-multiple table and `r`'s stored recoding for the
+    /// second, and normalizes every result of the batch through one field
+    /// inversion; the DL family pays one dual and one single ladder.
     ///
     /// # Panics
     ///
@@ -814,16 +624,18 @@ impl Group {
         }
     }
 
-    /// Builds (or fetches from the per-group cache) a fixed-base comb table
-    /// for `base`, enabling [`Group::exp_prepared`].
+    /// Builds a fixed-base comb table for `base`, enabling
+    /// [`Group::exp_prepared`]. The table belongs to the caller: nothing is
+    /// cached in the group, so whoever prepares a key keeps the table for
+    /// as long as it exponentiates by that key.
     ///
     /// # Panics
     ///
     /// Panics if the element belongs to the other group family.
     pub fn prepare_base(&self, base: &Element) -> FixedBaseTable {
         let inner = match (&self.inner, base) {
-            (GroupImpl::Dl(g), Element::Dl(a)) => TableImpl::Dl(g.comb_for(a)),
-            (GroupImpl::Ec(g), Element::Ec(p)) => TableImpl::Ec(g.comb_for(p)),
+            (GroupImpl::Dl(g), Element::Dl(a)) => TableImpl::Dl(Arc::new(g.build_comb(a))),
+            (GroupImpl::Ec(g), Element::Ec(p)) => TableImpl::Ec(Arc::new(g.build_comb(p))),
             // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
             _ => panic!(
                 "{}",
@@ -1004,7 +816,7 @@ impl Group {
 
 #[cfg(test)]
 mod tests {
-    use crate::{GroupError, GroupKind};
+    use crate::{Element, GroupError, GroupKind, HopScalars};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1085,22 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_dual_matches_separate_exps() {
-        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
-            let g = kind.group();
-            let mut rng = StdRng::seed_from_u64(21);
-            let a = g.exp_gen(&g.random_scalar(&mut rng));
-            let b = g.exp_gen(&g.random_scalar(&mut rng));
-            let s = g.random_scalar(&mut rng);
-            let t = g.random_scalar(&mut rng);
-            let expect = g.op(&g.exp(&a, &s), &g.exp(&b, &t));
-            assert_eq!(g.exp_dual(&a, &s, &b, &t), expect, "{kind}");
-            let batch = g.exp_dual_batch(&[(&a, &s, &b, &t), (&b, &t, &a, &s)]);
-            assert_eq!(batch, vec![expect.clone(), expect], "{kind}");
-        }
-    }
-
-    #[test]
     fn prepared_base_matches_generic_exp() {
         for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
             let g = kind.group();
@@ -1116,12 +912,6 @@ mod tests {
             for (s, got) in scalars.iter().zip(&batch) {
                 assert_eq!(got, &g.exp(&base, s), "{kind}");
             }
-            // Second prepare hits the cache (same underlying table).
-            let again = g.prepare_base(&base);
-            assert_eq!(
-                g.exp_prepared(&again, &scalars[0]),
-                g.exp(&base, &scalars[0])
-            );
         }
     }
 
@@ -1150,7 +940,7 @@ mod tests {
             let b = g.exp_gen(&g.random_scalar(&mut rng));
             let id = g.identity();
             let s = g.random_scalar(&mut rng);
-            let t = g.random_scalar(&mut rng);
+            let x = g.random_scalar(&mut rng);
             let zero = g.scalar_from_u64(0);
 
             let ops = g.op_batch(&[(&a, &b), (&a, &id), (&id, &id)]);
@@ -1165,27 +955,31 @@ mod tests {
             let by_zero = g.exp_same_mul_batch(&[&a], &[&b], &zero);
             assert_eq!(by_zero[0], a);
 
-            // Every degenerate hop shape: live, zero scalars, identity bases.
-            let hops = g.exp_hop_batch(&[
-                (&a, &s, &b, &t),
-                (&a, &zero, &b, &t),
-                (&a, &s, &b, &zero),
-                (&a, &s, &id, &t),
-                (&id, &s, &b, &t),
-            ]);
-            for (item, out) in [
-                (&a, &s, &b, &t),
-                (&a, &zero, &b, &t),
-                (&a, &s, &b, &zero),
-                (&a, &s, &id, &t),
-                (&id, &s, &b, &t),
-            ]
-            .iter()
-            .zip(&hops)
-            {
-                let (x, s, y, t) = *item;
-                assert_eq!(out.0, g.op(&g.exp(x, s), &g.exp(y, t)), "{kind:?}");
-                assert_eq!(out.1, g.exp(y, s), "{kind:?}");
+            // Every degenerate hop shape through the prepared kernel: the
+            // normal case, a zero randomizer, a zero secret (so `−x·r` is
+            // zero too), an identity `α` and an identity `β`.
+            let shapes = [
+                (&a, &x, &s, &b),
+                (&a, &x, &zero, &b),
+                (&a, &zero, &s, &b),
+                (&id, &x, &s, &b),
+                (&a, &x, &s, &id),
+            ];
+            let preps: Vec<HopScalars> = shapes
+                .iter()
+                .flat_map(|(_, secret, r, _)| g.prepare_hop_scalars(secret, &[(*r).clone()]))
+                .collect();
+            let items: Vec<(&Element, &HopScalars, &Element)> = shapes
+                .iter()
+                .zip(&preps)
+                .map(|((alpha, _, _, beta), prep)| (*alpha, prep, *beta))
+                .collect();
+            let hops = g.exp_hop_prepared_batch(&items);
+            for ((alpha, secret, r, beta), out) in shapes.iter().zip(&hops) {
+                let neg_xr = g.scalar_neg(&g.scalar_mul(secret, r));
+                let expect = g.op(&g.exp(alpha, r), &g.exp(beta, &neg_xr));
+                assert_eq!(out.0, expect, "{kind:?}");
+                assert_eq!(out.1, g.exp(beta, r), "{kind:?}");
             }
         }
     }

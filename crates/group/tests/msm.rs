@@ -1,5 +1,6 @@
-//! Multi-exponentiation correctness: `multi_exp` and `exp_same_batch`
-//! must agree with the naive per-term fold on both group families,
+//! Multi-exponentiation correctness: `multi_exp` and
+//! `exp_same_mul_batch` (with identity factors, a plain shared-scalar
+//! batch) must agree with the naive per-term fold on both group families,
 //! including the degenerate shapes the engine special-cases (empty
 //! input, zero scalars, identity bases, duplicate bases) and inputs
 //! large enough to cross the Straus→Pippenger switchover.
@@ -51,7 +52,7 @@ fn check_multi_exp(kind: GroupKind, n: usize, seed: u64) {
     );
 }
 
-fn check_exp_same_batch(kind: GroupKind, n: usize, seed: u64) {
+fn check_exp_same_mul_batch(kind: GroupKind, n: usize, seed: u64) {
     let g = kind.group();
     let (bases, _) = instance(&g, n, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
@@ -61,7 +62,9 @@ fn check_exp_same_batch(kind: GroupKind, n: usize, seed: u64) {
         g.random_scalar(&mut rng),
     ] {
         let refs: Vec<&Element> = bases.iter().collect();
-        let batch = g.exp_same_batch(&refs, &s);
+        let id = g.identity();
+        let factors = vec![&id; refs.len()];
+        let batch = g.exp_same_mul_batch(&factors, &refs, &s);
         assert_eq!(batch.len(), bases.len());
         for (b, got) in bases.iter().zip(&batch) {
             assert_eq!(got, &g.exp(b, &s), "{kind:?} n={n} seed={seed}");
@@ -74,7 +77,9 @@ fn multi_exp_empty_input_is_identity() {
     for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
         let g = kind.group();
         assert!(g.is_identity(&g.multi_exp(&[])));
-        assert!(g.exp_same_batch(&[], &g.scalar_from_u64(5)).is_empty());
+        assert!(g
+            .exp_same_mul_batch(&[], &[], &g.scalar_from_u64(5))
+            .is_empty());
     }
 }
 
@@ -123,12 +128,12 @@ proptest! {
     }
 
     #[test]
-    fn exp_same_batch_matches_singles_ecc(n in 1usize..16, seed in 0u64..1000) {
-        check_exp_same_batch(GroupKind::Ecc160, n, seed);
+    fn exp_same_mul_batch_matches_singles_ecc(n in 1usize..16, seed in 0u64..1000) {
+        check_exp_same_mul_batch(GroupKind::Ecc160, n, seed);
     }
 
     #[test]
-    fn exp_same_batch_matches_singles_dl(n in 1usize..8, seed in 0u64..1000) {
-        check_exp_same_batch(GroupKind::Dl1024, n, seed);
+    fn exp_same_mul_batch_matches_singles_dl(n in 1usize..8, seed in 0u64..1000) {
+        check_exp_same_mul_batch(GroupKind::Dl1024, n, seed);
     }
 }

@@ -106,9 +106,11 @@ pub struct TrafficSummary {
 
 /// Counters for one named cache surfaced in a [`MetricsSnapshot`].
 ///
-/// Kept dependency-free on purpose: the concrete caches live in higher
-/// crates (e.g. the group crate's comb-table LRU); whoever assembles the
-/// snapshot converts its native stats into this wire shape.
+/// Kept dependency-free on purpose: a cache would live in a higher crate,
+/// and whoever assembles the snapshot converts its native stats into this
+/// wire shape. No cache is reported (comb tables are owned per session);
+/// the type stays because the snapshot's field contract includes
+/// `caches`.
 #[derive(Clone, Debug, Default, Eq, PartialEq)]
 pub struct CacheCounters {
     /// Stable cache identifier, e.g. `"ecc160/comb"`.
@@ -161,7 +163,7 @@ pub struct MetricsSnapshot {
     pub wire_messages: u64,
     /// Wire payload bytes across all completed sessions.
     pub wire_bytes: u64,
-    /// Per-cache counters (comb/wNAF table caches etc.).
+    /// Per-cache counters; empty while no shared cache exists.
     pub caches: Vec<CacheCounters>,
 }
 

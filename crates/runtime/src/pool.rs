@@ -301,7 +301,7 @@ impl Runtime {
     }
 
     /// Registers a recurring group: opens a precompute lane for its
-    /// parameter template (and warms the group's fixed-base comb tables).
+    /// parameter template (and warms the group's generator comb table).
     /// Background refill workers immediately start stocking the lane's
     /// upcoming sessions' offline randomness.
     pub fn register_group(&self, params: FrameworkParams) -> GroupId {

@@ -7,7 +7,7 @@
 //! bounded, deterministic stock lane per registered group:
 //!
 //! * [`Runtime::register_group`](crate::Runtime::register_group) opens a
-//!   lane (and warms the group's fixed-base comb tables);
+//!   lane (and warms the group's generator comb table);
 //! * background refill workers keep each lane topped up to
 //!   [`PrecomputeConfig::depth`] stocks, generated strictly by session
 //!   sequence number — session `k` of a group uses seed
@@ -128,14 +128,12 @@ impl PrecomputePool {
         }
     }
 
-    /// Opens a lane for `params` and warms the group's fixed-base comb
-    /// tables (generator exponentiations are behind a process-wide cache,
-    /// so the first session no longer pays the build).
+    /// Opens a lane for `params` and warms the group's generator comb
+    /// table (built lazily by the first `g^x` and kept by the process-wide
+    /// group instance, so the first session does not pay the build).
     ///
     /// Warming is deduplicated by group kind: registering many lanes over
-    /// the same group builds the generator tables once, instead of
-    /// re-walking the (cheap but not free) cache probe-and-build path on
-    /// every registration.
+    /// the same group exponentiates once, on the first registration.
     pub(crate) fn register(&self, params: FrameworkParams) -> GroupId {
         let kind = params.group();
         let mut lanes = self.shared.lanes.lock().expect("lanes mutex");
@@ -153,7 +151,7 @@ impl PrecomputePool {
             // Outside the lanes lock: table construction is the expensive
             // part and must not serialize concurrent registrations.
             let group = kind.group();
-            let _ = group.prepare_base(group.generator());
+            let _ = group.exp_gen(&group.scalar_from_u64(1));
         }
         self.shared.wake.notify_all();
         id

@@ -3,13 +3,12 @@
 
 use crate::ring::HashRing;
 use ppgr_core::{FrameworkParams, GroupRanking, Outcome, RunError, SortOptions};
-use ppgr_group::GroupKind;
-use ppgr_net::{CacheCounters, MetricsSnapshot, PhaseBudget};
+use ppgr_net::{MetricsSnapshot, PhaseBudget};
 use ppgr_runtime::{Runtime, RuntimeConfig, SessionHandle};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration for a [`Service`].
@@ -174,8 +173,8 @@ impl ServiceHandle {
 /// hash of its session id onto one of several worker-group shards, and
 /// sheds load it cannot serve within budget ([`AdmitError`]). Admitted
 /// sessions flow through the shard's [`Runtime`], which amortizes crypto
-/// across concurrent sessions — batched keygen proof verification, shared
-/// warm comb caches, pooled hop scratch — while keeping every session's
+/// across concurrent sessions — batched keygen proof verification, offline
+/// precompute lanes, pooled hop scratch — while keeping every session's
 /// transcript bit-identical to a solo serial run: amortization reorders
 /// work, never bytes.
 pub struct Service {
@@ -183,10 +182,6 @@ pub struct Service {
     ring: HashRing,
     shards: Vec<Shard>,
     counters: Arc<Counters>,
-    /// Group instantiations seen at admission, for the cache section of
-    /// [`Service::metrics`] (comb caches are process-wide singletons keyed
-    /// by kind).
-    kinds: Mutex<Vec<GroupKind>>,
 }
 
 impl Service {
@@ -209,7 +204,6 @@ impl Service {
             ring: HashRing::new(shards),
             shards: shard_pool,
             counters: Arc::new(Counters::default()),
-            kinds: Mutex::new(Vec::new()),
             config,
         }
     }
@@ -284,12 +278,6 @@ impl Service {
             }
         }
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut kinds = self.kinds.lock().expect("kinds mutex");
-            if !kinds.contains(&params.group()) {
-                kinds.push(params.group());
-            }
-        }
         let options = SortOptions {
             threads: 1,
             defer_verify: self.config.verify_batch > 1,
@@ -332,8 +320,9 @@ impl Service {
 
     /// A scrape-ready snapshot of the service's counters: admission and
     /// completion totals, per-shard aggregates of the runtimes'
-    /// amortization stats, wire totals of completed sessions, and the
-    /// process-wide comb-cache counters for every group kind served.
+    /// amortization stats and wire totals of completed sessions. The
+    /// snapshot's `caches` section stays empty: joint-key comb tables are
+    /// owned per session, so there is no shared cache to report.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = MetricsSnapshot {
             sessions_admitted: self.counters.admitted.load(Ordering::Relaxed),
@@ -359,17 +348,6 @@ impl Service {
             snapshot.verify_batched_proofs += stats.verify_batched_proofs;
             snapshot.scratch_reused += stats.scratch_reused;
         }
-        let kinds = self.kinds.lock().expect("kinds mutex").clone();
-        for kind in kinds {
-            let stats = kind.group().comb_cache_stats();
-            snapshot.caches.push(CacheCounters {
-                label: format!("{kind:?}/comb").to_lowercase(),
-                hits: stats.hits,
-                misses: stats.misses,
-                evictions: stats.evictions,
-                entries: stats.entries,
-            });
-        }
         snapshot
     }
 }
@@ -389,6 +367,7 @@ impl fmt::Debug for Service {
 mod tests {
     use super::*;
     use ppgr_core::Questionnaire;
+    use ppgr_group::GroupKind;
 
     fn small_params(n: usize, seed: u64) -> FrameworkParams {
         FrameworkParams::builder(Questionnaire::synthetic(1, 2))
@@ -536,12 +515,8 @@ mod tests {
         );
         assert_eq!(m.verify_batched_proofs, 12);
         assert!(m.verify_flushes >= 1);
-        assert_eq!(m.caches.len(), 1, "one group kind served ⇒ one cache row");
-        assert_eq!(m.caches[0].label, "ecc160/comb");
-        assert!(
-            m.caches[0].hits + m.caches[0].misses > 0,
-            "comb lookups must have been counted"
-        );
+        // Comb tables are per session, so no shared cache is reported.
+        assert!(m.caches.is_empty());
         // The snapshot serializes under the pinned contract.
         let json = m.to_json();
         for field in MetricsSnapshot::FIELDS {

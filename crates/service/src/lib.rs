@@ -19,8 +19,8 @@
 //! * **Cross-session crypto amortization** — admitted sessions share the
 //!   shard runtime's batched keygen proof verification (many sessions'
 //!   Schnorr checks collapse into one aggregate multi-exponentiation, with
-//!   per-session blame preserved), the process-wide warm comb caches, the
-//!   offline precompute lanes, and recycled hop scratch buffers.
+//!   per-session blame preserved), the offline precompute lanes, and
+//!   recycled hop scratch buffers.
 //!
 //! The amortization invariant, inherited from the runtime and pinned by
 //! the workspace proptests: **batching reorders work, never bytes**. Every
@@ -30,7 +30,7 @@
 //!
 //! [`Service::metrics`] exports a scrape-ready [`MetricsSnapshot`]
 //! (stable field names, pinned by test in `ppgr-net`) aggregating
-//! admission counters, runtime amortization stats and comb-cache counters.
+//! admission counters and runtime amortization stats.
 //!
 //! # Example
 //!

@@ -88,15 +88,11 @@ const DECLASSIFIERS: &[&str] = &[
     "exp",
     "try_exp",
     "exp_gen",
-    "exp_dual",
-    "exp_dual_batch",
     "exp_batch",
     "exp_gen_batch",
     "multi_exp",
     "try_multi_exp",
-    "exp_same_batch",
     "exp_same_mul_batch",
-    "exp_hop_batch",
     "exp_hop_prepared_batch",
     "exp_prepared",
     "exp_prepared_batch",
@@ -113,7 +109,6 @@ const DECLASSIFIERS: &[&str] = &[
     "encrypt_bits",
     "encrypt_bits_with_precomputed",
     "rerandomize",
-    "rerandomize_with_precomputed",
     "randomize_plaintext",
     // public verdicts and constant-time comparison
     "verify",
