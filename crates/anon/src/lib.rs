@@ -1,7 +1,7 @@
 //! Anonymous data collection by decryption mix-net — the
 //! Brickell–Shmatikov idea (KDD'06) the paper's shuffle is borrowed from
 //! (paper Sec. II: "We leverage the key idea of the random shuffle in
-//! [13]").
+//! \[13\]").
 //!
 //! `n` group members each submit an opaque message to a data collector
 //! such that the collector (and up to `n − 2` colluding members) cannot

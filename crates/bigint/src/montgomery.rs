@@ -65,7 +65,7 @@ impl Montgomery {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is even or zero, or wider than [`MAX_LIMBS`] limbs.
+    /// Panics if `n` is even or zero, or wider than `MAX_LIMBS` limbs.
     pub fn new(n: BigUint) -> Self {
         assert!(n.is_odd(), "Montgomery reduction requires an odd modulus");
         let limbs = n.limbs().len();

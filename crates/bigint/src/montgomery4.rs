@@ -206,7 +206,7 @@ fn sqr_p160(a: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
 }
 
 /// Precomputed context for Montgomery multiplication modulo an odd `n` of
-/// at most [`MAX_LIMBS4`] limbs.
+/// at most `MAX_LIMBS4` limbs.
 ///
 /// # Example
 ///
@@ -239,7 +239,7 @@ impl Montgomery4 {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is even or zero, or wider than [`MAX_LIMBS4`] limbs.
+    /// Panics if `n` is even or zero, or wider than `MAX_LIMBS4` limbs.
     pub fn new(n: BigUint) -> Self {
         assert!(n.is_odd(), "Montgomery reduction requires an odd modulus");
         let limbs = n.limbs().len();

@@ -34,13 +34,13 @@
 
 use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::circuit::compare_encrypted;
-use crate::gain::to_unsigned;
+use crate::gain::{draw_rho, initiator_vector, participant_vector, to_unsigned};
 use crate::params::FrameworkParams;
 use crate::submit::{verify_submissions, Submission, VerificationReport};
 use crate::timing::PartyTimer;
 use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer};
 use bytes::Bytes;
-use ppgr_bigint::{BigUint, Fp};
+use ppgr_bigint::BigUint;
 use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
 use ppgr_elgamal::{
     encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair, MaskPair,
@@ -671,24 +671,8 @@ fn initiator_thread(
     let proto = DotProduct::new(field.clone());
     let mut rng = HashDrbg::seed_from_u64(params.seed()).fork(b"party-0");
     let q = params.questionnaire();
-    let (m, t) = (q.dimension(), q.equal_to_count());
-    let h = params.mask_bits();
-    let top = 1u64 << (h - 1);
-    let rho = top | rng.gen_range(0..top);
-
-    // ρ-scaled receiver vector (shared across participants).
-    let w = profile.weights.values();
-    let v0 = profile.criterion.values();
-    let mut v_recv: Vec<Fp> = Vec::with_capacity(m + t);
-    for &wk in &w[t..m] {
-        v_recv.push(field.from_i128(rho as i128 * wk as i128));
-    }
-    for &wk in &w[..t] {
-        v_recv.push(field.from_i128(-(rho as i128) * wk as i128));
-    }
-    for k in 0..t {
-        v_recv.push(field.from_i128(2 * rho as i128 * w[k] as i128 * v0[k] as i128));
-    }
+    let rho = draw_rho(params.mask_bits(), &mut rng);
+    let v_recv = initiator_vector(&field, q, &profile, rho);
 
     // Phase 1: serve each participant's dot product, in party order.
     ctx.enter(Phase::Gain)?;
@@ -778,22 +762,10 @@ fn participant_thread(
     let field = default_field();
     let proto = DotProduct::new(field.clone());
     let mut rng = HashDrbg::seed_from_u64(params.seed()).fork(format!("party-{me}").as_bytes());
-    let q = params.questionnaire();
-    let (m, t) = (q.dimension(), q.equal_to_count());
 
     // ---- Phase 1: masked gain via the secure dot product. -------------
     ctx.enter(Phase::Gain)?;
-    let vj = info.values();
-    let mut w_vec: Vec<Fp> = Vec::with_capacity(m + t);
-    for &vk in &vj[t..m] {
-        w_vec.push(field.from_i128(vk as i128));
-    }
-    for &vk in &vj[..t] {
-        w_vec.push(field.from_i128(vk as i128 * vk as i128));
-    }
-    for &vk in &vj[..t] {
-        w_vec.push(field.from_i128(vk as i128));
-    }
+    let w_vec = participant_vector(&field, params.questionnaire(), &info);
     let (state, msg1) = proto.sender_round1(&w_vec, &mut rng);
     let mut w_out = Writer::framed();
     try_wire!(ctx, me, w_out.put_len(msg1.qx.len()));

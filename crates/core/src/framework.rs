@@ -9,7 +9,6 @@ use crate::sorting::{
 };
 use crate::submit::{honest_submissions, verify_submissions, AcceptedSubmission};
 use crate::timing::PartyTimer;
-use ppgr_elgamal::Ciphertext;
 use ppgr_hash::HashDrbg;
 use ppgr_net::{TrafficLog, TrafficSummary};
 use rand::SeedableRng;
@@ -257,7 +256,6 @@ impl GroupRanking {
             submit_timer: PartyTimer::new(n + 1),
             gain_out: None,
             sort: None,
-            scratch: None,
             ranks: None,
             result: None,
         })
@@ -315,10 +313,6 @@ pub struct SessionMachine {
     submit_timer: PartyTimer,
     gain_out: Option<GainPhaseOutput>,
     sort: Option<SortMachine>,
-    /// A pool-donated hop scratch buffer, held until the sort machine is
-    /// built (Gain phase) and reclaimed when the sort finishes, so one
-    /// allocation's capacity serves many sessions in turn.
-    scratch: Option<Vec<Ciphertext>>,
     ranks: Option<Vec<usize>>,
     result: Option<Outcome>,
 }
@@ -364,37 +358,18 @@ impl SessionMachine {
         true
     }
 
-    /// Takes the keygen proof check a
-    /// [`defer_verify`](SortOptions::defer_verify) session stashed, if any.
+    /// Claims the keygen proof check the sort's keygen step parked, so the
+    /// caller can batch it with other sessions' checks.
     ///
-    /// Delegates to [`SortMachine::take_pending_verify`]: `Some` exactly
-    /// once, after the sort's keygen step ran deferred. The caller must
-    /// settle the job and discard the session's outcome if the verdict is
-    /// `Err` — see [`KeygenVerifyJob`].
+    /// Delegates to [`SortMachine::take_pending_verify`]: `Some` at most
+    /// once, right after the keygen step; unclaimed, the next step settles
+    /// the check itself. A caller that claims the job must settle it and
+    /// discard the session's outcome if the verdict is `Err` — see
+    /// [`KeygenVerifyJob`].
     pub fn take_pending_verify(&mut self) -> Option<KeygenVerifyJob> {
         self.sort
             .as_mut()
             .and_then(SortMachine::take_pending_verify)
-    }
-
-    /// Donates a recycled hop scratch buffer; its capacity is handed to the
-    /// sort machine when the Gain phase builds it. Contents never influence
-    /// the protocol ([`SortMachine::adopt_scratch`]).
-    pub fn adopt_hop_scratch(&mut self, scratch: Vec<Ciphertext>) {
-        match self.sort.as_mut() {
-            Some(sort) => sort.adopt_scratch(scratch),
-            None => self.scratch = Some(scratch),
-        }
-    }
-
-    /// Takes the hop scratch buffer back once the session is done (or
-    /// whatever was donated, if the sort never ran), so a pool can recycle
-    /// its capacity into the next session.
-    pub fn take_hop_scratch(&mut self) -> Vec<Ciphertext> {
-        match self.sort.as_mut() {
-            Some(sort) => sort.take_scratch(),
-            None => self.scratch.take().unwrap_or_default(),
-        }
     }
 
     /// The outcome, once [`SessionMachine::step`] has returned
@@ -417,13 +392,9 @@ impl SessionMachine {
                 // from the same stream, so transcripts do not depend on
                 // which side did the work.
                 if self.offline.is_none() {
-                    // A defer-verify run skips minting-time proof
-                    // verification too — the check belongs to the
-                    // cross-session batch; the stock bytes are identical.
                     self.offline = Some(OfflineStock::generate_cold(
                         self.offline_fingerprint(),
                         resolve_threads(self.sort_options.threads),
-                        !self.sort_options.defer_verify,
                     ));
                 }
                 self.phase = SessionPhase::Gain;
@@ -456,9 +427,6 @@ impl SessionMachine {
                 if sort.attach_offline_stock(stock).is_err() {
                     return Err(RunError::Internal("offline stock rejected by sort machine"));
                 }
-                if let Some(scratch) = self.scratch.take() {
-                    sort.adopt_scratch(scratch);
-                }
                 self.gain_out = Some(gain_out);
                 self.sort = Some(sort);
                 self.phase = SessionPhase::Sort;
@@ -471,16 +439,10 @@ impl SessionMachine {
                     .ok_or(RunError::Internal("no sort machine in Sort phase"))?;
                 let status = sort.step(&mut self.rng, &self.log, &mut self.sort_timer)?;
                 if status == SortStatus::Done {
-                    let mut done = self
+                    let (sort_out, _trace) = self
                         .sort
                         .take()
-                        .ok_or(RunError::Internal("no sort machine in Sort phase"))?;
-                    // Reclaim the hop buffer before the machine is consumed
-                    // so a pool can recycle its capacity into a later
-                    // session ([`SessionMachine::take_hop_scratch`]).
-                    self.scratch = Some(done.take_scratch());
-                    let (sort_out, _trace) = done
-                        .into_result()
+                        .and_then(SortMachine::into_result)
                         .ok_or(RunError::Internal("sort machine Done without result"))?;
                     self.ranks = Some(sort_out.ranks);
                     self.phase = SessionPhase::Submit;

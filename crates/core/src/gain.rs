@@ -14,13 +14,14 @@
 //! paper allows ("If `p_i = p_j`, it does not matter if `P_i` ranks higher
 //! or lower than `P_j`", Sec. V).
 
-use crate::attrs::{partial_gain, InfoVector, InitiatorProfile};
+use crate::attrs::{partial_gain, InfoVector, InitiatorProfile, Questionnaire};
 use crate::params::FrameworkParams;
 use crate::timing::PartyTimer;
-use ppgr_bigint::{BigUint, Fp};
+use ppgr_bigint::{BigUint, Fp, FpCtx};
 use ppgr_dotprod::{default_field, DotProduct};
 use ppgr_net::TrafficLog;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Bytes of one serialized field element on the wire (256-bit field).
 const FIELD_BYTES: usize = 32;
@@ -62,67 +63,17 @@ pub fn run_gain_phase<R: Rng + ?Sized>(
     let field = default_field();
     let proto = DotProduct::new(field.clone());
     let q = params.questionnaire();
-    let t = q.equal_to_count();
-    let m = q.dimension();
     let l = params.beta_bits();
 
-    // Initiator secret ρ: exactly h bits (top bit set ⇒ ρ ≥ 2^{h−1} > 0).
-    // `FrameworkParams::build` already rejects h = 0 and h ≥ 64; the
-    // checked shift keeps an uncomposed call (e.g. a hand-rolled params
-    // struct in a fuzz harness) from silently wrapping.
-    let h = params.mask_bits();
-    assert!(
-        (1..64).contains(&h),
-        "mask width h={h} outside supported 1..64"
-    );
-    let rho: u64 = timer.time(0, || {
-        let top = 1u64 << (h - 1);
-        top | rng.gen_range(0..top)
-    });
-
-    // Initiator's reusable vector pieces.
-    let w = profile.weights.values();
-    let v0 = profile.criterion.values();
-    let initiator_v: Vec<Fp> = timer.time(0, || {
-        let mul = |a: i128, b: i128| {
-            a.checked_mul(b)
-                // tidy:allow(panic) — params' bit-length calculus bounds every term far below i128::MAX
-                .expect("initiator vector term exceeds exact i128 gain arithmetic")
-        };
-        let mut v = Vec::with_capacity(m + t);
-        // ρ·wg  (greater-than weights)
-        for &wk in &w[t..m] {
-            v.push(field.from_i128(mul(rho as i128, wk as i128)));
-        }
-        // −ρ·we (equal-to weights)
-        for &wk in &w[..t] {
-            v.push(field.from_i128(mul(-(rho as i128), wk as i128)));
-        }
-        // 2ρ·(we ∗ ve₀)
-        for k in 0..t {
-            v.push(field.from_i128(mul(mul(2 * rho as i128, w[k] as i128), v0[k] as i128)));
-        }
-        v
-    });
+    let rho = timer.time(0, || draw_rho(params.mask_bits(), rng));
+    let initiator_v = timer.time(0, || initiator_vector(&field, q, profile, rho));
 
     let mut betas = Vec::with_capacity(infos.len());
     let mut masked_signed = Vec::with_capacity(infos.len());
     for (idx, info) in infos.iter().enumerate() {
         let party = idx + 1;
-        // Participant's vector w′ = [vg_j, ve_j∗ve_j, ve_j].
-        let vj = info.values();
         let (state, msg1) = timer.time(party, || {
-            let mut wv = Vec::with_capacity(m + t);
-            for &vk in &vj[t..m] {
-                wv.push(field.from_i128(vk as i128));
-            }
-            for &vk in &vj[..t] {
-                wv.push(field.from_i128(vk as i128 * vk as i128));
-            }
-            for &vk in &vj[..t] {
-                wv.push(field.from_i128(vk as i128));
-            }
-            proto.sender_round1(&wv, rng)
+            proto.sender_round1(&participant_vector(&field, q, info), rng)
         });
         log.record(
             round_base,
@@ -162,15 +113,89 @@ pub fn run_gain_phase<R: Rng + ?Sized>(
     }
 }
 
+/// Draws the initiator's secret `ρ`: exactly `h` bits (top bit set ⇒
+/// `ρ ≥ 2^{h−1} > 0`).
+///
+/// # Panics
+///
+/// Panics if `h` is outside `1..64`. `FrameworkParams::build` already
+/// rejects such widths; the check keeps an uncomposed call (e.g. a
+/// hand-rolled params struct in a fuzz harness) from silently wrapping.
+pub(crate) fn draw_rho<R: Rng + ?Sized>(h: u32, rng: &mut R) -> u64 {
+    assert!(
+        (1..64).contains(&h),
+        "mask width h={h} outside supported 1..64"
+    );
+    let top = 1u64 << (h - 1);
+    top | rng.gen_range(0..top)
+}
+
+/// The initiator's dot-product vector `v′ = [ρ·wg, −ρ·we, 2ρ(we∗ve₀)]`,
+/// shared by every participant.
+///
+/// # Panics
+///
+/// Panics if a term overflows `i128`, which the params' bit-length
+/// calculus rules out.
+pub(crate) fn initiator_vector(
+    field: &Arc<FpCtx>,
+    q: &Questionnaire,
+    profile: &InitiatorProfile,
+    rho: u64,
+) -> Vec<Fp> {
+    let (m, t) = (q.dimension(), q.equal_to_count());
+    let w = profile.weights.values();
+    let v0 = profile.criterion.values();
+    let mul = |a: i128, b: i128| {
+        a.checked_mul(b)
+            // tidy:allow(panic) — params' bit-length calculus bounds every term far below i128::MAX
+            .expect("initiator vector term exceeds exact i128 gain arithmetic")
+    };
+    let mut v = Vec::with_capacity(m + t);
+    // ρ·wg  (greater-than weights)
+    for &wk in &w[t..m] {
+        v.push(field.from_i128(mul(rho as i128, wk as i128)));
+    }
+    // −ρ·we (equal-to weights)
+    for &wk in &w[..t] {
+        v.push(field.from_i128(mul(-(rho as i128), wk as i128)));
+    }
+    // 2ρ·(we ∗ ve₀)
+    for k in 0..t {
+        v.push(field.from_i128(mul(mul(2 * rho as i128, w[k] as i128), v0[k] as i128)));
+    }
+    v
+}
+
+/// A participant's dot-product vector `w′ = [vg_j, ve_j∗ve_j, ve_j]`.
+pub(crate) fn participant_vector(
+    field: &Arc<FpCtx>,
+    q: &Questionnaire,
+    info: &InfoVector,
+) -> Vec<Fp> {
+    let (m, t) = (q.dimension(), q.equal_to_count());
+    let vj = info.values();
+    let mut wv = Vec::with_capacity(m + t);
+    for &vk in &vj[t..m] {
+        wv.push(field.from_i128(vk as i128));
+    }
+    for &vk in &vj[..t] {
+        wv.push(field.from_i128(vk as i128 * vk as i128));
+    }
+    for &vk in &vj[..t] {
+        wv.push(field.from_i128(vk as i128));
+    }
+    wv
+}
+
 /// Converts a signed masked gain to the unsigned `l`-bit representation by
 /// adding `2^{l−1}` (paper Sec. III-A) — order-preserving.
 ///
 /// # Panics
 ///
 /// Panics if `l` is outside `1..=120` (the exact-`i128` regime enforced by
-/// [`FrameworkParams`](crate::params::FrameworkParams)) or the value falls
-/// outside `[−2^{l−1}, 2^{l−1})`, which would mean the bit-length calculus
-/// was violated.
+/// [`FrameworkParams`]) or the value falls outside `[−2^{l−1}, 2^{l−1})`,
+/// which would mean the bit-length calculus was violated.
 pub fn to_unsigned(value: i128, l: usize) -> BigUint {
     assert!(
         (1..=120).contains(&l),

@@ -76,10 +76,7 @@ pub use distributed::{
 };
 pub use framework::{GroupRanking, Outcome, PhaseTimings, RunError, SessionMachine, SessionStatus};
 pub use offline::{KeyStock, OfflineStock, StockFingerprint, StockTier, STOCK_LAYOUT};
-// Re-exported because scratch recycling ([`SessionMachine::adopt_hop_scratch`])
-// names it in this crate's public signatures.
 pub use params::{bit_length, FrameworkParams, FrameworkParamsBuilder, ParamError};
-pub use ppgr_elgamal::Ciphertext;
 pub use sorting::{
     unlinkable_sort, verify_deferred_jobs, KeygenVerifyJob, SortError, SortMachine, SortOptions,
     SortOutcome, SortStatus,

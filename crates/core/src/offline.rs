@@ -25,8 +25,9 @@
 //! * **keygen tier** ([`generate`](OfflineStock::generate)): the masks tier
 //!   plus minted [`KeyPair`]s, assembled key-knowledge proofs, the combined
 //!   [`JointKey`] with its prepared comb table, and the `y^r` half of every
-//!   mask. The online keygen round reduces to exchanging shares and
-//!   batch-verifying the proofs.
+//!   mask. The online keygen round reduces to exchanging shares; the
+//!   session checks the proofs once, online
+//!   ([`KeygenVerifyJob`](crate::sorting::KeygenVerifyJob)).
 //!
 //! The tiers draw *identical* scalars at *identical* stream positions —
 //! they differ only in how much exponentiation is done ahead of time — so
@@ -43,7 +44,7 @@ use ppgr_bigint::Secret;
 use ppgr_elgamal::{ExpElGamal, JointKey, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
 use ppgr_hash::HashDrbg;
-use ppgr_zkp::{verify_multi_batch, MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
+use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
@@ -56,9 +57,6 @@ pub const STOCK_LAYOUT: u32 = 2;
 #[derive(Clone, Copy, Debug)]
 struct Mint {
     tier: StockTier,
-    /// Run every verifier's batch proof check at minting time (keygen
-    /// tier only); `false` leaves the stock's `verified` verdict unset.
-    verify_at_mint: bool,
     /// Threads the exponentiation batches are split across; the scalar
     /// stream itself is always drawn serially.
     workers: usize,
@@ -136,14 +134,6 @@ pub(crate) enum KeyMaterial {
         joint: JointKey,
         /// Prepared fixed-base table for the joint public key.
         table: FixedBaseTable,
-        /// Whether every party's batch verification of the others' proofs
-        /// was run at minting time and passed. The proofs are a pure
-        /// function of offline material, so checking them is offline work
-        /// too; a session consuming a verified stock skips the online
-        /// verification round entirely. The field is crate-private (as is
-        /// the whole enum), so externally supplied material can never claim
-        /// it without going through the minting path.
-        verified: bool,
     },
 }
 
@@ -225,49 +215,29 @@ impl fmt::Debug for OfflineStock {
 
 impl OfflineStock {
     /// Draws a full keygen-tier stock for an `n`-party, `l`-bit session
-    /// from `rng`, on the calling thread.
+    /// from `rng`, with the minting spread over `workers` threads.
     ///
     /// This is the cold path: a machine with no pool-supplied stock draws
     /// one from its own stream at its offline step, paying the minting cost
-    /// on the session clock. The scalar draw order is fixed regardless of
-    /// the run's options (see the module docs).
+    /// on the session clock, with its [`SortOptions::threads`] workers.
+    /// The scalars are drawn serially in the canonical order (fixed
+    /// regardless of the run's options, see the module docs) before any
+    /// worker starts, so every worker count mints the same stock.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`: the sorting chain needs at least two parties.
-    pub fn draw_from<R: Rng + ?Sized>(group: &Group, n: usize, l: usize, rng: &mut R) -> Self {
-        Self::draw_cold(group, n, l, rng, 1, true)
-    }
-
-    /// [`OfflineStock::draw_from`] with the minting spread over `workers`
-    /// threads and, when `verify_at_mint` is `false`, the minting-time
-    /// proof verification skipped (the stock's `verified` verdict stays
-    /// `false`).
-    ///
-    /// Neither choice touches the stream: the scalars are drawn serially
-    /// in the canonical order before any worker starts, and verification
-    /// reads only minted material, so the stock is bit-identical to
-    /// [`OfflineStock::draw_from`] output — only the verdict may differ.
-    /// The sorting machine's cold offline step calls this with its
-    /// [`SortOptions::threads`] workers; deferred-verification sessions
-    /// (see [`SortOptions::defer_verify`]) stash the keygen proof check as
-    /// a [`KeygenVerifyJob`] for a cross-session batch instead of paying
-    /// for it at draw time.
     ///
     /// [`SortOptions::threads`]: crate::sorting::SortOptions
-    /// [`SortOptions::defer_verify`]: crate::sorting::SortOptions
-    /// [`KeygenVerifyJob`]: crate::sorting::KeygenVerifyJob
     pub(crate) fn draw_cold<R: Rng + ?Sized>(
         group: &Group,
         n: usize,
         l: usize,
         rng: &mut R,
         workers: usize,
-        verify_at_mint: bool,
     ) -> Self {
         let mint = Mint {
             tier: StockTier::Keygen,
-            verify_at_mint,
             workers,
         };
         // A `false` cancellation hook never fires, so generation completes.
@@ -277,22 +247,17 @@ impl OfflineStock {
     }
 
     /// Invalidates `party`'s key-knowledge proof in a minted (keygen-tier)
-    /// stock by bumping its response scalar, and clears the stock's
-    /// `verified` verdict so consumers re-check it.
+    /// stock by bumping its response scalar.
     ///
     /// Test-harness hook: lets attribution tests feed a session a stock
-    /// whose proof `party` must be rejected — by the online verification
-    /// loop or by a deferred cross-session batch — without forging wire
-    /// bytes. No-op on a masks-tier stock or when keys were already taken.
+    /// whose proof `party` must be rejected — by the session's own check
+    /// or by a cross-session batch — without forging wire bytes. No-op on
+    /// a masks-tier stock or when keys were already taken.
     #[doc(hidden)]
     pub fn corrupt_key_proof(&mut self, group: &Group, party: usize) {
-        if let Some(KeyStock(KeyMaterial::Minted {
-            proofs, verified, ..
-        })) = self.keys.as_mut()
-        {
+        if let Some(KeyStock(KeyMaterial::Minted { proofs, .. })) = self.keys.as_mut() {
             if let Some(proof) = proofs.get_mut(party) {
                 ppgr_zkp::tamper::bump_multi_response(group, proof);
-                *verified = false;
             }
         }
     }
@@ -310,23 +275,17 @@ impl OfflineStock {
     ///
     /// Panics if `fp.participants < 2`.
     pub fn generate(fp: StockFingerprint) -> Self {
-        Self::generate_cold(fp, 1, true)
+        Self::generate_cold(fp, 1)
     }
 
     /// [`OfflineStock::generate`] as a session's cold offline step runs
     /// it: the minting spread over `workers` threads (its
-    /// [`SortOptions::threads`](crate::sorting::SortOptions)) and, when
-    /// `verify_at_mint` is `false`, the minting-time proof verification
-    /// skipped. Stock bytes are identical to [`OfflineStock::generate`]
-    /// output — see [`OfflineStock::draw_cold`].
-    pub(crate) fn generate_cold(
-        fp: StockFingerprint,
-        workers: usize,
-        verify_at_mint: bool,
-    ) -> Self {
+    /// [`SortOptions::threads`](crate::sorting::SortOptions)). Stock bytes
+    /// are identical to [`OfflineStock::generate`] output — see
+    /// [`OfflineStock::draw_cold`].
+    pub(crate) fn generate_cold(fp: StockFingerprint, workers: usize) -> Self {
         let mint = Mint {
             tier: StockTier::Keygen,
-            verify_at_mint,
             workers,
         };
         // See `draw_cold`: the hook never fires.
@@ -351,7 +310,6 @@ impl OfflineStock {
     pub fn generate_masks_only(fp: StockFingerprint) -> Self {
         let mint = Mint {
             tier: StockTier::Masks,
-            verify_at_mint: true,
             workers: 1,
         };
         // See `draw_cold`: the hook never fires.
@@ -375,7 +333,6 @@ impl OfflineStock {
     ) -> Option<Self> {
         let mint = Mint {
             tier: StockTier::Keygen,
-            verify_at_mint: true,
             workers: 1,
         };
         Self::from_fingerprint(fp, cancel, mint)
@@ -534,33 +491,11 @@ impl OfflineStock {
                         MultiVerifierProof::assemble(group, pair.secret_key(), nonce, chals)
                     })
                     .collect();
-                // Every verifier's batch check over the other parties'
-                // proofs (paper Sec. IV keygen round) reads only material
-                // minted above, so it is offline work: run it now and
-                // record the verdict. Honest minting always passes; the
-                // `false` arm keeps the online verification (and its
-                // per-prover blame scan) alive as a defence in depth.
-                // Deferred-verification sessions skip the check here too
-                // (`verify_at_mint == false`): it draws nothing from the
-                // stream, so the stock stays bit-identical, and the unset
-                // verdict routes the check into a cross-session batch.
-                if cancel() {
-                    return None;
-                }
-                let verified = mint.verify_at_mint
-                    && (0..n).all(|vidx| {
-                        let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
-                            .filter(|&p| p != vidx)
-                            .map(|p| (pairs[p].public_key(), &proofs[p]))
-                            .collect();
-                        verify_multi_batch(group, &foreign).is_ok()
-                    });
                 KeyStock(KeyMaterial::Minted {
                     pairs,
                     proofs,
                     joint,
                     table,
-                    verified,
                 })
             }
         };
@@ -580,7 +515,7 @@ impl OfflineStock {
     }
 
     /// The fingerprint this stock was generated for (`None` for stocks
-    /// drawn ad hoc with [`OfflineStock::draw_from`]).
+    /// drawn cold on a session's own stream).
     pub fn fingerprint(&self) -> Option<&StockFingerprint> {
         self.fingerprint.as_ref()
     }
@@ -658,12 +593,10 @@ mod tests {
         s.hops.iter().map(Vec::as_slice).collect()
     }
 
-    /// The joint key and the minting-time verdict of a keygen-tier stock.
-    fn joint_and_verdict(s: &OfflineStock) -> (Element, bool) {
+    /// The joint key of a keygen-tier stock.
+    fn joint(s: &OfflineStock) -> Element {
         match &s.keys.as_ref().unwrap().0 {
-            KeyMaterial::Minted {
-                joint, verified, ..
-            } => (joint.public_key().clone(), *verified),
+            KeyMaterial::Minted { joint, .. } => joint.public_key().clone(),
             KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
         }
     }
@@ -673,8 +606,7 @@ mod tests {
         // The scalar stream is drawn before any worker starts and the
         // batches are pure functions of it, so splitting the minting
         // across k workers must reproduce the one-worker stock and what a
-        // pool's `generate` hands out for the same fingerprint — with and
-        // without the minting-time verification.
+        // pool's `generate` hands out for the same fingerprint.
         for (kind, n, l) in [
             (GroupKind::Ecc160, 3, 4),
             (GroupKind::Ecc160, 5, 3),
@@ -682,27 +614,19 @@ mod tests {
         ] {
             let fp = StockFingerprint::new(21, n, l, kind);
             let pool = OfflineStock::generate(fp);
-            assert!(
-                joint_and_verdict(&pool).1,
-                "{kind} n={n}: honest stock verifies"
-            );
             for workers in [1, 2, 3, 4] {
-                for verify in [true, false] {
-                    let cold = OfflineStock::generate_cold(fp, workers, verify);
-                    let label = format!("{kind} n={n} workers={workers} verify={verify}");
-                    assert_eq!(prepared(&cold), prepared(&pool), "{label}: hop sets");
-                    assert_eq!(halves(&cold), halves(&pool), "{label}: mask halves");
-                    let (joint, verified) = joint_and_verdict(&cold);
-                    assert_eq!(joint, joint_and_verdict(&pool).0, "{label}: joint key");
-                    assert_eq!(verified, verify, "{label}: verdict");
-                }
+                let cold = OfflineStock::generate_cold(fp, workers);
+                let label = format!("{kind} n={n} workers={workers}");
+                assert_eq!(prepared(&cold), prepared(&pool), "{label}: hop sets");
+                assert_eq!(halves(&cold), halves(&pool), "{label}: mask halves");
+                assert_eq!(joint(&cold), joint(&pool), "{label}: joint key");
             }
-            // The ad hoc draw on a machine's own stream agrees too.
+            // The cold draw on a machine's own stream agrees too.
             let group = kind.group();
             let mut serial_rng = StdRng::seed_from_u64(5);
             let mut fanned_rng = StdRng::seed_from_u64(5);
-            let serial = OfflineStock::draw_from(&group, n, l, &mut serial_rng);
-            let fanned = OfflineStock::draw_cold(&group, n, l, &mut fanned_rng, 3, true);
+            let serial = OfflineStock::draw_cold(&group, n, l, &mut serial_rng, 1);
+            let fanned = OfflineStock::draw_cold(&group, n, l, &mut fanned_rng, 3);
             assert_eq!(
                 prepared(&serial),
                 prepared(&fanned),
@@ -713,7 +637,7 @@ mod tests {
                 halves(&fanned),
                 "{kind} draw_cold mask halves"
             );
-            assert_eq!(joint_and_verdict(&serial), joint_and_verdict(&fanned));
+            assert_eq!(joint(&serial), joint(&fanned));
         }
     }
 
@@ -762,10 +686,6 @@ mod tests {
         let a = OfflineStock::generate(fp(9));
         let b = OfflineStock::generate(fp(9));
         let c = OfflineStock::generate(fp(10));
-        let joint = |s: &OfflineStock| match &s.keys.as_ref().unwrap().0 {
-            KeyMaterial::Minted { joint, .. } => joint.public_key().clone(),
-            KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
-        };
         assert_eq!(joint(&a), joint(&b));
         assert_ne!(joint(&a), joint(&c));
         assert_eq!(prepared(&a), prepared(&b));
@@ -827,10 +747,6 @@ mod tests {
         let a = OfflineStock::generate(fp(11));
         let b = OfflineStock::generate_cancellable(fp(11), &mut || false).unwrap();
         assert_eq!(prepared(&a), prepared(&b));
-        let joint = |s: &OfflineStock| match &s.keys.as_ref().unwrap().0 {
-            KeyMaterial::Minted { joint, .. } => joint.public_key().clone(),
-            KeyMaterial::Seeds { .. } => panic!("keygen tier expected"),
-        };
         assert_eq!(joint(&a), joint(&b));
     }
 
@@ -857,7 +773,7 @@ mod tests {
     fn draws_consume_front_to_back_until_exhausted() {
         let group = GroupKind::Ecc160.group();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut stock = OfflineStock::draw_from(&group, 2, 3, &mut rng);
+        let mut stock = OfflineStock::draw_cold(&group, 2, 3, &mut rng, 1);
         assert!(stock.fingerprint().is_none());
         assert!(stock.matches_shape(&group, 2, 3));
         assert!(stock.take_keys().is_some());

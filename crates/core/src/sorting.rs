@@ -29,7 +29,7 @@ use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointK
 use ppgr_group::{Element, Group, GroupKind, HopScalars};
 use ppgr_net::TrafficLog;
 use ppgr_zkp::{
-    verify_multi_batch, verify_multi_batch_all, verify_sessions_multi_batch, MultiVerifierProof,
+    verify_multi_batch_all, verify_sessions_multi_batch, MultiVerifierProof,
     MultiVerifierTranscript,
 };
 use rand::seq::SliceRandom;
@@ -128,16 +128,6 @@ pub struct SortOptions {
     /// hops would let a party observe pre-shuffle sets and break
     /// unlinkability.
     pub threads: usize,
-    /// Detach the keygen proof verification from the step stream: instead
-    /// of checking the proofs of key knowledge inside the keygen step, the
-    /// machine stashes them as a [`KeygenVerifyJob`] for the driver to
-    /// collect (see [`SortMachine::take_pending_verify`]) and batch across
-    /// concurrent sessions through one aggregate multi-exponentiation.
-    /// Verification is RNG-free and sends no bytes, so deferring it leaves
-    /// transcripts and ranks bit-identical to the inline check; a driver
-    /// that takes a job **must** run it (or fail the session) before
-    /// trusting the outcome.
-    pub defer_verify: bool,
 }
 
 impl Default for SortOptions {
@@ -146,21 +136,22 @@ impl Default for SortOptions {
             shuffle: true,
             randomize: true,
             threads: 0,
-            defer_verify: false,
         }
     }
 }
 
-/// One session's keygen proof check, detached from its step stream by
-/// [`SortOptions::defer_verify`].
+/// One session's keygen proof check, parked by its keygen step.
 ///
 /// Carries the published key shares (the statements) and the parties'
-/// proofs of key knowledge in protocol order. Checking each proof once is
-/// equivalent to the online round's `n` per-verifier batches — every
-/// verifier checks the same `n − 1` foreign transcripts against the same
-/// public keys — so a driver may fold many sessions' jobs into one
-/// aggregate equation ([`verify_deferred_jobs`]) without changing any
-/// session's verdict or blame.
+/// proofs of key knowledge in protocol order. Every verifier of the
+/// multi-verifier proofs (paper Sec. IV-E) checks the same `n − 1` foreign
+/// transcripts against the same public keys, so inside one process
+/// checking each proof once gives every verifier's verdict. A batching
+/// caller claims the job ([`SortMachine::take_pending_verify`]) and folds
+/// many sessions' jobs into one aggregate equation
+/// ([`verify_deferred_jobs`]) without changing any session's verdict or
+/// blame; a job nobody claims is settled by the machine itself, with
+/// [`KeygenVerifyJob::verify_inline`], at the start of its next step.
 #[derive(Debug)]
 pub struct KeygenVerifyJob {
     group: Group,
@@ -185,15 +176,13 @@ impl KeygenVerifyJob {
         self.statements.iter().zip(self.proofs.iter()).collect()
     }
 
-    /// Verifies this job alone, without cross-session batching.
-    ///
-    /// The fallback for drivers whose batch window is degenerate (size one)
-    /// or that must settle a job immediately (e.g. at shutdown).
+    /// Verifies this job alone, without cross-session batching: one
+    /// aggregate multi-exponentiation over the session's `n` proofs.
     ///
     /// # Errors
     ///
-    /// [`SortError::ProofRejected`] naming the first dishonest party in
-    /// protocol order — the same blame the inline keygen check assigns.
+    /// [`SortError::ProofRejected`] naming the first dishonest prover in
+    /// protocol order.
     pub fn verify_inline(&self) -> Result<(), SortError> {
         verify_multi_batch_all(&self.group, &self.items()).map_err(|rejected| {
             SortError::ProofRejected {
@@ -463,15 +452,12 @@ pub struct SortMachine {
     encrypted_bits: Vec<Vec<Ciphertext>>,
     sets: Vec<Vec<Ciphertext>>,
     opponent_order: Vec<Vec<usize>>,
-    /// Reusable hop output buffer: each hop writes its first output piece
-    /// here and keeps a replaced set's buffer for the next hop, so a
-    /// serial chain reuses one set's capacity from hop to hop.
-    hop_scratch: Vec<Ciphertext>,
     /// Precomputed randomness, attached warm by a pool or drawn cold at the
     /// offline step; consumed front-to-back in protocol order.
     stock: Option<OfflineStock>,
-    /// The keygen proof check stashed by a `defer_verify` run, awaiting
-    /// collection via [`SortMachine::take_pending_verify`].
+    /// The keygen proof check parked by the keygen step: claimed by a
+    /// batching caller via [`SortMachine::take_pending_verify`], or settled
+    /// at the start of the next step.
     pending_verify: Option<KeygenVerifyJob>,
     result: Option<(SortOutcome, SortTrace)>,
 }
@@ -516,7 +502,6 @@ impl SortMachine {
             encrypted_bits: Vec::new(),
             sets: Vec::new(),
             opponent_order: Vec::new(),
-            hop_scratch: Vec::new(),
             stock: None,
             pending_verify: None,
             result: None,
@@ -556,35 +541,17 @@ impl SortMachine {
         Ok(())
     }
 
-    /// Takes the keygen proof check a [`SortOptions::defer_verify`] run
-    /// stashed, if any.
+    /// Claims the keygen proof check the keygen step parked, so the caller
+    /// can batch it with other sessions' checks.
     ///
-    /// Returns `Some` exactly once, after the keygen step of a deferred run
-    /// whose stock was not already verified at minting time. The caller
-    /// owns the session's soundness from that point: it must settle the job
-    /// — [`KeygenVerifyJob::verify_inline`] or a [`verify_deferred_jobs`]
-    /// batch — and discard the session's outcome if the verdict is `Err`.
+    /// Returns `Some` at most once, between the keygen step and the next
+    /// step; a job left unclaimed is settled by that next step itself. The
+    /// caller owns the session's soundness from the claim on: it must
+    /// settle the job — [`KeygenVerifyJob::verify_inline`] or a
+    /// [`verify_deferred_jobs`] batch — and discard the session's outcome
+    /// if the verdict is `Err`.
     pub fn take_pending_verify(&mut self) -> Option<KeygenVerifyJob> {
         self.pending_verify.take()
-    }
-
-    /// Donates a recycled hop output buffer so the chain's dominant loop
-    /// starts with warm capacity instead of growing a fresh allocation.
-    ///
-    /// The buffer is cleared and fully overwritten before any use, so its
-    /// prior contents never influence the protocol — transcripts stay
-    /// bit-identical whether the scratch arrived empty, donated, or
-    /// pre-sized. Call before stepping; a later call simply replaces the
-    /// current buffer.
-    pub fn adopt_scratch(&mut self, mut scratch: Vec<Ciphertext>) {
-        scratch.clear();
-        self.hop_scratch = scratch;
-    }
-
-    /// Takes the hop output buffer back (e.g. after [`SortStatus::Done`])
-    /// so a pool can hand its capacity to the next session.
-    pub fn take_scratch(&mut self) -> Vec<Ciphertext> {
-        std::mem::take(&mut self.hop_scratch)
     }
 
     /// Whether the protocol has completed.
@@ -608,13 +575,23 @@ impl SortMachine {
     /// # Errors
     ///
     /// [`SortError::ProofRejected`] if a proof of key knowledge fails
-    /// (reachable only via dishonest provers in the game harness).
+    /// (reachable only via dishonest provers in the game harness). The
+    /// step after keygen reports it when no caller claimed the check, and
+    /// keeps reporting it however often the machine is stepped again.
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         log: &TrafficLog,
         timer: &mut PartyTimer,
     ) -> Result<SortStatus, SortError> {
+        // Settle a keygen check nobody claimed before any other work.
+        // It reads only published material and draws nothing, so the
+        // transcript does not depend on who settles it. Like the offline
+        // split, it is charged to nobody's per-party ledger.
+        if let Some(job) = &self.pending_verify {
+            job.verify_inline()?;
+            self.pending_verify = None;
+        }
         match self.state {
             SortState::Offline => {
                 // Cold fallback: no pool attached a stock, so draw and mint
@@ -623,17 +600,12 @@ impl SortMachine {
                 // Offline work is charged to nobody's per-party ledger —
                 // that is the point of the split.
                 if self.stock.is_none() {
-                    // A defer-verify run must not pay for minting-time proof
-                    // verification here either — the check belongs to the
-                    // cross-session batch. The deferred draw skips only the
-                    // verdict; the stock bytes are identical.
                     self.stock = Some(OfflineStock::draw_cold(
                         &self.group,
                         self.n,
                         self.l,
                         rng,
                         self.workers,
-                        !self.options.defer_verify,
                     ));
                 }
                 self.state = SortState::KeyGen;
@@ -687,11 +659,9 @@ impl SortMachine {
     /// raw seeds and the minting runs here, on the clock. Both paths
     /// produce byte-identical transcripts.
     ///
-    /// Verification is batched per verifier: each party collapses her n−1
-    /// foreign checks into one aggregate multi-exponentiation
-    /// ([`ppgr_zkp::verify_multi_batch`]); on rejection a per-prover rescan
-    /// in protocol order reproduces exactly the attribution the old
-    /// verify-as-you-go loop gave.
+    /// The proofs are not checked here: the step parks them as a
+    /// [`KeygenVerifyJob`], which a batching caller claims or the next
+    /// step settles.
     fn step_keygen(&mut self, log: &TrafficLog, timer: &mut PartyTimer) -> Result<(), SortError> {
         let n = self.n;
         let material = self
@@ -699,21 +669,17 @@ impl SortMachine {
             .as_mut()
             .and_then(OfflineStock::take_keys)
             .ok_or(SortError::Internal("offline key stock exhausted"))?;
-        let (keys, proofs, pre_verified) = match material {
+        let (keys, proofs) = match material {
             KeyMaterial::Minted {
                 pairs,
                 proofs,
                 joint: _,
                 table,
-                verified,
             } => {
                 // Fully warm: the shares, proofs and the joint-key comb
                 // table were minted offline; nothing here exponentiates.
-                // A stock whose proofs were already batch-verified at
-                // minting time carries the verdict, so the online round
-                // below is skipped too.
                 self.key_table = Some(table);
-                (pairs, proofs, verified)
+                (pairs, proofs)
             }
             KeyMaterial::Seeds {
                 secrets,
@@ -742,7 +708,7 @@ impl SortMachine {
                         })
                     })
                     .collect();
-                (keys, proofs, false)
+                (keys, proofs)
             }
         };
         for party in 1..=n {
@@ -764,48 +730,13 @@ impl SortMachine {
                 }
             }
         }
-        // Skipped when the stock already ran every verifier's batch check
-        // at minting time (the proofs are offline material, so verifying
-        // them is offline work — see `KeyMaterial::Minted::verified`).
-        if !pre_verified && self.options.defer_verify {
-            // Deferred: hand the statements and proofs to the driver as a
-            // job for a cross-session batch instead of checking them here.
-            // Nothing is charged to any party's ledger — like the offline
-            // split, moving the check off the session clock is the point —
-            // and no bytes move, so the transcript is unchanged. Checking
-            // each proof once (what the job does) is equivalent to the
-            // per-verifier loop below: every verifier checks the same
-            // foreign transcripts against the same keys.
-            self.pending_verify = Some(KeygenVerifyJob {
-                group: self.group.clone(),
-                statements: keys.iter().map(|k| k.public_key().clone()).collect(),
-                proofs,
-            });
-        } else {
-            for vidx in 0..n {
-                if pre_verified {
-                    break;
-                }
-                let foreign: Vec<(&Element, &MultiVerifierTranscript)> = (0..n)
-                    .filter(|&p| p != vidx)
-                    .map(|p| (keys[p].public_key(), &proofs[p]))
-                    .collect();
-                let ok = timer.time(vidx + 1, || {
-                    verify_multi_batch(&self.group, &foreign).is_ok()
-                });
-                if !ok {
-                    // Rescan over *all* provers in protocol order so the
-                    // error names the first dishonest one, exactly as the
-                    // old verify-as-you-go loop did (a verifier's own batch
-                    // skips her own proof, so the batch index alone is not
-                    // enough).
-                    let party = (0..n)
-                        .find(|&p| !proofs[p].verify(&self.group, keys[p].public_key()))
-                        .map_or(vidx + 1, |p| p + 1);
-                    return Err(SortError::ProofRejected { party });
-                }
-            }
-        }
+        // Every verifier checks the same foreign transcripts against the
+        // same keys, so one check of each proof stands for all of them.
+        self.pending_verify = Some(KeygenVerifyJob {
+            group: self.group.clone(),
+            statements: keys.iter().map(|k| k.public_key().clone()).collect(),
+            proofs,
+        });
         self.round += 3;
         self.keys = keys;
         Ok(())
@@ -1000,7 +931,6 @@ impl SortMachine {
         let draw_cpu = draw_start.elapsed();
         let Self {
             sets,
-            hop_scratch,
             scheme,
             keys,
             options,
@@ -1013,19 +943,17 @@ impl SortMachine {
         let len = sets[0].len();
         // The hop's output positions — the n − 1 foreign sets laid end to
         // end — split into near-equal ranges across the workers, so a set
-        // may be shared between two workers. The first range writes its
-        // first piece into the reusable scratch buffer.
-        let mut scratch = std::mem::take(hop_scratch);
+        // may be shared between two workers.
         let (outputs, cpu) = fan_out(
             jobs.len() * len,
             *workers,
-            |range| (range, std::mem::take(&mut scratch)),
-            |(range, mut buffer)| {
+            |range| range,
+            |range| {
                 pieces(range, len)
                     .map(|(k, local)| {
                         let (owner, prep, order) = &jobs[k];
                         let (set, order) = (&sets[*owner], Some(&order[local]));
-                        let mut out = std::mem::take(&mut buffer);
+                        let mut out = Vec::new();
                         if randomize {
                             // `−x·r` and the recodings came precomputed; the
                             // stored secret products already bind to this
@@ -1042,8 +970,8 @@ impl SortMachine {
                     .collect::<Vec<_>>()
             },
         );
-        // Reassemble each set from its pieces (in order) and swap it in; a
-        // replaced set's buffer becomes the next hop's scratch.
+        // Reassemble each set from its pieces (in order); the hopped set
+        // replaces the old one.
         let mut assembled: Vec<Vec<Ciphertext>> = vec![Vec::new(); jobs.len()];
         for (k, piece) in outputs.into_iter().flatten() {
             if assembled[k].is_empty() {
@@ -1053,10 +981,7 @@ impl SortMachine {
             }
         }
         for ((owner, _, _), hopped) in jobs.iter().zip(assembled) {
-            let old = std::mem::replace(&mut sets[*owner], hopped);
-            if hop_scratch.capacity() == 0 {
-                *hop_scratch = old;
-            }
+            sets[*owner] = hopped;
         }
         timer.record(party, start.elapsed(), draw_cpu + cpu);
         // Hand the whole vector V to the next party in the chain.
@@ -1310,31 +1235,47 @@ mod tests {
         assert_eq!(out.ranks, vec![1, 3, 2]);
     }
 
-    /// Drives one machine to completion, harvesting any deferred verify
-    /// job along the way.
-    fn drive(
-        options: SortOptions,
-        seed: u64,
-    ) -> (
-        Result<(SortOutcome, SortTrace), SortError>,
-        TrafficSummary,
-        Option<KeygenVerifyJob>,
-    ) {
+    /// What [`drive`] observed.
+    struct Driven {
+        outcome: Result<(SortOutcome, SortTrace), SortError>,
+        traffic: TrafficSummary,
+        /// The keygen check the loop claimed, if it claimed one.
+        job: Option<KeygenVerifyJob>,
+        /// Steps that succeeded before the run finished or failed.
+        steps: usize,
+    }
+
+    /// Drives one machine to completion on a cold stock drawn from its own
+    /// seed (with `corrupt`'s proof invalidated, if any). With `claim`, the
+    /// loop takes the parked keygen check the way a batching runtime does;
+    /// without, nobody does and the machine settles it.
+    fn drive(claim: bool, seed: u64, corrupt: Option<usize>) -> Driven {
         let group = GroupKind::Ecc160.group();
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut stock_rng = StdRng::seed_from_u64(seed ^ 0xa5);
         let values: Vec<BigUint> = [13u64, 200, 78, 200]
             .iter()
             .map(|&v| BigUint::from(v))
             .collect();
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(values.len() + 1);
+        let options = SortOptions {
+            threads: 1,
+            ..SortOptions::default()
+        };
         let mut machine = SortMachine::new(&group, &values, 8, options, 0).unwrap();
-        let mut job = None;
+        let mut stock = OfflineStock::draw_cold(&group, values.len(), 8, &mut stock_rng, 1);
+        if let Some(party) = corrupt {
+            stock.corrupt_key_proof(&group, party);
+        }
+        machine.attach_offline_stock(stock).unwrap();
+        let (mut job, mut steps) = (None, 0);
         let outcome = loop {
             match machine.step(&mut rng, &log, &mut timer) {
                 Ok(SortStatus::Pending) => {
-                    if let Some(j) = machine.take_pending_verify() {
-                        job = Some(j);
+                    steps += 1;
+                    if claim {
+                        job = job.or(machine.take_pending_verify());
                     }
                 }
                 Ok(SortStatus::Done) => {
@@ -1342,87 +1283,55 @@ mod tests {
                         .into_result()
                         .ok_or(SortError::Internal("done without result"))
                 }
-                Err(e) => break Err(e),
+                Err(e) => {
+                    // A failed check stays failed however often the
+                    // machine is stepped again.
+                    assert_eq!(machine.step(&mut rng, &log, &mut timer), Err(e.clone()));
+                    break Err(e);
+                }
             }
         };
-        (outcome, log.summary(), job)
+        Driven {
+            outcome,
+            traffic: log.summary(),
+            job,
+            steps,
+        }
     }
 
     #[test]
-    fn deferred_verification_is_bit_identical_and_yields_a_passing_job() {
-        let inline = drive(
-            SortOptions {
-                threads: 1,
-                ..SortOptions::default()
-            },
-            31,
-        );
-        let deferred = drive(
-            SortOptions {
-                threads: 1,
-                defer_verify: true,
-                ..SortOptions::default()
-            },
-            31,
-        );
-        assert!(inline.2.is_none(), "inline run must not stash a job");
-        let job = deferred.2.expect("deferred cold run must stash a job");
+    fn claimed_and_unclaimed_checks_give_identical_runs() {
+        let claimed = drive(true, 31, None);
+        let unclaimed = drive(false, 31, None);
+        assert!(unclaimed.job.is_none());
+        let job = claimed.job.expect("the keygen step parks a job");
         assert_eq!(job.group_kind(), GroupKind::Ecc160);
         assert_eq!(job.proofs(), 4);
         assert_eq!(job.verify_inline(), Ok(()));
-        // Deferring reorders work, never bytes: same ranks, same traffic.
-        let (inline_out, _) = inline.0.unwrap();
-        let (deferred_out, _) = deferred.0.unwrap();
-        assert_eq!(inline_out, deferred_out);
-        assert_eq!(inline.1, deferred.1);
+        // Who settles the check moves work, never bytes.
+        let (claimed_out, claimed_trace) = claimed.outcome.unwrap();
+        let (unclaimed_out, unclaimed_trace) = unclaimed.outcome.unwrap();
+        assert_eq!(claimed_out, unclaimed_out);
+        assert_eq!(claimed_trace.returned_sets, unclaimed_trace.returned_sets);
+        assert_eq!(claimed.traffic, unclaimed.traffic);
     }
 
     #[test]
-    fn deferred_job_blames_the_party_the_inline_check_blames() {
-        let group = GroupKind::Ecc160.group();
-        let values: Vec<BigUint> = [9u64, 2, 5].iter().map(|&v| BigUint::from(v)).collect();
-        let run = |defer: bool| {
-            let mut rng = StdRng::seed_from_u64(8);
-            let mut stock_rng = StdRng::seed_from_u64(77);
-            let log = TrafficLog::new();
-            let mut timer = PartyTimer::new(values.len() + 1);
-            let options = SortOptions {
-                threads: 1,
-                defer_verify: defer,
-                ..SortOptions::default()
-            };
-            let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            let mut stock = OfflineStock::draw_from(&group, 3, 4, &mut stock_rng);
-            stock.corrupt_key_proof(&group, 1);
-            machine.attach_offline_stock(stock).unwrap();
-            let mut job = None;
-            let verdict = loop {
-                match machine.step(&mut rng, &log, &mut timer) {
-                    Ok(SortStatus::Pending) => {
-                        if let Some(j) = machine.take_pending_verify() {
-                            job = Some(j);
-                        }
-                    }
-                    Ok(SortStatus::Done) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            (verdict, job)
-        };
-        let (inline_verdict, inline_job) = run(false);
-        assert!(inline_job.is_none());
+    fn corrupted_proof_is_blamed_by_whoever_settles_the_check() {
+        // Unclaimed: offline and keygen succeed, and the encrypt step
+        // settles the check before any other work.
+        let unclaimed = drive(false, 8, Some(1));
         assert_eq!(
-            inline_verdict,
-            Err(SortError::ProofRejected { party: 2 }),
-            "inline check must blame the corrupted party"
+            unclaimed.outcome.unwrap_err(),
+            SortError::ProofRejected { party: 2 }
         );
-        // The deferred run sails past keygen (no bytes differ) but its job
-        // carries the rejection, attributed to the same party.
-        let (deferred_verdict, deferred_job) = run(true);
-        assert_eq!(deferred_verdict, Ok(()));
-        let job = deferred_job.expect("deferred run must stash a job");
+        assert_eq!(unclaimed.steps, 2, "the step after keygen must fail");
+        // Claimed: the machine runs to the end, and the claimed job
+        // carries the same verdict.
+        let claimed = drive(true, 8, Some(1));
+        assert!(claimed.outcome.is_ok());
         assert_eq!(
-            job.verify_inline(),
+            claimed.job.expect("claimed job").verify_inline(),
             Err(SortError::ProofRejected { party: 2 })
         );
     }
@@ -1438,15 +1347,10 @@ mod tests {
             let mut timer = PartyTimer::new(values.len() + 1);
             let options = SortOptions {
                 threads: 1,
-                defer_verify: true,
                 ..SortOptions::default()
             };
             let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            // The deferred draw leaves the stock's `verified` verdict unset
-            // (a `draw_from` stock is batch-checked at minting time and
-            // would make the session skip verification entirely, parking no
-            // job). Bytes are identical either way.
-            let mut stock = OfflineStock::draw_cold(&group, 3, 4, &mut stock_rng, 1, false);
+            let mut stock = OfflineStock::draw_cold(&group, 3, 4, &mut stock_rng, 1);
             if let Some(party) = corrupt {
                 stock.corrupt_key_proof(&group, party);
             }
@@ -1459,7 +1363,7 @@ mod tests {
                 assert_ne!(
                     status,
                     SortStatus::Done,
-                    "deferred session finished without parking a verify job"
+                    "session finished without parking a verify job"
                 );
             }
         };

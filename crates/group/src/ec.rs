@@ -501,7 +501,7 @@ impl EcGroup {
     }
 
     /// Batch variable-base multiplication: signed wNAF digits against
-    /// batch-normalized [`MontAffine`] tables (mixed additions), all
+    /// batch-normalized `MontAffine` tables (mixed additions), all
     /// results sharing one final field inversion. The table normalization
     /// itself shares a second inversion across *every table of the batch*,
     /// which is what lets the ladder use 7M+3S mixed additions instead of

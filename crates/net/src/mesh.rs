@@ -62,7 +62,7 @@ impl Error for MeshError {}
 /// sender.
 ///
 /// The self-slot is structurally absent: lanes are stored in a dense
-/// `n − 1` vector indexed by [`lane`](Self::lane), so "message to self"
+/// `n − 1` vector indexed by `lane`, so "message to self"
 /// is unrepresentable rather than a runtime invariant.
 #[derive(Debug)]
 pub struct PartyHandle<T> {

@@ -157,7 +157,8 @@ pub struct MetricsSnapshot {
     pub verify_batched_sessions: u64,
     /// Individual proofs folded into batched flushes.
     pub verify_batched_proofs: u64,
-    /// Sessions that started with a pooled hop-scratch buffer.
+    /// Always 0: sessions do not share hop buffers. Kept so the pinned
+    /// [`MetricsSnapshot::FIELDS`] contract stays stable.
     pub scratch_reused: u64,
     /// Wire messages across all completed sessions.
     pub wire_messages: u64,

@@ -2,7 +2,7 @@
 //! paper discusses and rejects (Sec. II).
 //!
 //! The paper's Related Work weighs partially homomorphic encryption
-//! (Paillier [10], used by the comparison protocols of [8, 9]) as the
+//! (Paillier \[10\], used by the comparison protocols of \[8, 9\]) as the
 //! basis for multiparty sorting and concludes it cannot provide identity
 //! unlinkability: computing `max{a,b} = (a>b)·(a−b)+b` under encryption
 //! needs *ciphertext×ciphertext* multiplication, which an additive scheme

@@ -13,8 +13,8 @@
 use crate::handle::{Observer, SessionHandle, Slot};
 use crate::precompute::{GroupId, PrecomputeConfig, PrecomputePool};
 use ppgr_core::{
-    verify_deferred_jobs, Ciphertext, FrameworkParams, GroupRanking, KeygenVerifyJob, RunError,
-    SessionMachine, SessionStatus, SortOptions,
+    verify_deferred_jobs, FrameworkParams, GroupRanking, KeygenVerifyJob, RunError, SessionMachine,
+    SessionStatus, SortOptions,
 };
 use ppgr_net::Deadline;
 use std::collections::VecDeque;
@@ -41,16 +41,17 @@ pub struct RuntimeConfig {
     /// [`Runtime::register_group`] / [`Runtime::submit_group`].
     pub precompute: PrecomputeConfig,
     /// Cross-session verify batch window (`0` or `1` = disabled). When
-    /// `> 1`, sessions this pool builds run with
-    /// [`SortOptions::defer_verify`]: their keygen proof checks are parked
-    /// in a pool-wide collector and settled — up to `verify_batch` sessions
-    /// at a time — through one aggregate multi-exponentiation
+    /// `> 1`, a worker claims each session's keygen proof check
+    /// ([`SessionMachine::take_pending_verify`]) and parks the session in
+    /// a pool-wide collector; the collector settles up to `verify_batch`
+    /// sessions at a time through one aggregate multi-exponentiation
     /// ([`ppgr_core::verify_deferred_jobs`]), with per-session blame
-    /// preserved. The collector flushes when the window fills and whenever
-    /// a worker goes idle, so a lone session is never held hostage waiting
-    /// for peers. Verification is RNG-free and sends no bytes, so batching
-    /// reorders work, never bytes: transcripts and ranks stay bit-identical
-    /// to solo runs.
+    /// preserved. It flushes when the window fills and whenever a worker
+    /// goes idle, so a lone session is never held hostage waiting for
+    /// peers. Otherwise the check is left to the session, which settles it
+    /// at its next step. Verification is RNG-free and sends no bytes, so
+    /// batching reorders work, never bytes: transcripts and ranks stay
+    /// bit-identical to solo runs.
     pub verify_batch: usize,
 }
 
@@ -74,7 +75,7 @@ struct Task {
     deadline: Option<Deadline>,
 }
 
-/// A session parked in the verify collector: its deferred keygen check
+/// A session parked in the verify collector: its claimed keygen check
 /// plus the task itself, which resumes only after the check passes.
 struct Parked {
     job: KeygenVerifyJob,
@@ -88,7 +89,6 @@ struct Counters {
     verify_flushes: AtomicU64,
     verify_batched_sessions: AtomicU64,
     verify_batched_proofs: AtomicU64,
-    scratch_reused: AtomicU64,
 }
 
 /// A point-in-time copy of a pool's cross-session amortization counters
@@ -101,8 +101,6 @@ pub struct RuntimeStats {
     pub verify_batched_sessions: u64,
     /// Individual proofs folded into the aggregate equations.
     pub verify_batched_proofs: u64,
-    /// Sessions that started with a recycled hop scratch buffer.
-    pub scratch_reused: u64,
 }
 
 /// State shared by the submitters and every worker.
@@ -120,9 +118,6 @@ struct Shared {
     verify_batch: usize,
     /// Sessions parked awaiting a batched keygen verify.
     pending_verify: Mutex<Vec<Parked>>,
-    /// Recycled hop scratch buffers, donated to incoming sessions so one
-    /// allocation's capacity serves many sessions in turn.
-    scratch_pool: Mutex<Vec<Vec<Ciphertext>>>,
     stats: Counters,
 }
 
@@ -133,28 +128,6 @@ impl Shared {
             .expect("injector mutex")
             .push_back(task);
         self.wake.notify_all();
-    }
-
-    /// Hands out a recycled scratch buffer, if any.
-    fn donate_scratch(&self) -> Option<Vec<Ciphertext>> {
-        let buf = self.scratch_pool.lock().expect("scratch pool mutex").pop();
-        if buf.is_some() {
-            self.stats.scratch_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        buf
-    }
-
-    /// Returns a finished session's scratch buffer to the pool. Bounded by
-    /// the worker count — more buffers than workers can never be in use at
-    /// once, so the excess would only pin memory.
-    fn recycle_scratch(&self, buf: Vec<Ciphertext>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut pool = self.scratch_pool.lock().expect("scratch pool mutex");
-        if pool.len() < self.locals.len() {
-            pool.push(buf);
-        }
     }
 }
 
@@ -184,7 +157,6 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             verify_batch: config.verify_batch,
             pending_verify: Mutex::new(Vec::new()),
-            scratch_pool: Mutex::new(Vec::new()),
             stats: Counters::default(),
         });
         let handles = (0..workers)
@@ -232,17 +204,14 @@ impl Runtime {
                 .stats
                 .verify_batched_proofs
                 .load(Ordering::Relaxed),
-            scratch_reused: self.shared.stats.scratch_reused.load(Ordering::Relaxed),
         }
     }
 
-    /// The sort options this pool builds sessions with: single-threaded
-    /// (the pool supplies the parallelism) and, when a verify window is
-    /// configured, deferred keygen checks for cross-session batching.
+    /// The sort options this pool builds sessions with: single-threaded,
+    /// because the pool supplies the parallelism.
     fn session_options(&self) -> SortOptions {
         SortOptions {
             threads: 1,
-            defer_verify: self.shared.verify_batch > 1,
             ..SortOptions::default()
         }
     }
@@ -285,10 +254,7 @@ impl Runtime {
             slot: Arc::clone(&slot),
         };
         match ranking.into_machine_with(self.session_options()) {
-            Ok(mut machine) => {
-                if let Some(buf) = self.shared.donate_scratch() {
-                    machine.adopt_hop_scratch(buf);
-                }
+            Ok(machine) => {
                 self.inject(Task {
                     machine,
                     slot,
@@ -334,9 +300,6 @@ impl Runtime {
                     // (still bit-identical) run rather than an error.
                     let _ = machine.attach_offline_stock(stock);
                 }
-                if let Some(buf) = self.shared.donate_scratch() {
-                    machine.adopt_hop_scratch(buf);
-                }
                 self.inject(Task {
                     machine,
                     slot,
@@ -381,7 +344,7 @@ impl Runtime {
 
     fn submit_machine(
         &self,
-        mut machine: SessionMachine,
+        machine: SessionMachine,
         budget: Option<Duration>,
         observer: Option<Observer>,
     ) -> SessionHandle {
@@ -392,9 +355,6 @@ impl Runtime {
         let handle = SessionHandle {
             slot: Arc::clone(&slot),
         };
-        if let Some(buf) = self.shared.donate_scratch() {
-            machine.adopt_hop_scratch(buf);
-        }
         self.inject(Task {
             machine,
             slot,
@@ -453,41 +413,28 @@ fn worker_loop(shared: &Shared, me: usize) {
             }
             match task.machine.step() {
                 Ok(SessionStatus::Pending) => {
-                    // Collect a deferred keygen check *unconditionally* —
-                    // even a machine the user built with `defer_verify` and
-                    // submitted to a pool with no batch window must have
-                    // its proofs settled, or the deferral would silently
-                    // skip verification.
-                    if let Some(job) = task.machine.take_pending_verify() {
-                        if shared.verify_batch > 1 {
-                            park_for_verify(shared, Parked { job, task });
-                        } else {
-                            // Degenerate window: settle immediately inline.
-                            match job.verify_inline() {
-                                Ok(()) => shared.locals[me]
-                                    .lock()
-                                    .expect("local deque mutex")
-                                    .push_back(task),
-                                Err(e) => task.slot.fill(Err(RunError::Sort(e))),
-                            }
-                        }
+                    // With a batch window, claim a parked keygen check for
+                    // the collector; without one, leave it to the session's
+                    // next step.
+                    let job = if shared.verify_batch > 1 {
+                        task.machine.take_pending_verify()
                     } else {
+                        None
+                    };
+                    match job {
+                        Some(job) => park_for_verify(shared, Parked { job, task }),
                         // Back of our own deque: we pop LIFO, so we keep
                         // driving this session unless a thief takes it
                         // first.
-                        shared.locals[me]
+                        None => shared.locals[me]
                             .lock()
                             .expect("local deque mutex")
-                            .push_back(task);
+                            .push_back(task),
                     }
                 }
                 Ok(SessionStatus::Done) => {
-                    let Task {
-                        mut machine, slot, ..
-                    } = task;
-                    shared.recycle_scratch(machine.take_hop_scratch());
-                    let outcome = machine.into_outcome().expect("machine reported Done");
-                    slot.fill(Ok(outcome));
+                    let outcome = task.machine.into_outcome().expect("machine reported Done");
+                    task.slot.fill(Ok(outcome));
                 }
                 Err(e) => task.slot.fill(Err(e)),
             }
@@ -761,7 +708,7 @@ mod tests {
         let stats = runtime.stats();
         assert_eq!(
             stats.verify_batched_sessions, 5,
-            "every cold deferred session must pass through the collector"
+            "every session's keygen check must pass through the collector"
         );
         assert_eq!(stats.verify_batched_proofs, 15);
         assert!(
@@ -772,71 +719,50 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_proof_is_blamed_through_the_batch() {
-        use ppgr_core::{OfflineStock, SortError, SortOptions};
-        let runtime = Runtime::new(RuntimeConfig {
-            workers: 2,
-            verify_batch: 4,
-            ..RuntimeConfig::default()
-        });
-        let options = SortOptions {
-            threads: 1,
-            defer_verify: true,
-            ..SortOptions::default()
-        };
-        let mut bad = GroupRanking::new(small_params(3, 880))
-            .with_random_population()
-            .into_machine_with(options)
-            .unwrap();
-        let mut stock = OfflineStock::generate(bad.offline_fingerprint());
-        stock.corrupt_key_proof(&GroupKind::Ecc160.group(), 1);
-        assert!(bad.attach_offline_stock(stock));
-        let bad_handle = runtime.submit_session(bad);
-        let good: Vec<_> = (0..3)
-            .map(|i| runtime.submit(small_params(3, 881 + i)))
-            .collect();
-        let err = bad_handle.join().unwrap_err();
-        assert_eq!(
-            err,
-            RunError::Sort(SortError::ProofRejected { party: 2 }),
-            "the batch must attribute the rejection to the corrupted session and party"
-        );
-        assert_eq!(
-            err.blamed(),
-            Some(2),
-            "session-level blame surfaces the prover"
-        );
-        for (i, handle) in good.into_iter().enumerate() {
-            let pooled = handle.join().unwrap();
-            let solo = GroupRanking::new(small_params(3, 881 + i as u64))
+    fn corrupted_proof_is_blamed_with_and_without_a_batch_window() {
+        use ppgr_core::{OfflineStock, SortError};
+        for verify_batch in [0, 4] {
+            let runtime = Runtime::new(RuntimeConfig {
+                workers: 2,
+                verify_batch,
+                ..RuntimeConfig::default()
+            });
+            let mut bad = GroupRanking::new(small_params(3, 880))
                 .with_random_population()
-                .run()
+                .into_machine_with(runtime.session_options())
                 .unwrap();
-            assert_eq!(pooled.ranks(), solo.ranks(), "good sessions are unaffected");
+            let mut stock = OfflineStock::generate(bad.offline_fingerprint());
+            stock.corrupt_key_proof(&GroupKind::Ecc160.group(), 1);
+            assert!(bad.attach_offline_stock(stock));
+            let bad_handle = runtime.submit_session(bad);
+            let good: Vec<_> = (0..3)
+                .map(|i| runtime.submit(small_params(3, 881 + i)))
+                .collect();
+            let err = bad_handle.join().unwrap_err();
+            assert_eq!(
+                err,
+                RunError::Sort(SortError::ProofRejected { party: 2 }),
+                "window {verify_batch}: the corrupted session's prover must be blamed"
+            );
+            assert_eq!(err.blamed(), Some(2), "window {verify_batch}");
+            for (i, handle) in good.into_iter().enumerate() {
+                let pooled = handle.join().unwrap();
+                let solo = GroupRanking::new(small_params(3, 881 + i as u64))
+                    .with_random_population()
+                    .run()
+                    .unwrap();
+                assert_eq!(pooled.ranks(), solo.ranks(), "window {verify_batch}");
+                assert_eq!(pooled.traffic(), solo.traffic(), "window {verify_batch}");
+            }
+            // Without a window the sessions check themselves; with one,
+            // every session's check goes through the collector.
+            let expected = if verify_batch > 1 { 4 } else { 0 };
+            assert_eq!(
+                runtime.stats().verify_batched_sessions,
+                expected,
+                "window {verify_batch}"
+            );
         }
-    }
-
-    #[test]
-    fn defer_built_machine_is_still_verified_on_a_non_batching_pool() {
-        use ppgr_core::{OfflineStock, SortError, SortOptions};
-        // verify_batch 0: the worker must settle the stashed job inline —
-        // a deferral must never silently skip verification.
-        let runtime = Runtime::with_workers(1);
-        let options = SortOptions {
-            threads: 1,
-            defer_verify: true,
-            ..SortOptions::default()
-        };
-        let mut bad = GroupRanking::new(small_params(3, 890))
-            .with_random_population()
-            .into_machine_with(options)
-            .unwrap();
-        let mut stock = OfflineStock::generate(bad.offline_fingerprint());
-        stock.corrupt_key_proof(&GroupKind::Ecc160.group(), 0);
-        assert!(bad.attach_offline_stock(stock));
-        let err = runtime.submit_session(bad).join().unwrap_err();
-        assert_eq!(err, RunError::Sort(SortError::ProofRejected { party: 1 }));
-        assert_eq!(err.blamed(), Some(1));
         assert_eq!(RunError::Cancelled.blamed(), None);
         assert_eq!(RunError::DeadlineExceeded.blamed(), None);
     }
@@ -862,20 +788,6 @@ mod tests {
             seen.load(Ordering::SeqCst),
             1,
             "observer must have fired before join returned"
-        );
-    }
-
-    #[test]
-    fn scratch_buffers_recycle_across_sessions() {
-        let runtime = Runtime::with_workers(1);
-        // Serial on one worker: the first session's buffer is recycled
-        // into later ones.
-        for i in 0..3 {
-            runtime.submit(small_params(2, 900 + i)).join().unwrap();
-        }
-        assert!(
-            runtime.stats().scratch_reused >= 1,
-            "later sessions must reuse the first session's hop buffer"
         );
     }
 

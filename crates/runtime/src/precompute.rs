@@ -8,10 +8,10 @@
 //!
 //! * [`Runtime::register_group`](crate::Runtime::register_group) opens a
 //!   lane (and warms the group's generator comb table);
-//! * background refill workers keep each lane topped up to
-//!   [`PrecomputeConfig::depth`] stocks, generated strictly by session
-//!   sequence number — session `k` of a group uses seed
-//!   `base_seed + k`, so the stock for it is
+//! * background refill workers, spawned by the first registration, keep
+//!   each lane topped up to [`PrecomputeConfig::depth`] stocks, generated
+//!   strictly by session sequence number — session `k` of a group uses
+//!   seed `base_seed + k`, so the stock for it is
 //!   [`OfflineStock::generate`] of that fingerprint, bit-identical to
 //!   what the session would build cold;
 //! * [`Runtime::submit_group`](crate::Runtime::submit_group) pops the
@@ -41,7 +41,9 @@ pub struct PrecomputeConfig {
     /// are precomputed ahead of their submission). `0` disables
     /// precomputation — every session runs cold.
     pub depth: usize,
-    /// Background refill threads shared by all lanes.
+    /// Background refill threads shared by all lanes, spawned by the first
+    /// [`Runtime::register_group`](crate::Runtime::register_group) (never
+    /// for `depth: 0`), so a runtime that registers no group runs none.
     pub refill_workers: usize,
 }
 
@@ -92,40 +94,44 @@ struct PoolShared {
 /// shut down (flag + join) before the step workers drain.
 pub(crate) struct PrecomputePool {
     shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
-    depth: usize,
+    config: PrecomputeConfig,
+    /// Refill threads: none until the first registration.
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl PrecomputePool {
     pub(crate) fn new(config: PrecomputeConfig) -> Self {
-        let shared = Arc::new(PoolShared {
-            lanes: Mutex::new(Vec::new()),
-            gate: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        // With depth 0 nothing would ever be generated; don't spawn workers
-        // that can only spin.
-        let worker_count = if config.depth == 0 {
-            0
-        } else {
-            config.refill_workers
-        };
-        let workers = (0..worker_count)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                let depth = config.depth;
-                std::thread::Builder::new()
-                    .name(format!("ppgr-precompute-{me}"))
-                    .spawn(move || refill_loop(&shared, depth))
-                    .expect("spawn precompute worker")
-            })
-            .collect();
         PrecomputePool {
-            shared,
-            workers,
-            depth: config.depth,
+            shared: Arc::new(PoolShared {
+                lanes: Mutex::new(Vec::new()),
+                gate: Mutex::new(()),
+                wake: Condvar::new(),
+                shutdown: AtomicBool::new(false),
+            }),
+            config,
+            workers: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Spawns the refill threads unless they already run. With depth 0
+    /// nothing would ever be generated, so no thread is spawned that could
+    /// only spin.
+    fn start_refill(&self) {
+        let PrecomputeConfig {
+            depth,
+            refill_workers,
+        } = self.config;
+        let mut workers = self.workers.lock().expect("refill workers mutex");
+        if depth == 0 || !workers.is_empty() {
+            return;
+        }
+        workers.extend((0..refill_workers).map(|me| {
+            let shared = Arc::clone(&self.shared);
+            std::thread::Builder::new()
+                .name(format!("ppgr-precompute-{me}"))
+                .spawn(move || refill_loop(&shared, depth))
+                .expect("spawn precompute worker")
+        }));
     }
 
     /// Opens a lane for `params` and warms the group's generator comb
@@ -153,6 +159,7 @@ impl PrecomputePool {
             let group = kind.group();
             let _ = group.exp_gen(&group.scalar_from_u64(1));
         }
+        self.start_refill();
         self.shared.wake.notify_all();
         id
     }
@@ -207,7 +214,14 @@ impl PrecomputePool {
     pub(crate) fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake.notify_all();
-        for handle in self.workers.drain(..) {
+        // Runs from `Drop`, so it must not panic on a poisoned lock; the
+        // handle list is valid after every push, so its contents are safe
+        // to use.
+        let workers = self
+            .workers
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for handle in workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -222,8 +236,7 @@ impl Drop for PrecomputePool {
 impl std::fmt::Debug for PrecomputePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrecomputePool")
-            .field("workers", &self.workers.len())
-            .field("depth", &self.depth)
+            .field("config", &self.config)
             .finish()
     }
 }
@@ -391,6 +404,26 @@ mod tests {
         let ob = rt.submit_group(b).join().unwrap();
         assert_eq!(oa.ranks().len(), 2);
         assert_eq!(ob.ranks().len(), 3);
+    }
+
+    #[test]
+    fn refill_threads_start_with_the_first_registration() {
+        let threads = |pool: &PrecomputePool| pool.workers.lock().unwrap().len();
+        let pool = PrecomputePool::new(PrecomputeConfig {
+            depth: 1,
+            refill_workers: 2,
+        });
+        assert_eq!(threads(&pool), 0, "no group registered, no refill thread");
+        let _ = pool.register(small_params(2, 5));
+        assert_eq!(threads(&pool), 2);
+        let _ = pool.register(small_params(2, 6));
+        assert_eq!(threads(&pool), 2, "later registrations spawn none");
+        let idle = PrecomputePool::new(PrecomputeConfig {
+            depth: 0,
+            refill_workers: 2,
+        });
+        let _ = idle.register(small_params(2, 7));
+        assert_eq!(threads(&idle), 0, "depth 0 never spawns");
     }
 
     #[test]

@@ -15,10 +15,9 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
 pub struct ServiceConfig {
     /// Worker-group shards (`0` = 1). Each shard is an independent
-    /// [`Runtime`] with its own run queue, verify collector, scratch pool
-    /// and precompute lanes; sessions are routed to shards by consistent
-    /// hash of their session id, so a given id always lands on the same
-    /// shard's queues.
+    /// [`Runtime`] with its own run queue and verify collector; sessions
+    /// are routed to shards by consistent hash of their session id, so a
+    /// given id always lands on the same shard's queues.
     pub shards: usize,
     /// Worker threads per shard (`0` = 1). The sharded default is
     /// deliberately narrow: on one host, `shards × workers_per_shard`
@@ -44,8 +43,6 @@ pub struct ServiceConfig {
     /// Wall-clock budget per admitted session, enforced by the shard
     /// runtime at step boundaries (`None` = unbounded).
     pub session_budget: Option<Duration>,
-    /// Offline precompute configuration for each shard's runtime.
-    pub precompute: ppgr_runtime::PrecomputeConfig,
 }
 
 impl ServiceConfig {
@@ -172,11 +169,10 @@ impl ServiceHandle {
 /// Accepts a stream of ranking-session requests, routes each by consistent
 /// hash of its session id onto one of several worker-group shards, and
 /// sheds load it cannot serve within budget ([`AdmitError`]). Admitted
-/// sessions flow through the shard's [`Runtime`], which amortizes crypto
-/// across concurrent sessions — batched keygen proof verification, offline
-/// precompute lanes, pooled hop scratch — while keeping every session's
-/// transcript bit-identical to a solo serial run: amortization reorders
-/// work, never bytes.
+/// sessions flow through the shard's [`Runtime`], which batches keygen
+/// proof verification across concurrent sessions while keeping every
+/// session's transcript bit-identical to a solo serial run: amortization
+/// reorders work, never bytes.
 pub struct Service {
     config: ServiceConfig,
     ring: HashRing,
@@ -194,8 +190,8 @@ impl Service {
                 runtime: Runtime::new(RuntimeConfig {
                     workers: config.resolve_workers(),
                     session_budget: config.session_budget,
-                    precompute: config.precompute,
                     verify_batch: config.verify_batch,
+                    ..RuntimeConfig::default()
                 }),
                 in_flight: Arc::new(AtomicUsize::new(0)),
             })
@@ -280,7 +276,6 @@ impl Service {
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let options = SortOptions {
             threads: 1,
-            defer_verify: self.config.verify_batch > 1,
             ..SortOptions::default()
         };
         let machine = GroupRanking::new(params)
@@ -346,7 +341,6 @@ impl Service {
             snapshot.verify_flushes += stats.verify_flushes;
             snapshot.verify_batched_sessions += stats.verify_batched_sessions;
             snapshot.verify_batched_proofs += stats.verify_batched_proofs;
-            snapshot.scratch_reused += stats.scratch_reused;
         }
         snapshot
     }
@@ -511,7 +505,7 @@ mod tests {
         let m = service.metrics();
         assert_eq!(
             m.verify_batched_sessions, 4,
-            "every cold deferred session must settle through the collector"
+            "every session's keygen check must settle through the collector"
         );
         assert_eq!(m.verify_batched_proofs, 12);
         assert!(m.verify_flushes >= 1);

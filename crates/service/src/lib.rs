@@ -17,10 +17,9 @@
 //!   with a typed [`AdmitError`], consuming no worker time, instead of
 //!   being queued to miss its deadline quietly.
 //! * **Cross-session crypto amortization** — admitted sessions share the
-//!   shard runtime's batched keygen proof verification (many sessions'
+//!   shard runtime's batched keygen proof verification: many sessions'
 //!   Schnorr checks collapse into one aggregate multi-exponentiation, with
-//!   per-session blame preserved), the offline precompute lanes, and
-//!   recycled hop scratch buffers.
+//!   per-session blame preserved.
 //!
 //! The amortization invariant, inherited from the runtime and pinned by
 //! the workspace proptests: **batching reorders work, never bytes**. Every
