@@ -1,22 +1,20 @@
 //! Cold-vs-warm session latency benchmark for the offline/online split.
 //!
-//! Runs N independent ranking sessions three ways — *cold* (the session
-//! generates its offline stock inline, on the clock), *warm-masks* (a
-//! masks-only stock: scalars, `g^r` halves and prepared hop scalars
-//! precomputed, keygen and `y^r` halves still online) and *warm-keygen*
-//! (the full keygen tier: pooled joint keys, assembled Schnorr proofs and
-//! `y^r` mask halves, exactly what the runtime's precompute lanes now
-//! mint) — asserts all three outcomes are bit-identical per seed, and writes
-//! machine-readable results to `BENCH_latency.json`
+//! Runs N independent ranking sessions two ways — *cold* (the session
+//! generates its offline stock inline, on the clock) and *warm-keygen*
+//! (the whole stock — pooled joint keys, assembled Schnorr proofs, both
+//! mask halves and prepared hop scalars — attached off the clock, exactly
+//! what the runtime's precompute lanes mint) — asserts both outcomes are
+//! bit-identical per seed, and writes machine-readable results to
+//! `BENCH_latency.json`
 //! (schema: `crates/bench/schema/BENCH_latency.schema.json`).
 //!
-//! The warm stocks come from [`OfflineStock::generate_masks_only`] /
-//! [`OfflineStock::generate`] on the machine's own fingerprint — the
-//! same code paths the runtime's background refill lane runs — so the
-//! warm measurements are the online latency of a pool-served session
-//! without the scheduler noise of measuring through the pool itself (on
-//! a single-core host, a concurrent refill would contend with the very
-//! session it serves).
+//! The warm stock comes from [`OfflineStock::generate`] on the machine's
+//! own fingerprint — the code path the runtime's background refill lane
+//! runs — so the warm measurement is the online latency of a pool-served
+//! session without the scheduler noise of measuring through the pool
+//! itself (on a single-core host, a concurrent refill would contend with
+//! the very session it serves).
 //!
 //! ```text
 //! cargo run --release -p ppgr-bench --bin latency
@@ -113,26 +111,23 @@ fn median(durations: &[Duration]) -> Duration {
     sorted[sorted.len() / 2]
 }
 
-/// The three measured lanes, in their canonical (JSON) order.
-const LANES: usize = 3;
+/// The two measured lanes, in their canonical (JSON) order.
+const LANES: usize = 2;
 const COLD: usize = 0;
-const WARM_MASKS: usize = 1;
-const WARM_KEYGEN: usize = 2;
-const LANE_NAMES: [&str; LANES] = ["cold", "warm_masks", "warm_keygen"];
+const WARM_KEYGEN: usize = 1;
 
 fn main() {
     let cfg = parse_args();
     eprintln!(
-        "latency: {} sessions, ECC-160 n={}, cold vs warm-masks vs warm-keygen",
+        "latency: {} sessions, ECC-160 n={}, cold vs warm-keygen",
         cfg.sessions, cfg.participants
     );
 
     // Cold: the Offline phase generates the full stock inline, on the
-    // clock. Warm-masks: scalars, `g^r` halves and prepared hop scalars
-    // attached off the clock; keygen and `y^r` halves stay online. Warm-keygen: the full tier —
-    // pooled keys, assembled proofs, both mask halves — attached off the
-    // clock; online work is reduced to exchanging shares, batch-verifying
-    // proofs and the inherently-online variable-base hop exponentiations.
+    // clock. Warm-keygen: the whole stock — pooled keys, assembled
+    // proofs, both mask halves — attached off the clock; online work is
+    // reduced to exchanging shares, batch-verifying proofs and the
+    // inherently-online variable-base hop exponentiations.
     //
     // The lanes run interleaved per seed with a rotating order, so slow
     // drift in the host's clock speed (shared CPU, thermal throttle)
@@ -141,20 +136,13 @@ fn main() {
     // of a single session.
     let run_lane = |lane: usize, k: usize| {
         let mut machine = machine_for(cfg.participants, k as u64);
-        match lane {
-            COLD => {}
-            _ => {
-                let fp = machine.offline_fingerprint();
-                let stock = if lane == WARM_MASKS {
-                    OfflineStock::generate_masks_only(fp)
-                } else {
-                    OfflineStock::generate(fp)
-                };
-                assert!(
-                    machine.attach_offline_stock(stock),
-                    "stock fingerprint must match the machine that minted it"
-                );
-            }
+        if lane == WARM_KEYGEN {
+            let stock = OfflineStock::generate(machine.offline_fingerprint(), 1, || false)
+                .expect("an uncancelled generation completes");
+            assert!(
+                machine.attach_offline_stock(stock),
+                "stock fingerprint must match the machine that minted it"
+            );
         }
         run_clocked(machine)
     };
@@ -170,26 +158,23 @@ fn main() {
     }
 
     let mut identical = true;
-    for lane in [WARM_MASKS, WARM_KEYGEN] {
-        for (k, (w, c)) in outcomes[lane].iter().zip(&outcomes[COLD]).enumerate() {
-            if w.ranks() != c.ranks() || w.traffic() != c.traffic() {
-                identical = false;
-                eprintln!(
-                    "session {k}: {} outcome diverged from cold run!",
-                    LANE_NAMES[lane]
-                );
-            }
+    for (k, (w, c)) in outcomes[WARM_KEYGEN]
+        .iter()
+        .zip(&outcomes[COLD])
+        .enumerate()
+    {
+        if w.ranks() != c.ranks() || w.traffic() != c.traffic() {
+            identical = false;
+            eprintln!("session {k}: warm_keygen outcome diverged from cold run!");
         }
     }
     assert!(identical, "warm sessions must match cold runs bit-for-bit");
 
     let medians: Vec<Duration> = durations.iter().map(|lane| median(lane)).collect();
-    let speedup_masks = medians[COLD].as_secs_f64() / medians[WARM_MASKS].as_secs_f64();
     let speedup_keygen = medians[COLD].as_secs_f64() / medians[WARM_KEYGEN].as_secs_f64();
     eprintln!(
-        "cold median: {:.2?} | warm-masks median: {:.2?} ({speedup_masks:.2}x) | \
-         warm-keygen median: {:.2?} ({speedup_keygen:.2}x)",
-        medians[COLD], medians[WARM_MASKS], medians[WARM_KEYGEN]
+        "cold median: {:.2?} | warm-keygen median: {:.2?} ({speedup_keygen:.2}x)",
+        medians[COLD], medians[WARM_KEYGEN]
     );
 
     let lane_json = |durs: &[Duration]| {
@@ -203,18 +188,16 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"schema\": \"crates/bench/schema/BENCH_latency.schema.json\",\n  \
-         \"version\": 2,\n  \"config\": {{\n    \"group\": \"Ecc160\",\n    \
+         \"version\": 3,\n  \"config\": {{\n    \"group\": \"Ecc160\",\n    \
          \"participants\": {},\n    \"sessions\": {},\n    \"smoke\": {}\n  }},\n  \
-         \"cold\": {},\n  \"warm_masks\": {},\n  \"warm_keygen\": {},\n  \
-         \"speedup_masks\": {:.6},\n  \"speedup_keygen\": {:.6},\n  \
+         \"cold\": {},\n  \"warm_keygen\": {},\n  \
+         \"speedup_keygen\": {:.6},\n  \
          \"outcomes_identical\": {}\n}}\n",
         cfg.participants,
         cfg.sessions,
         cfg.smoke,
         lane_json(&durations[COLD]),
-        lane_json(&durations[WARM_MASKS]),
         lane_json(&durations[WARM_KEYGEN]),
-        speedup_masks,
         speedup_keygen,
         identical
     );
@@ -226,20 +209,16 @@ fn main() {
     // deliberately NOT asserted here — CI machines are too noisy; the
     // committed full-size run is where warm < cold is demonstrated.
     assert!(
-        medians.iter().all(|m| m.as_secs_f64() > 0.0)
-            && speedup_masks.is_finite()
-            && speedup_keygen.is_finite(),
+        medians.iter().all(|m| m.as_secs_f64() > 0.0) && speedup_keygen.is_finite(),
         "degenerate timing"
     );
     for field in [
         "\"schema\"",
-        "\"version\": 2",
+        "\"version\": 3",
         "\"config\"",
         "\"cold\"",
-        "\"warm_masks\"",
         "\"warm_keygen\"",
         "\"median_seconds\"",
-        "\"speedup_masks\"",
         "\"speedup_keygen\"",
         "\"outcomes_identical\": true",
     ] {

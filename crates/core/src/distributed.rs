@@ -9,15 +9,18 @@
 //! and is the starting point for a networked deployment. Integration
 //! tests assert both runners produce identical rankings.
 //!
-//! Each party runs the same batch crypto entry points as the orchestrated
-//! [`SortMachine`](crate::sorting::SortMachine): bit encryption and τ-set
-//! rerandomization through the joint key's prepared comb table, the fused
-//! prepared hop kernel with the shuffle folded into result placement, and
-//! a gathered partial decryption for the final zero count. A party's τ set
-//! is rerandomized under the joint key before it leaves her hands: the raw
-//! set is a deterministic function of the published bit encryptions and
-//! her value, so whoever receives it first (P₁, or P₂ for P₁'s own set)
-//! could otherwise confirm her value one bit at a time.
+//! Each party runs the orchestrated
+//! [`SortMachine`](crate::sorting::SortMachine)'s phase-2 step bodies on
+//! one worker — its τ set, its chain hop and its zero count — and settles
+//! its keygen proofs through the same [`KeygenVerifyJob`] the machine
+//! parks, so each step and the proof check are written once. What this
+//! module adds is the transport: the party's own randomness stream, wire
+//! encoding, the structural set checks and share echo that guard wire
+//! input, deadlines and blame. A party's τ set is rerandomized under the
+//! joint key before it leaves her hands: the raw set is a deterministic
+//! function of the published bit encryptions and her value, so whoever
+//! receives it first (P₁, or P₂ for P₁'s own set) could otherwise confirm
+//! her value one bit at a time.
 //!
 //! # Fault tolerance
 //!
@@ -33,24 +36,23 @@
 //! tests; see `docs/FAULTS.md` for the fault model.
 
 use crate::attrs::{InfoVector, InitiatorProfile};
-use crate::circuit::compare_encrypted;
 use crate::gain::{draw_rho, initiator_vector, participant_vector, to_unsigned};
 use crate::params::FrameworkParams;
+use crate::sorting::{chain_hop, count_zeros, tau_set, HopJob, KeygenVerifyJob, SortError};
 use crate::submit::{verify_submissions, Submission, VerificationReport};
 use crate::timing::PartyTimer;
 use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer};
 use bytes::Bytes;
-use ppgr_bigint::BigUint;
 use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
 use ppgr_elgamal::{
     encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair, MaskPair,
 };
-use ppgr_group::{FixedBaseTable, Group, Scalar};
+use ppgr_group::{Element, Group, Scalar};
 use ppgr_hash::{HashDrbg, Sha256};
 use ppgr_net::{
     CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget, TrafficLog,
 };
-use ppgr_zkp::{verify_batch, SchnorrProver, SchnorrTranscript};
+use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -797,7 +799,7 @@ fn participant_thread(
         w_out.put_element(&group, kp.public_key());
         ctx.bcast_participants(&w_out.finish())?;
     }
-    let mut public_shares: Vec<ppgr_group::Element> = vec![group.identity(); n + 1];
+    let mut public_shares: Vec<Element> = vec![group.identity(); n + 1];
     public_shares[me] = kp.public_key().clone();
     for j in participants_except(n, me) {
         let bytes = ctx.recv(j)?;
@@ -814,10 +816,11 @@ fn participant_thread(
     // by the receiver comparing bytes against the sender's own public
     // claim, *before* the mismatched challenge sums could wreck the
     // prover's verification and get an honest prover blamed.
-    // Transcripts are collected as they arrive and verified in one batch
-    // (a single aggregate multi-exponentiation) after the round; on
-    // rejection the fallback scan inside `verify_batch` runs in prover
-    // order, so the first dishonest prover is still the one named.
+    // Every prover's transcript, this party's own included, is recorded
+    // with its n − 1 challenge shares in verifier order, and all n are
+    // checked after the round as one `KeygenVerifyJob` — the job the
+    // sorting machine parks — whose rejection names the first dishonest
+    // prover in protocol order.
     let recv_share_echoed = |ctx: &Ctx, prover: usize, j: usize| {
         let bytes = ctx.recv(j)?;
         let mut r = Reader::new(bytes);
@@ -835,23 +838,22 @@ fn participant_thread(
         }
         Ok(share)
     };
-    let mut foreign_proofs: Vec<(usize, SchnorrTranscript)> = Vec::with_capacity(n - 1);
-    #[allow(clippy::needless_range_loop)] // protocol round over 1-based party IDs
+    let mut transcripts: Vec<MultiVerifierTranscript> = Vec::with_capacity(n);
     for prover in 1..=n {
         if prover == me {
-            let (st, commitment) = SchnorrProver::commit(&group, kp.secret_key().clone(), &mut rng);
+            let nonce = SchnorrNonce::draw(&group, &mut rng);
             let mut w_out = Writer::framed();
-            w_out.put_element(&group, &commitment);
+            w_out.put_element(&group, nonce.commitment());
             ctx.bcast_participants(&w_out.finish())?;
-            let mut total = group.scalar_from_u64(0);
+            let mut shares = Vec::with_capacity(n - 1);
             for j in participants_except(n, me) {
-                let share = recv_share_echoed(&ctx, prover, j)?;
-                total = group.scalar_add(&total, &share);
+                shares.push(recv_share_echoed(&ctx, prover, j)?);
             }
-            let transcript = st.respond(&total, commitment);
+            let proof = MultiVerifierProof::assemble(&group, kp.secret_key(), nonce, shares);
             let mut w_out = Writer::framed();
-            w_out.put_scalar(&group, &transcript.response);
+            w_out.put_scalar(&group, &proof.response);
             ctx.bcast_participants(&w_out.finish())?;
+            transcripts.push(proof);
         } else {
             let bytes = ctx.recv(prover)?;
             let mut r = Reader::new(bytes);
@@ -865,49 +867,42 @@ fn participant_thread(
             let mut w_out = Writer::framed();
             w_out.put_raw(&share_digest(&group, prover, me, &c_mine));
             ctx.bcast_participants(&w_out.finish())?;
-            // Gather the other verifiers' shares (with their echoes).
-            let mut total = c_mine;
-            for j in participants_except(n, me) {
-                if j == prover {
-                    continue;
-                }
-                let share = recv_share_echoed(&ctx, prover, j)?;
-                total = group.scalar_add(&total, &share);
+            // Every verifier's share in verifier order: mine, and the
+            // others' as they arrive (with their echoes).
+            let mut shares = Vec::with_capacity(n - 1);
+            for j in participants_except(n, prover) {
+                shares.push(if j == me {
+                    c_mine.clone()
+                } else {
+                    recv_share_echoed(&ctx, prover, j)?
+                });
             }
             let bytes = ctx.recv(prover)?;
             let mut r = Reader::new(bytes);
             let response = try_wire!(ctx, prover, r.scalar(&group));
             try_wire!(ctx, prover, r.done());
-            // g^z = h · y^Σc, checked for all provers at once below.
-            foreign_proofs.push((
-                prover,
-                SchnorrTranscript {
-                    commitment,
-                    challenge: total,
-                    response,
+            transcripts.push(MultiVerifierTranscript {
+                commitment,
+                challenges: shares,
+                response,
+            });
+        }
+    }
+    let shares = public_shares.split_off(1);
+    KeygenVerifyJob::new(&group, shares.clone(), transcripts)
+        .verify_inline()
+        .map_err(|e| {
+            ctx.fail(match e {
+                SortError::ProofRejected { party } => DistributedError::ProofRejected { party },
+                other => DistributedError::Protocol {
+                    party: me,
+                    what: other.to_string(),
                 },
-            ));
-        }
-    }
-    {
-        let items: Vec<(&ppgr_group::Element, &SchnorrTranscript)> = foreign_proofs
-            .iter()
-            .map(|(p, t)| (&public_shares[*p], t))
-            .collect();
-        if let Err(i) = verify_batch(&group, &items) {
-            let prover = foreign_proofs[i].0;
-            return Err(ctx.fail(DistributedError::ProofRejected { party: prover }));
-        }
-    }
-    let joint = JointKey::combine(
-        &group,
-        &(1..=n)
-            .map(|j| public_shares[j].clone())
-            .collect::<Vec<_>>(),
-    );
+            })
+        })?;
     // One comb table for the joint key serves every encryption and
     // rerandomization below.
-    let key_table = scheme.prepare_key(joint.public_key());
+    let key_table = scheme.prepare_key(JointKey::combine(&group, &shares).public_key());
 
     // ---- Step 6: bitwise encryption, broadcast. ------------------------
     ctx.enter(Phase::Encrypt)?;
@@ -941,59 +936,32 @@ fn participant_thread(
 
     // ---- Step 7: comparisons against every opponent. --------------------
     ctx.enter(Phase::Compare)?;
-    let my_set = compare_set(&scheme, &key_table, &beta, &all_bits, me, l, &mut rng);
+    let masks = MaskPair::draw(&group, &mut rng, (n - 1) * l);
+    let opponents: Vec<&[Ciphertext]> = participants_except(n, me)
+        .map(|j| all_bits[j].as_slice())
+        .collect();
+    let (my_set, _cpu) = tau_set(&scheme, &key_table, &opponents, &beta, l, masks, 1);
 
     // ---- Step 8: the shuffle-decrypt chain. -----------------------------
     ctx.enter(Phase::Hop)?;
-    let process = |sets: &mut Vec<Vec<Ciphertext>>, rng: &mut HashDrbg| {
-        // A replaced set's buffer holds the next set's output.
-        let mut scratch = Vec::new();
-        for (owner_minus_1, set) in sets.iter_mut().enumerate() {
-            if owner_minus_1 + 1 == me {
-                continue;
-            }
-            hop_set(&scheme, kp.secret_key(), set, rng, &mut scratch);
-            std::mem::swap(set, &mut scratch);
-        }
-    };
-    let encode_sets = |sets: &[Vec<Ciphertext>]| {
-        let mut w_out = Writer::framed();
-        w_out.put_len(sets.len())?;
-        for set in sets {
-            w_out.put_ciphertexts(&group, set)?;
-        }
-        Ok::<_, crate::wire::WireError>(w_out.finish())
-    };
-    let my_final_set: Vec<Ciphertext>;
-    if me == 1 {
-        // Collect everyone's set, process, pass on.
-        let mut sets: Vec<Vec<Ciphertext>> = vec![Vec::new(); n];
-        sets[0] = my_set;
+    let mut sets: Vec<Vec<Ciphertext>> = if me == 1 {
+        // Collect everyone's set.
+        let mut sets = vec![my_set];
         for j in 2..=n {
             let bytes = ctx.recv(j)?;
             let mut r = Reader::new(bytes);
-            sets[j - 1] = try_wire!(ctx, j, r.ciphertexts(&group));
+            let set = try_wire!(ctx, j, r.ciphertexts(&group));
             try_wire!(ctx, j, r.done());
-            check_set(&ctx, &group, &sets[j - 1], j, (n - 1) * l)?;
+            check_set(&ctx, &group, &set, j, (n - 1) * l)?;
+            sets.push(set);
         }
-        process(&mut sets, &mut rng);
-        if n >= 2 {
-            let encoded = try_wire!(ctx, me, encode_sets(&sets));
-            ctx.send(2, encoded)?;
-        }
-        // My set comes back from P_n after the whole chain: n − 1 hops.
-        let bytes = ctx.recv_scaled(n, n as u32)?;
-        let mut r = Reader::new(bytes);
-        my_final_set = try_wire!(ctx, n, r.ciphertexts(&group));
-        try_wire!(ctx, n, r.done());
-        check_set(&ctx, &group, &my_final_set, n, (n - 1) * l)?;
+        sets
     } else {
-        // Send my comparison set to P₁ first.
+        // Send my comparison set to P₁ first, then receive V from my
+        // predecessor (me − 1 upstream hops).
         let mut w_out = Writer::framed();
         try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_set));
         ctx.send(1, w_out.finish())?;
-        // Receive V from my predecessor (me − 1 upstream hops), process,
-        // forward.
         let bytes = ctx.recv_scaled(me - 1, me as u32)?;
         let mut r = Reader::new(bytes);
         let count = try_wire!(ctx, me - 1, r.len());
@@ -1008,38 +976,39 @@ fn participant_thread(
         for set in &sets {
             check_set(&ctx, &group, set, me - 1, (n - 1) * l)?;
         }
-        process(&mut sets, &mut rng);
-        if me < n {
-            let encoded = try_wire!(ctx, me, encode_sets(&sets));
-            ctx.send(me + 1, encoded)?;
-            // Own set returns from P_n at chain end.
-            let bytes = ctx.recv_scaled(n, n as u32)?;
-            let mut r = Reader::new(bytes);
-            my_final_set = try_wire!(ctx, n, r.ciphertexts(&group));
-            try_wire!(ctx, n, r.done());
-            check_set(&ctx, &group, &my_final_set, n, (n - 1) * l)?;
-        } else {
-            // I am P_n: return every set to its owner; keep mine.
-            for owner in 1..n {
-                let mut w_out = Writer::framed();
-                try_wire!(ctx, me, w_out.put_ciphertexts(&group, &sets[owner - 1]));
-                ctx.send(owner, w_out.finish())?;
-            }
-            my_final_set = match sets.pop() {
-                Some(set) => set,
-                None => return Err(ctx.protocol(me, "chain vector lost the final set")),
-            };
+        sets
+    };
+    let jobs = draw_hop(&group, kp.secret_key(), &sets, me, &mut rng);
+    chain_hop(&scheme, &mut sets, &jobs, kp.secret_key(), 1);
+    let my_final_set = if me < n {
+        // Pass V on; my own set returns from P_n at chain end (n − 1 hops).
+        let mut w_out = Writer::framed();
+        try_wire!(ctx, me, w_out.put_len(sets.len()));
+        for set in &sets {
+            try_wire!(ctx, me, w_out.put_ciphertexts(&group, set));
         }
-    }
+        ctx.send(me + 1, w_out.finish())?;
+        let bytes = ctx.recv_scaled(n, n as u32)?;
+        let mut r = Reader::new(bytes);
+        let set = try_wire!(ctx, n, r.ciphertexts(&group));
+        try_wire!(ctx, n, r.done());
+        check_set(&ctx, &group, &set, n, (n - 1) * l)?;
+        set
+    } else {
+        // I am P_n: return every set to its owner; keep mine.
+        for owner in 1..n {
+            let mut w_out = Writer::framed();
+            try_wire!(ctx, me, w_out.put_ciphertexts(&group, &sets[owner - 1]));
+            ctx.send(owner, w_out.finish())?;
+        }
+        match sets.pop() {
+            Some(set) => set,
+            None => return Err(ctx.protocol(me, "chain vector lost the final set")),
+        }
+    };
 
     // ---- Step 9: count zeros → rank. ------------------------------------
-    let mut stripped = Vec::with_capacity(my_final_set.len());
-    scheme.partial_decrypt_gather_into(&my_final_set, kp.secret_key(), None, &mut stripped);
-    let zeros = stripped
-        .iter()
-        .filter(|ct| group.is_identity(&ct.alpha))
-        .count();
-    let rank = zeros + 1;
+    let rank = count_zeros(&scheme, &my_final_set, kp.secret_key(), None) + 1;
 
     // ---- Phase 3: submit or decline. ------------------------------------
     ctx.enter(Phase::Submit)?;
@@ -1058,52 +1027,34 @@ fn participant_thread(
     Ok(rank)
 }
 
-/// Step 7 for party `me`: her comparison set against every opponent in id
-/// order (`all_bits[j]` holds party `j`'s `l` published bit encryptions),
-/// then rerandomized under the joint key with masks drawn from `rng`. The
-/// raw set is a deterministic function of public bit encryptions and
-/// `beta`, so it must never leave her hands unrerandomized.
-fn compare_set<R: Rng + ?Sized>(
-    scheme: &ExpElGamal,
-    key_table: &FixedBaseTable,
-    beta: &BigUint,
-    all_bits: &[Vec<Ciphertext>],
-    me: usize,
-    l: usize,
-    rng: &mut R,
-) -> Vec<Ciphertext> {
-    let n = all_bits.len() - 1;
-    let raw: Vec<Ciphertext> = participants_except(n, me)
-        .flat_map(|j| compare_encrypted(scheme, beta, &all_bits[j], l))
-        .collect();
-    let masks = MaskPair::draw(scheme.group(), rng, raw.len());
-    scheme.rerandomize_batch_with_precomputed(key_table, &raw, masks)
-}
-
-/// One foreign set's share of a chain hop (paper Fig. 1 step 8), written
-/// into `out`: strip the hop owner's key layer, multiply every plaintext
-/// by a fresh nonzero randomizer, and shuffle. The randomizers are drawn
-/// in input order and the shuffle after them — the draws a per-ciphertext
-/// loop followed by an in-place shuffle would make — and the shuffle is
-/// folded into result placement by the gathered hop kernel.
-fn hop_set<R: Rng + ?Sized>(
-    scheme: &ExpElGamal,
+/// Party `me`'s draws for her chain hop: for each foreign set in `sets`
+/// (indexed by owner − 1), in owner order, fresh nonzero plaintext
+/// randomizers prepared under her key share `secret`, then the set's
+/// shuffle — the draws a per-ciphertext loop followed by an in-place
+/// shuffle would make.
+fn draw_hop<R: Rng + ?Sized>(
+    group: &Group,
     secret: &Scalar,
-    set: &[Ciphertext],
+    sets: &[Vec<Ciphertext>],
+    me: usize,
     rng: &mut R,
-    out: &mut Vec<Ciphertext>,
-) {
-    let group = scheme.group();
-    let rs: Vec<Scalar> = (0..set.len())
-        .map(|_| group.random_nonzero_scalar(rng))
-        .collect();
-    // Fisher–Yates swaps depend only on the length, so shuffling the
-    // identity permutation consumes exactly the draws shuffling the set
-    // would, and `order[j]` names the input landing at position `j`.
-    let mut order: Vec<usize> = (0..set.len()).collect();
-    order.shuffle(rng);
-    let prep = group.prepare_hop_scalars(secret, &rs);
-    scheme.partial_decrypt_randomize_prepared_gather_into(set, &prep, Some(&order), out);
+) -> Vec<HopJob> {
+    sets.iter()
+        .enumerate()
+        .filter(|&(owner, _)| owner + 1 != me)
+        .map(|(owner, set)| {
+            let rs: Vec<Scalar> = (0..set.len())
+                .map(|_| group.random_nonzero_scalar(rng))
+                .collect();
+            // Fisher–Yates swaps depend only on the length, so shuffling
+            // the identity permutation consumes exactly the draws shuffling
+            // the set would, and `order[j]` names the input landing at
+            // position `j`.
+            let mut order: Vec<usize> = (0..set.len()).collect();
+            order.shuffle(rng);
+            (owner, Some(group.prepare_hop_scalars(secret, &rs)), order)
+        })
+        .collect()
 }
 
 /// Domain-separated digest binding a keygen challenge share to its prover
@@ -1184,7 +1135,9 @@ fn participants_except(n: usize, me: usize) -> impl Iterator<Item = usize> {
 mod tests {
     use super::*;
     use crate::attrs::Questionnaire;
+    use crate::circuit::compare_encrypted;
     use crate::framework::GroupRanking;
+    use ppgr_bigint::BigUint;
     use ppgr_elgamal::encrypt_bits;
     use ppgr_group::GroupKind;
 
@@ -1255,49 +1208,68 @@ mod tests {
     }
 
     #[test]
-    fn hop_set_matches_the_per_ciphertext_loop() {
-        // The batched hop must return exactly what the reference loop does
-        // — partial_decrypt, a fresh nonzero randomizer, randomize_plaintext
-        // per ciphertext, then a shuffle of the set — and leave the stream
-        // where that loop leaves it.
+    fn chain_hop_matches_the_per_ciphertext_loop() {
+        // A mesh party's hop draws plus the shared hop body must return
+        // exactly what the reference loop does — for each foreign set, in
+        // owner order: partial_decrypt, a fresh nonzero randomizer and
+        // randomize_plaintext per ciphertext, then a shuffle of the set —
+        // on any worker count, and leave the stream where that loop leaves
+        // it. With sets of 7, two foreign sets on three workers and three
+        // on two each put a range boundary inside a set.
         for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
             let group = kind.group();
             let scheme = ExpElGamal::new(group.clone());
             let mut rng = HashDrbg::seed_from_u64(3);
             let kp = KeyPair::generate(&group, &mut rng);
-            let set: Vec<Ciphertext> = (0..7)
-                .map(|m| scheme.encrypt(kp.public_key(), &group.scalar_from_u64(m % 3), &mut rng))
-                .collect();
-            let mut loop_rng = HashDrbg::seed_from_u64(17);
-            let mut expect: Vec<Ciphertext> = set
-                .iter()
-                .map(|ct| {
-                    let c = scheme.partial_decrypt(ct, kp.secret_key());
-                    let r = group.random_nonzero_scalar(&mut loop_rng);
-                    scheme.randomize_plaintext(&c, &r)
-                })
-                .collect();
-            let unshuffled = expect.clone();
-            expect.shuffle(&mut loop_rng);
-            let mut hop_rng = HashDrbg::seed_from_u64(17);
-            // Stale buffer contents must be replaced, not appended to.
-            let mut out = vec![set[0].clone()];
-            hop_set(&scheme, kp.secret_key(), &set, &mut hop_rng, &mut out);
-            assert_eq!(out, expect, "{kind}");
-            assert_ne!(out, unshuffled, "{kind}: the shuffle applies");
-            assert_eq!(
-                hop_rng.gen::<u64>(),
-                loop_rng.gen::<u64>(),
-                "{kind}: same draws consumed"
-            );
+            for (n, me) in [(3, 2), (4, 4)] {
+                let sets: Vec<Vec<Ciphertext>> = (0..n)
+                    .map(|_| {
+                        (0..7)
+                            .map(|m| {
+                                let m = group.scalar_from_u64(m % 3);
+                                scheme.encrypt(kp.public_key(), &m, &mut rng)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut loop_rng = HashDrbg::seed_from_u64(17);
+                let mut expect = sets.clone();
+                for (owner, set) in expect.iter_mut().enumerate() {
+                    if owner + 1 == me {
+                        continue;
+                    }
+                    *set = set
+                        .iter()
+                        .map(|ct| {
+                            let c = scheme.partial_decrypt(ct, kp.secret_key());
+                            let r = group.random_nonzero_scalar(&mut loop_rng);
+                            scheme.randomize_plaintext(&c, &r)
+                        })
+                        .collect();
+                    set.shuffle(&mut loop_rng);
+                }
+                let next = loop_rng.gen::<u64>();
+                for workers in [1, 2, 3] {
+                    let label = format!("{kind} n={n} workers={workers}");
+                    let mut hop_rng = HashDrbg::seed_from_u64(17);
+                    let mut hopped = sets.clone();
+                    let jobs = draw_hop(&group, kp.secret_key(), &hopped, me, &mut hop_rng);
+                    assert_eq!(jobs.len(), n - 1, "{label}");
+                    chain_hop(&scheme, &mut hopped, &jobs, kp.secret_key(), workers);
+                    assert_eq!(hopped, expect, "{label}");
+                    assert_eq!(hopped[me - 1], sets[me - 1], "{label}: own set untouched");
+                    assert_eq!(hop_rng.gen::<u64>(), next, "{label}: same draws consumed");
+                }
+            }
         }
     }
 
     #[test]
-    fn compare_set_is_rerandomized_with_the_raw_zero_pattern() {
+    fn tau_set_is_rerandomized_with_the_raw_zero_pattern() {
         // The τ set a party sends must decrypt, under the joint secret, to
         // the raw circuit output's zero pattern, yet share no ciphertext
-        // with it — the raw bytes are recomputable from public data.
+        // with it — the raw bytes are recomputable from public data — and
+        // the same masks give the same set on any worker count.
         let group = GroupKind::Ecc160.group();
         let scheme = ExpElGamal::new(group.clone());
         let mut rng = HashDrbg::seed_from_u64(29);
@@ -1322,10 +1294,13 @@ mod tests {
             })
             .collect();
         let beta = BigUint::from(values[me]);
-        let raw: Vec<Ciphertext> = participants_except(n, me)
-            .flat_map(|j| compare_encrypted(&scheme, &beta, &all_bits[j], l))
+        let opponents: Vec<&[Ciphertext]> = participants_except(n, me)
+            .map(|j| all_bits[j].as_slice())
             .collect();
-        let sent = compare_set(&scheme, &key_table, &beta, &all_bits, me, l, &mut rng);
+        let raw: Vec<Ciphertext> = opponents
+            .iter()
+            .flat_map(|bits| compare_encrypted(&scheme, &beta, bits, l))
+            .collect();
         let zeros = |set: &[Ciphertext]| -> Vec<bool> {
             set.iter()
                 .map(|ct| scheme.decrypts_to_zero(&joint_secret, ct))
@@ -1333,11 +1308,21 @@ mod tests {
         };
         let pattern = zeros(&raw);
         assert!(pattern.contains(&true) && pattern.contains(&false));
-        assert_eq!(zeros(&sent), pattern);
         let published: HashSet<Vec<u8>> = raw.iter().map(|ct| ct.encode(&group)).collect();
-        assert!(sent
-            .iter()
-            .all(|ct| !published.contains(&ct.encode(&group))));
+        let sent: Vec<Vec<Ciphertext>> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let masks = MaskPair::draw(&group, &mut HashDrbg::seed_from_u64(41), raw.len());
+                let (sent, _cpu) =
+                    tau_set(&scheme, &key_table, &opponents, &beta, l, masks, workers);
+                assert_eq!(zeros(&sent), pattern, "workers={workers}");
+                assert!(sent
+                    .iter()
+                    .all(|ct| !published.contains(&ct.encode(&group))));
+                sent
+            })
+            .collect();
+        assert_eq!(sent[0], sent[1], "worker count changes no byte");
     }
 
     #[test]

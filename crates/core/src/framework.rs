@@ -392,10 +392,11 @@ impl SessionMachine {
                 // from the same stream, so transcripts do not depend on
                 // which side did the work.
                 if self.offline.is_none() {
-                    self.offline = Some(OfflineStock::generate_cold(
-                        self.offline_fingerprint(),
-                        resolve_threads(self.sort_options.threads),
-                    ));
+                    let workers = resolve_threads(self.sort_options.threads);
+                    let stock =
+                        OfflineStock::generate(self.offline_fingerprint(), workers, || false)
+                            .ok_or(RunError::Internal("uncancelled offline generation stopped"))?;
+                    self.offline = Some(stock);
                 }
                 self.phase = SessionPhase::Gain;
                 Ok(SessionStatus::Pending)

@@ -75,7 +75,7 @@ pub use distributed::{
     DistributedFailure, DistributedOutcome,
 };
 pub use framework::{GroupRanking, Outcome, PhaseTimings, RunError, SessionMachine, SessionStatus};
-pub use offline::{KeyStock, OfflineStock, StockFingerprint, StockTier, STOCK_LAYOUT};
+pub use offline::{OfflineStock, StockFingerprint, STOCK_LAYOUT};
 pub use params::{bit_length, FrameworkParams, FrameworkParamsBuilder, ParamError};
 pub use sorting::{
     unlinkable_sort, verify_deferred_jobs, KeygenVerifyJob, SortError, SortMachine, SortOptions,

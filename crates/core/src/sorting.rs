@@ -22,16 +22,13 @@
 //!    and counts zeros: `rank = zeros + 1`.
 
 use crate::circuit::compare_encrypted;
-use crate::offline::{KeyMaterial, OfflineStock};
+use crate::offline::OfflineStock;
 use crate::timing::PartyTimer;
 use ppgr_bigint::BigUint;
-use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair};
-use ppgr_group::{Element, Group, GroupKind, HopScalars};
+use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, KeyPair, MaskPair};
+use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
 use ppgr_net::TrafficLog;
-use ppgr_zkp::{
-    verify_multi_batch_all, verify_sessions_multi_batch, MultiVerifierProof,
-    MultiVerifierTranscript,
-};
+use ppgr_zkp::{verify_sessions_multi_batch, MultiVerifierTranscript};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::error::Error;
@@ -57,9 +54,12 @@ pub enum SortError {
         /// The accused prover (1-based).
         party: usize,
     },
-    /// A pool offered an offline stock minted for a different group
-    /// instantiation. Silently regenerating would hide a mis-keyed pool
-    /// lane, so the mismatch is surfaced instead.
+    /// A caller attached an offline stock minted for a different group
+    /// instantiation straight to a [`SortMachine`]. The typed error guards
+    /// such direct callers. A precompute pool lane cannot mis-key: it mints
+    /// from the session's own fingerprint, and
+    /// [`SessionMachine::attach_offline_stock`](crate::SessionMachine::attach_offline_stock)
+    /// refuses any other (the session then runs cold).
     StockGroupMismatch {
         /// The session's group.
         expected: GroupKind,
@@ -144,14 +144,15 @@ impl Default for SortOptions {
 ///
 /// Carries the published key shares (the statements) and the parties'
 /// proofs of key knowledge in protocol order. Every verifier of the
-/// multi-verifier proofs (paper Sec. IV-E) checks the same `n − 1` foreign
-/// transcripts against the same public keys, so inside one process
-/// checking each proof once gives every verifier's verdict. A batching
-/// caller claims the job ([`SortMachine::take_pending_verify`]) and folds
-/// many sessions' jobs into one aggregate equation
-/// ([`verify_deferred_jobs`]) without changing any session's verdict or
-/// blame; a job nobody claims is settled by the machine itself, with
-/// [`KeygenVerifyJob::verify_inline`], at the start of its next step.
+/// multi-verifier proofs (paper Sec. IV-E) checks the same transcripts
+/// against the same public keys, so inside one process checking each
+/// proof once gives every verifier's verdict. A batching caller claims the
+/// job ([`SortMachine::take_pending_verify`]) and folds many sessions'
+/// jobs into one aggregate equation ([`verify_deferred_jobs`]) without
+/// changing any session's verdict or blame; a job nobody claims is settled
+/// by the machine itself, with [`KeygenVerifyJob::verify_inline`], at the
+/// start of its next step. A mesh party builds the same job over the
+/// transcripts it observed, its own included, and settles it inline.
 #[derive(Debug)]
 pub struct KeygenVerifyJob {
     group: Group,
@@ -160,6 +161,20 @@ pub struct KeygenVerifyJob {
 }
 
 impl KeygenVerifyJob {
+    /// A job over `n` published shares and the `n` transcripts proving
+    /// knowledge of them, both in party order.
+    pub(crate) fn new(
+        group: &Group,
+        statements: Vec<Element>,
+        proofs: Vec<MultiVerifierTranscript>,
+    ) -> Self {
+        KeygenVerifyJob {
+            group: group.clone(),
+            statements,
+            proofs,
+        }
+    }
+
     /// The group instantiation the proofs live in. Jobs may only be batched
     /// with jobs of the same kind; [`verify_deferred_jobs`] partitions by
     /// this internally.
@@ -176,22 +191,20 @@ impl KeygenVerifyJob {
         self.statements.iter().zip(self.proofs.iter()).collect()
     }
 
-    /// Verifies this job alone, without cross-session batching: one
-    /// aggregate multi-exponentiation over the session's `n` proofs.
+    /// Verifies this job alone, as a batch of one
+    /// ([`verify_deferred_jobs`]): one aggregate multi-exponentiation over
+    /// the session's `n` proofs.
     ///
     /// # Errors
     ///
     /// [`SortError::ProofRejected`] naming the first dishonest prover in
     /// protocol order.
     pub fn verify_inline(&self) -> Result<(), SortError> {
-        verify_multi_batch_all(&self.group, &self.items()).map_err(|rejected| {
-            SortError::ProofRejected {
-                // `verify_multi_batch_all` only errs with a non-empty,
-                // ascending rejection list; the fallback party 1 is
-                // unreachable but keeps the mapping total.
-                party: rejected.first().map_or(1, |&p| p + 1),
-            }
-        })
+        verify_deferred_jobs(std::slice::from_ref(self))
+            .pop()
+            .unwrap_or(Err(SortError::Internal(
+                "a settled batch yields one verdict per job",
+            )))
     }
 }
 
@@ -314,6 +327,149 @@ fn pieces(range: Range<usize>, len: usize) -> impl Iterator<Item = (usize, Range
         at += stop - offset;
         Some((segment, offset..stop))
     })
+}
+
+/// Step 7's body (paper Fig. 1): a party's τ set against the opponents'
+/// published bit vectors `opponents` (in opponent order), rerandomized
+/// under the joint key with the single-use mask row `masks`, one mask per
+/// set ciphertext. The `n − 1` comparisons, then the masks, split into
+/// near-equal ranges over `workers` threads. Returns the set and the CPU
+/// time spent.
+///
+/// The raw τ set is a *deterministic* homomorphic combination of the
+/// published bit encryptions, keyed only by the party's `l`-bit value —
+/// anyone who sees it before its first chain randomization could confirm
+/// a guess of that value by recomputing the combination. Rerandomization
+/// makes the set's bytes independent of everything published; the
+/// plaintexts (and so the ranks and zero counts) are untouched.
+///
+/// # Panics
+///
+/// Panics if `masks` does not hold one mask per set ciphertext
+/// (`opponents.len() · l`).
+pub(crate) fn tau_set(
+    scheme: &ExpElGamal,
+    key_table: &FixedBaseTable,
+    opponents: &[&[Ciphertext]],
+    value: &BigUint,
+    l: usize,
+    masks: Vec<MaskPair>,
+    workers: usize,
+) -> (Vec<Ciphertext>, Duration) {
+    let (chunks, compare_cpu) = fan_out(
+        opponents.len(),
+        workers,
+        |range| range,
+        |range| {
+            opponents[range]
+                .iter()
+                .flat_map(|bits| compare_encrypted(scheme, value, bits, l))
+                .collect::<Vec<_>>()
+        },
+    );
+    let raw: Vec<Ciphertext> = chunks.into_iter().flatten().collect();
+    // Each range takes its own slice of the (single-use) mask row.
+    let mut masks = masks.into_iter();
+    let (parts, rerandomize_cpu) = fan_out(
+        raw.len(),
+        workers,
+        |range| {
+            let row: Vec<MaskPair> = masks.by_ref().take(range.len()).collect();
+            (&raw[range], row)
+        },
+        |(cts, row)| scheme.rerandomize_batch_with_precomputed(key_table, cts, row),
+    );
+    let set = parts.into_iter().flatten().collect();
+    (set, compare_cpu + rerandomize_cpu)
+}
+
+/// One foreign set's share of a chain hop: the index of its owner's set,
+/// its plaintext randomizers prepared under the hop party's key share
+/// (`None` when the run does not randomize), and its drawn output order
+/// (`order[j]` is the input landing at position `j`).
+pub(crate) type HopJob = (usize, Option<Vec<HopScalars>>, Vec<usize>);
+
+/// Step 8's body (paper Fig. 1): one party's hop over the foreign sets
+/// `jobs` names. Every named set is partially decrypted under `secret`,
+/// multiplied by its prepared randomizers and shuffled into its drawn
+/// order, then replaces the old set in `sets`. Returns the CPU time spent.
+///
+/// The hop's output positions — the foreign sets laid end to end — split
+/// into near-equal ranges across the `workers` threads, so a set may be
+/// shared between two workers. The fused decrypt-and-randomize kernel
+/// costs ~1.7 exponentiations per ciphertext instead of 3, and the shuffle
+/// is fused into result placement, so no permutation pass remains.
+///
+/// # Panics
+///
+/// Panics if the named sets differ in length from `sets[0]`, or a job's
+/// randomizers or order do not match its set.
+pub(crate) fn chain_hop(
+    scheme: &ExpElGamal,
+    sets: &mut [Vec<Ciphertext>],
+    jobs: &[HopJob],
+    secret: &Scalar,
+    workers: usize,
+) -> Duration {
+    // Every set in a session has the same length, (n − 1)·l.
+    let len = sets[0].len();
+    let inputs: &[Vec<Ciphertext>] = sets;
+    let (outputs, cpu) = fan_out(
+        jobs.len() * len,
+        workers,
+        |range| range,
+        |range| {
+            pieces(range, len)
+                .map(|(k, local)| {
+                    let (owner, prep, order) = &jobs[k];
+                    let (set, order) = (&inputs[*owner], Some(&order[local]));
+                    let mut out = Vec::new();
+                    match prep {
+                        // `−x·r` and the recodings came prepared under the
+                        // hop party's share.
+                        Some(prep) => scheme.partial_decrypt_randomize_prepared_gather_into(
+                            set, prep, order, &mut out,
+                        ),
+                        None => scheme.partial_decrypt_gather_into(set, secret, order, &mut out),
+                    }
+                    (k, out)
+                })
+                .collect::<Vec<_>>()
+        },
+    );
+    // Reassemble each set from its pieces (in order); the hopped set
+    // replaces the old one.
+    let mut assembled: Vec<Vec<Ciphertext>> = vec![Vec::new(); jobs.len()];
+    for (k, piece) in outputs.into_iter().flatten() {
+        if assembled[k].is_empty() {
+            assembled[k] = piece;
+        } else {
+            assembled[k].extend(piece);
+        }
+    }
+    for ((owner, _, _), hopped) in jobs.iter().zip(assembled) {
+        sets[*owner] = hopped;
+    }
+    cpu
+}
+
+/// Step 9's body (paper Fig. 1): strips the owner's key layer from the
+/// returned `set` (only the `positions` given, or all of it) with one
+/// gathered partial decryption — the key share's digit recoding is done
+/// once and the masks share a single inversion — and counts the exposed
+/// `α·β^{−x}` that are the identity, i.e. the zeros.
+pub(crate) fn count_zeros(
+    scheme: &ExpElGamal,
+    set: &[Ciphertext],
+    secret: &Scalar,
+    positions: Option<&[usize]>,
+) -> usize {
+    let mut stripped = Vec::new();
+    scheme.partial_decrypt_gather_into(set, secret, positions, &mut stripped);
+    stripped
+        .iter()
+        .filter(|ct| scheme.group().is_identity(&ct.alpha))
+        .count()
 }
 
 /// Everything a run exposes beyond the ranks — consumed by the
@@ -515,8 +671,10 @@ impl SortMachine {
     /// # Errors
     ///
     /// [`SortError::StockGroupMismatch`] if the stock's fingerprint names a
-    /// different group instantiation than this session — a mis-keyed pool
-    /// lane that silently regenerating cold would hide.
+    /// different group instantiation than this session. This guards
+    /// callers that attach stocks themselves; pools attach through
+    /// [`SessionMachine::attach_offline_stock`](crate::SessionMachine::attach_offline_stock),
+    /// whose lanes mint from the session's own fingerprint.
     /// [`SortError::Internal`] if the offline step has already run, a stock
     /// is already attached, or the stock's shape does not match this
     /// session (`n` parties, `l` bits).
@@ -600,7 +758,7 @@ impl SortMachine {
                 // Offline work is charged to nobody's per-party ledger —
                 // that is the point of the split.
                 if self.stock.is_none() {
-                    self.stock = Some(OfflineStock::draw_cold(
+                    self.stock = Some(OfflineStock::draw(
                         &self.group,
                         self.n,
                         self.l,
@@ -612,7 +770,7 @@ impl SortMachine {
                 Ok(SortStatus::Pending)
             }
             SortState::KeyGen => {
-                self.step_keygen(log, timer)?;
+                self.step_keygen(log)?;
                 self.state = SortState::Encrypt;
                 Ok(SortStatus::Pending)
             }
@@ -653,64 +811,19 @@ impl SortMachine {
     /// offline stock.
     ///
     /// Keys are party randomness, not inputs, so the stock carries them:
-    /// a keygen-tier stock hands over minted key pairs, assembled proofs
-    /// and the prepared joint-key table, leaving online only the share
-    /// exchange and proof verification; a masks-tier stock hands over the
-    /// raw seeds and the minting runs here, on the clock. Both paths
-    /// produce byte-identical transcripts.
+    /// minted key pairs, assembled proofs and the prepared joint-key table,
+    /// leaving online only the share exchange and proof verification.
     ///
     /// The proofs are not checked here: the step parks them as a
     /// [`KeygenVerifyJob`], which a batching caller claims or the next
     /// step settles.
-    fn step_keygen(&mut self, log: &TrafficLog, timer: &mut PartyTimer) -> Result<(), SortError> {
+    fn step_keygen(&mut self, log: &TrafficLog) -> Result<(), SortError> {
         let n = self.n;
-        let material = self
+        let keys = self
             .stock
             .as_mut()
             .and_then(OfflineStock::take_keys)
             .ok_or(SortError::Internal("offline key stock exhausted"))?;
-        let (keys, proofs) = match material {
-            KeyMaterial::Minted {
-                pairs,
-                proofs,
-                joint: _,
-                table,
-            } => {
-                // Fully warm: the shares, proofs and the joint-key comb
-                // table were minted offline; nothing here exponentiates.
-                self.key_table = Some(table);
-                (pairs, proofs)
-            }
-            KeyMaterial::Seeds {
-                secrets,
-                nonces,
-                challenges,
-            } => {
-                // Masks tier / cold-adjacent: mint from the stocked seeds
-                // on the clock, charged to each party.
-                let keys: Vec<KeyPair> = secrets
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, s)| {
-                        timer.time(idx + 1, || {
-                            KeyPair::from_secret(&self.group, s.expose().clone())
-                        })
-                    })
-                    .collect();
-                let proofs: Vec<MultiVerifierTranscript> = keys
-                    .iter()
-                    .zip(nonces)
-                    .zip(challenges)
-                    .enumerate()
-                    .map(|(idx, ((kp, nonce), chals))| {
-                        timer.time(idx + 1, || {
-                            MultiVerifierProof::assemble(&self.group, kp.secret_key(), nonce, chals)
-                        })
-                    })
-                    .collect();
-                (keys, proofs)
-            }
-        };
         for party in 1..=n {
             // Publish y_j.
             for other in 1..=n {
@@ -730,41 +843,33 @@ impl SortMachine {
                 }
             }
         }
-        // Every verifier checks the same foreign transcripts against the
-        // same keys, so one check of each proof stands for all of them.
-        self.pending_verify = Some(KeygenVerifyJob {
-            group: self.group.clone(),
-            statements: keys.iter().map(|k| k.public_key().clone()).collect(),
-            proofs,
-        });
+        // Every verifier checks the same transcripts against the same
+        // keys, so one check of each proof stands for all of them.
+        self.pending_verify = Some(KeygenVerifyJob::new(
+            &self.group,
+            keys.pairs.iter().map(|k| k.public_key().clone()).collect(),
+            keys.proofs,
+        ));
         self.round += 3;
-        self.keys = keys;
+        self.keys = keys.pairs;
+        self.key_table = Some(keys.table);
         Ok(())
     }
 
     /// Step 6: bitwise encryption under the joint key, published to all.
     ///
-    /// A keygen-tier stock delivered the joint key's prepared comb table
-    /// (and every mask's `y^r` half) at the keygen step, so nothing here
-    /// exponentiates beyond one group operation per set bit; otherwise the
-    /// table is derived now and the `y^r` batch runs online through it.
+    /// The stock delivered the joint key's prepared comb table at the
+    /// keygen step and both halves of every mask, so nothing here
+    /// exponentiates beyond one group operation per set bit.
     fn step_encrypt(&mut self, log: &TrafficLog, timer: &mut PartyTimer) -> Result<(), SortError> {
         let n = self.n;
-        let key_table = match self.key_table.take() {
-            Some(table) => table,
-            None => {
-                let shares: Vec<_> = self.keys.iter().map(|k| k.public_key().clone()).collect();
-                let joint = JointKey::combine(&self.group, &shares);
-                // The fixed-base table for the joint key `y` is public
-                // precomputation: every party derives it from the published
-                // key shares, so its (small, amortized) cost is not charged
-                // to any single party's ledger.
-                self.scheme.prepare_key(joint.public_key())
-            }
-        };
-        let mut stock = self
+        let key_table = self
+            .key_table
+            .as_ref()
+            .ok_or(SortError::Internal("no key table at encrypt"))?;
+        let stock = self
             .stock
-            .take()
+            .as_mut()
             .ok_or(SortError::Internal("no offline stock at encrypt"))?;
         self.encrypted_bits = self
             .values
@@ -776,7 +881,7 @@ impl SortMachine {
                     .take_enc_row()
                     .ok_or(SortError::Internal("offline encryption stock exhausted"))?;
                 let cts = timer.time(party, || {
-                    encrypt_bits_with_precomputed(&self.scheme, &key_table, v, self.l, row)
+                    encrypt_bits_with_precomputed(&self.scheme, key_table, v, self.l, row)
                 });
                 for other in 1..=n {
                     if other != party {
@@ -786,26 +891,13 @@ impl SortMachine {
                 Ok(cts)
             })
             .collect::<Result<_, SortError>>()?;
-        self.stock = Some(stock);
         self.round += 1;
-        self.key_table = Some(key_table);
         Ok(())
     }
 
-    /// Step 7 for one party: she compares her plaintext value against every
-    /// other party's encrypted bits; her set is the concatenation in
-    /// `opponent_order`. The n−1 comparisons are independent and consume no
-    /// randomness, so they may fan out across worker threads.
-    ///
-    /// Before the set leaves her hands she re-randomizes every ciphertext
-    /// with a stocked `(g^s, y^s)` pair. The raw τ set is a *deterministic*
-    /// homomorphic combination of the published bit encryptions, keyed only
-    /// by her `l`-bit plaintext — anyone who sees it before its first chain
-    /// randomization (P₁ on collection, the next hop for P₁'s own set)
-    /// could confirm a guess of her value by recomputing the combination.
-    /// Re-randomization makes the set's bytes independent of everything
-    /// published, closing that hole; the plaintexts (and so the ranks and
-    /// zero counts) are untouched.
+    /// Step 7 for one party: her τ set ([`tau_set`]) against every other
+    /// party's encrypted bits, concatenated in `opponent_order` and
+    /// rerandomized with her stocked mask row before it leaves her hands.
     fn step_compare(
         &mut self,
         idx: usize,
@@ -814,48 +906,34 @@ impl SortMachine {
     ) -> Result<(), SortError> {
         let party = idx + 1;
         let opponents: Vec<usize> = (0..self.n).filter(|&i| i != idx).collect();
-        let value = &self.values[idx];
         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
         let start = Instant::now();
-        let (chunks, compare_cpu) = fan_out(
-            opponents.len(),
-            self.workers,
-            |range| range,
-            |range| {
-                opponents[range]
-                    .iter()
-                    .flat_map(|&opp| {
-                        compare_encrypted(&self.scheme, value, &self.encrypted_bits[opp], self.l)
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-        let raw: Vec<Ciphertext> = chunks.into_iter().flatten().collect();
         let row = self
             .stock
             .as_mut()
             .and_then(OfflineStock::take_compare_row)
             .ok_or(SortError::Internal("offline compare stock exhausted"))?;
-        if row.len() != raw.len() {
+        if row.len() != opponents.len() * self.l {
             return Err(SortError::Internal("offline compare stock shape mismatch"));
         }
         let key_table = self
             .key_table
             .as_ref()
             .ok_or(SortError::Internal("no key table at compare"))?;
-        // Each range takes its own slice of the (single-use) mask row.
-        let mut masks = row.into_iter();
-        let (parts, rerandomize_cpu) = fan_out(
-            raw.len(),
+        let bits: Vec<&[Ciphertext]> = opponents
+            .iter()
+            .map(|&opp| self.encrypted_bits[opp].as_slice())
+            .collect();
+        let (set, cpu) = tau_set(
+            &self.scheme,
+            key_table,
+            &bits,
+            &self.values[idx],
+            self.l,
+            row,
             self.workers,
-            |range| (masks.by_ref().take(range.len()).collect(), range),
-            |(masks, range)| {
-                self.scheme
-                    .rerandomize_batch_with_precomputed(key_table, &raw[range], masks)
-            },
         );
-        let set: Vec<Ciphertext> = parts.into_iter().flatten().collect();
-        timer.record(party, start.elapsed(), compare_cpu + rerandomize_cpu);
+        timer.record(party, start.elapsed(), cpu);
         if party != 1 {
             log.record(
                 self.round,
@@ -870,16 +948,11 @@ impl SortMachine {
         Ok(())
     }
 
-    /// Step 8 for one party: her hop of the shuffle-decrypt chain
-    /// P₁ → P₂ → … → P_n. Within the hop every output position of the n−1
-    /// foreign sets is independent; the plaintext randomizers come from
-    /// the offline stock and the shuffle permutations are pre-drawn in the
-    /// serial order, so the transcript is identical for any thread count,
-    /// then the exponentiations run batched over near-equal ranges of
-    /// those positions, one per worker — the fused decrypt-and-randomize hop
-    /// costs ~1.7 exponentiations per ciphertext instead of 3, and the
-    /// shuffle is fused into result placement so no permutation pass (or
-    /// its per-ciphertext clones) remains.
+    /// Step 8 for one party: her hop ([`chain_hop`]) of the shuffle-decrypt
+    /// chain P₁ → P₂ → … → P_n. The plaintext randomizers come from the
+    /// offline stock and the shuffle permutations are drawn from `rng` in
+    /// the serial order before any worker starts, so the transcript is
+    /// identical for any thread count.
     fn step_hop<R: Rng + ?Sized>(
         &mut self,
         idx: usize,
@@ -892,15 +965,14 @@ impl SortMachine {
         let start = Instant::now();
         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
         let draw_start = Instant::now();
-        let mut stock = self
+        let stock = self
             .stock
-            .take()
+            .as_mut()
             .ok_or(SortError::Internal("no offline stock at hop"))?;
-        // (owner, randomizers, output order) per foreign set. The stock
-        // always holds a randomizer set per (hop, foreign set) — its shape
-        // is options-independent — so a non-randomizing run simply leaves
-        // them unconsumed.
-        let jobs: Vec<(usize, Vec<HopScalars>, Vec<usize>)> = self
+        // The stock always holds a randomizer set per (hop, foreign set) —
+        // its shape is options-independent — so a non-randomizing run
+        // simply leaves them unconsumed.
+        let jobs: Vec<HopJob> = self
             .sets
             .iter()
             .enumerate()
@@ -913,13 +985,13 @@ impl SortMachine {
                     if prep.len() != set.len() {
                         return Err(SortError::Internal("offline hop stock shape mismatch"));
                     }
-                    prep
+                    Some(prep)
                 } else {
-                    Vec::new()
+                    None
                 };
                 // A permutation shuffled with the same draws the in-place
                 // `shuffle` would consume (Fisher–Yates swaps depend only
-                // on the length), fused into result placement below.
+                // on the length), fused into result placement.
                 let mut order: Vec<usize> = (0..set.len()).collect();
                 if self.options.shuffle {
                     order.shuffle(rng);
@@ -927,62 +999,14 @@ impl SortMachine {
                 Ok((owner, prep, order))
             })
             .collect::<Result<_, SortError>>()?;
-        self.stock = Some(stock);
         let draw_cpu = draw_start.elapsed();
-        let Self {
-            sets,
-            scheme,
-            keys,
-            options,
-            workers,
-            ..
-        } = self;
-        let secret = keys[idx].secret_key();
-        let randomize = options.randomize;
-        // Every set in a session has the same length, (n − 1)·l.
-        let len = sets[0].len();
-        // The hop's output positions — the n − 1 foreign sets laid end to
-        // end — split into near-equal ranges across the workers, so a set
-        // may be shared between two workers.
-        let (outputs, cpu) = fan_out(
-            jobs.len() * len,
-            *workers,
-            |range| range,
-            |range| {
-                pieces(range, len)
-                    .map(|(k, local)| {
-                        let (owner, prep, order) = &jobs[k];
-                        let (set, order) = (&sets[*owner], Some(&order[local]));
-                        let mut out = Vec::new();
-                        if randomize {
-                            // `−x·r` and the recodings came precomputed; the
-                            // stored secret products already bind to this
-                            // party's share (the keygen step installed the
-                            // same stock's keys).
-                            scheme.partial_decrypt_randomize_prepared_gather_into(
-                                set, prep, order, &mut out,
-                            );
-                        } else {
-                            scheme.partial_decrypt_gather_into(set, secret, order, &mut out);
-                        }
-                        (k, out)
-                    })
-                    .collect::<Vec<_>>()
-            },
+        let cpu = chain_hop(
+            &self.scheme,
+            &mut self.sets,
+            &jobs,
+            self.keys[idx].secret_key(),
+            self.workers,
         );
-        // Reassemble each set from its pieces (in order); the hopped set
-        // replaces the old one.
-        let mut assembled: Vec<Vec<Ciphertext>> = vec![Vec::new(); jobs.len()];
-        for (k, piece) in outputs.into_iter().flatten() {
-            if assembled[k].is_empty() {
-                assembled[k] = piece;
-            } else {
-                assembled[k].extend(piece);
-            }
-        }
-        for ((owner, _, _), hopped) in jobs.iter().zip(assembled) {
-            sets[*owner] = hopped;
-        }
         timer.record(party, start.elapsed(), draw_cpu + cpu);
         // Hand the whole vector V to the next party in the chain.
         if party < self.n {
@@ -994,8 +1018,8 @@ impl SortMachine {
     }
 
     /// Return traffic + step 9: each owner strips her own layer and counts
-    /// zeros, then the result and trace are assembled (moving, not cloning,
-    /// the protocol state).
+    /// zeros ([`count_zeros`]), then the result and trace are assembled
+    /// (moving, not cloning, the protocol state).
     fn step_finish(&mut self, log: &TrafficLog, timer: &mut PartyTimer) {
         let n = self.n;
         // P_n returns each set to its owner.
@@ -1008,11 +1032,8 @@ impl SortMachine {
         self.round += 1;
 
         // Every owner's returned ciphertexts, laid end to end, split into
-        // near-equal ranges across the workers. Each piece strips its
-        // owner's layer with one gathered partial decryption — the key
-        // share's digit recoding is done once per piece and the masks
-        // share a single inversion — then the zero test is an identity
-        // check on each exposed `α·β^{−x}`. This is RNG-free and
+        // near-equal ranges across the workers; each piece counts its
+        // owner's zeros among its positions. This is RNG-free and
         // wire-free, so the transcript is unchanged.
         let len = self.sets[0].len();
         let positions: Vec<usize> = (0..len).collect();
@@ -1025,17 +1046,12 @@ impl SortMachine {
                     .map(|(owner, local)| {
                         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
                         let start = Instant::now();
-                        let mut out = Vec::new();
-                        self.scheme.partial_decrypt_gather_into(
+                        let zeros = count_zeros(
+                            &self.scheme,
                             &self.sets[owner],
                             self.keys[owner].secret_key(),
                             Some(&positions[local]),
-                            &mut out,
                         );
-                        let zeros = out
-                            .iter()
-                            .filter(|ct| self.group.is_identity(&ct.alpha))
-                            .count();
                         (owner, zeros, start.elapsed())
                     })
                     .collect::<Vec<_>>()
@@ -1264,7 +1280,7 @@ mod tests {
             ..SortOptions::default()
         };
         let mut machine = SortMachine::new(&group, &values, 8, options, 0).unwrap();
-        let mut stock = OfflineStock::draw_cold(&group, values.len(), 8, &mut stock_rng, 1);
+        let mut stock = OfflineStock::draw(&group, values.len(), 8, &mut stock_rng, 1);
         if let Some(party) = corrupt {
             stock.corrupt_key_proof(&group, party);
         }
@@ -1350,7 +1366,7 @@ mod tests {
                 ..SortOptions::default()
             };
             let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            let mut stock = OfflineStock::draw_cold(&group, 3, 4, &mut stock_rng, 1);
+            let mut stock = OfflineStock::draw(&group, 3, 4, &mut stock_rng, 1);
             if let Some(party) = corrupt {
                 stock.corrupt_key_proof(&group, party);
             }

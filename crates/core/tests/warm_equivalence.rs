@@ -1,7 +1,6 @@
-//! Warm-vs-cold equivalence properties for the offline stock tiers.
+//! Warm-vs-cold equivalence properties for the offline stock.
 //!
-//! A session served from the precompute pool — whether the stock carries
-//! only mask halves or the full keygen tier — must be indistinguishable
+//! A session served from the precompute pool must be indistinguishable
 //! on the wire from a cold session: identical ranks AND identical
 //! traffic transcripts, for arbitrary `(n, seed)`.
 
@@ -29,6 +28,11 @@ fn machine_for(n: usize, seed: u64) -> SessionMachine {
         .expect("machine")
 }
 
+/// The stock a pool mints for `fp`.
+fn generate(fp: StockFingerprint) -> OfflineStock {
+    OfflineStock::generate(fp, 1, || false).expect("an uncancelled generation completes")
+}
+
 fn run(mut machine: SessionMachine) -> Outcome {
     while !machine.is_done() {
         machine.step().expect("session step");
@@ -40,34 +44,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn warm_tiers_match_cold_ranks_and_transcripts(n in 2usize..5, seed in 0u64..10_000) {
+    fn warm_stock_matches_cold_ranks_and_transcripts(n in 2usize..5, seed in 0u64..10_000) {
         let cold = run(machine_for(n, seed));
 
-        let mut masks = machine_for(n, seed);
-        let stock = OfflineStock::generate_masks_only(masks.offline_fingerprint());
-        prop_assert!(masks.attach_offline_stock(stock), "masks stock must attach");
-        let masks = run(masks);
-
-        let mut keygen = machine_for(n, seed);
-        let stock = OfflineStock::generate(keygen.offline_fingerprint());
-        prop_assert!(keygen.attach_offline_stock(stock), "keygen stock must attach");
-        let keygen = run(keygen);
+        let mut warm = machine_for(n, seed);
+        let stock = generate(warm.offline_fingerprint());
+        prop_assert!(warm.attach_offline_stock(stock), "pool stock must attach");
+        let warm = run(warm);
 
         // Ranks agree and the wire transcripts are bit-identical: the
-        // tiers change where the exponentiations happen, never what is
+        // stock changes where the exponentiations happen, never what is
         // sent.
-        prop_assert_eq!(cold.ranks(), masks.ranks());
-        prop_assert_eq!(cold.ranks(), keygen.ranks());
-        prop_assert_eq!(cold.traffic(), masks.traffic());
-        prop_assert_eq!(cold.traffic(), keygen.traffic());
+        prop_assert_eq!(cold.ranks(), warm.ranks());
+        prop_assert_eq!(cold.traffic(), warm.traffic());
     }
 }
 
 #[test]
 fn wrong_group_stock_is_rejected_with_a_typed_error() {
-    // A mis-keyed pool lane (stock minted for a different group
-    // instantiation) must surface as `StockGroupMismatch`, not silently
-    // regenerate cold.
+    // A stock minted for a different group instantiation, attached
+    // straight to a sorting machine, must surface as
+    // `StockGroupMismatch`, not silently regenerate cold.
     let group = GroupKind::Ecc160.group();
     let values: Vec<_> = [3u64, 1, 2]
         .iter()
@@ -76,7 +73,7 @@ fn wrong_group_stock_is_rejected_with_a_typed_error() {
     let mut machine =
         SortMachine::new(&group, &values, 6, SortOptions::default(), 0).expect("machine");
     let foreign = StockFingerprint::new(9, 3, 6, GroupKind::Ecc224);
-    let stock = OfflineStock::generate_masks_only(foreign);
+    let stock = generate(foreign);
     match machine.attach_offline_stock(stock) {
         Err(SortError::StockGroupMismatch { expected, got }) => {
             assert_eq!(expected, GroupKind::Ecc160);
@@ -98,8 +95,7 @@ fn matching_group_but_wrong_shape_is_still_an_internal_error() {
     let mut machine =
         SortMachine::new(&group, &values, 6, SortOptions::default(), 0).expect("machine");
     // Right group, wrong participant count.
-    let stock =
-        OfflineStock::generate_masks_only(StockFingerprint::new(9, 4, 6, GroupKind::Ecc160));
+    let stock = generate(StockFingerprint::new(9, 4, 6, GroupKind::Ecc160));
     assert!(matches!(
         machine.attach_offline_stock(stock),
         Err(SortError::Internal(_))

@@ -41,11 +41,11 @@ pub fn encrypt_bits<R: Rng + ?Sized>(
 
 /// [`encrypt_bits`] through a prepared public-key table, batched, with
 /// the exponentiations optionally done ahead of time: `masks[i]` carries
-/// `r_i` and, as filled by [`MaskPair::fill`], `g^{r_i}` and — when the
-/// offline phase knew the joint key — `y^{r_i}` for bit `i`
-/// (least-significant first). With full pairs the online cost is one group
-/// operation per set bit; any missing halves are computed in one batch
-/// each, through comb tables with shared affine conversions.
+/// `r_i` and, once filled by [`MaskPair::fill`], `g^{r_i}` and `y^{r_i}`
+/// for bit `i` (least-significant first). With filled masks the online
+/// cost is one group operation per set bit; bare masks are filled first,
+/// in one batch per half, through comb tables with shared affine
+/// conversions.
 ///
 /// Consumes the masks: each is single-use. For masks drawn from the
 /// stream positions [`encrypt_bits`] would have used
@@ -69,7 +69,7 @@ pub fn encrypt_bits_with_precomputed(
     let mask_count = masks.len();
     assert_eq!(mask_count, l, "one mask pair per bit");
     let group = scheme.group();
-    MaskPair::fill(group, Some(key_table), &mut masks);
+    MaskPair::fill(group, key_table, &mut masks);
     let g1 = group.generator();
     let parts: Vec<(Element, Element)> = masks
         .into_iter()
@@ -137,8 +137,8 @@ mod tests {
     fn precomputed_masks_match_per_bit_encryption() {
         // Same stream position → bit-identical ciphertexts, which is what
         // lets the offline pool swap in without changing any wire bytes.
-        // Bare masks, half pairs (g^r only) and full pairs (y^r minted
-        // offline) must all reproduce the per-bit path exactly.
+        // Bare masks and masks filled offline must both reproduce the
+        // per-bit path exactly.
         for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
             let group = kind.group();
             let mut rng = StdRng::seed_from_u64(6);
@@ -148,10 +148,10 @@ mod tests {
             let v = BigUint::from(0b0110_0101u64);
             let mut rng_a = StdRng::seed_from_u64(77);
             let serial = encrypt_bits(&scheme, kp.public_key(), &v, 10, &mut rng_a);
-            for fill in [None, Some(None), Some(Some(&table))] {
+            for fill in [false, true] {
                 let mut masks = MaskPair::draw(&group, &mut StdRng::seed_from_u64(77), 10);
-                if let Some(key_table) = fill {
-                    MaskPair::fill(&group, key_table, &mut masks);
+                if fill {
+                    MaskPair::fill(&group, &table, &mut masks);
                 }
                 let warm = encrypt_bits_with_precomputed(&scheme, &table, &v, 10, masks);
                 assert_eq!(warm, serial, "{kind}");

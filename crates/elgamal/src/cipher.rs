@@ -36,22 +36,20 @@ impl Ciphertext {
 /// phase split.
 ///
 /// Neither half of an encryption or re-randomization mask depends on the
-/// message, so both can be computed before the session's inputs exist:
-/// the fixed-base half `g^r` always, the key-dependent half `y^r` once
-/// the joint key is known. [`MaskPair::draw`] only draws the scalars;
-/// [`MaskPair::fill`] then computes the missing halves in batches — a
-/// pool that mints keys offline fills both, leaving the online consumer
-/// nothing but group multiplications. A mask with a half still missing
-/// works too: the consuming APIs compute it through the prepared key
-/// table.
+/// message, so both can be computed before the session's inputs exist,
+/// once the joint key `y` is known. [`MaskPair::draw`] only draws the
+/// scalars; [`MaskPair::fill`] then computes both halves in batches — a
+/// pool that mints keys offline fills every mask, leaving the online
+/// consumer nothing but group multiplications. A bare mask works too: the
+/// consuming APIs fill it through the prepared key table.
 ///
 /// A mask is strictly single-use — re-using `r` across two ciphertexts
 /// gives them identical `β` components, visibly linking them — so
 /// consuming APIs take it by value.
 pub struct MaskPair {
     r: Secret<Scalar>,
-    g_r: Option<Element>,
-    y_r: Option<Element>,
+    /// `(y^r, g^r)`, once filled.
+    halves: Option<(Element, Element)>,
 }
 
 impl MaskPair {
@@ -68,36 +66,40 @@ impl MaskPair {
         (0..count)
             .map(|_| MaskPair {
                 r: Secret::new(group.random_scalar(rng)),
-                g_r: None,
-                y_r: None,
+                halves: None,
             })
             .collect()
     }
 
     /// The fixed-base component `g^r` (a ciphertext's `β`), once filled.
     pub fn g_r(&self) -> Option<&Element> {
-        self.g_r.as_ref()
+        self.halves.as_ref().map(|(_, g_r)| g_r)
     }
 
     /// The key-dependent component `y^r`, once filled.
     pub fn y_r(&self) -> Option<&Element> {
-        self.y_r.as_ref()
+        self.halves.as_ref().map(|(y_r, _)| y_r)
     }
 
-    /// Computes the missing halves of every mask in `pairs`: all absent
-    /// `g^r` in one fixed-base batch and, given the prepared table for `y`,
-    /// all absent `y^r` in one batch through it (elliptic-curve results of
-    /// a batch share a single field inversion). Halves already present are
-    /// left untouched, so the call is idempotent, and filling a row in
-    /// pieces gives the same masks as filling it whole.
-    pub fn fill(group: &Group, key_table: Option<&FixedBaseTable>, pairs: &mut [MaskPair]) {
-        fill_half(pairs, |p| &mut p.g_r, |rs| group.exp_gen_batch(rs));
-        if let Some(table) = key_table {
-            fill_half(
-                pairs,
-                |p| &mut p.y_r,
-                |rs| group.exp_prepared_batch(table, rs),
-            );
+    /// Fills every bare mask in `pairs`: all their `g^r` in one fixed-base
+    /// batch and all their `y^r` in one batch through the prepared table
+    /// for `y` (elliptic-curve results of a batch share a single field
+    /// inversion). Filled masks are left untouched, so the call is
+    /// idempotent, and filling a row in pieces gives the same masks as
+    /// filling it whole.
+    pub fn fill(group: &Group, key_table: &FixedBaseTable, pairs: &mut [MaskPair]) {
+        let bare: Vec<usize> = (0..pairs.len())
+            .filter(|&i| pairs[i].halves.is_none())
+            .collect();
+        if bare.is_empty() {
+            return;
+        }
+        // tidy:allow(secret-escape) — the cloned nonce batch feeds the batched exponentiations below and drops at end of call; the pooled originals stay Secret-wrapped
+        let rs: Vec<Scalar> = bare.iter().map(|&i| pairs[i].r.expose().clone()).collect();
+        let y_rs = group.exp_prepared_batch(key_table, &rs);
+        let g_rs = group.exp_gen_batch(&rs);
+        for ((&i, y_r), g_r) in bare.iter().zip(y_rs).zip(g_rs) {
+            pairs[i].halves = Some((y_r, g_r));
         }
     }
 
@@ -106,37 +108,20 @@ impl MaskPair {
         self.r.expose()
     }
 
-    /// Consumes the mask into its `(y^r, g^r)` halves, computing any half
-    /// still missing on the spot.
+    /// Consumes the mask into its `(y^r, g^r)` halves, computing them on
+    /// the spot if the mask is still bare.
     pub(crate) fn into_halves(
         self,
         group: &Group,
         key_table: &FixedBaseTable,
     ) -> (Element, Element) {
-        let MaskPair { r, g_r, y_r } = self;
-        let y_r = y_r.unwrap_or_else(|| group.exp_prepared(key_table, r.expose()));
-        let g_r = g_r.unwrap_or_else(|| group.exp_gen(r.expose()));
-        (y_r, g_r)
-    }
-}
-
-/// Fills one half of every mask in `pairs` that lacks it, with one call of
-/// `exp` over the missing masks' scalars.
-fn fill_half(
-    pairs: &mut [MaskPair],
-    half: fn(&mut MaskPair) -> &mut Option<Element>,
-    exp: impl FnOnce(&[Scalar]) -> Vec<Element>,
-) {
-    let todo: Vec<usize> = (0..pairs.len())
-        .filter(|&i| half(&mut pairs[i]).is_none())
-        .collect();
-    if todo.is_empty() {
-        return;
-    }
-    // tidy:allow(secret-escape) — the cloned nonce batch feeds the batched exponentiation on the next line and drops at end of call; the pooled originals stay Secret-wrapped
-    let rs: Vec<Scalar> = todo.iter().map(|&i| pairs[i].r.expose().clone()).collect();
-    for (&i, value) in todo.iter().zip(exp(&rs)) {
-        *half(&mut pairs[i]) = Some(value);
+        let MaskPair { r, halves } = self;
+        halves.unwrap_or_else(|| {
+            (
+                group.exp_prepared(key_table, r.expose()),
+                group.exp_gen(r.expose()),
+            )
+        })
     }
 }
 
@@ -151,8 +136,7 @@ impl fmt::Debug for MaskPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MaskPair")
             .field("r", &self.r)
-            .field("g_r", &self.g_r)
-            .field("y_r", &self.y_r)
+            .field("halves", &self.halves)
             .finish()
     }
 }
@@ -311,15 +295,14 @@ impl ExpElGamal {
     }
 
     /// Re-randomizes a ciphertext set with single-use masks: `pres[i]`
-    /// re-randomizes `cts[i]` as `(α·y^r, β·g^r)`. Any missing halves are
-    /// computed first in one batch each — `g^r` through the generator
-    /// table, `y^r` through the prepared key table — so full pairs minted
-    /// offline reduce the whole call to `2·n` group multiplications, which
-    /// share one affine conversion.
+    /// re-randomizes `cts[i]` as `(α·y^r, β·g^r)`. Bare masks are filled
+    /// first ([`MaskPair::fill`]), so masks minted offline reduce the whole
+    /// call to `2·n` group multiplications, which share one affine
+    /// conversion.
     ///
     /// Masks drawn from the stream position [`ExpElGamal::rerandomize`]
     /// would have used give bit-identical ciphertexts, whether they arrive
-    /// bare, with `g^r`, or with both halves.
+    /// bare or filled.
     ///
     /// # Panics
     ///
@@ -334,7 +317,7 @@ impl ExpElGamal {
         // the mask vector itself.
         let mask_count = pres.len();
         assert_eq!(cts.len(), mask_count, "one mask per ciphertext");
-        MaskPair::fill(&self.group, Some(key_table), &mut pres);
+        MaskPair::fill(&self.group, key_table, &mut pres);
         let parts: Vec<(Element, Element)> = pres
             .into_iter()
             .map(|pre| pre.into_halves(&self.group, key_table))
@@ -749,11 +732,11 @@ mod tests {
                     .flat_map(|_| MaskPair::draw(&g, &mut rng, 1))
                     .collect()
             };
-            MaskPair::fill(&g, Some(&table), &mut whole);
+            MaskPair::fill(&g, &table, &mut whole);
             let (head, tail) = singles.split_at_mut(3);
-            MaskPair::fill(&g, Some(&table), head);
-            MaskPair::fill(&g, None, tail);
-            MaskPair::fill(&g, Some(&table), tail);
+            MaskPair::fill(&g, &table, head);
+            MaskPair::fill(&g, &table, tail);
+            MaskPair::fill(&g, &table, tail);
             for (a, b) in whole.iter().zip(&singles) {
                 assert_eq!(a.scalar(), b.scalar(), "{kind}");
                 assert_eq!(a.g_r(), Some(&g.exp_gen(a.scalar())), "{kind}");
@@ -766,8 +749,8 @@ mod tests {
 
     #[test]
     fn batch_rerandomization_matches_scalar_rerandomize() {
-        // Same stream position → same bytes, whether a mask arrives bare,
-        // with its g^r half, or with y^r minted offline too.
+        // Same stream position → same bytes, whether a mask arrives bare
+        // or filled offline.
         for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
             let group = kind.group();
             let mut rng = StdRng::seed_from_u64(42);
@@ -782,10 +765,10 @@ mod tests {
                 .iter()
                 .map(|ct| scheme.rerandomize(kp.public_key(), ct, &mut rng_a))
                 .collect();
-            for fill in [None, Some(None), Some(Some(&table))] {
+            for fill in [false, true] {
                 let mut pres = MaskPair::draw(&group, &mut StdRng::seed_from_u64(91), 4);
-                if let Some(key_table) = fill {
-                    MaskPair::fill(&group, key_table, &mut pres);
+                if fill {
+                    MaskPair::fill(&group, &table, &mut pres);
                 }
                 let batch = scheme.rerandomize_batch_with_precomputed(&table, &cts, pres);
                 assert_eq!(batch, singles, "{kind}");

@@ -731,7 +731,7 @@ mod tests {
                 .with_random_population()
                 .into_machine_with(runtime.session_options())
                 .unwrap();
-            let mut stock = OfflineStock::generate(bad.offline_fingerprint());
+            let mut stock = OfflineStock::generate(bad.offline_fingerprint(), 1, || false).unwrap();
             stock.corrupt_key_proof(&GroupKind::Ecc160.group(), 1);
             assert!(bad.attach_offline_stock(stock));
             let bad_handle = runtime.submit_session(bad);

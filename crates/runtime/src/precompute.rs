@@ -68,8 +68,6 @@ struct Lane {
     next_take: u64,
     /// Next sequence number a refill worker will reserve.
     next_refill: u64,
-    /// Reservations currently being generated off-lock.
-    inflight: usize,
     /// Completed stocks, ascending by sequence number.
     ready: VecDeque<(u64, OfflineStock)>,
 }
@@ -149,7 +147,6 @@ impl PrecomputePool {
             params,
             next_take: 0,
             next_refill: 0,
-            inflight: 0,
             ready: VecDeque::new(),
         });
         drop(lanes);
@@ -253,7 +250,6 @@ fn reserve(shared: &PoolShared, depth: usize) -> Option<(GroupId, u64, StockFing
         // instead of generating stocks nobody will ever claim.
         let seq = lane.next_refill.max(lane.next_take);
         lane.next_refill = seq + 1;
-        lane.inflight += 1;
         let params = lane
             .params
             .clone()
@@ -286,11 +282,9 @@ fn refill_loop(shared: &PoolShared, depth: usize) {
         };
         // The expensive part, off-lock and cancellable: a shutdown mid-stock
         // aborts at the next poll instead of finishing ~n² exponentiations.
-        let stock =
-            OfflineStock::generate_cancellable(fp, &mut || shared.shutdown.load(Ordering::SeqCst));
+        let stock = OfflineStock::generate(fp, 1, || shared.shutdown.load(Ordering::SeqCst));
         let mut lanes = shared.lanes.lock().expect("lanes mutex");
         let lane = &mut lanes[gid.0];
-        lane.inflight -= 1;
         if let Some(stock) = stock {
             // A take may have raced past this seq while we generated; a
             // stale stock would never be claimed, so drop it.

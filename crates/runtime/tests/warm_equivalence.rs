@@ -1,10 +1,10 @@
 //! Pool-served sessions are transcript-identical to solo cold runs for
 //! arbitrary `(n, seed, workers)`.
 //!
-//! The precompute lanes now mint the full keygen tier (joint keys,
-//! Schnorr proofs, `y^r` mask halves), so this pins the strongest claim:
-//! a warm-keygen session stepped by any number of pool workers produces
-//! the same ranks and the same wire traffic as the serial cold run.
+//! The precompute lanes mint the whole stock (joint keys, Schnorr proofs,
+//! both mask halves), so this pins the strongest claim: a warm session
+//! stepped by any number of pool workers produces the same ranks and the
+//! same wire traffic as the serial cold run.
 
 use ppgr_core::{FrameworkParams, GroupRanking, Questionnaire};
 use ppgr_group::GroupKind;

@@ -51,7 +51,8 @@ fn warm_run(n: usize, seed: u64, workers: usize) -> Outcome {
         .with_random_population()
         .into_machine_with(options)
         .expect("machine");
-    let stock = OfflineStock::generate(machine.offline_fingerprint());
+    let stock = OfflineStock::generate(machine.offline_fingerprint(), 1, || false)
+        .expect("an uncancelled generation completes");
     assert!(
         machine.attach_offline_stock(stock),
         "stock minted from the machine's own fingerprint must attach"
@@ -123,7 +124,7 @@ fn runtime_drop_cancels_in_progress_refills() {
         },
     });
     // Deep lanes of a large group: the refill workers are guaranteed to be
-    // inside `generate_cancellable` when the drop lands.
+    // inside `OfflineStock::generate` when the drop lands.
     for i in 0..4u64 {
         let _ = runtime.register_group(params_for(8, 10_000 * (i + 1)));
     }

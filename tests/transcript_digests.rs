@@ -7,10 +7,9 @@
 //! correctly — so these digests pin the bytes themselves across commits.
 //!
 //! Two stock sources are covered per group: the cold path (the machine
-//! draws and mints its keygen-tier stock from its own protocol stream) and
-//! a machine with a pool-style masks-tier stock attached. A keygen-tier
-//! stock for the same fingerprint must land on the masks-tier digest, and
-//! every digest must be independent of the worker count.
+//! draws and mints its stock from its own protocol stream) and a machine
+//! with a pool-style stock for the session's fingerprint attached. Every
+//! digest must be independent of the worker count.
 //!
 //! Any intended change to the protocol's bytes re-pins the constants
 //! below, deliberately and in the same change.
@@ -29,10 +28,8 @@ use rand::SeedableRng;
 enum Stock {
     /// Drawn and minted at the machine's own offline step.
     Cold,
-    /// `OfflineStock::generate_masks_only` for the session's fingerprint.
-    Masks,
     /// `OfflineStock::generate` for the session's fingerprint.
-    Keygen,
+    Warm,
 }
 
 /// Runs one session to completion and digests its ranks and returned sets.
@@ -54,12 +51,11 @@ fn digest(
     let fp = StockFingerprint::new(seed, values.len(), l, kind);
     match stock {
         Stock::Cold => {}
-        Stock::Masks => machine
-            .attach_offline_stock(OfflineStock::generate_masks_only(fp))
-            .expect("masks stock attaches"),
-        Stock::Keygen => machine
-            .attach_offline_stock(OfflineStock::generate(fp))
-            .expect("keygen stock attaches"),
+        Stock::Warm => machine
+            .attach_offline_stock(
+                OfflineStock::generate(fp, threads, || false).expect("uncancelled generation"),
+            )
+            .expect("pool stock attaches"),
     }
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
@@ -78,9 +74,9 @@ fn digest(
     to_hex(&h.finalize())
 }
 
-/// Checks one session shape against its golden cold and masks digests, on
+/// Checks one session shape against its golden cold and warm digests, on
 /// one and two workers.
-fn check(kind: GroupKind, values: &[u64], l: usize, seed: u64, cold: &str, masks: &str) {
+fn check(kind: GroupKind, values: &[u64], l: usize, seed: u64, cold: &str, warm: &str) {
     for threads in [1, 2] {
         let label = format!("{kind} threads={threads}");
         assert_eq!(
@@ -89,14 +85,9 @@ fn check(kind: GroupKind, values: &[u64], l: usize, seed: u64, cold: &str, masks
             "{label}: cold"
         );
         assert_eq!(
-            digest(kind, values, l, seed, Stock::Masks, threads),
-            masks,
-            "{label}: masks-tier stock"
-        );
-        assert_eq!(
-            digest(kind, values, l, seed, Stock::Keygen, threads),
-            masks,
-            "{label}: keygen-tier stock"
+            digest(kind, values, l, seed, Stock::Warm, threads),
+            warm,
+            "{label}: pool stock"
         );
     }
 }
