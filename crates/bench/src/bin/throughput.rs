@@ -23,7 +23,7 @@
 use ppgr_core::{FrameworkParams, GroupRanking, Outcome, Questionnaire};
 use ppgr_group::GroupKind;
 use ppgr_service::{Service, ServiceConfig, ServiceHandle};
-use ppgr_zkp::{verify_multi_batch, verify_sessions_multi_batch, MultiVerifierProof};
+use ppgr_zkp::{verify_sessions_multi_batch, MultiVerifierProof};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -194,7 +194,7 @@ fn run_verify_amortization(cfg: &Config) -> AmortizationResult {
     let per_session_start = Instant::now();
     for _ in 0..rounds {
         for items in &borrowed {
-            verify_multi_batch(&group, items).expect("honest proofs verify");
+            verify_sessions_multi_batch(&group, &[items]).expect("honest proofs verify");
         }
     }
     let per_session = per_session_start.elapsed() / rounds;

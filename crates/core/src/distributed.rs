@@ -6,21 +6,29 @@
 //! The orchestrated runner ([`crate::GroupRanking`]) is the instrumented
 //! reference (per-party timing, traffic logs); this module demonstrates
 //! that the very same protocol runs correctly as a message-passing system
-//! and is the starting point for a networked deployment. Integration
-//! tests assert both runners produce identical rankings.
+//! and is the starting point for a networked deployment.
+//!
+//! Both runners consume the same randomness. Each party reads its online
+//! stream in phase 1 only, and mints its whole phase-2 stock — key pair,
+//! Schnorr nonce, challenge shares, masks, hop randomizers and
+//! permutations — from its offline stream at thread start, with the code
+//! the in-memory simulation's [`OfflineStock`](crate::OfflineStock) uses
+//! for every party. So for every seed the two runners compute the same
+//! `β` values, keys and ciphertexts, and return the same ranks, ties
+//! included.
 //!
 //! Each party runs the orchestrated
 //! [`SortMachine`](crate::sorting::SortMachine)'s phase-2 step bodies on
 //! one worker — its τ set, its chain hop and its zero count — and settles
 //! its keygen proofs through the same [`KeygenVerifyJob`] the machine
 //! parks, so each step and the proof check are written once. What this
-//! module adds is the transport: the party's own randomness stream, wire
-//! encoding, the structural set checks and share echo that guard wire
-//! input, deadlines and blame. A party's τ set is rerandomized under the
-//! joint key before it leaves her hands: the raw set is a deterministic
-//! function of the published bit encryptions and her value, so whoever
-//! receives it first (P₁, or P₂ for P₁'s own set) could otherwise confirm
-//! her value one bit at a time.
+//! module adds is the transport: the keygen exchange, wire encoding, the
+//! structural set checks and share echo that guard wire input, deadlines
+//! and blame. A party's τ set is rerandomized under the joint key before
+//! it leaves her hands: the raw set is a deterministic function of the
+//! published bit encryptions and her value, so whoever receives it first
+//! (P₁, or P₂ for P₁'s own set) could otherwise confirm her value one bit
+//! at a time.
 //!
 //! # Fault tolerance
 //!
@@ -37,24 +45,22 @@
 
 use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::gain::{draw_rho, initiator_vector, participant_vector, to_unsigned};
+use crate::offline::{party_streams, PartyStock};
 use crate::params::FrameworkParams;
-use crate::sorting::{chain_hop, count_zeros, tau_set, HopJob, KeygenVerifyJob, SortError};
+use crate::sorting::{chain_hop, count_zeros, tau_set, KeygenVerifyJob, SortError, SortOptions};
 use crate::submit::{verify_submissions, Submission, VerificationReport};
 use crate::timing::PartyTimer;
 use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer};
 use bytes::Bytes;
 use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
-use ppgr_elgamal::{
-    encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey, KeyPair, MaskPair,
-};
+use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey};
 use ppgr_group::{Element, Group, Scalar};
-use ppgr_hash::{HashDrbg, Sha256};
+use ppgr_hash::Sha256;
 use ppgr_net::{
     CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget, TrafficLog,
 };
-use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript};
+use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::error::Error;
@@ -671,7 +677,7 @@ fn initiator_thread(
     let ctx = Ctx::new(net, me, n, budget);
     let field = default_field();
     let proto = DotProduct::new(field.clone());
-    let mut rng = HashDrbg::seed_from_u64(params.seed()).fork(b"party-0");
+    let (mut rng, _) = party_streams(params.seed(), me);
     let q = params.questionnaire();
     let rho = draw_rho(params.mask_bits(), &mut rng);
     let v_recv = initiator_vector(&field, q, &profile, rho);
@@ -763,12 +769,24 @@ fn participant_thread(
     let scheme = ExpElGamal::new(group.clone());
     let field = default_field();
     let proto = DotProduct::new(field.clone());
-    let mut rng = HashDrbg::seed_from_u64(params.seed()).fork(format!("party-{me}").as_bytes());
+    // The online stream serves phase 1 alone; every phase-2 draw comes
+    // from the party's stock, minted from its offline stream.
+    let (mut online, _) = party_streams(params.seed(), me);
+    let (
+        PartyStock {
+            keys: kp,
+            shares: mut my_shares,
+            enc,
+            compare,
+            hops,
+        },
+        nonce,
+    ) = PartyStock::mint(&group, params.seed(), n, l, me);
 
     // ---- Phase 1: masked gain via the secure dot product. -------------
     ctx.enter(Phase::Gain)?;
     let w_vec = participant_vector(&field, params.questionnaire(), &info);
-    let (state, msg1) = proto.sender_round1(&w_vec, &mut rng);
+    let (state, msg1) = proto.sender_round1(&w_vec, &mut online);
     let mut w_out = Writer::framed();
     try_wire!(ctx, me, w_out.put_len(msg1.qx.len()));
     for row in &msg1.qx {
@@ -793,7 +811,6 @@ fn participant_thread(
 
     // ---- Phase 2, step 5: keys + proofs of knowledge. ------------------
     ctx.enter(Phase::KeyGen)?;
-    let kp = KeyPair::generate(&group, &mut rng);
     {
         let mut w_out = Writer::framed();
         w_out.put_element(&group, kp.public_key());
@@ -838,55 +855,61 @@ fn participant_thread(
         }
         Ok(share)
     };
-    let mut transcripts: Vec<MultiVerifierTranscript> = Vec::with_capacity(n);
-    for prover in 1..=n {
-        if prover == me {
-            let nonce = SchnorrNonce::draw(&group, &mut rng);
-            let mut w_out = Writer::framed();
-            w_out.put_element(&group, nonce.commitment());
-            ctx.bcast_participants(&w_out.finish())?;
-            let mut shares = Vec::with_capacity(n - 1);
-            for j in participants_except(n, me) {
-                shares.push(recv_share_echoed(&ctx, prover, j)?);
-            }
-            let proof = MultiVerifierProof::assemble(&group, kp.secret_key(), nonce, shares);
-            let mut w_out = Writer::framed();
-            w_out.put_scalar(&group, &proof.response);
-            ctx.bcast_participants(&w_out.finish())?;
-            transcripts.push(proof);
-        } else {
-            let bytes = ctx.recv(prover)?;
-            let mut r = Reader::new(bytes);
-            let commitment = try_wire!(ctx, prover, r.element(&group));
-            try_wire!(ctx, prover, r.done());
-            // My challenge share, broadcast to everyone, then its echo.
-            let c_mine = group.random_scalar(&mut rng);
-            let mut w_out = Writer::framed();
-            w_out.put_scalar(&group, &c_mine);
-            ctx.bcast_participants(&w_out.finish())?;
-            let mut w_out = Writer::framed();
-            w_out.put_raw(&share_digest(&group, prover, me, &c_mine));
-            ctx.bcast_participants(&w_out.finish())?;
-            // Every verifier's share in verifier order: mine, and the
-            // others' as they arrive (with their echoes).
-            let mut shares = Vec::with_capacity(n - 1);
-            for j in participants_except(n, prover) {
-                shares.push(if j == me {
-                    c_mine.clone()
-                } else {
-                    recv_share_echoed(&ctx, prover, j)?
-                });
-            }
-            let bytes = ctx.recv(prover)?;
-            let mut r = Reader::new(bytes);
-            let response = try_wire!(ctx, prover, r.scalar(&group));
-            try_wire!(ctx, prover, r.done());
-            transcripts.push(MultiVerifierTranscript {
-                commitment,
-                challenges: shares,
-                response,
+    // A verifier's round for another prover: its commitment, my challenge
+    // share `c_mine` broadcast with its echo, every verifier's share in
+    // verifier order (mine, and the others' as they arrive with their
+    // echoes), then its response.
+    let verify_round = |prover: usize, c_mine: Scalar| {
+        let bytes = ctx.recv(prover)?;
+        let mut r = Reader::new(bytes);
+        let commitment = try_wire!(ctx, prover, r.element(&group));
+        try_wire!(ctx, prover, r.done());
+        let mut w_out = Writer::framed();
+        w_out.put_scalar(&group, &c_mine);
+        ctx.bcast_participants(&w_out.finish())?;
+        let mut w_out = Writer::framed();
+        w_out.put_raw(&share_digest(&group, prover, me, &c_mine));
+        ctx.bcast_participants(&w_out.finish())?;
+        let mut shares = Vec::with_capacity(n - 1);
+        for j in participants_except(n, prover) {
+            shares.push(if j == me {
+                c_mine.clone()
+            } else {
+                recv_share_echoed(&ctx, prover, j)?
             });
         }
+        let bytes = ctx.recv(prover)?;
+        let mut r = Reader::new(bytes);
+        let response = try_wire!(ctx, prover, r.scalar(&group));
+        try_wire!(ctx, prover, r.done());
+        Ok(MultiVerifierTranscript {
+            commitment,
+            challenges: shares,
+            response,
+        })
+    };
+    // My challenge shares were minted for the other provers in ascending
+    // order: first those before me, then those after.
+    let later_shares = my_shares.split_off(me - 1);
+    let mut transcripts: Vec<MultiVerifierTranscript> = Vec::with_capacity(n);
+    for (prover, c_mine) in (1..me).zip(my_shares) {
+        transcripts.push(verify_round(prover, c_mine)?);
+    }
+    // My own proof, in its turn.
+    let mut w_out = Writer::framed();
+    w_out.put_element(&group, nonce.commitment());
+    ctx.bcast_participants(&w_out.finish())?;
+    let mut shares = Vec::with_capacity(n - 1);
+    for j in participants_except(n, me) {
+        shares.push(recv_share_echoed(&ctx, me, j)?);
+    }
+    let proof = MultiVerifierProof::assemble(&group, kp.secret_key(), nonce, shares);
+    let mut w_out = Writer::framed();
+    w_out.put_scalar(&group, &proof.response);
+    ctx.bcast_participants(&w_out.finish())?;
+    transcripts.push(proof);
+    for (prover, c_mine) in (me + 1..=n).zip(later_shares) {
+        transcripts.push(verify_round(prover, c_mine)?);
     }
     let shares = public_shares.split_off(1);
     KeygenVerifyJob::new(&group, shares.clone(), transcripts)
@@ -906,8 +929,7 @@ fn participant_thread(
 
     // ---- Step 6: bitwise encryption, broadcast. ------------------------
     ctx.enter(Phase::Encrypt)?;
-    let masks = MaskPair::draw(&group, &mut rng, l);
-    let my_bits = encrypt_bits_with_precomputed(&scheme, &key_table, &beta, l, masks);
+    let my_bits = encrypt_bits_with_precomputed(&scheme, &key_table, &beta, l, enc);
     {
         let mut w_out = Writer::framed();
         try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_bits));
@@ -936,11 +958,10 @@ fn participant_thread(
 
     // ---- Step 7: comparisons against every opponent. --------------------
     ctx.enter(Phase::Compare)?;
-    let masks = MaskPair::draw(&group, &mut rng, (n - 1) * l);
     let opponents: Vec<&[Ciphertext]> = participants_except(n, me)
         .map(|j| all_bits[j].as_slice())
         .collect();
-    let (my_set, _cpu) = tau_set(&scheme, &key_table, &opponents, &beta, l, masks, 1);
+    let my_set = tau_set(&scheme, &key_table, &opponents, &beta, l, compare, 1);
 
     // ---- Step 8: the shuffle-decrypt chain. -----------------------------
     ctx.enter(Phase::Hop)?;
@@ -978,8 +999,14 @@ fn participant_thread(
         }
         sets
     };
-    let jobs = draw_hop(&group, kp.secret_key(), &sets, me, &mut rng);
-    chain_hop(&scheme, &mut sets, &jobs, kp.secret_key(), 1);
+    chain_hop(
+        &scheme,
+        &mut sets,
+        &hops,
+        kp.secret_key(),
+        SortOptions::default(),
+        1,
+    );
     let my_final_set = if me < n {
         // Pass V on; my own set returns from P_n at chain end (n − 1 hops).
         let mut w_out = Writer::framed();
@@ -1025,36 +1052,6 @@ fn participant_thread(
     ctx.send(0, w_out.finish())?;
 
     Ok(rank)
-}
-
-/// Party `me`'s draws for her chain hop: for each foreign set in `sets`
-/// (indexed by owner − 1), in owner order, fresh nonzero plaintext
-/// randomizers prepared under her key share `secret`, then the set's
-/// shuffle — the draws a per-ciphertext loop followed by an in-place
-/// shuffle would make.
-fn draw_hop<R: Rng + ?Sized>(
-    group: &Group,
-    secret: &Scalar,
-    sets: &[Vec<Ciphertext>],
-    me: usize,
-    rng: &mut R,
-) -> Vec<HopJob> {
-    sets.iter()
-        .enumerate()
-        .filter(|&(owner, _)| owner + 1 != me)
-        .map(|(owner, set)| {
-            let rs: Vec<Scalar> = (0..set.len())
-                .map(|_| group.random_nonzero_scalar(rng))
-                .collect();
-            // Fisher–Yates swaps depend only on the length, so shuffling
-            // the identity permutation consumes exactly the draws shuffling
-            // the set would, and `order[j]` names the input landing at
-            // position `j`.
-            let mut order: Vec<usize> = (0..set.len()).collect();
-            order.shuffle(rng);
-            (owner, Some(group.prepare_hop_scalars(secret, &rs)), order)
-        })
-        .collect()
 }
 
 /// Domain-separated digest binding a keygen challenge share to its prover
@@ -1138,8 +1135,10 @@ mod tests {
     use crate::circuit::compare_encrypted;
     use crate::framework::GroupRanking;
     use ppgr_bigint::BigUint;
-    use ppgr_elgamal::encrypt_bits;
+    use ppgr_elgamal::{encrypt_bits, KeyPair, MaskPair};
     use ppgr_group::GroupKind;
+    use ppgr_hash::HashDrbg;
+    use rand::SeedableRng;
 
     fn params(n: usize, seed: u64) -> FrameworkParams {
         FrameworkParams::builder(Questionnaire::synthetic(1, 2))
@@ -1208,63 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_hop_matches_the_per_ciphertext_loop() {
-        // A mesh party's hop draws plus the shared hop body must return
-        // exactly what the reference loop does — for each foreign set, in
-        // owner order: partial_decrypt, a fresh nonzero randomizer and
-        // randomize_plaintext per ciphertext, then a shuffle of the set —
-        // on any worker count, and leave the stream where that loop leaves
-        // it. With sets of 7, two foreign sets on three workers and three
-        // on two each put a range boundary inside a set.
-        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
-            let group = kind.group();
-            let scheme = ExpElGamal::new(group.clone());
-            let mut rng = HashDrbg::seed_from_u64(3);
-            let kp = KeyPair::generate(&group, &mut rng);
-            for (n, me) in [(3, 2), (4, 4)] {
-                let sets: Vec<Vec<Ciphertext>> = (0..n)
-                    .map(|_| {
-                        (0..7)
-                            .map(|m| {
-                                let m = group.scalar_from_u64(m % 3);
-                                scheme.encrypt(kp.public_key(), &m, &mut rng)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let mut loop_rng = HashDrbg::seed_from_u64(17);
-                let mut expect = sets.clone();
-                for (owner, set) in expect.iter_mut().enumerate() {
-                    if owner + 1 == me {
-                        continue;
-                    }
-                    *set = set
-                        .iter()
-                        .map(|ct| {
-                            let c = scheme.partial_decrypt(ct, kp.secret_key());
-                            let r = group.random_nonzero_scalar(&mut loop_rng);
-                            scheme.randomize_plaintext(&c, &r)
-                        })
-                        .collect();
-                    set.shuffle(&mut loop_rng);
-                }
-                let next = loop_rng.gen::<u64>();
-                for workers in [1, 2, 3] {
-                    let label = format!("{kind} n={n} workers={workers}");
-                    let mut hop_rng = HashDrbg::seed_from_u64(17);
-                    let mut hopped = sets.clone();
-                    let jobs = draw_hop(&group, kp.secret_key(), &hopped, me, &mut hop_rng);
-                    assert_eq!(jobs.len(), n - 1, "{label}");
-                    chain_hop(&scheme, &mut hopped, &jobs, kp.secret_key(), workers);
-                    assert_eq!(hopped, expect, "{label}");
-                    assert_eq!(hopped[me - 1], sets[me - 1], "{label}: own set untouched");
-                    assert_eq!(hop_rng.gen::<u64>(), next, "{label}: same draws consumed");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tau_set_is_rerandomized_with_the_raw_zero_pattern() {
         // The τ set a party sends must decrypt, under the joint secret, to
         // the raw circuit output's zero pattern, yet share no ciphertext
@@ -1313,8 +1255,7 @@ mod tests {
             .into_iter()
             .map(|workers| {
                 let masks = MaskPair::draw(&group, &mut HashDrbg::seed_from_u64(41), raw.len());
-                let (sent, _cpu) =
-                    tau_set(&scheme, &key_table, &opponents, &beta, l, masks, workers);
+                let sent = tau_set(&scheme, &key_table, &opponents, &beta, l, masks, workers);
                 assert_eq!(zeros(&sent), pattern, "workers={workers}");
                 assert!(sent
                     .iter()

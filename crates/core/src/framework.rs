@@ -1,4 +1,12 @@
 //! The end-to-end framework orchestrator.
+//!
+//! A [`SessionMachine`] plays every party in one process. Its randomness
+//! is the parties' own: phase 1 reads each party's online stream, and
+//! phase 2 runs a [`SortMachine`] on the [`OfflineStock`] minted from
+//! their offline streams — generated cold at the session's offline step,
+//! or attached warm by a precompute pool. A thread-per-party run of the
+//! same seed ([`crate::run_distributed`]) consumes the same randomness,
+//! so both return the same ranks, ties included.
 
 use crate::attrs::{InfoVector, InitiatorProfile, VectorError};
 use crate::gain::{run_gain_phase, GainPhaseOutput};
@@ -241,13 +249,11 @@ impl GroupRanking {
     pub fn into_machine_with(self, sort_options: SortOptions) -> Result<SessionMachine, RunError> {
         let (profile, infos) = self.population.ok_or(RunError::MissingPopulation)?;
         let n = self.params.participants();
-        let rng = HashDrbg::seed_from_u64(self.params.seed()).fork(b"protocol");
         Ok(SessionMachine {
             params: self.params,
             profile,
             infos,
             sort_options,
-            rng,
             log: self.log,
             phase: SessionPhase::Offline,
             offline: None,
@@ -280,6 +286,9 @@ enum SessionPhase {
     Offline,
     /// Phase 1: secure gain computation (one step).
     Gain,
+    /// Phase 2 setup: the sort machine validates the masked gains and
+    /// takes the offline stock (one step).
+    Setup,
     /// Phase 2: unlinkable sorting (one step per [`SortMachine`] unit).
     Sort,
     /// Phase 3: submission + verification, then result assembly.
@@ -290,10 +299,11 @@ enum SessionPhase {
 
 /// A resumable framework session.
 ///
-/// One `step` call performs one unit of protocol work: the whole gain
-/// phase, one [`SortMachine`] step (key generation, bit encryption, a
-/// party's comparison batch, or a single chain hop), or the submission
-/// phase. The session owns its seeded DRBG, so however its steps are
+/// One `step` call performs one unit of protocol work: the offline stock,
+/// the whole gain phase, the sort machine's setup, one [`SortMachine`]
+/// step (key generation, bit encryption, a party's comparison batch, or a
+/// single chain hop), or the submission phase. Every party's randomness
+/// derives from the session seed alone, so however its steps are
 /// interleaved with *other* sessions' steps, its transcript and ranks are
 /// bit-identical to a solo [`GroupRanking::run`] with the same seed —
 /// within a session the steps are strictly sequential, which is exactly
@@ -304,7 +314,6 @@ pub struct SessionMachine {
     profile: InitiatorProfile,
     infos: Vec<InfoVector>,
     sort_options: SortOptions,
-    rng: HashDrbg,
     log: TrafficLog,
     phase: SessionPhase,
     offline: Option<OfflineStock>,
@@ -350,7 +359,7 @@ impl SessionMachine {
     pub fn attach_offline_stock(&mut self, stock: OfflineStock) -> bool {
         if self.phase != SessionPhase::Offline
             || self.offline.is_some()
-            || stock.fingerprint() != Some(&self.offline_fingerprint())
+            || stock.fingerprint() != &self.offline_fingerprint()
         {
             return false;
         }
@@ -387,10 +396,10 @@ impl SessionMachine {
     pub fn step(&mut self) -> Result<SessionStatus, RunError> {
         match self.phase {
             SessionPhase::Offline => {
-                // Cold fallback: generate the stock from the session's own
-                // dedicated offline stream. A pool-attached stock comes
-                // from the same stream, so transcripts do not depend on
-                // which side did the work.
+                // Cold fallback: generate the stock from the parties'
+                // offline streams. A pool-attached stock comes from the
+                // same streams, so transcripts do not depend on which side
+                // did the work.
                 if self.offline.is_none() {
                     let workers = resolve_threads(self.sort_options.threads);
                     let stock =
@@ -403,33 +412,35 @@ impl SessionMachine {
             }
             SessionPhase::Gain => {
                 // Phase 1: secure gain computation.
-                let gain_out = run_gain_phase(
+                self.gain_out = Some(run_gain_phase(
                     &self.params,
                     &self.profile,
                     &self.infos,
-                    &mut self.rng,
                     &self.log,
                     &mut self.gain_timer,
                     0,
-                );
-                // Phase 2 setup: the sort machine validates inputs now.
-                let group = self.params.group().group();
-                let mut sort = SortMachine::new(
-                    &group,
-                    &gain_out.betas,
-                    self.params.beta_bits(),
-                    self.sort_options,
-                    2,
-                )?;
+                ));
+                self.phase = SessionPhase::Setup;
+                Ok(SessionStatus::Pending)
+            }
+            SessionPhase::Setup => {
+                let betas = &self
+                    .gain_out
+                    .as_ref()
+                    .ok_or(RunError::Internal("no gain output after Gain phase"))?
+                    .betas;
                 let stock = self
                     .offline
                     .take()
                     .ok_or(RunError::Internal("no offline stock after Offline phase"))?;
-                if sort.attach_offline_stock(stock).is_err() {
-                    return Err(RunError::Internal("offline stock rejected by sort machine"));
-                }
-                self.gain_out = Some(gain_out);
-                self.sort = Some(sort);
+                self.sort = Some(SortMachine::new(
+                    &self.params.group().group(),
+                    betas,
+                    self.params.beta_bits(),
+                    self.sort_options,
+                    stock,
+                    2,
+                )?);
                 self.phase = SessionPhase::Sort;
                 Ok(SessionStatus::Pending)
             }
@@ -438,7 +449,7 @@ impl SessionMachine {
                     .sort
                     .as_mut()
                     .ok_or(RunError::Internal("no sort machine in Sort phase"))?;
-                let status = sort.step(&mut self.rng, &self.log, &mut self.sort_timer)?;
+                let status = sort.step(&self.log, &mut self.sort_timer)?;
                 if status == SortStatus::Done {
                     let (sort_out, _trace) = self
                         .sort

@@ -13,8 +13,15 @@
 //! breaks gain ties into an arbitrary strict order — exactly what the
 //! paper allows ("If `p_i = p_j`, it does not matter if `P_i` ranks higher
 //! or lower than `P_j`", Sec. V).
+//!
+//! Every party draws from its own online stream: the initiator's supplies
+//! `ρ` and, per participant, `ρ_j` and the round-2 randomness; participant
+//! `j`'s supplies its round 1. The mesh runner's parties draw the same
+//! values in the same order, so both runners compute the same `β_j` and
+//! break ties the same way.
 
 use crate::attrs::{partial_gain, InfoVector, InitiatorProfile, Questionnaire};
+use crate::offline::party_streams;
 use crate::params::FrameworkParams;
 use crate::timing::PartyTimer;
 use ppgr_bigint::{BigUint, Fp, FpCtx};
@@ -37,7 +44,8 @@ pub struct GainPhaseOutput {
     pub masked_signed: Vec<i128>,
 }
 
-/// Runs phase 1 for all participants.
+/// Runs phase 1 for all participants, each party drawing from its online
+/// stream for `params.seed()` (see the module docs).
 ///
 /// Traffic is recorded into `log` (phase label `"gain"`), computation time
 /// into `timer` (party 0 = initiator).
@@ -46,11 +54,10 @@ pub struct GainPhaseOutput {
 ///
 /// Panics if `infos.len()` differs from `params.participants()` — the
 /// orchestrator constructs both, so a mismatch is a bug, not input error.
-pub fn run_gain_phase<R: Rng + ?Sized>(
+pub fn run_gain_phase(
     params: &FrameworkParams,
     profile: &InitiatorProfile,
     infos: &[InfoVector],
-    rng: &mut R,
     log: &TrafficLog,
     timer: &mut PartyTimer,
     round_base: u32,
@@ -64,16 +71,18 @@ pub fn run_gain_phase<R: Rng + ?Sized>(
     let proto = DotProduct::new(field.clone());
     let q = params.questionnaire();
     let l = params.beta_bits();
+    let (mut initiator, _) = party_streams(params.seed(), 0);
 
-    let rho = timer.time(0, || draw_rho(params.mask_bits(), rng));
+    let rho = timer.time(0, || draw_rho(params.mask_bits(), &mut initiator));
     let initiator_v = timer.time(0, || initiator_vector(&field, q, profile, rho));
 
     let mut betas = Vec::with_capacity(infos.len());
     let mut masked_signed = Vec::with_capacity(infos.len());
     for (idx, info) in infos.iter().enumerate() {
         let party = idx + 1;
+        let (mut online, _) = party_streams(params.seed(), party);
         let (state, msg1) = timer.time(party, || {
-            proto.sender_round1(&participant_vector(&field, q, info), rng)
+            proto.sender_round1(&participant_vector(&field, q, info), &mut online)
         });
         log.record(
             round_base,
@@ -83,10 +92,10 @@ pub fn run_gain_phase<R: Rng + ?Sized>(
             "gain",
         );
 
-        let rho_j = rng.gen_range(0..rho);
+        let rho_j = initiator.gen_range(0..rho);
         let msg2 = timer.time(0, || {
             let alpha = field.from_i128(rho_j as i128);
-            proto.receiver_round2(&initiator_v, &alpha, &msg1, rng)
+            proto.receiver_round2(&initiator_v, &alpha, &msg1, &mut initiator)
         });
         log.record(round_base + 1, 0, party, 2 * FIELD_BYTES, "gain");
 
@@ -222,7 +231,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(n: usize, seed: u64) -> (FrameworkParams, InitiatorProfile, Vec<InfoVector>, StdRng) {
+    fn setup(n: usize, seed: u64) -> (FrameworkParams, InitiatorProfile, Vec<InfoVector>) {
         let q = Questionnaire::synthetic(2, 3);
         let params = FrameworkParams::builder(q)
             .participants(n)
@@ -233,17 +242,16 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (profile, infos) = params.random_population(&mut rng);
-        (params, profile, infos, rng)
+        let (profile, infos) = params.random_population(&mut StdRng::seed_from_u64(seed));
+        (params, profile, infos)
     }
 
     #[test]
     fn masked_gains_preserve_partial_gain_order() {
-        let (params, profile, infos, mut rng) = setup(8, 1);
+        let (params, profile, infos) = setup(8, 1);
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(9);
-        let out = run_gain_phase(&params, &profile, &infos, &mut rng, &log, &mut timer, 0);
+        let out = run_gain_phase(&params, &profile, &infos, &log, &mut timer, 0);
 
         let q = params.questionnaire();
         let gains: Vec<i128> = infos.iter().map(|i| partial_gain(q, &profile, i)).collect();
@@ -263,10 +271,10 @@ mod tests {
 
     #[test]
     fn betas_fit_bit_length() {
-        let (params, profile, infos, mut rng) = setup(5, 2);
+        let (params, profile, infos) = setup(5, 2);
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(6);
-        let out = run_gain_phase(&params, &profile, &infos, &mut rng, &log, &mut timer, 0);
+        let out = run_gain_phase(&params, &profile, &infos, &log, &mut timer, 0);
         let l = params.beta_bits();
         for b in &out.betas {
             assert!(b.bits() <= l);
@@ -275,10 +283,10 @@ mod tests {
 
     #[test]
     fn traffic_is_logged_per_participant() {
-        let (params, profile, infos, mut rng) = setup(4, 3);
+        let (params, profile, infos) = setup(4, 3);
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(5);
-        let _ = run_gain_phase(&params, &profile, &infos, &mut rng, &log, &mut timer, 0);
+        let _ = run_gain_phase(&params, &profile, &infos, &log, &mut timer, 0);
         let s = log.summary();
         assert_eq!(s.messages, 8, "one exchange per participant");
         assert!(s.bytes_by_phase["gain"] > 0);

@@ -1,50 +1,66 @@
-//! Offline/online phase split — the deterministic precompute stock.
+//! Offline/online phase split — every party's phase-2 randomness, minted
+//! before the session's inputs exist.
 //!
-//! The sorting protocol's online latency is dominated by exponentiations,
-//! and almost none of them depend on anything another party *sends*: the
-//! distributed key shares are party randomness (paper Sec. IV — the joint
-//! ElGamal key is minted before any preference is encrypted), the proof of
-//! key knowledge is honest-verifier (so its challenge shares are just more
-//! pool randomness), and every encryption/rerandomization mask `(g^r, y^r)`
-//! follows from the key. What is irreducibly online is the variable-base
-//! work on other parties' ciphertexts: partial decryptions `β^{-x}` and the
-//! per-hop plaintext randomizers applied to foreign τ sets.
+//! In the paper each party generates its own phase-2 randomness (Fig. 1,
+//! steps 5–8; Sec. IV-E): its ElGamal key share, its Schnorr nonce and the
+//! challenge shares it hands the other provers (the proof is
+//! honest-verifier, so those are just more party randomness), its
+//! encryption and comparison masks, and the plaintext randomizers and
+//! permutations of its chain hop. None of it depends on anything another
+//! party sends, so all of it is drawn ahead of time. What is irreducibly
+//! online is the variable-base work on other parties' ciphertexts: partial
+//! decryptions `β^{-x}` and the hop randomizers applied to foreign τ sets.
 //!
-//! [`OfflineStock`] is one session's worth of precomputed material. Its
-//! shape is a pure function of `(n, l)` — hop randomizers are generated
-//! even when a run disables randomization — so a precompute pool can stock
-//! sessions knowing only their parameters, not their options or inputs.
-//! A stock is minted in full from **one canonical scalar stream**: the
-//! parties' [`KeyPair`]s, their assembled key-knowledge proofs, the joint
-//! key's prepared comb table, both halves of every mask and the prepared
-//! hop scalars. The online keygen round reduces to exchanging shares; the
-//! session checks the proofs once, online
-//! ([`KeygenVerifyJob`](crate::sorting::KeygenVerifyJob)).
+//! Every party has two streams, both derived from the session seed by one
+//! crate-private helper: an online stream (`party-{j}`), which only phase 1
+//! reads, and an offline stream (`offline`, then `party-{j}`), from which
+//! the party's whole phase-2 stock is drawn in the order documented at
+//! [`STOCK_LAYOUT`]. A mesh party mints its own stock at thread start.
 //!
-//! One body mints every stock, behind two front doors:
-//! [`OfflineStock::generate`] derives the stream from a
-//! [`StockFingerprint`] (a precompute pool, or a session's own cold
-//! offline step), and `OfflineStock::draw` takes a stream the caller
-//! already holds (a sorting machine's cold offline step).
+//! [`OfflineStock`] is the in-memory simulation's stock: the `n` party
+//! stocks plus what only the simulation can mint, because only it holds
+//! every key — the joint key's prepared comb table, both halves of every
+//! mask and the assembled key-knowledge proofs. The session still checks
+//! the proofs once, online
+//! ([`KeygenVerifyJob`](crate::sorting::KeygenVerifyJob)). A stock's shape
+//! is a pure function of `(n, l)` — hop randomizers and permutations are
+//! minted even when a run disables randomization or shuffling — so a
+//! precompute pool can stock sessions knowing only their
+//! [`StockFingerprint`]. [`OfflineStock::generate`] is the one
+//! constructor; it serves pool lanes, a session's cold offline step and
+//! [`run_sort`](crate::sorting::run_sort).
 //!
-//! Determinism: a stock for a session seeded `s` is drawn from
-//! `HashDrbg::seed_from_u64(s).fork(b"offline")` — a stream disjoint from
-//! the session's `b"protocol"` fork — so a session that receives a
-//! pool-generated stock and one that builds its own cold are bit-identical.
+//! Determinism: a session that receives a pool-generated stock and one
+//! that generates its own cold are bit-identical, and so are the two
+//! runners: for every seed a mesh party mints exactly its slice of the
+//! simulation's stock, so both compute the same keys, masks, randomizers
+//! and permutations.
 
-use crate::sorting::fan_out;
-use ppgr_bigint::Secret;
+use crate::sorting::{fan_out, HopJob};
 use ppgr_elgamal::{ExpElGamal, JointKey, KeyPair, MaskPair};
-use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
+use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, Scalar};
 use ppgr_hash::HashDrbg;
 use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// The draw-order layout this module currently mints (see
 /// [`StockFingerprint::layout`]).
-pub const STOCK_LAYOUT: u32 = 2;
+///
+/// Party `j`'s stock is drawn from its offline stream in one fixed order:
+///
+/// 1. its key share `x_j`;
+/// 2. its Schnorr nonce;
+/// 3. its challenge share for every other prover, in ascending order;
+/// 4. its `l` encryption masks, bits least-significant first;
+/// 5. its `(n − 1)·l` comparison masks;
+/// 6. for each foreign set, in ascending owner order, `(n − 1)·l` nonzero
+///    hop randomizers and a Fisher–Yates permutation of `0..(n − 1)·l`.
+///
+/// Any change to this order is a new layout.
+pub const STOCK_LAYOUT: u32 = 3;
 
 /// The session shape a DRBG-generated stock was built for.
 ///
@@ -81,59 +97,190 @@ impl StockFingerprint {
     }
 }
 
-/// The keygen slice of a stock: every party's minted key material. It
-/// carries every party's secret exponent, so `{:?}` shows only the party
-/// count.
-pub(crate) struct KeyStock {
-    /// Per-party key pairs, party order.
-    pub(crate) pairs: Vec<KeyPair>,
-    /// Per-party key-knowledge proofs, party order.
-    pub(crate) proofs: Vec<MultiVerifierTranscript>,
-    /// Prepared fixed-base table for the joint public key (its base).
-    pub(crate) table: FixedBaseTable,
+/// Party `party`'s two randomness streams for a session seeded `seed`:
+/// `(online, offline)`. Phase 1 alone reads the online stream; the party's
+/// phase-2 stock is minted from the offline one. The initiator (party 0)
+/// only ever uses its online stream.
+///
+/// Every party's randomness in this crate is forked from the session seed
+/// here and nowhere else; a deployment would seed each party from its own
+/// entropy at this point instead.
+pub(crate) fn party_streams(seed: u64, party: usize) -> (HashDrbg, HashDrbg) {
+    let root = HashDrbg::seed_from_u64(seed);
+    let label = format!("party-{party}");
+    let online = root.fork(label.as_bytes());
+    let offline = root.fork(b"offline").fork(label.as_bytes());
+    (online, offline)
 }
 
-impl KeyStock {
-    fn matches_shape(&self, n: usize) -> bool {
-        self.pairs.len() == n
-            && self.proofs.len() == n
-            && self.proofs.iter().all(|p| p.challenges.len() == n - 1)
-    }
+/// One party's phase-2 stock, drawn from its offline stream in
+/// [`STOCK_LAYOUT`] order, less its Schnorr nonce: minting hands the
+/// nonce out beside the stock, to be spent on the party's proof. It holds
+/// the party's key share, masks and permutations, so `{:?}` shows only
+/// its shape.
+pub(crate) struct PartyStock {
+    /// The party's key pair `(x_j, g^{x_j})`.
+    pub(crate) keys: KeyPair,
+    /// Its challenge share for every other prover, in ascending order.
+    pub(crate) shares: Vec<Scalar>,
+    /// Its `l` encryption masks, bare until filled with the joint key.
+    pub(crate) enc: Vec<MaskPair>,
+    /// Its `(n − 1)·l` comparison-set rerandomization masks, likewise.
+    pub(crate) compare: Vec<MaskPair>,
+    /// Its chain hop, one job per foreign set in ascending owner order:
+    /// the randomizers prepared under `x_j` and the permutation.
+    pub(crate) hops: Vec<HopJob>,
 }
 
-impl fmt::Debug for KeyStock {
+impl fmt::Debug for PartyStock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KeyStock")
-            .field("parties", &self.pairs.len())
+        f.debug_struct("PartyStock")
+            .field("masks", &(self.enc.len() + self.compare.len()))
+            .field("hop_sets", &self.hops.len())
             .finish_non_exhaustive()
     }
 }
 
-/// One session's worth of precomputed randomness (see the module docs).
+impl PartyStock {
+    /// Party `party`'s stock and Schnorr nonce for an `n`-party, `l`-bit
+    /// session seeded `seed`, as a mesh party mints them at thread start:
+    /// its masks bare, its hop randomizers prepared under its own key
+    /// share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`: the sorting chain needs at least two parties.
+    pub(crate) fn mint(
+        group: &Group,
+        seed: u64,
+        n: usize,
+        l: usize,
+        party: usize,
+    ) -> (Self, SchnorrNonce) {
+        mint_parties(group, seed, n, l, party..=party, 1, &mut || false)
+            .and_then(|mut minted| minted.pop())
+            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+            .expect("minting with a never-cancelling hook always completes")
+    }
+}
+
+/// Mints the stocks and Schnorr nonces of `parties` (1-based ids) of an
+/// `n`-party, `l`-bit session seeded `seed`. Each party's offline stream
+/// is drawn serially, before any worker starts, so every worker count
+/// mints the same stocks; then one fan-out over `workers` threads
+/// prepares every hop randomizer set of all of them. Masks stay bare.
+/// `cancel` is polled between parties and before the fan-out; once it
+/// returns `true`, minting stops and `None` is returned.
 ///
-/// Consumed front-to-back by a [`SortMachine`](crate::sorting::SortMachine)
-/// in exact protocol order: the key stock at keygen, then the `n` per-party
-/// encryption mask rows (bits least-significant-first), then the `n`
-/// per-party comparison-set rerandomization rows, then the hop randomizer
-/// sets (hop by hop, foreign sets in ascending owner order).
+/// # Panics
+///
+/// Panics if `n < 2`: the sorting chain needs at least two parties.
+fn mint_parties(
+    group: &Group,
+    seed: u64,
+    n: usize,
+    l: usize,
+    parties: RangeInclusive<usize>,
+    workers: usize,
+    cancel: &mut dyn FnMut() -> bool,
+) -> Option<Vec<(PartyStock, SchnorrNonce)>> {
+    // Checked up front: every shape below is built from `n − 1`.
+    assert!(
+        n >= 2,
+        "an offline stock needs at least 2 participants, got {n}"
+    );
+    let set_len = (n - 1) * l;
+    let mut stocks = Vec::new();
+    let mut raw_hops: Vec<Vec<Scalar>> = Vec::new();
+    for party in parties {
+        if cancel() {
+            return None;
+        }
+        let (_, mut rng) = party_streams(seed, party);
+        let keys = KeyPair::generate(group, &mut rng);
+        let nonce = SchnorrNonce::draw(group, &mut rng);
+        let shares = (1..n).map(|_| group.random_scalar(&mut rng)).collect();
+        let enc = MaskPair::draw(group, &mut rng, l);
+        let compare = MaskPair::draw(group, &mut rng, set_len);
+        let hops = (0..n)
+            .filter(|&owner| owner + 1 != party)
+            .map(|owner| {
+                // Hop randomizers must be nonzero — a zero multiplier
+                // would erase a plaintext, forging a rank.
+                raw_hops.push(
+                    (0..set_len)
+                        .map(|_| group.random_nonzero_scalar(&mut rng))
+                        .collect(),
+                );
+                // Fisher–Yates swaps depend only on the length, so
+                // shuffling the identity consumes exactly the draws
+                // shuffling the set would; `order[j]` names the input
+                // landing at position `j`.
+                let mut order: Vec<usize> = (0..set_len).collect();
+                order.shuffle(&mut rng);
+                // The randomizers are prepared below, in one fan-out.
+                (owner, Vec::new(), order)
+            })
+            .collect();
+        let stock = PartyStock {
+            keys,
+            shares,
+            enc,
+            compare,
+            hops,
+        };
+        stocks.push((stock, nonce));
+    }
+    if cancel() {
+        return None;
+    }
+    // The hop applies the randomizers to *foreign* ciphertexts with
+    // variable bases, which no table can precompute; only their
+    // scalar-side work — the `−x_j·r` products and the hop ladder's
+    // signed-digit recodings — is prepared, under the hop party's own
+    // share. Sets were drawn party-major, `n − 1` per party.
+    let prepared = fan_out(
+        raw_hops.len(),
+        workers,
+        |range| range,
+        |range| {
+            range
+                .map(|idx| {
+                    let secret = stocks[idx / (n - 1)].0.keys.secret_key();
+                    group.prepare_hop_scalars(secret, &raw_hops[idx])
+                })
+                .collect::<Vec<_>>()
+        },
+    );
+    let jobs = stocks.iter_mut().flat_map(|(stock, _)| &mut stock.hops);
+    for ((_, prep, _), ready) in jobs.zip(prepared.into_iter().flatten()) {
+        *prep = ready;
+    }
+    Some(stocks)
+}
+
+/// The in-memory simulation's stock for one session (see the module docs):
+/// every party's stock with its masks filled under the joint key, the
+/// joint key's prepared table and every party's assembled proof.
+///
+/// A [`SortMachine`](crate::sorting::SortMachine) is built on one and
+/// takes each party's material at the step that party uses it.
 pub struct OfflineStock {
-    keys: Option<KeyStock>,
-    enc: VecDeque<Vec<MaskPair>>,
-    compare: VecDeque<Vec<MaskPair>>,
-    /// One prepared randomizer set per (hop, foreign τ set).
-    hops: VecDeque<Vec<HopScalars>>,
-    fingerprint: Option<StockFingerprint>,
+    /// Every party's stock, party order.
+    pub(crate) parties: Vec<PartyStock>,
+    /// The joint key's prepared comb table (its base is the joint key).
+    pub(crate) table: FixedBaseTable,
+    /// Every party's key-knowledge proof, party order.
+    pub(crate) proofs: Vec<MultiVerifierTranscript>,
+    fingerprint: StockFingerprint,
 }
 
 impl fmt::Debug for OfflineStock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OfflineStock")
-            .field("keys", &self.keys)
-            .field("enc_rows", &self.enc.len())
-            .field("compare_rows", &self.compare.len())
-            .field("hop_sets", &self.hops.len())
+            .field("parties", &self.parties)
             .field("fingerprint", &self.fingerprint)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -141,13 +288,12 @@ impl OfflineStock {
     /// Generates the stock a session with fingerprint `fp` expects, with
     /// the minting spread over `workers` threads.
     ///
-    /// Derives the session's dedicated offline stream
-    /// (`HashDrbg::seed_from_u64(seed).fork(b"offline")`) and draws from
-    /// it, so every worker count gives the same stock, and the same one
-    /// the session would build cold. `cancel` is polled between parties,
-    /// between mask rows and hop sets, and between minting batches; once it
-    /// returns `true`, generation stops and `None` is returned. A hook that
-    /// never fires always yields `Some`.
+    /// Every party's stock comes from its own offline stream, exactly as a
+    /// mesh party mints it; on top, the joint key's table, both halves of
+    /// every mask and the proofs. Every worker count gives the same stock.
+    /// `cancel` is polled between parties and between minting batches;
+    /// once it returns `true`, generation stops and `None` is returned. A
+    /// hook that never fires always yields `Some`.
     ///
     /// # Panics
     ///
@@ -159,42 +305,52 @@ impl OfflineStock {
         mut cancel: impl FnMut() -> bool,
     ) -> Option<Self> {
         let group = fp.group.group();
-        let mut rng = HashDrbg::seed_from_u64(fp.seed).fork(b"offline");
-        let mut stock = Self::mint(
-            &group,
-            fp.participants,
-            fp.bits,
-            &mut rng,
+        let (n, l) = (fp.participants, fp.bits);
+        let (mut parties, nonces): (Vec<_>, Vec<_>) =
+            mint_parties(&group, fp.seed, n, l, 1..=n, workers, &mut cancel)?
+                .into_iter()
+                .unzip();
+        let key_shares: Vec<Element> = parties
+            .iter()
+            .map(|p| p.keys.public_key().clone())
+            .collect();
+        let joint = JointKey::combine(&group, &key_shares);
+        let table = ExpElGamal::new(group.clone()).prepare_key(joint.public_key());
+        if cancel() {
+            return None;
+        }
+        // Both halves of every party's masks: one fan-out over all of
+        // them, one fixed-base batch of each half per range.
+        let mut masks = parties
+            .iter_mut()
+            .flat_map(|p| p.enc.iter_mut().chain(&mut p.compare));
+        fan_out(
+            n * n * l,
             workers,
-            &mut cancel,
-        )?;
-        stock.fingerprint = Some(fp);
-        Some(stock)
-    }
-
-    /// Draws a stock for an `n`-party, `l`-bit session from `rng`, with
-    /// the minting spread over `workers` threads.
-    ///
-    /// This is the cold path of a machine with no pool-supplied stock: it
-    /// draws one from its own stream at its offline step, paying the
-    /// minting cost on the session clock, with its
-    /// [`SortOptions::threads`] workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`: the sorting chain needs at least two parties.
-    ///
-    /// [`SortOptions::threads`]: crate::sorting::SortOptions
-    pub(crate) fn draw<R: Rng + ?Sized>(
-        group: &Group,
-        n: usize,
-        l: usize,
-        rng: &mut R,
-        workers: usize,
-    ) -> Self {
-        Self::mint(group, n, l, rng, workers, &mut || false)
-            // tidy:allow(panic) — the never-cancelling hook makes None unreachable
-            .expect("minting with a never-cancelling hook always completes")
+            |range| masks.by_ref().take(range.len()).collect::<Vec<_>>(),
+            |chunk| MaskPair::fill(&group, &table, chunk),
+        );
+        // Prover `p`'s transcript: its nonce, and every other party's
+        // challenge share for it in verifier order (verifier `v` holds its
+        // share for `p` at `p`'s rank among `v`'s other provers).
+        let proofs = nonces
+            .into_iter()
+            .enumerate()
+            .map(|(p, nonce)| {
+                let challenges = (0..n)
+                    .filter(|&v| v != p)
+                    .map(|v| parties[v].shares[p - usize::from(p > v)].clone())
+                    .collect();
+                let secret = parties[p].keys.secret_key();
+                MultiVerifierProof::assemble(&group, secret, nonce, challenges)
+            })
+            .collect();
+        Some(OfflineStock {
+            parties,
+            table,
+            proofs,
+            fingerprint: fp,
+        })
     }
 
     /// Invalidates `party`'s key-knowledge proof by bumping its response
@@ -203,206 +359,23 @@ impl OfflineStock {
     /// Test-harness hook: lets attribution tests feed a session a stock
     /// whose proof `party` must be rejected — by the session's own check
     /// or by a cross-session batch — without forging wire bytes. No-op
-    /// when the keys were already taken.
+    /// for a party the stock does not hold.
     #[doc(hidden)]
     pub fn corrupt_key_proof(&mut self, group: &Group, party: usize) {
-        if let Some(proof) = self.keys.as_mut().and_then(|k| k.proofs.get_mut(party)) {
+        if let Some(proof) = self.proofs.get_mut(party) {
             ppgr_zkp::tamper::bump_multi_response(group, proof);
         }
     }
 
-    /// The one minting body behind both front doors: draws the canonical
-    /// scalar stream serially, then exponentiates over `workers` ranges.
-    fn mint<R: Rng + ?Sized>(
-        group: &Group,
-        n: usize,
-        l: usize,
-        rng: &mut R,
-        workers: usize,
-        cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Self> {
-        // Checked up front: every shape below is built from `n − 1`.
-        assert!(
-            n >= 2,
-            "an offline stock needs at least 2 participants, got {n}"
-        );
-        // ---- canonical scalar stream -----------------------------------
-        // Drawn serially and before any worker starts, so every worker
-        // count mints the same stock. Any change here is a new
-        // STOCK_LAYOUT.
-        let mut secrets = Vec::with_capacity(n);
-        for _ in 0..n {
-            if cancel() {
-                return None;
-            }
-            secrets.push(Secret::new(group.random_nonzero_scalar(rng)));
-        }
-        let mut nonces = Vec::with_capacity(n);
-        let mut challenges: Vec<Vec<Scalar>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            if cancel() {
-                return None;
-            }
-            nonces.push(SchnorrNonce::draw(group, rng));
-            challenges.push((0..n - 1).map(|_| group.random_scalar(rng)).collect());
-        }
-        // The n encryption mask rows (l masks each), then one
-        // rerandomization mask per comparison-set ciphertext: each party's
-        // τ set is a deterministic homomorphic combination of published
-        // bit encryptions, so it must be re-randomized before it is
-        // contributed to the chain. Drawn row by row into one run, which
-        // the minting below splits across workers and then into rows.
-        let set_len = (n - 1) * l;
-        let rows = std::iter::repeat_n(l, n).chain(std::iter::repeat_n(set_len, n));
-        let mut masks: Vec<MaskPair> = Vec::with_capacity(n * l + n * set_len);
-        for row_len in rows {
-            if cancel() {
-                return None;
-            }
-            masks.extend(MaskPair::draw(group, rng, row_len));
-        }
-        // n hops, each touching the n−1 foreign sets (ascending owner) of
-        // (n−1)·l ciphertexts each. Hop randomizers must be nonzero — a
-        // zero multiplier would erase a plaintext, forging a rank. The hop
-        // applies them to *foreign* ciphertexts with variable bases, which
-        // no table can precompute; only their scalar-side work is prepared
-        // below.
-        let mut raw_hops: Vec<Vec<Scalar>> = Vec::with_capacity(n * (n - 1));
-        for _set in 0..n * (n - 1) {
-            if cancel() {
-                return None;
-            }
-            raw_hops.push(
-                (0..set_len)
-                    .map(|_| group.random_nonzero_scalar(rng))
-                    .collect(),
-            );
-        }
-        // ---- minting (no further stream draws) -------------------------
-        // Batches run over `workers` near-equal ranges; the hook is polled
-        // between them.
-        if cancel() {
-            return None;
-        }
-        let pairs: Vec<KeyPair> = secrets
-            .iter()
-            .map(|s| KeyPair::from_secret(group, s.expose().clone()))
-            .collect();
-        let shares: Vec<Element> = pairs.iter().map(|p| p.public_key().clone()).collect();
-        let joint = JointKey::combine(group, &shares);
-        let table = ExpElGamal::new(group.clone()).prepare_key(joint.public_key());
-        if cancel() {
-            return None;
-        }
-        // Both halves of every mask: one fixed-base batch of each per range.
-        let mut rest = masks.as_mut_slice();
-        fan_out(
-            rest.len(),
-            workers,
-            |range| {
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-                rest = tail;
-                chunk
-            },
-            |chunk| MaskPair::fill(group, &table, chunk),
-        );
-        // Hop h is run by party h with her own secret share, so the
-        // `−x_h·r` partial-decryption products and the hop ladder's
-        // signed-digit recodings are a pure function of offline material:
-        // prepare them now. Sets were drawn hop-major, `n − 1` per hop.
-        if cancel() {
-            return None;
-        }
-        let (prepared, _cpu) = fan_out(
-            raw_hops.len(),
-            workers,
-            |range| range,
-            |range| {
-                range
-                    .map(|idx| {
-                        let secret = secrets[idx / (n - 1)].expose();
-                        group.prepare_hop_scalars(secret, &raw_hops[idx])
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-        let hops = prepared.into_iter().flatten().collect();
-        let proofs: Vec<MultiVerifierTranscript> = pairs
-            .iter()
-            .zip(nonces)
-            .zip(challenges)
-            .map(|((pair, nonce), chals)| {
-                MultiVerifierProof::assemble(group, pair.secret_key(), nonce, chals)
-            })
-            .collect();
-        let mut masks = masks.into_iter();
-        let mut rows = |len: usize| -> VecDeque<Vec<MaskPair>> {
-            (0..n).map(|_| masks.by_ref().take(len).collect()).collect()
-        };
-        let enc = rows(l);
-        let compare = rows(set_len);
-        Some(OfflineStock {
-            keys: Some(KeyStock {
-                pairs,
-                proofs,
-                table,
-            }),
-            enc,
-            compare,
-            hops,
-            fingerprint: None,
-        })
-    }
-
-    /// The fingerprint this stock was generated for (`None` for stocks
-    /// drawn cold on a session's own stream).
-    pub fn fingerprint(&self) -> Option<&StockFingerprint> {
-        self.fingerprint.as_ref()
-    }
-
-    /// Whether the stock holds exactly an `n`-party, `l`-bit session's
-    /// worth of unconsumed material for `group`.
-    pub fn matches_shape(&self, group: &Group, n: usize, l: usize) -> bool {
-        if let Some(fp) = &self.fingerprint {
-            if fp.group != group.kind() {
-                return false;
-            }
-        }
-        self.keys.as_ref().is_some_and(|k| k.matches_shape(n))
-            && self.enc.len() == n
-            && self.enc.iter().all(|row| row.len() == l)
-            && self.compare.len() == n
-            && self.compare.iter().all(|row| row.len() == (n - 1) * l)
-            && self.hops.len() == n * (n - 1)
-            && self.hops.iter().all(|set| set.len() == (n - 1) * l)
-    }
-
-    /// The whole keygen slice, or `None` if already taken.
-    pub(crate) fn take_keys(&mut self) -> Option<KeyStock> {
-        self.keys.take()
-    }
-
-    /// The next party's encryption mask row, or `None` if exhausted.
-    pub(crate) fn take_enc_row(&mut self) -> Option<Vec<MaskPair>> {
-        self.enc.pop_front()
-    }
-
-    /// The next party's comparison-set rerandomization row, or `None` if
-    /// exhausted.
-    pub(crate) fn take_compare_row(&mut self) -> Option<Vec<MaskPair>> {
-        self.compare.pop_front()
-    }
-
-    /// The next prepared hop randomizer set, or `None` if exhausted.
-    pub(crate) fn take_hop_set(&mut self) -> Option<Vec<HopScalars>> {
-        self.hops.pop_front()
+    /// The fingerprint this stock was generated for.
+    pub fn fingerprint(&self) -> &StockFingerprint {
+        &self.fingerprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
 
     fn fp(seed: u64) -> StockFingerprint {
         StockFingerprint::new(seed, 3, 4, GroupKind::Ecc160)
@@ -413,31 +386,44 @@ mod tests {
         OfflineStock::generate(fp, workers, || false).expect("never cancelled")
     }
 
-    /// The `(g^r, y^r)` halves of every encryption and comparison mask, in
-    /// consumption order.
+    /// The `(y^r, g^r)` halves of every encryption and comparison mask,
+    /// party by party.
     fn halves(s: &OfflineStock) -> Vec<(Option<Element>, Option<Element>)> {
-        s.enc
+        s.parties
             .iter()
-            .chain(s.compare.iter())
-            .flatten()
-            .map(|p| (p.g_r().cloned(), p.y_r().cloned()))
+            .flat_map(|p| p.enc.iter().chain(&p.compare))
+            .map(|m| (m.y_r().cloned(), m.g_r().cloned()))
             .collect()
     }
 
-    /// A stock's prepared hop sets.
-    fn prepared(s: &OfflineStock) -> Vec<&[HopScalars]> {
-        s.hops.iter().map(Vec::as_slice).collect()
+    /// Every party's hop jobs, party by party.
+    fn hops(s: &OfflineStock) -> Vec<&HopJob> {
+        s.parties.iter().flat_map(|p| &p.hops).collect()
     }
 
     /// A stock's joint key: the base of its prepared table.
-    fn joint(s: &OfflineStock) -> Element {
-        s.keys.as_ref().unwrap().table.base().clone()
+    fn joint(s: &OfflineStock) -> &Element {
+        s.table.base()
+    }
+
+    /// Every proof's commitment, challenge shares and response.
+    fn proofs(s: &OfflineStock) -> Vec<(Element, Vec<Scalar>, Scalar)> {
+        s.proofs
+            .iter()
+            .map(|t| {
+                (
+                    t.commitment.clone(),
+                    t.challenges.clone(),
+                    t.response.clone(),
+                )
+            })
+            .collect()
     }
 
     #[test]
     fn any_worker_count_mints_the_serial_stock() {
-        // The scalar stream is drawn before any worker starts and the
-        // batches are pure functions of it, so splitting the minting
+        // Every stream is drawn before any worker starts and the batches
+        // are pure functions of the draws, so splitting the minting
         // across k workers must reproduce the one-worker stock.
         for (kind, n, l) in [
             (GroupKind::Ecc160, 3, 4),
@@ -448,24 +434,78 @@ mod tests {
             let serial = generate(fp, 1);
             assert!(halves(&serial)
                 .iter()
-                .all(|(g_r, y_r)| g_r.is_some() && y_r.is_some()));
+                .all(|(y_r, g_r)| y_r.is_some() && g_r.is_some()));
             for workers in [2, 3, 4] {
                 let fanned = generate(fp, workers);
                 let label = format!("{kind} n={n} workers={workers}");
-                assert_eq!(prepared(&fanned), prepared(&serial), "{label}: hop sets");
+                assert_eq!(hops(&fanned), hops(&serial), "{label}: hop jobs");
                 assert_eq!(halves(&fanned), halves(&serial), "{label}: mask halves");
                 assert_eq!(joint(&fanned), joint(&serial), "{label}: joint key");
+                assert_eq!(proofs(&fanned), proofs(&serial), "{label}: proofs");
             }
-            // The cold draw on a machine's own stream agrees too.
-            let group = kind.group();
-            let mut serial_rng = StdRng::seed_from_u64(5);
-            let mut fanned_rng = StdRng::seed_from_u64(5);
-            let serial = OfflineStock::draw(&group, n, l, &mut serial_rng, 1);
-            let fanned = OfflineStock::draw(&group, n, l, &mut fanned_rng, 3);
-            assert_eq!(prepared(&serial), prepared(&fanned), "{kind} draw hop sets");
-            assert_eq!(halves(&serial), halves(&fanned), "{kind} draw mask halves");
-            assert_eq!(joint(&serial), joint(&fanned));
         }
+    }
+
+    #[test]
+    fn mesh_party_stock_matches_its_slice_of_generate() {
+        // A mesh party mints its stock alone, from its own offline
+        // stream; it must be exactly party j's slice of the simulation's
+        // stock, so both runners consume the same randomness.
+        for (kind, n, l) in [(GroupKind::Ecc160, 4, 3), (GroupKind::Dl1024, 3, 2)] {
+            let group = kind.group();
+            let seed = 0x5eed;
+            let sim = generate(StockFingerprint::new(seed, n, l, kind), 2);
+            for j in 1..=n {
+                let label = format!("{kind} party {j}");
+                let (mut mine, nonce) = PartyStock::mint(&group, seed, n, l, j);
+                let theirs = &sim.parties[j - 1];
+                assert_eq!(mine.keys.public_key(), theirs.keys.public_key(), "{label}");
+                assert_eq!(mine.keys.secret_key(), theirs.keys.secret_key(), "{label}");
+                assert_eq!(nonce.commitment(), &sim.proofs[j - 1].commitment, "{label}");
+                // Its share for each other prover sits in that prover's
+                // proof at the party's rank among the prover's verifiers.
+                let provers = (1..=n).filter(|&p| p != j);
+                for (share, p) in mine.shares.iter().zip(provers) {
+                    let at = j - 1 - usize::from(j > p);
+                    assert_eq!(share, &sim.proofs[p - 1].challenges[at], "{label} → {p}");
+                }
+                assert_eq!(
+                    mine.hops, theirs.hops,
+                    "{label}: preparations and permutations"
+                );
+                let owners: Vec<usize> = mine.hops.iter().map(|(owner, _, _)| *owner).collect();
+                let foreign: Vec<usize> = (0..n).filter(|&o| o != j - 1).collect();
+                assert_eq!(owners, foreign, "{label}: foreign sets in owner order");
+                assert!(mine
+                    .enc
+                    .iter()
+                    .chain(&mine.compare)
+                    .all(|m| m.g_r().is_none()));
+                MaskPair::fill(
+                    &group,
+                    &sim.table,
+                    mine.enc.iter_mut().chain(&mut mine.compare),
+                );
+                let filled = |p: &PartyStock| -> Vec<(Option<Element>, Option<Element>)> {
+                    p.enc
+                        .iter()
+                        .chain(&p.compare)
+                        .map(|m| (m.y_r().cloned(), m.g_r().cloned()))
+                        .collect()
+                };
+                assert_eq!(filled(&mine), filled(theirs), "{label}: mask halves");
+            }
+        }
+    }
+
+    #[test]
+    fn party_stock_debug_shows_only_its_shape() {
+        let group = GroupKind::Ecc160.group();
+        let (stock, _) = PartyStock::mint(&group, 3, 3, 2, 1);
+        let dump = format!("{stock:?}");
+        assert_eq!(dump, "PartyStock { masks: 6, hop_sets: 2, .. }");
+        let secret = format!("{:?}", stock.keys.secret_key());
+        assert!(!dump.contains(&secret), "key share leaked: {dump}");
     }
 
     #[test]
@@ -494,13 +534,25 @@ mod tests {
 
     #[test]
     fn generated_stock_has_the_declared_shape() {
-        let group = GroupKind::Ecc160.group();
+        let (n, l) = (3, 4);
         let stock = generate(fp(7), 1);
-        assert!(stock.matches_shape(&group, 3, 4));
-        assert!(!stock.matches_shape(&group, 4, 4));
-        assert!(!stock.matches_shape(&group, 3, 5));
-        assert!(!stock.matches_shape(&GroupKind::Dl1024.group(), 3, 4));
-        assert_eq!(stock.fingerprint(), Some(&fp(7)));
+        assert_eq!(stock.fingerprint(), &fp(7));
+        assert_eq!(stock.parties.len(), n);
+        for (idx, party) in stock.parties.iter().enumerate() {
+            assert_eq!(party.shares.len(), n - 1);
+            assert_eq!(party.enc.len(), l);
+            assert_eq!(party.compare.len(), (n - 1) * l);
+            assert_eq!(party.hops.len(), n - 1);
+            for (owner, prep, order) in &party.hops {
+                assert_ne!(*owner, idx, "a party never hops her own set");
+                assert_eq!(prep.len(), (n - 1) * l);
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, (0..(n - 1) * l).collect::<Vec<_>>());
+            }
+        }
+        assert_eq!(stock.proofs.len(), n);
+        assert!(stock.proofs.iter().all(|p| p.challenges.len() == n - 1));
     }
 
     #[test]
@@ -510,49 +562,27 @@ mod tests {
         let c = generate(fp(10), 1);
         assert_eq!(joint(&a), joint(&b));
         assert_ne!(joint(&a), joint(&c));
-        assert_eq!(prepared(&a), prepared(&b));
-        assert_ne!(prepared(&a), prepared(&c));
+        assert_eq!(hops(&a), hops(&b));
+        assert_ne!(hops(&a), hops(&c));
     }
 
     #[test]
     fn cancellation_stops_generation() {
-        assert!(OfflineStock::generate(fp(12), 1, || true).is_none());
-        // Cancel part-way through: after a few polls the worker gives up.
-        let mut polls = 0usize;
-        let out = OfflineStock::generate(fp(12), 1, || {
-            polls += 1;
-            polls > 4
+        // Count the polls of a full generation, then cancel at each one.
+        let mut total = 0usize;
+        let full = OfflineStock::generate(fp(12), 1, || {
+            total += 1;
+            false
         });
-        assert!(out.is_none());
-        // Cancel during the minting batches at the end.
-        let mut polls = 0usize;
-        let out = OfflineStock::generate(fp(12), 1, || {
-            polls += 1;
-            polls > 20
-        });
-        assert!(out.is_none());
-    }
-
-    #[test]
-    fn draws_consume_front_to_back_until_exhausted() {
-        let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut stock = OfflineStock::draw(&group, 2, 3, &mut rng, 1);
-        assert!(stock.fingerprint().is_none());
-        assert!(stock.matches_shape(&group, 2, 3));
-        assert!(stock.take_keys().is_some());
-        assert!(stock.take_keys().is_none());
-        for _ in 0..2 {
-            assert_eq!(stock.take_enc_row().map(|r| r.len()), Some(3));
+        assert!(full.is_some());
+        assert!(total > 3, "polled between parties and batches: {total}");
+        for stop in 1..=total {
+            let mut polls = 0usize;
+            let out = OfflineStock::generate(fp(12), 1, || {
+                polls += 1;
+                polls >= stop
+            });
+            assert!(out.is_none(), "cancelled at poll {stop} of {total}");
         }
-        assert!(stock.take_enc_row().is_none());
-        for _ in 0..2 {
-            assert_eq!(stock.take_compare_row().map(|r| r.len()), Some(3));
-        }
-        assert!(stock.take_compare_row().is_none());
-        for _ in 0..2 {
-            assert_eq!(stock.take_hop_set().map(|s| s.len()), Some(3));
-        }
-        assert!(stock.take_hop_set().is_none());
     }
 }

@@ -20,16 +20,23 @@
 //!    random scalar (zero is a fixed point), and shuffles each set;
 //! 5. `P_n` returns each set to its owner, who strips her own key layer
 //!    and counts zeros: `rank = zeros + 1`.
+//!
+//! Steps 7–9 have one body each (`tau_set`, `chain_hop`, `count_zeros`)
+//! that both drivers call: the [`SortMachine`], which plays every party
+//! in one process, and a mesh party ([`crate::distributed`]). Neither
+//! draws randomness while it runs: every party's key share, proof
+//! randomness, masks, hop randomizers and permutations come from its
+//! offline stock ([`crate::offline`]), so both drivers compute the same
+//! ciphertexts for the same seed.
 
 use crate::circuit::compare_encrypted;
-use crate::offline::OfflineStock;
+use crate::offline::{OfflineStock, StockFingerprint};
 use crate::timing::PartyTimer;
 use ppgr_bigint::BigUint;
 use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
 use ppgr_net::TrafficLog;
 use ppgr_zkp::{verify_sessions_multi_batch, MultiVerifierTranscript};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
@@ -54,10 +61,10 @@ pub enum SortError {
         /// The accused prover (1-based).
         party: usize,
     },
-    /// A caller attached an offline stock minted for a different group
-    /// instantiation straight to a [`SortMachine`]. The typed error guards
-    /// such direct callers. A precompute pool lane cannot mis-key: it mints
-    /// from the session's own fingerprint, and
+    /// A caller built a [`SortMachine`] on an offline stock minted for a
+    /// different group instantiation. The typed error guards such direct
+    /// callers. A precompute pool lane cannot mis-key: it mints from the
+    /// session's own fingerprint, and
     /// [`SessionMachine::attach_offline_stock`](crate::SessionMachine::attach_offline_stock)
     /// refuses any other (the session then runs cold).
     StockGroupMismatch {
@@ -116,12 +123,13 @@ pub struct SortOptions {
     /// Worker threads for each step's local crypto (`0` = one per
     /// available core, `1` = serial). Every fanned-out step splits a flat
     /// index space into near-equal contiguous ranges, one per worker: the
-    /// cold offline mint (its mask halves and hop-scalar preparations),
-    /// the comparison step (opponents, then the set's rerandomization
-    /// masks), each hop (the output positions of all `n − 1` foreign sets
-    /// laid end to end) and the finish (every owner's returned ciphertexts
-    /// laid end to end). Randomness is pre-drawn serially, so every thread
-    /// count produces bit-identical transcripts and ranks.
+    /// offline mint (its hop-scalar preparations and mask halves), the
+    /// comparison step (opponents, then the set's rerandomization masks),
+    /// each hop (the output positions of all `n − 1` foreign sets laid end
+    /// to end) and the finish (every owner's returned ciphertexts laid end
+    /// to end). Every random draw comes from the offline stock, drawn
+    /// serially, so every thread count produces bit-identical transcripts
+    /// and ranks.
     /// Only *local* work parallelizes: the hop-to-hop chain itself stays
     /// sequential because each hop must shuffle and re-randomize the
     /// previous hop's output before anyone else may see it — pipelining
@@ -270,47 +278,39 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 /// and runs `work` on each range on its own scoped thread — inline, with
 /// no spawn, when there is a single range. `take` builds each range's
 /// input on the calling thread, in range order, so it may split off owned
-/// or `&mut` data for the range. Returns the results in range order plus
-/// the CPU time summed over the workers (for [`PartyTimer::record`]).
-/// `work` must not touch the protocol RNG — callers pre-draw any
-/// randomness serially, which keeps every worker count bit-identical.
+/// or `&mut` data for the range. Returns the results in range order.
+/// `work` must draw no randomness — every draw is made serially before
+/// any worker starts, which keeps every worker count bit-identical.
 pub(crate) fn fan_out<T: Send, U: Send>(
     total: usize,
     workers: usize,
     take: impl FnMut(Range<usize>) -> T,
     work: impl Fn(T) -> U + Sync,
-) -> (Vec<U>, Duration) {
+) -> Vec<U> {
     let parts = workers.clamp(1, total.max(1));
     let inputs: Vec<T> = (0..parts)
         .map(|p| p * total / parts..(p + 1) * total / parts)
         .map(take)
         .collect();
-    let timed = |input: T| {
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let start = Instant::now();
-        let out = work(input);
-        (out, start.elapsed())
-    };
     let mut inputs = inputs.into_iter();
     let Some(first) = inputs.next() else {
-        return (Vec::new(), Duration::ZERO);
+        return Vec::new();
     };
     std::thread::scope(|s| {
-        let handles: Vec<_> = inputs.map(|input| s.spawn(|| timed(input))).collect();
+        let handles: Vec<_> = inputs.map(|input| s.spawn(|| work(input))).collect();
         // The calling thread takes the first range itself.
-        let (out, mut cpu) = timed(first);
-        let mut outs = vec![out];
+        let mut outs = vec![work(first)];
         for handle in handles {
             // A worker that panicked (e.g. an assert in `work`) must not be
             // swallowed into a bogus result; re-raise its payload on the
             // caller's thread instead.
-            let (out, spent) = handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            outs.push(out);
-            cpu += spent;
+            outs.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
         }
-        (outs, cpu)
+        outs
     })
 }
 
@@ -333,8 +333,7 @@ fn pieces(range: Range<usize>, len: usize) -> impl Iterator<Item = (usize, Range
 /// published bit vectors `opponents` (in opponent order), rerandomized
 /// under the joint key with the single-use mask row `masks`, one mask per
 /// set ciphertext. The `n − 1` comparisons, then the masks, split into
-/// near-equal ranges over `workers` threads. Returns the set and the CPU
-/// time spent.
+/// near-equal ranges over `workers` threads.
 ///
 /// The raw τ set is a *deterministic* homomorphic combination of the
 /// published bit encryptions, keyed only by the party's `l`-bit value —
@@ -355,8 +354,8 @@ pub(crate) fn tau_set(
     l: usize,
     masks: Vec<MaskPair>,
     workers: usize,
-) -> (Vec<Ciphertext>, Duration) {
-    let (chunks, compare_cpu) = fan_out(
+) -> Vec<Ciphertext> {
+    let chunks = fan_out(
         opponents.len(),
         workers,
         |range| range,
@@ -370,7 +369,7 @@ pub(crate) fn tau_set(
     let raw: Vec<Ciphertext> = chunks.into_iter().flatten().collect();
     // Each range takes its own slice of the (single-use) mask row.
     let mut masks = masks.into_iter();
-    let (parts, rerandomize_cpu) = fan_out(
+    fan_out(
         raw.len(),
         workers,
         |range| {
@@ -378,21 +377,24 @@ pub(crate) fn tau_set(
             (&raw[range], row)
         },
         |(cts, row)| scheme.rerandomize_batch_with_precomputed(key_table, cts, row),
-    );
-    let set = parts.into_iter().flatten().collect();
-    (set, compare_cpu + rerandomize_cpu)
+    )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
-/// One foreign set's share of a chain hop: the index of its owner's set,
-/// its plaintext randomizers prepared under the hop party's key share
-/// (`None` when the run does not randomize), and its drawn output order
+/// One foreign set's share of a chain hop, minted offline with the hop
+/// party's stock: the index of its owner's set, its plaintext randomizers
+/// prepared under the hop party's key share, and its output order
 /// (`order[j]` is the input landing at position `j`).
-pub(crate) type HopJob = (usize, Option<Vec<HopScalars>>, Vec<usize>);
+pub(crate) type HopJob = (usize, Vec<HopScalars>, Vec<usize>);
 
 /// Step 8's body (paper Fig. 1): one party's hop over the foreign sets
 /// `jobs` names. Every named set is partially decrypted under `secret`,
-/// multiplied by its prepared randomizers and shuffled into its drawn
-/// order, then replaces the old set in `sets`. Returns the CPU time spent.
+/// multiplied by its prepared randomizers and shuffled into its order,
+/// then replaces the old set in `sets`. `options.randomize: false` skips
+/// the randomizers and `options.shuffle: false` keeps the input order;
+/// `options.threads` is ignored in favour of `workers`.
 ///
 /// The hop's output positions — the foreign sets laid end to end — split
 /// into near-equal ranges across the `workers` threads, so a set may be
@@ -409,12 +411,14 @@ pub(crate) fn chain_hop(
     sets: &mut [Vec<Ciphertext>],
     jobs: &[HopJob],
     secret: &Scalar,
+    options: SortOptions,
     workers: usize,
-) -> Duration {
+) {
     // Every set in a session has the same length, (n − 1)·l.
     let len = sets[0].len();
+    let identity: Vec<usize> = (0..len).collect();
     let inputs: &[Vec<Ciphertext>] = sets;
-    let (outputs, cpu) = fan_out(
+    let outputs = fan_out(
         jobs.len() * len,
         workers,
         |range| range,
@@ -422,15 +426,17 @@ pub(crate) fn chain_hop(
             pieces(range, len)
                 .map(|(k, local)| {
                     let (owner, prep, order) = &jobs[k];
+                    let order = if options.shuffle { order } else { &identity };
                     let (set, order) = (&inputs[*owner], Some(&order[local]));
                     let mut out = Vec::new();
-                    match prep {
+                    if options.randomize {
                         // `−x·r` and the recodings came prepared under the
                         // hop party's share.
-                        Some(prep) => scheme.partial_decrypt_randomize_prepared_gather_into(
+                        scheme.partial_decrypt_randomize_prepared_gather_into(
                             set, prep, order, &mut out,
-                        ),
-                        None => scheme.partial_decrypt_gather_into(set, secret, order, &mut out),
+                        );
+                    } else {
+                        scheme.partial_decrypt_gather_into(set, secret, order, &mut out);
                     }
                     (k, out)
                 })
@@ -450,7 +456,6 @@ pub(crate) fn chain_hop(
     for ((owner, _, _), hopped) in jobs.iter().zip(assembled) {
         sets[*owner] = hopped;
     }
-    cpu
 }
 
 /// Step 9's body (paper Fig. 1): strips the owner's key layer from the
@@ -479,16 +484,15 @@ pub struct SortTrace {
     /// Per-party key pairs (index `j-1` → party `j`).
     pub keys: Vec<KeyPair>,
     /// The final set returned to each owner (after the full chain),
-    /// *before* the owner's own final decryption.
+    /// *before* the owner's own final decryption. Each set was built
+    /// against the owner's opponents in ascending party order.
     pub returned_sets: Vec<Vec<Ciphertext>>,
-    /// The comparison opponent order used when each owner built her set
-    /// (identity ↔ position mapping before any shuffling).
-    pub opponent_order: Vec<Vec<usize>>,
 }
 
 /// Runs the protocol with default options and no trace capture.
 ///
-/// `values[j]` is party `j+1`'s private `l`-bit value.
+/// `values[j]` is party `j+1`'s private `l`-bit value. The session's seed
+/// is one `u64` drawn from `rng` (see [`run_sort`]).
 ///
 /// # Errors
 ///
@@ -517,8 +521,10 @@ pub fn unlinkable_sort<R: Rng + ?Sized>(
 
 /// Full-control entry point: options + trace (used by games and tests).
 ///
-/// Drives a [`SortMachine`] to completion; a machine stepped the same way
-/// with the same RNG produces bit-identical transcripts and ranks.
+/// Draws one `u64` session seed from `rng`, generates the offline stock
+/// for `(seed, n, l, group)` ([`OfflineStock::generate`]) and drives a
+/// [`SortMachine`] built on it to completion; a machine built on the same
+/// stock produces bit-identical transcripts and ranks.
 ///
 /// # Errors
 ///
@@ -534,11 +540,28 @@ pub fn run_sort<R: Rng + ?Sized>(
     timer: &mut PartyTimer,
     round_base: u32,
 ) -> Result<(SortOutcome, SortTrace), SortError> {
-    let mut machine = SortMachine::new(group, values, l, options, round_base)?;
-    while machine.step(rng, log, timer)? == SortStatus::Pending {}
+    check_values(values, l)?;
+    let fp = StockFingerprint::new(rng.gen(), values.len(), l, group.kind());
+    let stock = OfflineStock::generate(fp, resolve_threads(options.threads), || false).ok_or(
+        SortError::Internal("uncancelled offline generation stopped"),
+    )?;
+    let mut machine = SortMachine::new(group, values, l, options, stock, round_base)?;
+    while machine.step(log, timer)? == SortStatus::Pending {}
     machine
         .into_result()
         .ok_or(SortError::Internal("machine driven to Done but no result"))
+}
+
+/// The sorting chain's input checks: at least two parties, each value
+/// within `l` bits.
+fn check_values(values: &[BigUint], l: usize) -> Result<(), SortError> {
+    if values.len() < 2 {
+        return Err(SortError::TooFewParties(values.len()));
+    }
+    match values.iter().position(|v| v.bits() > l) {
+        Some(idx) => Err(SortError::ValueTooWide { party: idx + 1 }),
+        None => Ok(()),
+    }
 }
 
 /// What a [`SortMachine::step`] call left behind.
@@ -554,10 +577,6 @@ pub enum SortStatus {
 /// Where a [`SortMachine`] currently stands in the protocol.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 enum SortState {
-    /// Offline phase: acquire (or draw cold) the precomputed stock — key
-    /// material with proofs, encryption and comparison mask pairs, hop
-    /// randomizers.
-    Offline,
     /// Step 5: key generation + proofs of knowledge (all parties).
     KeyGen,
     /// Step 6: bitwise encryption under the joint key (all parties).
@@ -583,10 +602,11 @@ enum SortState {
 /// Granularity: one `step` call performs one protocol unit — all of key
 /// generation, all of bit encryption, or a single party's comparison batch
 /// / chain hop (the chain hops are ~89 % of the cost, so per-hop yields are
-/// what make cross-session pipelining effective). Every random draw happens
-/// inside `step` in the exact order the serial protocol would draw it, so a
-/// session's transcript and ranks are bit-identical no matter how its steps
-/// are interleaved with other sessions'.
+/// what make cross-session pipelining effective). The machine draws
+/// nothing: every party's randomness — key share, proof, masks, hop
+/// randomizers and permutations — comes from the [`OfflineStock`] it was
+/// built on, so a session's transcript and ranks are bit-identical no
+/// matter how its steps are interleaved with other sessions'.
 #[derive(Debug)]
 pub struct SortMachine {
     // Fixed configuration.
@@ -603,14 +623,10 @@ pub struct SortMachine {
     // Protocol state.
     state: SortState,
     round: u32,
-    keys: Vec<KeyPair>,
-    key_table: Option<ppgr_group::FixedBaseTable>,
+    /// Every party's randomness; each step takes what its party uses.
+    stock: OfflineStock,
     encrypted_bits: Vec<Vec<Ciphertext>>,
     sets: Vec<Vec<Ciphertext>>,
-    opponent_order: Vec<Vec<usize>>,
-    /// Precomputed randomness, attached warm by a pool or drawn cold at the
-    /// offline step; consumed front-to-back in protocol order.
-    stock: Option<OfflineStock>,
     /// The keygen proof check parked by the keygen step: claimed by a
     /// batching caller via [`SortMachine::take_pending_verify`], or settled
     /// at the start of the next step.
@@ -619,26 +635,34 @@ pub struct SortMachine {
 }
 
 impl SortMachine {
-    /// Validates the inputs and prepares a machine at step 5.
+    /// Validates the inputs and the offline stock and prepares a machine at
+    /// step 5.
     ///
     /// # Errors
     ///
-    /// See [`SortError`] (`TooFewParties`, `ValueTooWide`).
+    /// [`SortError::TooFewParties`] and [`SortError::ValueTooWide`] for bad
+    /// inputs; [`SortError::StockGroupMismatch`] if the stock was minted for
+    /// a different group instantiation; [`SortError::Internal`] if it was
+    /// minted for another session shape (`n` parties, `l` bits).
     pub fn new(
         group: &Group,
         values: &[BigUint],
         l: usize,
         options: SortOptions,
+        stock: OfflineStock,
         round_base: u32,
     ) -> Result<Self, SortError> {
+        check_values(values, l)?;
         let n = values.len();
-        if n < 2 {
-            return Err(SortError::TooFewParties(n));
+        let fp = stock.fingerprint();
+        if fp.group != group.kind() {
+            return Err(SortError::StockGroupMismatch {
+                expected: group.kind(),
+                got: fp.group,
+            });
         }
-        for (idx, v) in values.iter().enumerate() {
-            if v.bits() > l {
-                return Err(SortError::ValueTooWide { party: idx + 1 });
-            }
+        if fp.participants != n || fp.bits != l {
+            return Err(SortError::Internal("offline stock shape mismatch"));
         }
         Ok(SortMachine {
             scheme: ExpElGamal::new(group.clone()),
@@ -651,52 +675,14 @@ impl SortMachine {
             options,
             n,
             workers: resolve_threads(options.threads),
-            state: SortState::Offline,
+            state: SortState::KeyGen,
             round: round_base,
-            keys: Vec::new(),
-            key_table: None,
+            stock,
             encrypted_bits: Vec::new(),
             sets: Vec::new(),
-            opponent_order: Vec::new(),
-            stock: None,
             pending_verify: None,
             result: None,
         })
-    }
-
-    /// Attaches a pool-generated [`OfflineStock`] before the machine's
-    /// offline step runs, so the step finds its randomness ready instead of
-    /// drawing it cold.
-    ///
-    /// # Errors
-    ///
-    /// [`SortError::StockGroupMismatch`] if the stock's fingerprint names a
-    /// different group instantiation than this session. This guards
-    /// callers that attach stocks themselves; pools attach through
-    /// [`SessionMachine::attach_offline_stock`](crate::SessionMachine::attach_offline_stock),
-    /// whose lanes mint from the session's own fingerprint.
-    /// [`SortError::Internal`] if the offline step has already run, a stock
-    /// is already attached, or the stock's shape does not match this
-    /// session (`n` parties, `l` bits).
-    pub fn attach_offline_stock(&mut self, stock: OfflineStock) -> Result<(), SortError> {
-        if let Some(fp) = stock.fingerprint() {
-            if fp.group != self.group.kind() {
-                return Err(SortError::StockGroupMismatch {
-                    expected: self.group.kind(),
-                    got: fp.group,
-                });
-            }
-        }
-        if self.state != SortState::Offline || self.stock.is_some() {
-            return Err(SortError::Internal(
-                "offline stock attached after the offline step",
-            ));
-        }
-        if !stock.matches_shape(&self.group, self.n, self.l) {
-            return Err(SortError::Internal("offline stock shape mismatch"));
-        }
-        self.stock = Some(stock);
-        Ok(())
     }
 
     /// Claims the keygen proof check the keygen step parked, so the caller
@@ -726,9 +712,8 @@ impl SortMachine {
 
     /// Executes the next protocol unit.
     ///
-    /// All randomness is drawn from `rng` inside this call, in serial
-    /// protocol order; wire traffic is logged to `log` and per-party
-    /// computation charged to `timer`.
+    /// Wire traffic is logged to `log` and per-party computation charged
+    /// to `timer`.
     ///
     /// # Errors
     ///
@@ -736,94 +721,70 @@ impl SortMachine {
     /// (reachable only via dishonest provers in the game harness). The
     /// step after keygen reports it when no caller claimed the check, and
     /// keeps reporting it however often the machine is stepped again.
-    pub fn step<R: Rng + ?Sized>(
+    pub fn step(
         &mut self,
-        rng: &mut R,
         log: &TrafficLog,
         timer: &mut PartyTimer,
     ) -> Result<SortStatus, SortError> {
         // Settle a keygen check nobody claimed before any other work.
-        // It reads only published material and draws nothing, so the
-        // transcript does not depend on who settles it. Like the offline
-        // split, it is charged to nobody's per-party ledger.
+        // It reads only published material, so the transcript does not
+        // depend on who settles it. Like the offline mint, it is charged
+        // to nobody's per-party ledger.
         if let Some(job) = &self.pending_verify {
             job.verify_inline()?;
             self.pending_verify = None;
         }
         match self.state {
-            SortState::Offline => {
-                // Cold fallback: no pool attached a stock, so draw and mint
-                // the whole keygen tier from the protocol stream here, on
-                // the session clock. Warm machines skip this entirely.
-                // Offline work is charged to nobody's per-party ledger —
-                // that is the point of the split.
-                if self.stock.is_none() {
-                    self.stock = Some(OfflineStock::draw(
-                        &self.group,
-                        self.n,
-                        self.l,
-                        rng,
-                        self.workers,
-                    ));
-                }
-                self.state = SortState::KeyGen;
-                Ok(SortStatus::Pending)
-            }
             SortState::KeyGen => {
-                self.step_keygen(log)?;
+                self.step_keygen(log);
                 self.state = SortState::Encrypt;
-                Ok(SortStatus::Pending)
             }
             SortState::Encrypt => {
-                self.step_encrypt(log, timer)?;
+                self.step_encrypt(log, timer);
                 self.state = SortState::Compare { idx: 0 };
-                Ok(SortStatus::Pending)
             }
             SortState::Compare { idx } => {
-                self.step_compare(idx, log, timer)?;
+                self.step_compare(idx, log, timer);
                 self.state = if idx + 1 < self.n {
                     SortState::Compare { idx: idx + 1 }
                 } else {
                     self.round += 1;
                     SortState::Hop { idx: 0 }
                 };
-                Ok(SortStatus::Pending)
             }
             SortState::Hop { idx } => {
-                self.step_hop(idx, rng, log, timer)?;
+                self.step_hop(idx, log, timer);
                 self.state = if idx + 1 < self.n {
                     SortState::Hop { idx: idx + 1 }
                 } else {
                     SortState::Finish
                 };
-                Ok(SortStatus::Pending)
             }
             SortState::Finish => {
                 self.step_finish(log, timer);
                 self.state = SortState::Done;
-                Ok(SortStatus::Done)
             }
-            SortState::Done => Ok(SortStatus::Done),
+            SortState::Done => {}
         }
+        Ok(if self.is_done() {
+            SortStatus::Done
+        } else {
+            SortStatus::Pending
+        })
     }
 
     /// Step 5: key generation + proofs of knowledge, fed entirely from the
     /// offline stock.
     ///
     /// Keys are party randomness, not inputs, so the stock carries them:
-    /// minted key pairs, assembled proofs and the prepared joint-key table,
+    /// key pairs, assembled proofs and the prepared joint-key table,
     /// leaving online only the share exchange and proof verification.
     ///
     /// The proofs are not checked here: the step parks them as a
     /// [`KeygenVerifyJob`], which a batching caller claims or the next
     /// step settles.
-    fn step_keygen(&mut self, log: &TrafficLog) -> Result<(), SortError> {
+    fn step_keygen(&mut self, log: &TrafficLog) {
         let n = self.n;
-        let keys = self
-            .stock
-            .as_mut()
-            .and_then(OfflineStock::take_keys)
-            .ok_or(SortError::Internal("offline key stock exhausted"))?;
         for party in 1..=n {
             // Publish y_j.
             for other in 1..=n {
@@ -845,95 +806,64 @@ impl SortMachine {
         }
         // Every verifier checks the same transcripts against the same
         // keys, so one check of each proof stands for all of them.
-        self.pending_verify = Some(KeygenVerifyJob::new(
-            &self.group,
-            keys.pairs.iter().map(|k| k.public_key().clone()).collect(),
-            keys.proofs,
-        ));
+        let statements = self
+            .stock
+            .parties
+            .iter()
+            .map(|p| p.keys.public_key().clone())
+            .collect();
+        let proofs = std::mem::take(&mut self.stock.proofs);
+        self.pending_verify = Some(KeygenVerifyJob::new(&self.group, statements, proofs));
         self.round += 3;
-        self.keys = keys.pairs;
-        self.key_table = Some(keys.table);
-        Ok(())
     }
 
     /// Step 6: bitwise encryption under the joint key, published to all.
     ///
-    /// The stock delivered the joint key's prepared comb table at the
-    /// keygen step and both halves of every mask, so nothing here
-    /// exponentiates beyond one group operation per set bit.
-    fn step_encrypt(&mut self, log: &TrafficLog, timer: &mut PartyTimer) -> Result<(), SortError> {
+    /// The stock holds the joint key's prepared comb table and both halves
+    /// of every mask, so nothing here exponentiates beyond one group
+    /// operation per set bit.
+    fn step_encrypt(&mut self, log: &TrafficLog, timer: &mut PartyTimer) {
         let n = self.n;
-        let key_table = self
-            .key_table
-            .as_ref()
-            .ok_or(SortError::Internal("no key table at encrypt"))?;
-        let stock = self
-            .stock
-            .as_mut()
-            .ok_or(SortError::Internal("no offline stock at encrypt"))?;
-        self.encrypted_bits = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| {
-                let party = idx + 1;
-                let row = stock
-                    .take_enc_row()
-                    .ok_or(SortError::Internal("offline encryption stock exhausted"))?;
-                let cts = timer.time(party, || {
-                    encrypt_bits_with_precomputed(&self.scheme, key_table, v, self.l, row)
-                });
-                for other in 1..=n {
-                    if other != party {
-                        log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
-                    }
+        let mut bits = Vec::with_capacity(n);
+        for (idx, own) in self.stock.parties.iter_mut().enumerate() {
+            let party = idx + 1;
+            let row = std::mem::take(&mut own.enc);
+            let (table, value) = (&self.stock.table, &self.values[idx]);
+            bits.push(timer.time(party, || {
+                encrypt_bits_with_precomputed(&self.scheme, table, value, self.l, row)
+            }));
+            for other in 1..=n {
+                if other != party {
+                    log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
                 }
-                Ok(cts)
-            })
-            .collect::<Result<_, SortError>>()?;
+            }
+        }
+        self.encrypted_bits = bits;
         self.round += 1;
-        Ok(())
     }
 
     /// Step 7 for one party: her τ set ([`tau_set`]) against every other
-    /// party's encrypted bits, concatenated in `opponent_order` and
-    /// rerandomized with her stocked mask row before it leaves her hands.
-    fn step_compare(
-        &mut self,
-        idx: usize,
-        log: &TrafficLog,
-        timer: &mut PartyTimer,
-    ) -> Result<(), SortError> {
+    /// party's encrypted bits, in ascending party order, rerandomized with
+    /// her stocked masks before it leaves her hands.
+    fn step_compare(&mut self, idx: usize, log: &TrafficLog, timer: &mut PartyTimer) {
         let party = idx + 1;
-        let opponents: Vec<usize> = (0..self.n).filter(|&i| i != idx).collect();
         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
         let start = Instant::now();
-        let row = self
-            .stock
-            .as_mut()
-            .and_then(OfflineStock::take_compare_row)
-            .ok_or(SortError::Internal("offline compare stock exhausted"))?;
-        if row.len() != opponents.len() * self.l {
-            return Err(SortError::Internal("offline compare stock shape mismatch"));
-        }
-        let key_table = self
-            .key_table
-            .as_ref()
-            .ok_or(SortError::Internal("no key table at compare"))?;
-        let bits: Vec<&[Ciphertext]> = opponents
-            .iter()
-            .map(|&opp| self.encrypted_bits[opp].as_slice())
+        let masks = std::mem::take(&mut self.stock.parties[idx].compare);
+        let bits: Vec<&[Ciphertext]> = (0..self.n)
+            .filter(|&opp| opp != idx)
+            .map(|opp| self.encrypted_bits[opp].as_slice())
             .collect();
-        let (set, cpu) = tau_set(
+        let set = tau_set(
             &self.scheme,
-            key_table,
+            &self.stock.table,
             &bits,
             &self.values[idx],
             self.l,
-            row,
+            masks,
             self.workers,
         );
-        timer.record(party, start.elapsed(), cpu);
+        timer.record(party, start.elapsed());
         if party != 1 {
             log.record(
                 self.round,
@@ -944,77 +874,32 @@ impl SortMachine {
             );
         }
         self.sets.push(set);
-        self.opponent_order.push(opponents);
-        Ok(())
     }
 
     /// Step 8 for one party: her hop ([`chain_hop`]) of the shuffle-decrypt
-    /// chain P₁ → P₂ → … → P_n. The plaintext randomizers come from the
-    /// offline stock and the shuffle permutations are drawn from `rng` in
-    /// the serial order before any worker starts, so the transcript is
-    /// identical for any thread count.
-    fn step_hop<R: Rng + ?Sized>(
-        &mut self,
-        idx: usize,
-        rng: &mut R,
-        log: &TrafficLog,
-        timer: &mut PartyTimer,
-    ) -> Result<(), SortError> {
+    /// chain P₁ → P₂ → … → P_n, with the prepared randomizers and
+    /// permutations of her stock.
+    fn step_hop(&mut self, idx: usize, log: &TrafficLog, timer: &mut PartyTimer) {
         let party = idx + 1;
         // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
         let start = Instant::now();
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let draw_start = Instant::now();
-        let stock = self
-            .stock
-            .as_mut()
-            .ok_or(SortError::Internal("no offline stock at hop"))?;
-        // The stock always holds a randomizer set per (hop, foreign set) —
-        // its shape is options-independent — so a non-randomizing run
-        // simply leaves them unconsumed.
-        let jobs: Vec<HopJob> = self
-            .sets
-            .iter()
-            .enumerate()
-            .filter(|&(owner, _)| owner != idx) // never her own set
-            .map(|(owner, set)| {
-                let prep = if self.options.randomize {
-                    let prep = stock
-                        .take_hop_set()
-                        .ok_or(SortError::Internal("offline hop stock exhausted"))?;
-                    if prep.len() != set.len() {
-                        return Err(SortError::Internal("offline hop stock shape mismatch"));
-                    }
-                    Some(prep)
-                } else {
-                    None
-                };
-                // A permutation shuffled with the same draws the in-place
-                // `shuffle` would consume (Fisher–Yates swaps depend only
-                // on the length), fused into result placement.
-                let mut order: Vec<usize> = (0..set.len()).collect();
-                if self.options.shuffle {
-                    order.shuffle(rng);
-                }
-                Ok((owner, prep, order))
-            })
-            .collect::<Result<_, SortError>>()?;
-        let draw_cpu = draw_start.elapsed();
-        let cpu = chain_hop(
+        let own = &mut self.stock.parties[idx];
+        let jobs = std::mem::take(&mut own.hops);
+        chain_hop(
             &self.scheme,
             &mut self.sets,
             &jobs,
-            self.keys[idx].secret_key(),
+            own.keys.secret_key(),
+            self.options,
             self.workers,
         );
-        timer.record(party, start.elapsed(), draw_cpu + cpu);
+        timer.record(party, start.elapsed());
         // Hand the whole vector V to the next party in the chain.
         if party < self.n {
             let v_bytes: usize = self.sets.iter().map(|s| s.len() * self.ct_len).sum();
             log.record(self.round, party, party + 1, v_bytes, "sort/chain");
             self.round += 1;
         }
-        Ok(())
     }
 
     /// Return traffic + step 9: each owner strips her own layer and counts
@@ -1037,7 +922,7 @@ impl SortMachine {
         // wire-free, so the transcript is unchanged.
         let len = self.sets[0].len();
         let positions: Vec<usize> = (0..len).collect();
-        let (counted, _cpu) = fan_out(
+        let counted = fan_out(
             n * len,
             self.workers,
             |range| range,
@@ -1049,7 +934,7 @@ impl SortMachine {
                         let zeros = count_zeros(
                             &self.scheme,
                             &self.sets[owner],
-                            self.keys[owner].secret_key(),
+                            self.stock.parties[owner].keys.secret_key(),
                             Some(&positions[local]),
                         );
                         (owner, zeros, start.elapsed())
@@ -1058,25 +943,24 @@ impl SortMachine {
             },
         );
         // Zero counts sum per owner. Each owner is charged only for the
-        // time spent on her own ciphertexts: the CPU summed over her
-        // pieces, and as wall-clock the longest of them (her pieces sit in
-        // different ranges, so they ran side by side).
+        // time spent on her own ciphertexts, as the longest of her pieces
+        // (they sit in different ranges, so they ran side by side).
         let mut zeros = vec![0usize; n];
         let mut wall = vec![Duration::ZERO; n];
-        let mut cpu = vec![Duration::ZERO; n];
         for (owner, count, spent) in counted.into_iter().flatten() {
             zeros[owner] += count;
             wall[owner] = wall[owner].max(spent);
-            cpu[owner] += spent;
         }
-        for owner in 0..n {
-            timer.record(owner + 1, wall[owner], cpu[owner]);
+        for (owner, spent) in wall.into_iter().enumerate() {
+            timer.record(owner + 1, spent);
         }
         let ranks: Vec<usize> = zeros.iter().map(|z| z + 1).collect();
         let trace = SortTrace {
-            keys: std::mem::take(&mut self.keys),
+            keys: std::mem::take(&mut self.stock.parties)
+                .into_iter()
+                .map(|p| p.keys)
+                .collect(),
             returned_sets: std::mem::take(&mut self.sets),
-            opponent_order: std::mem::take(&mut self.opponent_order),
         };
         self.result = Some((SortOutcome { ranks }, trace));
     }
@@ -1093,9 +977,11 @@ pub fn plain_ranks(values: &[BigUint]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::offline::{party_streams, PartyStock};
     use ppgr_group::GroupKind;
     use ppgr_net::TrafficSummary;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     fn sort_values(vals: &[u64], l: usize, seed: u64) -> SortOutcome {
@@ -1222,7 +1108,73 @@ mod tests {
         assert_eq!(serial_out, parallel_out);
         assert_eq!(serial_out.ranks, vec![4, 1, 3, 1, 5]);
         assert_eq!(serial_trace.returned_sets, parallel_trace.returned_sets);
-        assert_eq!(serial_trace.opponent_order, parallel_trace.opponent_order);
+    }
+
+    #[test]
+    fn chain_hop_matches_the_per_ciphertext_loop() {
+        // A party's stocked hop jobs and the shared hop body must return
+        // exactly what the reference loop does — for each foreign set, in
+        // owner order: partial_decrypt, then randomize_plaintext by the
+        // party's next randomizer per ciphertext, then a shuffle of the set
+        // — on any worker count. The loop replays the party's offline
+        // stream past its key share, nonce, challenge shares and masks. With
+        // l = 3, two foreign sets of 6 on three workers and three sets of 9
+        // on two each put a range boundary inside a set.
+        let (l, seed) = (3, 17);
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let group = kind.group();
+            let scheme = ExpElGamal::new(group.clone());
+            for (n, me) in [(3, 2), (4, 4)] {
+                let (stock, _) = PartyStock::mint(&group, seed, n, l, me);
+                let kp = &stock.keys;
+                let mut rng = StdRng::seed_from_u64(3);
+                let sets: Vec<Vec<Ciphertext>> = (0..n)
+                    .map(|_| {
+                        (0..((n - 1) * l) as u64)
+                            .map(|m| {
+                                let m = group.scalar_from_u64(m % 3);
+                                scheme.encrypt(kp.public_key(), &m, &mut rng)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let (_, mut replay) = party_streams(seed, me);
+                let _ = group.random_nonzero_scalar(&mut replay);
+                for _ in 0..1 + (n - 1) + n * l {
+                    let _ = group.random_scalar(&mut replay);
+                }
+                let mut expect = sets.clone();
+                for (owner, set) in expect.iter_mut().enumerate() {
+                    if owner + 1 == me {
+                        continue;
+                    }
+                    *set = set
+                        .iter()
+                        .map(|ct| {
+                            let c = scheme.partial_decrypt(ct, kp.secret_key());
+                            let r = group.random_nonzero_scalar(&mut replay);
+                            scheme.randomize_plaintext(&c, &r)
+                        })
+                        .collect();
+                    set.shuffle(&mut replay);
+                }
+                for workers in [1, 2, 3] {
+                    let label = format!("{kind} n={n} workers={workers}");
+                    let mut hopped = sets.clone();
+                    let options = SortOptions::default();
+                    chain_hop(
+                        &scheme,
+                        &mut hopped,
+                        &stock.hops,
+                        kp.secret_key(),
+                        options,
+                        workers,
+                    );
+                    assert_eq!(hopped, expect, "{label}");
+                    assert_eq!(hopped[me - 1], sets[me - 1], "{label}: own set untouched");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1261,14 +1213,23 @@ mod tests {
         steps: usize,
     }
 
-    /// Drives one machine to completion on a cold stock drawn from its own
-    /// seed (with `corrupt`'s proof invalidated, if any). With `claim`, the
-    /// loop takes the parked keygen check the way a batching runtime does;
-    /// without, nobody does and the machine settles it.
+    /// The stock for an ECC-160 session of `n` parties and `l` bits seeded
+    /// `seed`, with `corrupt`'s proof invalidated, if any.
+    fn stock(seed: u64, n: usize, l: usize, corrupt: Option<usize>) -> OfflineStock {
+        let fp = StockFingerprint::new(seed, n, l, GroupKind::Ecc160);
+        let mut stock = OfflineStock::generate(fp, 1, || false).unwrap();
+        if let Some(party) = corrupt {
+            stock.corrupt_key_proof(&GroupKind::Ecc160.group(), party);
+        }
+        stock
+    }
+
+    /// Drives one machine to completion on the stock for `seed` (with
+    /// `corrupt`'s proof invalidated, if any). With `claim`, the loop takes
+    /// the parked keygen check the way a batching runtime does; without,
+    /// nobody does and the machine settles it.
     fn drive(claim: bool, seed: u64, corrupt: Option<usize>) -> Driven {
         let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut stock_rng = StdRng::seed_from_u64(seed ^ 0xa5);
         let values: Vec<BigUint> = [13u64, 200, 78, 200]
             .iter()
             .map(|&v| BigUint::from(v))
@@ -1279,15 +1240,11 @@ mod tests {
             threads: 1,
             ..SortOptions::default()
         };
-        let mut machine = SortMachine::new(&group, &values, 8, options, 0).unwrap();
-        let mut stock = OfflineStock::draw(&group, values.len(), 8, &mut stock_rng, 1);
-        if let Some(party) = corrupt {
-            stock.corrupt_key_proof(&group, party);
-        }
-        machine.attach_offline_stock(stock).unwrap();
+        let stock = stock(seed, values.len(), 8, corrupt);
+        let mut machine = SortMachine::new(&group, &values, 8, options, stock, 0).unwrap();
         let (mut job, mut steps) = (None, 0);
         let outcome = loop {
-            match machine.step(&mut rng, &log, &mut timer) {
+            match machine.step(&log, &mut timer) {
                 Ok(SortStatus::Pending) => {
                     steps += 1;
                     if claim {
@@ -1302,7 +1259,7 @@ mod tests {
                 Err(e) => {
                     // A failed check stays failed however often the
                     // machine is stepped again.
-                    assert_eq!(machine.step(&mut rng, &log, &mut timer), Err(e.clone()));
+                    assert_eq!(machine.step(&log, &mut timer), Err(e.clone()));
                     break Err(e);
                 }
             }
@@ -1334,14 +1291,14 @@ mod tests {
 
     #[test]
     fn corrupted_proof_is_blamed_by_whoever_settles_the_check() {
-        // Unclaimed: offline and keygen succeed, and the encrypt step
-        // settles the check before any other work.
+        // Unclaimed: keygen succeeds, and the encrypt step settles the
+        // check before any other work.
         let unclaimed = drive(false, 8, Some(1));
         assert_eq!(
             unclaimed.outcome.unwrap_err(),
             SortError::ProofRejected { party: 2 }
         );
-        assert_eq!(unclaimed.steps, 2, "the step after keygen must fail");
+        assert_eq!(unclaimed.steps, 1, "the step after keygen must fail");
         // Claimed: the machine runs to the end, and the claimed job
         // carries the same verdict.
         let claimed = drive(true, 8, Some(1));
@@ -1357,22 +1314,16 @@ mod tests {
         let group = GroupKind::Ecc160.group();
         let values: Vec<BigUint> = [9u64, 2, 5].iter().map(|&v| BigUint::from(v)).collect();
         let job_for = |seed: u64, corrupt: Option<usize>| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut stock_rng = StdRng::seed_from_u64(seed ^ 0xa5);
             let log = TrafficLog::new();
             let mut timer = PartyTimer::new(values.len() + 1);
             let options = SortOptions {
                 threads: 1,
                 ..SortOptions::default()
             };
-            let mut machine = SortMachine::new(&group, &values, 4, options, 0).unwrap();
-            let mut stock = OfflineStock::draw(&group, 3, 4, &mut stock_rng, 1);
-            if let Some(party) = corrupt {
-                stock.corrupt_key_proof(&group, party);
-            }
-            machine.attach_offline_stock(stock).unwrap();
+            let stock = stock(seed, 3, 4, corrupt);
+            let mut machine = SortMachine::new(&group, &values, 4, options, stock, 0).unwrap();
             loop {
-                let status = machine.step(&mut rng, &log, &mut timer).unwrap();
+                let status = machine.step(&log, &mut timer).unwrap();
                 if let Some(job) = machine.take_pending_verify() {
                     return job;
                 }

@@ -4,17 +4,16 @@
 //! overhead*. The orchestrator runs all parties in one thread, so it
 //! brackets every piece of party-local work with [`PartyTimer::time`] and
 //! accumulates wall-clock per party. Sections that fan a party's work out
-//! across worker threads report via [`PartyTimer::record`], which keeps
-//! wall-clock (what the party waits) and CPU time (what the cores burn)
-//! as separate ledgers — on a single-core host the two coincide.
+//! across worker threads charge the wall-clock the party waited via
+//! [`PartyTimer::record`].
 
 use std::time::{Duration, Instant};
 
-/// Accumulated computation time per party (index 0 = initiator).
+/// Accumulated wall-clock computation time per party (index 0 =
+/// initiator).
 #[derive(Clone, Debug)]
 pub struct PartyTimer {
     wall: Vec<Duration>,
-    cpu: Vec<Duration>,
 }
 
 impl PartyTimer {
@@ -22,37 +21,26 @@ impl PartyTimer {
     pub fn new(parties: usize) -> Self {
         PartyTimer {
             wall: vec![Duration::ZERO; parties],
-            cpu: vec![Duration::ZERO; parties],
         }
     }
 
-    /// Times `f` and charges the elapsed time to `party` (serial section:
-    /// wall and CPU are the same).
+    /// Times `f` and charges the elapsed time to `party`.
     pub fn time<T>(&mut self, party: usize, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        let elapsed = start.elapsed();
-        self.wall[party] += elapsed;
-        self.cpu[party] += elapsed;
+        self.wall[party] += start.elapsed();
         out
     }
 
-    /// Charges a parallel section to `party`: `wall` is the elapsed time
-    /// the party observed, `cpu` the total compute summed over workers.
-    pub fn record(&mut self, party: usize, wall: Duration, cpu: Duration) {
+    /// Charges `wall`, the elapsed time `party` observed over a section
+    /// timed elsewhere (e.g. one fanned out across workers), to `party`.
+    pub fn record(&mut self, party: usize, wall: Duration) {
         self.wall[party] += wall;
-        self.cpu[party] += cpu;
     }
 
     /// Total wall-clock charged to `party`.
     pub fn spent(&self, party: usize) -> Duration {
         self.wall[party]
-    }
-
-    /// Total CPU time charged to `party` (≥ wall-clock when the party's
-    /// work ran on several cores).
-    pub fn cpu_spent(&self, party: usize) -> Duration {
-        self.cpu[party]
     }
 
     /// Mean wall-clock over participant slots `1..` (what Fig. 2 plots).
@@ -62,20 +50,6 @@ impl PartyTimer {
             return Duration::ZERO;
         }
         self.wall[1..].iter().sum::<Duration>() / n as u32
-    }
-
-    /// Maximum over participant slots (the straggler).
-    pub fn max_participant(&self) -> Duration {
-        self.wall[1..]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// All wall-clock durations (initiator first).
-    pub fn all(&self) -> &[Duration] {
-        &self.wall
     }
 }
 
@@ -99,35 +73,14 @@ mod tests {
     fn aggregates() {
         let mut t = PartyTimer::new(3);
         t.time(1, || std::thread::sleep(Duration::from_millis(2)));
-        t.time(2, || std::thread::sleep(Duration::from_millis(6)));
-        assert!(t.max_participant() >= t.mean_participant());
-        assert!(t.mean_participant() > Duration::ZERO);
+        t.record(2, Duration::from_millis(6));
+        assert_eq!(t.spent(2), Duration::from_millis(6));
+        assert!(t.mean_participant() >= Duration::from_millis(4));
     }
 
     #[test]
     fn empty_participant_set() {
         let t = PartyTimer::new(1);
         assert_eq!(t.mean_participant(), Duration::ZERO);
-        assert_eq!(t.max_participant(), Duration::ZERO);
-    }
-
-    #[test]
-    fn serial_sections_charge_wall_and_cpu_equally() {
-        let mut t = PartyTimer::new(2);
-        t.time(1, || std::thread::sleep(Duration::from_millis(2)));
-        assert_eq!(t.spent(1), t.cpu_spent(1));
-        assert!(t.spent(1) >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn parallel_sections_split_wall_and_cpu() {
-        // A 4-worker fan-out: the party waits 3 ms but burns 10 ms of CPU.
-        let mut t = PartyTimer::new(2);
-        t.record(1, Duration::from_millis(3), Duration::from_millis(10));
-        assert_eq!(t.spent(1), Duration::from_millis(3));
-        assert_eq!(t.cpu_spent(1), Duration::from_millis(10));
-        // Wall-clock feeds the participant aggregates.
-        assert_eq!(t.mean_participant(), Duration::from_millis(3));
-        assert_eq!(t.max_participant(), Duration::from_millis(3));
     }
 }

@@ -62,19 +62,15 @@ proptest! {
 
 #[test]
 fn wrong_group_stock_is_rejected_with_a_typed_error() {
-    // A stock minted for a different group instantiation, attached
-    // straight to a sorting machine, must surface as
-    // `StockGroupMismatch`, not silently regenerate cold.
+    // A stock minted for a different group instantiation, handed straight
+    // to a sorting machine, must surface as `StockGroupMismatch`.
     let group = GroupKind::Ecc160.group();
     let values: Vec<_> = [3u64, 1, 2]
         .iter()
         .map(|&v| ppgr_bigint::BigUint::from(v))
         .collect();
-    let mut machine =
-        SortMachine::new(&group, &values, 6, SortOptions::default(), 0).expect("machine");
-    let foreign = StockFingerprint::new(9, 3, 6, GroupKind::Ecc224);
-    let stock = generate(foreign);
-    match machine.attach_offline_stock(stock) {
+    let stock = generate(StockFingerprint::new(9, 3, 6, GroupKind::Ecc224));
+    match SortMachine::new(&group, &values, 6, SortOptions::default(), stock, 0) {
         Err(SortError::StockGroupMismatch { expected, got }) => {
             assert_eq!(expected, GroupKind::Ecc160);
             assert_eq!(got, GroupKind::Ecc224);
@@ -86,18 +82,18 @@ fn wrong_group_stock_is_rejected_with_a_typed_error() {
 #[test]
 fn matching_group_but_wrong_shape_is_still_an_internal_error() {
     // The group check is the typed front door; shape mismatches within
-    // the right group keep their existing internal-error path.
+    // the right group keep their internal-error path.
     let group = GroupKind::Ecc160.group();
     let values: Vec<_> = [3u64, 1, 2]
         .iter()
         .map(|&v| ppgr_bigint::BigUint::from(v))
         .collect();
-    let mut machine =
-        SortMachine::new(&group, &values, 6, SortOptions::default(), 0).expect("machine");
-    // Right group, wrong participant count.
-    let stock = generate(StockFingerprint::new(9, 4, 6, GroupKind::Ecc160));
-    assert!(matches!(
-        machine.attach_offline_stock(stock),
-        Err(SortError::Internal(_))
-    ));
+    // Right group, wrong participant count, then wrong bit length.
+    for (n, l) in [(4, 6), (3, 7)] {
+        let stock = generate(StockFingerprint::new(9, n, l, GroupKind::Ecc160));
+        assert!(matches!(
+            SortMachine::new(&group, &values, 6, SortOptions::default(), stock, 0),
+            Err(SortError::Internal(_))
+        ));
+    }
 }

@@ -61,7 +61,7 @@ pub fn encrypt_bits_with_precomputed(
     key_table: &FixedBaseTable,
     value: &BigUint,
     l: usize,
-    mut masks: Vec<MaskPair>,
+    masks: Vec<MaskPair>,
 ) -> Vec<Ciphertext> {
     assert!(value.bits() <= l, "value exceeds the declared bit length l");
     // Hoisted so the assert formats only the (public) count, never the
@@ -69,12 +69,8 @@ pub fn encrypt_bits_with_precomputed(
     let mask_count = masks.len();
     assert_eq!(mask_count, l, "one mask pair per bit");
     let group = scheme.group();
-    MaskPair::fill(group, key_table, &mut masks);
     let g1 = group.generator();
-    let parts: Vec<(Element, Element)> = masks
-        .into_iter()
-        .map(|pre| pre.into_halves(group, key_table))
-        .collect();
+    let parts = MaskPair::into_filled_halves(group, key_table, masks);
     // The set bits' `g·y^r` products share one batched affine conversion
     // instead of paying a field inversion per one-bit.
     let set_pairs: Vec<(&Element, &Element)> = parts

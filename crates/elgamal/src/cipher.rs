@@ -39,9 +39,10 @@ impl Ciphertext {
 /// message, so both can be computed before the session's inputs exist,
 /// once the joint key `y` is known. [`MaskPair::draw`] only draws the
 /// scalars; [`MaskPair::fill`] then computes both halves in batches — a
-/// pool that mints keys offline fills every mask, leaving the online
-/// consumer nothing but group multiplications. A bare mask works too: the
-/// consuming APIs fill it through the prepared key table.
+/// simulation that mints every key offline fills every mask, leaving the
+/// online consumer nothing but group multiplications. A bare mask works
+/// too: the consuming APIs fill it through the prepared key table, as a
+/// party that learns the joint key only online must.
 ///
 /// A mask is strictly single-use — re-using `r` across two ciphertexts
 /// gives them identical `β` components, visibly linking them — so
@@ -81,13 +82,18 @@ impl MaskPair {
         self.halves.as_ref().map(|(y_r, _)| y_r)
     }
 
-    /// Fills every bare mask in `pairs`: all their `g^r` in one fixed-base
-    /// batch and all their `y^r` in one batch through the prepared table
-    /// for `y` (elliptic-curve results of a batch share a single field
-    /// inversion). Filled masks are left untouched, so the call is
-    /// idempotent, and filling a row in pieces gives the same masks as
-    /// filling it whole.
-    pub fn fill(group: &Group, key_table: &FixedBaseTable, pairs: &mut [MaskPair]) {
+    /// Fills every bare mask in `pairs` — a row, or masks gathered from
+    /// several rows: all their `g^r` in one fixed-base batch and all their
+    /// `y^r` in one batch through the prepared table for `y`
+    /// (elliptic-curve results of a batch share a single field inversion).
+    /// Filled masks are left untouched, so the call is idempotent, and
+    /// filling a row in pieces gives the same masks as filling it whole.
+    pub fn fill<'a>(
+        group: &Group,
+        key_table: &FixedBaseTable,
+        pairs: impl IntoIterator<Item = &'a mut MaskPair>,
+    ) {
+        let mut pairs: Vec<&mut MaskPair> = pairs.into_iter().collect();
         let bare: Vec<usize> = (0..pairs.len())
             .filter(|&i| pairs[i].halves.is_none())
             .collect();
@@ -108,20 +114,25 @@ impl MaskPair {
         self.r.expose()
     }
 
-    /// Consumes the mask into its `(y^r, g^r)` halves, computing them on
-    /// the spot if the mask is still bare.
-    pub(crate) fn into_halves(
-        self,
+    /// Consumes a row of masks into their `(y^r, g^r)` halves, in row
+    /// order, filling the bare ones first in one batch per half
+    /// ([`MaskPair::fill`]).
+    pub(crate) fn into_filled_halves(
         group: &Group,
         key_table: &FixedBaseTable,
-    ) -> (Element, Element) {
-        let MaskPair { r, halves } = self;
-        halves.unwrap_or_else(|| {
-            (
-                group.exp_prepared(key_table, r.expose()),
-                group.exp_gen(r.expose()),
-            )
-        })
+        mut pairs: Vec<MaskPair>,
+    ) -> Vec<(Element, Element)> {
+        MaskPair::fill(group, key_table, &mut pairs);
+        let halves: Vec<Option<(Element, Element)>> =
+            pairs.into_iter().map(|pair| pair.into_parts().1).collect();
+        // Every mask is filled now, so none is dropped.
+        halves.into_iter().flatten().collect()
+    }
+
+    /// Splits the mask into its still-wrapped scalar and its halves, if
+    /// filled.
+    fn into_parts(self) -> (Secret<Scalar>, Option<(Element, Element)>) {
+        (self.r, self.halves)
     }
 }
 
@@ -311,17 +322,13 @@ impl ExpElGamal {
         &self,
         key_table: &FixedBaseTable,
         cts: &[Ciphertext],
-        mut pres: Vec<MaskPair>,
+        pres: Vec<MaskPair>,
     ) -> Vec<Ciphertext> {
         // Hoisted so the assert formats only the (public) count, never
         // the mask vector itself.
         let mask_count = pres.len();
         assert_eq!(cts.len(), mask_count, "one mask per ciphertext");
-        MaskPair::fill(&self.group, key_table, &mut pres);
-        let parts: Vec<(Element, Element)> = pres
-            .into_iter()
-            .map(|pre| pre.into_halves(&self.group, key_table))
-            .collect();
+        let parts = MaskPair::into_filled_halves(&self.group, key_table, pres);
         // One batched multiply for all 2·n component products: on the EC
         // family that is one shared affine conversion instead of a field
         // inversion per component.
@@ -735,7 +742,7 @@ mod tests {
             MaskPair::fill(&g, &table, &mut whole);
             let (head, tail) = singles.split_at_mut(3);
             MaskPair::fill(&g, &table, head);
-            MaskPair::fill(&g, &table, tail);
+            MaskPair::fill(&g, &table, &mut *tail);
             MaskPair::fill(&g, &table, tail);
             for (a, b) in whole.iter().zip(&singles) {
                 assert_eq!(a.scalar(), b.scalar(), "{kind}");

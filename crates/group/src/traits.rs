@@ -99,13 +99,22 @@ enum TableImpl {
 /// [`Group::prepare_hop_scalars`]. Feeding these to
 /// [`Group::exp_hop_prepared_batch`] makes the online hop a pure
 /// variable-base ladder evaluation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Together `r` and `−x·r` give the hop party's key share `x`, so `{:?}`
+/// prints neither.
+#[derive(Clone, PartialEq, Eq)]
 pub struct HopScalars {
     pub(crate) r: Scalar,
     pub(crate) neg_xr: Scalar,
     /// wNAF recodings of `(r, −x·r)` on the elliptic-curve family; an
     /// empty digit vector encodes the zero scalar.
     pub(crate) digits: Option<(Vec<i64>, Vec<i64>)>,
+}
+
+impl fmt::Debug for HopScalars {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HopScalars(<redacted>)")
+    }
 }
 
 impl FixedBaseTable {
@@ -819,6 +828,23 @@ mod tests {
     use crate::{Element, GroupError, GroupKind, HopScalars};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn hop_scalars_debug_prints_neither_scalar() {
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let g = kind.group();
+            let mut rng = StdRng::seed_from_u64(9);
+            let x = g.random_nonzero_scalar(&mut rng);
+            let rs = [g.random_nonzero_scalar(&mut rng)];
+            let prep = g.prepare_hop_scalars(&x, &rs).remove(0);
+            let dump = format!("{prep:?}");
+            assert_eq!(dump, "HopScalars(<redacted>)", "{kind}");
+            for scalar in [&prep.r, &prep.neg_xr] {
+                assert!(!dump.contains(&format!("{scalar:?}")), "{kind}: {dump}");
+                assert!(!dump.contains(&scalar.to_string()), "{kind}: {dump}");
+            }
+        }
+    }
 
     #[test]
     fn scalar_arithmetic_mod_q() {

@@ -60,8 +60,9 @@ use std::collections::HashMap;
 /// Calls whose result is public even when fed secrets — the points where
 /// taint legitimately ends, each with a cryptographic argument:
 ///
-/// * the exponentiation family (`exp*`, `multi_exp`, and `into_halves`,
-///   which yields a mask's `y^r` and `g^r`): one-way under the DL
+/// * the exponentiation family (`exp*`, `multi_exp`, and
+///   `into_filled_halves`, which yields a mask row's `y^r` and `g^r`):
+///   one-way under the DL
 ///   assumption — `g^x` reveals nothing efficiently computable about `x`;
 /// * hashes/KDFs (`sha256`, `hmac_sha256`, `hkdf_*`): one-wayness in the
 ///   random-oracle model;
@@ -96,8 +97,8 @@ const DECLASSIFIERS: &[&str] = &[
     "exp_hop_prepared_batch",
     "exp_prepared",
     "exp_prepared_batch",
-    // a mask pair's `(y^r, g^r)` halves: both exponentiations of `r`
-    "into_halves",
+    // a mask row's `(y^r, g^r)` halves: both exponentiations of each `r`
+    "into_filled_halves",
     // hashes / KDFs
     "sha256",
     "hmac_sha256",
@@ -113,7 +114,6 @@ const DECLASSIFIERS: &[&str] = &[
     // public verdicts and constant-time comparison
     "verify",
     "verify_batch",
-    "verify_multi_batch",
     "is_identity",
     "decrypts_to_zero",
     "ct_eq",

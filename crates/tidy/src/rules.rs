@@ -42,12 +42,12 @@ pub(crate) const SECRET_TYPES: &[&str] = &[
     "SenderState",
     "Secret",
     // Offline-precomputed material: a pooled Schnorr nonce, mask pair or
-    // key stock is exactly as sensitive as the live value it stands in for
-    // (recovering r from a transcript recovers the witness/plaintext; a
-    // key stock holds every party's secret exponent outright).
+    // party stock is exactly as sensitive as the live value it stands in
+    // for (recovering r from a transcript recovers the witness/plaintext;
+    // a party stock holds its party's secret exponent outright).
     "SchnorrNonce",
     "MaskPair",
-    "KeyStock",
+    "PartyStock",
 ];
 
 /// Identifier names that, by workspace convention, bind secret values:

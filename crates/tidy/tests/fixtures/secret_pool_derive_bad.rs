@@ -11,6 +11,6 @@ pub struct MaskPair {
 }
 
 #[derive(Debug)]
-pub struct KeyStock {
-    pub secrets: Vec<[u64; 4]>,
+pub struct PartyStock {
+    pub secret: [u64; 4],
 }

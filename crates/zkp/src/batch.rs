@@ -28,15 +28,13 @@
 //! `ppgr-core` still names the culprit party). The individual checks are
 //! authoritative; the aggregate equation is purely an accelerator.
 //!
-//! Two granularities of attribution are offered. The `*_all` variants
-//! ([`verify_batch_all`], [`verify_multi_batch_all`]) report **every**
-//! rejected proof in protocol order, not just the first culprit — when an
-//! aggregate mixes proofs from many protocol sessions, the first failing
-//! index alone cannot blame more than one session. On top of them,
-//! [`verify_sessions_multi_batch`] collapses *many sessions'* proof sets
-//! into one MSM and, on rejection, hands back a per-session rejection
-//! list, so cross-session amortization never blurs which session (and
-//! which prover inside it) cheated.
+//! Two granularities of attribution are offered. [`verify_batch_all`]
+//! reports **every** rejected proof in protocol order, not just the first
+//! culprit. [`verify_sessions_multi_batch`] collapses one or *many
+//! sessions'* multi-verifier proof sets into one MSM and, on rejection,
+//! hands back a per-session rejection list, so cross-session amortization
+//! never blurs which session (and which prover inside it) cheated; a
+//! single session is simply a batch of one.
 
 use crate::multi::MultiVerifierTranscript;
 use crate::schnorr::SchnorrTranscript;
@@ -96,41 +94,6 @@ pub fn verify_batch_all(
     scan_all(group, items)
 }
 
-/// Verifies `k` multi-verifier transcripts in one aggregate equation by
-/// first collapsing each to its single-verifier form (summed challenge).
-///
-/// # Errors
-///
-/// `Err(i)` with the index of the first failing proof — the first element
-/// of the full rejection list [`verify_multi_batch_all`] would report.
-pub fn verify_multi_batch(
-    group: &Group,
-    items: &[(&Element, &MultiVerifierTranscript)],
-) -> Result<(), usize> {
-    verify_multi_batch_all(group, items).map_err(|rejected| rejected[0])
-}
-
-/// [`verify_multi_batch`] with full attribution: on rejection, `Err`
-/// carries every failing index in protocol order (see
-/// [`verify_batch_all`]).
-///
-/// # Errors
-///
-/// `Err(rejected)` with the sorted indices of all individually failing
-/// proofs.
-pub fn verify_multi_batch_all(
-    group: &Group,
-    items: &[(&Element, &MultiVerifierTranscript)],
-) -> Result<(), Vec<usize>> {
-    let singles: Vec<SchnorrTranscript> = items.iter().map(|(_, t)| t.as_single(group)).collect();
-    let refs: Vec<(&Element, &SchnorrTranscript)> = items
-        .iter()
-        .zip(&singles)
-        .map(|((y, _), t)| (*y, t))
-        .collect();
-    verify_batch_all(group, &refs)
-}
-
 /// All proofs one session contributed that failed individual
 /// verification, reported by [`verify_sessions_multi_batch`].
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -143,9 +106,11 @@ pub struct SessionRejections {
 }
 
 /// Cross-session aggregate verification: every session's multi-verifier
-/// proof set, collapsed and folded into **one** aggregate equation (a
+/// proof set, each transcript collapsed to its single-verifier form
+/// (summed challenge) and all folded into **one** aggregate equation (a
 /// single `2·Σkᵢ`-term multi-exponentiation), so concurrent sessions
-/// amortize their Schnorr verification into one MSM call.
+/// amortize their Schnorr verification into one MSM call. One session's
+/// proofs are checked as a batch of one session.
 ///
 /// The combiners are derived from the flat concatenation of all sessions'
 /// transcripts under the same domain tag as [`verify_batch`] — still

@@ -30,10 +30,7 @@ pub mod schnorr;
 #[doc(hidden)]
 pub mod tamper;
 
-pub use batch::{
-    verify_batch, verify_batch_all, verify_multi_batch, verify_multi_batch_all,
-    verify_sessions_multi_batch, SessionRejections,
-};
+pub use batch::{verify_batch, verify_batch_all, verify_sessions_multi_batch, SessionRejections};
 pub use multi::{MultiVerifierProof, MultiVerifierTranscript};
 pub use schnorr::{
     extract_witness, simulate_transcript, SchnorrNonce, SchnorrProver, SchnorrTranscript,

@@ -5,8 +5,8 @@
 
 use ppgr_group::{Element, Group, GroupKind, Scalar};
 use ppgr_zkp::{
-    verify_batch, verify_batch_all, verify_multi_batch, verify_multi_batch_all,
-    verify_sessions_multi_batch, MultiVerifierProof, SchnorrProver, SessionRejections,
+    verify_batch, verify_batch_all, verify_sessions_multi_batch, MultiVerifierProof, SchnorrProver,
+    SessionRejections,
 };
 use ppgr_zkp::{MultiVerifierTranscript, SchnorrTranscript};
 use rand::rngs::StdRng;
@@ -134,16 +134,27 @@ fn multi_items<'a>(
     ys.iter().zip(ts).collect()
 }
 
+/// One session's verdict: `Err` with its rejected proof indices.
+fn verify_one_session(
+    g: &Group,
+    items: &[(&Element, &MultiVerifierTranscript)],
+) -> Result<(), Vec<usize>> {
+    verify_sessions_multi_batch(g, &[items]).map_err(|mut rejections| {
+        assert_eq!(rejections.len(), 1, "a batch of one session");
+        assert_eq!(rejections[0].session, 0);
+        rejections.remove(0).proofs
+    })
+}
+
 #[test]
-fn multi_all_variant_reports_every_rejection() {
+fn one_session_batch_reports_every_rejection() {
     let g = GroupKind::Ecc160.group();
     let (ys, mut ts) = multi_proofs(&g, 6, 3, 400);
     for bad in [1usize, 4] {
         ts[bad].response = g.scalar_add(&ts[bad].response, &g.scalar_from_u64(1));
     }
     let refs = multi_items(&ys, &ts);
-    assert_eq!(verify_multi_batch_all(&g, &refs), Err(vec![1, 4]));
-    assert_eq!(verify_multi_batch(&g, &refs), Err(1));
+    assert_eq!(verify_one_session(&g, &refs), Err(vec![1, 4]));
 }
 
 #[test]
@@ -227,11 +238,11 @@ fn sessions_batch_verdict_matches_per_session_verdicts() {
         per_session.iter().map(Vec::as_slice).collect();
     let aggregate = verify_sessions_multi_batch(&g, &sessions);
     for (s, items) in per_session.iter().enumerate() {
-        let solo = verify_multi_batch(&g, items);
+        let solo = verify_one_session(&g, items);
         match (&aggregate, solo) {
             (Ok(()), verdict) => assert_eq!(verdict, Ok(()), "session {s}"),
             (Err(rejections), verdict) => match rejections.iter().find(|r| r.session == s) {
-                Some(r) => assert_eq!(verdict, Err(r.proofs[0]), "session {s}"),
+                Some(r) => assert_eq!(verdict, Err(r.proofs.clone()), "session {s}"),
                 None => assert_eq!(verdict, Ok(()), "session {s}"),
             },
         }
@@ -251,11 +262,11 @@ fn multi_verifier_batch_collapses_and_attributes() {
             ts.push(MultiVerifierProof::run(&g, &x, 3, &mut rng));
         }
         let refs: Vec<(&Element, &MultiVerifierTranscript)> = ys.iter().zip(&ts).collect();
-        assert_eq!(verify_multi_batch(&g, &refs), Ok(()), "{kind:?}");
+        assert_eq!(verify_one_session(&g, &refs), Ok(()), "{kind:?}");
 
         let bumped: Scalar = g.scalar_add(&ts[4].response, &g.scalar_from_u64(1));
         ts[4].response = bumped;
         let refs: Vec<(&Element, &MultiVerifierTranscript)> = ys.iter().zip(&ts).collect();
-        assert_eq!(verify_multi_batch(&g, &refs), Err(4), "{kind:?}");
+        assert_eq!(verify_one_session(&g, &refs), Err(vec![4]), "{kind:?}");
     }
 }

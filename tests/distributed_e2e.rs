@@ -1,11 +1,18 @@
 //! The distributed (thread-per-party, serialized-messages) runner,
 //! exercised through the public facade.
+//!
+//! Both runners draw every party's randomness from the same per-party
+//! streams of the session seed, so for every seed they compute the same
+//! masked gains and return the same ranks, gain ties included.
 
 use ppgr::core::{
     run_distributed, AttributeKind, CriterionVector, FrameworkParams, GroupRanking, InfoVector,
     InitiatorProfile, Questionnaire, WeightVector,
 };
 use ppgr::group::GroupKind;
+use ppgr::hash::HashDrbg;
+use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn scored_population(scores: &[u64]) -> (Questionnaire, InitiatorProfile, Vec<InfoVector>) {
     let q = Questionnaire::builder()
@@ -74,9 +81,9 @@ fn gain_ties_break_arbitrarily_but_consistently_with_order() {
     // Equal gains receive different masks ρ_j, so the framework breaks
     // gain ties into an arbitrary strict order (explicitly allowed by the
     // paper, Sec. V: "If p_i = p_j, it does not matter if P_i ranks
-    // higher or lower"). The two runners may break the tie differently —
-    // but both must rank the strict winner first and give the tied pair
-    // ranks {2, 3} in some order.
+    // higher or lower"). Both runners draw the same masks, so they break
+    // the tie the same way: the strict winner first, the tied pair ranks
+    // {2, 3} in one order.
     let scores = [7u64, 7, 30];
     let (q, profile, infos) = scored_population(&scores);
     let p = params(q, scores.len(), 1, 9);
@@ -87,10 +94,58 @@ fn gain_ties_break_arbitrarily_but_consistently_with_order() {
         .run()
         .unwrap();
     let distributed = run_distributed(&p, profile, infos).unwrap();
-    for ranks in [orchestrated.ranks(), &distributed.ranks[..]] {
-        assert_eq!(ranks[2], 1, "strict winner must be rank 1: {ranks:?}");
-        let mut tied: Vec<usize> = vec![ranks[0], ranks[1]];
-        tied.sort_unstable();
-        assert_eq!(tied, vec![2, 3], "tied pair gets ranks 2 and 3: {ranks:?}");
+    let ranks = orchestrated.ranks();
+    assert_eq!(
+        ranks,
+        &distributed.ranks[..],
+        "both runners break the tie alike"
+    );
+    assert_eq!(ranks[2], 1, "strict winner must be rank 1: {ranks:?}");
+    let mut tied: Vec<usize> = vec![ranks[0], ranks[1]];
+    tied.sort_unstable();
+    assert_eq!(tied, vec![2, 3], "tied pair gets ranks 2 and 3: {ranks:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// For any seed and `n` in 2..=4, with two participants sharing one
+    /// info vector (equal gains), the mesh returns exactly the in-memory
+    /// run's ranks, and its initiator accepts exactly the in-memory top-k
+    /// parties.
+    #[test]
+    fn runners_agree_on_ranks_and_top_k(
+        n in 2usize..5,
+        seed in any::<u64>(),
+        first in 0usize..4,
+        gap in 0usize..3,
+        k in 1usize..5,
+    ) {
+        let (k, first) = (k.min(n), first % n);
+        let second = (first + 1 + gap % (n - 1)) % n;
+        let p = FrameworkParams::builder(Questionnaire::synthetic(1, 2))
+            .participants(n)
+            .top_k(k)
+            .attr_bits(6)
+            .weight_bits(3)
+            .mask_bits(6)
+            .group(GroupKind::Ecc160)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let (profile, mut infos) = p.random_population(&mut HashDrbg::seed_from_u64(seed));
+        infos[second] = infos[first].clone();
+
+        let orchestrated = GroupRanking::new(p.clone())
+            .with_population(profile.clone(), infos.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        let distributed = run_distributed(&p, profile, infos).unwrap();
+        prop_assert_eq!(orchestrated.ranks(), &distributed.ranks[..]);
+        let parties = |accepted: &[ppgr::core::submit::AcceptedSubmission]| -> Vec<usize> {
+            accepted.iter().map(|a| a.submission.party).collect()
+        };
+        prop_assert_eq!(parties(orchestrated.top_k()), parties(&distributed.report.accepted));
     }
 }

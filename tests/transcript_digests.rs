@@ -3,91 +3,101 @@
 //! Each digest is SHA-256 over a run's ranks and the encoding of every
 //! ciphertext returned to its owner after the whole shuffle-decrypt chain.
 //! Ranks alone cannot catch a change in *how* the chain computes — a
-//! different hop kernel, mask draw order or shuffle would still rank
+//! different hop kernel, stock layout or shuffle would still rank
 //! correctly — so these digests pin the bytes themselves across commits.
 //!
-//! Two stock sources are covered per group: the cold path (the machine
-//! draws and mints its stock from its own protocol stream) and a machine
-//! with a pool-style stock for the session's fingerprint attached. Every
-//! digest must be independent of the worker count.
+//! Two entry points are covered per group: a machine built on the stock
+//! `OfflineStock::generate` mints for the session's fingerprint, and
+//! `run_sort`, which draws the session seed from its RNG and generates
+//! that stock itself, so its digest also pins the seed draw. Every digest
+//! must be independent of the worker count.
 //!
 //! Any intended change to the protocol's bytes re-pins the constants
 //! below, deliberately and in the same change.
 
 use ppgr::bigint::BigUint;
-use ppgr::core::sorting::{SortMachine, SortOptions, SortStatus};
+use ppgr::core::sorting::{run_sort, SortMachine, SortOptions, SortOutcome, SortStatus, SortTrace};
 use ppgr::core::{OfflineStock, PartyTimer, StockFingerprint};
-use ppgr::group::GroupKind;
+use ppgr::group::{Group, GroupKind};
 use ppgr::hash::{to_hex, Sha256};
 use ppgr::net::TrafficLog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Which offline stock the machine runs on.
-#[derive(Clone, Copy, Debug)]
-enum Stock {
-    /// Drawn and minted at the machine's own offline step.
-    Cold,
-    /// `OfflineStock::generate` for the session's fingerprint.
-    Warm,
-}
-
-/// Runs one session to completion and digests its ranks and returned sets.
-fn digest(
-    kind: GroupKind,
-    values: &[u64],
-    l: usize,
-    seed: u64,
-    stock: Stock,
-    threads: usize,
-) -> String {
-    let group = kind.group();
-    let values: Vec<BigUint> = values.iter().map(|&v| BigUint::from(v)).collect();
-    let options = SortOptions {
-        threads,
-        ..SortOptions::default()
-    };
-    let mut machine = SortMachine::new(&group, &values, l, options, 0).expect("valid session");
-    let fp = StockFingerprint::new(seed, values.len(), l, kind);
-    match stock {
-        Stock::Cold => {}
-        Stock::Warm => machine
-            .attach_offline_stock(
-                OfflineStock::generate(fp, threads, || false).expect("uncancelled generation"),
-            )
-            .expect("pool stock attaches"),
-    }
-    let log = TrafficLog::new();
-    let mut timer = PartyTimer::new(values.len() + 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    while machine.step(&mut rng, &log, &mut timer).expect("step") == SortStatus::Pending {}
-    let (outcome, trace) = machine.into_result().expect("finished");
+/// Digests a run's ranks and returned sets.
+fn digest(group: &Group, outcome: &SortOutcome, trace: &SortTrace) -> String {
     let mut h = Sha256::new();
     for rank in &outcome.ranks {
         h.update(&(*rank as u64).to_be_bytes());
     }
     for set in &trace.returned_sets {
         for ct in set {
-            h.update(&ct.encode(&group));
+            h.update(&ct.encode(group));
         }
     }
     to_hex(&h.finalize())
 }
 
-/// Checks one session shape against its golden cold and warm digests, on
-/// one and two workers.
-fn check(kind: GroupKind, values: &[u64], l: usize, seed: u64, cold: &str, warm: &str) {
+/// Steps a machine built on the fingerprint's stock to completion.
+fn machine_digest(
+    kind: GroupKind,
+    values: &[BigUint],
+    l: usize,
+    seed: u64,
+    threads: usize,
+) -> String {
+    let group = kind.group();
+    let options = SortOptions {
+        threads,
+        ..SortOptions::default()
+    };
+    let fp = StockFingerprint::new(seed, values.len(), l, kind);
+    let stock = OfflineStock::generate(fp, threads, || false).expect("uncancelled generation");
+    let mut machine =
+        SortMachine::new(&group, values, l, options, stock, 0).expect("valid session");
+    let log = TrafficLog::new();
+    let mut timer = PartyTimer::new(values.len() + 1);
+    while machine.step(&log, &mut timer).expect("step") == SortStatus::Pending {}
+    let (outcome, trace) = machine.into_result().expect("finished");
+    digest(&group, &outcome, &trace)
+}
+
+/// Runs `run_sort` with an RNG seeded `seed`.
+fn run_sort_digest(
+    kind: GroupKind,
+    values: &[BigUint],
+    l: usize,
+    seed: u64,
+    threads: usize,
+) -> String {
+    let group = kind.group();
+    let options = SortOptions {
+        threads,
+        ..SortOptions::default()
+    };
+    let log = TrafficLog::new();
+    let mut timer = PartyTimer::new(values.len() + 1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (outcome, trace) =
+        run_sort(&group, values, l, options, &mut rng, &log, &mut timer, 0).expect("run");
+    digest(&group, &outcome, &trace)
+}
+
+/// Checks one session shape against its golden machine and `run_sort`
+/// digests, on one and two workers.
+fn check(kind: GroupKind, values: &[u64], l: usize, seed: u64, machine: &str, sorted: &str) {
+    let values: Vec<BigUint> = values.iter().map(|&v| BigUint::from(v)).collect();
     for threads in [1, 2] {
         let label = format!("{kind} threads={threads}");
         assert_eq!(
-            digest(kind, values, l, seed, Stock::Cold, threads),
-            cold,
-            "{label}: cold"
+            machine_digest(kind, &values, l, seed, threads),
+            machine,
+            "{label}: machine on the generated stock"
         );
         assert_eq!(
-            digest(kind, values, l, seed, Stock::Warm, threads),
-            warm,
-            "{label}: pool stock"
+            run_sort_digest(kind, &values, l, seed, threads),
+            sorted,
+            "{label}: run_sort"
         );
     }
 }
@@ -99,8 +109,8 @@ fn ecc160_transcripts_match_their_golden_digests() {
         &[200, 17, 200, 95],
         8,
         0xD16E57,
-        "a62422d9f5dafc8c0beb9d5ba3b6b7efba69a16526455d769f2d65e07549f7e2",
-        "fc61e1c49510c610ead5ae72bccf58039ae8d998e78165fbbb7e1fa5ed33a59b",
+        "eb4a5443c6254fa2bfbf31bae768e46ddaad25792911065497f30da49d494e88",
+        "0f3e1af3cd38857a4f0018144da49a0721689b51b9246ef6073d76a51345f642",
     );
 }
 
@@ -111,7 +121,7 @@ fn dl1024_transcripts_match_their_golden_digests() {
         &[9, 3, 12],
         4,
         0xD16E58,
-        "1d58f1a225014188e1f6696348d8be95206b63459c71a7f5dc35794e7ba468ec",
-        "91660c08eb8c260c50589dc19212e9b07ffa236b9151db416c8b4cc5bb40c00b",
+        "ab2269865362a5a4f21493db9341b5bbceda7ea2f23697d4b9c520582e794354",
+        "c08cbe413d3a692b3fc327177a583145f96f2a88c01b4a554caac8a78cc5989e",
     );
 }
