@@ -2,11 +2,11 @@
 //!
 //! Runs N independent ranking sessions two ways — *cold* (the session
 //! generates its offline stock inline, on the clock) and *warm-keygen*
-//! (the whole stock — pooled joint keys, assembled Schnorr proofs, both
-//! mask halves and prepared hop scalars — attached off the clock, exactly
-//! what the runtime's precompute lanes mint) — asserts both outcomes are
-//! bit-identical per seed, and writes machine-readable results to
-//! `BENCH_latency.json`
+//! (the whole stock — pooled key shares, Schnorr nonces and challenge
+//! shares, the joint-key table, both mask halves and prepared hop
+//! scalars — attached off the clock, exactly what the runtime's
+//! precompute lanes mint) — asserts both outcomes are bit-identical per
+//! seed, and writes machine-readable results to `BENCH_latency.json`
 //! (schema: `crates/bench/schema/BENCH_latency.schema.json`).
 //!
 //! The warm stock comes from [`OfflineStock::generate`] on the machine's

@@ -17,18 +17,15 @@
 //! `β` values, keys and ciphertexts, and return the same ranks, ties
 //! included.
 //!
-//! Each party runs the orchestrated
-//! [`SortMachine`](crate::sorting::SortMachine)'s phase-2 step bodies on
-//! one worker — its τ set, its chain hop and its zero count — and settles
-//! its keygen proofs through the same [`KeygenVerifyJob`] the machine
-//! parks, so each step and the proof check are written once. What this
-//! module adds is the transport: the keygen exchange, wire encoding, the
-//! structural set checks and share echo that guard wire input, deadlines
-//! and blame. A party's τ set is rerandomized under the joint key before
-//! it leaves her hands: the raw set is a deterministic function of the
-//! published bit encryptions and her value, so whoever receives it first
-//! (P₁, or P₂ for P₁'s own set) could otherwise confirm her value one bit
-//! at a time.
+//! Phase 2 is written once, as a party machine (the private `party`
+//! module) that the in-memory
+//! [`SortMachine`](crate::sorting::SortMachine) drives too: it holds the
+//! keygen exchange, the share echo, the structural set checks and every
+//! step's arithmetic, on one worker here. A participant thread drives its
+//! machine with one receive–advance–send loop and settles its keygen
+//! proofs through the [`KeygenVerifyJob`](crate::KeygenVerifyJob) the
+//! machine hands out. What this module adds is the transport: phases 1
+//! and 3, wire encoding, deadlines and blame.
 //!
 //! # Fault tolerance
 //!
@@ -47,22 +44,22 @@ use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::gain::{draw_rho, initiator_vector, participant_vector, to_unsigned};
 use crate::offline::{party_streams, PartyStock};
 use crate::params::FrameworkParams;
-use crate::sorting::{chain_hop, count_zeros, tau_set, KeygenVerifyJob, SortError, SortOptions};
+use crate::party::{PartyMachine, Round, To};
+use crate::sorting::{SortError, SortOptions};
 use crate::submit::{verify_submissions, Submission, VerificationReport};
 use crate::timing::PartyTimer;
-use crate::wire::{parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer};
+use crate::wire::{
+    decode_msg, encode_msg, parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer,
+};
 use bytes::Bytes;
 use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
-use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, JointKey};
-use ppgr_group::{Element, Group, Scalar};
-use ppgr_hash::Sha256;
+use ppgr_elgamal::{Ciphertext, KeyPair};
+use ppgr_group::Group;
 use ppgr_net::{
     CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget, TrafficLog,
 };
-use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript};
 use rand::Rng;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -695,6 +692,13 @@ fn initiator_thread(
         let c_prime = try_wire!(ctx, j, r.fp_vec(&field));
         let g = try_wire!(ctx, j, r.fp_vec(&field));
         try_wire!(ctx, j, r.done());
+        // An honest sender sends `s` rows and three vectors of the
+        // receiver's dimension; any other shape is the sender's fault.
+        let (s, d) = (DotProduct::DEFAULT_S, v_recv.len() + 1);
+        let shaped = |v: &Vec<_>| v.len() == d;
+        if qx.len() != s || !qx.iter().all(shaped) || !shaped(&c_prime) || !shaped(&g) {
+            return Err(ctx.protocol(j, format!("gain message is not {s} rows of {d}")));
+        }
         let msg1 = Round1Message { qx, c_prime, g };
 
         let rho_j = rng.gen_range(0..rho);
@@ -766,22 +770,12 @@ fn participant_thread(
     let ctx = Ctx::new(net, me, n, budget);
     let l = params.beta_bits();
     let group: Group = params.group().group();
-    let scheme = ExpElGamal::new(group.clone());
     let field = default_field();
     let proto = DotProduct::new(field.clone());
     // The online stream serves phase 1 alone; every phase-2 draw comes
     // from the party's stock, minted from its offline stream.
     let (mut online, _) = party_streams(params.seed(), me);
-    let (
-        PartyStock {
-            keys: kp,
-            shares: mut my_shares,
-            enc,
-            compare,
-            hops,
-        },
-        nonce,
-    ) = PartyStock::mint(&group, params.seed(), n, l, me);
+    let stock = PartyStock::mint(&group, params.seed(), n, l, me);
 
     // ---- Phase 1: masked gain via the secure dot product. -------------
     ctx.enter(Phase::Gain)?;
@@ -803,239 +797,20 @@ fn participant_thread(
     let a = try_wire!(ctx, 0, r.fp(&field));
     let hh = try_wire!(ctx, 0, r.fp(&field));
     try_wire!(ctx, 0, r.done());
-    let beta_signed = match state.finish(&Round2Message { a, h: hh }).to_i128_centered() {
-        Some(v) => v,
-        None => return Err(ctx.protocol(me, "masked gain out of i128 range")),
-    };
-    let beta = to_unsigned(beta_signed, l);
-
-    // ---- Phase 2, step 5: keys + proofs of knowledge. ------------------
-    ctx.enter(Phase::KeyGen)?;
-    {
-        let mut w_out = Writer::framed();
-        w_out.put_element(&group, kp.public_key());
-        ctx.bcast_participants(&w_out.finish())?;
-    }
-    let mut public_shares: Vec<Element> = vec![group.identity(); n + 1];
-    public_shares[me] = kp.public_key().clone();
-    for j in participants_except(n, me) {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        public_shares[j] = try_wire!(ctx, j, r.element(&group));
-        try_wire!(ctx, j, r.done());
-    }
-
-    // Sequential proofs, prover order 1..=n. Verifier challenge shares are
-    // broadcast so every verifier can form the same challenge sum, and
-    // every share is immediately echoed (a broadcast digest binding the
-    // share to its sender and round): a verifier that equivocates — one
-    // receiver gets different share bytes than everyone else — is caught
-    // by the receiver comparing bytes against the sender's own public
-    // claim, *before* the mismatched challenge sums could wreck the
-    // prover's verification and get an honest prover blamed.
-    // Every prover's transcript, this party's own included, is recorded
-    // with its n − 1 challenge shares in verifier order, and all n are
-    // checked after the round as one `KeygenVerifyJob` — the job the
-    // sorting machine parks — whose rejection names the first dishonest
-    // prover in protocol order.
-    let recv_share_echoed = |ctx: &Ctx, prover: usize, j: usize| {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        let share = try_wire!(ctx, j, r.scalar(&group));
-        try_wire!(ctx, j, r.done());
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        let echo = try_wire!(ctx, j, r.take(32));
-        try_wire!(ctx, j, r.done());
-        if echo[..] != share_digest(&group, prover, j, &share)[..] {
-            return Err(ctx.protocol(
-                j,
-                "challenge share inconsistent with its echo (equivocating broadcast)",
-            ));
-        }
-        Ok(share)
-    };
-    // A verifier's round for another prover: its commitment, my challenge
-    // share `c_mine` broadcast with its echo, every verifier's share in
-    // verifier order (mine, and the others' as they arrive with their
-    // echoes), then its response.
-    let verify_round = |prover: usize, c_mine: Scalar| {
-        let bytes = ctx.recv(prover)?;
-        let mut r = Reader::new(bytes);
-        let commitment = try_wire!(ctx, prover, r.element(&group));
-        try_wire!(ctx, prover, r.done());
-        let mut w_out = Writer::framed();
-        w_out.put_scalar(&group, &c_mine);
-        ctx.bcast_participants(&w_out.finish())?;
-        let mut w_out = Writer::framed();
-        w_out.put_raw(&share_digest(&group, prover, me, &c_mine));
-        ctx.bcast_participants(&w_out.finish())?;
-        let mut shares = Vec::with_capacity(n - 1);
-        for j in participants_except(n, prover) {
-            shares.push(if j == me {
-                c_mine.clone()
-            } else {
-                recv_share_echoed(&ctx, prover, j)?
-            });
-        }
-        let bytes = ctx.recv(prover)?;
-        let mut r = Reader::new(bytes);
-        let response = try_wire!(ctx, prover, r.scalar(&group));
-        try_wire!(ctx, prover, r.done());
-        Ok(MultiVerifierTranscript {
-            commitment,
-            challenges: shares,
-            response,
-        })
-    };
-    // My challenge shares were minted for the other provers in ascending
-    // order: first those before me, then those after.
-    let later_shares = my_shares.split_off(me - 1);
-    let mut transcripts: Vec<MultiVerifierTranscript> = Vec::with_capacity(n);
-    for (prover, c_mine) in (1..me).zip(my_shares) {
-        transcripts.push(verify_round(prover, c_mine)?);
-    }
-    // My own proof, in its turn.
-    let mut w_out = Writer::framed();
-    w_out.put_element(&group, nonce.commitment());
-    ctx.bcast_participants(&w_out.finish())?;
-    let mut shares = Vec::with_capacity(n - 1);
-    for j in participants_except(n, me) {
-        shares.push(recv_share_echoed(&ctx, me, j)?);
-    }
-    let proof = MultiVerifierProof::assemble(&group, kp.secret_key(), nonce, shares);
-    let mut w_out = Writer::framed();
-    w_out.put_scalar(&group, &proof.response);
-    ctx.bcast_participants(&w_out.finish())?;
-    transcripts.push(proof);
-    for (prover, c_mine) in (me + 1..=n).zip(later_shares) {
-        transcripts.push(verify_round(prover, c_mine)?);
-    }
-    let shares = public_shares.split_off(1);
-    KeygenVerifyJob::new(&group, shares.clone(), transcripts)
-        .verify_inline()
-        .map_err(|e| {
-            ctx.fail(match e {
-                SortError::ProofRejected { party } => DistributedError::ProofRejected { party },
-                other => DistributedError::Protocol {
-                    party: me,
-                    what: other.to_string(),
-                },
-            })
-        })?;
-    // One comb table for the joint key serves every encryption and
-    // rerandomization below.
-    let key_table = scheme.prepare_key(JointKey::combine(&group, &shares).public_key());
-
-    // ---- Step 6: bitwise encryption, broadcast. ------------------------
-    ctx.enter(Phase::Encrypt)?;
-    let my_bits = encrypt_bits_with_precomputed(&scheme, &key_table, &beta, l, enc);
-    {
-        let mut w_out = Writer::framed();
-        try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_bits));
-        ctx.bcast_participants(&w_out.finish())?;
-    }
-    let mut all_bits: Vec<Vec<Ciphertext>> = vec![Vec::new(); n + 1];
-    all_bits[me] = my_bits;
-    for j in participants_except(n, me) {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        all_bits[j] = try_wire!(ctx, j, r.ciphertexts(&group));
-        try_wire!(ctx, j, r.done());
-        if all_bits[j].len() != l {
-            return Err(ctx.protocol(
-                j,
-                format!(
-                    "published {} bit ciphertexts, expected {l}",
-                    all_bits[j].len()
-                ),
-            ));
-        }
-        if has_duplicate(&group, &all_bits[j]) {
-            return Err(ctx.protocol(j, "duplicate ciphertext in encrypted bit vector"));
-        }
-    }
-
-    // ---- Step 7: comparisons against every opponent. --------------------
-    ctx.enter(Phase::Compare)?;
-    let opponents: Vec<&[Ciphertext]> = participants_except(n, me)
-        .map(|j| all_bits[j].as_slice())
-        .collect();
-    let my_set = tau_set(&scheme, &key_table, &opponents, &beta, l, compare, 1);
-
-    // ---- Step 8: the shuffle-decrypt chain. -----------------------------
-    ctx.enter(Phase::Hop)?;
-    let mut sets: Vec<Vec<Ciphertext>> = if me == 1 {
-        // Collect everyone's set.
-        let mut sets = vec![my_set];
-        for j in 2..=n {
-            let bytes = ctx.recv(j)?;
-            let mut r = Reader::new(bytes);
-            let set = try_wire!(ctx, j, r.ciphertexts(&group));
-            try_wire!(ctx, j, r.done());
-            check_set(&ctx, &group, &set, j, (n - 1) * l)?;
-            sets.push(set);
-        }
-        sets
-    } else {
-        // Send my comparison set to P₁ first, then receive V from my
-        // predecessor (me − 1 upstream hops).
-        let mut w_out = Writer::framed();
-        try_wire!(ctx, me, w_out.put_ciphertexts(&group, &my_set));
-        ctx.send(1, w_out.finish())?;
-        let bytes = ctx.recv_scaled(me - 1, me as u32)?;
-        let mut r = Reader::new(bytes);
-        let count = try_wire!(ctx, me - 1, r.len());
-        if count != n {
-            return Err(ctx.protocol(me - 1, "chain vector has wrong arity"));
-        }
-        let mut sets = Vec::with_capacity(n);
-        for _ in 0..n {
-            sets.push(try_wire!(ctx, me - 1, r.ciphertexts(&group)));
-        }
-        try_wire!(ctx, me - 1, r.done());
-        for set in &sets {
-            check_set(&ctx, &group, set, me - 1, (n - 1) * l)?;
-        }
-        sets
-    };
-    chain_hop(
-        &scheme,
-        &mut sets,
-        &hops,
-        kp.secret_key(),
-        SortOptions::default(),
-        1,
-    );
-    let my_final_set = if me < n {
-        // Pass V on; my own set returns from P_n at chain end (n − 1 hops).
-        let mut w_out = Writer::framed();
-        try_wire!(ctx, me, w_out.put_len(sets.len()));
-        for set in &sets {
-            try_wire!(ctx, me, w_out.put_ciphertexts(&group, set));
-        }
-        ctx.send(me + 1, w_out.finish())?;
-        let bytes = ctx.recv_scaled(n, n as u32)?;
-        let mut r = Reader::new(bytes);
-        let set = try_wire!(ctx, n, r.ciphertexts(&group));
-        try_wire!(ctx, n, r.done());
-        check_set(&ctx, &group, &set, n, (n - 1) * l)?;
-        set
-    } else {
-        // I am P_n: return every set to its owner; keep mine.
-        for owner in 1..n {
-            let mut w_out = Writer::framed();
-            try_wire!(ctx, me, w_out.put_ciphertexts(&group, &sets[owner - 1]));
-            ctx.send(owner, w_out.finish())?;
-        }
-        match sets.pop() {
-            Some(set) => set,
-            None => return Err(ctx.protocol(me, "chain vector lost the final set")),
-        }
+    // The reply is the initiator's: a masked gain outside the `l`-bit
+    // window can only come from a bad reply.
+    let half = 1i128 << (l - 1);
+    let beta = match state.finish(&Round2Message { a, h: hh }).to_i128_centered() {
+        Some(v) if (-half..half).contains(&v) => to_unsigned(v, l),
+        Some(_) => return Err(ctx.protocol(0, format!("masked gain outside {l} bits"))),
+        None => return Err(ctx.protocol(0, "masked gain out of i128 range")),
     };
 
-    // ---- Step 9: count zeros → rank. ------------------------------------
-    let rank = count_zeros(&scheme, &my_final_set, kp.secret_key(), None) + 1;
+    // ---- Phase 2, steps 5–9. --------------------------------------------
+    let options = SortOptions::default();
+    let party = PartyMachine::new(&group, me, n, l, beta, stock, None, options, 1);
+    let (_, _, zeros) = run_party(&ctx, &group, party)?;
+    let rank = zeros + 1;
 
     // ---- Phase 3: submit or decline. ------------------------------------
     ctx.enter(Phase::Submit)?;
@@ -1054,90 +829,68 @@ fn participant_thread(
     Ok(rank)
 }
 
-/// Domain-separated digest binding a keygen challenge share to its prover
-/// round and sender. Broadcast as an echo right after the share itself, so
-/// every receiver can check that the share bytes it was handed match the
-/// sender's public claim — an equivocating verifier (different shares down
-/// different lanes) is caught by whoever got the minority bytes, with
-/// first-hand evidence against the sender.
-///
-/// Hashing consumes no randomness, so fault-free transcripts are
-/// unaffected. Caveat (see `docs/FAULTS.md`): a *wire-level* adversary
-/// that tampers both the share and its echo on the same lane defeats this
-/// attribution; frames are unsigned, so the mesh lane itself is trusted.
-fn share_digest(group: &Group, prover: usize, sender: usize, share: &Scalar) -> [u8; 32] {
-    let mut w = Writer::new();
-    w.put_u64(prover as u64);
-    w.put_u64(sender as u64);
-    w.put_scalar(group, share);
-    let mut h = Sha256::new();
-    h.update(b"ppgr keygen echo v1");
-    h.update(&w.finish());
-    h.finalize()
-}
-
-/// True when two ciphertexts in `set` serialise identically. Honest
-/// parties re-randomize every element they produce or forward, so a
-/// repeat happens with negligible probability — an observed duplicate is
-/// a scripted inconsistent shuffle (an element copied over another to
-/// bias the zero count).
-fn has_duplicate(group: &Group, set: &[Ciphertext]) -> bool {
-    let mut seen = HashSet::with_capacity(set.len());
-    for ct in set {
-        let mut key = group.encode(&ct.alpha);
-        key.extend_from_slice(&group.encode(&ct.beta));
-        if !seen.insert(key) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Structural integrity of a received comparison set: advertised
-/// cardinality and no duplicated ciphertext. Every hop re-encrypts and
-/// re-shuffles each set it forwards, so honest relays always pass — a
-/// violation always implicates the immediate sender `from`, never an
-/// upstream party whose bytes were merely relayed.
-fn check_set(
+/// Phase 2 over the mesh: one receive–advance–send loop around `party`.
+/// Each round's phase is entered when it changes, each expected frame is
+/// received within its allowances and decoded (a frame that does not
+/// decode blames its sender), the keygen check is settled inline, and the
+/// outbox goes out, broadcasts to every other participant. Returns the
+/// machine's result: its key pair, its returned set and its zero count.
+fn run_party(
     ctx: &Ctx,
     group: &Group,
-    set: &[Ciphertext],
-    from: usize,
-    expected: usize,
-) -> Result<(), DistributedError> {
-    if set.len() != expected {
-        return Err(ctx.protocol(
-            from,
-            format!(
-                "comparison set carries {} ciphertexts, expected {expected}",
-                set.len()
-            ),
-        ));
+    mut party: PartyMachine,
+) -> Result<(KeyPair, Vec<Ciphertext>, usize), DistributedError> {
+    let mut entered = None;
+    while let Some(Round { phase, expects, .. }) = party.round() {
+        if entered != Some(phase) {
+            ctx.enter(phase)?;
+            entered = Some(phase);
+        }
+        let mut inbox = Vec::with_capacity(expects.len());
+        for (from, kind, allowances) in expects {
+            let bytes = ctx.recv_scaled(from, allowances)?;
+            inbox.push(try_wire!(ctx, from, decode_msg(group, kind, bytes)));
+        }
+        let out = party
+            .advance(inbox)
+            .map_err(|fault| ctx.protocol(fault.party, fault.what))?;
+        // A rejected proof names the first dishonest prover in protocol
+        // order.
+        if let Some(job) = out.verify {
+            job.verify_inline().map_err(|e| {
+                ctx.fail(match e {
+                    SortError::ProofRejected { party } => DistributedError::ProofRejected { party },
+                    other => DistributedError::Protocol {
+                        party: ctx.me,
+                        what: other.to_string(),
+                    },
+                })
+            })?;
+        }
+        for (to, msg) in out.sends {
+            let bytes = try_wire!(ctx, ctx.me, encode_msg(group, &msg));
+            match to {
+                To::All => ctx.bcast_participants(&bytes)?,
+                To::Party(j) => ctx.send(j, bytes)?,
+            }
+        }
     }
-    if has_duplicate(group, set) {
-        return Err(ctx.protocol(
-            from,
-            "duplicate ciphertext in a comparison set (inconsistent shuffle)",
-        ));
-    }
-    Ok(())
-}
-
-/// Participant ids `1..=n` except `me`.
-fn participants_except(n: usize, me: usize) -> impl Iterator<Item = usize> {
-    (1..=n).filter(move |&j| j != me)
+    party
+        .into_result()
+        .ok_or_else(|| ctx.protocol(ctx.me, "phase 2 ended without a result"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::Questionnaire;
-    use crate::circuit::compare_encrypted;
     use crate::framework::GroupRanking;
+    use crate::offline::{OfflineStock, StockFingerprint};
+    use crate::sorting::{SortMachine, SortStatus};
     use ppgr_bigint::BigUint;
-    use ppgr_elgamal::{encrypt_bits, KeyPair, MaskPair};
     use ppgr_group::GroupKind;
     use ppgr_hash::HashDrbg;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn params(n: usize, seed: u64) -> FrameworkParams {
@@ -1206,64 +959,79 @@ mod tests {
         assert!(sorted == vec![1, 2] || sorted == vec![1, 1]);
     }
 
-    #[test]
-    fn tau_set_is_rerandomized_with_the_raw_zero_pattern() {
-        // The τ set a party sends must decrypt, under the joint secret, to
-        // the raw circuit output's zero pattern, yet share no ciphertext
-        // with it — the raw bytes are recomputable from public data — and
-        // the same masks give the same set on any worker count.
-        let group = GroupKind::Ecc160.group();
-        let scheme = ExpElGamal::new(group.clone());
-        let mut rng = HashDrbg::seed_from_u64(29);
-        let (n, l, me) = (3, 5, 2);
-        let values = [0u64, 21, 9, 30]; // index 0 is the initiator
-        let kps: Vec<KeyPair> = (0..n)
-            .map(|_| KeyPair::generate(&group, &mut rng))
-            .collect();
-        let shares: Vec<_> = kps.iter().map(|k| k.public_key().clone()).collect();
-        let joint = JointKey::combine(&group, &shares);
-        let joint_secret = kps.iter().fold(group.scalar_from_u64(0), |acc, k| {
-            group.scalar_add(&acc, k.secret_key())
-        });
-        let key_table = scheme.prepare_key(joint.public_key());
-        let all_bits: Vec<Vec<Ciphertext>> = (0..=n)
-            .map(|j| match j {
-                0 => Vec::new(),
-                _ => {
-                    let v = BigUint::from(values[j]);
-                    encrypt_bits(&scheme, joint.public_key(), &v, l, &mut rng)
-                }
+    /// Phase 2 of the `seed` session on `values` over a channel mesh, one
+    /// thread per participant driving its machine with [`run_party`]:
+    /// every party's returned set, before its own decryption.
+    fn mesh_returned_sets(
+        kind: GroupKind,
+        seed: u64,
+        values: &[BigUint],
+        l: usize,
+    ) -> Vec<Vec<Ciphertext>> {
+        let n = values.len();
+        let budget = PhaseBudget::uniform(Duration::from_secs(30));
+        // The initiator takes no part in phase 2.
+        let handles = LocalMesh::new::<Bytes>(n + 1).into_iter().skip(1);
+        let threads: Vec<_> = handles
+            .zip(values.iter().cloned())
+            .enumerate()
+            .map(|(idx, (handle, value))| {
+                thread::spawn(move || {
+                    let (me, group) = (idx + 1, kind.group());
+                    let ctx = Ctx::new(FaultyMesh::passthrough(handle), me, n, budget);
+                    let stock = PartyStock::mint(&group, seed, n, l, me);
+                    let options = SortOptions::default();
+                    let party = PartyMachine::new(&group, me, n, l, value, stock, None, options, 1);
+                    run_party(&ctx, &group, party).map(|(_, set, _)| set)
+                })
             })
             .collect();
-        let beta = BigUint::from(values[me]);
-        let opponents: Vec<&[Ciphertext]> = participants_except(n, me)
-            .map(|j| all_bits[j].as_slice())
-            .collect();
-        let raw: Vec<Ciphertext> = opponents
-            .iter()
-            .flat_map(|bits| compare_encrypted(&scheme, &beta, bits, l))
-            .collect();
-        let zeros = |set: &[Ciphertext]| -> Vec<bool> {
-            set.iter()
-                .map(|ct| scheme.decrypts_to_zero(&joint_secret, ct))
-                .collect()
-        };
-        let pattern = zeros(&raw);
-        assert!(pattern.contains(&true) && pattern.contains(&false));
-        let published: HashSet<Vec<u8>> = raw.iter().map(|ct| ct.encode(&group)).collect();
-        let sent: Vec<Vec<Ciphertext>> = [1, 2]
+        threads
             .into_iter()
-            .map(|workers| {
-                let masks = MaskPair::draw(&group, &mut HashDrbg::seed_from_u64(41), raw.len());
-                let sent = tau_set(&scheme, &key_table, &opponents, &beta, l, masks, workers);
-                assert_eq!(zeros(&sent), pattern, "workers={workers}");
-                assert!(sent
-                    .iter()
-                    .all(|ct| !published.contains(&ct.encode(&group))));
-                sent
-            })
-            .collect();
-        assert_eq!(sent[0], sent[1], "worker count changes no byte");
+            .map(|t| t.join().expect("party thread").expect("fault-free phase 2"))
+            .collect()
+    }
+
+    /// The sorting machine's returned sets for the same session.
+    fn memory_returned_sets(
+        kind: GroupKind,
+        seed: u64,
+        values: &[BigUint],
+        l: usize,
+    ) -> Vec<Vec<Ciphertext>> {
+        let fp = StockFingerprint::new(seed, values.len(), l, kind);
+        let stock = OfflineStock::generate(fp, 1, || false).expect("never cancelled");
+        let options = SortOptions {
+            threads: 1,
+            ..SortOptions::default()
+        };
+        let mut machine = SortMachine::new(&kind.group(), values, l, options, stock, 0).unwrap();
+        let (log, mut timer) = (TrafficLog::new(), PartyTimer::new(values.len() + 1));
+        while machine.step(&log, &mut timer).unwrap() == SortStatus::Pending {}
+        machine.into_result().unwrap().1.returned_sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn mesh_and_memory_runners_return_identical_sets(
+            seed in any::<u64>(),
+            raw in prop::collection::vec(0u64..64, 2..=4),
+        ) {
+            let values: Vec<BigUint> = raw.into_iter().map(BigUint::from).collect();
+            let mesh = mesh_returned_sets(GroupKind::Ecc160, seed, &values, 6);
+            let memory = memory_returned_sets(GroupKind::Ecc160, seed, &values, 6);
+            prop_assert_eq!(mesh, memory);
+        }
+    }
+
+    #[test]
+    fn mesh_and_memory_runners_return_identical_sets_on_dl1024() {
+        let values: Vec<BigUint> = [9u64, 3, 12].into_iter().map(BigUint::from).collect();
+        let mesh = mesh_returned_sets(GroupKind::Dl1024, 0xD16E58, &values, 4);
+        let memory = memory_returned_sets(GroupKind::Dl1024, 0xD16E58, &values, 4);
+        assert_eq!(mesh, memory);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! is the parties' own: phase 1 reads each party's online stream, and
 //! phase 2 runs a [`SortMachine`] on the [`OfflineStock`] minted from
 //! their offline streams — generated cold at the session's offline step,
-//! or attached warm by a precompute pool. A thread-per-party run of the
-//! same seed ([`crate::run_distributed`]) consumes the same randomness,
-//! so both return the same ranks, ties included.
+//! or attached warm by a precompute pool. The sort machine steps one
+//! party machine per party, the same machines a thread-per-party run of
+//! the same seed ([`crate::run_distributed`]) drives over its mesh, so
+//! both run the same keygen exchange and checks and return the same
+//! sets and ranks, ties included.
 
 use crate::attrs::{InfoVector, InitiatorProfile, VectorError};
 use crate::gain::{run_gain_phase, GainPhaseOutput};

@@ -60,6 +60,7 @@ pub mod gain;
 pub mod games;
 pub mod offline;
 mod params;
+mod party;
 pub mod sorting;
 pub mod submit;
 mod timing;

@@ -19,11 +19,11 @@
 //!
 //! [`OfflineStock`] is the in-memory simulation's stock: the `n` party
 //! stocks plus what only the simulation can mint, because only it holds
-//! every key — the joint key's prepared comb table, both halves of every
-//! mask and the assembled key-knowledge proofs. The session still checks
-//! the proofs once, online
-//! ([`KeygenVerifyJob`](crate::sorting::KeygenVerifyJob)). A stock's shape
-//! is a pure function of `(n, l)` — hop randomizers and permutations are
+//! every key — the joint key's prepared comb table and both halves of
+//! every mask. Proofs are not stocked: each party's machine assembles its
+//! own online, from its stocked nonce and the challenge shares it
+//! receives in the keygen exchange both drivers run. A stock's shape is a
+//! pure function of `(n, l)` — hop randomizers and permutations are
 //! minted even when a run disables randomization or shuffling — so a
 //! precompute pool can stock sessions knowing only their
 //! [`StockFingerprint`]. [`OfflineStock::generate`] is the one
@@ -40,7 +40,7 @@ use crate::sorting::{fan_out, HopJob};
 use ppgr_elgamal::{ExpElGamal, JointKey, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, Scalar};
 use ppgr_hash::HashDrbg;
-use ppgr_zkp::{MultiVerifierProof, MultiVerifierTranscript, SchnorrNonce};
+use ppgr_zkp::SchnorrNonce;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
@@ -114,13 +114,13 @@ pub(crate) fn party_streams(seed: u64, party: usize) -> (HashDrbg, HashDrbg) {
 }
 
 /// One party's phase-2 stock, drawn from its offline stream in
-/// [`STOCK_LAYOUT`] order, less its Schnorr nonce: minting hands the
-/// nonce out beside the stock, to be spent on the party's proof. It holds
-/// the party's key share, masks and permutations, so `{:?}` shows only
-/// its shape.
+/// [`STOCK_LAYOUT`] order. It holds the party's key share, nonce, masks
+/// and permutations, so `{:?}` shows only its shape.
 pub(crate) struct PartyStock {
     /// The party's key pair `(x_j, g^{x_j})`.
     pub(crate) keys: KeyPair,
+    /// Its Schnorr nonce, spent on its proof of key knowledge.
+    pub(crate) nonce: SchnorrNonce,
     /// Its challenge share for every other prover, in ascending order.
     pub(crate) shares: Vec<Scalar>,
     /// Its `l` encryption masks, bare until filled with the joint key.
@@ -142,21 +142,14 @@ impl fmt::Debug for PartyStock {
 }
 
 impl PartyStock {
-    /// Party `party`'s stock and Schnorr nonce for an `n`-party, `l`-bit
-    /// session seeded `seed`, as a mesh party mints them at thread start:
-    /// its masks bare, its hop randomizers prepared under its own key
-    /// share.
+    /// Party `party`'s stock for an `n`-party, `l`-bit session seeded
+    /// `seed`, as a mesh party mints it at thread start: its masks bare,
+    /// its hop randomizers prepared under its own key share.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`: the sorting chain needs at least two parties.
-    pub(crate) fn mint(
-        group: &Group,
-        seed: u64,
-        n: usize,
-        l: usize,
-        party: usize,
-    ) -> (Self, SchnorrNonce) {
+    pub(crate) fn mint(group: &Group, seed: u64, n: usize, l: usize, party: usize) -> Self {
         mint_parties(group, seed, n, l, party..=party, 1, &mut || false)
             .and_then(|mut minted| minted.pop())
             // tidy:allow(panic) — the never-cancelling hook makes None unreachable
@@ -164,11 +157,11 @@ impl PartyStock {
     }
 }
 
-/// Mints the stocks and Schnorr nonces of `parties` (1-based ids) of an
-/// `n`-party, `l`-bit session seeded `seed`. Each party's offline stream
-/// is drawn serially, before any worker starts, so every worker count
-/// mints the same stocks; then one fan-out over `workers` threads
-/// prepares every hop randomizer set of all of them. Masks stay bare.
+/// Mints the stocks of `parties` (1-based ids) of an `n`-party, `l`-bit
+/// session seeded `seed`. Each party's offline stream is drawn serially,
+/// before any worker starts, so every worker count mints the same
+/// stocks; then one fan-out over `workers` threads prepares every hop
+/// randomizer set of all of them. Masks stay bare.
 /// `cancel` is polled between parties and before the fan-out; once it
 /// returns `true`, minting stops and `None` is returned.
 ///
@@ -183,7 +176,7 @@ fn mint_parties(
     parties: RangeInclusive<usize>,
     workers: usize,
     cancel: &mut dyn FnMut() -> bool,
-) -> Option<Vec<(PartyStock, SchnorrNonce)>> {
+) -> Option<Vec<PartyStock>> {
     // Checked up front: every shape below is built from `n − 1`.
     assert!(
         n >= 2,
@@ -222,14 +215,14 @@ fn mint_parties(
                 (owner, Vec::new(), order)
             })
             .collect();
-        let stock = PartyStock {
+        stocks.push(PartyStock {
             keys,
+            nonce,
             shares,
             enc,
             compare,
             hops,
-        };
-        stocks.push((stock, nonce));
+        });
     }
     if cancel() {
         return None;
@@ -246,13 +239,13 @@ fn mint_parties(
         |range| {
             range
                 .map(|idx| {
-                    let secret = stocks[idx / (n - 1)].0.keys.secret_key();
+                    let secret = stocks[idx / (n - 1)].keys.secret_key();
                     group.prepare_hop_scalars(secret, &raw_hops[idx])
                 })
                 .collect::<Vec<_>>()
         },
     );
-    let jobs = stocks.iter_mut().flat_map(|(stock, _)| &mut stock.hops);
+    let jobs = stocks.iter_mut().flat_map(|stock| &mut stock.hops);
     for ((_, prep, _), ready) in jobs.zip(prepared.into_iter().flatten()) {
         *prep = ready;
     }
@@ -260,18 +253,16 @@ fn mint_parties(
 }
 
 /// The in-memory simulation's stock for one session (see the module docs):
-/// every party's stock with its masks filled under the joint key, the
-/// joint key's prepared table and every party's assembled proof.
+/// every party's stock with its masks filled under the joint key, and the
+/// joint key's prepared table.
 ///
 /// A [`SortMachine`](crate::sorting::SortMachine) is built on one and
-/// takes each party's material at the step that party uses it.
+/// hands each party machine its own stock and the table.
 pub struct OfflineStock {
     /// Every party's stock, party order.
     pub(crate) parties: Vec<PartyStock>,
     /// The joint key's prepared comb table (its base is the joint key).
     pub(crate) table: FixedBaseTable,
-    /// Every party's key-knowledge proof, party order.
-    pub(crate) proofs: Vec<MultiVerifierTranscript>,
     fingerprint: StockFingerprint,
 }
 
@@ -289,8 +280,8 @@ impl OfflineStock {
     /// the minting spread over `workers` threads.
     ///
     /// Every party's stock comes from its own offline stream, exactly as a
-    /// mesh party mints it; on top, the joint key's table, both halves of
-    /// every mask and the proofs. Every worker count gives the same stock.
+    /// mesh party mints it; on top, the joint key's table and both halves
+    /// of every mask. Every worker count gives the same stock.
     /// `cancel` is polled between parties and between minting batches;
     /// once it returns `true`, generation stops and `None` is returned. A
     /// hook that never fires always yields `Some`.
@@ -306,10 +297,7 @@ impl OfflineStock {
     ) -> Option<Self> {
         let group = fp.group.group();
         let (n, l) = (fp.participants, fp.bits);
-        let (mut parties, nonces): (Vec<_>, Vec<_>) =
-            mint_parties(&group, fp.seed, n, l, 1..=n, workers, &mut cancel)?
-                .into_iter()
-                .unzip();
+        let mut parties = mint_parties(&group, fp.seed, n, l, 1..=n, workers, &mut cancel)?;
         let key_shares: Vec<Element> = parties
             .iter()
             .map(|p| p.keys.public_key().clone())
@@ -330,31 +318,15 @@ impl OfflineStock {
             |range| masks.by_ref().take(range.len()).collect::<Vec<_>>(),
             |chunk| MaskPair::fill(&group, &table, chunk),
         );
-        // Prover `p`'s transcript: its nonce, and every other party's
-        // challenge share for it in verifier order (verifier `v` holds its
-        // share for `p` at `p`'s rank among `v`'s other provers).
-        let proofs = nonces
-            .into_iter()
-            .enumerate()
-            .map(|(p, nonce)| {
-                let challenges = (0..n)
-                    .filter(|&v| v != p)
-                    .map(|v| parties[v].shares[p - usize::from(p > v)].clone())
-                    .collect();
-                let secret = parties[p].keys.secret_key();
-                MultiVerifierProof::assemble(&group, secret, nonce, challenges)
-            })
-            .collect();
         Some(OfflineStock {
             parties,
             table,
-            proofs,
             fingerprint: fp,
         })
     }
 
-    /// Invalidates `party`'s key-knowledge proof by bumping its response
-    /// scalar.
+    /// Invalidates the key-knowledge proof of `party` (0-based) by moving
+    /// its stocked nonce commitment off the nonce.
     ///
     /// Test-harness hook: lets attribution tests feed a session a stock
     /// whose proof `party` must be rejected — by the session's own check
@@ -362,8 +334,8 @@ impl OfflineStock {
     /// for a party the stock does not hold.
     #[doc(hidden)]
     pub fn corrupt_key_proof(&mut self, group: &Group, party: usize) {
-        if let Some(proof) = self.proofs.get_mut(party) {
-            ppgr_zkp::tamper::bump_multi_response(group, proof);
+        if let Some(stock) = self.parties.get_mut(party) {
+            ppgr_zkp::tamper::bump_nonce_commitment(group, &mut stock.nonce);
         }
     }
 
@@ -406,17 +378,11 @@ mod tests {
         s.table.base()
     }
 
-    /// Every proof's commitment, challenge shares and response.
-    fn proofs(s: &OfflineStock) -> Vec<(Element, Vec<Scalar>, Scalar)> {
-        s.proofs
+    /// Every party's nonce commitment and challenge shares.
+    fn nonces(s: &OfflineStock) -> Vec<(Element, Vec<Scalar>)> {
+        s.parties
             .iter()
-            .map(|t| {
-                (
-                    t.commitment.clone(),
-                    t.challenges.clone(),
-                    t.response.clone(),
-                )
-            })
+            .map(|p| (p.nonce.commitment().clone(), p.shares.clone()))
             .collect()
     }
 
@@ -441,7 +407,7 @@ mod tests {
                 assert_eq!(hops(&fanned), hops(&serial), "{label}: hop jobs");
                 assert_eq!(halves(&fanned), halves(&serial), "{label}: mask halves");
                 assert_eq!(joint(&fanned), joint(&serial), "{label}: joint key");
-                assert_eq!(proofs(&fanned), proofs(&serial), "{label}: proofs");
+                assert_eq!(nonces(&fanned), nonces(&serial), "{label}: nonces");
             }
         }
     }
@@ -457,18 +423,13 @@ mod tests {
             let sim = generate(StockFingerprint::new(seed, n, l, kind), 2);
             for j in 1..=n {
                 let label = format!("{kind} party {j}");
-                let (mut mine, nonce) = PartyStock::mint(&group, seed, n, l, j);
+                let mut mine = PartyStock::mint(&group, seed, n, l, j);
                 let theirs = &sim.parties[j - 1];
                 assert_eq!(mine.keys.public_key(), theirs.keys.public_key(), "{label}");
                 assert_eq!(mine.keys.secret_key(), theirs.keys.secret_key(), "{label}");
-                assert_eq!(nonce.commitment(), &sim.proofs[j - 1].commitment, "{label}");
-                // Its share for each other prover sits in that prover's
-                // proof at the party's rank among the prover's verifiers.
-                let provers = (1..=n).filter(|&p| p != j);
-                for (share, p) in mine.shares.iter().zip(provers) {
-                    let at = j - 1 - usize::from(j > p);
-                    assert_eq!(share, &sim.proofs[p - 1].challenges[at], "{label} → {p}");
-                }
+                let commitment = mine.nonce.commitment();
+                assert_eq!(commitment, theirs.nonce.commitment(), "{label}");
+                assert_eq!(mine.shares, theirs.shares, "{label}: challenge shares");
                 assert_eq!(
                     mine.hops, theirs.hops,
                     "{label}: preparations and permutations"
@@ -501,7 +462,7 @@ mod tests {
     #[test]
     fn party_stock_debug_shows_only_its_shape() {
         let group = GroupKind::Ecc160.group();
-        let (stock, _) = PartyStock::mint(&group, 3, 3, 2, 1);
+        let stock = PartyStock::mint(&group, 3, 3, 2, 1);
         let dump = format!("{stock:?}");
         assert_eq!(dump, "PartyStock { masks: 6, hop_sets: 2, .. }");
         let secret = format!("{:?}", stock.keys.secret_key());
@@ -551,8 +512,6 @@ mod tests {
                 assert_eq!(sorted, (0..(n - 1) * l).collect::<Vec<_>>());
             }
         }
-        assert_eq!(stock.proofs.len(), n);
-        assert!(stock.proofs.iter().all(|p| p.challenges.len() == n - 1));
     }
 
     #[test]

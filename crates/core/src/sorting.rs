@@ -21,19 +21,23 @@
 //! 5. `P_n` returns each set to its owner, who strips her own key layer
 //!    and counts zeros: `rank = zeros + 1`.
 //!
-//! Steps 7–9 have one body each (`tau_set`, `chain_hop`, `count_zeros`)
-//! that both drivers call: the [`SortMachine`], which plays every party
-//! in one process, and a mesh party ([`crate::distributed`]). Neither
-//! draws randomness while it runs: every party's key share, proof
-//! randomness, masks, hop randomizers and permutations come from its
-//! offline stock ([`crate::offline`]), so both drivers compute the same
-//! ciphertexts for the same seed.
+//! Each party's side of steps 5–9 is one round machine (the private
+//! `party` module) that both drivers step: the [`SortMachine`], which
+//! plays every party in one process and routes their messages through
+//! in-memory mailboxes, and a mesh party ([`crate::distributed`]), which
+//! sends them as frames. Steps 7–9 have one body each here (`tau_set`,
+//! `chain_hop`, `count_zeros`), which the machine calls. Nothing draws
+//! randomness while it runs: every party's key share, proof randomness,
+//! masks, hop randomizers and permutations come from its offline stock
+//! ([`crate::offline`]), so both drivers compute the same ciphertexts for
+//! the same seed.
 
 use crate::circuit::compare_encrypted;
 use crate::offline::{OfflineStock, StockFingerprint};
+use crate::party::{Mailboxes, PartyMachine};
 use crate::timing::PartyTimer;
 use ppgr_bigint::BigUint;
-use ppgr_elgamal::{encrypt_bits_with_precomputed, Ciphertext, ExpElGamal, KeyPair, MaskPair};
+use ppgr_elgamal::{Ciphertext, ExpElGamal, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
 use ppgr_net::TrafficLog;
 use ppgr_zkp::{verify_sessions_multi_batch, MultiVerifierTranscript};
@@ -41,8 +45,6 @@ use rand::Rng;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-// tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-use std::time::{Duration, Instant};
 
 /// Errors from the sorting protocol.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -126,10 +128,9 @@ pub struct SortOptions {
     /// offline mint (its hop-scalar preparations and mask halves), the
     /// comparison step (opponents, then the set's rerandomization masks),
     /// each hop (the output positions of all `n − 1` foreign sets laid end
-    /// to end) and the finish (every owner's returned ciphertexts laid end
-    /// to end). Every random draw comes from the offline stock, drawn
-    /// serially, so every thread count produces bit-identical transcripts
-    /// and ranks.
+    /// to end) and each party's finish (its own returned set). Every
+    /// random draw comes from the offline stock, drawn serially, so every
+    /// thread count produces bit-identical transcripts and ranks.
     /// Only *local* work parallelizes: the hop-to-hop chain itself stays
     /// sequential because each hop must shuffle and re-randomize the
     /// previous hop's output before anyone else may see it — pipelining
@@ -159,8 +160,10 @@ impl Default for SortOptions {
 /// jobs into one aggregate equation ([`verify_deferred_jobs`]) without
 /// changing any session's verdict or blame; a job nobody claims is settled
 /// by the machine itself, with [`KeygenVerifyJob::verify_inline`], at the
-/// start of its next step. A mesh party builds the same job over the
-/// transcripts it observed, its own included, and settles it inline.
+/// start of its next step. Every party machine builds the job over the
+/// transcripts it observed, its own included: a mesh party settles its
+/// own inline, and the sorting machine parks party 1's, since in memory
+/// every party observes the same transcripts.
 #[derive(Debug)]
 pub struct KeygenVerifyJob {
     group: Group,
@@ -459,22 +462,34 @@ pub(crate) fn chain_hop(
 }
 
 /// Step 9's body (paper Fig. 1): strips the owner's key layer from the
-/// returned `set` (only the `positions` given, or all of it) with one
-/// gathered partial decryption — the key share's digit recoding is done
-/// once and the masks share a single inversion — and counts the exposed
-/// `α·β^{−x}` that are the identity, i.e. the zeros.
+/// returned `set` and counts the exposed `α·β^{−x}` that are the identity,
+/// i.e. the zeros. The set splits into near-equal ranges over `workers`
+/// threads, each one gathered partial decryption: the key share's digit
+/// recoding is done once per range and its masks share a single
+/// inversion.
 pub(crate) fn count_zeros(
     scheme: &ExpElGamal,
     set: &[Ciphertext],
     secret: &Scalar,
-    positions: Option<&[usize]>,
+    workers: usize,
 ) -> usize {
-    let mut stripped = Vec::new();
-    scheme.partial_decrypt_gather_into(set, secret, positions, &mut stripped);
-    stripped
-        .iter()
-        .filter(|ct| scheme.group().is_identity(&ct.alpha))
-        .count()
+    let positions: Vec<usize> = (0..set.len()).collect();
+    fan_out(
+        set.len(),
+        workers,
+        |range| range,
+        |range| {
+            let mut stripped = Vec::new();
+            let order = Some(&positions[range]);
+            scheme.partial_decrypt_gather_into(set, secret, order, &mut stripped);
+            stripped
+                .iter()
+                .filter(|ct| scheme.group().is_identity(&ct.alpha))
+                .count()
+        },
+    )
+    .into_iter()
+    .sum()
 }
 
 /// Everything a run exposes beyond the ranks — consumed by the
@@ -599,34 +614,30 @@ enum SortState {
 /// strictly sequential shuffle-decrypt chain occupies a worker, other
 /// sessions' hops fill the remaining workers.
 ///
-/// Granularity: one `step` call performs one protocol unit — all of key
-/// generation, all of bit encryption, or a single party's comparison batch
-/// / chain hop (the chain hops are ~89 % of the cost, so per-hop yields are
-/// what make cross-session pipelining effective). The machine draws
-/// nothing: every party's randomness — key share, proof, masks, hop
-/// randomizers and permutations — comes from the [`OfflineStock`] it was
-/// built on, so a session's transcript and ranks are bit-identical no
-/// matter how its steps are interleaved with other sessions'.
+/// The machine holds one party machine per party and
+/// routes their messages through per-lane FIFO mailboxes, so every party
+/// runs the keygen exchange, the share echo and the structural checks a
+/// mesh party runs. Granularity: one `step` call performs one protocol
+/// unit — all of key generation, all of bit encryption, or a single
+/// party's comparison batch / chain hop (the chain hops are ~89 % of the
+/// cost, so per-hop yields are what make cross-session pipelining
+/// effective). The machine draws nothing: every party's randomness — key
+/// share, proof nonce and challenge shares, masks, hop randomizers and
+/// permutations — comes from the [`OfflineStock`] it was built on, so a
+/// session's transcript and ranks are bit-identical no matter how its
+/// steps are interleaved with other sessions'.
 #[derive(Debug)]
 pub struct SortMachine {
-    // Fixed configuration.
-    group: Group,
-    scheme: ExpElGamal,
-    values: Vec<BigUint>,
-    l: usize,
-    options: SortOptions,
     n: usize,
-    workers: usize,
+    l: usize,
     ct_len: usize,
     elem_len: usize,
     scalar_len: usize,
-    // Protocol state.
     state: SortState,
     round: u32,
-    /// Every party's randomness; each step takes what its party uses.
-    stock: OfflineStock,
-    encrypted_bits: Vec<Vec<Ciphertext>>,
-    sets: Vec<Vec<Ciphertext>>,
+    /// Every party's phase 2, party order.
+    parties: Vec<PartyMachine>,
+    mail: Mailboxes,
     /// The keygen proof check parked by the keygen step: claimed by a
     /// batching caller via [`SortMachine::take_pending_verify`], or settled
     /// at the start of the next step.
@@ -664,22 +675,28 @@ impl SortMachine {
         if fp.participants != n || fp.bits != l {
             return Err(SortError::Internal("offline stock shape mismatch"));
         }
+        let workers = resolve_threads(options.threads);
+        let OfflineStock { parties, table, .. } = stock;
+        let parties = parties
+            .into_iter()
+            .zip(values)
+            .enumerate()
+            .map(|(idx, (own, value))| {
+                let table = Some(table.clone());
+                let value = value.clone();
+                PartyMachine::new(group, idx + 1, n, l, value, own, table, options, workers)
+            })
+            .collect();
         Ok(SortMachine {
-            scheme: ExpElGamal::new(group.clone()),
+            n,
+            l,
             ct_len: Ciphertext::encoded_len(group),
             elem_len: group.element_len(),
             scalar_len: group.order().bits().div_ceil(8),
-            group: group.clone(),
-            values: values.to_vec(),
-            l,
-            options,
-            n,
-            workers: resolve_threads(options.threads),
             state: SortState::KeyGen,
             round: round_base,
-            stock,
-            encrypted_bits: Vec::new(),
-            sets: Vec::new(),
+            parties,
+            mail: Mailboxes::new(n),
             pending_verify: None,
             result: None,
         })
@@ -728,24 +745,34 @@ impl SortMachine {
     ) -> Result<SortStatus, SortError> {
         // Settle a keygen check nobody claimed before any other work.
         // It reads only published material, so the transcript does not
-        // depend on who settles it. Like the offline mint, it is charged
-        // to nobody's per-party ledger.
+        // depend on who settles it. It is charged to nobody's per-party
+        // ledger.
         if let Some(job) = &self.pending_verify {
             job.verify_inline()?;
             self.pending_verify = None;
         }
+        let n = self.n;
+        let set_bytes = (n - 1) * self.l * self.ct_len;
         match self.state {
             SortState::KeyGen => {
-                self.step_keygen(log);
+                self.run(5, 0..n, timer)?;
+                self.log_keygen(log);
                 self.state = SortState::Encrypt;
             }
             SortState::Encrypt => {
-                self.step_encrypt(log, timer);
+                self.run(6, 0..n, timer)?;
+                for (party, other) in self.pairs() {
+                    log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
+                }
+                self.round += 1;
                 self.state = SortState::Compare { idx: 0 };
             }
             SortState::Compare { idx } => {
-                self.step_compare(idx, log, timer);
-                self.state = if idx + 1 < self.n {
+                self.run(7, idx..idx + 1, timer)?;
+                if idx > 0 {
+                    log.record(self.round, idx + 1, 1, set_bytes, "sort/collect");
+                }
+                self.state = if idx + 1 < n {
                     SortState::Compare { idx: idx + 1 }
                 } else {
                     self.round += 1;
@@ -753,15 +780,36 @@ impl SortMachine {
                 };
             }
             SortState::Hop { idx } => {
-                self.step_hop(idx, log, timer);
-                self.state = if idx + 1 < self.n {
-                    SortState::Hop { idx: idx + 1 }
+                self.run(8, idx..idx + 1, timer)?;
+                // The whole vector V goes to the next party in the chain.
+                if idx + 1 < n {
+                    log.record(self.round, idx + 1, idx + 2, n * set_bytes, "sort/chain");
+                    self.round += 1;
+                    self.state = SortState::Hop { idx: idx + 1 };
                 } else {
-                    SortState::Finish
-                };
+                    self.state = SortState::Finish;
+                }
             }
             SortState::Finish => {
-                self.step_finish(log, timer);
+                // P_n returns each set to its owner.
+                for owner in 1..n {
+                    log.record(self.round, n, owner, set_bytes, "sort/return");
+                }
+                self.round += 1;
+                self.run(9, 0..n, timer)?;
+                let results: Option<Vec<_>> = std::mem::take(&mut self.parties)
+                    .into_iter()
+                    .map(PartyMachine::into_result)
+                    .collect();
+                let results =
+                    results.ok_or(SortError::Internal("a party finished without a result"))?;
+                let ranks = results.iter().map(|(_, _, zeros)| zeros + 1).collect();
+                let (keys, returned_sets) = results.into_iter().map(|(k, set, _)| (k, set)).unzip();
+                let trace = SortTrace {
+                    keys,
+                    returned_sets,
+                };
+                self.result = Some((SortOutcome { ranks }, trace));
                 self.state = SortState::Done;
             }
             SortState::Done => {}
@@ -773,196 +821,73 @@ impl SortMachine {
         })
     }
 
-    /// Step 5: key generation + proofs of knowledge, fed entirely from the
-    /// offline stock.
-    ///
-    /// Keys are party randomness, not inputs, so the stock carries them:
-    /// key pairs, assembled proofs and the prepared joint-key table,
-    /// leaving online only the share exchange and proof verification.
-    ///
-    /// The proofs are not checked here: the step parks them as a
-    /// [`KeygenVerifyJob`], which a batching caller claims or the next
-    /// step settles.
-    fn step_keygen(&mut self, log: &TrafficLog) {
+    /// Every ordered pair of distinct parties, sender-major.
+    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> {
         let n = self.n;
-        for party in 1..=n {
-            // Publish y_j.
-            for other in 1..=n {
-                if other != party {
-                    log.record(self.round, party, other, self.elem_len, "sort/keys");
-                }
-            }
+        (1..=n).flat_map(move |a| (1..=n).filter(move |&b| b != a).map(move |b| (a, b)))
+    }
+
+    /// Step 5's traffic: the key shares, then each prover's commitment
+    /// broadcast, `n − 1` challenge shares and response broadcast. The
+    /// paper's cost model counts no echo.
+    fn log_keygen(&mut self, log: &TrafficLog) {
+        for (party, other) in self.pairs() {
+            log.record(self.round, party, other, self.elem_len, "sort/keys");
         }
         self.round += 1;
-        for party in 1..=n {
-            // Commitment broadcast, n−1 challenge shares, response broadcast.
-            for other in 1..=n {
-                if other != party {
-                    log.record(self.round, party, other, self.elem_len, "sort/zkp");
-                    log.record(self.round + 1, other, party, self.scalar_len, "sort/zkp");
-                    log.record(self.round + 2, party, other, self.scalar_len, "sort/zkp");
-                }
-            }
+        for (party, other) in self.pairs() {
+            log.record(self.round, party, other, self.elem_len, "sort/zkp");
+            log.record(self.round + 1, other, party, self.scalar_len, "sort/zkp");
+            log.record(self.round + 2, party, other, self.scalar_len, "sort/zkp");
         }
-        // Every verifier checks the same transcripts against the same
-        // keys, so one check of each proof stands for all of them.
-        let statements = self
-            .stock
-            .parties
-            .iter()
-            .map(|p| p.keys.public_key().clone())
-            .collect();
-        let proofs = std::mem::take(&mut self.stock.proofs);
-        self.pending_verify = Some(KeygenVerifyJob::new(&self.group, statements, proofs));
         self.round += 3;
     }
 
-    /// Step 6: bitwise encryption under the joint key, published to all.
+    /// Advances the parties `parties` (0-based) through their rounds of
+    /// paper step `step`, each `advance` charged to its party: in passes,
+    /// each party as far as its mailboxes allow, until none moves. Party
+    /// 1's keygen check is parked; every party observes the same
+    /// transcripts.
     ///
-    /// The stock holds the joint key's prepared comb table and both halves
-    /// of every mask, so nothing here exponentiates beyond one group
-    /// operation per set bit.
-    fn step_encrypt(&mut self, log: &TrafficLog, timer: &mut PartyTimer) {
-        let n = self.n;
-        let mut bits = Vec::with_capacity(n);
-        for (idx, own) in self.stock.parties.iter_mut().enumerate() {
-            let party = idx + 1;
-            let row = std::mem::take(&mut own.enc);
-            let (table, value) = (&self.stock.table, &self.values[idx]);
-            bits.push(timer.time(party, || {
-                encrypt_bits_with_precomputed(&self.scheme, table, value, self.l, row)
-            }));
-            for other in 1..=n {
-                if other != party {
-                    log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
+    /// # Errors
+    ///
+    /// [`SortError::Internal`] if a party faults or is still waiting inside
+    /// the step: in memory only a bug can cause either.
+    fn run(
+        &mut self,
+        step: u8,
+        parties: Range<usize>,
+        timer: &mut PartyTimer,
+    ) -> Result<(), SortError> {
+        let mut moved = true;
+        while moved {
+            moved = false;
+            for idx in parties.clone() {
+                let party = &mut self.parties[idx];
+                while let Some(round) = party.round().filter(|r| r.step == step) {
+                    let Some(inbox) = self.mail.take(idx + 1, &round.expects) else {
+                        break;
+                    };
+                    let out = timer
+                        .time(idx + 1, || party.advance(inbox))
+                        .map_err(|_| SortError::Internal("a party machine faulted in memory"))?;
+                    if idx == 0 && out.verify.is_some() {
+                        self.pending_verify = out.verify;
+                    }
+                    self.mail.post(idx + 1, out.sends);
+                    moved = true;
                 }
             }
         }
-        self.encrypted_bits = bits;
-        self.round += 1;
-    }
-
-    /// Step 7 for one party: her τ set ([`tau_set`]) against every other
-    /// party's encrypted bits, in ascending party order, rerandomized with
-    /// her stocked masks before it leaves her hands.
-    fn step_compare(&mut self, idx: usize, log: &TrafficLog, timer: &mut PartyTimer) {
-        let party = idx + 1;
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let start = Instant::now();
-        let masks = std::mem::take(&mut self.stock.parties[idx].compare);
-        let bits: Vec<&[Ciphertext]> = (0..self.n)
-            .filter(|&opp| opp != idx)
-            .map(|opp| self.encrypted_bits[opp].as_slice())
-            .collect();
-        let set = tau_set(
-            &self.scheme,
-            &self.stock.table,
-            &bits,
-            &self.values[idx],
-            self.l,
-            masks,
-            self.workers,
-        );
-        timer.record(party, start.elapsed());
-        if party != 1 {
-            log.record(
-                self.round,
-                party,
-                1,
-                set.len() * self.ct_len,
-                "sort/collect",
-            );
+        let waiting = self.parties[parties]
+            .iter()
+            .any(|party| party.round().is_some_and(|r| r.step == step));
+        if waiting {
+            return Err(SortError::Internal(
+                "a party is still waiting inside a step",
+            ));
         }
-        self.sets.push(set);
-    }
-
-    /// Step 8 for one party: her hop ([`chain_hop`]) of the shuffle-decrypt
-    /// chain P₁ → P₂ → … → P_n, with the prepared randomizers and
-    /// permutations of her stock.
-    fn step_hop(&mut self, idx: usize, log: &TrafficLog, timer: &mut PartyTimer) {
-        let party = idx + 1;
-        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-        let start = Instant::now();
-        let own = &mut self.stock.parties[idx];
-        let jobs = std::mem::take(&mut own.hops);
-        chain_hop(
-            &self.scheme,
-            &mut self.sets,
-            &jobs,
-            own.keys.secret_key(),
-            self.options,
-            self.workers,
-        );
-        timer.record(party, start.elapsed());
-        // Hand the whole vector V to the next party in the chain.
-        if party < self.n {
-            let v_bytes: usize = self.sets.iter().map(|s| s.len() * self.ct_len).sum();
-            log.record(self.round, party, party + 1, v_bytes, "sort/chain");
-            self.round += 1;
-        }
-    }
-
-    /// Return traffic + step 9: each owner strips her own layer and counts
-    /// zeros ([`count_zeros`]), then the result and trace are assembled
-    /// (moving, not cloning, the protocol state).
-    fn step_finish(&mut self, log: &TrafficLog, timer: &mut PartyTimer) {
-        let n = self.n;
-        // P_n returns each set to its owner.
-        for (owner, set) in self.sets.iter().enumerate() {
-            let party = owner + 1;
-            if party != n {
-                log.record(self.round, n, party, set.len() * self.ct_len, "sort/return");
-            }
-        }
-        self.round += 1;
-
-        // Every owner's returned ciphertexts, laid end to end, split into
-        // near-equal ranges across the workers; each piece counts its
-        // owner's zeros among its positions. This is RNG-free and
-        // wire-free, so the transcript is unchanged.
-        let len = self.sets[0].len();
-        let positions: Vec<usize> = (0..len).collect();
-        let counted = fan_out(
-            n * len,
-            self.workers,
-            |range| range,
-            |range| {
-                pieces(range, len)
-                    .map(|(owner, local)| {
-                        // tidy:allow(determinism) — wall-clock used for timing accounting only, never protocol state
-                        let start = Instant::now();
-                        let zeros = count_zeros(
-                            &self.scheme,
-                            &self.sets[owner],
-                            self.stock.parties[owner].keys.secret_key(),
-                            Some(&positions[local]),
-                        );
-                        (owner, zeros, start.elapsed())
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-        // Zero counts sum per owner. Each owner is charged only for the
-        // time spent on her own ciphertexts, as the longest of her pieces
-        // (they sit in different ranges, so they ran side by side).
-        let mut zeros = vec![0usize; n];
-        let mut wall = vec![Duration::ZERO; n];
-        for (owner, count, spent) in counted.into_iter().flatten() {
-            zeros[owner] += count;
-            wall[owner] = wall[owner].max(spent);
-        }
-        for (owner, spent) in wall.into_iter().enumerate() {
-            timer.record(owner + 1, spent);
-        }
-        let ranks: Vec<usize> = zeros.iter().map(|z| z + 1).collect();
-        let trace = SortTrace {
-            keys: std::mem::take(&mut self.stock.parties)
-                .into_iter()
-                .map(|p| p.keys)
-                .collect(),
-            returned_sets: std::mem::take(&mut self.sets),
-        };
-        self.result = Some((SortOutcome { ranks }, trace));
+        Ok(())
     }
 }
 
@@ -978,11 +903,14 @@ pub fn plain_ranks(values: &[BigUint]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::offline::{party_streams, PartyStock};
+    use ppgr_elgamal::{encrypt_bits, JointKey};
     use ppgr_group::GroupKind;
+    use ppgr_hash::HashDrbg;
     use ppgr_net::TrafficSummary;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn sort_values(vals: &[u64], l: usize, seed: u64) -> SortOutcome {
         let group = GroupKind::Ecc160.group();
@@ -1111,6 +1039,67 @@ mod tests {
     }
 
     #[test]
+    fn tau_set_is_rerandomized_with_the_raw_zero_pattern() {
+        // The τ set a party sends must decrypt, under the joint secret, to
+        // the raw circuit output's zero pattern, yet share no ciphertext
+        // with it — the raw bytes are recomputable from public data — and
+        // the same masks give the same set on any worker count.
+        let group = GroupKind::Ecc160.group();
+        let scheme = ExpElGamal::new(group.clone());
+        let mut rng = HashDrbg::seed_from_u64(29);
+        let (n, l, me) = (3, 5, 2);
+        let values = [0u64, 21, 9, 30]; // index 0 is the initiator
+        let kps: Vec<KeyPair> = (0..n)
+            .map(|_| KeyPair::generate(&group, &mut rng))
+            .collect();
+        let shares: Vec<_> = kps.iter().map(|k| k.public_key().clone()).collect();
+        let joint = JointKey::combine(&group, &shares);
+        let joint_secret = kps.iter().fold(group.scalar_from_u64(0), |acc, k| {
+            group.scalar_add(&acc, k.secret_key())
+        });
+        let key_table = scheme.prepare_key(joint.public_key());
+        let all_bits: Vec<Vec<Ciphertext>> = (0..=n)
+            .map(|j| match j {
+                0 => Vec::new(),
+                _ => {
+                    let v = BigUint::from(values[j]);
+                    encrypt_bits(&scheme, joint.public_key(), &v, l, &mut rng)
+                }
+            })
+            .collect();
+        let beta = BigUint::from(values[me]);
+        let opponents: Vec<&[Ciphertext]> = (1..=n)
+            .filter(|&j| j != me)
+            .map(|j| all_bits[j].as_slice())
+            .collect();
+        let raw: Vec<Ciphertext> = opponents
+            .iter()
+            .flat_map(|bits| compare_encrypted(&scheme, &beta, bits, l))
+            .collect();
+        let zeros = |set: &[Ciphertext]| -> Vec<bool> {
+            set.iter()
+                .map(|ct| scheme.decrypts_to_zero(&joint_secret, ct))
+                .collect()
+        };
+        let pattern = zeros(&raw);
+        assert!(pattern.contains(&true) && pattern.contains(&false));
+        let published: HashSet<Vec<u8>> = raw.iter().map(|ct| ct.encode(&group)).collect();
+        let sent: Vec<Vec<Ciphertext>> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let masks = MaskPair::draw(&group, &mut HashDrbg::seed_from_u64(41), raw.len());
+                let sent = tau_set(&scheme, &key_table, &opponents, &beta, l, masks, workers);
+                assert_eq!(zeros(&sent), pattern, "workers={workers}");
+                assert!(sent
+                    .iter()
+                    .all(|ct| !published.contains(&ct.encode(&group))));
+                sent
+            })
+            .collect();
+        assert_eq!(sent[0], sent[1], "worker count changes no byte");
+    }
+
+    #[test]
     fn chain_hop_matches_the_per_ciphertext_loop() {
         // A party's stocked hop jobs and the shared hop body must return
         // exactly what the reference loop does — for each foreign set, in
@@ -1125,7 +1114,7 @@ mod tests {
             let group = kind.group();
             let scheme = ExpElGamal::new(group.clone());
             for (n, me) in [(3, 2), (4, 4)] {
-                let (stock, _) = PartyStock::mint(&group, seed, n, l, me);
+                let stock = PartyStock::mint(&group, seed, n, l, me);
                 let kp = &stock.keys;
                 let mut rng = StdRng::seed_from_u64(3);
                 let sets: Vec<Vec<Ciphertext>> = (0..n)

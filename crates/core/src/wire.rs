@@ -4,8 +4,10 @@
 //! element is a 32-byte big-endian block, group elements and scalars use
 //! the group's fixed-length encodings, and sequences are length-prefixed.
 //! This is deliberately simple — the point is that the distributed runner
-//! exchanges *real bytes*, not shared memory.
+//! exchanges *real bytes*, not shared memory. Every phase-2 message has
+//! one frame layout (`encode_msg`, `decode_msg`).
 
+use crate::party::{Kind, Msg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ppgr_bigint::{BigUint, Fp, FpCtx};
 use ppgr_elgamal::Ciphertext;
@@ -424,6 +426,61 @@ impl Reader {
     }
 }
 
+/// Bytes of a keygen share echo.
+const ECHO_BYTES: usize = 32;
+
+/// Encodes a phase-2 message as a data frame: an element or a scalar at
+/// the group's width, an echo as its raw bytes, a ciphertext vector
+/// length-prefixed, and the chain vector as a set count followed by the
+/// sets.
+///
+/// # Errors
+///
+/// Fails if a count does not fit its `u32` prefix.
+pub(crate) fn encode_msg(group: &Group, msg: &Msg) -> Result<Bytes, WireError> {
+    let mut w = Writer::framed();
+    match msg {
+        Msg::Element(e) => w.put_element(group, e),
+        Msg::Scalar(s) => w.put_scalar(group, s),
+        Msg::Echo(digest) => w.put_raw(digest),
+        Msg::Ciphertexts(cts) => w.put_ciphertexts(group, cts)?,
+        Msg::Chain(sets) => {
+            w.put_len(sets.len())?;
+            for set in sets {
+                w.put_ciphertexts(group, set)?;
+            }
+        }
+    }
+    Ok(w.finish())
+}
+
+/// Decodes a data frame's payload as a phase-2 message of `kind`.
+///
+/// # Errors
+///
+/// [`WireError`] if the payload does not parse as `kind` or leaves bytes
+/// over.
+pub(crate) fn decode_msg(group: &Group, kind: Kind, payload: Bytes) -> Result<Msg, WireError> {
+    let mut r = Reader::new(payload);
+    let msg = match kind {
+        Kind::Element => Msg::Element(r.element(group)?),
+        Kind::Scalar => Msg::Scalar(r.scalar(group)?),
+        Kind::Echo => {
+            let mut digest = [0u8; ECHO_BYTES];
+            digest.copy_from_slice(&r.take(ECHO_BYTES)?);
+            Msg::Echo(digest)
+        }
+        Kind::Ciphertexts => Msg::Ciphertexts(r.ciphertexts(group)?),
+        Kind::Chain => {
+            let count = r.len()?;
+            let sets = (0..count).map(|_| r.ciphertexts(group));
+            Msg::Chain(sets.collect::<Result<_, _>>()?)
+        }
+    };
+    r.done()?;
+    Ok(msg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +638,60 @@ mod tests {
         let _ = r.u64().unwrap();
         assert_eq!(r.remaining(), 0);
         r.done().unwrap();
+    }
+
+    #[test]
+    fn every_phase2_message_round_trips_at_its_frame_length() {
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let group = kind.group();
+            let mut rng = StdRng::seed_from_u64(3);
+            let kp = KeyPair::generate(&group, &mut rng);
+            let scheme = ExpElGamal::new(group.clone());
+            let mut ct =
+                |m: u64| scheme.encrypt(kp.public_key(), &group.scalar_from_u64(m), &mut rng);
+            let (a, b, c) = (ct(0), ct(1), ct(2));
+            let element = group.element_len();
+            let scalar = group.order().bits().div_ceil(8);
+            let ct_len = 2 * element;
+            // Tag, then the layout each kind has always had on the wire.
+            let cases = [
+                (
+                    Kind::Element,
+                    Msg::Element(kp.public_key().clone()),
+                    1 + element,
+                ),
+                (
+                    Kind::Scalar,
+                    Msg::Scalar(group.random_scalar(&mut rng)),
+                    1 + scalar,
+                ),
+                (Kind::Echo, Msg::Echo([7; 32]), 1 + 32),
+                (
+                    Kind::Ciphertexts,
+                    Msg::Ciphertexts(vec![a.clone(), b.clone()]),
+                    1 + 4 + 2 * ct_len,
+                ),
+                (
+                    Kind::Chain,
+                    Msg::Chain(vec![vec![a, b], vec![c], vec![]]),
+                    1 + 4 + (4 + 2 * ct_len) + (4 + ct_len) + 4,
+                ),
+            ];
+            for (shape, msg, len) in cases {
+                let label = format!("{kind} {shape:?}");
+                let frame = encode_msg(&group, &msg).unwrap();
+                assert_eq!(frame.len(), len, "{label}");
+                let Frame::Data(payload) = parse_frame(&frame).unwrap() else {
+                    panic!("{label}: expected a data frame");
+                };
+                let decoded = decode_msg(&group, shape, payload.clone()).unwrap();
+                assert_eq!(decoded, msg, "{label}");
+                let mut padded = payload.to_vec();
+                padded.push(0);
+                let padded = decode_msg(&group, shape, Bytes::from(padded));
+                assert_eq!(padded, Err(WireError::Trailing(1)), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,46 @@ fn corrupt_gain_message_blames_the_sender() {
 }
 
 #[test]
+fn misshaped_gain_message_blames_the_sender() {
+    // P3's dot-product message decodes cleanly but carries zero rows and
+    // empty vectors — a shape no honest sender produces. The initiator
+    // must reject it as P3's protocol violation before answering it.
+    let mut payload = vec![TAG_DATA];
+    payload.extend_from_slice(&[0u8; 12]);
+    let plan = FaultPlan::new().equivocate(3, 0, Phase::Gain, 0, Tamper::Replace(payload));
+    let failure = run_with_plan(plan, 914);
+    assert_culprit_blamed(&failure, 3);
+    assert_direct_evidence(&failure, 3);
+}
+
+#[test]
+fn tampered_initiator_reply_blames_the_initiator() {
+    // The last byte of the initiator's `a` flips on its reply to P1: the
+    // masked gain P1 recovers is garbage. That is the initiator's fault,
+    // not P1's, and P1 holds the evidence first-hand.
+    let plan = FaultPlan::new().equivocate(
+        0,
+        1,
+        Phase::Gain,
+        0,
+        Tamper::FlipByte {
+            offset: 32,
+            mask: 0x01,
+        },
+    );
+    let failure = run_with_plan(plan, 915);
+    assert_culprit_blamed(&failure, 0);
+    assert!(
+        failure
+            .observations
+            .iter()
+            .any(|(o, e)| *o == 1 && matches!(e, DistributedError::Protocol { party: 0, .. })),
+        "P1 must hold first-hand evidence against the initiator: {:?}",
+        failure.observations
+    );
+}
+
+#[test]
 fn corrupt_encrypt_broadcast_blames_the_sender_on_every_lane() {
     // P2's encrypted bit vector is truncated mid-ciphertext on *every*
     // lane. Which receivers read the bad bytes first-hand depends on

@@ -35,16 +35,6 @@ impl KeyPair {
         }
     }
 
-    /// Rebuilds a key pair from a known secret (used by test harnesses and
-    /// the security-game simulator, which extracts colluder keys).
-    pub fn from_secret(group: &Group, secret: Scalar) -> Self {
-        let public = group.exp_gen(&secret);
-        KeyPair {
-            secret: Secret::new(secret),
-            public,
-        }
-    }
-
     /// The secret exponent `x`.
     pub fn secret_key(&self) -> &Scalar {
         self.secret.expose()
@@ -114,8 +104,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let kp = KeyPair::generate(&group, &mut rng);
         assert_eq!(group.exp_gen(kp.secret_key()), *kp.public_key());
-        let rebuilt = KeyPair::from_secret(&group, kp.secret_key().clone());
-        assert_eq!(rebuilt.public_key(), kp.public_key());
     }
 
     #[test]

@@ -145,14 +145,10 @@ const DECLASSIFIERS: &[&str] = &[
     "wipe",
 ];
 
-/// Free functions / associated constructors that move a value *back
-/// under* secret protection: escape checks are suppressed inside their
-/// arguments and the result is clean (future access must go through
-/// `.expose()` again).
-const REWRAPPERS: &[&str] = &["from_secret"];
-
-/// Type path segments whose `new`/`from` constructors rewrap
-/// (`Secret::new`, `Secret::from`).
+/// Type path segments whose `new`/`from` constructors move a value *back
+/// under* secret protection (`Secret::new`, `Secret::from`): escape checks
+/// are suppressed inside their arguments and the result is clean (future
+/// access must go through `.expose()` again).
 const REWRAP_TYPES: &[&str] = &["Secret"];
 
 /// Clone-family methods: each duplicates secret material into a copy no
@@ -303,17 +299,15 @@ fn callee_name(e: &Expr) -> Option<&str> {
 }
 
 /// True if the callee path rewraps its argument into secret protection
-/// (`Secret::new`, `KeyPair::from_secret`, …).
+/// (`Secret::new`, `Secret::from`).
 fn callee_rewraps(e: &Expr) -> bool {
     match e {
         Expr::Path(p, _) => {
             let mut segs = p.rsplit("::");
             let last = segs.next().unwrap_or("");
             let qualifier = segs.next().unwrap_or("");
-            REWRAPPERS.contains(&last)
-                || (REWRAP_TYPES.contains(&qualifier) && matches!(last, "new" | "from"))
+            REWRAP_TYPES.contains(&qualifier) && matches!(last, "new" | "from")
         }
-        Expr::Ident(n, _) => REWRAPPERS.contains(&n.as_str()),
         _ => false,
     }
 }

@@ -119,7 +119,7 @@ pub(crate) const FAULT_HOOKS: &[&str] = &[
     "forge",
     "corrupt_key_proof",
     "bump_response",
-    "bump_multi_response",
+    "bump_nonce_commitment",
     "swap_responses",
     "forged_response_bytes",
 ];

@@ -57,7 +57,7 @@ impl fmt::Debug for SchnorrProver {
 /// so consuming APIs take it by value.
 pub struct SchnorrNonce {
     nonce: Secret<Scalar>,
-    commitment: Element,
+    pub(crate) commitment: Element,
 }
 
 impl SchnorrNonce {

@@ -13,8 +13,7 @@
 //! invalid proofs*, which verification must reject with the tampered
 //! prover named.
 
-use crate::multi::MultiVerifierTranscript;
-use crate::schnorr::SchnorrTranscript;
+use crate::schnorr::{SchnorrNonce, SchnorrTranscript};
 use ppgr_group::Group;
 
 /// Nudges the response scalar by one: `z ← z + 1 mod q`. The transcript's
@@ -25,11 +24,12 @@ pub fn bump_response(group: &Group, t: &mut SchnorrTranscript) {
     t.response = group.scalar_add(&t.response, &group.scalar_from_u64(1));
 }
 
-/// [`bump_response`] for the multi-verifier transcript shape
-/// (`z ← z + 1 mod q` against the summed challenge).
+/// Moves a precomputed nonce's commitment off its secret: `h ← h·g`. A
+/// proof spending the nonce still answers with `r` but commits to
+/// `g^{r+1}`, so verification must reject it and name this prover.
 #[doc(hidden)]
-pub fn bump_multi_response(group: &Group, t: &mut MultiVerifierTranscript) {
-    t.response = group.scalar_add(&t.response, &group.scalar_from_u64(1));
+pub fn bump_nonce_commitment(group: &Group, nonce: &mut SchnorrNonce) {
+    nonce.commitment = group.op(&nonce.commitment, group.generator());
 }
 
 /// Swaps the responses of two transcripts — each proof now answers the
@@ -60,7 +60,7 @@ pub fn forged_response_bytes(group: &Group, seed: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SchnorrProver;
+    use crate::{MultiVerifierProof, SchnorrProver};
     use ppgr_group::GroupKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -84,6 +84,22 @@ mod tests {
         assert!(t.verify(&group, &y));
         bump_response(&group, &mut t);
         assert!(!t.verify(&group, &y));
+    }
+
+    #[test]
+    fn bumped_nonce_commitment_fails_verification() {
+        let group = GroupKind::Ecc160.group();
+        let mut rng = StdRng::seed_from_u64(4);
+        let x = group.random_scalar(&mut rng);
+        let y = group.exp_gen(&x);
+        let challenges = vec![group.random_scalar(&mut rng)];
+        let honest = SchnorrNonce::draw(&group, &mut StdRng::seed_from_u64(5));
+        let proof = MultiVerifierProof::assemble(&group, &x, honest, challenges.clone());
+        assert!(proof.verify(&group, &y));
+        let mut nonce = SchnorrNonce::draw(&group, &mut StdRng::seed_from_u64(5));
+        bump_nonce_commitment(&group, &mut nonce);
+        let proof = MultiVerifierProof::assemble(&group, &x, nonce, challenges);
+        assert!(!proof.verify(&group, &y));
     }
 
     #[test]
