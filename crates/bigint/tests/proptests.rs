@@ -8,6 +8,40 @@ fn biguint(limbs: usize) -> impl Strategy<Value = BigUint> {
     prop::collection::vec(any::<u64>(), 0..=limbs).prop_map(BigUint::from_limbs)
 }
 
+/// Strategy: an odd modulus of exactly 16, 32 or 48 limbs (the DL groups'
+/// widths, each with its own const-width kernel), two operands of the same
+/// width, which may exceed the modulus, and a 64-bit exponent.
+fn dl_width_case() -> impl Strategy<Value = (BigUint, BigUint, BigUint, u64)> {
+    prop::collection::vec(any::<u64>(), 3 * 48 + 2).prop_map(|v| {
+        let width = 16 * (1 + (v[3 * 48] % 3) as usize);
+        let mut m = v[..width].to_vec();
+        m[0] |= 1;
+        m[width - 1] |= 1 << 63;
+        let a = v[48..48 + width].to_vec();
+        let b = v[96..96 + width].to_vec();
+        (
+            BigUint::from_limbs(m),
+            BigUint::from_limbs(a),
+            BigUint::from_limbs(b),
+            v[3 * 48 + 1],
+        )
+    })
+}
+
+/// Square-and-multiply on plain `BigUint` products and remainders: the
+/// reference that shares no code with `Montgomery`.
+fn plain_modpow(base: &BigUint, exp: u64, m: &BigUint) -> BigUint {
+    let mut acc = BigUint::one() % m;
+    let mut b = base % m;
+    for i in 0..64 - exp.leading_zeros() {
+        if exp >> i & 1 == 1 {
+            acc = &(&acc * &b) % m;
+        }
+        b = &(&b * &b) % m;
+    }
+    acc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -89,7 +123,20 @@ proptest! {
     }
 
     #[test]
-    fn montgomery_mul_matches_plain(a in biguint(4), b in biguint(4), m in biguint(3)) {
+    fn montgomery_mul_matches_plain(
+        a in biguint(4),
+        b in biguint(4),
+        m in biguint(3),
+        wide in dl_width_case(),
+    ) {
+        let (wm, wa, wb, e) = wide;
+        let wide_mont = Montgomery::new(wm.clone());
+        prop_assert_eq!(wide_mont.mul(&wa, &wb), &(&wa * &wb) % &wm);
+        prop_assert_eq!(wide_mont.sqr(&wa), &(&wa * &wa) % &wm);
+        prop_assert_eq!(
+            wide_mont.pow(&wa, &BigUint::from(e)),
+            plain_modpow(&wa, e, &wm)
+        );
         let m = if m.is_even() { &m + &BigUint::one() } else { m };
         prop_assume!(m > BigUint::one());
         let mont = Montgomery::new(m.clone());

@@ -35,12 +35,16 @@ use ppgr_group::{Element, Scalar};
 /// ```
 ///
 /// so one [`ppgr_group::Group::exp_batch`] powers every ciphertext
-/// component by its weight, one [`ppgr_group::Group::op_scan`] per
-/// component accumulates the suffix sums `S^t` with a single shared
-/// normalization, and two [`ppgr_group::Group::op_batch`] rounds fold in
-/// the plaintext constants and suffixes. On the elliptic-curve family
-/// this replaces the per-operation field inversion (hundreds per call)
-/// with roughly half a dozen; the produced group elements — and thus the
+/// component by its weight, one [`ppgr_group::Group::inv_batch`] inverts
+/// the `2l` components the formula negates (the opponent's `E(β)` where
+/// the own bit is 1, for `γ = 1 − β`; its weight power where it is 0), one
+/// [`ppgr_group::Group::op_scan`] per component accumulates the suffix
+/// sums `S^t` with a single shared normalization, and two
+/// [`ppgr_group::Group::op_batch`] rounds fold in the plaintext constants
+/// and suffixes. On the elliptic-curve family this replaces the
+/// per-operation field inversion (hundreds per call) with roughly half a
+/// dozen; on the DL family, where an inversion is a full exponentiation,
+/// the `2l` inverses share one. The produced group elements — and thus the
 /// published transcript bytes — are identical to the per-op evaluation.
 ///
 /// # Panics
@@ -61,37 +65,6 @@ pub fn compare_encrypted(
     let const_scalars: Vec<Scalar> = (1..=l as u64).map(|v| group.scalar_from_u64(v)).collect();
     let gen_pows = group.exp_gen_batch(&const_scalars);
 
-    // γ^t components: own bit 0 → (α, β); own bit 1 → (g·α⁻¹, β⁻¹) — the
-    // plaintext lives in α, so only the α products need group work, shared
-    // across one batch; inversion is cheap in both families.
-    let mut bit1 = Vec::new();
-    let mut inv_alphas = Vec::new();
-    let gamma_betas: Vec<Element> = (0..l)
-        .map(|idx| {
-            if own.bit(idx) {
-                bit1.push(idx);
-                inv_alphas.push(group.inv(&other_bits[idx].alpha));
-                group.inv(&other_bits[idx].beta)
-            } else {
-                other_bits[idx].beta.clone()
-            }
-        })
-        .collect();
-    let alpha_pairs: Vec<(&Element, &Element)> =
-        inv_alphas.iter().map(|a| (a, &gen_pows[0])).collect();
-    let bit1_alphas = group.op_batch(&alpha_pairs);
-    let mut gamma_alphas: Vec<Element> = other_bits.iter().map(|ct| ct.alpha.clone()).collect();
-    for (k, &idx) in bit1.iter().enumerate() {
-        gamma_alphas[idx] = bit1_alphas[k].clone();
-    }
-
-    // Suffix sums S^t = Σ_{v>t} γ^v: one scan per component over
-    // γ^l, …, γ^2 (MSB down), so suffix[idx] = scan[l − 2 − idx].
-    let rev_alphas: Vec<&Element> = gamma_alphas[1..].iter().rev().collect();
-    let rev_betas: Vec<&Element> = gamma_betas[1..].iter().rev().collect();
-    let scan_alphas = group.op_scan(&rev_alphas);
-    let scan_betas = group.op_scan(&rev_betas);
-
     // Every ciphertext component raised to its position weight.
     let exp_pairs: Vec<(&Element, &Scalar)> = (0..l)
         .flat_map(|idx| {
@@ -100,14 +73,56 @@ pub fn compare_encrypted(
         })
         .collect();
     let powered = group.exp_batch(&exp_pairs);
-    let signed: Vec<(Element, Element)> = (0..l)
-        .map(|idx| {
-            let (pa, pb) = (&powered[2 * idx], &powered[2 * idx + 1]);
+
+    // The 2l inverses the formula needs, in one batch: own bit 1 negates
+    // the opponent's (α, β), own bit 0 the powered (α^w, β^w).
+    let to_invert: Vec<&Element> = (0..l)
+        .flat_map(|idx| {
             if own.bit(idx) {
-                (pa.clone(), pb.clone())
+                [&other_bits[idx].alpha, &other_bits[idx].beta]
             } else {
-                (group.inv(pa), group.inv(pb))
+                [&powered[2 * idx], &powered[2 * idx + 1]]
             }
+        })
+        .collect();
+    let inverses = group.inv_batch(&to_invert);
+
+    // γ^t components: own bit 0 → (α, β); own bit 1 → (g·α⁻¹, β⁻¹) — the
+    // plaintext lives in α, so only the α products need group work, shared
+    // across one batch.
+    let bit1: Vec<usize> = (0..l).filter(|&idx| own.bit(idx)).collect();
+    let alpha_pairs: Vec<(&Element, &Element)> = bit1
+        .iter()
+        .map(|&idx| (&inverses[2 * idx], &gen_pows[0]))
+        .collect();
+    let bit1_alphas = group.op_batch(&alpha_pairs);
+    let mut gamma_alphas: Vec<&Element> = other_bits.iter().map(|ct| &ct.alpha).collect();
+    for (k, &idx) in bit1.iter().enumerate() {
+        gamma_alphas[idx] = &bit1_alphas[k];
+    }
+    let gamma_betas: Vec<&Element> = (0..l)
+        .map(|idx| {
+            if own.bit(idx) {
+                &inverses[2 * idx + 1]
+            } else {
+                &other_bits[idx].beta
+            }
+        })
+        .collect();
+
+    // Suffix sums S^t = Σ_{v>t} γ^v: one scan per component over
+    // γ^l, …, γ^2 (MSB down), so suffix[idx] = scan[l − 2 − idx].
+    let rev_alphas: Vec<&Element> = gamma_alphas[1..].iter().rev().copied().collect();
+    let rev_betas: Vec<&Element> = gamma_betas[1..].iter().rev().copied().collect();
+    let scan_alphas = group.op_scan(&rev_alphas);
+    let scan_betas = group.op_scan(&rev_betas);
+
+    // Each position's signed power: (α^w, β^w) for own bit 1, its inverse
+    // for own bit 0.
+    let signed: Vec<(&Element, &Element)> = (0..l)
+        .map(|idx| {
+            let pair = if own.bit(idx) { &powered } else { &inverses };
+            (&pair[2 * idx], &pair[2 * idx + 1])
         })
         .collect();
 
@@ -116,7 +131,7 @@ pub fn compare_encrypted(
     let alpha_consts: Vec<(&Element, &Element)> = (0..l)
         .map(|idx| {
             let c = if own.bit(idx) { 1 } else { l - idx };
-            (&signed[idx].0, &gen_pows[c - 1])
+            (signed[idx].0, &gen_pows[c - 1])
         })
         .collect();
     let alpha_mid = group.op_batch(&alpha_consts);
@@ -128,7 +143,7 @@ pub fn compare_encrypted(
             } else {
                 (&identity, &identity)
             };
-            [(&alpha_mid[idx], sa), (&signed[idx].1, sb)]
+            [(&alpha_mid[idx], sa), (signed[idx].1, sb)]
         })
         .collect();
     let combined = group.op_batch(&final_pairs);
@@ -186,22 +201,26 @@ mod tests {
 
     #[test]
     fn encrypted_circuit_matches_plain_model() {
-        let group = GroupKind::Ecc160.group();
-        let mut rng = StdRng::seed_from_u64(5);
-        let kp = KeyPair::generate(&group, &mut rng);
-        let scheme = ExpElGamal::new(group.clone());
-        let l = 6;
-        for (a, b) in [(0u64, 0u64), (5, 9), (9, 5), (63, 62), (31, 32), (1, 63)] {
-            let own = BigUint::from(a);
-            let other = BigUint::from(b);
-            let other_ct = encrypt_bits(&scheme, kp.public_key(), &other, l, &mut rng);
-            let taus_ct = compare_encrypted(&scheme, &own, &other_ct, l);
-            let expect = compare_plain(&own, &other, l);
-            for (ct, &want) in taus_ct.iter().zip(&expect) {
-                let got = scheme
-                    .decrypt_small(kp.secret_key(), ct, 2 * l as u64 + 4)
-                    .expect("τ is small");
-                assert_eq!(got, want, "a={a} b={b}");
+        // DL-1024 too: there the batched inversion is a real field
+        // inversion, not a negation.
+        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+            let group = kind.group();
+            let mut rng = StdRng::seed_from_u64(5);
+            let kp = KeyPair::generate(&group, &mut rng);
+            let scheme = ExpElGamal::new(group.clone());
+            let l = 6;
+            for (a, b) in [(0u64, 0u64), (5, 9), (9, 5), (63, 62), (31, 32), (1, 63)] {
+                let own = BigUint::from(a);
+                let other = BigUint::from(b);
+                let other_ct = encrypt_bits(&scheme, kp.public_key(), &other, l, &mut rng);
+                let taus_ct = compare_encrypted(&scheme, &own, &other_ct, l);
+                let expect = compare_plain(&own, &other, l);
+                for (ct, &want) in taus_ct.iter().zip(&expect) {
+                    let got = scheme
+                        .decrypt_small(kp.secret_key(), ct, 2 * l as u64 + 4)
+                        .expect("τ is small");
+                    assert_eq!(got, want, "{kind} a={a} b={b}");
+                }
             }
         }
     }

@@ -264,11 +264,26 @@ impl DlGroup {
     }
 
     pub(crate) fn inv(&self, a: &BigUint) -> BigUint {
-        // Fermat inversion on Montgomery limbs (p is prime): considerably
-        // faster than a BigUint extended GCD.
-        let a = a % &self.p;
-        assert!(!a.is_zero(), "group elements are units");
-        self.mont.leave(&self.mont.minv(&self.mont.enter(&a)))
+        self.inv_batch(&[a]).remove(0)
+    }
+
+    /// Inverts every element with one Fermat inversion on Montgomery limbs
+    /// (`p` is prime) plus three multiplications per element
+    /// ([`Montgomery::batch_minv`]); a single element costs one inversion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element is zero mod `p`; group elements are units.
+    pub(crate) fn inv_batch(&self, elems: &[&BigUint]) -> Vec<BigUint> {
+        let ms: Vec<MontElem> = elems
+            .iter()
+            .map(|a| self.mont.enter(&(*a % &self.p)))
+            .collect();
+        self.mont
+            .batch_minv(&ms)
+            .iter()
+            .map(|m| self.mont.leave(m))
+            .collect()
     }
 
     pub(crate) fn element_len(&self) -> usize {
@@ -380,6 +395,13 @@ mod tests {
         let g = DlGroup::new(DlParams::Modp1024);
         let a = g.pow(&BigUint::from(4u64), &BigUint::from(31_337u64));
         assert!(g.mul(&a, &g.inv(&a)).is_one());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot invert zero")]
+    fn inv_rejects_zero() {
+        let g = DlGroup::new(DlParams::Modp1024);
+        let _ = g.inv(g.modulus());
     }
 
     #[test]

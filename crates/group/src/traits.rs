@@ -220,6 +220,49 @@ impl Group {
         self.try_inv(a).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Batch [`Group::inv`]: `out[i] = aᵢ^{-1}`. On the DL family every
+    /// inverse shares a single Fermat inversion (Montgomery's trick: three
+    /// multiplications per element instead of a full exponentiation each);
+    /// on the elliptic-curve family inversion is point negation, so there
+    /// it is just the loop. The empty slice gives an empty vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element belongs to the other group family.
+    pub fn inv_batch(&self, items: &[&Element]) -> Vec<Element> {
+        match &self.inner {
+            GroupImpl::Dl(g) => {
+                let vs: Vec<&BigUint> = items
+                    .iter()
+                    .map(|a| match a {
+                        Element::Dl(a) => a,
+                        // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
+                        _ => panic!(
+                            "{}",
+                            GroupError::FamilyMismatch {
+                                operation: "inv_batch"
+                            }
+                        ),
+                    })
+                    .collect();
+                g.inv_batch(&vs).into_iter().map(Element::Dl).collect()
+            }
+            GroupImpl::Ec(g) => items
+                .iter()
+                .map(|a| match a {
+                    Element::Ec(a) => Element::Ec(g.neg(a)),
+                    // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
+                    _ => panic!(
+                        "{}",
+                        GroupError::FamilyMismatch {
+                            operation: "inv_batch"
+                        }
+                    ),
+                })
+                .collect(),
+        }
+    }
+
     /// `a / b`, i.e. `a · b^{-1}`.
     pub fn div(&self, a: &Element, b: &Element) -> Element {
         self.op(a, &self.inv(b))
@@ -515,25 +558,21 @@ impl Group {
                     .collect()
             }
             GroupImpl::Ec(g) => {
-                let unwrap = |a: &&Element| match a {
-                    Element::Ec(a) => {
-                        // The closure can't return a reference into its
-                        // argument, so clone; points are a few words.
-                        a.clone()
+                fn point<'a>(a: &&'a Element) -> &'a EcPoint {
+                    match a {
+                        Element::Ec(a) => a,
+                        // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
+                        _ => panic!(
+                            "{}",
+                            GroupError::FamilyMismatch {
+                                operation: "exp_same_mul_batch"
+                            }
+                        ),
                     }
-                    // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
-                    _ => panic!(
-                        "{}",
-                        GroupError::FamilyMismatch {
-                            operation: "exp_same_mul_batch"
-                        }
-                    ),
-                };
-                let cs: Vec<EcPoint> = factors.iter().map(unwrap).collect();
-                let ps: Vec<EcPoint> = bases.iter().map(unwrap).collect();
-                let cs_refs: Vec<&EcPoint> = cs.iter().collect();
-                let ps_refs: Vec<&EcPoint> = ps.iter().collect();
-                g.scalar_mul_same_mul_batch(&cs_refs, &ps_refs, &s.0)
+                }
+                let cs: Vec<&EcPoint> = factors.iter().map(point).collect();
+                let ps: Vec<&EcPoint> = bases.iter().map(point).collect();
+                g.scalar_mul_same_mul_batch(&cs, &ps, &s.0)
                     .into_iter()
                     .map(Element::Ec)
                     .collect()
@@ -939,6 +978,33 @@ mod tests {
                 assert_eq!(got, &g.exp(&base, s), "{kind}");
             }
         }
+    }
+
+    #[test]
+    fn inv_batch_matches_inv_on_every_group() {
+        for kind in GroupKind::all() {
+            let g = kind.group();
+            let mut rng = StdRng::seed_from_u64(46);
+            let a = g.exp_gen(&g.random_nonzero_scalar(&mut rng));
+            let b = g.exp_gen(&g.random_nonzero_scalar(&mut rng));
+            let id = g.identity();
+            assert!(g.inv_batch(&[]).is_empty(), "{kind}");
+            let items = [&a, &b, &a, &id, &a];
+            let batch = g.inv_batch(&items);
+            assert_eq!(batch.len(), items.len(), "{kind}");
+            for (item, got) in items.iter().zip(&batch) {
+                assert_eq!(got, &g.inv(item), "{kind}");
+                assert!(g.is_identity(&g.op(item, got)), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "family mismatch")]
+    fn cross_family_inv_batch_panics() {
+        let dl = GroupKind::Dl1024.group();
+        let ec = GroupKind::Ecc160.group();
+        let _ = dl.inv_batch(&[dl.generator(), ec.generator()]);
     }
 
     #[test]
