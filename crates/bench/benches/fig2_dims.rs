@@ -24,7 +24,7 @@ fn bench_gain_vs_m(c: &mut Criterion) {
             b.iter(|| {
                 let alpha = field.from_u64(5);
                 let (state, m1) = proto.sender_round1(&w, &mut rng);
-                let m2 = proto.receiver_round2(&v, &alpha, &m1, &mut rng);
+                let m2 = proto.receiver_round2(&v, &alpha, &m1);
                 state.finish(&m2)
             });
         });

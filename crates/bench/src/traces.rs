@@ -3,7 +3,8 @@
 //! Message sizes and round structure of both frameworks are deterministic
 //! functions of `(n, l, group)` — no cryptography needs to run to know
 //! what crosses the wire. These generators mirror the `TrafficLog` calls
-//! of the real implementation (`ppgr-core::gain` / `ppgr-core::sorting`)
+//! of the real implementation — the sorting machine's steps
+//! (`ppgr-core::sorting`), which log phases 1 and 3 as well as phase 2 —
 //! and an NS2-style model of the SS baseline.
 
 use ppgr_group::GroupKind;
@@ -214,6 +215,34 @@ pub fn trace_bytes(trace: &[Vec<TraceMessage>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppgr_core::{FrameworkParams, GroupRanking, Questionnaire};
+
+    #[test]
+    fn in_memory_sessions_log_the_rounds_of_the_trace() {
+        // The traffic log's round count is the largest round plus one, so
+        // a record logged past the last round would show up here.
+        for n in 2..=5 {
+            let q = Questionnaire::synthetic(1, 2);
+            let (m, t) = (q.dimension(), q.equal_to_count());
+            let params = FrameworkParams::builder(q)
+                .participants(n)
+                .top_k(2)
+                .attr_bits(6)
+                .weight_bits(3)
+                .mask_bits(6)
+                .group(GroupKind::Ecc160)
+                .seed(n as u64)
+                .build()
+                .unwrap();
+            let (l, k) = (params.beta_bits(), params.top_k());
+            let outcome = GroupRanking::new(params)
+                .with_random_population()
+                .run()
+                .unwrap();
+            let trace = framework_trace(GroupKind::Ecc160, n, l, m, t, k);
+            assert_eq!(outcome.traffic().rounds as usize, trace.len(), "n = {n}");
+        }
+    }
 
     #[test]
     fn framework_trace_shape() {

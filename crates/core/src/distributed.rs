@@ -17,15 +17,17 @@
 //! `β` values, keys and ciphertexts, and return the same ranks, ties
 //! included.
 //!
-//! Phase 2 is written once, as a party machine (the private `party`
+//! The protocol is written once, as party machines (the private `party`
 //! module) that the in-memory
-//! [`SortMachine`](crate::sorting::SortMachine) drives too: it holds the
-//! keygen exchange, the share echo, the structural set checks and every
-//! step's arithmetic, on one worker here. A participant thread drives its
-//! machine with one receive–advance–send loop and settles its keygen
-//! proofs through the [`KeygenVerifyJob`](crate::KeygenVerifyJob) the
-//! machine hands out. What this module adds is the transport: phases 1
-//! and 3, wire encoding, deadlines and blame.
+//! [`SortMachine`](crate::sorting::SortMachine) drives too: they hold the
+//! dot-product exchange and its checks, the keygen exchange, the share
+//! echo, the structural set checks, every step's arithmetic (on one
+//! worker here) and the submissions with their checks and verification.
+//! Every thread, the initiator's included, builds its party's machine — a
+//! participant after minting its stock — and drives it with one
+//! receive–advance–send loop, settling its keygen proofs through the
+//! [`KeygenVerifyJob`](crate::KeygenVerifyJob) the machine hands out. What
+//! this module adds is the transport: wire encoding, deadlines and blame.
 //!
 //! # Fault tolerance
 //!
@@ -41,24 +43,15 @@
 //! tests; see `docs/FAULTS.md` for the fault model.
 
 use crate::attrs::{InfoVector, InitiatorProfile};
-use crate::gain::{draw_rho, initiator_vector, participant_vector, to_unsigned};
-use crate::offline::{party_streams, PartyStock};
+use crate::offline::PartyStock;
 use crate::params::FrameworkParams;
-use crate::party::{PartyMachine, Round, To};
+use crate::party::{InitiatorMachine, Machine, PartyMachine, Round, To, Wait};
 use crate::sorting::{SortError, SortOptions};
-use crate::submit::{verify_submissions, Submission, VerificationReport};
-use crate::timing::PartyTimer;
-use crate::wire::{
-    decode_msg, encode_msg, parse_frame, AbortFrame, AbortKind, Frame, Reader, Writer,
-};
+use crate::submit::VerificationReport;
+use crate::wire::{decode_msg, encode_msg, parse_frame, AbortFrame, AbortKind, Frame};
 use bytes::Bytes;
-use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message};
-use ppgr_elgamal::{Ciphertext, KeyPair};
 use ppgr_group::Group;
-use ppgr_net::{
-    CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget, TrafficLog,
-};
-use rand::Rng;
+use ppgr_net::{CrashStash, FaultPlan, FaultyMesh, LocalMesh, MeshError, Phase, PhaseBudget};
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
@@ -381,10 +374,17 @@ impl Ctx {
         })
     }
 
-    /// Receives a data frame from `from`, waiting at most `timeout`; abort
+    /// Receives a data frame from `from` within `wait`: that many
+    /// allowances of the current phase — more than one covers waits that
+    /// legitimately span several upstream parties' work (the shuffle
+    /// chain, serial service loops) — or the whole session's budget. Abort
     /// frames are adopted, mesh failures blamed on the awaited party.
-    fn recv_within(&self, from: usize, timeout: Duration) -> Result<Bytes, DistributedError> {
+    fn recv_for(&self, from: usize, wait: Wait) -> Result<Bytes, DistributedError> {
         let phase = self.net.phase();
+        let timeout = match wait {
+            Wait::Phases(steps) => self.budget.of(phase) * steps.max(1),
+            Wait::Session => self.budget.session_total(self.n),
+        };
         let raw = self
             .net
             .recv_from_timeout(from, timeout)
@@ -406,18 +406,6 @@ impl Ctx {
             Ok(Frame::Abort(frame)) => Err(self.adopt(frame, from)),
             Err(e) => Err(self.protocol(from, e)),
         }
-    }
-
-    /// Receives from `from` within `steps` allowances of the current
-    /// phase. `steps > 1` covers waits that legitimately span several
-    /// upstream parties' work (the shuffle chain, serial service loops).
-    fn recv_scaled(&self, from: usize, steps: u32) -> Result<Bytes, DistributedError> {
-        self.recv_within(from, self.budget.of(self.net.phase()) * steps.max(1))
-    }
-
-    /// Receives from `from` within one allowance of the current phase.
-    fn recv(&self, from: usize) -> Result<Bytes, DistributedError> {
-        self.recv_scaled(from, 1)
     }
 
     /// Drains a torn-down peer's inbound lane looking for its final abort
@@ -489,17 +477,6 @@ impl Ctx {
             Some(&party) => Err(self.send_failure(party, phase)),
         }
     }
-}
-
-/// Decodes with `$e`; a failure is a protocol violation blamed on `$from`
-/// (use the local id for encoding failures).
-macro_rules! try_wire {
-    ($ctx:expr, $from:expr, $e:expr) => {
-        match $e {
-            Ok(v) => v,
-            Err(e) => return Err($ctx.protocol($from, e)),
-        }
-    };
 }
 
 /// Runs the full framework with one thread per party over a channel mesh,
@@ -661,104 +638,23 @@ pub fn consensus_primary(observations: &[(usize, DistributedError)]) -> Option<D
         .map(|(_, (_, e))| e.clone())
 }
 
-/// The initiator (`P₀`): answers dot-product rounds, then collects and
-/// verifies submissions.
+/// The initiator (`P₀`): its machine answers the dot products, then
+/// gathers and verifies the submissions.
 fn initiator_thread(
     params: FrameworkParams,
     profile: InitiatorProfile,
     net: Net,
     budget: PhaseBudget,
 ) -> Result<VerificationReport, DistributedError> {
-    let me = 0usize;
-    let n = params.participants();
-    let ctx = Ctx::new(net, me, n, budget);
-    let field = default_field();
-    let proto = DotProduct::new(field.clone());
-    let (mut rng, _) = party_streams(params.seed(), me);
-    let q = params.questionnaire();
-    let rho = draw_rho(params.mask_bits(), &mut rng);
-    let v_recv = initiator_vector(&field, q, &profile, rho);
-
-    // Phase 1: serve each participant's dot product, in party order.
-    ctx.enter(Phase::Gain)?;
-    for j in 1..=n {
-        let bytes = ctx.recv(j)?;
-        let mut r = Reader::new(bytes);
-        let rows = try_wire!(ctx, j, r.len());
-        let mut qx = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            qx.push(try_wire!(ctx, j, r.fp_vec(&field)));
-        }
-        let c_prime = try_wire!(ctx, j, r.fp_vec(&field));
-        let g = try_wire!(ctx, j, r.fp_vec(&field));
-        try_wire!(ctx, j, r.done());
-        // An honest sender sends `s` rows and three vectors of the
-        // receiver's dimension; any other shape is the sender's fault.
-        let (s, d) = (DotProduct::DEFAULT_S, v_recv.len() + 1);
-        let shaped = |v: &Vec<_>| v.len() == d;
-        if qx.len() != s || !qx.iter().all(shaped) || !shaped(&c_prime) || !shaped(&g) {
-            return Err(ctx.protocol(j, format!("gain message is not {s} rows of {d}")));
-        }
-        let msg1 = Round1Message { qx, c_prime, g };
-
-        let rho_j = rng.gen_range(0..rho);
-        let alpha = field.from_i128(rho_j as i128);
-        let msg2 = proto.receiver_round2(&v_recv, &alpha, &msg1, &mut rng);
-        let mut w_out = Writer::framed();
-        w_out.put_fp(&msg2.a);
-        w_out.put_fp(&msg2.h);
-        ctx.send(j, w_out.finish())?;
-    }
-
-    // Phase 3: gather one submission-or-decline from every participant.
-    // The first gather legitimately spans the participants' entire
-    // phase 2, so each wait is bounded by the whole-session budget.
-    ctx.enter(Phase::Submit)?;
-    let gather_window = budget.session_total(n);
-    let mut submissions = Vec::new();
-    for j in 1..=n {
-        let bytes = ctx.recv_within(j, gather_window)?;
-        let mut r = Reader::new(bytes);
-        let claimed = try_wire!(ctx, j, r.u64()) as usize;
-        if claimed == 0 {
-            try_wire!(ctx, j, r.done());
-            continue; // decline
-        }
-        // A rank beyond the participant count is unsatisfiable; reject it
-        // here instead of letting the claim ride into verification.
-        if claimed > n {
-            return Err(ctx.protocol(j, format!("claimed rank {claimed} exceeds n = {n}")));
-        }
-        let count = try_wire!(ctx, j, r.len());
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(try_wire!(ctx, j, r.u64()));
-        }
-        try_wire!(ctx, j, r.done());
-        let info = match InfoVector::new(q, values, params.attr_bits()) {
-            Ok(i) => i,
-            Err(e) => return Err(ctx.protocol(j, format!("bad submission: {e}"))),
-        };
-        submissions.push(Submission {
-            party: j,
-            claimed_rank: claimed,
-            info,
-        });
-    }
-    let log = TrafficLog::new();
-    let mut timer = PartyTimer::new(1);
-    Ok(verify_submissions(
-        q,
-        &profile,
-        &submissions,
-        params.top_k(),
-        &log,
-        &mut timer,
-        0,
-    ))
+    let ctx = Ctx::new(net, 0, params.participants(), budget);
+    let machine = InitiatorMachine::new(&params, profile);
+    let machine = run_party(&ctx, &params.group().group(), machine)?;
+    let report = machine.report().cloned();
+    report.ok_or_else(|| ctx.protocol(0, "phase 3 ended without a report"))
 }
 
-/// One participant (`P_j`): full three-phase protocol.
+/// One participant (`P_j`): mints its phase-2 stock, then its machine runs
+/// all three phases.
 fn participant_thread(
     params: FrameworkParams,
     info: InfoVector,
@@ -766,92 +662,37 @@ fn participant_thread(
     budget: PhaseBudget,
 ) -> Result<usize, DistributedError> {
     let me = net.id(); // 1..=n
-    let n = params.participants();
+    let (n, l) = (params.participants(), params.beta_bits());
     let ctx = Ctx::new(net, me, n, budget);
-    let l = params.beta_bits();
-    let group: Group = params.group().group();
-    let field = default_field();
-    let proto = DotProduct::new(field.clone());
-    // The online stream serves phase 1 alone; every phase-2 draw comes
-    // from the party's stock, minted from its offline stream.
-    let (mut online, _) = party_streams(params.seed(), me);
+    let group = params.group().group();
     let stock = PartyStock::mint(&group, params.seed(), n, l, me);
-
-    // ---- Phase 1: masked gain via the secure dot product. -------------
-    ctx.enter(Phase::Gain)?;
-    let w_vec = participant_vector(&field, params.questionnaire(), &info);
-    let (state, msg1) = proto.sender_round1(&w_vec, &mut online);
-    let mut w_out = Writer::framed();
-    try_wire!(ctx, me, w_out.put_len(msg1.qx.len()));
-    for row in &msg1.qx {
-        try_wire!(ctx, me, w_out.put_fp_vec(row));
-    }
-    try_wire!(ctx, me, w_out.put_fp_vec(&msg1.c_prime));
-    try_wire!(ctx, me, w_out.put_fp_vec(&msg1.g));
-    ctx.send(0, w_out.finish())?;
-
-    // The initiator serves parties in id order, so P_me waits behind
-    // `me − 1` earlier services.
-    let bytes = ctx.recv_scaled(0, me as u32)?;
-    let mut r = Reader::new(bytes);
-    let a = try_wire!(ctx, 0, r.fp(&field));
-    let hh = try_wire!(ctx, 0, r.fp(&field));
-    try_wire!(ctx, 0, r.done());
-    // The reply is the initiator's: a masked gain outside the `l`-bit
-    // window can only come from a bad reply.
-    let half = 1i128 << (l - 1);
-    let beta = match state.finish(&Round2Message { a, h: hh }).to_i128_centered() {
-        Some(v) if (-half..half).contains(&v) => to_unsigned(v, l),
-        Some(_) => return Err(ctx.protocol(0, format!("masked gain outside {l} bits"))),
-        None => return Err(ctx.protocol(0, "masked gain out of i128 range")),
-    };
-
-    // ---- Phase 2, steps 5–9. --------------------------------------------
     let options = SortOptions::default();
-    let party = PartyMachine::new(&group, me, n, l, beta, stock, None, options, 1);
-    let (_, _, zeros) = run_party(&ctx, &group, party)?;
-    let rank = zeros + 1;
-
-    // ---- Phase 3: submit or decline. ------------------------------------
-    ctx.enter(Phase::Submit)?;
-    let mut w_out = Writer::framed();
-    if rank <= params.top_k() {
-        w_out.put_u64(rank as u64);
-        try_wire!(ctx, me, w_out.put_len(info.values().len()));
-        for &v in info.values() {
-            w_out.put_u64(v);
-        }
-    } else {
-        w_out.put_u64(0); // decline
-    }
-    ctx.send(0, w_out.finish())?;
-
-    Ok(rank)
+    let party = PartyMachine::session(&params, me, info, stock, None, options, 1);
+    let party = run_party(&ctx, &group, party)?;
+    let rank = party.into_result().map(|(_, _, zeros)| zeros + 1);
+    rank.ok_or_else(|| ctx.protocol(me, "the session ended without a rank"))
 }
 
-/// Phase 2 over the mesh: one receive–advance–send loop around `party`.
-/// Each round's phase is entered when it changes, each expected frame is
-/// received within its allowances and decoded (a frame that does not
-/// decode blames its sender), the keygen check is settled inline, and the
+/// A party's session over the mesh: one receive–advance–send loop around
+/// `machine`. Each round's phase is entered when it changes, each expected
+/// frame is received within its wait and decoded (a frame that does not
+/// decode blames its sender), a keygen check is settled inline, and the
 /// outbox goes out, broadcasts to every other participant. Returns the
-/// machine's result: its key pair, its returned set and its zero count.
-fn run_party(
-    ctx: &Ctx,
-    group: &Group,
-    mut party: PartyMachine,
-) -> Result<(KeyPair, Vec<Ciphertext>, usize), DistributedError> {
+/// finished machine.
+fn run_party<M: Machine>(ctx: &Ctx, group: &Group, mut machine: M) -> Result<M, DistributedError> {
     let mut entered = None;
-    while let Some(Round { phase, expects, .. }) = party.round() {
+    while let Some(Round { phase, expects, .. }) = machine.round() {
         if entered != Some(phase) {
             ctx.enter(phase)?;
             entered = Some(phase);
         }
         let mut inbox = Vec::with_capacity(expects.len());
-        for (from, kind, allowances) in expects {
-            let bytes = ctx.recv_scaled(from, allowances)?;
-            inbox.push(try_wire!(ctx, from, decode_msg(group, kind, bytes)));
+        for (from, kind, wait) in expects {
+            let bytes = ctx.recv_for(from, wait)?;
+            let msg = decode_msg(group, kind, bytes).map_err(|e| ctx.protocol(from, e))?;
+            inbox.push(msg);
         }
-        let out = party
+        let out = machine
             .advance(inbox)
             .map_err(|fault| ctx.protocol(fault.party, fault.what))?;
         // A rejected proof names the first dishonest prover in protocol
@@ -868,16 +709,14 @@ fn run_party(
             })?;
         }
         for (to, msg) in out.sends {
-            let bytes = try_wire!(ctx, ctx.me, encode_msg(group, &msg));
+            let bytes = encode_msg(group, &msg).map_err(|e| ctx.protocol(ctx.me, e))?;
             match to {
                 To::All => ctx.bcast_participants(&bytes)?,
                 To::Party(j) => ctx.send(j, bytes)?,
             }
         }
     }
-    party
-        .into_result()
-        .ok_or_else(|| ctx.protocol(ctx.me, "phase 2 ended without a result"))
+    Ok(machine)
 }
 
 #[cfg(test)]
@@ -887,9 +726,12 @@ mod tests {
     use crate::framework::GroupRanking;
     use crate::offline::{OfflineStock, StockFingerprint};
     use crate::sorting::{SortMachine, SortStatus};
+    use crate::timing::PartyTimer;
     use ppgr_bigint::BigUint;
+    use ppgr_elgamal::Ciphertext;
     use ppgr_group::GroupKind;
     use ppgr_hash::HashDrbg;
+    use ppgr_net::TrafficLog;
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -982,13 +824,17 @@ mod tests {
                     let stock = PartyStock::mint(&group, seed, n, l, me);
                     let options = SortOptions::default();
                     let party = PartyMachine::new(&group, me, n, l, value, stock, None, options, 1);
-                    run_party(&ctx, &group, party).map(|(_, set, _)| set)
+                    let party = run_party(&ctx, &group, party)?;
+                    Ok(party.into_result().map(|(_, set, _)| set))
                 })
             })
             .collect();
         threads
             .into_iter()
-            .map(|t| t.join().expect("party thread").expect("fault-free phase 2"))
+            .map(|t| {
+                let set: Result<_, DistributedError> = t.join().expect("party thread");
+                set.expect("fault-free phase 2").expect("a finished party")
+            })
             .collect()
     }
 

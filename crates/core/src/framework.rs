@@ -1,23 +1,27 @@
 //! The end-to-end framework orchestrator.
 //!
-//! A [`SessionMachine`] plays every party in one process. Its randomness
-//! is the parties' own: phase 1 reads each party's online stream, and
-//! phase 2 runs a [`SortMachine`] on the [`OfflineStock`] minted from
-//! their offline streams — generated cold at the session's offline step,
-//! or attached warm by a precompute pool. The sort machine steps one
-//! party machine per party, the same machines a thread-per-party run of
-//! the same seed ([`crate::run_distributed`]) drives over its mesh, so
-//! both run the same keygen exchange and checks and return the same
-//! sets and ranks, ties included.
+//! A [`SessionMachine`] plays every party in one process. After its
+//! offline step it steps one [`SortMachine`] built for the whole session:
+//! the initiator's machine and one machine per participant, the same
+//! machines a thread-per-party run of the same seed
+//! ([`crate::run_distributed`]) drives over its mesh. So in memory too the
+//! participants exchange their dot products with the initiator, run the
+//! keygen exchange and every check, and submit to the initiator, who
+//! verifies what it received; both runners return the same sets, ranks
+//! and accepted submissions, ties included. Its randomness is the
+//! parties' own: each party's phase-1 draws come from its online stream,
+//! and phase 2 runs on the [`OfflineStock`] minted from their offline
+//! streams — generated cold at the session's offline step, or attached
+//! warm by a precompute pool.
 
 use crate::attrs::{InfoVector, InitiatorProfile, VectorError};
-use crate::gain::{run_gain_phase, GainPhaseOutput};
+use crate::gain::GainPhaseOutput;
 use crate::offline::{OfflineStock, StockFingerprint};
 use crate::params::FrameworkParams;
 use crate::sorting::{
     resolve_threads, KeygenVerifyJob, SortError, SortMachine, SortOptions, SortStatus,
 };
-use crate::submit::{honest_submissions, verify_submissions, AcceptedSubmission};
+use crate::submit::AcceptedSubmission;
 use crate::timing::PartyTimer;
 use ppgr_hash::HashDrbg;
 use ppgr_net::{TrafficLog, TrafficSummary};
@@ -249,22 +253,17 @@ impl GroupRanking {
     ///
     /// [`RunError::MissingPopulation`] if no population was supplied.
     pub fn into_machine_with(self, sort_options: SortOptions) -> Result<SessionMachine, RunError> {
-        let (profile, infos) = self.population.ok_or(RunError::MissingPopulation)?;
+        let population = self.population.ok_or(RunError::MissingPopulation)?;
         let n = self.params.participants();
         Ok(SessionMachine {
             params: self.params,
-            profile,
-            infos,
+            population: Some(population),
             sort_options,
             log: self.log,
             phase: SessionPhase::Offline,
             offline: None,
-            gain_timer: PartyTimer::new(n + 1),
-            sort_timer: PartyTimer::new(n + 1),
-            submit_timer: PartyTimer::new(n + 1),
-            gain_out: None,
+            timers: std::array::from_fn(|_| PartyTimer::new(n + 1)),
             sort: None,
-            ranks: None,
             result: None,
         })
     }
@@ -286,15 +285,8 @@ enum SessionPhase {
     /// Offline precompute: acquire (or generate cold) the session's
     /// randomness stock before any online phase runs.
     Offline,
-    /// Phase 1: secure gain computation (one step).
-    Gain,
-    /// Phase 2 setup: the sort machine validates the masked gains and
-    /// takes the offline stock (one step).
-    Setup,
-    /// Phase 2: unlinkable sorting (one step per [`SortMachine`] unit).
-    Sort,
-    /// Phase 3: submission + verification, then result assembly.
-    Submit,
+    /// The protocol: one [`SortMachine`] unit per step.
+    Online,
     /// Result available.
     Done,
 }
@@ -302,29 +294,30 @@ enum SessionPhase {
 /// A resumable framework session.
 ///
 /// One `step` call performs one unit of protocol work: the offline stock,
-/// the whole gain phase, the sort machine's setup, one [`SortMachine`]
-/// step (key generation, bit encryption, a party's comparison batch, or a
-/// single chain hop), or the submission phase. Every party's randomness
-/// derives from the session seed alone, so however its steps are
-/// interleaved with *other* sessions' steps, its transcript and ranks are
-/// bit-identical to a solo [`GroupRanking::run`] with the same seed —
-/// within a session the steps are strictly sequential, which is exactly
-/// the unlinkability requirement on the shuffle-decrypt chain.
+/// then one step of the session's [`SortMachine`] — phase 1's exchange
+/// (the first online step builds every party's machine), the
+/// participants' unblinding of their masked gains, key generation, bit
+/// encryption, a party's comparison batch, a single chain hop, the
+/// finish, or the submissions with their verification, after which the
+/// outcome is assembled: `2n + 7` steps for `n` participants. Every
+/// party's randomness derives from the session seed alone, so however its
+/// steps are interleaved with *other* sessions' steps, its transcript and
+/// ranks are bit-identical to a solo [`GroupRanking::run`] with the same
+/// seed — within a session the steps are strictly sequential, which is
+/// exactly the unlinkability requirement on the shuffle-decrypt chain.
+/// Each party's work is charged to the timer of the phase it belongs to.
 #[derive(Debug)]
 pub struct SessionMachine {
     params: FrameworkParams,
-    profile: InitiatorProfile,
-    infos: Vec<InfoVector>,
+    /// The population, until the first online step builds the machines.
+    population: Option<(InitiatorProfile, Vec<InfoVector>)>,
     sort_options: SortOptions,
     log: TrafficLog,
     phase: SessionPhase,
     offline: Option<OfflineStock>,
-    gain_timer: PartyTimer,
-    sort_timer: PartyTimer,
-    submit_timer: PartyTimer,
-    gain_out: Option<GainPhaseOutput>,
+    /// Each party's work in phases 1, 2 and 3.
+    timers: [PartyTimer; 3],
     sort: Option<SortMachine>,
-    ranks: Option<Vec<usize>>,
     result: Option<Outcome>,
 }
 
@@ -409,109 +402,60 @@ impl SessionMachine {
                             .ok_or(RunError::Internal("uncancelled offline generation stopped"))?;
                     self.offline = Some(stock);
                 }
-                self.phase = SessionPhase::Gain;
+                self.phase = SessionPhase::Online;
                 Ok(SessionStatus::Pending)
             }
-            SessionPhase::Gain => {
-                // Phase 1: secure gain computation.
-                self.gain_out = Some(run_gain_phase(
-                    &self.params,
-                    &self.profile,
-                    &self.infos,
-                    &self.log,
-                    &mut self.gain_timer,
-                    0,
-                ));
-                self.phase = SessionPhase::Setup;
-                Ok(SessionStatus::Pending)
-            }
-            SessionPhase::Setup => {
-                let betas = &self
-                    .gain_out
-                    .as_ref()
-                    .ok_or(RunError::Internal("no gain output after Gain phase"))?
-                    .betas;
-                let stock = self
-                    .offline
-                    .take()
-                    .ok_or(RunError::Internal("no offline stock after Offline phase"))?;
-                self.sort = Some(SortMachine::new(
-                    &self.params.group().group(),
-                    betas,
-                    self.params.beta_bits(),
-                    self.sort_options,
-                    stock,
-                    2,
-                )?);
-                self.phase = SessionPhase::Sort;
-                Ok(SessionStatus::Pending)
-            }
-            SessionPhase::Sort => {
-                let sort = self
-                    .sort
-                    .as_mut()
-                    .ok_or(RunError::Internal("no sort machine in Sort phase"))?;
-                let status = sort.step(&self.log, &mut self.sort_timer)?;
-                if status == SortStatus::Done {
-                    let (sort_out, _trace) = self
-                        .sort
-                        .take()
-                        .and_then(SortMachine::into_result)
-                        .ok_or(RunError::Internal("sort machine Done without result"))?;
-                    self.ranks = Some(sort_out.ranks);
-                    self.phase = SessionPhase::Submit;
-                }
-                Ok(SessionStatus::Pending)
-            }
-            SessionPhase::Submit => {
-                // Phase 3: submission + verification.
-                let ranks = self
-                    .ranks
-                    .take()
-                    .ok_or(RunError::Internal("no ranks after Sort phase"))?;
-                let submissions = honest_submissions(&self.infos, &ranks, self.params.top_k());
-                let report = verify_submissions(
-                    self.params.questionnaire(),
-                    &self.profile,
-                    &submissions,
-                    self.params.top_k(),
-                    &self.log,
-                    &mut self.submit_timer,
-                    100,
-                );
-                debug_assert!(report.is_clean(), "honest run must verify cleanly");
-
-                let gain_output = self
-                    .gain_out
-                    .take()
-                    .ok_or(RunError::Internal("no gain output after Gain phase"))?;
-                let n = self.params.participants();
-                let per_party: Vec<Duration> = (0..=n)
-                    .map(|p| {
-                        self.gain_timer.spent(p)
-                            + self.sort_timer.spent(p)
-                            + self.submit_timer.spent(p)
-                    })
-                    .collect();
-                let timings = PhaseTimings {
-                    gain: self.gain_timer.mean_participant(),
-                    sort: self.sort_timer.mean_participant(),
-                    submit: self.submit_timer.spent(0),
-                    initiator: per_party[0],
-                    per_party,
-                };
-                self.result = Some(Outcome {
-                    ranks,
-                    top_k: report.accepted,
-                    traffic: self.log.summary(),
-                    timings,
-                    gain_output,
-                });
-                self.phase = SessionPhase::Done;
-                Ok(SessionStatus::Done)
-            }
+            SessionPhase::Online => self.step_online(),
             SessionPhase::Done => Ok(SessionStatus::Done),
         }
+    }
+
+    /// Steps the session's [`SortMachine`], building it first, and
+    /// assembles the outcome once it is done.
+    fn step_online(&mut self) -> Result<SessionStatus, RunError> {
+        if self.sort.is_none() {
+            let population = self.population.take();
+            let Some(((profile, infos), stock)) = population.zip(self.offline.take()) else {
+                return Err(RunError::Internal("no population or stock after Offline"));
+            };
+            let (params, options, timer) = (&self.params, self.sort_options, &mut self.timers[0]);
+            let sort = SortMachine::session(params, profile, infos, options, stock, timer);
+            self.sort = Some(sort);
+        }
+        let sort = self
+            .sort
+            .as_mut()
+            .ok_or(RunError::Internal("no session machine online"))?;
+        let timer = &mut self.timers[sort.phase() - 1];
+        if sort.step(&self.log, timer)? == SortStatus::Pending {
+            return Ok(SessionStatus::Pending);
+        }
+        let (ranks, betas, report) = self
+            .sort
+            .take()
+            .and_then(SortMachine::into_session)
+            .ok_or(RunError::Internal("session machine Done without result"))?;
+        let [gain, sort, submit] = &self.timers;
+        let n = self.params.participants();
+        let per_party: Vec<Duration> = (0..=n)
+            .map(|p| gain.spent(p) + sort.spent(p) + submit.spent(p))
+            .collect();
+        let timings = PhaseTimings {
+            gain: gain.mean_participant(),
+            sort: sort.mean_participant(),
+            submit: submit.spent(0),
+            initiator: per_party[0],
+            per_party,
+        };
+        self.result = Some(Outcome {
+            ranks,
+            top_k: report.accepted,
+            traffic: self.log.summary(),
+            timings,
+            gain_output: GainPhaseOutput { betas },
+        });
+        self.phase = SessionPhase::Done;
+        Ok(SessionStatus::Done)
     }
 }
 

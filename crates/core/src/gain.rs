@@ -14,112 +14,28 @@
 //! paper allows ("If `p_i = p_j`, it does not matter if `P_i` ranks higher
 //! or lower than `P_j`", Sec. V).
 //!
+//! The exchange itself is rounds of the party machines (the private
+//! `party` module), which both drivers step: a participant's machine
+//! computes its round 1 when it is built and unblinds `β_j` from the
+//! initiator's reply, checking that it fits `l` bits; the initiator's
+//! machine checks each round 1's shape before answering it. This module
+//! holds the vectors both sides form and the conversion to `l` bits.
 //! Every party draws from its own online stream: the initiator's supplies
-//! `ρ` and, per participant, `ρ_j` and the round-2 randomness; participant
-//! `j`'s supplies its round 1. The mesh runner's parties draw the same
-//! values in the same order, so both runners compute the same `β_j` and
-//! break ties the same way.
+//! `ρ` and then every `ρ_j`, participant `j`'s supplies its round 1, so
+//! both drivers compute the same `β_j` and break ties the same way.
 
-use crate::attrs::{partial_gain, InfoVector, InitiatorProfile, Questionnaire};
-use crate::offline::party_streams;
-use crate::params::FrameworkParams;
-use crate::timing::PartyTimer;
+use crate::attrs::{InfoVector, InitiatorProfile, Questionnaire};
 use ppgr_bigint::{BigUint, Fp, FpCtx};
-use ppgr_dotprod::{default_field, DotProduct};
-use ppgr_net::TrafficLog;
 use rand::Rng;
 use std::sync::Arc;
 
-/// Bytes of one serialized field element on the wire (256-bit field).
-const FIELD_BYTES: usize = 32;
-
 /// Output of the gain phase, held by the orchestrator: each participant's
 /// private masked gain (in real deployments each `β_j` exists only at
-/// `P_j`; the orchestrator model keeps them together for the next phase).
+/// `P_j`; the orchestrator model keeps them together for diagnostics).
 #[derive(Clone, Debug)]
 pub struct GainPhaseOutput {
     /// `β_j` as unsigned `l`-bit integers, index `j-1` for participant `j`.
     pub betas: Vec<BigUint>,
-    /// The masked signed values `ρ·p_j + ρ_j` (diagnostics/tests only).
-    pub masked_signed: Vec<i128>,
-}
-
-/// Runs phase 1 for all participants, each party drawing from its online
-/// stream for `params.seed()` (see the module docs).
-///
-/// Traffic is recorded into `log` (phase label `"gain"`), computation time
-/// into `timer` (party 0 = initiator).
-///
-/// # Panics
-///
-/// Panics if `infos.len()` differs from `params.participants()` — the
-/// orchestrator constructs both, so a mismatch is a bug, not input error.
-pub fn run_gain_phase(
-    params: &FrameworkParams,
-    profile: &InitiatorProfile,
-    infos: &[InfoVector],
-    log: &TrafficLog,
-    timer: &mut PartyTimer,
-    round_base: u32,
-) -> GainPhaseOutput {
-    assert_eq!(
-        infos.len(),
-        params.participants(),
-        "population size mismatch"
-    );
-    let field = default_field();
-    let proto = DotProduct::new(field.clone());
-    let q = params.questionnaire();
-    let l = params.beta_bits();
-    let (mut initiator, _) = party_streams(params.seed(), 0);
-
-    let rho = timer.time(0, || draw_rho(params.mask_bits(), &mut initiator));
-    let initiator_v = timer.time(0, || initiator_vector(&field, q, profile, rho));
-
-    let mut betas = Vec::with_capacity(infos.len());
-    let mut masked_signed = Vec::with_capacity(infos.len());
-    for (idx, info) in infos.iter().enumerate() {
-        let party = idx + 1;
-        let (mut online, _) = party_streams(params.seed(), party);
-        let (state, msg1) = timer.time(party, || {
-            proto.sender_round1(&participant_vector(&field, q, info), &mut online)
-        });
-        log.record(
-            round_base,
-            party,
-            0,
-            msg1.element_count() * FIELD_BYTES,
-            "gain",
-        );
-
-        let rho_j = initiator.gen_range(0..rho);
-        let msg2 = timer.time(0, || {
-            let alpha = field.from_i128(rho_j as i128);
-            proto.receiver_round2(&initiator_v, &alpha, &msg1, &mut initiator)
-        });
-        log.record(round_base + 1, 0, party, 2 * FIELD_BYTES, "gain");
-
-        let beta = timer.time(party, || {
-            let beta = state.finish(&msg2);
-            let signed = beta
-                .to_i128_centered()
-                // tidy:allow(panic) — params' bit-length calculus keeps masked gains inside i128
-                .expect("masked gain fits the bit-length calculus");
-            // Sanity versus the local plaintext model.
-            debug_assert_eq!(
-                signed,
-                // tidy:allow(secret-hygiene) — debug-only self-check against the plaintext model; compiled out of release builds
-                rho as i128 * partial_gain(q, profile, info) + rho_j as i128
-            );
-            signed
-        });
-        masked_signed.push(beta);
-        betas.push(to_unsigned(beta, l));
-    }
-    GainPhaseOutput {
-        betas,
-        masked_signed,
-    }
 }
 
 /// Draws the initiator's secret `ρ`: exactly `h` bits (top bit set ⇒
@@ -202,9 +118,10 @@ pub(crate) fn participant_vector(
 ///
 /// # Panics
 ///
-/// Panics if `l` is outside `1..=120` (the exact-`i128` regime enforced by
-/// [`FrameworkParams`]) or the value falls outside `[−2^{l−1}, 2^{l−1})`,
-/// which would mean the bit-length calculus was violated.
+/// Panics if `l` is outside `1..=120` (the exact-`i128` regime enforced
+/// by [`FrameworkParams`](crate::FrameworkParams)) or the value falls
+/// outside `[−2^{l−1}, 2^{l−1})`, which would mean the bit-length calculus
+/// was violated.
 pub fn to_unsigned(value: i128, l: usize) -> BigUint {
     assert!(
         (1..=120).contains(&l),
@@ -225,9 +142,10 @@ pub fn to_unsigned(value: i128, l: usize) -> BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::Questionnaire;
+    use crate::attrs::{partial_gain, Questionnaire};
+    use crate::framework::{GroupRanking, SessionStatus};
+    use crate::offline::party_streams;
     use crate::params::FrameworkParams;
-    use crate::timing::PartyTimer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -246,12 +164,32 @@ mod tests {
         (params, profile, infos)
     }
 
+    /// The orchestrator on `params` and the population.
+    fn ranking(
+        params: &FrameworkParams,
+        profile: &InitiatorProfile,
+        infos: &[InfoVector],
+    ) -> GroupRanking {
+        GroupRanking::new(params.clone())
+            .with_population(profile.clone(), infos.to_vec())
+            .unwrap()
+    }
+
+    /// Every participant's `β` after a whole in-memory session, where the
+    /// party machines ran phase 1.
+    fn betas(
+        params: &FrameworkParams,
+        profile: &InitiatorProfile,
+        infos: &[InfoVector],
+    ) -> Vec<BigUint> {
+        let outcome = ranking(params, profile, infos).run().unwrap();
+        outcome.masked_gains().betas.clone()
+    }
+
     #[test]
     fn masked_gains_preserve_partial_gain_order() {
         let (params, profile, infos) = setup(8, 1);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(9);
-        let out = run_gain_phase(&params, &profile, &infos, &log, &mut timer, 0);
+        let betas = betas(&params, &profile, &infos);
 
         let q = params.questionnaire();
         let gains: Vec<i128> = infos.iter().map(|i| partial_gain(q, &profile, i)).collect();
@@ -259,7 +197,7 @@ mod tests {
             for b in 0..infos.len() {
                 if gains[a] > gains[b] {
                     assert!(
-                        out.betas[a] > out.betas[b],
+                        betas[a] > betas[b],
                         "order broken between {a} ({}) and {b} ({})",
                         gains[a],
                         gains[b]
@@ -272,26 +210,47 @@ mod tests {
     #[test]
     fn betas_fit_bit_length() {
         let (params, profile, infos) = setup(5, 2);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(6);
-        let out = run_gain_phase(&params, &profile, &infos, &log, &mut timer, 0);
         let l = params.beta_bits();
-        for b in &out.betas {
+        for b in &betas(&params, &profile, &infos) {
             assert!(b.bits() <= l);
         }
     }
 
     #[test]
     fn traffic_is_logged_per_participant() {
+        // A session's first three steps: the offline stock, the dot-product
+        // exchange, the unblinding.
         let (params, profile, infos) = setup(4, 3);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(5);
-        let _ = run_gain_phase(&params, &profile, &infos, &log, &mut timer, 0);
+        let ranking = ranking(&params, &profile, &infos);
+        let log = ranking.traffic_log();
+        let mut session = ranking.into_machine().unwrap();
+        for _ in 0..3 {
+            assert_eq!(session.step().unwrap(), SessionStatus::Pending);
+        }
         let s = log.summary();
         assert_eq!(s.messages, 8, "one exchange per participant");
         assert!(s.bytes_by_phase["gain"] > 0);
         // Initiator replies are small (2 elements); participant messages dominate.
         assert!(s.bytes_sent_by_party[&1] > s.bytes_sent_by_party[&0] / 4);
+    }
+
+    #[test]
+    fn betas_are_the_masked_partial_gains() {
+        // β_j = ρ·p_j + ρ_j in l bits, with ρ and then every ρ_j drawn
+        // from the initiator's online stream.
+        let (params, profile, infos) = setup(5, 4);
+        let (mut online, _) = party_streams(params.seed(), 0);
+        let rho = draw_rho(params.mask_bits(), &mut online);
+        let q = params.questionnaire();
+        let expected: Vec<BigUint> = infos
+            .iter()
+            .map(|info| {
+                let rho_j = online.gen_range(0..rho) as i128;
+                let masked = rho as i128 * partial_gain(q, &profile, info) + rho_j;
+                to_unsigned(masked, params.beta_bits())
+            })
+            .collect();
+        assert_eq!(betas(&params, &profile, &infos), expected);
     }
 
     #[test]

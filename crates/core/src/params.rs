@@ -21,8 +21,8 @@ pub enum ParamError {
     /// Bit widths must be positive.
     ZeroWidth(&'static str),
     /// The mask width `h` must stay below 64: the initiator's secret `ρ`
-    /// is sampled as an exactly-`h`-bit `u64`
-    /// (see [`crate::gain::run_gain_phase`]).
+    /// is sampled as an exactly-`h`-bit `u64` when its machine is built
+    /// (see [`crate::gain`]).
     MaskTooWide {
         /// requested h
         h: u32,

@@ -21,7 +21,7 @@
 //! 5. `P_n` returns each set to its owner, who strips her own key layer
 //!    and counts zeros: `rank = zeros + 1`.
 //!
-//! Each party's side of steps 5–9 is one round machine (the private
+//! Each party's side of the protocol is one round machine (the private
 //! `party` module) that both drivers step: the [`SortMachine`], which
 //! plays every party in one process and routes their messages through
 //! in-memory mailboxes, and a mesh party ([`crate::distributed`]), which
@@ -31,11 +31,22 @@
 //! masks, hop randomizers and permutations come from its offline stock
 //! ([`crate::offline`]), so both drivers compute the same ciphertexts for
 //! the same seed.
+//!
+//! A [`SortMachine`] built with [`SortMachine::new`] runs steps 5–9 on
+//! given values. A framework session
+//! ([`SessionMachine`](crate::SessionMachine)) steps one built for the
+//! whole protocol instead: the initiator's machine joins the participants'
+//! and the same loop runs phase 1 before phase 2 and the submissions after
+//! it.
 
+use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::circuit::compare_encrypted;
 use crate::offline::{OfflineStock, StockFingerprint};
-use crate::party::{Mailboxes, PartyMachine};
+use crate::params::FrameworkParams;
+use crate::party::{InitiatorMachine, Machine, Mailboxes, PartyMachine};
+use crate::submit::VerificationReport;
 use crate::timing::PartyTimer;
+use crate::wire::FIELD_BYTES;
 use ppgr_bigint::BigUint;
 use ppgr_elgamal::{Ciphertext, ExpElGamal, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
@@ -44,7 +55,7 @@ use ppgr_zkp::{verify_sessions_multi_batch, MultiVerifierTranscript};
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// Errors from the sorting protocol.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -592,6 +603,11 @@ pub enum SortStatus {
 /// Where a [`SortMachine`] currently stands in the protocol.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 enum SortState {
+    /// Steps 1–3: every participant's dot-product round 1, and the
+    /// initiator's replies.
+    Gain,
+    /// Step 4: the participants unblind their masked gains.
+    Unblind,
     /// Step 5: key generation + proofs of knowledge (all parties).
     KeyGen,
     /// Step 6: bitwise encryption under the joint key (all parties).
@@ -602,6 +618,8 @@ enum SortState {
     Hop { idx: usize },
     /// Step 9: owners strip their layers, count zeros, assemble the result.
     Finish,
+    /// The submissions and the initiator's verification.
+    Submit,
     /// Result available.
     Done,
 }
@@ -626,6 +644,10 @@ enum SortState {
 /// permutations — comes from the [`OfflineStock`] it was built on, so a
 /// session's transcript and ranks are bit-identical no matter how its
 /// steps are interleaved with other sessions'.
+///
+/// Built for a whole framework session, it also holds the initiator's
+/// machine and steps phase 1 first — the dot-product exchange, then the
+/// participants' unblinding — and the submissions last.
 #[derive(Debug)]
 pub struct SortMachine {
     n: usize,
@@ -635,14 +657,15 @@ pub struct SortMachine {
     scalar_len: usize,
     state: SortState,
     round: u32,
-    /// Every party's phase 2, party order.
+    /// The initiator's machine, in a whole session.
+    initiator: Option<InitiatorMachine>,
+    /// Every participant's machine, party order.
     parties: Vec<PartyMachine>,
     mail: Mailboxes,
     /// The keygen proof check parked by the keygen step: claimed by a
     /// batching caller via [`SortMachine::take_pending_verify`], or settled
     /// at the start of the next step.
     pending_verify: Option<KeygenVerifyJob>,
-    result: Option<(SortOutcome, SortTrace)>,
 }
 
 impl SortMachine {
@@ -687,19 +710,68 @@ impl SortMachine {
                 PartyMachine::new(group, idx + 1, n, l, value, own, table, options, workers)
             })
             .collect();
-        Ok(SortMachine {
+        Ok(Self::with_parties(group, l, None, parties, round_base))
+    }
+
+    /// A whole framework session of `params`: the initiator's machine on
+    /// `profile` and one participant machine per information vector in
+    /// `infos`, on the participants' slices of `stock`, which the caller
+    /// minted for the session's fingerprint. The machine starts at phase 1
+    /// and ends after the initiator's verification. Building a party's
+    /// machine is its first phase-1 work (the initiator's `ρ` draws, a
+    /// participant's round 1), charged to its slot of `timer`.
+    pub(crate) fn session(
+        params: &FrameworkParams,
+        profile: InitiatorProfile,
+        infos: Vec<InfoVector>,
+        options: SortOptions,
+        stock: OfflineStock,
+        timer: &mut PartyTimer,
+    ) -> Self {
+        let workers = resolve_threads(options.threads);
+        let initiator = timer.time(0, || InitiatorMachine::new(params, profile));
+        let OfflineStock { parties, table, .. } = stock;
+        let parties = parties
+            .into_iter()
+            .zip(infos)
+            .enumerate()
+            .map(|(idx, (own, info))| {
+                let (me, table) = (idx + 1, Some(table.clone()));
+                timer.time(me, || {
+                    PartyMachine::session(params, me, info, own, table, options, workers)
+                })
+            })
+            .collect();
+        let (group, l) = (params.group().group(), params.beta_bits());
+        Self::with_parties(&group, l, Some(initiator), parties, 0)
+    }
+
+    /// The machine over `parties` (and the initiator, in a whole session),
+    /// logging its first round as `round_base`.
+    fn with_parties(
+        group: &Group,
+        l: usize,
+        initiator: Option<InitiatorMachine>,
+        parties: Vec<PartyMachine>,
+        round_base: u32,
+    ) -> Self {
+        let n = parties.len();
+        SortMachine {
             n,
             l,
             ct_len: Ciphertext::encoded_len(group),
             elem_len: group.element_len(),
             scalar_len: group.order().bits().div_ceil(8),
-            state: SortState::KeyGen,
+            state: match initiator {
+                Some(_) => SortState::Gain,
+                None => SortState::KeyGen,
+            },
             round: round_base,
+            initiator,
             parties,
             mail: Mailboxes::new(n),
             pending_verify: None,
-            result: None,
-        })
+        }
     }
 
     /// Claims the keygen proof check the keygen step parked, so the caller
@@ -724,7 +796,37 @@ impl SortMachine {
     /// [`SortStatus::Done`]. Consumes the machine; returns `None` if the
     /// protocol has not finished.
     pub fn into_result(self) -> Option<(SortOutcome, SortTrace)> {
-        self.result
+        let results: Option<Vec<_>> = self
+            .parties
+            .into_iter()
+            .map(PartyMachine::into_result)
+            .collect();
+        let (ranks, (keys, returned_sets)) = results?
+            .into_iter()
+            .map(|(keys, set, zeros)| (zeros + 1, (keys, set)))
+            .unzip();
+        let trace = SortTrace {
+            keys,
+            returned_sets,
+        };
+        Some((SortOutcome { ranks }, trace))
+    }
+
+    /// The ranks, every masked gain and the initiator's report, once a
+    /// whole session finished.
+    pub(crate) fn into_session(mut self) -> Option<(Vec<usize>, Vec<BigUint>, VerificationReport)> {
+        let report = self.initiator.take()?.report()?.clone();
+        let betas = self.parties.iter().map(|p| p.value().clone()).collect();
+        Some((self.into_result()?.0.ranks, betas, report))
+    }
+
+    /// The paper phase (1–3) the next step works in.
+    pub(crate) fn phase(&self) -> usize {
+        match self.state {
+            SortState::Gain | SortState::Unblind => 1,
+            SortState::Submit | SortState::Done => 3,
+            _ => 2,
+        }
     }
 
     /// Executes the next protocol unit.
@@ -738,6 +840,8 @@ impl SortMachine {
     /// (reachable only via dishonest provers in the game harness). The
     /// step after keygen reports it when no caller claimed the check, and
     /// keeps reporting it however often the machine is stepped again.
+    /// [`SortError::Internal`] if a party's check fails or the initiator
+    /// flags a submission: in memory only a bug can cause either.
     pub fn step(
         &mut self,
         log: &TrafficLog,
@@ -754,13 +858,27 @@ impl SortMachine {
         let n = self.n;
         let set_bytes = (n - 1) * self.l * self.ct_len;
         match self.state {
+            SortState::Gain => {
+                self.run(3, 1..=n, timer)?;
+                let bytes = self.initiator.as_ref().map_or(0, |p0| p0.round1_bytes());
+                for party in 1..=n {
+                    log.record(self.round, party, 0, bytes, "gain");
+                    log.record(self.round + 1, 0, party, 2 * FIELD_BYTES, "gain");
+                }
+                self.round += 2;
+                self.state = SortState::Unblind;
+            }
+            SortState::Unblind => {
+                self.run(4, 1..=n, timer)?;
+                self.state = SortState::KeyGen;
+            }
             SortState::KeyGen => {
-                self.run(5, 0..n, timer)?;
+                self.run(5, 1..=n, timer)?;
                 self.log_keygen(log);
                 self.state = SortState::Encrypt;
             }
             SortState::Encrypt => {
-                self.run(6, 0..n, timer)?;
+                self.run(6, 1..=n, timer)?;
                 for (party, other) in self.pairs() {
                     log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
                 }
@@ -768,7 +886,7 @@ impl SortMachine {
                 self.state = SortState::Compare { idx: 0 };
             }
             SortState::Compare { idx } => {
-                self.run(7, idx..idx + 1, timer)?;
+                self.run(7, idx + 1..=idx + 1, timer)?;
                 if idx > 0 {
                     log.record(self.round, idx + 1, 1, set_bytes, "sort/collect");
                 }
@@ -780,7 +898,7 @@ impl SortMachine {
                 };
             }
             SortState::Hop { idx } => {
-                self.run(8, idx..idx + 1, timer)?;
+                self.run(8, idx + 1..=idx + 1, timer)?;
                 // The whole vector V goes to the next party in the chain.
                 if idx + 1 < n {
                     log.record(self.round, idx + 1, idx + 2, n * set_bytes, "sort/chain");
@@ -796,20 +914,26 @@ impl SortMachine {
                     log.record(self.round, n, owner, set_bytes, "sort/return");
                 }
                 self.round += 1;
-                self.run(9, 0..n, timer)?;
-                let results: Option<Vec<_>> = std::mem::take(&mut self.parties)
-                    .into_iter()
-                    .map(PartyMachine::into_result)
-                    .collect();
-                let results =
-                    results.ok_or(SortError::Internal("a party finished without a result"))?;
-                let ranks = results.iter().map(|(_, _, zeros)| zeros + 1).collect();
-                let (keys, returned_sets) = results.into_iter().map(|(k, set, _)| (k, set)).unzip();
-                let trace = SortTrace {
-                    keys,
-                    returned_sets,
+                self.run(9, 1..=n, timer)?;
+                self.state = match self.initiator {
+                    Some(_) => SortState::Submit,
+                    None => SortState::Done,
                 };
-                self.result = Some((SortOutcome { ranks }, trace));
+            }
+            SortState::Submit => {
+                self.run(10, 1..=n, timer)?;
+                let report = self.initiator.as_ref().and_then(InitiatorMachine::report);
+                let Some(report) = report.filter(|report| report.is_clean()) else {
+                    return Err(SortError::Internal("no clean report from the initiator"));
+                };
+                // Each submitter sends her vector, in party order; in memory
+                // the initiator accepts every submission.
+                let mut submitted: Vec<_> = report.accepted.iter().map(|a| &a.submission).collect();
+                submitted.sort_by_key(|s| s.party);
+                for s in submitted {
+                    let bytes = s.info.values().len() * 8 + 8;
+                    log.record(self.round, s.party, 0, bytes, "submit");
+                }
                 self.state = SortState::Done;
             }
             SortState::Done => {}
@@ -843,11 +967,11 @@ impl SortMachine {
         self.round += 3;
     }
 
-    /// Advances the parties `parties` (0-based) through their rounds of
-    /// paper step `step`, each `advance` charged to its party: in passes,
-    /// each party as far as its mailboxes allow, until none moves. Party
-    /// 1's keygen check is parked; every party observes the same
-    /// transcripts.
+    /// Advances the participants `ids` (1-based) and the initiator, if the
+    /// session has one, through their rounds of paper step `step`, each
+    /// `advance` charged to its party: in passes, each party as far as its
+    /// mailboxes allow, until none moves. Party 1's keygen check is
+    /// parked; every party observes the same transcripts.
     ///
     /// # Errors
     ///
@@ -856,32 +980,42 @@ impl SortMachine {
     fn run(
         &mut self,
         step: u8,
-        parties: Range<usize>,
+        ids: RangeInclusive<usize>,
         timer: &mut PartyTimer,
     ) -> Result<(), SortError> {
+        let SortMachine {
+            initiator,
+            parties,
+            mail,
+            pending_verify,
+            ..
+        } = self;
+        let participants = parties[*ids.start() - 1..*ids.end()].iter_mut();
+        let mut machines: Vec<(usize, &mut dyn Machine)> =
+            ids.zip(participants).map(|(id, m)| (id, m as _)).collect();
+        machines.extend(initiator.as_mut().map(|m| (0, m as _)));
         let mut moved = true;
         while moved {
             moved = false;
-            for idx in parties.clone() {
-                let party = &mut self.parties[idx];
-                while let Some(round) = party.round().filter(|r| r.step == step) {
-                    let Some(inbox) = self.mail.take(idx + 1, &round.expects) else {
+            for (id, machine) in &mut machines {
+                while let Some(round) = machine.round().filter(|r| r.step == step) {
+                    let Some(inbox) = mail.take(*id, &round.expects) else {
                         break;
                     };
                     let out = timer
-                        .time(idx + 1, || party.advance(inbox))
+                        .time(*id, || machine.advance(inbox))
                         .map_err(|_| SortError::Internal("a party machine faulted in memory"))?;
-                    if idx == 0 && out.verify.is_some() {
-                        self.pending_verify = out.verify;
+                    if *id == 1 && out.verify.is_some() {
+                        *pending_verify = out.verify;
                     }
-                    self.mail.post(idx + 1, out.sends);
+                    mail.post(*id, out.sends);
                     moved = true;
                 }
             }
         }
-        let waiting = self.parties[parties]
+        let waiting = machines
             .iter()
-            .any(|party| party.round().is_some_and(|r| r.step == step));
+            .any(|(_, m)| m.round().is_some_and(|r| r.step == step));
         if waiting {
             return Err(SortError::Internal(
                 "a party is still waiting inside a step",

@@ -8,10 +8,14 @@
 //! order them. A low-ranking participant who over-claims therefore either
 //! collides with an honest claimant's rank or inverts the gain order —
 //! both are flagged.
+//!
+//! Submitting and gathering are rounds of the party machines (the private
+//! `party` module), which every driver steps: a participant submits or
+//! declines after its phase 2, and the initiator rejects a claimed rank
+//! above `n` or a malformed vector as its sender's fault before
+//! [`verify_submissions`] judges the set.
 
 use crate::attrs::{gain, InfoVector, InitiatorProfile, Questionnaire};
-use crate::timing::PartyTimer;
-use ppgr_net::TrafficLog;
 
 /// One participant's submission to the initiator.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -71,21 +75,6 @@ impl VerificationReport {
     }
 }
 
-/// Honest phase-3 behaviour: parties with `rank ≤ k` submit.
-pub fn honest_submissions(infos: &[InfoVector], ranks: &[usize], k: usize) -> Vec<Submission> {
-    infos
-        .iter()
-        .zip(ranks)
-        .enumerate()
-        .filter(|(_, (_, &rank))| rank <= k)
-        .map(|(idx, (info, &rank))| Submission {
-            party: idx + 1,
-            claimed_rank: rank,
-            info: info.clone(),
-        })
-        .collect()
-}
-
 /// The initiator's verification: recompute gains, check rank/gain
 /// consistency (ties in gain may share a rank; distinct gains must not).
 pub fn verify_submissions(
@@ -93,64 +82,55 @@ pub fn verify_submissions(
     profile: &InitiatorProfile,
     submissions: &[Submission],
     k: usize,
-    log: &TrafficLog,
-    timer: &mut PartyTimer,
-    round: u32,
 ) -> VerificationReport {
-    // Account the submission traffic: each submitter sends her vector.
-    for s in submissions {
-        log.record(round, s.party, 0, s.info.values().len() * 8 + 8, "submit");
+    let mut report = VerificationReport::default();
+    let mut scored: Vec<(&Submission, i128)> = submissions
+        .iter()
+        .map(|s| (s, gain(q, profile, &s.info)))
+        .collect();
+
+    for (s, _) in &scored {
+        if s.claimed_rank > k || s.claimed_rank == 0 {
+            report
+                .flags
+                .push(SubmissionFlag::RankOutOfRange { party: s.party });
+        }
     }
-    timer.time(0, || {
-        let mut report = VerificationReport::default();
-        let mut scored: Vec<(&Submission, i128)> = submissions
-            .iter()
-            .map(|s| (s, gain(q, profile, &s.info)))
-            .collect();
 
-        for (s, _) in &scored {
-            if s.claimed_rank > k || s.claimed_rank == 0 {
-                report
-                    .flags
-                    .push(SubmissionFlag::RankOutOfRange { party: s.party });
-            }
-        }
-
-        // Same claimed rank must mean same gain.
-        scored.sort_by_key(|(s, _)| s.claimed_rank);
-        for window in scored.windows(2) {
-            let (a, ga) = (&window[0].0, window[0].1);
-            let (b, gb) = (&window[1].0, window[1].1);
-            if a.claimed_rank == b.claimed_rank && ga != gb {
-                report.flags.push(SubmissionFlag::RankCollision {
-                    rank: a.claimed_rank,
-                    parties: vec![a.party, b.party],
-                });
-            }
-            // Lower claimed rank must mean gain at least as large.
-            if a.claimed_rank < b.claimed_rank && ga < gb {
-                report
-                    .flags
-                    .push(SubmissionFlag::OrderInversion { party: a.party });
-            }
-        }
-
-        for (s, g) in scored {
-            let flagged = report.flags.iter().any(|f| match f {
-                SubmissionFlag::RankCollision { parties, .. } => parties.contains(&s.party),
-                SubmissionFlag::OrderInversion { party } => *party == s.party,
-                SubmissionFlag::RankOutOfRange { party } => *party == s.party,
+    // Same claimed rank must mean same gain.
+    scored.sort_by_key(|(s, _)| s.claimed_rank);
+    for window in scored.windows(2) {
+        let (a, ga) = (&window[0].0, window[0].1);
+        let (b, gb) = (&window[1].0, window[1].1);
+        if a.claimed_rank == b.claimed_rank && ga != gb {
+            report.flags.push(SubmissionFlag::RankCollision {
+                rank: a.claimed_rank,
+                parties: vec![a.party, b.party],
             });
-            if !flagged {
-                report.accepted.push(AcceptedSubmission {
-                    submission: s.clone(),
-                    gain: g,
-                });
-            }
         }
-        report.accepted.sort_by_key(|a| a.submission.claimed_rank);
-        report
-    })
+        // Lower claimed rank must mean gain at least as large.
+        if a.claimed_rank < b.claimed_rank && ga < gb {
+            report
+                .flags
+                .push(SubmissionFlag::OrderInversion { party: a.party });
+        }
+    }
+
+    for (s, g) in scored {
+        let flagged = report.flags.iter().any(|f| match f {
+            SubmissionFlag::RankCollision { parties, .. } => parties.contains(&s.party),
+            SubmissionFlag::OrderInversion { party } => *party == s.party,
+            SubmissionFlag::RankOutOfRange { party } => *party == s.party,
+        });
+        if !flagged {
+            report.accepted.push(AcceptedSubmission {
+                submission: s.clone(),
+                gain: g,
+            });
+        }
+    }
+    report.accepted.sort_by_key(|a| a.submission.claimed_rank);
+    report
 }
 
 #[cfg(test)]
@@ -175,15 +155,21 @@ mod tests {
         (q, profile, infos)
     }
 
+    /// `party`'s submission of `claimed_rank` with `info`.
+    fn submission(party: usize, claimed_rank: usize, info: &InfoVector) -> Submission {
+        Submission {
+            party,
+            claimed_rank,
+            info: info.clone(),
+        }
+    }
+
     #[test]
     fn honest_flow_is_clean() {
         let (q, profile, infos) = setup();
-        let ranks = vec![1usize, 4, 2, 3];
-        let subs = honest_submissions(&infos, &ranks, 2);
-        assert_eq!(subs.len(), 2);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(5);
-        let report = verify_submissions(&q, &profile, &subs, 2, &log, &mut timer, 0);
+        // Ranks 1, 4, 2, 3 with k = 2: parties 1 and 3 submit.
+        let subs = vec![submission(1, 1, &infos[0]), submission(3, 2, &infos[2])];
+        let report = verify_submissions(&q, &profile, &subs, 2);
         assert!(report.is_clean());
         assert_eq!(report.accepted.len(), 2);
         assert_eq!(report.accepted[0].submission.party, 1);
@@ -197,10 +183,8 @@ mod tests {
             .iter()
             .map(|&v| InfoVector::new(&q, vec![v], 15).unwrap())
             .collect();
-        let subs = honest_submissions(&tied, &[1, 1], 1);
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(3);
-        let report = verify_submissions(&q, &profile, &subs, 1, &log, &mut timer, 0);
+        let subs = vec![submission(1, 1, &tied[0]), submission(2, 1, &tied[1])];
+        let report = verify_submissions(&q, &profile, &subs, 1);
         assert!(report.is_clean());
         assert_eq!(report.accepted.len(), 2);
     }
@@ -209,15 +193,12 @@ mod tests {
     fn overclaim_collision_detected() {
         let (q, profile, infos) = setup();
         // True ranks: party1→1, party3→2. Party 2 (lowest gain) claims rank 2.
-        let mut subs = honest_submissions(&infos, &[1, 4, 2, 3], 2);
-        subs.push(Submission {
-            party: 2,
-            claimed_rank: 2,
-            info: infos[1].clone(),
-        });
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(5);
-        let report = verify_submissions(&q, &profile, &subs, 2, &log, &mut timer, 0);
+        let subs = vec![
+            submission(1, 1, &infos[0]),
+            submission(3, 2, &infos[2]),
+            submission(2, 2, &infos[1]),
+        ];
+        let report = verify_submissions(&q, &profile, &subs, 2);
         assert!(!report.is_clean());
         assert!(report
             .flags
@@ -231,21 +212,8 @@ mod tests {
     fn order_inversion_detected() {
         let (q, profile, infos) = setup();
         // Party 2 (gain 10) claims rank 1; party 1 (gain 40) claims rank 2.
-        let subs = vec![
-            Submission {
-                party: 2,
-                claimed_rank: 1,
-                info: infos[1].clone(),
-            },
-            Submission {
-                party: 1,
-                claimed_rank: 2,
-                info: infos[0].clone(),
-            },
-        ];
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(5);
-        let report = verify_submissions(&q, &profile, &subs, 2, &log, &mut timer, 0);
+        let subs = vec![submission(2, 1, &infos[1]), submission(1, 2, &infos[0])];
+        let report = verify_submissions(&q, &profile, &subs, 2);
         assert!(report
             .flags
             .iter()
@@ -255,37 +223,12 @@ mod tests {
     #[test]
     fn rank_out_of_range_detected() {
         let (q, profile, infos) = setup();
-        let subs = vec![Submission {
-            party: 4,
-            claimed_rank: 9,
-            info: infos[3].clone(),
-        }];
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(5);
-        let report = verify_submissions(&q, &profile, &subs, 2, &log, &mut timer, 0);
+        let subs = vec![submission(4, 9, &infos[3])];
+        let report = verify_submissions(&q, &profile, &subs, 2);
         assert!(report
             .flags
             .iter()
             .any(|f| matches!(f, SubmissionFlag::RankOutOfRange { party: 4 })));
         assert!(report.accepted.is_empty());
-    }
-
-    #[test]
-    fn ties_at_the_boundary_all_submit() {
-        // Paper: everyone tied with the k-th β is eligible.
-        let (_q, _profile, _) = setup();
-        let ranks = vec![1usize, 2, 2, 4];
-        let infos: Vec<InfoVector> = {
-            let q = Questionnaire::builder()
-                .attribute("score", AttributeKind::GreaterThan)
-                .build()
-                .unwrap();
-            [9u64, 5, 5, 1]
-                .iter()
-                .map(|&v| InfoVector::new(&q, vec![v], 15).unwrap())
-                .collect()
-        };
-        let subs = honest_submissions(&infos, &ranks, 2);
-        assert_eq!(subs.len(), 3, "both rank-2 ties submit");
     }
 }

@@ -4,12 +4,13 @@
 //! element is a 32-byte big-endian block, group elements and scalars use
 //! the group's fixed-length encodings, and sequences are length-prefixed.
 //! This is deliberately simple — the point is that the distributed runner
-//! exchanges *real bytes*, not shared memory. Every phase-2 message has
+//! exchanges *real bytes*, not shared memory. Every protocol message has
 //! one frame layout (`encode_msg`, `decode_msg`).
 
 use crate::party::{Kind, Msg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ppgr_bigint::{BigUint, Fp, FpCtx};
+use ppgr_dotprod::{default_field, Round1Message, Round2Message};
 use ppgr_elgamal::Ciphertext;
 use ppgr_group::{Group, Scalar};
 use ppgr_net::Phase;
@@ -429,10 +430,13 @@ impl Reader {
 /// Bytes of a keygen share echo.
 const ECHO_BYTES: usize = 32;
 
-/// Encodes a phase-2 message as a data frame: an element or a scalar at
-/// the group's width, an echo as its raw bytes, a ciphertext vector
-/// length-prefixed, and the chain vector as a set count followed by the
-/// sets.
+/// Encodes a message as a data frame: a dot-product round 1 as its row
+/// count, the rows and then `c′` and `g`, each a length-prefixed field
+/// vector; the reply as `a` then `h`; a submission as the claimed rank (a
+/// `u64`), a value count and the values, and a decline as the rank 0; an
+/// element or a scalar at the group's width, an echo as its raw bytes, a
+/// ciphertext vector length-prefixed, and the chain vector as a set count
+/// followed by the sets.
 ///
 /// # Errors
 ///
@@ -440,6 +444,26 @@ const ECHO_BYTES: usize = 32;
 pub(crate) fn encode_msg(group: &Group, msg: &Msg) -> Result<Bytes, WireError> {
     let mut w = Writer::framed();
     match msg {
+        Msg::Round1(round1) => {
+            w.put_len(round1.qx.len())?;
+            for row in &round1.qx {
+                w.put_fp_vec(row)?;
+            }
+            w.put_fp_vec(&round1.c_prime)?;
+            w.put_fp_vec(&round1.g)?;
+        }
+        Msg::Reply(reply) => {
+            w.put_fp(&reply.a);
+            w.put_fp(&reply.h);
+        }
+        Msg::Submission(None) => w.put_u64(0),
+        Msg::Submission(Some((rank, values))) => {
+            w.put_u64(*rank as u64);
+            w.put_len(values.len())?;
+            for &v in values {
+                w.put_u64(v);
+            }
+        }
         Msg::Element(e) => w.put_element(group, e),
         Msg::Scalar(s) => w.put_scalar(group, s),
         Msg::Echo(digest) => w.put_raw(digest),
@@ -454,7 +478,7 @@ pub(crate) fn encode_msg(group: &Group, msg: &Msg) -> Result<Bytes, WireError> {
     Ok(w.finish())
 }
 
-/// Decodes a data frame's payload as a phase-2 message of `kind`.
+/// Decodes a data frame's payload as a message of `kind`.
 ///
 /// # Errors
 ///
@@ -463,6 +487,29 @@ pub(crate) fn encode_msg(group: &Group, msg: &Msg) -> Result<Bytes, WireError> {
 pub(crate) fn decode_msg(group: &Group, kind: Kind, payload: Bytes) -> Result<Msg, WireError> {
     let mut r = Reader::new(payload);
     let msg = match kind {
+        Kind::Round1 => {
+            let field = default_field();
+            let rows = r.len()?;
+            let qx = (0..rows).map(|_| r.fp_vec(&field));
+            let qx = qx.collect::<Result<_, _>>()?;
+            let c_prime = r.fp_vec(&field)?;
+            let g = r.fp_vec(&field)?;
+            Msg::Round1(Round1Message { qx, c_prime, g })
+        }
+        Kind::Reply => {
+            let field = default_field();
+            let a = r.fp(&field)?;
+            let h = r.fp(&field)?;
+            Msg::Reply(Round2Message { a, h })
+        }
+        Kind::Submission => match r.u64()? as usize {
+            0 => Msg::Submission(None),
+            rank => {
+                let count = r.len()?;
+                let values = (0..count).map(|_| r.u64()).collect::<Result<_, _>>()?;
+                Msg::Submission(Some((rank, values)))
+            }
+        },
         Kind::Element => Msg::Element(r.element(group)?),
         Kind::Scalar => Msg::Scalar(r.scalar(group)?),
         Kind::Echo => {
@@ -653,8 +700,38 @@ mod tests {
             let element = group.element_len();
             let scalar = group.order().bits().div_ceil(8);
             let ct_len = 2 * element;
-            // Tag, then the layout each kind has always had on the wire.
+            let field = default_field();
+            let fps = |from: u64| {
+                (from..from + 3)
+                    .map(|v| field.from_u64(v))
+                    .collect::<Vec<_>>()
+            };
+            let round1 = Round1Message {
+                qx: vec![fps(1), fps(4)],
+                c_prime: fps(7),
+                g: fps(10),
+            };
+            let reply = Round2Message {
+                a: field.from_u64(13),
+                h: field.from_u64(14),
+            };
+            // Tag, then the layout each kind has always had on the wire: a
+            // round 1 as its row count, the rows, `c′` and `g`; a reply as
+            // `a` and `h`; a submission as its rank, a count and the
+            // values; a decline as rank 0.
             let cases = [
+                (
+                    Kind::Round1,
+                    Msg::Round1(round1),
+                    1 + 4 + 2 * (4 + 3 * FIELD_BYTES) + 2 * (4 + 3 * FIELD_BYTES),
+                ),
+                (Kind::Reply, Msg::Reply(reply), 1 + 2 * FIELD_BYTES),
+                (
+                    Kind::Submission,
+                    Msg::Submission(Some((2, vec![5, 6, 7]))),
+                    1 + 8 + 4 + 3 * 8,
+                ),
+                (Kind::Submission, Msg::Submission(None), 1 + 8),
                 (
                     Kind::Element,
                     Msg::Element(kp.public_key().clone()),

@@ -156,6 +156,58 @@ fn tampered_initiator_reply_blames_the_initiator() {
     );
 }
 
+// ---- The initiator's checks on each submission (phase 3). -------------
+
+/// A data frame carrying `rank` and then, for a submission, the count and
+/// the values — the layout of a submission or (rank 0) a decline.
+fn submission_frame(rank: u64, values: &[u64]) -> Vec<u8> {
+    let mut frame = vec![TAG_DATA];
+    frame.extend_from_slice(&rank.to_be_bytes());
+    if !values.is_empty() {
+        frame.extend_from_slice(&(values.len() as u32).to_be_bytes());
+        for v in values {
+            frame.extend_from_slice(&v.to_be_bytes());
+        }
+    }
+    frame
+}
+
+#[test]
+fn submission_claiming_a_rank_beyond_n_blames_the_submitter() {
+    // P2 claims rank 9 of 3: no participant can hold it, so the initiator
+    // rejects the frame as P2's protocol violation before verification.
+    let plan = FaultPlan::new().tamper(
+        2,
+        Phase::Submit,
+        0,
+        Tamper::Replace(submission_frame(9, &[])),
+    );
+    let failure = run_with_plan(plan, 916);
+    assert_culprit_blamed(&failure, 2);
+    assert_direct_evidence(&failure, 2);
+}
+
+#[test]
+fn padded_submission_blames_the_submitter() {
+    // One byte trails P3's submission (or decline): the frame does not
+    // decode, and the initiator blames its sender.
+    let plan = FaultPlan::new().tamper(3, Phase::Submit, 0, Tamper::Append(vec![0x00]));
+    let failure = run_with_plan(plan, 917);
+    assert_culprit_blamed(&failure, 3);
+    assert_direct_evidence(&failure, 3);
+}
+
+#[test]
+fn submission_with_an_over_wide_value_blames_the_submitter() {
+    // P1 submits rank 1 with a value of 1000 where attributes are 5 bits
+    // wide: the vector is not one a participant can hold.
+    let frame = submission_frame(1, &[1, 1000, 2]);
+    let plan = FaultPlan::new().tamper(1, Phase::Submit, 0, Tamper::Replace(frame));
+    let failure = run_with_plan(plan, 918);
+    assert_culprit_blamed(&failure, 1);
+    assert_direct_evidence(&failure, 1);
+}
+
 #[test]
 fn corrupt_encrypt_broadcast_blames_the_sender_on_every_lane() {
     // P2's encrypted bit vector is truncated mid-ciphertext on *every*

@@ -37,7 +37,7 @@
 //!
 //! let proto = DotProduct::new(field.clone());
 //! let (state, msg1) = proto.sender_round1(&w, &mut rng);
-//! let msg2 = proto.receiver_round2(&v, &alpha, &msg1, &mut rng);
+//! let msg2 = proto.receiver_round2(&v, &alpha, &msg1);
 //! let beta = state.finish(&msg2);
 //! // β = w·v + α = 32 + 100
 //! assert_eq!(beta.to_i128_centered(), Some(132));
@@ -62,7 +62,7 @@ pub fn default_field() -> Arc<FpCtx> {
 }
 
 /// First-round message: `(QX, c′, g)` from the sender to the receiver.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Round1Message {
     /// The product matrix `QX` (`s × d`), rows outer.
     pub qx: Vec<Vec<Fp>>,
@@ -80,7 +80,7 @@ impl Round1Message {
 }
 
 /// Second-round message: `(a, h)` from the receiver back to the sender.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Round2Message {
     /// `a = z − c′·v′`.
     pub a: Fp,
@@ -262,21 +262,12 @@ impl DotProduct {
     }
 
     /// Receiver (initiator) round 2: forms `v′ = [v, α]` and answers with
-    /// `(a, h)`.
-    ///
-    /// `rng` is unused by the algebra but kept in the signature so callers
-    /// treat both rounds uniformly (and for forward-compatible blinding).
+    /// `(a, h)`. It draws no randomness.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() + 1` does not match the sender's dimension.
-    pub fn receiver_round2<R: Rng + ?Sized>(
-        &self,
-        v: &[Fp],
-        alpha: &Fp,
-        msg: &Round1Message,
-        _rng: &mut R,
-    ) -> Round2Message {
+    pub fn receiver_round2(&self, v: &[Fp], alpha: &Fp, msg: &Round1Message) -> Round2Message {
         let f = &self.field;
         let d = v.len() + 1;
         assert!(
@@ -313,7 +304,7 @@ impl DotProduct {
     pub fn mutual<R: Rng + ?Sized>(&self, w: &[Fp], v: &[Fp], rng: &mut R) -> Fp {
         let alpha = self.field.random(rng);
         let (state, m1) = self.sender_round1(w, rng);
-        let m2 = self.receiver_round2(v, &alpha, &m1, rng);
+        let m2 = self.receiver_round2(v, &alpha, &m1);
         let beta = state.finish(&m2);
         // Exchange: both compute β − α = w·v.
         beta - alpha
@@ -344,7 +335,7 @@ mod tests {
         let v = [2i128, 9, -4, 8, 1];
         let (state, m1) = proto.sender_round1(&to_fp(&f, &w), &mut rng);
         let alpha = f.from_i128(1_000_000);
-        let m2 = proto.receiver_round2(&to_fp(&f, &v), &alpha, &m1, &mut rng);
+        let m2 = proto.receiver_round2(&to_fp(&f, &v), &alpha, &m1);
         let beta = state.finish(&m2);
         assert_eq!(
             beta.to_i128_centered(),
@@ -396,7 +387,7 @@ mod tests {
         let proto = DotProduct::new(f.clone());
         let mut rng = StdRng::seed_from_u64(5);
         let (_state, m1) = proto.sender_round1(&to_fp(&f, &[1, 2, 3]), &mut rng);
-        let _ = proto.receiver_round2(&to_fp(&f, &[1, 2]), &f.zero(), &m1, &mut rng);
+        let _ = proto.receiver_round2(&to_fp(&f, &[1, 2]), &f.zero(), &m1);
     }
 
     #[test]

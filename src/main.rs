@@ -13,6 +13,7 @@
 #![deny(unused_must_use)]
 
 use ppgr::bigint::BigUint;
+use ppgr::core::submit::AcceptedSubmission;
 use ppgr::core::{
     run_distributed, unlinkable_sort, AttributeKind, FrameworkParams, GroupRanking, PartyTimer,
     Questionnaire,
@@ -160,6 +161,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         for (i, r) in out.ranks.iter().enumerate() {
             println!("  P{} → rank {r}", i + 1);
         }
+        print_top_k(&out.report.accepted);
         println!(
             "initiator accepted {} submissions; report clean: {}",
             out.report.accepted.len(),
@@ -173,12 +175,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         for (i, r) in outcome.ranks().iter().enumerate() {
             println!("  P{} → rank {r}", i + 1);
         }
-        for acc in outcome.top_k() {
-            println!(
-                "  top-k: P{} (rank {}, gain {})",
-                acc.submission.party, acc.submission.claimed_rank, acc.gain
-            );
-        }
+        print_top_k(outcome.top_k());
         let t = outcome.traffic();
         println!(
             "traffic: {} msgs / {} bytes / {} rounds",
@@ -190,6 +187,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// One `top-k:` line per submission the initiator accepted, in either
+/// mode, so the two runners' outputs can be diffed line for line.
+fn print_top_k(accepted: &[AcceptedSubmission]) {
+    for acc in accepted {
+        println!(
+            "  top-k: P{} (rank {}, gain {})",
+            acc.submission.party, acc.submission.claimed_rank, acc.gain
+        );
+    }
 }
 
 fn cmd_sort(args: &[String]) -> Result<(), String> {

@@ -109,18 +109,26 @@ fn gain_ties_break_arbitrarily_but_consistently_with_order() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any seed and `n` in 2..=4, with two participants sharing one
-    /// info vector (equal gains), the mesh returns exactly the in-memory
-    /// run's ranks, and its initiator accepts exactly the in-memory top-k
-    /// parties.
+    /// For any seed, on ECC-160 with `n` in 2..=4 or on DL-1024 with
+    /// `n = 3`, with two participants sharing one info vector (equal
+    /// gains), the mesh returns exactly the in-memory run's ranks, and its
+    /// initiator accepts exactly the in-memory run's submissions — the
+    /// same parties, claimed ranks, gains and vectors — and flags none
+    /// (an in-memory run fails on any flag).
     #[test]
     fn runners_agree_on_ranks_and_top_k(
-        n in 2usize..5,
+        shape in 0usize..4,
         seed in any::<u64>(),
         first in 0usize..4,
         gap in 0usize..3,
         k in 1usize..5,
     ) {
+        // Shapes 0–2 are ECC-160 with n = 2..=4, shape 3 is DL-1024 with
+        // n = 3.
+        let (kind, n) = match shape {
+            3 => (GroupKind::Dl1024, 3),
+            s => (GroupKind::Ecc160, s + 2),
+        };
         let (k, first) = (k.min(n), first % n);
         let second = (first + 1 + gap % (n - 1)) % n;
         let p = FrameworkParams::builder(Questionnaire::synthetic(1, 2))
@@ -129,7 +137,7 @@ proptest! {
             .attr_bits(6)
             .weight_bits(3)
             .mask_bits(6)
-            .group(GroupKind::Ecc160)
+            .group(kind)
             .seed(seed)
             .build()
             .unwrap();
@@ -143,9 +151,7 @@ proptest! {
             .unwrap();
         let distributed = run_distributed(&p, profile, infos).unwrap();
         prop_assert_eq!(orchestrated.ranks(), &distributed.ranks[..]);
-        let parties = |accepted: &[ppgr::core::submit::AcceptedSubmission]| -> Vec<usize> {
-            accepted.iter().map(|a| a.submission.party).collect()
-        };
-        prop_assert_eq!(parties(orchestrated.top_k()), parties(&distributed.report.accepted));
+        prop_assert_eq!(orchestrated.top_k(), &distributed.report.accepted[..]);
+        prop_assert!(distributed.report.flags.is_empty(), "{:?}", distributed.report.flags);
     }
 }

@@ -1,9 +1,10 @@
-//! Golden transcript digests for the sorting machine.
+//! Golden transcript digests for the sorting machine and for whole
+//! sessions.
 //!
-//! Each digest is SHA-256 over a run's ranks and the encoding of every
-//! ciphertext returned to its owner after the whole shuffle-decrypt chain.
-//! Ranks alone cannot catch a change in *how* the chain computes — a
-//! different hop kernel, stock layout or shuffle would still rank
+//! Each sorting digest is SHA-256 over a run's ranks and the encoding of
+//! every ciphertext returned to its owner after the whole shuffle-decrypt
+//! chain. Ranks alone cannot catch a change in *how* the chain computes —
+//! a different hop kernel, stock layout or shuffle would still rank
 //! correctly — so these digests pin the bytes themselves across commits.
 //!
 //! Two entry points are covered per group: a machine built on the stock
@@ -12,12 +13,18 @@
 //! that stock itself, so its digest also pins the seed draw. Every digest
 //! must be independent of the worker count.
 //!
+//! A session digest pins phases 1 and 3 around them: the masked gains,
+//! the ranks, every submission the initiator accepted and every traffic
+//! record but its round.
+//!
 //! Any intended change to the protocol's bytes re-pins the constants
 //! below, deliberately and in the same change.
 
 use ppgr::bigint::BigUint;
 use ppgr::core::sorting::{run_sort, SortMachine, SortOptions, SortOutcome, SortStatus, SortTrace};
-use ppgr::core::{OfflineStock, PartyTimer, StockFingerprint};
+use ppgr::core::{
+    FrameworkParams, GroupRanking, OfflineStock, PartyTimer, Questionnaire, StockFingerprint,
+};
 use ppgr::group::{Group, GroupKind};
 use ppgr::hash::{to_hex, Sha256};
 use ppgr::net::TrafficLog;
@@ -123,5 +130,65 @@ fn dl1024_transcripts_match_their_golden_digests() {
         0xD16E58,
         "ab2269865362a5a4f21493db9341b5bbceda7ea2f23697d4b9c520582e794354",
         "c08cbe413d3a692b3fc327177a583145f96f2a88c01b4a554caac8a78cc5989e",
+    );
+}
+
+/// Digests a whole in-memory session of `n` participants: its masked
+/// gains, ranks, accepted submissions (party, claimed rank, gain, values)
+/// and traffic records (sender, receiver, bytes, label, in log order).
+fn session_digest(kind: GroupKind, n: usize, seed: u64) -> String {
+    let params = FrameworkParams::builder(Questionnaire::synthetic(1, 2))
+        .participants(n)
+        .top_k(2)
+        .attr_bits(6)
+        .weight_bits(3)
+        .mask_bits(6)
+        .group(kind)
+        .seed(seed)
+        .build()
+        .expect("valid params");
+    let ranking = GroupRanking::new(params).with_random_population();
+    let log = ranking.traffic_log();
+    let outcome = ranking.run().expect("fault-free session");
+    let mut h = Sha256::new();
+    let mut put = |bytes: &[u8]| {
+        h.update(&(bytes.len() as u64).to_be_bytes());
+        h.update(bytes);
+    };
+    for beta in &outcome.masked_gains().betas {
+        put(&beta.to_bytes_be());
+    }
+    for rank in outcome.ranks() {
+        put(&(*rank as u64).to_be_bytes());
+    }
+    for accepted in outcome.top_k() {
+        let submission = &accepted.submission;
+        put(&(submission.party as u64).to_be_bytes());
+        put(&(submission.claimed_rank as u64).to_be_bytes());
+        put(&accepted.gain.to_be_bytes());
+        for value in submission.info.values() {
+            put(&value.to_be_bytes());
+        }
+    }
+    for record in log.records() {
+        put(&(record.from as u64).to_be_bytes());
+        put(&(record.to as u64).to_be_bytes());
+        put(&(record.bytes as u64).to_be_bytes());
+        put(record.phase.as_bytes());
+    }
+    to_hex(&h.finalize())
+}
+
+#[test]
+fn whole_sessions_match_their_golden_digests() {
+    assert_eq!(
+        session_digest(GroupKind::Ecc160, 4, 0x5E55),
+        "e626b93fe040f20e94e2e79a45399224187843bfac88fc6cecf590b840f52c41",
+        "ECC-160 session"
+    );
+    assert_eq!(
+        session_digest(GroupKind::Dl1024, 3, 0x5E56),
+        "d0cda7bafa3db0213ec50e87a115f83c12af87c96a0fb0f10146469261a7684d",
+        "DL-1024 session"
     );
 }
