@@ -20,19 +20,46 @@ use ppgr_bench::calibrate::Calibration;
 use ppgr_bench::model::{self, framework_participant_time, ss_participant_time, PaperDefaults};
 use ppgr_bench::table::{fmt_bytes, fmt_duration, Table};
 use ppgr_bench::traces;
-use ppgr_core::analysis;
+use ppgr_core::analysis::{self, WireModel};
 use ppgr_core::bit_length;
 use ppgr_group::{GroupKind, SecurityLevel};
 use ppgr_net::sim::NetworkSim;
 use ppgr_smc::cost;
 
+/// A figure's generator.
+type Figure = fn(&Calibration);
+
+/// Every figure by name, in the order `all` runs them.
+const FIGURES: [(&str, Figure); 8] = [
+    ("validate", validate),
+    ("fig2a", fig2a),
+    ("fig2b", fig2b),
+    ("fig2c", fig2c),
+    ("fig2d", fig2d),
+    ("fig3a", fig3a),
+    ("fig3b", fig3b),
+    ("analysis", analysis_table),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut figs: Vec<&str> = args.iter().map(String::as_str).collect();
-    if figs.is_empty() || figs.contains(&"all") {
-        figs = vec![
-            "validate", "fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b", "analysis",
-        ];
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let mut figs: Vec<Figure> = Vec::new();
+    for name in &names {
+        match FIGURES.iter().find(|(fig, _)| fig == name) {
+            Some(&(_, run)) => figs.push(run),
+            None if name == "all" => {}
+            None => {
+                let valid: Vec<&str> = FIGURES.iter().map(|(fig, _)| *fig).collect();
+                eprintln!(
+                    "unknown figure: {name} (expected all, {})",
+                    valid.join(", ")
+                );
+                std::process::exit(2);
+            }
+        }
+    }
+    if figs.is_empty() || names.iter().any(|name| name == "all") {
+        figs = FIGURES.iter().map(|&(_, run)| run).collect();
     }
     println!("calibrating per-operation costs on this machine…");
     let cal = Calibration::measure(true);
@@ -50,18 +77,8 @@ fn main() {
     }
     println!("  field mul (SS unit): {}\n", fmt_duration(cal.field_mul));
 
-    for fig in figs {
-        match fig {
-            "validate" => validate(&cal),
-            "fig2a" => fig2a(&cal),
-            "fig2b" => fig2b(&cal),
-            "fig2c" => fig2c(&cal),
-            "fig2d" => fig2d(&cal),
-            "fig3a" => fig3a(&cal),
-            "fig3b" => fig3b(&cal),
-            "analysis" => analysis_table(),
-            other => eprintln!("unknown figure: {other}"),
-        }
+    for run in figs {
+        run(&cal);
     }
 }
 
@@ -256,8 +273,8 @@ fn fig3b(cal: &Calibration) {
     println!("{}", t.render());
 }
 
-/// The Sec. VI-B complexity comparison.
-fn analysis_table() {
+/// The Sec. VI-B complexity comparison; it needs no calibration.
+fn analysis_table(_: &Calibration) {
     let d = PaperDefaults::default();
     let l = d.l();
     let lambda = 160usize;
@@ -275,7 +292,9 @@ fn analysis_table() {
         t.row(vec![
             n.to_string(),
             cost::framework_group_mults(n, l, lambda).to_string(),
-            analysis::framework_rounds(n).to_string(),
+            WireModel::session(GroupKind::Ecc160, n, l, d.m, d.t)
+                .rounds()
+                .to_string(),
             cost::ss_sort_int_mults(n, l).to_string(),
             cost::ss_sort_rounds(n, l).to_string(),
         ]);

@@ -2,21 +2,33 @@
 //!
 //! Message sizes and round structure of both frameworks are deterministic
 //! functions of `(n, l, group)` — no cryptography needs to run to know
-//! what crosses the wire. These generators mirror the `TrafficLog` calls
-//! of the real implementation — the sorting machine's steps
-//! (`ppgr-core::sorting`), which log phases 1 and 3 as well as phase 2 —
-//! and an NS2-style model of the SS baseline.
+//! what crosses the wire. The framework's trace is the paper's wire model
+//! ([`WireModel`]), the one the sorting machine logs; the SS baseline's is
+//! an NS2-style model around the same gain phase.
 
+use ppgr_core::analysis::{TrafficRecord, WireModel};
 use ppgr_group::GroupKind;
 use ppgr_net::sim::TraceMessage;
 use ppgr_smc::cost;
 
-/// Field element wire size used by the gain phase (256-bit field).
+/// Field element wire size of an SS share (256-bit field).
 const FIELD_BYTES: usize = 32;
-/// Dot-product hidden-matrix rows (`s` in the protocol).
-const DOTPROD_S: usize = 8;
 
-/// Trace of the paper's framework: phase 1 + phase 2 + submission.
+/// `records` grouped into `rounds` barrier rounds, each sorted by sender
+/// and then receiver. The simulator queues a round's messages on their
+/// links in trace order, so the order is part of the trace.
+fn by_round(rounds: u32, mut records: Vec<TrafficRecord>) -> Vec<Vec<TraceMessage>> {
+    records.sort_by_key(|r| (r.round, r.from, r.to));
+    let mut trace = vec![Vec::new(); rounds as usize];
+    for r in records {
+        let (from, to, bytes) = (r.from, r.to, r.bytes);
+        trace[r.round as usize].push(TraceMessage { from, to, bytes });
+    }
+    trace
+}
+
+/// Trace of the paper's framework: the wire model of a whole session, in
+/// which parties `1..=k` submit.
 ///
 /// Parties: `0` = initiator, `1..=n` participants. Each inner vector is a
 /// barrier round.
@@ -28,96 +40,9 @@ pub fn framework_trace(
     t: usize,
     k: usize,
 ) -> Vec<Vec<TraceMessage>> {
-    let group = kind.group();
-    let elem = group.element_len();
-    let ct = 2 * elem;
-    let scalar = group.order().bits().div_ceil(8);
-    let d = m + t + 1; // dot-product dimension
-    let mut rounds: Vec<Vec<TraceMessage>> = Vec::new();
-
-    // Phase 1: each participant ↔ initiator (two rounds, all in parallel).
-    let round1_elems = DOTPROD_S * d + 2 * d;
-    rounds.push(
-        (1..=n)
-            .map(|p| TraceMessage {
-                from: p,
-                to: 0,
-                bytes: round1_elems * FIELD_BYTES,
-            })
-            .collect(),
-    );
-    rounds.push(
-        (1..=n)
-            .map(|p| TraceMessage {
-                from: 0,
-                to: p,
-                bytes: 2 * FIELD_BYTES,
-            })
-            .collect(),
-    );
-
-    // Phase 2, step 5: key shares + ZKP (commitment, challenges, response).
-    let all_to_all = |bytes: usize| -> Vec<TraceMessage> {
-        let mut msgs = Vec::new();
-        for from in 1..=n {
-            for to in 1..=n {
-                if from != to {
-                    msgs.push(TraceMessage { from, to, bytes });
-                }
-            }
-        }
-        msgs
-    };
-    rounds.push(all_to_all(elem)); // y_j
-    rounds.push(all_to_all(elem)); // proof commitments
-    rounds.push(all_to_all(scalar)); // challenge shares
-    rounds.push(all_to_all(scalar)); // responses
-
-    // Step 6: bitwise encryptions broadcast.
-    rounds.push(all_to_all(l * ct));
-
-    // Step 7: sets to P₁.
-    rounds.push(
-        (2..=n)
-            .map(|p| TraceMessage {
-                from: p,
-                to: 1,
-                bytes: (n - 1) * l * ct,
-            })
-            .collect(),
-    );
-
-    // Step 8: the chain — n−1 sequential hops of the full vector V.
-    let v_bytes = n * (n - 1) * l * ct;
-    for hop in 1..n {
-        rounds.push(vec![TraceMessage {
-            from: hop,
-            to: hop + 1,
-            bytes: v_bytes,
-        }]);
-    }
-    // Return each set to its owner.
-    rounds.push(
-        (1..n)
-            .map(|p| TraceMessage {
-                from: n,
-                to: p,
-                bytes: (n - 1) * l * ct,
-            })
-            .collect(),
-    );
-
-    // Phase 3: top-k submissions.
-    rounds.push(
-        (1..=k.min(n))
-            .map(|p| TraceMessage {
-                from: p,
-                to: 0,
-                bytes: m * 8 + 8,
-            })
-            .collect(),
-    );
-    rounds
+    let model = WireModel::session(kind, n, l, m, t);
+    let submitters: Vec<usize> = (1..=k.min(n)).collect();
+    by_round(model.rounds(), model.records(&submitters))
 }
 
 /// Rounds per Nishide–Ohta comparison when its multiplications are
@@ -133,28 +58,10 @@ pub const NO07_ROUNDS: usize = 15;
 /// defensible model for the baseline; see EXPERIMENTS.md for why the
 /// un-batched alternative would bury the SS curve entirely).
 pub fn ss_trace(n: usize, l: usize, m: usize, t: usize) -> Vec<Vec<TraceMessage>> {
-    let d = m + t + 1;
-    let mut rounds: Vec<Vec<TraceMessage>> = Vec::new();
     // Gain phase (same as the framework: the paper feeds β into Jónsson).
-    let round1_elems = DOTPROD_S * d + 2 * d;
-    rounds.push(
-        (1..=n)
-            .map(|p| TraceMessage {
-                from: p,
-                to: 0,
-                bytes: round1_elems * FIELD_BYTES,
-            })
-            .collect(),
-    );
-    rounds.push(
-        (1..=n)
-            .map(|p| TraceMessage {
-                from: 0,
-                to: p,
-                bytes: 2 * FIELD_BYTES,
-            })
-            .collect(),
-    );
+    // Its bytes do not depend on the group.
+    let gain = WireModel::session(GroupKind::Ecc160, n, l, m, t).step(3, &[]);
+    let mut rounds = by_round(2, gain);
 
     // Sorting network: depth ≈ log₂n·(log₂n+1)/2 layers of ≤ n/2
     // comparators each.
@@ -216,6 +123,7 @@ pub fn trace_bytes(trace: &[Vec<TraceMessage>]) -> u64 {
 mod tests {
     use super::*;
     use ppgr_core::{FrameworkParams, GroupRanking, Questionnaire};
+    use ppgr_net::sim::NetworkSim;
 
     #[test]
     fn in_memory_sessions_log_the_rounds_of_the_trace() {
@@ -245,6 +153,55 @@ mod tests {
     }
 
     #[test]
+    fn fig3b_inputs_are_pinned() {
+        // The `fig3b_network` bench's inputs (l = 52, m = 10, t = 3,
+        // k = 3): each trace's rounds, bytes and completion time on the
+        // paper's network. The simulator is deterministic, so every value
+        // is exact.
+        type Pin = (usize, u64, f64);
+        let pins: [(usize, Pin, Pin, Pin); 3] = [
+            (
+                5,
+                (14, 312_952, 4.367503999999999),
+                (14, 1_790_408, 15.446800000000003),
+                (92, 137_920, 18.462592000000157),
+            ),
+            (
+                10,
+                (19, 2_372_672, 20.439792000000004),
+                (19, 14_229_128, 110.229008),
+                (152, 2_205_440, 31.5577600000015),
+            ),
+            (
+                20,
+                (29, 18_298_312, 157.104496),
+                (29, 111_068_168, 933.4427199999983),
+                (227, 27_450_880, 87.91144000000533),
+            ),
+        ];
+        for (n, ecc, dl, ss) in pins {
+            let sim = NetworkSim::paper_setup(n + 1, 7);
+            for (label, trace, pin) in [
+                (
+                    "ECC-160",
+                    framework_trace(GroupKind::Ecc160, n, 52, 10, 3, 3),
+                    ecc,
+                ),
+                (
+                    "DL-1024",
+                    framework_trace(GroupKind::Dl1024, n, 52, 10, 3, 3),
+                    dl,
+                ),
+                ("SS", ss_trace(n, 52, 10, 3), ss),
+            ] {
+                let seconds = sim.simulate(&trace).unwrap().completion_s;
+                let got = (trace.len(), trace_bytes(&trace), seconds);
+                assert_eq!(got, pin, "{label}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
     fn framework_trace_shape() {
         let trace = framework_trace(GroupKind::Ecc160, 5, 52, 10, 3, 2);
         // 2 gain + 4 setup + 1 bits + 1 collect + 4 chain hops + 1 return + 1 submit.
@@ -266,6 +223,24 @@ mod tests {
         let fw = framework_trace(GroupKind::Ecc160, 16, 52, 10, 3, 2).len();
         let ss = ss_trace(16, 52, 10, 3).len();
         assert!(ss > 5 * fw, "SS rounds {ss} vs framework {fw}");
+    }
+
+    #[test]
+    fn framework_needs_far_fewer_rounds_than_ss() {
+        // The framework's rounds grow linearly in n; the SS sort's grow
+        // with every comparison's multiplications.
+        for n in 4..100 {
+            for l in 8..100 {
+                let ours = WireModel::session(GroupKind::Ecc160, n, l, 10, 3).rounds();
+                assert!(
+                    u64::from(ours) < cost::ss_sort_rounds(n, l),
+                    "n = {n}, l = {l}"
+                );
+            }
+        }
+        let ours = WireModel::session(GroupKind::Ecc160, 25, 52, 10, 3).rounds();
+        assert_eq!(ours, 34);
+        assert!(cost::ss_sort_rounds(25, 52) > 100 * u64::from(ours));
     }
 
     #[test]

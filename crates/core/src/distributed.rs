@@ -851,7 +851,7 @@ mod tests {
             threads: 1,
             ..SortOptions::default()
         };
-        let mut machine = SortMachine::new(&kind.group(), values, l, options, stock, 0).unwrap();
+        let mut machine = SortMachine::new(&kind.group(), values, l, options, stock).unwrap();
         let (log, mut timer) = (TrafficLog::new(), PartyTimer::new(values.len() + 1));
         while machine.step(&log, &mut timer).unwrap() == SortStatus::Pending {}
         machine.into_result().unwrap().1.returned_sets

@@ -76,7 +76,7 @@ pub fn unlinkability_attack(
             randomize: true,
             ..SortOptions::default()
         };
-        let (_out, trace) = run_sort(group, &values, l, options, &mut rng, &log, &mut timer, 0)
+        let (_out, trace) = run_sort(group, &values, l, options, &mut rng, &log, &mut timer)
             // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
             .expect("valid game setup");
 
@@ -113,7 +113,7 @@ pub fn value_recovery_rate(group: &Group, l: usize, randomize: bool, seed: u64) 
         randomize,
         ..SortOptions::default()
     };
-    let (_out, trace) = run_sort(group, &values, l, options, &mut rng, &log, &mut timer, 0)
+    let (_out, trace) = run_sort(group, &values, l, options, &mut rng, &log, &mut timer)
         // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
         .expect("valid game setup");
 
@@ -198,7 +198,6 @@ pub fn interval_invariance_holds(group: &Group, l: usize, seed: u64) -> bool {
                 &mut rng,
                 &log,
                 &mut timer,
-                0,
             )
             // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
             .expect("valid game setup");

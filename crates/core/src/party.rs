@@ -36,7 +36,7 @@ use crate::offline::{party_streams, PartyStock};
 use crate::params::FrameworkParams;
 use crate::sorting::{chain_hop, count_zeros, tau_set, HopJob, KeygenVerifyJob, SortOptions};
 use crate::submit::{verify_submissions, Submission, VerificationReport};
-use crate::wire::{Writer, FIELD_BYTES};
+use crate::wire::Writer;
 use ppgr_bigint::{BigUint, Fp};
 use ppgr_dotprod::{default_field, DotProduct, Round1Message, Round2Message, SenderState};
 use ppgr_elgamal::{
@@ -743,12 +743,6 @@ impl InitiatorMachine {
             submissions: Vec::new(),
             report: None,
         }
-    }
-
-    /// The bytes of one round 1: `s` rows and two more vectors, each of
-    /// `d` field elements.
-    pub(crate) fn round1_bytes(&self) -> usize {
-        (DotProduct::DEFAULT_S + 2) * (self.vector.len() + 1) * FIELD_BYTES
     }
 
     /// The report on the submissions, once `P₀` verified them.

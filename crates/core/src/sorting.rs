@@ -39,6 +39,7 @@
 //! and the same loop runs phase 1 before phase 2 and the submissions after
 //! it.
 
+use crate::analysis::WireModel;
 use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::circuit::compare_encrypted;
 use crate::offline::{OfflineStock, StockFingerprint};
@@ -46,7 +47,6 @@ use crate::params::FrameworkParams;
 use crate::party::{InitiatorMachine, Machine, Mailboxes, PartyMachine};
 use crate::submit::VerificationReport;
 use crate::timing::PartyTimer;
-use crate::wire::FIELD_BYTES;
 use ppgr_bigint::BigUint;
 use ppgr_elgamal::{Ciphertext, ExpElGamal, KeyPair, MaskPair};
 use ppgr_group::{Element, FixedBaseTable, Group, GroupKind, HopScalars, Scalar};
@@ -530,19 +530,9 @@ pub fn unlinkable_sort<R: Rng + ?Sized>(
     rng: &mut R,
     log: &TrafficLog,
     timer: &mut PartyTimer,
-    round_base: u32,
 ) -> Result<SortOutcome, SortError> {
-    run_sort(
-        group,
-        values,
-        l,
-        SortOptions::default(),
-        rng,
-        log,
-        timer,
-        round_base,
-    )
-    .map(|(outcome, _trace)| outcome)
+    run_sort(group, values, l, SortOptions::default(), rng, log, timer)
+        .map(|(outcome, _trace)| outcome)
 }
 
 /// Full-control entry point: options + trace (used by games and tests).
@@ -555,7 +545,6 @@ pub fn unlinkable_sort<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// See [`SortError`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_sort<R: Rng + ?Sized>(
     group: &Group,
     values: &[BigUint],
@@ -564,14 +553,13 @@ pub fn run_sort<R: Rng + ?Sized>(
     rng: &mut R,
     log: &TrafficLog,
     timer: &mut PartyTimer,
-    round_base: u32,
 ) -> Result<(SortOutcome, SortTrace), SortError> {
     check_values(values, l)?;
     let fp = StockFingerprint::new(rng.gen(), values.len(), l, group.kind());
     let stock = OfflineStock::generate(fp, resolve_threads(options.threads), || false).ok_or(
         SortError::Internal("uncancelled offline generation stopped"),
     )?;
-    let mut machine = SortMachine::new(group, values, l, options, stock, round_base)?;
+    let mut machine = SortMachine::new(group, values, l, options, stock)?;
     while machine.step(log, timer)? == SortStatus::Pending {}
     machine
         .into_result()
@@ -597,30 +585,6 @@ pub enum SortStatus {
     Pending,
     /// The protocol finished; collect the result with
     /// [`SortMachine::into_result`].
-    Done,
-}
-
-/// Where a [`SortMachine`] currently stands in the protocol.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-enum SortState {
-    /// Steps 1–3: every participant's dot-product round 1, and the
-    /// initiator's replies.
-    Gain,
-    /// Step 4: the participants unblind their masked gains.
-    Unblind,
-    /// Step 5: key generation + proofs of knowledge (all parties).
-    KeyGen,
-    /// Step 6: bitwise encryption under the joint key (all parties).
-    Encrypt,
-    /// Step 7: party `idx + 1` builds her τ-sets.
-    Compare { idx: usize },
-    /// Step 8: party `idx + 1` runs her shuffle-decrypt chain hop.
-    Hop { idx: usize },
-    /// Step 9: owners strip their layers, count zeros, assemble the result.
-    Finish,
-    /// The submissions and the initiator's verification.
-    Submit,
-    /// Result available.
     Done,
 }
 
@@ -650,13 +614,13 @@ enum SortState {
 /// participants' unblinding — and the submissions last.
 #[derive(Debug)]
 pub struct SortMachine {
-    n: usize,
-    l: usize,
-    ct_len: usize,
-    elem_len: usize,
-    scalar_len: usize,
-    state: SortState,
-    round: u32,
+    /// The run's messages, of which each unit logs its share.
+    model: WireModel,
+    /// The protocol units in order: a paper step and the participants
+    /// that run it. `P₀`, in a whole session, joins every unit.
+    units: Vec<(u8, RangeInclusive<usize>)>,
+    /// The next unit to run.
+    next: usize,
     /// The initiator's machine, in a whole session.
     initiator: Option<InitiatorMachine>,
     /// Every participant's machine, party order.
@@ -684,7 +648,6 @@ impl SortMachine {
         l: usize,
         options: SortOptions,
         stock: OfflineStock,
-        round_base: u32,
     ) -> Result<Self, SortError> {
         check_values(values, l)?;
         let n = values.len();
@@ -710,7 +673,8 @@ impl SortMachine {
                 PartyMachine::new(group, idx + 1, n, l, value, own, table, options, workers)
             })
             .collect();
-        Ok(Self::with_parties(group, l, None, parties, round_base))
+        let model = WireModel::sort(group.kind(), n, l);
+        Ok(Self::with_parties(model, None, parties))
     }
 
     /// A whole framework session of `params`: the initiator's machine on
@@ -742,31 +706,33 @@ impl SortMachine {
                 })
             })
             .collect();
-        let (group, l) = (params.group().group(), params.beta_bits());
-        Self::with_parties(&group, l, Some(initiator), parties, 0)
+        let q = params.questionnaire();
+        let (n, l) = (params.participants(), params.beta_bits());
+        let model = WireModel::session(params.group(), n, l, q.dimension(), q.equal_to_count());
+        Self::with_parties(model, Some(initiator), parties)
     }
 
-    /// The machine over `parties` (and the initiator, in a whole session),
-    /// logging its first round as `round_base`.
+    /// The machine over `parties` (and the initiator, in a whole session)
+    /// whose messages `model` describes. Every step but 7 and 8 is one
+    /// unit of all participants; those two are one unit per party. A
+    /// whole session runs steps 3–10, a phase-2 run steps 5–9.
     fn with_parties(
-        group: &Group,
-        l: usize,
+        model: WireModel,
         initiator: Option<InitiatorMachine>,
         parties: Vec<PartyMachine>,
-        round_base: u32,
     ) -> Self {
         let n = parties.len();
+        let each = |step| (1..=n).map(move |i| (step, i..=i));
+        let mut units: Vec<_> = [3, 4, 5, 6].map(|step| (step, 1..=n)).into();
+        units.extend(each(7).chain(each(8)));
+        units.extend([(9, 1..=n), (10, 1..=n)]);
+        if initiator.is_none() {
+            units.retain(|(step, _)| (5..=9).contains(step));
+        }
         SortMachine {
-            n,
-            l,
-            ct_len: Ciphertext::encoded_len(group),
-            elem_len: group.element_len(),
-            scalar_len: group.order().bits().div_ceil(8),
-            state: match initiator {
-                Some(_) => SortState::Gain,
-                None => SortState::KeyGen,
-            },
-            round: round_base,
+            model,
+            units,
+            next: 0,
             initiator,
             parties,
             mail: Mailboxes::new(n),
@@ -789,7 +755,7 @@ impl SortMachine {
 
     /// Whether the protocol has completed.
     pub fn is_done(&self) -> bool {
-        self.state == SortState::Done
+        self.next == self.units.len()
     }
 
     /// The outcome and trace, once [`SortMachine::step`] has returned
@@ -822,17 +788,18 @@ impl SortMachine {
 
     /// The paper phase (1–3) the next step works in.
     pub(crate) fn phase(&self) -> usize {
-        match self.state {
-            SortState::Gain | SortState::Unblind => 1,
-            SortState::Submit | SortState::Done => 3,
-            _ => 2,
+        match self.units.get(self.next).map_or(10, |unit| unit.0) {
+            ..=4 => 1,
+            5..=9 => 2,
+            _ => 3,
         }
     }
 
     /// Executes the next protocol unit.
     ///
-    /// Wire traffic is logged to `log` and per-party computation charged
-    /// to `timer`.
+    /// The messages the [`WireModel`] gives the unit's step and the
+    /// unit's parties send (`P₀`'s included) are logged to `log`, and
+    /// per-party computation charged to `timer`.
     ///
     /// # Errors
     ///
@@ -855,88 +822,15 @@ impl SortMachine {
             job.verify_inline()?;
             self.pending_verify = None;
         }
-        let n = self.n;
-        let set_bytes = (n - 1) * self.l * self.ct_len;
-        match self.state {
-            SortState::Gain => {
-                self.run(3, 1..=n, timer)?;
-                let bytes = self.initiator.as_ref().map_or(0, |p0| p0.round1_bytes());
-                for party in 1..=n {
-                    log.record(self.round, party, 0, bytes, "gain");
-                    log.record(self.round + 1, 0, party, 2 * FIELD_BYTES, "gain");
-                }
-                self.round += 2;
-                self.state = SortState::Unblind;
-            }
-            SortState::Unblind => {
-                self.run(4, 1..=n, timer)?;
-                self.state = SortState::KeyGen;
-            }
-            SortState::KeyGen => {
-                self.run(5, 1..=n, timer)?;
-                self.log_keygen(log);
-                self.state = SortState::Encrypt;
-            }
-            SortState::Encrypt => {
-                self.run(6, 1..=n, timer)?;
-                for (party, other) in self.pairs() {
-                    log.record(self.round, party, other, self.l * self.ct_len, "sort/bits");
-                }
-                self.round += 1;
-                self.state = SortState::Compare { idx: 0 };
-            }
-            SortState::Compare { idx } => {
-                self.run(7, idx + 1..=idx + 1, timer)?;
-                if idx > 0 {
-                    log.record(self.round, idx + 1, 1, set_bytes, "sort/collect");
-                }
-                self.state = if idx + 1 < n {
-                    SortState::Compare { idx: idx + 1 }
-                } else {
-                    self.round += 1;
-                    SortState::Hop { idx: 0 }
-                };
-            }
-            SortState::Hop { idx } => {
-                self.run(8, idx + 1..=idx + 1, timer)?;
-                // The whole vector V goes to the next party in the chain.
-                if idx + 1 < n {
-                    log.record(self.round, idx + 1, idx + 2, n * set_bytes, "sort/chain");
-                    self.round += 1;
-                    self.state = SortState::Hop { idx: idx + 1 };
-                } else {
-                    self.state = SortState::Finish;
-                }
-            }
-            SortState::Finish => {
-                // P_n returns each set to its owner.
-                for owner in 1..n {
-                    log.record(self.round, n, owner, set_bytes, "sort/return");
-                }
-                self.round += 1;
-                self.run(9, 1..=n, timer)?;
-                self.state = match self.initiator {
-                    Some(_) => SortState::Submit,
-                    None => SortState::Done,
-                };
-            }
-            SortState::Submit => {
-                self.run(10, 1..=n, timer)?;
-                let report = self.initiator.as_ref().and_then(InitiatorMachine::report);
-                let Some(report) = report.filter(|report| report.is_clean()) else {
-                    return Err(SortError::Internal("no clean report from the initiator"));
-                };
-                // Each submitter sends her vector, in party order; in memory
-                // the initiator accepts every submission.
-                let mut submitted: Vec<_> = report.accepted.iter().map(|a| &a.submission).collect();
-                submitted.sort_by_key(|s| s.party);
-                for s in submitted {
-                    let bytes = s.info.values().len() * 8 + 8;
-                    log.record(self.round, s.party, 0, bytes, "submit");
-                }
-                self.state = SortState::Done;
-            }
-            SortState::Done => {}
+        if let Some((step, ids)) = self.units.get(self.next).cloned() {
+            self.run(step, ids.clone(), timer)?;
+            let submitters = match step {
+                10 => self.submitters()?,
+                _ => Vec::new(),
+            };
+            let sent = self.model.step(step, &submitters).into_iter();
+            log.extend(sent.filter(|r| r.from == 0 || ids.contains(&r.from)));
+            self.next += 1;
         }
         Ok(if self.is_done() {
             SortStatus::Done
@@ -945,26 +839,20 @@ impl SortMachine {
         })
     }
 
-    /// Every ordered pair of distinct parties, sender-major.
-    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> {
-        let n = self.n;
-        (1..=n).flat_map(move |a| (1..=n).filter(move |&b| b != a).map(move |b| (a, b)))
-    }
-
-    /// Step 5's traffic: the key shares, then each prover's commitment
-    /// broadcast, `n − 1` challenge shares and response broadcast. The
-    /// paper's cost model counts no echo.
-    fn log_keygen(&mut self, log: &TrafficLog) {
-        for (party, other) in self.pairs() {
-            log.record(self.round, party, other, self.elem_len, "sort/keys");
-        }
-        self.round += 1;
-        for (party, other) in self.pairs() {
-            log.record(self.round, party, other, self.elem_len, "sort/zkp");
-            log.record(self.round + 1, other, party, self.scalar_len, "sort/zkp");
-            log.record(self.round + 2, party, other, self.scalar_len, "sort/zkp");
-        }
-        self.round += 3;
+    /// The parties whose submissions `P₀` accepted, in party order, once
+    /// it verified them. In memory it accepts every submission.
+    ///
+    /// # Errors
+    ///
+    /// [`SortError::Internal`] if `P₀` has no report or flagged one.
+    fn submitters(&self) -> Result<Vec<usize>, SortError> {
+        let report = self.initiator.as_ref().and_then(InitiatorMachine::report);
+        let Some(report) = report.filter(|report| report.is_clean()) else {
+            return Err(SortError::Internal("no clean report from the initiator"));
+        };
+        let mut parties: Vec<usize> = report.accepted.iter().map(|a| a.submission.party).collect();
+        parties.sort_unstable();
+        Ok(parties)
     }
 
     /// Advances the participants `ids` (1-based) and the initiator, if the
@@ -1052,7 +940,7 @@ mod tests {
         let values: Vec<BigUint> = vals.iter().map(|&v| BigUint::from(v)).collect();
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(vals.len() + 1);
-        unlinkable_sort(&group, &values, l, &mut rng, &log, &mut timer, 0).unwrap()
+        unlinkable_sort(&group, &values, l, &mut rng, &log, &mut timer).unwrap()
     }
 
     #[test]
@@ -1082,29 +970,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(2);
+        let values = [BigUint::from(1u64)];
         assert_eq!(
-            unlinkable_sort(
-                &group,
-                &[BigUint::from(1u64)],
-                4,
-                &mut rng,
-                &log,
-                &mut timer,
-                0
-            ),
+            unlinkable_sort(&group, &values, 4, &mut rng, &log, &mut timer),
             Err(SortError::TooFewParties(1))
         );
         let mut timer = PartyTimer::new(3);
+        let values = [BigUint::from(16u64), BigUint::from(1u64)];
         assert_eq!(
-            unlinkable_sort(
-                &group,
-                &[BigUint::from(16u64), BigUint::from(1u64)],
-                4,
-                &mut rng,
-                &log,
-                &mut timer,
-                0
-            ),
+            unlinkable_sort(&group, &values, 4, &mut rng, &log, &mut timer),
             Err(SortError::ValueTooWide { party: 1 })
         );
     }
@@ -1117,7 +991,7 @@ mod tests {
         let values: Vec<BigUint> = (0..n as u64).map(BigUint::from).collect();
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(n + 1);
-        let _ = unlinkable_sort(&group, &values, 6, &mut rng, &log, &mut timer, 0).unwrap();
+        let _ = unlinkable_sort(&group, &values, 6, &mut rng, &log, &mut timer).unwrap();
         let s = log.summary();
         // Chain traffic dominates: n−1 hops of the full vector V.
         let chain = s.bytes_by_phase["sort/chain"];
@@ -1161,7 +1035,6 @@ mod tests {
                 &mut rng,
                 &log,
                 &mut timer,
-                0,
             )
             .unwrap()
         };
@@ -1320,7 +1193,6 @@ mod tests {
             &mut rng,
             &log,
             &mut timer,
-            0,
         )
         .unwrap();
         assert_eq!(out.ranks, vec![1, 3, 2]);
@@ -1364,7 +1236,7 @@ mod tests {
             ..SortOptions::default()
         };
         let stock = stock(seed, values.len(), 8, corrupt);
-        let mut machine = SortMachine::new(&group, &values, 8, options, stock, 0).unwrap();
+        let mut machine = SortMachine::new(&group, &values, 8, options, stock).unwrap();
         let (mut job, mut steps) = (None, 0);
         let outcome = loop {
             match machine.step(&log, &mut timer) {
@@ -1444,7 +1316,7 @@ mod tests {
                 ..SortOptions::default()
             };
             let stock = stock(seed, 3, 4, corrupt);
-            let mut machine = SortMachine::new(&group, &values, 4, options, stock, 0).unwrap();
+            let mut machine = SortMachine::new(&group, &values, 4, options, stock).unwrap();
             loop {
                 let status = machine.step(&log, &mut timer).unwrap();
                 if let Some(job) = machine.take_pending_verify() {

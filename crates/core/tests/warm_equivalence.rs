@@ -70,7 +70,7 @@ fn wrong_group_stock_is_rejected_with_a_typed_error() {
         .map(|&v| ppgr_bigint::BigUint::from(v))
         .collect();
     let stock = generate(StockFingerprint::new(9, 3, 6, GroupKind::Ecc224));
-    match SortMachine::new(&group, &values, 6, SortOptions::default(), stock, 0) {
+    match SortMachine::new(&group, &values, 6, SortOptions::default(), stock) {
         Err(SortError::StockGroupMismatch { expected, got }) => {
             assert_eq!(expected, GroupKind::Ecc160);
             assert_eq!(got, GroupKind::Ecc224);
@@ -92,7 +92,7 @@ fn matching_group_but_wrong_shape_is_still_an_internal_error() {
     for (n, l) in [(4, 6), (3, 7)] {
         let stock = generate(StockFingerprint::new(9, n, l, GroupKind::Ecc160));
         assert!(matches!(
-            SortMachine::new(&group, &values, 6, SortOptions::default(), stock, 0),
+            SortMachine::new(&group, &values, 6, SortOptions::default(), stock),
             Err(SortError::Internal(_))
         ));
     }

@@ -72,13 +72,6 @@ pub struct Round1Message {
     pub g: Vec<Fp>,
 }
 
-impl Round1Message {
-    /// Total field elements on the wire (traffic accounting).
-    pub fn element_count(&self) -> usize {
-        self.qx.iter().map(Vec::len).sum::<usize>() + self.c_prime.len() + self.g.len()
-    }
-}
-
 /// Second-round message: `(a, h)` from the receiver back to the sender.
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Round2Message {
@@ -402,15 +395,5 @@ mod tests {
         for row in &m1.qx {
             assert_ne!(&row[..3], &w[..], "w leaked as a plain row of QX");
         }
-    }
-
-    #[test]
-    fn element_count_matches_shape() {
-        let f = default_field();
-        let proto = DotProduct::with_s(f.clone(), 4);
-        let mut rng = StdRng::seed_from_u64(7);
-        let (_s, m1) = proto.sender_round1(&to_fp(&f, &[1, 2]), &mut rng);
-        // s*d + d + d = 4*3 + 3 + 3
-        assert_eq!(m1.element_count(), 18);
     }
 }

@@ -35,4 +35,6 @@ pub mod sim;
 pub use deadline::{Deadline, Phase, PhaseBudget};
 pub use fault::{CrashStash, FaultKind, FaultPlan, FaultyMesh, Tamper, TamperBytes};
 pub use mesh::{LocalMesh, MeshError, PartyHandle};
-pub use metrics::{CacheCounters, MetricsSnapshot, PartyId, TrafficLog, TrafficSummary};
+pub use metrics::{
+    CacheCounters, MetricsSnapshot, PartyId, TrafficLog, TrafficRecord, TrafficSummary,
+};

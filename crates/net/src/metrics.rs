@@ -56,6 +56,11 @@ impl TrafficLog {
         });
     }
 
+    /// Records every message of `records`, in order.
+    pub fn extend(&self, records: impl IntoIterator<Item = TrafficRecord>) {
+        self.inner.lock().extend(records);
+    }
+
     /// Snapshot of all records, in insertion order.
     pub fn records(&self) -> Vec<TrafficRecord> {
         self.inner.lock().clone()

@@ -44,13 +44,6 @@ pub fn ss_sort_rounds(n: usize, l: usize) -> u64 {
     jonsson_comparisons(n) * no07_mults_per_comparison(l)
 }
 
-/// Rounds of the paper's framework: `O(n)` — the shuffle-decrypt chain
-/// dominates with exactly `n` sequential hops plus a constant number of
-/// broadcast rounds (key setup, proof, publication, collection, return).
-pub fn framework_rounds(n: usize) -> u64 {
-    n as u64 + 5
-}
-
 /// Group multiplications per participant in the paper's framework
 /// (Sec. VI-B): `O(l²·n + l·n²·λ)` — `l²n` from the comparison circuit and
 /// `l·n²·λ` from the shuffle-decrypt exponentiations (`λ` = group-order
@@ -58,13 +51,6 @@ pub fn framework_rounds(n: usize) -> u64 {
 pub fn framework_group_mults(n: usize, l: usize, lambda: usize) -> u64 {
     let (n, l, lambda) = (n as u64, l as u64, lambda as u64);
     l * l * n + l * n * n * lambda
-}
-
-/// Bits a participant transmits in the comparison phase
-/// (Sec. VI-B): `O(l·S_c·n²)` where `S_c` is the ciphertext bit-length.
-pub fn framework_comm_bits(n: usize, l: usize, ciphertext_bits: usize) -> u64 {
-    let (n, l, sc) = (n as u64, l as u64, ciphertext_bits as u64);
-    l * sc + l * sc * (n + 1) * n
 }
 
 #[cfg(test)]
@@ -102,20 +88,5 @@ mod tests {
                 "SS should be costlier at n = {n}"
             );
         }
-    }
-
-    #[test]
-    fn round_counts_linear_vs_superlinear() {
-        // Framework rounds are linear; SS rounds grow drastically faster.
-        assert_eq!(framework_rounds(25), 30);
-        assert!(ss_sort_rounds(25, 52) > 100 * framework_rounds(25));
-    }
-
-    #[test]
-    fn comm_bits_quadratic_in_n() {
-        let a = framework_comm_bits(10, 52, 336);
-        let b = framework_comm_bits(20, 52, 336);
-        let ratio = b as f64 / a as f64;
-        assert!((3.0..5.0).contains(&ratio), "≈4x expected, got {ratio}");
     }
 }

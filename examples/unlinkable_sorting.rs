@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut timer = PartyTimer::new(salaries.len() + 1);
     let mut rng = StdRng::seed_from_u64(11);
 
-    let outcome = unlinkable_sort(&group, &values, l, &mut rng, &log, &mut timer, 0)?;
+    let outcome = unlinkable_sort(&group, &values, l, &mut rng, &log, &mut timer)?;
 
     println!("\neach party's private result (rank 1 = highest salary):");
     for (idx, rank) in outcome.ranks.iter().enumerate() {

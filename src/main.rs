@@ -220,8 +220,8 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
     let mut rng = HashDrbg::seed_from_u64(seed);
-    let out = unlinkable_sort(&group, &big, l, &mut rng, &log, &mut timer, 0)
-        .map_err(|e| e.to_string())?;
+    let out =
+        unlinkable_sort(&group, &big, l, &mut rng, &log, &mut timer).map_err(|e| e.to_string())?;
     for (i, (v, r)) in values.iter().zip(&out.ranks).enumerate() {
         println!("P{} (value {v}) → rank {r}", i + 1);
     }

@@ -17,7 +17,7 @@ fn elgamal_ranks(values: &[u64], l: usize, seed: u64) -> Vec<usize> {
     let big: Vec<BigUint> = values.iter().map(|&v| BigUint::from(v)).collect();
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
-    unlinkable_sort(&group, &big, l, &mut rng, &log, &mut timer, 0)
+    unlinkable_sort(&group, &big, l, &mut rng, &log, &mut timer)
         .unwrap()
         .ranks
 }

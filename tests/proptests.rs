@@ -77,7 +77,7 @@ proptest! {
         let log = TrafficLog::new();
         let mut timer = PartyTimer::new(values.len() + 1);
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = unlinkable_sort(&group, &big, 5, &mut rng, &log, &mut timer, 0).unwrap();
+        let out = unlinkable_sort(&group, &big, 5, &mut rng, &log, &mut timer).unwrap();
         prop_assert_eq!(out.ranks, plain_ranks(&big));
     }
 }

@@ -43,7 +43,6 @@ fn returned_sets_contain_no_repeated_ciphertexts() {
         &mut rng,
         &log,
         &mut timer,
-        0,
     )
     .unwrap();
     for set in &trace.returned_sets {
@@ -77,7 +76,6 @@ fn owner_cannot_learn_which_opponent_beat_her() {
             &mut rng,
             &log,
             &mut timer,
-            0,
         )
         .unwrap();
         assert_eq!(out.ranks, vec![3, 1, 2]);

@@ -35,8 +35,7 @@ fn run_with(
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let (out, trace) =
-        run_sort(&group, &values, l, options, &mut rng, &log, &mut timer, 0).unwrap();
+    let (out, trace) = run_sort(&group, &values, l, options, &mut rng, &log, &mut timer).unwrap();
     (out.ranks, trace.returned_sets, log.summary())
 }
 

@@ -60,8 +60,7 @@ fn machine_digest(
     };
     let fp = StockFingerprint::new(seed, values.len(), l, kind);
     let stock = OfflineStock::generate(fp, threads, || false).expect("uncancelled generation");
-    let mut machine =
-        SortMachine::new(&group, values, l, options, stock, 0).expect("valid session");
+    let mut machine = SortMachine::new(&group, values, l, options, stock).expect("valid session");
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
     while machine.step(&log, &mut timer).expect("step") == SortStatus::Pending {}
@@ -86,7 +85,7 @@ fn run_sort_digest(
     let mut timer = PartyTimer::new(values.len() + 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let (outcome, trace) =
-        run_sort(&group, values, l, options, &mut rng, &log, &mut timer, 0).expect("run");
+        run_sort(&group, values, l, options, &mut rng, &log, &mut timer).expect("run");
     digest(&group, &outcome, &trace)
 }
 
