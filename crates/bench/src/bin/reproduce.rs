@@ -25,20 +25,26 @@ use ppgr_core::bit_length;
 use ppgr_group::{GroupKind, SecurityLevel};
 use ppgr_net::sim::NetworkSim;
 use ppgr_smc::cost;
+use std::cell::OnceCell;
 
-/// A figure's generator.
-type Figure = fn(&Calibration);
+/// A figure's generator: most price operations at this machine's
+/// calibrated rates, and one needs no rates at all.
+#[derive(Clone, Copy)]
+enum Figure {
+    Calibrated(fn(&Calibration)),
+    Uncalibrated(fn()),
+}
 
 /// Every figure by name, in the order `all` runs them.
 const FIGURES: [(&str, Figure); 8] = [
-    ("validate", validate),
-    ("fig2a", fig2a),
-    ("fig2b", fig2b),
-    ("fig2c", fig2c),
-    ("fig2d", fig2d),
-    ("fig3a", fig3a),
-    ("fig3b", fig3b),
-    ("analysis", analysis_table),
+    ("validate", Figure::Calibrated(validate)),
+    ("fig2a", Figure::Calibrated(fig2a)),
+    ("fig2b", Figure::Calibrated(fig2b)),
+    ("fig2c", Figure::Calibrated(fig2c)),
+    ("fig2d", Figure::Calibrated(fig2d)),
+    ("fig3a", Figure::Calibrated(fig3a)),
+    ("fig3b", Figure::Calibrated(fig3b)),
+    ("analysis", Figure::Uncalibrated(analysis_table)),
 ];
 
 fn main() {
@@ -61,6 +67,18 @@ fn main() {
     if figs.is_empty() || names.iter().any(|name| name == "all") {
         figs = FIGURES.iter().map(|&(_, run)| run).collect();
     }
+    // Calibrated once, by the first figure that reads the rates.
+    let cal = OnceCell::new();
+    for fig in figs {
+        match fig {
+            Figure::Calibrated(run) => run(cal.get_or_init(calibrate)),
+            Figure::Uncalibrated(run) => run(),
+        }
+    }
+}
+
+/// Measures and prints this machine's per-operation costs.
+fn calibrate() -> Calibration {
     println!("calibrating per-operation costs on this machine…");
     let cal = Calibration::measure(true);
     for ((kind, var), ((_, fixed), (_, hop))) in cal
@@ -76,10 +94,7 @@ fn main() {
         );
     }
     println!("  field mul (SS unit): {}\n", fmt_duration(cal.field_mul));
-
-    for run in figs {
-        run(&cal);
-    }
+    cal
 }
 
 /// Small-scale end-to-end runs versus the calibrated model.
@@ -274,7 +289,7 @@ fn fig3b(cal: &Calibration) {
 }
 
 /// The Sec. VI-B complexity comparison; it needs no calibration.
-fn analysis_table(_: &Calibration) {
+fn analysis_table() {
     let d = PaperDefaults::default();
     let l = d.l();
     let lambda = 160usize;

@@ -1,4 +1,5 @@
-//! `reproduce` checks every figure name before it calibrates.
+//! `reproduce` checks every figure name before it calibrates, and
+//! calibrates only for figures that read the rates.
 
 use std::process::Command;
 
@@ -22,4 +23,16 @@ fn unknown_figure_fails_before_calibrating() {
         stderr.contains("unknown figure: fig9") && stderr.contains("fig3b"),
         "names the bad figure and the valid ones: {stderr}"
     );
+}
+
+#[test]
+fn analysis_alone_never_calibrates() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("analysis")
+        .output()
+        .expect("reproduce starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "exited {}", out.status);
+    assert!(stdout.contains("Sec. VI-B"), "prints the table: {stdout}");
+    assert!(!stdout.contains("calibrating"), "calibrated: {stdout}");
 }

@@ -179,17 +179,27 @@ impl BigUint {
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
         }
+        let mut v = BigUint {
+            limbs: self.limbs[limb_shift..].to_vec(),
+        };
+        v.shr_assign(bits % LIMB_BITS);
+        v
+    }
+
+    /// Right shift by `bits` in place, keeping the allocation.
+    pub(crate) fn shr_assign(&mut self, bits: usize) {
+        let limb_shift = (bits / LIMB_BITS).min(self.limbs.len());
+        self.limbs.drain(..limb_shift);
         let bit_shift = bits % LIMB_BITS;
-        let mut limbs: Vec<u64> = self.limbs[limb_shift..].to_vec();
         if bit_shift != 0 {
             let mut carry = 0u64;
-            for l in limbs.iter_mut().rev() {
+            for l in self.limbs.iter_mut().rev() {
                 let next_carry = *l << (LIMB_BITS - bit_shift);
                 *l = *l >> bit_shift | carry;
                 carry = next_carry;
             }
         }
-        BigUint::from_limbs(limbs)
+        self.normalize();
     }
 
     /// Multiplies by a single limb.

@@ -9,8 +9,12 @@
 //! * [`Montgomery`] — Montgomery-form modular multiplication and windowed
 //!   modular exponentiation for odd moduli (the hot path of every ElGamal
 //!   operation in the framework).
+//! * [`Montgomery4`] — the same for moduli of at most four limbs, on a
+//!   32-byte `Copy` element: the curve fields, including their in-domain
+//!   square root ([`Montgomery4::msqrt`]).
 //! * [`modular`] — free-standing modular helpers: inverse (binary extended
-//!   gcd), Jacobi symbol, Tonelli–Shanks square roots.
+//!   gcd), Jacobi symbol (binary, in place on limbs), Tonelli–Shanks square
+//!   roots on `BigUint`.
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random
 //!   prime generation.
 //! * [`Fp`] / [`FpCtx`] — a prime-field element type with a shared context,

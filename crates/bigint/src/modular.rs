@@ -1,6 +1,7 @@
 //! Free-standing modular arithmetic helpers: inverse, Jacobi symbol,
 //! Tonelli–Shanks square roots, and a convenience `modpow`.
 
+use crate::arith::sub_assign_limbs;
 use crate::montgomery::Montgomery;
 use crate::uint::BigUint;
 
@@ -154,6 +155,13 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
 /// For prime `n` this is the Legendre symbol, i.e. `1` iff `a` is a
 /// nonzero quadratic residue mod `n`.
 ///
+/// Binary algorithm, in place on the two values' limbs: strip the factors
+/// of two from `a` (an odd count flips the sign when `n ≡ 3, 5 mod 8`),
+/// put the larger odd value first (quadratic reciprocity: swapping two
+/// values `≡ 3 mod 4` flips it), subtract, and repeat until `a` is zero.
+/// Each pass at least halves `a`, and nothing is allocated after `a` is
+/// reduced below `n`.
+///
 /// # Panics
 ///
 /// Panics if `n` is even or zero.
@@ -164,20 +172,17 @@ pub fn jacobi(a: &BigUint, n: &BigUint) -> i32 {
     let mut sign = 1i32;
     while !a.is_zero() {
         let tz = a.trailing_zeros();
-        if tz % 2 == 1 {
-            // (2/n) = -1 when n ≡ 3,5 (mod 8)
-            let n_mod8 = (n.limbs()[0] & 7) as u8;
-            if n_mod8 == 3 || n_mod8 == 5 {
+        a.shr_assign(tz);
+        if tz % 2 == 1 && matches!(n.limbs[0] & 7, 3 | 5) {
+            sign = -sign;
+        }
+        if a < n {
+            std::mem::swap(&mut a, &mut n);
+            if a.limbs[0] & 3 == 3 && n.limbs[0] & 3 == 3 {
                 sign = -sign;
             }
         }
-        a = a.shr(tz);
-        // Quadratic reciprocity flip when both ≡ 3 (mod 4).
-        if (a.limbs()[0] & 3) == 3 && (n.limbs()[0] & 3) == 3 {
-            sign = -sign;
-        }
-        std::mem::swap(&mut a, &mut n);
-        a = &a % &n;
+        sub_assign_limbs(&mut a.limbs, &n.limbs);
     }
     if n.is_one() {
         sign
@@ -299,6 +304,9 @@ mod tests {
         assert_eq!(jacobi(&BigUint::from(2u64), &BigUint::from(15u64)), 1);
         // (3/15) shares a factor → 0
         assert_eq!(jacobi(&BigUint::from(3u64), &BigUint::from(15u64)), 0);
+        // (7/15) = (1/3)(2/5) = -1; (10/15) shares a factor → 0
+        assert_eq!(jacobi(&BigUint::from(7u64), &BigUint::from(15u64)), -1);
+        assert_eq!(jacobi(&BigUint::from(10u64), &BigUint::from(15u64)), 0);
     }
 
     #[test]

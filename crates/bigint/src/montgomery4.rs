@@ -21,6 +21,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::uint::BigUint;
+use std::sync::OnceLock;
 
 /// Maximum modulus size in limbs for the small context (256-bit fields).
 pub const MAX_LIMBS4: usize = 4;
@@ -205,6 +206,56 @@ fn sqr_p160(a: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
     reduce_p160(&t)
 }
 
+/// `base^exp` for a nonzero `exp` over one kernel's `mul` and `sqr`:
+/// square-and-multiply for exponents of at most 32 bits, else fixed 4-bit
+/// windows over a 16-entry table.
+fn pow_with(
+    base: &[u64; MAX_LIMBS4],
+    exp: &BigUint,
+    mul: impl Fn(&[u64; MAX_LIMBS4], &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4],
+    sqr: impl Fn(&[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4],
+) -> [u64; MAX_LIMBS4] {
+    let bits = exp.bits();
+    if bits <= 32 {
+        // Small exponent: plain square-and-multiply beats building a
+        // 16-entry window table.
+        let mut acc = *base;
+        for i in (0..bits - 1).rev() {
+            acc = sqr(&acc);
+            if exp.bit(i) {
+                acc = mul(&acc, base);
+            }
+        }
+        return acc;
+    }
+    // table[w] = base^w for w = 1..15 (entry 0 is never read).
+    let mut table = [*base; 16];
+    for i in 2..16 {
+        table[i] = mul(&table[i - 1], base);
+    }
+    // The `take` exponent bits below bit `i`, most significant first.
+    let window =
+        |i: usize, take: usize| (0..take).fold(0usize, |w, k| w << 1 | exp.bit(i - 1 - k) as usize);
+    let top = match bits % 4 {
+        0 => 4,
+        r => r,
+    };
+    // The top window holds the leading bit, so it is nonzero.
+    let mut acc = table[window(bits, top)];
+    let mut i = bits - top;
+    while i > 0 {
+        for _ in 0..4 {
+            acc = sqr(&acc);
+        }
+        let w = window(i, 4);
+        if w != 0 {
+            acc = mul(&acc, &table[w]);
+        }
+        i -= 4;
+    }
+    acc
+}
+
 /// Precomputed context for Montgomery multiplication modulo an odd `n` of
 /// at most `MAX_LIMBS4` limbs.
 ///
@@ -232,6 +283,20 @@ pub struct Montgomery4 {
     r1: MontElem4,
     /// Multiplication kernel (generic CIOS or the secp160r1 fast path).
     kernel: Kernel,
+    /// Square-root constants, built by the first [`Self::msqrt`].
+    sqrt: OnceLock<SqrtConsts>,
+}
+
+/// Tonelli–Shanks constants of a prime modulus `n`, with `n − 1 = 2^s·m`
+/// and `m` odd.
+#[derive(Clone, Debug)]
+struct SqrtConsts {
+    /// The two-adicity `s` of `n − 1`.
+    s: usize,
+    /// `(m − 1)/2`: the one exponentiation each root pays.
+    e: BigUint,
+    /// `z^m` for a non-residue `z`, an element of order exactly `2^s`.
+    c: MontElem4,
 }
 
 impl Montgomery4 {
@@ -281,6 +346,7 @@ impl Montgomery4 {
             r1: to_fixed(&r1_big),
             kernel,
             n,
+            sqrt: OnceLock::new(),
         }
     }
 
@@ -536,48 +602,17 @@ impl Montgomery4 {
         if exp.is_zero() {
             return self.one_elem();
         }
-        let bits = exp.bits();
-        if bits <= 32 {
-            // Small exponent: plain square-and-multiply beats building a
-            // 16-entry window table.
-            let mut acc = *base;
-            for i in (0..bits - 1).rev() {
-                acc = self.msqr(&acc);
-                if exp.bit(i) {
-                    acc = self.mmul(&acc, base);
-                }
-            }
-            return acc;
-        }
-        // Precompute base^0..base^15.
-        let mut table = [self.one_elem(); 16];
-        table[1] = *base;
-        for i in 2..16 {
-            table[i] = self.mmul(&table[i - 1], base);
-        }
-        let mut acc: Option<MontElem4> = None;
-        let mut i = bits;
-        while i > 0 {
-            let take = if i.is_multiple_of(4) { 4 } else { i % 4 };
-            let mut window = 0usize;
-            for k in 0..take {
-                window = window << 1 | exp.bit(i - 1 - k) as usize;
-            }
-            acc = Some(match acc {
-                None => table[window],
-                Some(mut a) => {
-                    for _ in 0..take {
-                        a = self.msqr(&a);
-                    }
-                    if window != 0 {
-                        a = self.mmul(&a, &table[window]);
-                    }
-                    a
-                }
-            });
-            i -= take;
-        }
-        acc.expect("nonzero exponent")
+        // The kernel is chosen once, so the whole ladder runs it inline.
+        let limbs = match self.kernel {
+            Kernel::Cios => pow_with(
+                &base.limbs,
+                exp,
+                |a, b| self.mont_mul(a, b),
+                |a| self.mont_mul(a, a),
+            ),
+            Kernel::P160 => pow_with(&base.limbs, exp, mul_p160, sqr_p160),
+        };
+        MontElem4 { limbs }
     }
 
     /// In-domain inverse of a nonzero element via Fermat's little theorem
@@ -589,6 +624,84 @@ impl Montgomery4 {
             .checked_sub(&BigUint::from(2u64))
             .expect("modulus is at least 3");
         self.mpow(a, &e)
+    }
+
+    /// In-domain square root: some `r` with `r² = a`, or `None` when `a` is
+    /// a quadratic non-residue. The other root is `−r`.
+    ///
+    /// Tonelli–Shanks, with `n − 1 = 2^s·m` and `m` odd: one exponentiation
+    /// `w = a^((m−1)/2)` gives the candidate `r = a·w` and the defect
+    /// `t = r·w = a^m`, and each pass of the loop multiplies a power of the
+    /// precomputed `z^m` into both until `t = 1`. When `s = 1`
+    /// (`n ≡ 3 mod 4`: the P-160 and P-256 fields) `t` is Euler's criterion
+    /// `a^((n−1)/2)` itself, so `t ≠ 1` is the non-residue verdict and the
+    /// loop never runs. The constants are built on the first call; for
+    /// `s > 1` (P-224 has `s = 96`) that includes finding a non-residue.
+    ///
+    /// The modulus must be prime: for a composite one the result means
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first call if `s > 1` and no `z < 2^16` is a
+    /// non-residue. A composite modulus can have none; a prime's least
+    /// non-residue is small (the P-224 field's is 11).
+    pub fn msqrt(&self, a: &MontElem4) -> Option<MontElem4> {
+        if self.is_zero_elem(a) {
+            return Some(*a);
+        }
+        let k = self.sqrt.get_or_init(|| self.sqrt_consts());
+        let one = self.one_elem();
+        let w = self.mpow(a, &k.e);
+        let mut r = self.mmul(a, &w);
+        let mut t = self.mmul(&r, &w);
+        // Invariants: r² = a·t, and c has order 2^s_left; t's order is
+        // below 2^s_left for a residue and 2^s_left for a non-residue.
+        let (mut c, mut s_left) = (k.c, k.s);
+        while t != one {
+            // The least i with t^(2^i) = 1.
+            let mut i = 0;
+            let mut t2 = t;
+            while t2 != one {
+                t2 = self.msqr(&t2);
+                i += 1;
+                if i == s_left {
+                    return None;
+                }
+            }
+            let mut b = c;
+            for _ in 0..s_left - i - 1 {
+                b = self.msqr(&b);
+            }
+            c = self.msqr(&b);
+            t = self.mmul(&t, &c);
+            r = self.mmul(&r, &b);
+            s_left = i;
+        }
+        Some(r)
+    }
+
+    /// Builds [`SqrtConsts`] for a prime modulus.
+    fn sqrt_consts(&self) -> SqrtConsts {
+        let n1 = &self.n - &BigUint::one();
+        let s = n1.trailing_zeros();
+        let m = n1.shr(s);
+        let minus_one = self.msub(&self.zero_elem(), &self.one_elem());
+        // A non-residue's m-th power has order exactly 2^s; for s = 1 that
+        // is −1, whichever non-residue it is.
+        let c = if s == 1 {
+            minus_one
+        } else {
+            let half = n1.shr(1);
+            let z = (2u64..1 << 16)
+                .map(BigUint::from)
+                .take_while(|z| z < &self.n)
+                .map(|z| self.enter(&z))
+                .find(|z| self.mpow(z, &half) == minus_one)
+                .expect("msqrt needs a prime modulus");
+            self.mpow(&z, &m)
+        };
+        SqrtConsts { s, e: m.shr(1), c }
     }
 
     /// Batch in-domain inversion by Montgomery's trick: one [`Self::minv`]

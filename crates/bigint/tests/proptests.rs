@@ -1,6 +1,6 @@
 //! Property-based tests for `ppgr-bigint` arithmetic invariants.
 
-use ppgr_bigint::{modular, BigUint, Montgomery};
+use ppgr_bigint::{modular, BigUint, Montgomery, Montgomery4};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary BigUint up to `limbs` limbs.
@@ -42,8 +42,169 @@ fn plain_modpow(base: &BigUint, exp: u64, m: &BigUint) -> BigUint {
     acc
 }
 
+/// The secp160r1, secp224r1 and secp256r1 field primes: `p − 1 = 2^s·m`
+/// with `s = 1`, `96` and `1`, so both shapes of the square root run.
+const CURVE_PRIMES: [&str; 3] = [
+    "ffffffffffffffffffffffffffffffff7fffffff",
+    "ffffffffffffffffffffffffffffffff000000000000000000000001",
+    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
+];
+
+/// The RFC 2409 1024-bit and RFC 3526 2048-bit MODP safe primes.
+const DL_PRIMES: [&str; 2] = [
+    "FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1
+     29024E08 8A67CC74 020BBEA6 3B139B22 514A0879 8E3404DD
+     EF9519B3 CD3A431B 302B0A6D F25F1437 4FE1356D 6D51C245
+     E485B576 625E7EC6 F44C42E9 A637ED6B 0BFF5CB6 F406B7ED
+     EE386BFB 5A899FA5 AE9F2411 7C4B1FE6 49286651 ECE65381
+     FFFFFFFF FFFFFFFF",
+    "FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1
+     29024E08 8A67CC74 020BBEA6 3B139B22 514A0879 8E3404DD
+     EF9519B3 CD3A431B 302B0A6D F25F1437 4FE1356D 6D51C245
+     E485B576 625E7EC6 F44C42E9 A637ED6B 0BFF5CB6 F406B7ED
+     EE386BFB 5A899FA5 AE9F2411 7C4B1FE6 49286651 ECE45B3D
+     C2007CB8 A163BF05 98DA4836 1C55D39A 69163FA8 FD24CF5F
+     83655D23 DCA3AD96 1C62F356 208552BB 9ED52907 7096966D
+     670C354E 4ABC9804 F1746C08 CA18217C 32905E46 2E36CE3B
+     E39E772C 180E8603 9B2783A2 EC07A28F B5C55DF0 6F4C52C9
+     DE2BCBF6 95581718 3995497C EA956AE5 15D22618 98FA0510
+     15728E5A 8AACAA68 FFFFFFFF FFFFFFFF",
+];
+
+fn prime(hex: &str) -> BigUint {
+    BigUint::from_hex_str(hex).unwrap()
+}
+
+/// The two DL primes and the three curve primes.
+fn all_primes() -> Vec<BigUint> {
+    DL_PRIMES
+        .iter()
+        .chain(&CURVE_PRIMES)
+        .map(|h| prime(h))
+        .collect()
+}
+
+/// Euler's criterion `a^((p−1)/2) mod p` as `-1`, `0` or `1`, computed with
+/// `Montgomery::pow`: the reference for the Jacobi symbol and the square
+/// root modulo a prime.
+fn euler(a: &BigUint, p: &BigUint) -> i32 {
+    let e = Montgomery::new(p.clone()).pow(a, &p.shr(1));
+    if e.is_zero() {
+        0
+    } else if e.is_one() {
+        1
+    } else {
+        assert_eq!(&e + &BigUint::one(), *p, "Euler's criterion is ±1 or 0");
+        -1
+    }
+}
+
+/// The Jacobi symbol by the remainder recursion on plain `BigUint` values
+/// (one heap `%` per step): the reference for composite moduli, where
+/// Euler's criterion does not apply.
+fn jacobi_by_remainders(a: &BigUint, n: &BigUint) -> i32 {
+    let mut a = a % n;
+    let mut n = n.clone();
+    let mut sign = 1;
+    while !a.is_zero() {
+        let tz = a.trailing_zeros();
+        if tz % 2 == 1 && matches!(n.limbs()[0] & 7, 3 | 5) {
+            sign = -sign;
+        }
+        a = a.shr(tz);
+        if a.limbs()[0] & 3 == 3 && n.limbs()[0] & 3 == 3 {
+            sign = -sign;
+        }
+        std::mem::swap(&mut a, &mut n);
+        a = &a % &n;
+    }
+    if n.is_one() {
+        sign
+    } else {
+        0
+    }
+}
+
+#[test]
+fn jacobi_matches_eulers_criterion_at_the_edges() {
+    for p in all_primes() {
+        let one = BigUint::one();
+        let two = BigUint::from(2u64);
+        for a in [
+            one.clone(),
+            two.clone(),
+            BigUint::from(4u64),
+            &p - &two,
+            &p - &one,
+        ] {
+            assert_eq!(modular::jacobi(&a, &p), euler(&a, &p), "a = {a:?}");
+        }
+        assert_eq!(modular::jacobi(&BigUint::zero(), &p), 0);
+        assert_eq!(modular::jacobi(&p, &p), 0);
+    }
+}
+
+#[test]
+fn msqrt_of_zero_is_zero() {
+    for hex in CURVE_PRIMES {
+        let f = Montgomery4::new(prime(hex));
+        assert_eq!(f.msqrt(&f.zero_elem()), Some(f.zero_elem()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn jacobi_is_eulers_criterion_modulo_the_dl_and_curve_primes(
+        a in biguint(32),
+        which in 0usize..5,
+    ) {
+        let p = &all_primes()[which];
+        let a = &a % p;
+        prop_assert_eq!(modular::jacobi(&a, p), euler(&a, p));
+    }
+
+    #[test]
+    fn jacobi_matches_the_remainder_recursion(a in biguint(4), n in biguint(3)) {
+        // Any odd n > 0, prime or not, and a that may exceed it.
+        let n = if n.is_even() { &n + &BigUint::one() } else { n };
+        prop_assert_eq!(modular::jacobi(&a, &n), jacobi_by_remainders(&a, &n));
+    }
+
+    #[test]
+    fn small_context_pow_matches_the_wide_one(
+        a in biguint(4),
+        e in biguint(4),
+        which in 0usize..3,
+    ) {
+        // Exponents of every length up to 256 bits, so every top-window
+        // width and the short-exponent path run.
+        let p = prime(CURVE_PRIMES[which]);
+        let f = Montgomery4::new(p.clone());
+        let a = &a % &p;
+        prop_assert_eq!(f.leave(&f.mpow(&f.enter(&a), &e)), Montgomery::new(p).pow(&a, &e));
+    }
+
+    #[test]
+    fn msqrt_roots_exactly_the_residues_of_the_curve_fields(
+        a in biguint(4),
+        which in 0usize..3,
+    ) {
+        let p = prime(CURVE_PRIMES[which]);
+        let f = Montgomery4::new(p.clone());
+        let a = &a % &p;
+        let am = f.enter(&a);
+        let square = f.msqr(&am);
+        let r = f.msqrt(&square);
+        prop_assert!(r.is_some(), "a square has a root");
+        prop_assert_eq!(f.msqr(&r.unwrap()), square);
+        let root = f.msqrt(&am);
+        prop_assert_eq!(root.is_none(), euler(&a, &p) == -1);
+        if let Some(r) = root {
+            prop_assert_eq!(f.msqr(&r), am);
+        }
+    }
 
     #[test]
     fn add_commutes(a in biguint(6), b in biguint(6)) {

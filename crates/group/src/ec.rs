@@ -8,7 +8,7 @@
 
 use crate::traits::DecodeElementError;
 use crate::Element;
-use ppgr_bigint::{modular, BigUint, MontElem4, Montgomery4};
+use ppgr_bigint::{BigUint, MontElem4, Montgomery4};
 
 /// Parameters of a named curve.
 #[derive(Clone, Debug)]
@@ -156,6 +156,8 @@ pub struct EcGroup {
     fp: Montgomery4,
     /// `a` in Montgomery form.
     a_m: MontElem4,
+    /// `b` in Montgomery form.
+    b_m: MontElem4,
     /// All shipped curves have `a = p − 3`, enabling the faster doubling
     /// `M = 3(X − Z²)(X + Z²)`.
     a_is_minus3: bool,
@@ -175,6 +177,7 @@ impl EcGroup {
     pub fn new(params: CurveParams) -> Self {
         let fp = Montgomery4::new(params.p.clone());
         let a_m = fp.enter(&params.a);
+        let b_m = fp.enter(&params.b);
         let a_is_minus3 = {
             let three = BigUint::from(3u64);
             params.p.checked_sub(&three).as_ref() == Some(&params.a)
@@ -185,6 +188,7 @@ impl EcGroup {
             params,
             fp,
             a_m,
+            b_m,
             a_is_minus3,
             element_len,
             gen_table: std::sync::OnceLock::new(),
@@ -223,13 +227,14 @@ impl EcGroup {
             return false;
         }
         let f = &self.fp;
-        let xm = f.enter(x);
-        let ym = f.enter(y);
-        let lhs = f.msqr(&ym);
-        let x3 = f.mmul(&f.msqr(&xm), &xm);
-        let ax = f.mmul(&self.a_m, &xm);
-        let rhs = f.madd(&f.madd(&x3, &ax), &f.enter(&self.params.b));
-        lhs == rhs
+        f.msqr(&f.enter(y)) == self.curve_rhs(&f.enter(x))
+    }
+
+    /// `x³ + ax + b` for a Montgomery-form `x`.
+    fn curve_rhs(&self, x: &MontElem4) -> MontElem4 {
+        let f = &self.fp;
+        let x3 = f.mmul(&f.msqr(x), x);
+        f.madd(&f.madd(&x3, &f.mmul(&self.a_m, x)), &self.b_m)
     }
 
     pub(crate) fn to_jacobian(&self, p: &EcPoint) -> Jacobian {
@@ -829,7 +834,9 @@ impl EcGroup {
         out
     }
 
-    /// Decodes a compressed point, recovering `y` by Tonelli–Shanks.
+    /// Decodes a compressed point, recovering `y` as the square root of
+    /// `x³ + ax + b` that [`Montgomery4::msqrt`] takes without leaving the
+    /// field's Montgomery domain, negated if its parity is not the tag's.
     pub fn decode(&self, bytes: &[u8]) -> Result<EcPoint, DecodeElementError> {
         if bytes.len() != self.element_len {
             return Err(DecodeElementError {
@@ -853,18 +860,13 @@ impl EcGroup {
                         reason: "x out of range",
                     });
                 }
-                // y² = x³ + ax + b
                 let f = &self.fp;
-                let xm = f.enter(&x);
-                let rhs = f.madd(
-                    &f.madd(&f.mmul(&f.msqr(&xm), &xm), &f.mmul(&self.a_m, &xm)),
-                    &f.enter(&self.params.b),
-                );
-                let rhs = f.leave(&rhs);
-                let y =
-                    modular::sqrt_mod_prime(&rhs, &self.params.p).ok_or(DecodeElementError {
+                let y = f
+                    .msqrt(&self.curve_rhs(&f.enter(&x)))
+                    .ok_or(DecodeElementError {
                         reason: "x not on curve",
                     })?;
+                let y = f.leave(&y);
                 let want_odd = tag == 0x03;
                 let y = if y.is_odd() == want_odd {
                     y
