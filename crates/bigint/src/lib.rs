@@ -11,7 +11,9 @@
 //!   operation in the framework).
 //! * [`Montgomery4`] — the same for moduli of at most four limbs, on a
 //!   32-byte `Copy` element: the curve fields, including their in-domain
-//!   square root ([`Montgomery4::msqrt`]).
+//!   square root ([`Montgomery4::msqrt`]). Its two kernels implement
+//!   [`FieldKernel`], and [`with_kernel!`] runs code generic over that
+//!   trait with the context's kernel picked once.
 //! * [`modular`] — free-standing modular helpers: inverse (binary extended
 //!   gcd), Jacobi symbol (binary, in place on limbs), Tonelli–Shanks square
 //!   roots on `BigUint`.
@@ -50,7 +52,7 @@ mod uint;
 pub use ct::{ct_eq_limbs, ct_select_limb, ct_select_limbs};
 pub use fp::{Fp, FpCtx};
 pub use montgomery::{MontElem, Montgomery};
-pub use montgomery4::{MontElem4, Montgomery4};
+pub use montgomery4::{CiosKernel, FieldKernel, Kernel, MontElem4, Montgomery4, P160Kernel};
 pub use random::{random_below, random_bits, random_nbit};
 pub use secret::{Secret, Wipe};
 pub use uint::{BigUint, ParseBigUintError};

@@ -14,6 +14,16 @@
 //! [`Montgomery`](crate::Montgomery), but over a 32-byte [`MontElem4`] that
 //! is `Copy`. `ppgr-group`'s curve implementation runs entirely on this
 //! context; the DL groups keep the wide type.
+//!
+//! A context runs one of two kernels: [`P160Kernel`], a pseudo-Mersenne
+//! reduction for the secp160r1 prime, or [`CiosKernel`], Montgomery CIOS
+//! at the modulus's limb count. Each is a type implementing
+//! [`FieldKernel`], and code written generic over that trait runs every
+//! field operation inline. [`with_kernel!`](crate::with_kernel) matches on
+//! a context's kernel once and runs a block compiled for it, so a curve
+//! ladder or a whole batch pays one match instead of one per operation;
+//! [`Montgomery4::mpow`], [`Montgomery4::minv`], [`Montgomery4::msqrt`]
+//! and [`Montgomery4::batch_minv`] match once per call.
 
 // The limb kernels walk several same-index arrays (operand, modulus,
 // accumulator) while threading a carry/borrow; indexed loops are the
@@ -32,7 +42,8 @@ pub const MAX_LIMBS4: usize = 4;
 /// 32 bytes and `Copy`, so curve formulas that juggle a dozen field
 /// temporaries per point operation pay register/stack moves instead of the
 /// wide buffer copies of the general [`MontElem`](crate::MontElem).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// `Default` is zero, which every kernel represents alike.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MontElem4 {
     limbs: [u64; MAX_LIMBS4],
 }
@@ -40,20 +51,43 @@ pub struct MontElem4 {
 /// The secp160r1 field prime `2^160 − 2^31 − 1`, little-endian limbs.
 const P160: [u64; MAX_LIMBS4] = [0xFFFF_FFFF_7FFF_FFFF, 0xFFFF_FFFF_FFFF_FFFF, 0xFFFF_FFFF, 0];
 
-/// Which multiplication kernel a [`Montgomery4`] context runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kernel {
-    /// Montgomery CIOS on 1–4 limbs (any odd modulus).
-    Cios,
-    /// Pseudo-Mersenne reduction for the secp160r1 prime: elements stay in
-    /// *plain* residue form (`enter`/`leave` are copies and `R = 1`), and
-    /// products fold the high half down via `2^160 ≡ 2^31 + 1 (mod p)` —
-    /// additions and shifts instead of a second pass of word multiplies.
-    P160,
+/// Reduces a three-limb value below `2p` to a residue below the secp160r1
+/// prime.
+#[inline(always)]
+fn csub_p160(t: [u64; 3]) -> [u64; MAX_LIMBS4] {
+    // Subtract p unconditionally and select on the borrow — a
+    // data-dependent branch here mispredicts about half the time in every
+    // multiplication.
+    let (s0, b0) = t[0].overflowing_sub(P160[0]);
+    let (s1a, b1a) = t[1].overflowing_sub(P160[1]);
+    let (s1, b1b) = s1a.overflowing_sub(b0 as u64);
+    let (s2, b2) = t[2].overflowing_sub(P160[2] + (b1a as u64 + b1b as u64));
+    // `b2` set means t < p: keep t, else keep the difference.
+    let keep = (b2 as u64).wrapping_neg();
+    [
+        s0 ^ (keep & (s0 ^ t[0])),
+        s1 ^ (keep & (s1 ^ t[1])),
+        s2 ^ (keep & (s2 ^ t[2])),
+        0,
+    ]
+}
+
+/// Reduces a value `t < 2^192` to a residue below the secp160r1 prime.
+#[inline(always)]
+fn fold_p160(t: [u64; 3]) -> [u64; MAX_LIMBS4] {
+    // t = H·2^160 + L ≡ H·(2^31 + 1) + L with H < 2^32, so the tail is
+    // below 2^64 and folds in as a single-limb add; the sum is below
+    // 2^160 + 2^64 < 2p.
+    let h = t[2] >> 32;
+    let (r0, c0) = t[0].overflowing_add(h + (h << 31));
+    let (r1, c1) = t[1].overflowing_add(c0 as u64);
+    // Below 2^32 + 1: cannot overflow.
+    let r2 = (t[2] & 0xFFFF_FFFF) + c1 as u64;
+    csub_p160([r0, r1, r2])
 }
 
 /// Reduces a 320-bit product to a residue below the secp160r1 prime.
-#[inline]
+#[inline(always)]
 fn reduce_p160(t: &[u64; 6]) -> [u64; MAX_LIMBS4] {
     // First fold: X = H·2^160 + L ≡ H·(2^31 + 1) + L, with H < 2^160.
     let h0 = (t[2] >> 32) | (t[3] << 32);
@@ -75,61 +109,24 @@ fn reduce_p160(t: &[u64; 6]) -> [u64; MAX_LIMBS4] {
         s[i] = v as u64;
         carry = v >> 64;
     }
-    // Second fold: S < 2^192 leaves H2 = S >> 160 < 2^32, so the tail
-    // H2·(2^31 + 1) < 2^64 folds in as a single-limb add.
-    let h2 = s[2] >> 32;
-    let add = h2 + (h2 << 31);
-    let mut r = [s[0], s[1], s[2] & 0xFFFF_FFFF, 0];
-    let (v, c0) = r[0].overflowing_add(add);
-    r[0] = v;
-    if c0 {
-        let (v, c1) = r[1].overflowing_add(1);
-        r[1] = v;
-        if c1 {
-            r[2] += 1; // r2 < 2^32 + 1: cannot overflow
-        }
-    }
-    // R < 2^160 + 2^64 < 2p: at most one subtraction. Subtract p
-    // unconditionally and select on the borrow — a data-dependent branch
-    // here mispredicts about half the time in every multiplication.
-    let (s0, b0) = r[0].overflowing_sub(P160[0]);
-    let (s1a, b1a) = r[1].overflowing_sub(P160[1]);
-    let (s1, b1b) = s1a.overflowing_sub(b0 as u64);
-    let (s2, b2) = r[2].overflowing_sub(P160[2] + (b1a as u64 + b1b as u64));
-    // `b2` set means R < p: keep R, else keep the difference.
-    let keep = (b2 as u64).wrapping_neg();
-    [
-        s0 ^ (keep & (s0 ^ r[0])),
-        s1 ^ (keep & (s1 ^ r[1])),
-        s2 ^ (keep & (s2 ^ r[2])),
-        0,
-    ]
+    // Second fold: S < 2^192.
+    fold_p160([s[0], s[1], s[2]])
 }
 
 /// Branchless modular addition for secp160r1 residues (three live limbs).
-#[inline]
+#[inline(always)]
 fn add_p160(a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
-    // Sum < 2p < 2^161, so one subtraction of p restores the range. The top
-    // limbs are below 2^32, so their sum plus a carry cannot overflow.
+    // Sum < 2p < 2^161. The top limbs are below 2^32, so their sum plus a
+    // carry cannot overflow.
     let (t0, c0) = a[0].overflowing_add(b[0]);
     let (t1a, c1a) = a[1].overflowing_add(b[1]);
     let (t1, c1b) = t1a.overflowing_add(c0 as u64);
     let t2 = a[2] + b[2] + (c1a as u64 + c1b as u64);
-    let (s0, b0) = t0.overflowing_sub(P160[0]);
-    let (s1a, b1a) = t1.overflowing_sub(P160[1]);
-    let (s1, b1b) = s1a.overflowing_sub(b0 as u64);
-    let (s2, b2) = t2.overflowing_sub(P160[2] + (b1a as u64 + b1b as u64));
-    let keep = (b2 as u64).wrapping_neg();
-    [
-        s0 ^ (keep & (s0 ^ t0)),
-        s1 ^ (keep & (s1 ^ t1)),
-        s2 ^ (keep & (s2 ^ t2)),
-        0,
-    ]
+    csub_p160([t0, t1, t2])
 }
 
 /// Branchless modular subtraction for secp160r1 residues.
-#[inline]
+#[inline(always)]
 fn sub_p160(a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
     let (t0, b0) = a[0].overflowing_sub(b[0]);
     let (t1a, b1a) = a[1].overflowing_sub(b[1]);
@@ -146,8 +143,19 @@ fn sub_p160(a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
     [r0, r1, r2, 0]
 }
 
+/// `k·a` modulo the secp160r1 prime for `k < 2^31`: one limb product,
+/// below `2^191`, and one fold.
+#[inline(always)]
+fn small_p160(a: &[u64; MAX_LIMBS4], k: u64) -> [u64; MAX_LIMBS4] {
+    let p0 = a[0] as u128 * k as u128;
+    let p1 = a[1] as u128 * k as u128 + (p0 >> 64);
+    // a[2] < 2^32, so this limb is below 2^63 + 2^31.
+    let p2 = a[2] as u128 * k as u128 + (p1 >> 64);
+    fold_p160([p0 as u64, p1 as u64, p2 as u64])
+}
+
 /// Schoolbook 3×3-limb product + pseudo-Mersenne reduction mod secp160r1.
-#[inline]
+#[inline(always)]
 fn mul_p160(a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
     let mut t = [0u64; 6];
     for i in 0..3 {
@@ -165,7 +173,7 @@ fn mul_p160(a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
 
 /// Dedicated squaring mod secp160r1: six word multiplies instead of nine
 /// (the three cross products are computed once and doubled by shifting).
-#[inline]
+#[inline(always)]
 fn sqr_p160(a: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
     // Cross terms a0a1·2^64 + a0a2·2^128 + a1a2·2^192, then doubled.
     let c01 = a[0] as u128 * a[1] as u128;
@@ -206,54 +214,395 @@ fn sqr_p160(a: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
     reduce_p160(&t)
 }
 
-/// `base^exp` for a nonzero `exp` over one kernel's `mul` and `sqr`:
-/// square-and-multiply for exponents of at most 32 bits, else fixed 4-bit
-/// windows over a 16-entry table.
-fn pow_with(
-    base: &[u64; MAX_LIMBS4],
-    exp: &BigUint,
-    mul: impl Fn(&[u64; MAX_LIMBS4], &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4],
-    sqr: impl Fn(&[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4],
-) -> [u64; MAX_LIMBS4] {
-    let bits = exp.bits();
-    if bits <= 32 {
-        // Small exponent: plain square-and-multiply beats building a
-        // 16-entry window table.
-        let mut acc = *base;
-        for i in (0..bits - 1).rev() {
-            acc = sqr(&acc);
-            if exp.bit(i) {
-                acc = mul(&acc, base);
+/// The field arithmetic of one multiplication kernel of a [`Montgomery4`]
+/// context.
+///
+/// Curve formulas and exponentiation ladders are written once, generic
+/// over this trait, and run with the kernel's operations inline.
+/// [`with_kernel!`](crate::with_kernel) hands a context's kernel to such
+/// code, matching on it once. A kernel borrows its context: elements of
+/// one context mean nothing to another's kernel.
+pub trait FieldKernel: Copy {
+    /// The context this kernel computes in.
+    fn field(&self) -> &Montgomery4;
+
+    /// Enters the domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not below the modulus.
+    fn enter(&self, a: &BigUint) -> MontElem4;
+
+    /// Leaves the domain.
+    fn leave(&self, a: &MontElem4) -> BigUint;
+
+    /// The domain's `1`.
+    fn one(&self) -> MontElem4;
+
+    /// `a·b`.
+    fn mul(&self, a: &MontElem4, b: &MontElem4) -> MontElem4;
+
+    /// `a²`.
+    fn sqr(&self, a: &MontElem4) -> MontElem4;
+
+    /// `a + b`.
+    fn add(&self, a: &MontElem4, b: &MontElem4) -> MontElem4;
+
+    /// `a − b`.
+    fn sub(&self, a: &MontElem4, b: &MontElem4) -> MontElem4;
+
+    /// `K·a` for a constant `1 ≤ K < 2^31` (the curve formulas ask for 2,
+    /// 3, 4 and 8).
+    fn small<const K: u64>(&self, a: &MontElem4) -> MontElem4;
+
+    /// `base^exp`: square-and-multiply for exponents of at most 32 bits,
+    /// else fixed 4-bit windows over a 16-entry table.
+    fn pow(&self, base: &MontElem4, exp: &BigUint) -> MontElem4 {
+        let bits = exp.bits();
+        if bits == 0 {
+            return self.one();
+        }
+        if bits <= 32 {
+            // Small exponent: plain square-and-multiply beats building a
+            // 16-entry window table.
+            let mut acc = *base;
+            for i in (0..bits - 1).rev() {
+                acc = self.sqr(&acc);
+                if exp.bit(i) {
+                    acc = self.mul(&acc, base);
+                }
+            }
+            return acc;
+        }
+        // table[w] = base^w for w = 1..15 (entry 0 is never read).
+        let mut table = [*base; 16];
+        for i in 2..16 {
+            table[i] = self.mul(&table[i - 1], base);
+        }
+        // The `take` exponent bits below bit `i`, most significant first.
+        let window = |i: usize, take: usize| {
+            (0..take).fold(0usize, |w, k| w << 1 | exp.bit(i - 1 - k) as usize)
+        };
+        let top = match bits % 4 {
+            0 => 4,
+            r => r,
+        };
+        // The top window holds the leading bit, so it is nonzero.
+        let mut acc = table[window(bits, top)];
+        let mut i = bits - top;
+        while i > 0 {
+            for _ in 0..4 {
+                acc = self.sqr(&acc);
+            }
+            let w = window(i, 4);
+            if w != 0 {
+                acc = self.mul(&acc, &table[w]);
+            }
+            i -= 4;
+        }
+        acc
+    }
+
+    /// The inverse of a nonzero element by Fermat's little theorem
+    /// (`a^{n−2}`); the modulus must be prime, which holds for every curve
+    /// field the framework inverts under.
+    fn inv(&self, a: &MontElem4) -> MontElem4 {
+        let e = self
+            .field()
+            .n
+            .checked_sub(&BigUint::from(2u64))
+            .expect("modulus is at least 3");
+        self.pow(a, &e)
+    }
+
+    /// Batch inversion by Montgomery's trick: one [`Self::inv`] plus three
+    /// multiplications per element instead of one inversion each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element is zero.
+    fn batch_inv(&self, elems: &[MontElem4]) -> Vec<MontElem4> {
+        if elems.is_empty() {
+            return Vec::new();
+        }
+        // prefix[i] = elems[0]·…·elems[i]
+        let mut prefix = Vec::with_capacity(elems.len());
+        let mut acc = elems[0];
+        assert!(acc != MontElem4::default(), "cannot invert zero");
+        prefix.push(acc);
+        for e in &elems[1..] {
+            assert!(*e != MontElem4::default(), "cannot invert zero");
+            acc = self.mul(&acc, e);
+            prefix.push(acc);
+        }
+        let mut inv_acc = self.inv(prefix.last().expect("nonempty"));
+        let mut out = vec![MontElem4::default(); elems.len()];
+        for i in (1..elems.len()).rev() {
+            out[i] = self.mul(&inv_acc, &prefix[i - 1]);
+            inv_acc = self.mul(&inv_acc, &elems[i]);
+        }
+        out[0] = inv_acc;
+        out
+    }
+
+    /// Some `r` with `r² = a`, or `None` when `a` is a quadratic
+    /// non-residue; see [`Montgomery4::msqrt`].
+    fn sqrt(&self, a: &MontElem4) -> Option<MontElem4> {
+        if *a == MontElem4::default() {
+            return Some(*a);
+        }
+        let k = self.field().sqrt.get_or_init(|| sqrt_consts(self));
+        let one = self.one();
+        let w = self.pow(a, &k.e);
+        let mut r = self.mul(a, &w);
+        let mut t = self.mul(&r, &w);
+        // Invariants: r² = a·t, and c has order 2^s_left; t's order is
+        // below 2^s_left for a residue and 2^s_left for a non-residue.
+        let (mut c, mut s_left) = (k.c, k.s);
+        while t != one {
+            // The least i with t^(2^i) = 1.
+            let mut i = 0;
+            let mut t2 = t;
+            while t2 != one {
+                t2 = self.sqr(&t2);
+                i += 1;
+                if i == s_left {
+                    return None;
+                }
+            }
+            let mut b = c;
+            for _ in 0..s_left - i - 1 {
+                b = self.sqr(&b);
+            }
+            c = self.sqr(&b);
+            t = self.mul(&t, &c);
+            r = self.mul(&r, &b);
+            s_left = i;
+        }
+        Some(r)
+    }
+}
+
+/// The secp160r1 prime's kernel: elements stay in *plain* residue form
+/// (`enter`/`leave` are copies and `R = 1`), and products fold the high
+/// half down via `2^160 ≡ 2^31 + 1 (mod p)` — additions and shifts instead
+/// of a second pass of word multiplies.
+#[derive(Clone, Copy, Debug)]
+pub struct P160Kernel<'a>(&'a Montgomery4);
+
+impl FieldKernel for P160Kernel<'_> {
+    #[inline(always)]
+    fn field(&self) -> &Montgomery4 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn enter(&self, a: &BigUint) -> MontElem4 {
+        MontElem4 {
+            limbs: self.0.padded(a),
+        }
+    }
+
+    #[inline(always)]
+    fn leave(&self, a: &MontElem4) -> BigUint {
+        BigUint::from_limbs(a.limbs[..3].to_vec())
+    }
+
+    #[inline(always)]
+    fn one(&self) -> MontElem4 {
+        MontElem4 {
+            limbs: [1, 0, 0, 0],
+        }
+    }
+
+    #[inline(always)]
+    fn mul(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
+        MontElem4 {
+            limbs: mul_p160(&a.limbs, &b.limbs),
+        }
+    }
+
+    #[inline(always)]
+    fn sqr(&self, a: &MontElem4) -> MontElem4 {
+        MontElem4 {
+            limbs: sqr_p160(&a.limbs),
+        }
+    }
+
+    #[inline(always)]
+    fn add(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
+        MontElem4 {
+            limbs: add_p160(&a.limbs, &b.limbs),
+        }
+    }
+
+    #[inline(always)]
+    fn sub(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
+        MontElem4 {
+            limbs: sub_p160(&a.limbs, &b.limbs),
+        }
+    }
+
+    #[inline(always)]
+    fn small<const K: u64>(&self, a: &MontElem4) -> MontElem4 {
+        const { assert!(K >= 1 && K < 1 << 31, "small multiple out of range") };
+        MontElem4 {
+            limbs: small_p160(&a.limbs, K),
+        }
+    }
+}
+
+/// Montgomery CIOS on an odd modulus of exactly `S` limbs, `1 ≤ S ≤ 4`.
+#[derive(Clone, Copy, Debug)]
+pub struct CiosKernel<'a, const S: usize>(&'a Montgomery4);
+
+impl<const S: usize> FieldKernel for CiosKernel<'_, S> {
+    #[inline(always)]
+    fn field(&self) -> &Montgomery4 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn enter(&self, a: &BigUint) -> MontElem4 {
+        MontElem4 {
+            limbs: self.0.mont_mul_s::<S>(&self.0.padded(a), &self.0.r2.limbs),
+        }
+    }
+
+    #[inline(always)]
+    fn leave(&self, a: &MontElem4) -> BigUint {
+        let out = self.0.mont_mul_s::<S>(&a.limbs, &[1, 0, 0, 0]);
+        BigUint::from_limbs(out[..S].to_vec())
+    }
+
+    #[inline(always)]
+    fn one(&self) -> MontElem4 {
+        self.0.r1
+    }
+
+    #[inline(always)]
+    fn mul(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
+        MontElem4 {
+            limbs: self.0.mont_mul_s::<S>(&a.limbs, &b.limbs),
+        }
+    }
+
+    #[inline(always)]
+    fn sqr(&self, a: &MontElem4) -> MontElem4 {
+        self.mul(a, a)
+    }
+
+    /// Runs at the full four-limb width: with operands below `n` the sum
+    /// fits the buffer plus a carry bit, and the padded limbs of a narrower
+    /// modulus compare and subtract as zeros.
+    #[inline(always)]
+    fn add(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
+        let n = &self.0.n_limbs;
+        let mut t = [0u64; MAX_LIMBS4];
+        let mut carry = 0u128;
+        for i in 0..MAX_LIMBS4 {
+            let v = a.limbs[i] as u128 + b.limbs[i] as u128 + carry;
+            t[i] = v as u64;
+            carry = v >> 64;
+        }
+        let ge = carry != 0 || {
+            let mut ge = true;
+            for i in (0..MAX_LIMBS4).rev() {
+                if t[i] != n[i] {
+                    ge = t[i] > n[i];
+                    break;
+                }
+            }
+            ge
+        };
+        if ge {
+            let mut borrow = 0u64;
+            for i in 0..MAX_LIMBS4 {
+                let v = (t[i] as u128).wrapping_sub(n[i] as u128 + borrow as u128);
+                t[i] = v as u64;
+                borrow = ((v >> 64) as u64) & 1;
             }
         }
-        return acc;
+        MontElem4 { limbs: t }
     }
-    // table[w] = base^w for w = 1..15 (entry 0 is never read).
-    let mut table = [*base; 16];
-    for i in 2..16 {
-        table[i] = mul(&table[i - 1], base);
+
+    #[inline(always)]
+    fn sub(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
+        let mut t = [0u64; MAX_LIMBS4];
+        let mut borrow = 0u64;
+        for i in 0..MAX_LIMBS4 {
+            let v = (a.limbs[i] as u128).wrapping_sub(b.limbs[i] as u128 + borrow as u128);
+            t[i] = v as u64;
+            borrow = ((v >> 64) as u64) & 1;
+        }
+        if borrow != 0 {
+            // Add the modulus back.
+            let mut carry = 0u128;
+            for i in 0..MAX_LIMBS4 {
+                let v = t[i] as u128 + self.0.n_limbs[i] as u128 + carry;
+                t[i] = v as u64;
+                carry = v >> 64;
+            }
+        }
+        MontElem4 { limbs: t }
     }
-    // The `take` exponent bits below bit `i`, most significant first.
-    let window =
-        |i: usize, take: usize| (0..take).fold(0usize, |w, k| w << 1 | exp.bit(i - 1 - k) as usize);
-    let top = match bits % 4 {
-        0 => 4,
-        r => r,
+
+    #[inline(always)]
+    fn small<const K: u64>(&self, a: &MontElem4) -> MontElem4 {
+        const { assert!(K >= 1 && K < 1 << 31, "small multiple out of range") };
+        // Double-and-add down K's bits, unrolled for the constant: one
+        // addition for 2, two for 3 and 4, three for 8.
+        let mut acc = *a;
+        for i in (0..63 - K.leading_zeros()).rev() {
+            acc = self.add(&acc, &acc);
+            if K >> i & 1 == 1 {
+                acc = self.add(&acc, a);
+            }
+        }
+        acc
+    }
+}
+
+/// A [`Montgomery4`] context's kernel as a value of the kernel's own type,
+/// for [`with_kernel!`](crate::with_kernel) to compile a block for.
+#[derive(Clone, Copy, Debug)]
+pub enum Kernel<'a> {
+    /// The secp160r1 prime.
+    P160(P160Kernel<'a>),
+    /// CIOS on a one-limb modulus.
+    Cios1(CiosKernel<'a, 1>),
+    /// CIOS on a two-limb modulus.
+    Cios2(CiosKernel<'a, 2>),
+    /// CIOS on a three-limb modulus other than the secp160r1 prime.
+    Cios3(CiosKernel<'a, 3>),
+    /// CIOS on a four-limb modulus.
+    Cios4(CiosKernel<'a, 4>),
+}
+
+/// Runs `$body` with `$k` bound to the kernel of the [`Montgomery4`]
+/// context `$field`: one match, and one copy of `$body` per kernel type,
+/// in which every [`FieldKernel`] operation is a direct call the compiler
+/// can inline.
+///
+/// ```
+/// use ppgr_bigint::{with_kernel, BigUint, FieldKernel, Montgomery4};
+///
+/// let f = Montgomery4::new(BigUint::from(101u64));
+/// let a = f.enter(&BigUint::from(7u64));
+/// let cube = with_kernel!(&f, |k| k.mul(&k.sqr(&a), &a));
+/// assert_eq!(f.leave(&cube), BigUint::from(343u64 % 101));
+/// ```
+#[macro_export]
+macro_rules! with_kernel {
+    ($field:expr, |$k:ident| $body:expr) => {
+        match $crate::Montgomery4::kernel($field) {
+            $crate::Kernel::P160($k) => $body,
+            $crate::Kernel::Cios1($k) => $body,
+            $crate::Kernel::Cios2($k) => $body,
+            $crate::Kernel::Cios3($k) => $body,
+            $crate::Kernel::Cios4($k) => $body,
+        }
     };
-    // The top window holds the leading bit, so it is nonzero.
-    let mut acc = table[window(bits, top)];
-    let mut i = bits - top;
-    while i > 0 {
-        for _ in 0..4 {
-            acc = sqr(&acc);
-        }
-        let w = window(i, 4);
-        if w != 0 {
-            acc = mul(&acc, &table[w]);
-        }
-        i -= 4;
-    }
-    acc
 }
 
 /// Precomputed context for Montgomery multiplication modulo an odd `n` of
@@ -281,8 +630,8 @@ pub struct Montgomery4 {
     r2: MontElem4,
     /// `R mod n`, i.e. Montgomery form of `1`.
     r1: MontElem4,
-    /// Multiplication kernel (generic CIOS or the secp160r1 fast path).
-    kernel: Kernel,
+    /// Whether `n` is the secp160r1 prime, which runs [`P160Kernel`].
+    p160: bool,
     /// Square-root constants, built by the first [`Self::msqrt`].
     sqrt: OnceLock<SqrtConsts>,
 }
@@ -297,6 +646,30 @@ struct SqrtConsts {
     e: BigUint,
     /// `z^m` for a non-residue `z`, an element of order exactly `2^s`.
     c: MontElem4,
+}
+
+/// Builds [`SqrtConsts`] for a prime modulus.
+fn sqrt_consts<K: FieldKernel>(k: &K) -> SqrtConsts {
+    let n = &k.field().n;
+    let n1 = n - &BigUint::one();
+    let s = n1.trailing_zeros();
+    let m = n1.shr(s);
+    let minus_one = k.sub(&MontElem4::default(), &k.one());
+    // A non-residue's m-th power has order exactly 2^s; for s = 1 that
+    // is −1, whichever non-residue it is.
+    let c = if s == 1 {
+        minus_one
+    } else {
+        let half = n1.shr(1);
+        let z = (2u64..1 << 16)
+            .map(BigUint::from)
+            .take_while(|z| z < n)
+            .map(|z| k.enter(&z))
+            .find(|z| k.pow(z, &half) == minus_one)
+            .expect("msqrt needs a prime modulus");
+        k.pow(&z, &m)
+    };
+    SqrtConsts { s, e: m.shr(1), c }
 }
 
 impl Montgomery4 {
@@ -319,19 +692,16 @@ impl Montgomery4 {
         let n_prime = inv.wrapping_neg();
         let mut n_limbs = [0u64; MAX_LIMBS4];
         n_limbs[..limbs].copy_from_slice(n.limbs());
-        let kernel = if n_limbs == P160 {
-            Kernel::P160
-        } else {
-            Kernel::Cios
-        };
+        let p160 = n_limbs == P160;
         // The P160 kernel works on plain residues, so its "Montgomery form
         // of one" really is one (R = 1) and `r2` is never touched.
-        let (r1_big, r2_big) = match kernel {
-            Kernel::Cios => (
+        let (r1_big, r2_big) = if p160 {
+            (BigUint::one(), BigUint::one())
+        } else {
+            (
                 BigUint::power_of_two(64 * limbs) % &n,
                 BigUint::power_of_two(128 * limbs) % &n,
-            ),
-            Kernel::P160 => (BigUint::one(), BigUint::one()),
+            )
         };
         let to_fixed = |v: &BigUint| {
             let mut out = [0u64; MAX_LIMBS4];
@@ -344,7 +714,7 @@ impl Montgomery4 {
             n_prime,
             r2: to_fixed(&r2_big),
             r1: to_fixed(&r1_big),
-            kernel,
+            p160,
             n,
             sqrt: OnceLock::new(),
         }
@@ -355,8 +725,34 @@ impl Montgomery4 {
         &self.n
     }
 
-    /// CIOS Montgomery multiplication specialised to an `S`-limb modulus.
+    /// This context's kernel; [`with_kernel!`](crate::with_kernel) matches
+    /// on it.
     #[inline]
+    pub fn kernel(&self) -> Kernel<'_> {
+        match (self.p160, self.limbs) {
+            (true, _) => Kernel::P160(P160Kernel(self)),
+            (false, 1) => Kernel::Cios1(CiosKernel(self)),
+            (false, 2) => Kernel::Cios2(CiosKernel(self)),
+            (false, 3) => Kernel::Cios3(CiosKernel(self)),
+            (false, _) => Kernel::Cios4(CiosKernel(self)),
+        }
+    }
+
+    /// `a`'s limbs in the fixed buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= n` (callers reduce first; this is the hot path).
+    #[inline]
+    fn padded(&self, a: &BigUint) -> [u64; MAX_LIMBS4] {
+        assert!(a < &self.n, "operand must be reduced");
+        let mut buf = [0u64; MAX_LIMBS4];
+        buf[..a.limbs().len()].copy_from_slice(a.limbs());
+        buf
+    }
+
+    /// CIOS Montgomery multiplication specialised to an `S`-limb modulus.
+    #[inline(always)]
     fn mont_mul_s<const S: usize>(
         &self,
         a: &[u64; MAX_LIMBS4],
@@ -411,16 +807,6 @@ impl Montgomery4 {
         out
     }
 
-    #[inline]
-    fn mont_mul(&self, a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
-        match self.limbs {
-            1 => self.mont_mul_s::<1>(a, b),
-            2 => self.mont_mul_s::<2>(a, b),
-            3 => self.mont_mul_s::<3>(a, b),
-            _ => self.mont_mul_s::<4>(a, b),
-        }
-    }
-
     /// Enters Montgomery form.
     ///
     /// # Panics
@@ -428,29 +814,13 @@ impl Montgomery4 {
     /// Panics if `a >= n` (callers reduce first; this is the hot path).
     #[inline]
     pub fn enter(&self, a: &BigUint) -> MontElem4 {
-        assert!(a < &self.n, "operand must be reduced");
-        let mut buf = [0u64; MAX_LIMBS4];
-        buf[..a.limbs().len()].copy_from_slice(a.limbs());
-        match self.kernel {
-            Kernel::Cios => MontElem4 {
-                limbs: self.mont_mul(&buf, &self.r2.limbs),
-            },
-            Kernel::P160 => MontElem4 { limbs: buf },
-        }
+        with_kernel!(self, |k| k.enter(a))
     }
 
     /// Leaves Montgomery form.
     #[inline]
     pub fn leave(&self, a: &MontElem4) -> BigUint {
-        match self.kernel {
-            Kernel::Cios => {
-                let mut one = [0u64; MAX_LIMBS4];
-                one[0] = 1;
-                let out = self.mont_mul(&a.limbs, &one);
-                BigUint::from_limbs(out[..self.limbs].to_vec())
-            }
-            Kernel::P160 => BigUint::from_limbs(a.limbs[..self.limbs].to_vec()),
-        }
+        with_kernel!(self, |k| k.leave(a))
     }
 
     /// Montgomery form of `1`.
@@ -462,168 +832,26 @@ impl Montgomery4 {
     /// Montgomery form of `0`.
     #[inline]
     pub fn zero_elem(&self) -> MontElem4 {
-        MontElem4 {
-            limbs: [0u64; MAX_LIMBS4],
-        }
+        MontElem4::default()
     }
 
     /// Returns `true` if the element is zero (zero is fixed by the domain map).
     #[inline]
     pub fn is_zero_elem(&self, a: &MontElem4) -> bool {
-        a.limbs == [0u64; MAX_LIMBS4]
-    }
-
-    /// In-domain multiplication.
-    #[inline]
-    pub fn mmul(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
-        MontElem4 {
-            limbs: match self.kernel {
-                Kernel::Cios => self.mont_mul(&a.limbs, &b.limbs),
-                Kernel::P160 => mul_p160(&a.limbs, &b.limbs),
-            },
-        }
-    }
-
-    /// In-domain squaring.
-    #[inline]
-    pub fn msqr(&self, a: &MontElem4) -> MontElem4 {
-        match self.kernel {
-            Kernel::Cios => self.mmul(a, a),
-            Kernel::P160 => MontElem4 {
-                limbs: sqr_p160(&a.limbs),
-            },
-        }
-    }
-
-    /// In-domain addition (Montgomery form is linear, so plain modular add).
-    ///
-    /// Always runs at the full four-limb width: with operands below `n` the
-    /// sum fits the buffer plus a carry bit, and the padded limbs of a
-    /// narrower modulus compare/subtract as zeros, so no per-width dispatch
-    /// is needed for the linear ops.
-    #[inline]
-    pub fn madd(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
-        if self.kernel == Kernel::P160 {
-            return MontElem4 {
-                limbs: add_p160(&a.limbs, &b.limbs),
-            };
-        }
-        let n = &self.n_limbs;
-        let mut t = [0u64; MAX_LIMBS4];
-        let mut carry = 0u128;
-        for i in 0..MAX_LIMBS4 {
-            let v = a.limbs[i] as u128 + b.limbs[i] as u128 + carry;
-            t[i] = v as u64;
-            carry = v >> 64;
-        }
-        let ge = carry != 0 || {
-            let mut ge = true;
-            for i in (0..MAX_LIMBS4).rev() {
-                if t[i] != n[i] {
-                    ge = t[i] > n[i];
-                    break;
-                }
-            }
-            ge
-        };
-        if ge {
-            let mut borrow = 0u64;
-            for i in 0..MAX_LIMBS4 {
-                let v = (t[i] as u128).wrapping_sub(n[i] as u128 + borrow as u128);
-                t[i] = v as u64;
-                borrow = ((v >> 64) as u64) & 1;
-            }
-        }
-        MontElem4 { limbs: t }
-    }
-
-    /// In-domain subtraction.
-    #[inline]
-    pub fn msub(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
-        if self.kernel == Kernel::P160 {
-            return MontElem4 {
-                limbs: sub_p160(&a.limbs, &b.limbs),
-            };
-        }
-        let mut t = [0u64; MAX_LIMBS4];
-        let mut borrow = 0u64;
-        for i in 0..MAX_LIMBS4 {
-            let v = (a.limbs[i] as u128).wrapping_sub(b.limbs[i] as u128 + borrow as u128);
-            t[i] = v as u64;
-            borrow = ((v >> 64) as u64) & 1;
-        }
-        if borrow != 0 {
-            // Add the modulus back.
-            let mut carry = 0u128;
-            for i in 0..MAX_LIMBS4 {
-                let v = t[i] as u128 + self.n_limbs[i] as u128 + carry;
-                t[i] = v as u64;
-                carry = v >> 64;
-            }
-        }
-        MontElem4 { limbs: t }
-    }
-
-    /// In-domain doubling.
-    #[inline]
-    pub fn mdbl(&self, a: &MontElem4) -> MontElem4 {
-        self.madd(a, a)
-    }
-
-    /// In-domain small-constant multiple (`k` small; repeated doubling).
-    pub fn msmall(&self, a: &MontElem4, k: u64) -> MontElem4 {
-        // The curve formulas only ever ask for 3, 4, and 8; short add
-        // chains skip the generic loop's zero-accumulator bootstrap add.
-        match k {
-            2 => return self.mdbl(a),
-            3 => return self.madd(&self.mdbl(a), a),
-            4 => return self.mdbl(&self.mdbl(a)),
-            8 => return self.mdbl(&self.mdbl(&self.mdbl(a))),
-            _ => {}
-        }
-        let mut acc = self.zero_elem();
-        let mut base = *a;
-        let mut k = k;
-        while k > 0 {
-            if k & 1 == 1 {
-                acc = self.madd(&acc, &base);
-            }
-            k >>= 1;
-            if k > 0 {
-                base = self.mdbl(&base);
-            }
-        }
-        acc
+        *a == MontElem4::default()
     }
 
     /// In-domain windowed exponentiation: `a^exp` staying in Montgomery
     /// form throughout (no per-call domain conversions).
     pub fn mpow(&self, base: &MontElem4, exp: &BigUint) -> MontElem4 {
-        if exp.is_zero() {
-            return self.one_elem();
-        }
-        // The kernel is chosen once, so the whole ladder runs it inline.
-        let limbs = match self.kernel {
-            Kernel::Cios => pow_with(
-                &base.limbs,
-                exp,
-                |a, b| self.mont_mul(a, b),
-                |a| self.mont_mul(a, a),
-            ),
-            Kernel::P160 => pow_with(&base.limbs, exp, mul_p160, sqr_p160),
-        };
-        MontElem4 { limbs }
+        with_kernel!(self, |k| k.pow(base, exp))
     }
 
     /// In-domain inverse of a nonzero element via Fermat's little theorem
     /// (`a^{n-2}`); the modulus must be prime, which holds for every curve
     /// field the framework inverts under.
     pub fn minv(&self, a: &MontElem4) -> MontElem4 {
-        let e = self
-            .n
-            .checked_sub(&BigUint::from(2u64))
-            .expect("modulus is at least 3");
-        self.mpow(a, &e)
+        with_kernel!(self, |k| k.inv(a))
     }
 
     /// In-domain square root: some `r` with `r² = a`, or `None` when `a` is
@@ -647,61 +875,7 @@ impl Montgomery4 {
     /// non-residue. A composite modulus can have none; a prime's least
     /// non-residue is small (the P-224 field's is 11).
     pub fn msqrt(&self, a: &MontElem4) -> Option<MontElem4> {
-        if self.is_zero_elem(a) {
-            return Some(*a);
-        }
-        let k = self.sqrt.get_or_init(|| self.sqrt_consts());
-        let one = self.one_elem();
-        let w = self.mpow(a, &k.e);
-        let mut r = self.mmul(a, &w);
-        let mut t = self.mmul(&r, &w);
-        // Invariants: r² = a·t, and c has order 2^s_left; t's order is
-        // below 2^s_left for a residue and 2^s_left for a non-residue.
-        let (mut c, mut s_left) = (k.c, k.s);
-        while t != one {
-            // The least i with t^(2^i) = 1.
-            let mut i = 0;
-            let mut t2 = t;
-            while t2 != one {
-                t2 = self.msqr(&t2);
-                i += 1;
-                if i == s_left {
-                    return None;
-                }
-            }
-            let mut b = c;
-            for _ in 0..s_left - i - 1 {
-                b = self.msqr(&b);
-            }
-            c = self.msqr(&b);
-            t = self.mmul(&t, &c);
-            r = self.mmul(&r, &b);
-            s_left = i;
-        }
-        Some(r)
-    }
-
-    /// Builds [`SqrtConsts`] for a prime modulus.
-    fn sqrt_consts(&self) -> SqrtConsts {
-        let n1 = &self.n - &BigUint::one();
-        let s = n1.trailing_zeros();
-        let m = n1.shr(s);
-        let minus_one = self.msub(&self.zero_elem(), &self.one_elem());
-        // A non-residue's m-th power has order exactly 2^s; for s = 1 that
-        // is −1, whichever non-residue it is.
-        let c = if s == 1 {
-            minus_one
-        } else {
-            let half = n1.shr(1);
-            let z = (2u64..1 << 16)
-                .map(BigUint::from)
-                .take_while(|z| z < &self.n)
-                .map(|z| self.enter(&z))
-                .find(|z| self.mpow(z, &half) == minus_one)
-                .expect("msqrt needs a prime modulus");
-            self.mpow(&z, &m)
-        };
-        SqrtConsts { s, e: m.shr(1), c }
+        with_kernel!(self, |k| k.sqrt(a))
     }
 
     /// Batch in-domain inversion by Montgomery's trick: one [`Self::minv`]
@@ -711,27 +885,7 @@ impl Montgomery4 {
     ///
     /// Panics if any element is zero.
     pub fn batch_minv(&self, elems: &[MontElem4]) -> Vec<MontElem4> {
-        if elems.is_empty() {
-            return Vec::new();
-        }
-        // prefix[i] = elems[0]·…·elems[i]
-        let mut prefix = Vec::with_capacity(elems.len());
-        let mut acc = elems[0];
-        assert!(!self.is_zero_elem(&acc), "cannot invert zero");
-        prefix.push(acc);
-        for e in &elems[1..] {
-            assert!(!self.is_zero_elem(e), "cannot invert zero");
-            acc = self.mmul(&acc, e);
-            prefix.push(acc);
-        }
-        let mut inv_acc = self.minv(prefix.last().expect("nonempty"));
-        let mut out = vec![self.zero_elem(); elems.len()];
-        for i in (1..elems.len()).rev() {
-            out[i] = self.mmul(&inv_acc, &prefix[i - 1]);
-            inv_acc = self.mmul(&inv_acc, &elems[i]);
-        }
-        out[0] = inv_acc;
-        out
+        with_kernel!(self, |k| k.batch_inv(elems))
     }
 }
 
@@ -764,28 +918,19 @@ mod tests {
                 &BigUint::from_hex_str("123456789abcdef0123456789abcdef012345678").unwrap() % &n;
             let (am, bm) = (small.enter(&a), small.enter(&b));
             let (aw, bw) = (wide.enter(&a), wide.enter(&b));
-            assert_eq!(
-                small.leave(&small.mmul(&am, &bm)),
-                wide.leave(&wide.mmul(&aw, &bw))
-            );
-            assert_eq!(
-                small.leave(&small.madd(&am, &bm)),
-                wide.leave(&wide.madd(&aw, &bw))
-            );
-            assert_eq!(
-                small.leave(&small.msub(&am, &bm)),
-                wide.leave(&wide.msub(&aw, &bw))
-            );
-            assert_eq!(
-                small.leave(&small.msub(&bm, &am)),
-                wide.leave(&wide.msub(&bw, &aw))
-            );
-            assert_eq!(small.leave(&small.msqr(&am)), wide.leave(&wide.msqr(&aw)));
-            assert_eq!(small.leave(&small.mdbl(&am)), wide.leave(&wide.mdbl(&aw)));
-            assert_eq!(
-                small.leave(&small.msmall(&am, 8)),
-                wide.leave(&wide.msmall(&aw, 8))
-            );
+            with_kernel!(&small, |k| {
+                assert_eq!(k.leave(&k.mul(&am, &bm)), wide.leave(&wide.mmul(&aw, &bw)));
+                assert_eq!(k.leave(&k.add(&am, &bm)), wide.leave(&wide.madd(&aw, &bw)));
+                assert_eq!(k.leave(&k.sub(&am, &bm)), wide.leave(&wide.msub(&aw, &bw)));
+                assert_eq!(k.leave(&k.sub(&bm, &am)), wide.leave(&wide.msub(&bw, &aw)));
+                assert_eq!(k.leave(&k.sqr(&am)), wide.leave(&wide.msqr(&aw)));
+                assert_eq!(k.leave(&k.small::<2>(&am)), wide.leave(&wide.mdbl(&aw)));
+                assert_eq!(
+                    k.leave(&k.small::<8>(&am)),
+                    wide.leave(&wide.msmall(&aw, 8))
+                );
+                assert_eq!(k.leave(&k.one()), BigUint::one());
+            });
             let e = BigUint::from_hex_str("fedcba9876543210fedcba98").unwrap();
             assert_eq!(
                 small.leave(&small.mpow(&am, &e)),
@@ -803,8 +948,9 @@ mod tests {
             let small = Montgomery4::new(n.clone());
             let a = &BigUint::from_hex_str("deadbeefcafebabe0123456789").unwrap() % &n;
             let am = small.enter(&a);
+            let inv = small.minv(&am);
             assert_eq!(
-                small.leave(&small.mmul(&am, &small.minv(&am))),
+                with_kernel!(&small, |k| k.leave(&k.mul(&am, &inv))),
                 BigUint::one()
             );
             let elems: Vec<MontElem4> = (1u64..9)
@@ -812,7 +958,10 @@ mod tests {
                 .collect();
             let invs = small.batch_minv(&elems);
             for (e, inv) in elems.iter().zip(&invs) {
-                assert_eq!(small.leave(&small.mmul(e, inv)), BigUint::one());
+                assert_eq!(
+                    with_kernel!(&small, |k| k.leave(&k.mul(e, inv))),
+                    BigUint::one()
+                );
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for `ppgr-bigint` arithmetic invariants.
 
-use ppgr_bigint::{modular, BigUint, Montgomery, Montgomery4};
+use ppgr_bigint::{modular, with_kernel, BigUint, FieldKernel, Montgomery, Montgomery4};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary BigUint up to `limbs` limbs.
@@ -144,6 +144,41 @@ fn jacobi_matches_eulers_criterion_at_the_edges() {
     }
 }
 
+/// The moduli the field kernels are tested on: the three curve primes
+/// (the P-160 kernel, and CIOS at four limbs for P-224 and P-256), then
+/// random odd moduli of one, two and three limbs for CIOS at those widths.
+fn kernel_modulus(which: usize, limbs: &[u64]) -> BigUint {
+    match which {
+        0..=2 => prime(CURVE_PRIMES[which]),
+        _ => {
+            let mut m = limbs[..which - 2].to_vec();
+            m[0] |= 1;
+            *m.last_mut().unwrap() |= 1 << 63;
+            BigUint::from_limbs(m)
+        }
+    }
+}
+
+/// A kernel operand below `p`: `0`, `1`, `p − 1`, `p − 2`, a value whose
+/// third limb is at least `2^31` (on P-160 the top limb, where a small
+/// multiple's fold carries), or a random residue.
+fn kernel_operand(p: &BigUint, pick: u8, random: &BigUint) -> BigUint {
+    let one = BigUint::one();
+    match pick % 6 {
+        0 => BigUint::zero(),
+        1 => one,
+        2 => p - &one,
+        3 => p - &(&one + &one),
+        4 => {
+            let mut limbs = random.limbs().to_vec();
+            limbs.resize(3, 0);
+            limbs[2] = limbs[2] as u32 as u64 | 1 << 31;
+            &BigUint::from_limbs(limbs) % p
+        }
+        _ => random % p,
+    }
+}
+
 #[test]
 fn msqrt_of_zero_is_zero() {
     for hex in CURVE_PRIMES {
@@ -187,6 +222,42 @@ proptest! {
     }
 
     #[test]
+    fn field_kernels_match_the_wide_context(
+        which in 0usize..6,
+        limbs in prop::collection::vec(any::<u64>(), 3),
+        pick_a in any::<u8>(),
+        a in biguint(4),
+        pick_b in any::<u8>(),
+        b in biguint(4),
+    ) {
+        let p = kernel_modulus(which, &limbs);
+        let wide = Montgomery::new(p.clone());
+        let (a, b) = (kernel_operand(&p, pick_a, &a), kernel_operand(&p, pick_b, &b));
+        let (wa, wb) = (wide.enter(&a), wide.enter(&b));
+        let f = Montgomery4::new(p.clone());
+        with_kernel!(&f, |k| {
+            let (ka, kb) = (k.enter(&a), k.enter(&b));
+            let results = [
+                (k.mul(&ka, &kb), wide.mmul(&wa, &wb), "mul"),
+                (k.sqr(&ka), wide.msqr(&wa), "sqr"),
+                (k.add(&ka, &kb), wide.madd(&wa, &wb), "add"),
+                (k.sub(&ka, &kb), wide.msub(&wa, &wb), "sub"),
+                (k.sub(&kb, &ka), wide.msub(&wb, &wa), "reversed sub"),
+                (k.small::<2>(&ka), wide.msmall(&wa, 2), "2·"),
+                (k.small::<3>(&ka), wide.msmall(&wa, 3), "3·"),
+                (k.small::<4>(&ka), wide.msmall(&wa, 4), "4·"),
+                (k.small::<8>(&ka), wide.msmall(&wa, 8), "8·"),
+            ];
+            for (got, want, op) in results {
+                prop_assert_eq!(k.leave(&got), wide.leave(&want), "{} mod {:?}", op, p);
+                // Results are canonical: the domain maps fix them.
+                prop_assert_eq!(k.enter(&k.leave(&got)), got, "{} mod {:?}", op, p);
+            }
+            prop_assert_eq!(k.leave(&k.one()), BigUint::one());
+        });
+    }
+
+    #[test]
     fn msqrt_roots_exactly_the_residues_of_the_curve_fields(
         a in biguint(4),
         which in 0usize..3,
@@ -195,14 +266,15 @@ proptest! {
         let f = Montgomery4::new(p.clone());
         let a = &a % &p;
         let am = f.enter(&a);
-        let square = f.msqr(&am);
+        let sqr = |x| with_kernel!(&f, |k| k.sqr(&x));
+        let square = sqr(am);
         let r = f.msqrt(&square);
         prop_assert!(r.is_some(), "a square has a root");
-        prop_assert_eq!(f.msqr(&r.unwrap()), square);
+        prop_assert_eq!(sqr(r.unwrap()), square);
         let root = f.msqrt(&am);
         prop_assert_eq!(root.is_none(), euler(&a, &p) == -1);
         if let Some(r) = root {
-            prop_assert_eq!(f.msqr(&r), am);
+            prop_assert_eq!(sqr(r), am);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::traits::DecodeElementError;
 use crate::Element;
-use ppgr_bigint::{BigUint, MontElem4, Montgomery4};
+use ppgr_bigint::{with_kernel, BigUint, FieldKernel, MontElem4, Montgomery4};
 
 /// Parameters of a named curve.
 #[derive(Clone, Debug)]
@@ -116,8 +116,9 @@ impl std::fmt::Debug for EcPoint {
 }
 
 /// A Jacobian point with Montgomery-form coordinates: `(X : Y : Z)`,
-/// representing affine `(X/Z², Y/Z³)`; `Z = 0` is infinity.
-#[derive(Clone, Debug)]
+/// representing affine `(X/Z², Y/Z³)`; `Z = 0` is infinity. `Default`
+/// is `(0 : 0 : 0)`, an infinity that only fills lane arrays.
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Jacobian {
     pub(crate) x: MontElem4,
     pub(crate) y: MontElem4,
@@ -127,33 +128,54 @@ pub(crate) struct Jacobian {
 /// An affine point with coordinates still *in* the Montgomery domain
 /// (never infinity). Adding one of these to a Jacobian point is a mixed
 /// addition — `Z₂ = 1` drops four multiplications and a squaring from the
-/// general formula — and a whole batch of wNAF tables can be normalized
-/// to this form with a single shared field inversion, so the batch
-/// multiplication ladders get mixed-addition pricing without paying an
-/// inversion per table entry.
-#[derive(Clone)]
+/// general formula — and a whole batch of wNAF tables or comb rows can be
+/// normalized to this form with a single shared field inversion, so the
+/// ladders get mixed-addition pricing without paying an inversion per
+/// table entry.
+#[derive(Clone, Copy, Debug)]
 struct MontAffine {
     x: MontElem4,
     y: MontElem4,
 }
 
-/// A fixed-base comb table for one curve point: `rows[i][d] = (d·16^i)·P`.
+/// `[f(0), …, f(L − 1)]`, the one way the lane formulas build a lane
+/// array. An `#[inline(always)]` fill loop: with `std::array::from_fn` in
+/// its place the two-lane hop ran 1.1–1.2× slower.
+#[inline(always)]
+fn lanes<T: Copy + Default, const L: usize>(mut f: impl FnMut(usize) -> T) -> [T; L] {
+    let mut out = [T::default(); L];
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = f(i);
+    }
+    out
+}
+
+/// The odd-multiple table entry `|d|·P` of a nonzero wNAF digit `d`.
+fn odd_entry(table: &[MontAffine], d: i8) -> &MontAffine {
+    &table[d.unsigned_abs() as usize / 2]
+}
+
+/// A fixed-base comb table for one curve point: row `i` holds
+/// `(d·16^i)·P` for `d = 1..15`, normalized to affine form through one
+/// batched field inversion when the table is built.
 ///
 /// Built once per base with [`EcGroup::build_comb`]; afterwards every
-/// scalar multiplication by that base costs one Jacobian addition per four
-/// scalar bits and no doublings. Building costs 15 additions per row
-/// (≈ 40 rows·15 for a 160-bit order), so a table amortizes after roughly
-/// three scalar multiplications.
+/// scalar multiplication by that base costs one mixed addition per nonzero
+/// four-bit window and no doublings. Building costs 16 general additions
+/// per row (≈ 41 rows for a 160-bit order) plus the normalization, so a
+/// table amortizes after a few scalar multiplications.
 #[derive(Debug)]
 pub struct EcComb {
-    rows: Vec<Vec<Jacobian>>,
+    /// The rows, 15 entries each, concatenated; empty for the point at
+    /// infinity.
+    entries: Vec<MontAffine>,
 }
 
 /// A prime-order elliptic-curve group.
 #[derive(Debug)]
 pub struct EcGroup {
     params: CurveParams,
-    fp: Montgomery4,
+    pub(crate) fp: Montgomery4,
     /// `a` in Montgomery form.
     a_m: MontElem4,
     /// `b` in Montgomery form.
@@ -226,28 +248,24 @@ impl EcGroup {
         if x >= &self.params.p || y >= &self.params.p {
             return false;
         }
-        let f = &self.fp;
-        f.msqr(&f.enter(y)) == self.curve_rhs(&f.enter(x))
+        with_kernel!(&self.fp, |k| {
+            k.sqr(&k.enter(y)) == self.curve_rhs(k, &k.enter(x))
+        })
     }
 
     /// `x³ + ax + b` for a Montgomery-form `x`.
-    fn curve_rhs(&self, x: &MontElem4) -> MontElem4 {
-        let f = &self.fp;
-        let x3 = f.mmul(&f.msqr(x), x);
-        f.madd(&f.madd(&x3, &f.mmul(&self.a_m, x)), &self.b_m)
+    fn curve_rhs<K: FieldKernel>(&self, k: K, x: &MontElem4) -> MontElem4 {
+        let x3 = k.mul(&k.sqr(x), x);
+        k.add(&k.add(&x3, &k.mul(&self.a_m, x)), &self.b_m)
     }
 
-    pub(crate) fn to_jacobian(&self, p: &EcPoint) -> Jacobian {
+    pub(crate) fn to_jacobian<K: FieldKernel>(&self, k: K, p: &EcPoint) -> Jacobian {
         match p.xy() {
-            None => Jacobian {
-                x: self.fp.one_elem(),
-                y: self.fp.one_elem(),
-                z: self.fp.zero_elem(),
-            },
+            None => self.jac_infinity(),
             Some((x, y)) => Jacobian {
-                x: self.fp.enter(x),
-                y: self.fp.enter(y),
-                z: self.fp.one_elem(),
+                x: k.enter(x),
+                y: k.enter(y),
+                z: k.one(),
             },
         }
     }
@@ -261,67 +279,133 @@ impl EcGroup {
         }
     }
 
-    pub(crate) fn to_affine(&self, p: &Jacobian) -> EcPoint {
-        let f = &self.fp;
-        if f.is_zero_elem(&p.z) {
+    /// `(X/Z², Y/Z³)` for a finite `p` and `zi = 1/Z`.
+    fn normalize<K: FieldKernel>(&self, k: K, p: &Jacobian, zi: &MontElem4) -> MontAffine {
+        let zi2 = k.sqr(zi);
+        let zi3 = k.mul(&zi2, zi);
+        MontAffine {
+            x: k.mul(&p.x, &zi2),
+            y: k.mul(&p.y, &zi3),
+        }
+    }
+
+    pub(crate) fn to_affine<K: FieldKernel>(&self, k: K, p: &Jacobian) -> EcPoint {
+        if self.fp.is_zero_elem(&p.z) {
             return EcPoint::infinity();
         }
         // In-domain Fermat inversion: much faster than a BigUint extended
         // GCD, and it avoids two domain conversions.
-        let zi = f.minv(&p.z);
-        let zi2 = f.msqr(&zi);
-        let zi3 = f.mmul(&zi2, &zi);
-        let x = f.leave(&f.mmul(&p.x, &zi2));
-        let y = f.leave(&f.mmul(&p.y, &zi3));
-        EcPoint::affine(x, y)
+        let a = self.normalize(k, p, &k.inv(&p.z));
+        EcPoint::affine(k.leave(&a.x), k.leave(&a.y))
     }
 
     /// Normalizes many Jacobian points with a single field inversion
     /// (Montgomery's batch-inversion trick): three multiplications per
     /// point replace one inversion each.
-    pub(crate) fn to_affine_batch(&self, points: &[Jacobian]) -> Vec<EcPoint> {
+    fn to_affine_batch<K: FieldKernel>(&self, k: K, points: &[Jacobian]) -> Vec<EcPoint> {
         let f = &self.fp;
         let finite: Vec<usize> = (0..points.len())
             .filter(|&i| !f.is_zero_elem(&points[i].z))
             .collect();
         let zs: Vec<MontElem4> = finite.iter().map(|&i| points[i].z).collect();
-        let z_invs = f.batch_minv(&zs);
+        let z_invs = k.batch_inv(&zs);
         let mut out = vec![EcPoint::infinity(); points.len()];
         for (&i, zi) in finite.iter().zip(&z_invs) {
-            let zi2 = f.msqr(zi);
-            let zi3 = f.mmul(&zi2, zi);
-            let x = f.leave(&f.mmul(&points[i].x, &zi2));
-            let y = f.leave(&f.mmul(&points[i].y, &zi3));
-            out[i] = EcPoint::affine(x, y);
+            let a = self.normalize(k, &points[i], zi);
+            out[i] = EcPoint::affine(k.leave(&a.x), k.leave(&a.y));
         }
         out
     }
 
-    /// Jacobian doubling:
+    /// Normalizes finite Jacobian points to [`MontAffine`] form through one
+    /// shared field inversion.
+    fn to_mont_affine_batch<K: FieldKernel>(&self, k: K, points: &[Jacobian]) -> Vec<MontAffine> {
+        let zs: Vec<MontElem4> = points.iter().map(|p| p.z).collect();
+        let z_invs = k.batch_inv(&zs);
+        points
+            .iter()
+            .zip(&z_invs)
+            .map(|(p, zi)| self.normalize(k, p, zi))
+            .collect()
+    }
+
+    /// Jacobian doubling of `L` points side by side, each field operation
+    /// applied to every lane before the next, so the kernel works on `L`
+    /// independent dependency chains at once:
     /// `S = 4XY²; M = 3X² + aZ⁴; X' = M² − 2S; Y' = M(S − X') − 8Y⁴; Z' = 2YZ`.
     ///
     /// For `a = p − 3` (all shipped curves), `M = 3(X − Z²)(X + Z²)`, which
     /// trades two squarings and a multiplication for one multiplication.
-    pub(crate) fn jac_double(&self, p: &Jacobian) -> Jacobian {
+    /// A lane at infinity or with `Y = 0` doubles to infinity.
+    #[inline]
+    pub(crate) fn jac_double<K: FieldKernel, const L: usize>(
+        &self,
+        k: K,
+        p: [&Jacobian; L],
+    ) -> [Jacobian; L] {
         let f = &self.fp;
-        if f.is_zero_elem(&p.z) || f.is_zero_elem(&p.y) {
+        let inf: [bool; L] = lanes(|i| f.is_zero_elem(&p[i].z) || f.is_zero_elem(&p[i].y));
+        if inf.iter().all(|&b| b) {
+            return [self.jac_infinity(); L];
+        }
+        let y2: [_; L] = lanes(|i| k.sqr(&p[i].y));
+        let s: [_; L] = lanes(|i| k.small::<4>(&k.mul(&p[i].x, &y2[i])));
+        let z2: [_; L] = lanes(|i| k.sqr(&p[i].z));
+        let m: [_; L] = if self.a_is_minus3 {
+            lanes(|i| k.small::<3>(&k.mul(&k.sub(&p[i].x, &z2[i]), &k.add(&p[i].x, &z2[i]))))
+        } else {
+            lanes(|i| {
+                k.add(
+                    &k.small::<3>(&k.sqr(&p[i].x)),
+                    &k.mul(&self.a_m, &k.sqr(&z2[i])),
+                )
+            })
+        };
+        let x3: [_; L] = lanes(|i| k.sub(&k.sqr(&m[i]), &k.small::<2>(&s[i])));
+        let y4: [_; L] = lanes(|i| k.sqr(&y2[i]));
+        let y3: [_; L] =
+            lanes(|i| k.sub(&k.mul(&m[i], &k.sub(&s[i], &x3[i])), &k.small::<8>(&y4[i])));
+        let z3: [_; L] = lanes(|i| k.small::<2>(&k.mul(&p[i].y, &p[i].z)));
+        lanes(|i| match inf[i] {
+            true => self.jac_infinity(),
+            false => Jacobian {
+                x: x3[i],
+                y: y3[i],
+                z: z3[i],
+            },
+        })
+    }
+
+    /// General Jacobian addition.
+    pub(crate) fn jac_add<K: FieldKernel>(&self, k: K, p: &Jacobian, q: &Jacobian) -> Jacobian {
+        let f = &self.fp;
+        if f.is_zero_elem(&p.z) {
+            return *q;
+        }
+        if f.is_zero_elem(&q.z) {
+            return *p;
+        }
+        let z1z1 = k.sqr(&p.z);
+        let z2z2 = k.sqr(&q.z);
+        let u1 = k.mul(&p.x, &z2z2);
+        let u2 = k.mul(&q.x, &z1z1);
+        let s1 = k.mul(&k.mul(&p.y, &q.z), &z2z2);
+        let s2 = k.mul(&k.mul(&q.y, &p.z), &z1z1);
+        let h = k.sub(&u2, &u1);
+        let r = k.sub(&s2, &s1);
+        if f.is_zero_elem(&h) {
+            if f.is_zero_elem(&r) {
+                let [d] = self.jac_double(k, [p]);
+                return d;
+            }
             return self.jac_infinity();
         }
-        let y2 = f.msqr(&p.y);
-        let s = f.msmall(&f.mmul(&p.x, &y2), 4);
-        let z2 = f.msqr(&p.z);
-        let m = if self.a_is_minus3 {
-            f.msmall(&f.mmul(&f.msub(&p.x, &z2), &f.madd(&p.x, &z2)), 3)
-        } else {
-            f.madd(
-                &f.msmall(&f.msqr(&p.x), 3),
-                &f.mmul(&self.a_m, &f.msqr(&z2)),
-            )
-        };
-        let x3 = f.msub(&f.msqr(&m), &f.mdbl(&s));
-        let y4 = f.msqr(&y2);
-        let y3 = f.msub(&f.mmul(&m, &f.msub(&s, &x3)), &f.msmall(&y4, 8));
-        let z3 = f.mdbl(&f.mmul(&p.y, &p.z));
+        let hh = k.sqr(&h);
+        let hhh = k.mul(&h, &hh);
+        let v = k.mul(&u1, &hh);
+        let x3 = k.sub(&k.sub(&k.sqr(&r), &hhh), &k.small::<2>(&v));
+        let y3 = k.sub(&k.mul(&r, &k.sub(&v, &x3)), &k.mul(&s1, &hhh));
+        let z3 = k.mul(&k.mul(&p.z, &q.z), &h);
         Jacobian {
             x: x3,
             y: y3,
@@ -329,49 +413,74 @@ impl EcGroup {
         }
     }
 
-    /// General Jacobian addition.
-    pub(crate) fn jac_add(&self, p: &Jacobian, q: &Jacobian) -> Jacobian {
+    /// Mixed addition `P + Q` (or `P − Q` where `negate_q`) of `L` Jacobian
+    /// points and normalized [`MontAffine`] points side by side, like
+    /// [`Self::jac_double`]: `Z₂ = 1` reduces the general 12M+4S addition
+    /// to 8M+3S. Negating `Q` costs one field subtraction, which is what
+    /// makes signed (wNAF) digits free here. A lane where `P` is infinity
+    /// yields `±Q`; one where `H = 0` (`P = ±Q`) yields `2P` or infinity.
+    #[inline]
+    fn jac_add_mixed<K: FieldKernel, const L: usize>(
+        &self,
+        k: K,
+        p: [&Jacobian; L],
+        q: [&MontAffine; L],
+        negate_q: [bool; L],
+    ) -> [Jacobian; L] {
         let f = &self.fp;
-        if f.is_zero_elem(&p.z) {
-            return q.clone();
+        let qy: [_; L] = lanes(|i| match negate_q[i] {
+            true => k.sub(&f.zero_elem(), &q[i].y),
+            false => q[i].y,
+        });
+        let q_jac = |i: usize| Jacobian {
+            x: q[i].x,
+            y: qy[i],
+            z: k.one(),
+        };
+        let at_inf: [bool; L] = lanes(|i| f.is_zero_elem(&p[i].z));
+        if at_inf.iter().all(|&b| b) {
+            return lanes(q_jac);
         }
-        if f.is_zero_elem(&q.z) {
-            return p.clone();
-        }
-        let z1z1 = f.msqr(&p.z);
-        let z2z2 = f.msqr(&q.z);
-        let u1 = f.mmul(&p.x, &z2z2);
-        let u2 = f.mmul(&q.x, &z1z1);
-        let s1 = f.mmul(&f.mmul(&p.y, &q.z), &z2z2);
-        let s2 = f.mmul(&f.mmul(&q.y, &p.z), &z1z1);
-        let h = f.msub(&u2, &u1);
-        let r = f.msub(&s2, &s1);
-        if f.is_zero_elem(&h) {
-            if f.is_zero_elem(&r) {
-                return self.jac_double(p);
+        let z1z1: [_; L] = lanes(|i| k.sqr(&p[i].z));
+        let u2: [_; L] = lanes(|i| k.mul(&q[i].x, &z1z1[i]));
+        let s2: [_; L] = lanes(|i| k.mul(&k.mul(&qy[i], &p[i].z), &z1z1[i]));
+        let h: [_; L] = lanes(|i| k.sub(&u2[i], &p[i].x));
+        let r: [_; L] = lanes(|i| k.sub(&s2[i], &p[i].y));
+        let hh: [_; L] = lanes(|i| k.sqr(&h[i]));
+        let hhh: [_; L] = lanes(|i| k.mul(&h[i], &hh[i]));
+        let v: [_; L] = lanes(|i| k.mul(&p[i].x, &hh[i]));
+        let x3: [_; L] = lanes(|i| k.sub(&k.sub(&k.sqr(&r[i]), &hhh[i]), &k.small::<2>(&v[i])));
+        let y3: [_; L] = lanes(|i| {
+            k.sub(
+                &k.mul(&r[i], &k.sub(&v[i], &x3[i])),
+                &k.mul(&p[i].y, &hhh[i]),
+            )
+        });
+        let z3: [_; L] = lanes(|i| k.mul(&p[i].z, &h[i]));
+        lanes(|i| {
+            if at_inf[i] {
+                q_jac(i)
+            } else if !f.is_zero_elem(&h[i]) {
+                Jacobian {
+                    x: x3[i],
+                    y: y3[i],
+                    z: z3[i],
+                }
+            } else if f.is_zero_elem(&r[i]) {
+                let [d] = self.jac_double(k, [p[i]]);
+                d
+            } else {
+                self.jac_infinity()
             }
-            return Jacobian {
-                x: f.one_elem(),
-                y: f.one_elem(),
-                z: f.zero_elem(),
-            };
-        }
-        let hh = f.msqr(&h);
-        let hhh = f.mmul(&h, &hh);
-        let v = f.mmul(&u1, &hh);
-        let x3 = f.msub(&f.msub(&f.msqr(&r), &hhh), &f.mdbl(&v));
-        let y3 = f.msub(&f.mmul(&r, &f.msub(&v, &x3)), &f.mmul(&s1, &hhh));
-        let z3 = f.mmul(&f.mmul(&p.z, &q.z), &h);
-        Jacobian {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        })
     }
 
     /// Affine point addition.
     pub fn add(&self, p: &EcPoint, q: &EcPoint) -> EcPoint {
-        self.to_affine(&self.jac_add(&self.to_jacobian(p), &self.to_jacobian(q)))
+        with_kernel!(&self.fp, |k| {
+            let sum = self.jac_add(k, &self.to_jacobian(k, p), &self.to_jacobian(k, q));
+            self.to_affine(k, &sum)
+        })
     }
 
     /// Point negation.
@@ -389,54 +498,46 @@ impl EcGroup {
         }
     }
 
-    /// Builds the `1·P .. 15·P` window table (index 0 is infinity).
-    fn window_table(&self, base: &Jacobian) -> Vec<Jacobian> {
-        let mut table = Vec::with_capacity(16);
-        table.push(self.jac_infinity());
-        table.push(base.clone());
-        for i in 2..16usize {
-            let prev = self.jac_add(&table[i - 1], base);
-            table.push(prev);
-        }
-        table
-    }
-
-    /// Core variable-base scalar multiplication; `k` must already be
-    /// reduced modulo the group order.
-    fn scalar_mul_jac(&self, base: &Jacobian, k: &BigUint) -> Jacobian {
-        if k.is_zero() || self.fp.is_zero_elem(&base.z) {
+    /// Core variable-base scalar multiplication with a 4-bit window; `e`
+    /// must already be reduced modulo the group order.
+    fn scalar_mul_jac<K: FieldKernel>(&self, k: K, base: &Jacobian, e: &BigUint) -> Jacobian {
+        if e.is_zero() || self.fp.is_zero_elem(&base.z) {
             return self.jac_infinity();
         }
-        let bits = k.bits();
+        let bits = e.bits();
         if bits <= 32 {
             // Small scalars (circuit weights, decode probes): plain binary
             // double-and-add beats amortizing a 15-addition window table.
-            let mut acc = base.clone();
+            let mut acc = *base;
             for i in (0..bits - 1).rev() {
-                acc = self.jac_double(&acc);
-                if k.bit(i) {
-                    acc = self.jac_add(&acc, base);
+                [acc] = self.jac_double(k, [&acc]);
+                if e.bit(i) {
+                    acc = self.jac_add(k, &acc, base);
                 }
             }
             return acc;
         }
-        let table = self.window_table(base);
+        // table[w] = w·P for w = 0..15.
+        let mut table = vec![self.jac_infinity(), *base];
+        for i in 2..16usize {
+            table.push(self.jac_add(k, &table[i - 1], base));
+        }
         let mut acc: Option<Jacobian> = None;
         let mut i = bits;
         while i > 0 {
             let take = if i.is_multiple_of(4) { 4 } else { i % 4 };
             let mut window = 0usize;
             for t in 0..take {
-                window = window << 1 | k.bit(i - 1 - t) as usize;
+                window = window << 1 | e.bit(i - 1 - t) as usize;
             }
             acc = Some(match acc {
-                None => table[window].clone(),
+                None => table[window],
                 Some(mut a) => {
                     for _ in 0..take {
-                        a = self.jac_double(&a);
+                        [a] = self.jac_double(k, [&a]);
                     }
                     if window != 0 {
-                        a = self.jac_add(&a, &table[window]);
+                        a = self.jac_add(k, &a, &table[window]);
                     }
                     a
                 }
@@ -447,152 +548,200 @@ impl EcGroup {
         acc.expect("nonzero scalar")
     }
 
-    /// Scalar multiplication `k·P` with a 4-bit window.
-    pub fn scalar_mul(&self, p: &EcPoint, k: &BigUint) -> EcPoint {
-        let k = k % &self.params.n;
-        if k.is_zero() || p.is_infinity() {
+    /// Scalar multiplication `e·P` with a 4-bit window.
+    pub fn scalar_mul(&self, p: &EcPoint, e: &BigUint) -> EcPoint {
+        let e = e % &self.params.n;
+        if e.is_zero() || p.is_infinity() {
             return EcPoint::infinity();
         }
-        self.to_affine(&self.scalar_mul_jac(&self.to_jacobian(p), &k))
+        with_kernel!(&self.fp, |k| {
+            let jac = self.scalar_mul_jac(k, &self.to_jacobian(k, p), &e);
+            self.to_affine(k, &jac)
+        })
     }
 
-    /// Builds a fixed-base comb table for `p`: `rows[i][d] = (d·16^i)·P`.
+    /// Builds a fixed-base comb table for `p`: row `i` holds `(d·16^i)·P`
+    /// for `d = 1..15`. Each entry is a nonzero multiple of `P` below the
+    /// prime order, so none is infinity and one batched inversion
+    /// normalizes them all.
     pub fn build_comb(&self, p: &EcPoint) -> EcComb {
-        let rows = self.params.n.bits().div_ceil(4);
-        let inf = self.jac_infinity();
-        let mut base = self.to_jacobian(p);
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let mut row = Vec::with_capacity(16);
-            row.push(inf.clone());
-            for d in 1..16 {
-                let prev = self.jac_add(&row[d - 1], &base);
-                row.push(prev);
-            }
-            base = self.jac_add(&row[15], &base);
-            out.push(row);
+        if p.is_infinity() {
+            return EcComb {
+                entries: Vec::new(),
+            };
         }
-        EcComb { rows: out }
+        let rows = self.params.n.bits().div_ceil(4);
+        with_kernel!(&self.fp, |k| {
+            let mut base = self.to_jacobian(k, p);
+            let mut jacs = Vec::with_capacity(15 * rows);
+            for _ in 0..rows {
+                jacs.push(base);
+                for _ in 1..15 {
+                    let next = self.jac_add(k, &jacs[jacs.len() - 1], &base);
+                    jacs.push(next);
+                }
+                base = self.jac_add(k, &jacs[jacs.len() - 1], &base);
+            }
+            EcComb {
+                entries: self.to_mont_affine_batch(k, &jacs),
+            }
+        })
     }
 
-    fn comb_mul_jac(&self, comb: &EcComb, k: &BigUint) -> Jacobian {
-        let k = k % &self.params.n;
+    fn comb_mul_jac<K: FieldKernel>(&self, k: K, comb: &EcComb, e: &BigUint) -> Jacobian {
+        let e = e % &self.params.n;
         let mut acc = self.jac_infinity();
-        for (i, row) in comb.rows.iter().enumerate() {
+        for (i, row) in comb.entries.chunks_exact(15).enumerate() {
             let mut window = 0usize;
             for b in 0..4 {
-                window |= (k.bit(4 * i + b) as usize) << b;
+                window |= (e.bit(4 * i + b) as usize) << b;
             }
             if window != 0 {
-                acc = self.jac_add(&acc, &row[window]);
+                [acc] = self.jac_add_mixed(k, [&acc], [&row[window - 1]], [false]);
             }
         }
         acc
     }
 
     /// Fixed-base scalar multiplication via a prebuilt comb table: one
-    /// Jacobian addition per 4 scalar bits, no doublings.
-    pub fn scalar_mul_comb(&self, comb: &EcComb, k: &BigUint) -> EcPoint {
-        self.to_affine(&self.comb_mul_jac(comb, k))
+    /// mixed addition per nonzero 4-bit window, no doublings.
+    pub fn scalar_mul_comb(&self, comb: &EcComb, e: &BigUint) -> EcPoint {
+        with_kernel!(&self.fp, |k| {
+            self.to_affine(k, &self.comb_mul_jac(k, comb, e))
+        })
     }
 
     /// Batch fixed-base multiplication: all results share one field
     /// inversion for the final affine conversion. Takes scalar references
     /// so callers holding scalars elsewhere (e.g. inside [`crate::Scalar`])
     /// never clone them just to batch.
-    pub fn scalar_mul_comb_batch(&self, comb: &EcComb, ks: &[&BigUint]) -> Vec<EcPoint> {
-        let jacs: Vec<Jacobian> = ks.iter().map(|k| self.comb_mul_jac(comb, k)).collect();
-        self.to_affine_batch(&jacs)
+    pub fn scalar_mul_comb_batch(&self, comb: &EcComb, es: &[&BigUint]) -> Vec<EcPoint> {
+        with_kernel!(&self.fp, |k| {
+            let jacs: Vec<Jacobian> = es.iter().map(|e| self.comb_mul_jac(k, comb, e)).collect();
+            self.to_affine_batch(k, &jacs)
+        })
     }
 
     /// Batch variable-base multiplication: signed wNAF digits against
     /// batch-normalized `MontAffine` tables (mixed additions), all
     /// results sharing one final field inversion. The table normalization
     /// itself shares a second inversion across *every table of the batch*,
-    /// which is what lets the ladder use 7M+3S mixed additions instead of
+    /// which is what lets the ladder use 8M+3S mixed additions instead of
     /// 12M+4S general ones without per-point inversion overhead.
     pub fn scalar_mul_batch(&self, pairs: &[(&EcPoint, &BigUint)]) -> Vec<EcPoint> {
-        let mut bases: Vec<Jacobian> = Vec::new();
-        let plan: Vec<Option<(Vec<i64>, usize)>> = pairs
-            .iter()
-            .map(|(p, k)| {
-                let k = *k % &self.params.n;
-                if k.is_zero() || p.is_infinity() {
-                    return None;
-                }
-                bases.push(self.to_jacobian(p));
-                Some((crate::msm::wnaf_digits(&k, 4), bases.len() - 1))
-            })
-            .collect();
-        let tables = self.wnaf_tables(&bases);
-        let jacs: Vec<Jacobian> = plan
-            .iter()
-            .map(|entry| match entry {
-                None => self.jac_infinity(),
-                Some((digits, t)) => self.wnaf_mul_jac(digits, &tables[*t]),
-            })
-            .collect();
-        self.to_affine_batch(&jacs)
+        with_kernel!(&self.fp, |k| {
+            let mut bases: Vec<Jacobian> = Vec::new();
+            let plan: Vec<Option<(Vec<i8>, usize)>> = pairs
+                .iter()
+                .map(|(p, e)| {
+                    let e = *e % &self.params.n;
+                    if e.is_zero() || p.is_infinity() {
+                        return None;
+                    }
+                    bases.push(self.to_jacobian(k, p));
+                    Some((crate::msm::wnaf_digits(&e), bases.len() - 1))
+                })
+                .collect();
+            let tables = self.wnaf_tables(k, &bases);
+            let jacs: Vec<Jacobian> = plan
+                .iter()
+                .map(|entry| match entry {
+                    None => self.jac_infinity(),
+                    Some((digits, t)) => self.wnaf_mul_jac(k, digits, &tables[*t]),
+                })
+                .collect();
+            self.to_affine_batch(k, &jacs)
+        })
     }
 
     /// Fused hop batch over pre-recoded scalars: each entry is
-    /// `(a, wnaf(k₁), b, wnaf(k₂))`, with empty digit vectors encoding zero
-    /// scalars, and yields the pair `(a^{k₁}·b^{k₂}, b^{k₁})` — the shape
-    /// of a re-randomized partial decryption. The first half shares one
-    /// doubling ladder between both bases (Shamir's trick with mixed
-    /// additions); the new `β = b^{k₁}` reuses both `k₁`'s digits and the
-    /// odd-multiple table of `b` the first half already built. Tables and
-    /// results are each normalized through one batched field inversion.
-    /// An offline phase that knows the hop's randomizers (but not its
-    /// ciphertexts) pays the order reductions and recodings ahead of time
-    /// and hands the digits in here.
+    /// `(A, wnaf(r), B, wnaf(s))`, with empty digit vectors encoding zero
+    /// scalars, and yields the pair `(r·A + s·B, r·B)` — the shape of a
+    /// re-randomized partial decryption.
+    ///
+    /// Both results come from one ladder in two lanes. Every step doubles
+    /// both; each digit of `r` adds `A`'s and `B`'s table entries to their
+    /// lanes together, and each digit of `s` adds `B`'s entry to the first
+    /// lane alone (Shamir's trick). The two lanes are independent
+    /// dependency chains, which the latency-bound field kernel overlaps.
+    /// The odd-multiple tables of every base, and then every result, are
+    /// normalized through one batched field inversion each. An offline
+    /// phase that knows the hop's randomizers (but not its ciphertexts)
+    /// pays the order reductions and recodings ahead of time and hands the
+    /// digits in here.
     pub fn scalar_mul_hop_digits_batch(
         &self,
-        items: &[(&EcPoint, &[i64], &EcPoint, &[i64])],
+        items: &[(&EcPoint, &[i8], &EcPoint, &[i8])],
     ) -> Vec<(EcPoint, EcPoint)> {
-        struct Hop {
-            a: Option<usize>,
-            b: Option<usize>,
-        }
-        let mut bases: Vec<Jacobian> = Vec::new();
-        let plan: Vec<Hop> = items
-            .iter()
-            .map(|(a, d1, b, d2)| {
-                let a_idx = (!a.is_infinity() && !d1.is_empty()).then(|| {
-                    bases.push(self.to_jacobian(a));
+        with_kernel!(&self.fp, |k| {
+            let mut bases: Vec<Jacobian> = Vec::new();
+            let mut table_of = |p: &EcPoint, used: bool| {
+                (used && !p.is_infinity()).then(|| {
+                    bases.push(self.to_jacobian(k, p));
                     bases.len() - 1
+                })
+            };
+            let plan: Vec<(Option<usize>, Option<usize>)> = items
+                .iter()
+                .map(|(a, r, b, s)| {
+                    let ta = table_of(a, !r.is_empty());
+                    (ta, table_of(b, !r.is_empty() || !s.is_empty()))
+                })
+                .collect();
+            let tables = self.wnaf_tables(k, &bases);
+            let inf = self.jac_infinity();
+            let mut jacs = Vec::with_capacity(items.len() * 2);
+            for (&(ta, tb), (_, r, _, s)) in plan.iter().zip(items) {
+                jacs.extend(match (ta, tb) {
+                    (Some(ta), Some(tb)) => self.hop_lanes(k, r, &tables[ta], s, &tables[tb]),
+                    (Some(ta), None) => [self.wnaf_mul_jac(k, r, &tables[ta]), inf],
+                    (None, Some(tb)) => [
+                        self.wnaf_mul_jac(k, s, &tables[tb]),
+                        self.wnaf_mul_jac(k, r, &tables[tb]),
+                    ],
+                    (None, None) => [inf, inf],
                 });
-                let b_idx = (!b.is_infinity() && (!d1.is_empty() || !d2.is_empty())).then(|| {
-                    bases.push(self.to_jacobian(b));
-                    bases.len() - 1
-                });
-                Hop { a: a_idx, b: b_idx }
-            })
-            .collect();
-        let tables = self.wnaf_tables(&bases);
-        let mut jacs = Vec::with_capacity(items.len() * 2);
-        for (hop, (_, d1, _, d2)) in plan.iter().zip(items) {
-            jacs.push(match (hop.a, hop.b) {
-                (Some(ta), Some(tb)) if !d2.is_empty() => {
-                    self.wnaf_dual_mul_jac(d1, &tables[ta], d2, &tables[tb])
+            }
+            let mut pts = self.to_affine_batch(k, &jacs).into_iter();
+            items
+                .iter()
+                .map(|_| {
+                    // tidy:allow(panic) — two Jacobians were pushed per item above, so the iterator cannot run dry
+                    (pts.next().expect("paired"), pts.next().expect("paired"))
+                })
+                .collect()
+        })
+    }
+
+    /// `[r·A + s·B, r·B]` from `r`'s and `s`'s digits against `A`'s and
+    /// `B`'s tables, as the two lanes of
+    /// [`Self::scalar_mul_hop_digits_batch`]'s ladder.
+    fn hop_lanes<K: FieldKernel>(
+        &self,
+        k: K,
+        r: &[i8],
+        ta: &[MontAffine],
+        s: &[i8],
+        tb: &[MontAffine],
+    ) -> [Jacobian; 2] {
+        let mut acc = [self.jac_infinity(); 2];
+        for i in (0..r.len().max(s.len())).rev() {
+            match r.get(i) {
+                Some(&d) => {
+                    acc = self.jac_double(k, [&acc[0], &acc[1]]);
+                    if d != 0 {
+                        let q = [odd_entry(ta, d), odd_entry(tb, d)];
+                        acc = self.jac_add_mixed(k, [&acc[0], &acc[1]], q, [d < 0; 2]);
+                    }
                 }
-                (Some(ta), _) => self.wnaf_mul_jac(d1, &tables[ta]),
-                (None, Some(tb)) if !d2.is_empty() => self.wnaf_mul_jac(d2, &tables[tb]),
-                _ => self.jac_infinity(),
-            });
-            jacs.push(match hop.b {
-                Some(tb) if !d1.is_empty() => self.wnaf_mul_jac(d1, &tables[tb]),
-                _ => self.jac_infinity(),
-            });
+                // Above r's top digit the second lane is still infinity.
+                None => [acc[0]] = self.jac_double(k, [&acc[0]]),
+            }
+            if let Some(&d) = s.get(i).filter(|&&d| d != 0) {
+                [acc[0]] = self.jac_add_mixed(k, [&acc[0]], [odd_entry(tb, d)], [d < 0]);
+            }
         }
-        let mut pts = self.to_affine_batch(&jacs).into_iter();
-        items
-            .iter()
-            .map(|_| {
-                // tidy:allow(panic) — two Jacobians were pushed per item above, so the iterator cannot run dry
-                (pts.next().expect("paired"), pts.next().expect("paired"))
-            })
-            .collect()
+        acc
     }
 
     fn gen_comb(&self) -> &EcComb {
@@ -605,56 +754,14 @@ impl EcGroup {
         })
     }
 
-    /// Fixed-base scalar multiplication `k·G` via a lazily built comb table.
-    pub fn scalar_mul_gen(&self, k: &BigUint) -> EcPoint {
-        self.scalar_mul_comb(self.gen_comb(), k)
+    /// Fixed-base scalar multiplication `e·G` via a lazily built comb table.
+    pub fn scalar_mul_gen(&self, e: &BigUint) -> EcPoint {
+        self.scalar_mul_comb(self.gen_comb(), e)
     }
 
     /// Batch fixed-base multiplication by the generator.
-    pub fn scalar_mul_gen_batch(&self, ks: &[&BigUint]) -> Vec<EcPoint> {
-        self.scalar_mul_comb_batch(self.gen_comb(), ks)
-    }
-
-    /// Mixed addition `P + Q` (or `P − Q` with `negate_q`) of a Jacobian
-    /// point and a normalized [`MontAffine`] point: `Z₂ = 1` reduces the
-    /// general 12M+4S addition to 7M+3S. Negating `Q` costs one field
-    /// subtraction, which is what makes signed (wNAF) digits free here.
-    fn jac_add_mixed(&self, p: &Jacobian, q: &MontAffine, negate_q: bool) -> Jacobian {
-        let f = &self.fp;
-        let qy = if negate_q {
-            f.msub(&f.zero_elem(), &q.y)
-        } else {
-            q.y
-        };
-        if f.is_zero_elem(&p.z) {
-            return Jacobian {
-                x: q.x,
-                y: qy,
-                z: f.one_elem(),
-            };
-        }
-        let z1z1 = f.msqr(&p.z);
-        let u2 = f.mmul(&q.x, &z1z1);
-        let s2 = f.mmul(&f.mmul(&qy, &p.z), &z1z1);
-        let h = f.msub(&u2, &p.x);
-        let r = f.msub(&s2, &p.y);
-        if f.is_zero_elem(&h) {
-            if f.is_zero_elem(&r) {
-                return self.jac_double(p);
-            }
-            return self.jac_infinity();
-        }
-        let hh = f.msqr(&h);
-        let hhh = f.mmul(&h, &hh);
-        let v = f.mmul(&p.x, &hh);
-        let x3 = f.msub(&f.msub(&f.msqr(&r), &hhh), &f.mdbl(&v));
-        let y3 = f.msub(&f.mmul(&r, &f.msub(&v, &x3)), &f.mmul(&p.y, &hhh));
-        let z3 = f.mmul(&p.z, &h);
-        Jacobian {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+    pub fn scalar_mul_gen_batch(&self, es: &[&BigUint]) -> Vec<EcPoint> {
+        self.scalar_mul_comb_batch(self.gen_comb(), es)
     }
 
     /// Builds width-4 wNAF odd-multiple tables `{1·P, 3·P, …, 15·P}` for
@@ -662,81 +769,38 @@ impl EcGroup {
     /// shared field inversion across all entries of all tables. Bases must
     /// be finite; every entry is then a nonzero multiple `d·P` with
     /// `d < n`, so none is infinity and the batch inversion is total.
-    fn wnaf_tables(&self, bases: &[Jacobian]) -> Vec<Vec<MontAffine>> {
-        let f = &self.fp;
+    fn wnaf_tables<K: FieldKernel>(&self, k: K, bases: &[Jacobian]) -> Vec<Vec<MontAffine>> {
         let mut jacs: Vec<Jacobian> = Vec::with_capacity(bases.len() * 8);
         for base in bases {
-            let twice = self.jac_double(base);
-            jacs.push(base.clone());
+            let [twice] = self.jac_double(k, [base]);
+            jacs.push(*base);
             for _ in 1..8 {
-                let next = self.jac_add(&jacs[jacs.len() - 1], &twice);
+                let next = self.jac_add(k, &jacs[jacs.len() - 1], &twice);
                 jacs.push(next);
             }
         }
-        let zs: Vec<MontElem4> = jacs.iter().map(|p| p.z).collect();
-        let z_invs = f.batch_minv(&zs);
-        let mut out = Vec::with_capacity(bases.len());
-        for b in 0..bases.len() {
-            let mut table = Vec::with_capacity(8);
-            for i in 0..8 {
-                let (p, zi) = (&jacs[b * 8 + i], &z_invs[b * 8 + i]);
-                let zi2 = f.msqr(zi);
-                let zi3 = f.mmul(&zi2, zi);
-                table.push(MontAffine {
-                    x: f.mmul(&p.x, &zi2),
-                    y: f.mmul(&p.y, &zi3),
-                });
-            }
-            out.push(table);
-        }
-        out
+        self.to_mont_affine_batch(k, &jacs)
+            .chunks_exact(8)
+            .map(<[MontAffine]>::to_vec)
+            .collect()
     }
 
     /// Replays LSB-first wNAF digits against a normalized odd-multiple
     /// table: doublings on the Jacobian accumulator, mixed additions for
     /// nonzero digits (negative digits negate the table entry for free).
-    fn wnaf_mul_jac(&self, digits: &[i64], table: &[MontAffine]) -> Jacobian {
+    fn wnaf_mul_jac<K: FieldKernel>(&self, k: K, digits: &[i8], table: &[MontAffine]) -> Jacobian {
         let mut acc = self.jac_infinity();
         for &d in digits.iter().rev() {
-            acc = self.jac_double(&acc);
+            [acc] = self.jac_double(k, [&acc]);
             if d != 0 {
-                acc = self.jac_add_mixed(&acc, &table[d.unsigned_abs() as usize / 2], d < 0);
-            }
-        }
-        acc
-    }
-
-    /// Double-base wNAF ladder (Shamir's trick with mixed additions): both
-    /// digit strings share one doubling chain, each nonzero digit costs a
-    /// mixed addition against its own table.
-    fn wnaf_dual_mul_jac(
-        &self,
-        d1: &[i64],
-        t1: &[MontAffine],
-        d2: &[i64],
-        t2: &[MontAffine],
-    ) -> Jacobian {
-        let len = d1.len().max(d2.len());
-        let mut acc = self.jac_infinity();
-        for i in (0..len).rev() {
-            acc = self.jac_double(&acc);
-            for (d, t) in [(&d1, &t1), (&d2, &t2)] {
-                if let Some(&digit) = d.get(i) {
-                    if digit != 0 {
-                        acc = self.jac_add_mixed(
-                            &acc,
-                            &t[digit.unsigned_abs() as usize / 2],
-                            digit < 0,
-                        );
-                    }
-                }
+                [acc] = self.jac_add_mixed(k, [&acc], [odd_entry(table, d)], [d < 0]);
             }
         }
         acc
     }
 
     /// Shared-recoding batch multiplication with a fused affine addend:
-    /// `out[i] = c[i] + k·p[i]`. The scalar's width-4 wNAF digits are
+    /// `out[i] = c[i] + e·p[i]`. The scalar's width-4 wNAF digits are
     /// recoded once and replayed for every point, each point needing only
     /// its odd-multiple table `{P, 3P, …, 15P}`. The addend lands as one
     /// mixed addition on
@@ -749,49 +813,51 @@ impl EcGroup {
         &self,
         addends: &[&EcPoint],
         points: &[&EcPoint],
-        k: &BigUint,
+        e: &BigUint,
     ) -> Vec<EcPoint> {
         assert_eq!(addends.len(), points.len(), "one addend per point");
-        let k = k % &self.params.n;
-        let digits = if k.is_zero() {
+        let e = e % &self.params.n;
+        let digits = if e.is_zero() {
             Vec::new()
         } else {
-            crate::msm::wnaf_digits(&k, 4)
+            crate::msm::wnaf_digits(&e)
         };
-        let mut bases: Vec<Jacobian> = Vec::new();
-        let idxs: Vec<Option<usize>> = points
-            .iter()
-            .map(|p| {
-                if digits.is_empty() || p.is_infinity() {
-                    return None;
-                }
-                bases.push(self.to_jacobian(p));
-                Some(bases.len() - 1)
-            })
-            .collect();
-        let tables = self.wnaf_tables(&bases);
-        let jacs: Vec<Jacobian> = idxs
-            .iter()
-            .zip(addends)
-            .map(|(t, addend)| {
-                let acc = match t {
-                    Some(t) => self.wnaf_mul_jac(&digits, &tables[*t]),
-                    None => self.jac_infinity(),
-                };
-                match addend.xy() {
-                    Some((x, y)) => self.jac_add_mixed(
-                        &acc,
-                        &MontAffine {
-                            x: self.fp.enter(x),
-                            y: self.fp.enter(y),
-                        },
-                        false,
-                    ),
-                    None => acc,
-                }
-            })
-            .collect();
-        self.to_affine_batch(&jacs)
+        with_kernel!(&self.fp, |k| {
+            let mut bases: Vec<Jacobian> = Vec::new();
+            let idxs: Vec<Option<usize>> = points
+                .iter()
+                .map(|p| {
+                    if digits.is_empty() || p.is_infinity() {
+                        return None;
+                    }
+                    bases.push(self.to_jacobian(k, p));
+                    Some(bases.len() - 1)
+                })
+                .collect();
+            let tables = self.wnaf_tables(k, &bases);
+            let jacs: Vec<Jacobian> = idxs
+                .iter()
+                .zip(addends)
+                .map(|(t, addend)| {
+                    let acc = match t {
+                        Some(t) => self.wnaf_mul_jac(k, &digits, &tables[*t]),
+                        None => self.jac_infinity(),
+                    };
+                    match addend.xy() {
+                        Some((x, y)) => {
+                            let c = MontAffine {
+                                x: k.enter(x),
+                                y: k.enter(y),
+                            };
+                            let [sum] = self.jac_add_mixed(k, [&acc], [&c], [false]);
+                            sum
+                        }
+                        None => acc,
+                    }
+                })
+                .collect();
+            self.to_affine_batch(k, &jacs)
+        })
     }
 
     /// Batch affine addition: every `p + q` is computed in Jacobian form
@@ -800,11 +866,13 @@ impl EcGroup {
     /// loop. Homomorphic ciphertext algebra (re-randomization, gate
     /// outputs) is made of exactly these adds.
     pub fn add_batch(&self, pairs: &[(&EcPoint, &EcPoint)]) -> Vec<EcPoint> {
-        let jacs: Vec<Jacobian> = pairs
-            .iter()
-            .map(|(p, q)| self.jac_add(&self.to_jacobian(p), &self.to_jacobian(q)))
-            .collect();
-        self.to_affine_batch(&jacs)
+        with_kernel!(&self.fp, |k| {
+            let jacs: Vec<Jacobian> = pairs
+                .iter()
+                .map(|(p, q)| self.jac_add(k, &self.to_jacobian(k, p), &self.to_jacobian(k, q)))
+                .collect();
+            self.to_affine_batch(k, &jacs)
+        })
     }
 
     /// Running sums (inclusive prefix scan): `out[i] = p₀ + … + pᵢ`. The
@@ -813,15 +881,17 @@ impl EcGroup {
     /// caller chains [`EcGroup::add`]. The comparison circuit's suffix
     /// sums are exactly this shape.
     pub fn add_scan(&self, points: &[&EcPoint]) -> Vec<EcPoint> {
-        let mut acc = self.jac_infinity();
-        let jacs: Vec<Jacobian> = points
-            .iter()
-            .map(|p| {
-                acc = self.jac_add(&acc, &self.to_jacobian(p));
-                acc.clone()
-            })
-            .collect();
-        self.to_affine_batch(&jacs)
+        with_kernel!(&self.fp, |k| {
+            let mut acc = self.jac_infinity();
+            let jacs: Vec<Jacobian> = points
+                .iter()
+                .map(|p| {
+                    acc = self.jac_add(k, &acc, &self.to_jacobian(k, p));
+                    acc
+                })
+                .collect();
+            self.to_affine_batch(k, &jacs)
+        })
     }
 
     /// SEC1 compressed encoding (`0x02/0x03 || x`); infinity is all zeros.
@@ -835,7 +905,7 @@ impl EcGroup {
     }
 
     /// Decodes a compressed point, recovering `y` as the square root of
-    /// `x³ + ax + b` that [`Montgomery4::msqrt`] takes without leaving the
+    /// `x³ + ax + b` that [`FieldKernel::sqrt`] takes without leaving the
     /// field's Montgomery domain, negated if its parity is not the tag's.
     pub fn decode(&self, bytes: &[u8]) -> Result<EcPoint, DecodeElementError> {
         if bytes.len() != self.element_len {
@@ -860,13 +930,13 @@ impl EcGroup {
                         reason: "x out of range",
                     });
                 }
-                let f = &self.fp;
-                let y = f
-                    .msqrt(&self.curve_rhs(&f.enter(&x)))
-                    .ok_or(DecodeElementError {
-                        reason: "x not on curve",
-                    })?;
-                let y = f.leave(&y);
+                let y = with_kernel!(&self.fp, |k| {
+                    k.sqrt(&self.curve_rhs(k, &k.enter(&x)))
+                        .map(|y| k.leave(&y))
+                })
+                .ok_or(DecodeElementError {
+                    reason: "x not on curve",
+                })?;
                 let want_odd = tag == 0x03;
                 let y = if y.is_odd() == want_odd {
                     y
@@ -993,19 +1063,95 @@ mod tests {
         }
     }
 
+    /// `m·G` as a Jacobian point with `Z ≠ 1` (computed as `2P − P`), and
+    /// in normalized form.
+    fn jacobian_multiple<K: FieldKernel>(g: &EcGroup, k: K, m: u64) -> (Jacobian, MontAffine) {
+        let p = g.to_jacobian(k, &g.scalar_mul(&gen_point(g), &BigUint::from(m)));
+        let affine = MontAffine { x: p.x, y: p.y };
+        let [twice] = g.jac_double(k, [&p]);
+        let [j] = g.jac_add_mixed(k, [&twice], [&affine], [true]);
+        (j, affine)
+    }
+
+    fn coords(p: &Jacobian) -> [MontElem4; 3] {
+        [p.x, p.y, p.z]
+    }
+
+    #[test]
+    fn two_lanes_match_two_one_lane_calls() {
+        for g in groups() {
+            with_kernel!(&g.fp, |k| {
+                let (p, _) = jacobian_multiple(&g, k, 5);
+                let (q_jac, q) = jacobian_multiple(&g, k, 11);
+                let (_, other) = jacobian_multiple(&g, k, 29);
+                let inf = g.jac_infinity();
+                let name = g.params().name;
+                // Doubling: both lanes regular, or one at infinity.
+                for lanes in [[&p, &q_jac], [&inf, &q_jac], [&p, &inf], [&inf, &inf]] {
+                    let two = g.jac_double(k, lanes);
+                    for (i, lane) in lanes.iter().enumerate() {
+                        let [one] = g.jac_double(k, [*lane]);
+                        assert_eq!(coords(&two[i]), coords(&one), "{name} double lane {i}");
+                    }
+                }
+                // Mixed addition: a regular lane beside one at infinity, at
+                // P = Q (a doubling) or at P = −Q (infinity), in either lane.
+                let cases: [(&Jacobian, &MontAffine, bool); 5] = [
+                    (&p, &other, false),
+                    (&p, &other, true),
+                    (&inf, &other, true),
+                    (&q_jac, &q, false),
+                    (&q_jac, &q, true),
+                ];
+                for a in &cases {
+                    for b in &cases {
+                        let two = g.jac_add_mixed(k, [a.0, b.0], [a.1, b.1], [a.2, b.2]);
+                        for (i, (p, q, neg)) in [a, b].into_iter().enumerate() {
+                            let [one] = g.jac_add_mixed(k, [*p], [*q], [*neg]);
+                            assert_eq!(coords(&two[i]), coords(&one), "{name} add lane {i}");
+                        }
+                    }
+                }
+                let [twice] = g.jac_add_mixed(k, [&q_jac], [&q], [false]);
+                let [doubled] = g.jac_double(k, [&q_jac]);
+                assert_eq!(coords(&twice), coords(&doubled), "{name} P + P");
+                let [zero] = g.jac_add_mixed(k, [&q_jac], [&q], [true]);
+                assert!(g.fp.is_zero_elem(&zero.z), "{name} P − P");
+            });
+        }
+    }
+
     #[test]
     fn hop_digits_match_single_muls() {
+        use rand::SeedableRng;
         let recode = |k: &BigUint| {
             if k.is_zero() {
                 Vec::new()
             } else {
-                crate::msm::wnaf_digits(k, 4)
+                crate::msm::wnaf_digits(k)
             }
         };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
         for g in groups() {
             let p = gen_point(&g);
             let q = g.scalar_mul(&p, &BigUint::from(0xdead_beefu64));
             let inf = EcPoint::infinity();
+            let mut below = |bound: &BigUint| ppgr_bigint::random_below(&mut rng, bound);
+            let n = g.order().clone();
+            let short = BigUint::power_of_two(96);
+            // Random pairs: s's digits as long as r's, longer, shorter, and
+            // none at all.
+            let random = [
+                (below(&n), below(&n)),
+                (below(&n), below(&n)),
+                (below(&short), below(&n)),
+                (below(&n), below(&short)),
+                (below(&n), BigUint::zero()),
+            ];
+            let (r, s) = (recode(&random[2].0), recode(&random[2].1));
+            assert!(s.len() > r.len(), "s's digits outrun r's");
+            let (r, s) = (recode(&random[3].0), recode(&random[3].1));
+            assert!(s.len() < r.len(), "r's digits outrun s's");
             let cases: Vec<(&EcPoint, BigUint, &EcPoint, BigUint)> = [
                 (0u64, 0u64),
                 (0, 5),
@@ -1016,16 +1162,17 @@ mod tests {
             ]
             .iter()
             .map(|&(k1, k2)| (&p, BigUint::from(k1), &q, BigUint::from(k2)))
+            .chain(random.into_iter().map(|(k1, k2)| (&p, k1, &q, k2)))
             .chain([
                 (&inf, BigUint::from(9u64), &q, BigUint::from(4u64)),
                 (&p, BigUint::from(9u64), &inf, BigUint::from(4u64)),
             ])
             .collect();
-            let digits: Vec<(Vec<i64>, Vec<i64>)> = cases
+            let digits: Vec<(Vec<i8>, Vec<i8>)> = cases
                 .iter()
                 .map(|(_, k1, _, k2)| (recode(k1), recode(k2)))
                 .collect();
-            let items: Vec<(&EcPoint, &[i64], &EcPoint, &[i64])> = cases
+            let items: Vec<(&EcPoint, &[i8], &EcPoint, &[i8])> = cases
                 .iter()
                 .zip(&digits)
                 .map(|((a, _, b, _), (d1, d2))| (*a, d1.as_slice(), *b, d2.as_slice()))
@@ -1042,21 +1189,42 @@ mod tests {
 
     #[test]
     fn comb_matches_scalar_mul() {
-        let g = EcGroup::new(CurveParams::secp160r1());
-        let p = g.scalar_mul(&gen_point(&g), &BigUint::from(31_337u64));
-        let comb = g.build_comb(&p);
-        for k in [0u64, 1, 2, 15, 16, 0xffff_ffff, u64::MAX] {
-            let k = BigUint::from(k);
-            assert_eq!(
-                g.scalar_mul_comb(&comb, &k),
-                g.scalar_mul(&p, &k),
-                "k={k:?}"
-            );
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for g in groups() {
+            let p = g.scalar_mul(&gen_point(&g), &BigUint::from(31_337u64));
+            let comb = g.build_comb(&p);
+            let n = g.order().clone();
+            let mut ks: Vec<BigUint> = [0u64, 1, 2, 15, 16, 0xffff_ffff, u64::MAX]
+                .into_iter()
+                .map(BigUint::from)
+                .collect();
+            // The order, scalars above it (they reduce first), and random
+            // ones below it.
+            ks.extend([
+                n.clone(),
+                &n + &BigUint::one(),
+                &(&n + &n) + &BigUint::from(77u64),
+            ]);
+            ks.extend((0..4).map(|_| ppgr_bigint::random_below(&mut rng, &n)));
+            let refs: Vec<&BigUint> = ks.iter().collect();
+            let batch = g.scalar_mul_comb_batch(&comb, &refs);
+            for (k, got) in ks.iter().zip(&batch) {
+                let want = g.scalar_mul(&p, k);
+                assert_eq!(
+                    g.scalar_mul_comb(&comb, k),
+                    want,
+                    "{} k={k:?}",
+                    g.params().name
+                );
+                assert_eq!(got, &want, "{} batch k={k:?}", g.params().name);
+            }
+            assert!(g.scalar_mul_comb(&comb, &n).is_infinity());
+            assert_eq!(g.scalar_mul_comb(&comb, &(&n + &BigUint::one())), p);
+            // The point at infinity's table is empty and yields infinity.
+            let inf = g.build_comb(&EcPoint::infinity());
+            assert!(g.scalar_mul_comb(&inf, &BigUint::from(5u64)).is_infinity());
         }
-        // Scalars at/above the order reduce first.
-        let n1 = g.order() + &BigUint::one();
-        assert_eq!(g.scalar_mul_comb(&comb, &n1), p);
-        assert!(g.scalar_mul_comb(&comb, g.order()).is_infinity());
     }
 
     #[test]

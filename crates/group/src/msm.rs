@@ -27,7 +27,7 @@
 
 use crate::dl::DlGroup;
 use crate::ec::{EcGroup, EcPoint};
-use ppgr_bigint::BigUint;
+use ppgr_bigint::{with_kernel, BigUint, FieldKernel};
 
 /// The accumulator operations one family exposes to the generic engine.
 trait MsmOps {
@@ -37,9 +37,9 @@ trait MsmOps {
     fn double(&self, a: &Self::Point) -> Self::Point;
 }
 
-struct EcMsm<'a>(&'a EcGroup);
+struct EcMsm<'a, K>(&'a EcGroup, K);
 
-impl MsmOps for EcMsm<'_> {
+impl<K: FieldKernel> MsmOps for EcMsm<'_, K> {
     type Point = crate::ec::Jacobian;
 
     fn identity(&self) -> Self::Point {
@@ -47,11 +47,12 @@ impl MsmOps for EcMsm<'_> {
     }
 
     fn combine(&self, a: &Self::Point, b: &Self::Point) -> Self::Point {
-        self.0.jac_add(a, b)
+        self.0.jac_add(self.1, a, b)
     }
 
     fn double(&self, a: &Self::Point) -> Self::Point {
-        self.0.jac_double(a)
+        let [d] = self.0.jac_double(self.1, [a]);
+        d
     }
 }
 
@@ -110,11 +111,18 @@ pub(crate) fn plan(n: usize, bits: usize) -> Plan {
     best
 }
 
-/// Width-`w` non-adjacent form: LSB-first signed digits, each either zero
-/// or odd in `±{1, 3, …, 2^w − 1}`, at most one nonzero digit in any `w`
-/// consecutive positions. Shared by the same-scalar batch paths, which
-/// recode once and replay the digits for every base.
-pub(crate) fn wnaf_digits(k: &BigUint, w: u32) -> Vec<i64> {
+/// The wNAF width every recoding uses: digits are odd and below
+/// `2^WNAF_WIDTH = 16` in magnitude, so they fit in an `i8`, and the
+/// odd-multiple tables hold 8 entries.
+const WNAF_WIDTH: u32 = 4;
+
+/// Width-[`WNAF_WIDTH`] non-adjacent form: LSB-first signed digits, each
+/// either zero or odd in `±{1, 3, …, 15}`, at most one nonzero digit in
+/// any four consecutive positions. Shared by the batch paths, which recode
+/// once and replay the digits, and by prepared hop scalars, which keep
+/// them until the hop runs.
+pub(crate) fn wnaf_digits(k: &BigUint) -> Vec<i8> {
+    let w = WNAF_WIDTH;
     // Recoding runs twice per hop ciphertext, so it works on a flat limb
     // copy with word-level window extraction instead of per-bit `BigUint`
     // arithmetic (which allocates on every subtraction/shift).
@@ -128,7 +136,8 @@ pub(crate) fn wnaf_digits(k: &BigUint, w: u32) -> Vec<i64> {
     let mask = modulus - 1;
     let half = 1u64 << w;
     let wu = w as usize;
-    let mut digits = Vec::with_capacity(64 * src.len() + 1);
+    // A w-NAF is at most one digit longer than the scalar.
+    let mut digits = Vec::with_capacity(k.bits() + 1);
     let mut pos = 0usize;
     let mut top = limbs.len(); // exclusive index of the highest live limb
     loop {
@@ -159,7 +168,7 @@ pub(crate) fn wnaf_digits(k: &BigUint, w: u32) -> Vec<i64> {
         if low >= half {
             // Negative digit: add its magnitude back so the borrow
             // propagates as a carry (2^{w+1} at the current position).
-            digits.push(low as i64 - modulus as i64);
+            digits.push((low as i64 - modulus as i64) as i8);
             let cpos = pos + wu + 1;
             let mut ci = cpos / 64;
             let mut add = 1u64 << (cpos % 64);
@@ -174,7 +183,7 @@ pub(crate) fn wnaf_digits(k: &BigUint, w: u32) -> Vec<i64> {
             }
             top = top.max(ci + 1);
         } else {
-            digits.push(low as i64);
+            digits.push(low as i8);
         }
         pos += 1;
     }
@@ -300,9 +309,11 @@ fn pippenger<G: MsmOps>(
 /// EC entry point: buckets accumulate in Jacobian coordinates; the single
 /// result is normalized through the Fermat-inversion affine conversion.
 pub(crate) fn msm_ec(g: &EcGroup, pairs: &[(&EcPoint, &BigUint)]) -> EcPoint {
-    let bases: Vec<_> = pairs.iter().map(|(p, _)| g.to_jacobian(p)).collect();
-    let scalars: Vec<&BigUint> = pairs.iter().map(|&(_, k)| k).collect();
-    g.to_affine(&msm(&EcMsm(g), &bases, &scalars))
+    let scalars: Vec<&BigUint> = pairs.iter().map(|&(_, e)| e).collect();
+    with_kernel!(&g.fp, |k| {
+        let bases: Vec<_> = pairs.iter().map(|(p, _)| g.to_jacobian(k, p)).collect();
+        g.to_affine(k, &msm(&EcMsm(g, k), &bases, &scalars))
+    })
 }
 
 /// DL entry point: the whole evaluation stays in the Montgomery domain;
@@ -340,7 +351,7 @@ mod tests {
     #[test]
     fn wnaf_digits_reconstruct_scalar() {
         for v in [0u64, 1, 2, 3, 15, 16, 31, 170, 0xdead_beef, u64::MAX] {
-            let digits = wnaf_digits(&BigUint::from(v), 4);
+            let digits = wnaf_digits(&BigUint::from(v));
             let mut acc: i128 = 0;
             for (i, &d) in digits.iter().enumerate() {
                 acc += (d as i128) << i;

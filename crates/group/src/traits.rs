@@ -108,7 +108,7 @@ pub struct HopScalars {
     pub(crate) neg_xr: Scalar,
     /// wNAF recodings of `(r, −x·r)` on the elliptic-curve family; an
     /// empty digit vector encodes the zero scalar.
-    pub(crate) digits: Option<(Vec<i64>, Vec<i64>)>,
+    pub(crate) digits: Option<(Vec<i8>, Vec<i8>)>,
 }
 
 impl fmt::Debug for HopScalars {
@@ -599,7 +599,7 @@ impl Group {
                             if k.is_zero() {
                                 Vec::new()
                             } else {
-                                crate::msm::wnaf_digits(&k, 4)
+                                crate::msm::wnaf_digits(&k)
                             }
                         };
                         Some((recode(&r.0), recode(&neg_xr.0)))
@@ -617,11 +617,12 @@ impl Group {
     /// Fused hop batch over scalars prepared by
     /// [`Group::prepare_hop_scalars`]: for each `(a, prep, b)` returns
     /// `(a^r·b^{−xr}, b^r)` — a re-randomized partial decryption and its
-    /// new `β` in one call. The elliptic-curve kernel shares one doubling
-    /// ladder between the two bases of the first half (Shamir's trick),
-    /// reuses `b`'s odd-multiple table and `r`'s stored recoding for the
-    /// second, and normalizes every result of the batch through one field
-    /// inversion; the DL family pays one dual and one single ladder.
+    /// new `β` in one call. The elliptic-curve kernel runs both halves as
+    /// two lanes of one ladder in lockstep: the first shares its doublings
+    /// between both bases (Shamir's trick), the second reuses `b`'s
+    /// odd-multiple table and `r`'s stored recoding, and every result of
+    /// the batch is normalized through one field inversion; the DL family
+    /// pays one dual and one single ladder.
     ///
     /// # Panics
     ///
@@ -649,7 +650,7 @@ impl Group {
                 })
                 .collect(),
             GroupImpl::Ec(g) => {
-                let pts: Vec<(&EcPoint, &[i64], &EcPoint, &[i64])> = items
+                let pts: Vec<(&EcPoint, &[i8], &EcPoint, &[i8])> = items
                     .iter()
                     .map(|(a, hs, b)| match (a, hs.digits.as_ref(), b) {
                         (Element::Ec(a), Some((d1, d2)), Element::Ec(b)) => {
