@@ -50,8 +50,8 @@ pub fn fixed_base_exp_time(kind: GroupKind, samples: u32) -> Duration {
 /// Measures one fused shuffle-chain hop (partial decryption + plaintext
 /// randomization) per ciphertext — the unit the protocol's dominant step-8
 /// term is made of — through the production kernel: one prepared gather
-/// over a set of `samples` ciphertexts, with the hop scalars prepared
-/// beforehand as the offline stock prepares them. One untimed warm-up
+/// over a set of `samples` ciphertexts, with the hop set prepared
+/// beforehand as the offline stock prepares it. One untimed warm-up
 /// pass first lets the timed pass reuse the allocator's memory instead of
 /// faulting in fresh pages. The op-count analysis books a hop as 3
 /// exponentiations; the fused kernel does it in ≈1.7.
@@ -63,10 +63,11 @@ pub fn chain_hop_time(kind: GroupKind, samples: u32) -> Duration {
     let cts: Vec<_> = (0..samples)
         .map(|_| scheme.encrypt(kp.public_key(), &g.scalar_from_u64(0), &mut rng))
         .collect();
-    let rs: Vec<_> = (0..samples)
-        .map(|_| g.random_nonzero_scalar(&mut rng))
-        .collect();
-    let prep = g.prepare_hop_scalars(kp.secret_key(), &rs);
+    let mut prep = g.hop_scalars(samples as usize);
+    for _ in 0..samples {
+        prep.push(&g.random_nonzero_scalar(&mut rng));
+    }
+    g.prepare_hop_scalars(kp.secret_key(), &mut prep);
     let mut out = Vec::with_capacity(cts.len());
     scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, None, &mut out);
     let start = Instant::now();

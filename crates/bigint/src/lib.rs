@@ -10,10 +10,11 @@
 //!   modular exponentiation for odd moduli (the hot path of every ElGamal
 //!   operation in the framework).
 //! * [`Montgomery4`] — the same for moduli of at most four limbs, on a
-//!   32-byte `Copy` element: the curve fields, including their in-domain
-//!   square root ([`Montgomery4::msqrt`]). Its two kernels implement
-//!   [`FieldKernel`], and [`with_kernel!`] runs code generic over that
-//!   trait with the context's kernel picked once.
+//!   32-byte `Copy` element: the curve fields. Its two kernels (P-160 and
+//!   four-limb CIOS) implement [`FieldKernel`], which also carries the
+//!   in-domain square root ([`FieldKernel::sqrt`]), and [`with_kernel!`]
+//!   runs code generic over that trait with the context's kernel picked
+//!   once.
 //! * [`modular`] — free-standing modular helpers: inverse (binary extended
 //!   gcd), Jacobi symbol (binary, in place on limbs), Tonelli–Shanks square
 //!   roots on `BigUint`.

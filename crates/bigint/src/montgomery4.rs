@@ -17,13 +17,16 @@
 //!
 //! A context runs one of two kernels: [`P160Kernel`], a pseudo-Mersenne
 //! reduction for the secp160r1 prime, or [`CiosKernel`], Montgomery CIOS
-//! at the modulus's limb count. Each is a type implementing
-//! [`FieldKernel`], and code written generic over that trait runs every
-//! field operation inline. [`with_kernel!`](crate::with_kernel) matches on
-//! a context's kernel once and runs a block compiled for it, so a curve
-//! ladder or a whole batch pays one match instead of one per operation;
-//! [`Montgomery4::mpow`], [`Montgomery4::minv`], [`Montgomery4::msqrt`]
-//! and [`Montgomery4::batch_minv`] match once per call.
+//! at four limbs with `R = 2^256`, which serves every other odd modulus
+//! below `2^256` — the P-224 and P-256 fields, and any narrower modulus,
+//! whose padded limbs multiply and compare as zeros. Each is a type
+//! implementing [`FieldKernel`], and code written generic over that trait
+//! runs every field operation inline. [`with_kernel!`](crate::with_kernel)
+//! matches on a context's kernel once and runs a block compiled for it,
+//! so a curve ladder or a whole batch pays one match instead of one per
+//! operation, and each such block is compiled twice — once per kernel the
+//! shipped curves use. Exponentiation, inversion, batch inversion and the
+//! square root are written once on the trait and reached the same way.
 
 // The limb kernels walk several same-index arrays (operand, modulus,
 // accumulator) while threading a carry/borrow; indexed loops are the
@@ -345,8 +348,26 @@ pub trait FieldKernel: Copy {
         out
     }
 
-    /// Some `r` with `r² = a`, or `None` when `a` is a quadratic
-    /// non-residue; see [`Montgomery4::msqrt`].
+    /// In-domain square root: some `r` with `r² = a`, or `None` when `a`
+    /// is a quadratic non-residue. The other root is `−r`.
+    ///
+    /// Tonelli–Shanks, with `n − 1 = 2^s·m` and `m` odd: one exponentiation
+    /// `w = a^((m−1)/2)` gives the candidate `r = a·w` and the defect
+    /// `t = r·w = a^m`, and each pass of the loop multiplies a power of the
+    /// precomputed `z^m` into both until `t = 1`. When `s = 1`
+    /// (`n ≡ 3 mod 4`: the P-160 and P-256 fields) `t` is Euler's criterion
+    /// `a^((n−1)/2)` itself, so `t ≠ 1` is the non-residue verdict and the
+    /// loop never runs. The constants are built on the first call; for
+    /// `s > 1` (P-224 has `s = 96`) that includes finding a non-residue.
+    ///
+    /// The modulus must be prime: for a composite one the result means
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first call if `s > 1` and no `z < 2^16` is a
+    /// non-residue. A composite modulus can have none; a prime's least
+    /// non-residue is small (the P-224 field's is 11).
     fn sqrt(&self, a: &MontElem4) -> Option<MontElem4> {
         if *a == MontElem4::default() {
             return Some(*a);
@@ -452,11 +473,12 @@ impl FieldKernel for P160Kernel<'_> {
     }
 }
 
-/// Montgomery CIOS on an odd modulus of exactly `S` limbs, `1 ≤ S ≤ 4`.
+/// Montgomery CIOS at four limbs (`R = 2^256`) on any odd modulus below
+/// `2^256` other than the secp160r1 prime.
 #[derive(Clone, Copy, Debug)]
-pub struct CiosKernel<'a, const S: usize>(&'a Montgomery4);
+pub struct CiosKernel<'a>(&'a Montgomery4);
 
-impl<const S: usize> FieldKernel for CiosKernel<'_, S> {
+impl FieldKernel for CiosKernel<'_> {
     #[inline(always)]
     fn field(&self) -> &Montgomery4 {
         self.0
@@ -465,14 +487,13 @@ impl<const S: usize> FieldKernel for CiosKernel<'_, S> {
     #[inline(always)]
     fn enter(&self, a: &BigUint) -> MontElem4 {
         MontElem4 {
-            limbs: self.0.mont_mul_s::<S>(&self.0.padded(a), &self.0.r2.limbs),
+            limbs: self.0.mont_mul(&self.0.padded(a), &self.0.r2.limbs),
         }
     }
 
     #[inline(always)]
     fn leave(&self, a: &MontElem4) -> BigUint {
-        let out = self.0.mont_mul_s::<S>(&a.limbs, &[1, 0, 0, 0]);
-        BigUint::from_limbs(out[..S].to_vec())
+        BigUint::from_limbs(self.0.mont_mul(&a.limbs, &[1, 0, 0, 0]).to_vec())
     }
 
     #[inline(always)]
@@ -483,7 +504,7 @@ impl<const S: usize> FieldKernel for CiosKernel<'_, S> {
     #[inline(always)]
     fn mul(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
         MontElem4 {
-            limbs: self.0.mont_mul_s::<S>(&a.limbs, &b.limbs),
+            limbs: self.0.mont_mul(&a.limbs, &b.limbs),
         }
     }
 
@@ -492,9 +513,9 @@ impl<const S: usize> FieldKernel for CiosKernel<'_, S> {
         self.mul(a, a)
     }
 
-    /// Runs at the full four-limb width: with operands below `n` the sum
-    /// fits the buffer plus a carry bit, and the padded limbs of a narrower
-    /// modulus compare and subtract as zeros.
+    /// With operands below `n` the sum fits the buffer plus a carry bit,
+    /// and the padded limbs of a narrower modulus compare and subtract as
+    /// zeros.
     #[inline(always)]
     fn add(&self, a: &MontElem4, b: &MontElem4) -> MontElem4 {
         let n = &self.0.n_limbs;
@@ -569,14 +590,8 @@ impl<const S: usize> FieldKernel for CiosKernel<'_, S> {
 pub enum Kernel<'a> {
     /// The secp160r1 prime.
     P160(P160Kernel<'a>),
-    /// CIOS on a one-limb modulus.
-    Cios1(CiosKernel<'a, 1>),
-    /// CIOS on a two-limb modulus.
-    Cios2(CiosKernel<'a, 2>),
-    /// CIOS on a three-limb modulus other than the secp160r1 prime.
-    Cios3(CiosKernel<'a, 3>),
-    /// CIOS on a four-limb modulus.
-    Cios4(CiosKernel<'a, 4>),
+    /// CIOS at four limbs: every other modulus.
+    Cios4(CiosKernel<'a>),
 }
 
 /// Runs `$body` with `$k` bound to the kernel of the [`Montgomery4`]
@@ -588,51 +603,49 @@ pub enum Kernel<'a> {
 /// use ppgr_bigint::{with_kernel, BigUint, FieldKernel, Montgomery4};
 ///
 /// let f = Montgomery4::new(BigUint::from(101u64));
-/// let a = f.enter(&BigUint::from(7u64));
-/// let cube = with_kernel!(&f, |k| k.mul(&k.sqr(&a), &a));
-/// assert_eq!(f.leave(&cube), BigUint::from(343u64 % 101));
+/// let cube = with_kernel!(&f, |k| {
+///     let a = k.enter(&BigUint::from(7u64));
+///     k.leave(&k.mul(&k.sqr(&a), &a))
+/// });
+/// assert_eq!(cube, BigUint::from(343u64 % 101));
 /// ```
 #[macro_export]
 macro_rules! with_kernel {
     ($field:expr, |$k:ident| $body:expr) => {
         match $crate::Montgomery4::kernel($field) {
             $crate::Kernel::P160($k) => $body,
-            $crate::Kernel::Cios1($k) => $body,
-            $crate::Kernel::Cios2($k) => $body,
-            $crate::Kernel::Cios3($k) => $body,
             $crate::Kernel::Cios4($k) => $body,
         }
     };
 }
 
 /// Precomputed context for Montgomery multiplication modulo an odd `n` of
-/// at most `MAX_LIMBS4` limbs.
+/// at most `MAX_LIMBS4` limbs. Its arithmetic runs through its kernel.
 ///
 /// # Example
 ///
 /// ```
-/// use ppgr_bigint::{BigUint, Montgomery4};
+/// use ppgr_bigint::{with_kernel, BigUint, FieldKernel, Montgomery4};
 ///
 /// let m = Montgomery4::new(BigUint::from(101u64));
 /// let a = m.enter(&BigUint::from(7u64));
-/// assert_eq!(m.leave(&m.mpow(&a, &BigUint::from(100u64))), BigUint::one());
+/// let fermat = with_kernel!(&m, |k| k.leave(&k.pow(&a, &BigUint::from(100u64))));
+/// assert_eq!(fermat, BigUint::one());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Montgomery4 {
     n: BigUint,
     /// Modulus limbs, padded into the fixed buffer.
     n_limbs: [u64; MAX_LIMBS4],
-    /// Number of significant limbs of `n`.
-    limbs: usize,
     /// `-n^{-1} mod 2^64`.
     n_prime: u64,
-    /// `R^2 mod n` where `R = 2^(64·limbs)`; used to enter Montgomery form.
+    /// `R^2 mod n` where `R = 2^256`; used to enter Montgomery form.
     r2: MontElem4,
     /// `R mod n`, i.e. Montgomery form of `1`.
     r1: MontElem4,
     /// Whether `n` is the secp160r1 prime, which runs [`P160Kernel`].
     p160: bool,
-    /// Square-root constants, built by the first [`Self::msqrt`].
+    /// Square-root constants, built by the first [`FieldKernel::sqrt`].
     sqrt: OnceLock<SqrtConsts>,
 }
 
@@ -699,8 +712,8 @@ impl Montgomery4 {
             (BigUint::one(), BigUint::one())
         } else {
             (
-                BigUint::power_of_two(64 * limbs) % &n,
-                BigUint::power_of_two(128 * limbs) % &n,
+                BigUint::power_of_two(64 * MAX_LIMBS4) % &n,
+                BigUint::power_of_two(128 * MAX_LIMBS4) % &n,
             )
         };
         let to_fixed = |v: &BigUint| {
@@ -710,7 +723,6 @@ impl Montgomery4 {
         };
         Montgomery4 {
             n_limbs,
-            limbs,
             n_prime,
             r2: to_fixed(&r2_big),
             r1: to_fixed(&r1_big),
@@ -729,12 +741,9 @@ impl Montgomery4 {
     /// on it.
     #[inline]
     pub fn kernel(&self) -> Kernel<'_> {
-        match (self.p160, self.limbs) {
-            (true, _) => Kernel::P160(P160Kernel(self)),
-            (false, 1) => Kernel::Cios1(CiosKernel(self)),
-            (false, 2) => Kernel::Cios2(CiosKernel(self)),
-            (false, 3) => Kernel::Cios3(CiosKernel(self)),
-            (false, _) => Kernel::Cios4(CiosKernel(self)),
+        match self.p160 {
+            true => Kernel::P160(P160Kernel(self)),
+            false => Kernel::Cios4(CiosKernel(self)),
         }
     }
 
@@ -751,42 +760,38 @@ impl Montgomery4 {
         buf
     }
 
-    /// CIOS Montgomery multiplication specialised to an `S`-limb modulus.
+    /// CIOS Montgomery multiplication at four limbs: `a·b·2^{−256} mod n`.
     #[inline(always)]
-    fn mont_mul_s<const S: usize>(
-        &self,
-        a: &[u64; MAX_LIMBS4],
-        b: &[u64; MAX_LIMBS4],
-    ) -> [u64; MAX_LIMBS4] {
+    fn mont_mul(&self, a: &[u64; MAX_LIMBS4], b: &[u64; MAX_LIMBS4]) -> [u64; MAX_LIMBS4] {
         let n = &self.n_limbs;
-        let mut t = [0u64; S];
-        let mut t_hi = 0u64; // t[S]
-        for i in 0..S {
+        let mut t = [0u64; MAX_LIMBS4];
+        let mut t_hi = 0u64; // t[4]
+        for i in 0..MAX_LIMBS4 {
             let ai = a[i];
             let mut carry = 0u128;
-            for j in 0..S {
+            for j in 0..MAX_LIMBS4 {
                 let v = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
                 t[j] = v as u64;
                 carry = v >> 64;
             }
             let v = t_hi as u128 + carry;
             t_hi = v as u64;
-            let t_top = (v >> 64) as u64; // t[S+1]
+            let t_top = (v >> 64) as u64; // t[5]
             let m = t[0].wrapping_mul(self.n_prime);
             let mut carry = (t[0] as u128 + m as u128 * n[0] as u128) >> 64;
-            for j in 1..S {
+            for j in 1..MAX_LIMBS4 {
                 let v = t[j] as u128 + m as u128 * n[j] as u128 + carry;
                 t[j - 1] = v as u64;
                 carry = v >> 64;
             }
             let v = t_hi as u128 + carry;
-            t[S - 1] = v as u64;
+            t[MAX_LIMBS4 - 1] = v as u64;
             t_hi = t_top + ((v >> 64) as u64);
         }
         // Conditional subtraction: t may be in [0, 2n).
         let ge = t_hi != 0 || {
             let mut ge = true;
-            for i in (0..S).rev() {
+            for i in (0..MAX_LIMBS4).rev() {
                 if t[i] != n[i] {
                     ge = t[i] > n[i];
                     break;
@@ -796,15 +801,13 @@ impl Montgomery4 {
         };
         if ge {
             let mut borrow = 0u64;
-            for i in 0..S {
+            for i in 0..MAX_LIMBS4 {
                 let v = (t[i] as u128).wrapping_sub(n[i] as u128 + borrow as u128);
                 t[i] = v as u64;
                 borrow = ((v >> 64) as u64) & 1;
             }
         }
-        let mut out = [0u64; MAX_LIMBS4];
-        out[..S].copy_from_slice(&t);
-        out
+        t
     }
 
     /// Enters Montgomery form.
@@ -815,12 +818,6 @@ impl Montgomery4 {
     #[inline]
     pub fn enter(&self, a: &BigUint) -> MontElem4 {
         with_kernel!(self, |k| k.enter(a))
-    }
-
-    /// Leaves Montgomery form.
-    #[inline]
-    pub fn leave(&self, a: &MontElem4) -> BigUint {
-        with_kernel!(self, |k| k.leave(a))
     }
 
     /// Montgomery form of `1`.
@@ -839,53 +836,6 @@ impl Montgomery4 {
     #[inline]
     pub fn is_zero_elem(&self, a: &MontElem4) -> bool {
         *a == MontElem4::default()
-    }
-
-    /// In-domain windowed exponentiation: `a^exp` staying in Montgomery
-    /// form throughout (no per-call domain conversions).
-    pub fn mpow(&self, base: &MontElem4, exp: &BigUint) -> MontElem4 {
-        with_kernel!(self, |k| k.pow(base, exp))
-    }
-
-    /// In-domain inverse of a nonzero element via Fermat's little theorem
-    /// (`a^{n-2}`); the modulus must be prime, which holds for every curve
-    /// field the framework inverts under.
-    pub fn minv(&self, a: &MontElem4) -> MontElem4 {
-        with_kernel!(self, |k| k.inv(a))
-    }
-
-    /// In-domain square root: some `r` with `r² = a`, or `None` when `a` is
-    /// a quadratic non-residue. The other root is `−r`.
-    ///
-    /// Tonelli–Shanks, with `n − 1 = 2^s·m` and `m` odd: one exponentiation
-    /// `w = a^((m−1)/2)` gives the candidate `r = a·w` and the defect
-    /// `t = r·w = a^m`, and each pass of the loop multiplies a power of the
-    /// precomputed `z^m` into both until `t = 1`. When `s = 1`
-    /// (`n ≡ 3 mod 4`: the P-160 and P-256 fields) `t` is Euler's criterion
-    /// `a^((n−1)/2)` itself, so `t ≠ 1` is the non-residue verdict and the
-    /// loop never runs. The constants are built on the first call; for
-    /// `s > 1` (P-224 has `s = 96`) that includes finding a non-residue.
-    ///
-    /// The modulus must be prime: for a composite one the result means
-    /// nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first call if `s > 1` and no `z < 2^16` is a
-    /// non-residue. A composite modulus can have none; a prime's least
-    /// non-residue is small (the P-224 field's is 11).
-    pub fn msqrt(&self, a: &MontElem4) -> Option<MontElem4> {
-        with_kernel!(self, |k| k.sqrt(a))
-    }
-
-    /// Batch in-domain inversion by Montgomery's trick: one [`Self::minv`]
-    /// plus three multiplications per element instead of one inversion each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any element is zero.
-    pub fn batch_minv(&self, elems: &[MontElem4]) -> Vec<MontElem4> {
-        with_kernel!(self, |k| k.batch_inv(elems))
     }
 }
 
@@ -932,13 +882,12 @@ mod tests {
                 assert_eq!(k.leave(&k.one()), BigUint::one());
             });
             let e = BigUint::from_hex_str("fedcba9876543210fedcba98").unwrap();
-            assert_eq!(
-                small.leave(&small.mpow(&am, &e)),
-                wide.leave(&wide.mpow(&aw, &e))
-            );
-            assert_eq!(small.leave(&small.one_elem()), BigUint::one());
+            with_kernel!(&small, |k| {
+                assert_eq!(k.leave(&k.pow(&am, &e)), wide.leave(&wide.mpow(&aw, &e)));
+                assert_eq!(k.leave(&small.one_elem()), BigUint::one());
+                assert_eq!(k.leave(&small.enter(&BigUint::zero())), BigUint::zero());
+            });
             assert!(small.is_zero_elem(&small.zero_elem()));
-            assert_eq!(small.leave(&small.enter(&BigUint::zero())), BigUint::zero());
         }
     }
 
@@ -948,21 +897,17 @@ mod tests {
             let small = Montgomery4::new(n.clone());
             let a = &BigUint::from_hex_str("deadbeefcafebabe0123456789").unwrap() % &n;
             let am = small.enter(&a);
-            let inv = small.minv(&am);
-            assert_eq!(
-                with_kernel!(&small, |k| k.leave(&k.mul(&am, &inv))),
-                BigUint::one()
-            );
             let elems: Vec<MontElem4> = (1u64..9)
                 .map(|k| small.enter(&(&BigUint::from(k * 7 + 1) % &n)))
                 .collect();
-            let invs = small.batch_minv(&elems);
-            for (e, inv) in elems.iter().zip(&invs) {
-                assert_eq!(
-                    with_kernel!(&small, |k| k.leave(&k.mul(e, inv))),
-                    BigUint::one()
-                );
-            }
+            with_kernel!(&small, |k| {
+                assert_eq!(k.leave(&k.mul(&am, &k.inv(&am))), BigUint::one());
+                let invs = k.batch_inv(&elems);
+                for (e, inv) in elems.iter().zip(&invs) {
+                    assert_eq!(k.leave(&k.mul(e, inv)), BigUint::one());
+                }
+                assert!(k.batch_inv(&[]).is_empty());
+            });
         }
     }
 
@@ -971,12 +916,14 @@ mod tests {
         let n = BigUint::from(1_000_003u64);
         let m = Montgomery4::new(n.clone());
         let a = m.enter(&BigUint::from(5u64));
-        assert_eq!(m.leave(&m.mpow(&a, &BigUint::zero())), BigUint::one());
-        assert_eq!(m.leave(&m.mpow(&a, &BigUint::one())), BigUint::from(5u64));
-        assert_eq!(
-            m.leave(&m.mpow(&a, &BigUint::from(13u64))),
-            BigUint::from(5u64).modpow(&BigUint::from(13u64), &n)
-        );
+        with_kernel!(&m, |k| {
+            assert_eq!(k.leave(&k.pow(&a, &BigUint::zero())), BigUint::one());
+            assert_eq!(k.leave(&k.pow(&a, &BigUint::one())), BigUint::from(5u64));
+            assert_eq!(
+                k.leave(&k.pow(&a, &BigUint::from(13u64))),
+                BigUint::from(5u64).modpow(&BigUint::from(13u64), &n)
+            );
+        });
     }
 
     #[test]

@@ -146,7 +146,8 @@ fn jacobi_matches_eulers_criterion_at_the_edges() {
 
 /// The moduli the field kernels are tested on: the three curve primes
 /// (the P-160 kernel, and CIOS at four limbs for P-224 and P-256), then
-/// random odd moduli of one, two and three limbs for CIOS at those widths.
+/// random odd moduli of one, two and three limbs, which CIOS runs at four
+/// limbs too (`R = 2^256`).
 fn kernel_modulus(which: usize, limbs: &[u64]) -> BigUint {
     match which {
         0..=2 => prime(CURVE_PRIMES[which]),
@@ -180,10 +181,13 @@ fn kernel_operand(p: &BigUint, pick: u8, random: &BigUint) -> BigUint {
 }
 
 #[test]
-fn msqrt_of_zero_is_zero() {
+fn kernel_sqrt_of_zero_is_zero() {
     for hex in CURVE_PRIMES {
         let f = Montgomery4::new(prime(hex));
-        assert_eq!(f.msqrt(&f.zero_elem()), Some(f.zero_elem()));
+        assert_eq!(
+            with_kernel!(&f, |k| k.sqrt(&f.zero_elem())),
+            Some(f.zero_elem())
+        );
     }
 }
 
@@ -218,7 +222,8 @@ proptest! {
         let p = prime(CURVE_PRIMES[which]);
         let f = Montgomery4::new(p.clone());
         let a = &a % &p;
-        prop_assert_eq!(f.leave(&f.mpow(&f.enter(&a), &e)), Montgomery::new(p).pow(&a, &e));
+        let pow = with_kernel!(&f, |k| k.leave(&k.pow(&k.enter(&a), &e)));
+        prop_assert_eq!(pow, Montgomery::new(p).pow(&a, &e));
     }
 
     #[test]
@@ -258,7 +263,7 @@ proptest! {
     }
 
     #[test]
-    fn msqrt_roots_exactly_the_residues_of_the_curve_fields(
+    fn kernel_sqrt_roots_exactly_the_residues_of_the_curve_fields(
         a in biguint(4),
         which in 0usize..3,
     ) {
@@ -267,11 +272,12 @@ proptest! {
         let a = &a % &p;
         let am = f.enter(&a);
         let sqr = |x| with_kernel!(&f, |k| k.sqr(&x));
+        let sqrt = |x| with_kernel!(&f, |k| k.sqrt(&x));
         let square = sqr(am);
-        let r = f.msqrt(&square);
+        let r = sqrt(square);
         prop_assert!(r.is_some(), "a square has a root");
         prop_assert_eq!(sqr(r.unwrap()), square);
-        let root = f.msqrt(&am);
+        let root = sqrt(am);
         prop_assert_eq!(root.is_none(), euler(&a, &p) == -1);
         if let Some(r) = root {
             prop_assert_eq!(sqr(r), am);

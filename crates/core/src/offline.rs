@@ -17,6 +17,14 @@
 //! the party's whole phase-2 stock is drawn in the order documented at
 //! [`STOCK_LAYOUT`]. A mesh party mints its own stock at thread start.
 //!
+//! A hop set's randomizers live in one limb buffer
+//! ([`HopScalars`](ppgr_group::HopScalars)): each randomizer is written
+//! into its set's buffer as it is drawn, and one fan-out then fills every
+//! `−x_j·r` in place, so a randomizer costs two scalars at the group
+//! order's width plus its permutation slot — 56 B on ECC-160 — and the
+//! hop ladder recodes each pair when it runs. The stock is the largest
+//! state a session holds until its hops run: `n·(n − 1)²·l` randomizers.
+//!
 //! [`OfflineStock`] is the in-memory simulation's stock: the `n` party
 //! stocks plus what only the simulation can mint, because only it holds
 //! every key — the joint key's prepared comb table and both halves of
@@ -160,8 +168,9 @@ impl PartyStock {
 /// Mints the stocks of `parties` (1-based ids) of an `n`-party, `l`-bit
 /// session seeded `seed`. Each party's offline stream is drawn serially,
 /// before any worker starts, so every worker count mints the same
-/// stocks; then one fan-out over `workers` threads prepares every hop
-/// randomizer set of all of them. Masks stay bare.
+/// stocks, each hop randomizer straight into its set's buffer; then one
+/// fan-out over `workers` threads prepares every hop set of all of them
+/// in place. Masks stay bare.
 /// `cancel` is polled between parties and before the fan-out; once it
 /// returns `true`, minting stops and `None` is returned.
 ///
@@ -184,7 +193,6 @@ fn mint_parties(
     );
     let set_len = (n - 1) * l;
     let mut stocks = Vec::new();
-    let mut raw_hops: Vec<Vec<Scalar>> = Vec::new();
     for party in parties {
         if cancel() {
             return None;
@@ -199,20 +207,20 @@ fn mint_parties(
             .filter(|&owner| owner + 1 != party)
             .map(|owner| {
                 // Hop randomizers must be nonzero — a zero multiplier
-                // would erase a plaintext, forging a rank.
-                raw_hops.push(
-                    (0..set_len)
-                        .map(|_| group.random_nonzero_scalar(&mut rng))
-                        .collect(),
-                );
+                // would erase a plaintext, forging a rank. Each goes into
+                // its set's buffer as it is drawn; its `−x_j·r` is filled
+                // below, in one fan-out.
+                let mut set = group.hop_scalars(set_len);
+                for _ in 0..set_len {
+                    set.push(&group.random_nonzero_scalar(&mut rng));
+                }
                 // Fisher–Yates swaps depend only on the length, so
                 // shuffling the identity consumes exactly the draws
                 // shuffling the set would; `order[j]` names the input
                 // landing at position `j`.
                 let mut order: Vec<usize> = (0..set_len).collect();
                 order.shuffle(&mut rng);
-                // The randomizers are prepared below, in one fan-out.
-                (owner, Vec::new(), order)
+                (owner, set, order)
             })
             .collect();
         stocks.push(PartyStock {
@@ -229,26 +237,23 @@ fn mint_parties(
     }
     // The hop applies the randomizers to *foreign* ciphertexts with
     // variable bases, which no table can precompute; only their
-    // scalar-side work — the `−x_j·r` products and the hop ladder's
-    // signed-digit recodings — is prepared, under the hop party's own
-    // share. Sets were drawn party-major, `n − 1` per party.
-    let prepared = fan_out(
-        raw_hops.len(),
+    // scalar-side work — the `−x_j·r` products — is prepared, in place,
+    // under the hop party's own share.
+    let total = stocks.len() * (n - 1);
+    let mut sets = stocks.iter_mut().flat_map(|stock| {
+        let secret = stock.keys.secret_key();
+        stock.hops.iter_mut().map(move |(_, set, _)| (secret, set))
+    });
+    fan_out(
+        total,
         workers,
-        |range| range,
-        |range| {
-            range
-                .map(|idx| {
-                    let secret = stocks[idx / (n - 1)].keys.secret_key();
-                    group.prepare_hop_scalars(secret, &raw_hops[idx])
-                })
-                .collect::<Vec<_>>()
+        |range| sets.by_ref().take(range.len()).collect::<Vec<_>>(),
+        |chunk| {
+            for (secret, set) in chunk {
+                group.prepare_hop_scalars(secret, set);
+            }
         },
     );
-    let jobs = stocks.iter_mut().flat_map(|stock| &mut stock.hops);
-    for ((_, prep, _), ready) in jobs.zip(prepared.into_iter().flatten()) {
-        *prep = ready;
-    }
     Some(stocks)
 }
 
@@ -457,6 +462,30 @@ mod tests {
                 assert_eq!(filled(&mine), filled(theirs), "{label}: mask halves");
             }
         }
+    }
+
+    #[test]
+    fn hop_stock_holds_at_most_64_bytes_per_randomizer() {
+        // The benchmark's solo shape: ECC-160, n = 8, l = 25. Counted from
+        // the buffers' capacities: each party's job vector, and per set its
+        // one limb buffer and its permutation. Each set is those two
+        // buffers, allocated once at their final size, whatever its length.
+        let (n, l) = (8, 25);
+        let stock = generate(StockFingerprint::new(26, n, l, GroupKind::Ecc160), 2);
+        let (mut bytes, mut randomizers) = (0usize, 0usize);
+        for party in &stock.parties {
+            bytes += party.hops.capacity() * std::mem::size_of::<HopJob>();
+            for (_, set, order) in &party.hops {
+                assert_eq!(set.len(), (n - 1) * l);
+                assert_eq!(set.heap_bytes(), set.len() * 2 * 3 * 8, "one exact buffer");
+                assert_eq!(order.capacity(), order.len(), "one exact permutation");
+                bytes += set.heap_bytes() + order.capacity() * std::mem::size_of::<usize>();
+                randomizers += set.len();
+            }
+        }
+        assert_eq!(randomizers, n * (n - 1) * (n - 1) * l);
+        let per = bytes as f64 / randomizers as f64;
+        assert!(per <= 64.0, "{per:.1} B per hop randomizer");
     }
 
     #[test]

@@ -399,9 +399,9 @@ pub(crate) fn tau_set(
 
 /// One foreign set's share of a chain hop, minted offline with the hop
 /// party's stock: the index of its owner's set, its plaintext randomizers
-/// prepared under the hop party's key share, and its output order
-/// (`order[j]` is the input landing at position `j`).
-pub(crate) type HopJob = (usize, Vec<HopScalars>, Vec<usize>);
+/// prepared under the hop party's key share in one limb buffer, and its
+/// output order (`order[j]` is the input landing at position `j`).
+pub(crate) type HopJob = (usize, HopScalars, Vec<usize>);
 
 /// Step 8's body (paper Fig. 1): one party's hop over the foreign sets
 /// `jobs` names. Every named set is partially decrypted under `secret`,
@@ -444,8 +444,8 @@ pub(crate) fn chain_hop(
                     let (set, order) = (&inputs[*owner], Some(&order[local]));
                     let mut out = Vec::new();
                     if options.randomize {
-                        // `−x·r` and the recodings came prepared under the
-                        // hop party's share.
+                        // `−x·r` came prepared under the hop party's
+                        // share; the ladder recodes each pair as it runs.
                         scheme.partial_decrypt_randomize_prepared_gather_into(
                             set, prep, order, &mut out,
                         );

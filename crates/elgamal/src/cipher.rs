@@ -416,43 +416,44 @@ impl ExpElGamal {
 
     /// One shuffle-chain hop (paper Fig. 1 step 8) over a ciphertext set:
     /// `out[j]` is `randomize_plaintext(partial_decrypt(cts[i], x), r_i)`
-    /// for `i = order[j]`, where `prep[i]` was built from the hop owner's
-    /// secret share `x` and the randomizer `r_i` by
+    /// for `i = order[j]`, where randomizer `i` of the set `prep` was
+    /// prepared under the hop owner's secret share `x` by
     /// [`Group::prepare_hop_scalars`]. `order` may select any subset of the
     /// indices in any order (`out.len() == order.len()`); `None` takes
     /// every ciphertext in input order.
     ///
-    /// Each result is `(α^r·β^{−x·r}, β^r)` from one fused kernel call:
-    /// the double exponentiation shares one ladder, so a hop costs ≈ 1.7
+    /// Each result is `(α^r·β^{−x·r}, β^r)` from one fused kernel call,
+    /// which reads each `(r, −x·r)` pair from the set by index: the double
+    /// exponentiation shares one ladder, so a hop costs ≈ 1.7
     /// exponentiations instead of the 3 of the composition, and the
-    /// `−x·r` products and curve-side recodings were paid when the
-    /// preparation was built. The shuffle is fused into the *placement* of
-    /// each result, so the caller never materializes the un-shuffled set,
-    /// and `out`'s capacity is reused across hops. Results are
-    /// element-for-element identical to the composition.
+    /// `−x·r` products were paid when the set was prepared. The shuffle is
+    /// fused into the *placement* of each result, so the caller never
+    /// materializes the un-shuffled set, and `out`'s capacity is reused
+    /// across hops. Results are element-for-element identical to the
+    /// composition.
     ///
     /// # Panics
     ///
-    /// Panics if `prep` is not the same length as `cts`, or an index in
-    /// `order` is out of range.
+    /// Panics if `prep` does not hold one randomizer per ciphertext of
+    /// `cts`, or an index in `order` is out of range.
     pub fn partial_decrypt_randomize_prepared_gather_into(
         &self,
         cts: &[Ciphertext],
-        prep: &[HopScalars],
+        prep: &HopScalars,
         order: Option<&[usize]>,
         out: &mut Vec<Ciphertext>,
     ) {
-        assert_eq!(cts.len(), prep.len(), "one preparation per ciphertext");
+        assert_eq!(cts.len(), prep.len(), "one randomizer per ciphertext");
         let picked = gather(cts, order);
-        let items: Vec<(&Element, &HopScalars, &Element)> = picked
+        let items: Vec<(&Element, usize, &Element)> = picked
             .iter()
-            .map(|&i| (&cts[i].alpha, &prep[i], &cts[i].beta))
+            .map(|&i| (&cts[i].alpha, i, &cts[i].beta))
             .collect();
         out.clear();
         out.reserve(picked.len());
         out.extend(
             self.group
-                .exp_hop_prepared_batch(&items)
+                .exp_hop_prepared_batch(prep, &items)
                 .into_iter()
                 .map(|(alpha, beta)| Ciphertext { alpha, beta }),
         );
@@ -657,7 +658,11 @@ mod tests {
                     scheme.randomize_plaintext(&scheme.partial_decrypt(ct, kp.secret_key()), r)
                 })
                 .collect();
-            let prep = group.prepare_hop_scalars(kp.secret_key(), &rs);
+            let mut prep = group.hop_scalars(rs.len());
+            for r in &rs {
+                prep.push(r);
+            }
+            group.prepare_hop_scalars(kp.secret_key(), &mut prep);
             let mut out = Vec::new();
             scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, None, &mut out);
             assert_eq!(out, composed, "{kind} prepared hop");
@@ -689,7 +694,11 @@ mod tests {
                     scheme.randomize_plaintext(&stripped, &rs[i])
                 })
                 .collect();
-            let prep = group.prepare_hop_scalars(kp.secret_key(), &rs);
+            let mut prep = group.hop_scalars(rs.len());
+            for r in &rs {
+                prep.push(r);
+            }
+            group.prepare_hop_scalars(kp.secret_key(), &mut prep);
             let mut out = Vec::new();
             scheme.partial_decrypt_randomize_prepared_gather_into(
                 &cts,

@@ -6,8 +6,9 @@
 //! elements kept in Montgomery form, which is what makes the ECC framework
 //! instantiation markedly faster than the DL one (the paper's Fig. 2/3).
 
+use crate::msm::{wnaf_digits, WNAF_MAX_DIGITS};
 use crate::traits::DecodeElementError;
-use crate::Element;
+use crate::{Element, HopScalars};
 use ppgr_bigint::{with_kernel, BigUint, FieldKernel, MontElem4, Montgomery4};
 
 /// Parameters of a named curve.
@@ -631,7 +632,7 @@ impl EcGroup {
     pub fn scalar_mul_batch(&self, pairs: &[(&EcPoint, &BigUint)]) -> Vec<EcPoint> {
         with_kernel!(&self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
-            let plan: Vec<Option<(Vec<i8>, usize)>> = pairs
+            let plan: Vec<Option<(BigUint, usize)>> = pairs
                 .iter()
                 .map(|(p, e)| {
                     let e = *e % &self.params.n;
@@ -639,40 +640,45 @@ impl EcGroup {
                         return None;
                     }
                     bases.push(self.to_jacobian(k, p));
-                    Some((crate::msm::wnaf_digits(&e), bases.len() - 1))
+                    Some((e, bases.len() - 1))
                 })
                 .collect();
             let tables = self.wnaf_tables(k, &bases);
+            let tables: Vec<&[MontAffine]> = tables.chunks_exact(8).collect();
+            let mut digits = [0i8; WNAF_MAX_DIGITS];
             let jacs: Vec<Jacobian> = plan
                 .iter()
                 .map(|entry| match entry {
                     None => self.jac_infinity(),
-                    Some((digits, t)) => self.wnaf_mul_jac(k, digits, &tables[*t]),
+                    Some((e, t)) => {
+                        self.wnaf_mul_jac(k, wnaf_digits(e.limbs(), &mut digits), tables[*t])
+                    }
                 })
                 .collect();
             self.to_affine_batch(k, &jacs)
         })
     }
 
-    /// Fused hop batch over pre-recoded scalars: each entry is
-    /// `(A, wnaf(r), B, wnaf(s))`, with empty digit vectors encoding zero
-    /// scalars, and yields the pair `(r·A + s·B, r·B)` — the shape of a
-    /// re-randomized partial decryption.
+    /// Fused hop batch over a prepared set: each entry `(A, i, B)` names
+    /// randomizer `i`'s pair `(r, s)` in `set` and yields
+    /// `(r·A + s·B, r·B)` — the shape of a re-randomized partial
+    /// decryption.
     ///
     /// Both results come from one ladder in two lanes. Every step doubles
     /// both; each digit of `r` adds `A`'s and `B`'s table entries to their
     /// lanes together, and each digit of `s` adds `B`'s entry to the first
     /// lane alone (Shamir's trick). The two lanes are independent
     /// dependency chains, which the latency-bound field kernel overlaps.
-    /// The odd-multiple tables of every base, and then every result, are
-    /// normalized through one batched field inversion each. An offline
-    /// phase that knows the hop's randomizers (but not its ciphertexts)
-    /// pays the order reductions and recodings ahead of time and hands the
-    /// digits in here.
-    pub fn scalar_mul_hop_digits_batch(
+    /// Each pair is recoded into two stack digit buffers just before its
+    /// lanes run, so the set stores plain limbs. The odd-multiple tables
+    /// of every base, and then every result, are normalized through one
+    /// batched field inversion each.
+    pub(crate) fn scalar_mul_hop_batch(
         &self,
-        items: &[(&EcPoint, &[i8], &EcPoint, &[i8])],
+        set: &HopScalars,
+        items: &[(&EcPoint, usize, &EcPoint)],
     ) -> Vec<(EcPoint, EcPoint)> {
+        let nonzero = |k: &[u64]| k.iter().any(|&l| l != 0);
         with_kernel!(&self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
             let mut table_of = |p: &EcPoint, used: bool| {
@@ -683,21 +689,26 @@ impl EcGroup {
             };
             let plan: Vec<(Option<usize>, Option<usize>)> = items
                 .iter()
-                .map(|(a, r, b, s)| {
-                    let ta = table_of(a, !r.is_empty());
-                    (ta, table_of(b, !r.is_empty() || !s.is_empty()))
+                .map(|&(a, i, b)| {
+                    let (r, s) = set.pair(i);
+                    let ta = table_of(a, nonzero(r));
+                    (ta, table_of(b, nonzero(r) || nonzero(s)))
                 })
                 .collect();
             let tables = self.wnaf_tables(k, &bases);
+            let tables: Vec<&[MontAffine]> = tables.chunks_exact(8).collect();
             let inf = self.jac_infinity();
+            let (mut r_digits, mut s_digits) = ([0i8; WNAF_MAX_DIGITS], [0i8; WNAF_MAX_DIGITS]);
             let mut jacs = Vec::with_capacity(items.len() * 2);
-            for (&(ta, tb), (_, r, _, s)) in plan.iter().zip(items) {
+            for (&(ta, tb), &(_, i, _)) in plan.iter().zip(items) {
+                let (r, s) = set.pair(i);
+                let (r, s) = (wnaf_digits(r, &mut r_digits), wnaf_digits(s, &mut s_digits));
                 jacs.extend(match (ta, tb) {
-                    (Some(ta), Some(tb)) => self.hop_lanes(k, r, &tables[ta], s, &tables[tb]),
-                    (Some(ta), None) => [self.wnaf_mul_jac(k, r, &tables[ta]), inf],
+                    (Some(ta), Some(tb)) => self.hop_lanes(k, r, tables[ta], s, tables[tb]),
+                    (Some(ta), None) => [self.wnaf_mul_jac(k, r, tables[ta]), inf],
                     (None, Some(tb)) => [
-                        self.wnaf_mul_jac(k, s, &tables[tb]),
-                        self.wnaf_mul_jac(k, r, &tables[tb]),
+                        self.wnaf_mul_jac(k, s, tables[tb]),
+                        self.wnaf_mul_jac(k, r, tables[tb]),
                     ],
                     (None, None) => [inf, inf],
                 });
@@ -714,8 +725,8 @@ impl EcGroup {
     }
 
     /// `[r·A + s·B, r·B]` from `r`'s and `s`'s digits against `A`'s and
-    /// `B`'s tables, as the two lanes of
-    /// [`Self::scalar_mul_hop_digits_batch`]'s ladder.
+    /// `B`'s tables, as the two lanes of [`Self::scalar_mul_hop_batch`]'s
+    /// ladder.
     fn hop_lanes<K: FieldKernel>(
         &self,
         k: K,
@@ -766,10 +777,11 @@ impl EcGroup {
 
     /// Builds width-4 wNAF odd-multiple tables `{1·P, 3·P, …, 15·P}` for
     /// every base at once, normalized to [`MontAffine`] form with ONE
-    /// shared field inversion across all entries of all tables. Bases must
+    /// shared field inversion across all entries of all tables, and laid
+    /// end to end: base `t`'s table is the `t`-th chunk of 8. Bases must
     /// be finite; every entry is then a nonzero multiple `d·P` with
     /// `d < n`, so none is infinity and the batch inversion is total.
-    fn wnaf_tables<K: FieldKernel>(&self, k: K, bases: &[Jacobian]) -> Vec<Vec<MontAffine>> {
+    fn wnaf_tables<K: FieldKernel>(&self, k: K, bases: &[Jacobian]) -> Vec<MontAffine> {
         let mut jacs: Vec<Jacobian> = Vec::with_capacity(bases.len() * 8);
         for base in bases {
             let [twice] = self.jac_double(k, [base]);
@@ -780,9 +792,6 @@ impl EcGroup {
             }
         }
         self.to_mont_affine_batch(k, &jacs)
-            .chunks_exact(8)
-            .map(<[MontAffine]>::to_vec)
-            .collect()
     }
 
     /// Replays LSB-first wNAF digits against a normalized odd-multiple
@@ -817,11 +826,8 @@ impl EcGroup {
     ) -> Vec<EcPoint> {
         assert_eq!(addends.len(), points.len(), "one addend per point");
         let e = e % &self.params.n;
-        let digits = if e.is_zero() {
-            Vec::new()
-        } else {
-            crate::msm::wnaf_digits(&e)
-        };
+        let mut digits = [0i8; WNAF_MAX_DIGITS];
+        let digits = wnaf_digits(e.limbs(), &mut digits);
         with_kernel!(&self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
             let idxs: Vec<Option<usize>> = points
@@ -835,12 +841,13 @@ impl EcGroup {
                 })
                 .collect();
             let tables = self.wnaf_tables(k, &bases);
+            let tables: Vec<&[MontAffine]> = tables.chunks_exact(8).collect();
             let jacs: Vec<Jacobian> = idxs
                 .iter()
                 .zip(addends)
                 .map(|(t, addend)| {
                     let acc = match t {
-                        Some(t) => self.wnaf_mul_jac(k, &digits, &tables[*t]),
+                        Some(t) => self.wnaf_mul_jac(k, digits, tables[*t]),
                         None => self.jac_infinity(),
                     };
                     match addend.xy() {
@@ -1122,15 +1129,8 @@ mod tests {
     }
 
     #[test]
-    fn hop_digits_match_single_muls() {
+    fn hop_batch_matches_single_muls() {
         use rand::SeedableRng;
-        let recode = |k: &BigUint| {
-            if k.is_zero() {
-                Vec::new()
-            } else {
-                crate::msm::wnaf_digits(k)
-            }
-        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(25);
         for g in groups() {
             let p = gen_point(&g);
@@ -1148,10 +1148,13 @@ mod tests {
                 (below(&n), below(&short)),
                 (below(&n), BigUint::zero()),
             ];
-            let (r, s) = (recode(&random[2].0), recode(&random[2].1));
-            assert!(s.len() > r.len(), "s's digits outrun r's");
-            let (r, s) = (recode(&random[3].0), recode(&random[3].1));
-            assert!(s.len() < r.len(), "r's digits outrun s's");
+            let mut buf = [[0i8; WNAF_MAX_DIGITS]; 2];
+            let [rb, sb] = &mut buf;
+            let len = |k: &BigUint, b: &mut [i8]| wnaf_digits(k.limbs(), b).len();
+            let (r, s) = &random[2];
+            assert!(len(s, sb) > len(r, rb), "s's digits outrun r's");
+            let (r, s) = &random[3];
+            assert!(len(s, sb) < len(r, rb), "r's digits outrun s's");
             let cases: Vec<(&EcPoint, BigUint, &EcPoint, BigUint)> = [
                 (0u64, 0u64),
                 (0, 5),
@@ -1168,21 +1171,26 @@ mod tests {
                 (&p, BigUint::from(9u64), &inf, BigUint::from(4u64)),
             ])
             .collect();
-            let digits: Vec<(Vec<i8>, Vec<i8>)> = cases
+            let pairs: Vec<(BigUint, BigUint)> = cases
                 .iter()
-                .map(|(_, k1, _, k2)| (recode(k1), recode(k2)))
+                .map(|(_, k1, _, k2)| (k1.clone(), k2.clone()))
                 .collect();
-            let items: Vec<(&EcPoint, &[i8], &EcPoint, &[i8])> = cases
+            let set = HopScalars::from_pairs(n.limbs().len(), &pairs);
+            // Every pair, and the same pairs read in reverse order.
+            let forward: Vec<(&EcPoint, usize, &EcPoint)> = cases
                 .iter()
-                .zip(&digits)
-                .map(|((a, _, b, _), (d1, d2))| (*a, d1.as_slice(), *b, d2.as_slice()))
+                .enumerate()
+                .map(|(i, (a, _, b, _))| (*a, i, *b))
                 .collect();
-            let hops = g.scalar_mul_hop_digits_batch(&items);
-            for ((a, k1, b, k2), (first, second)) in cases.iter().zip(&hops) {
+            let backward: Vec<_> = forward.iter().rev().copied().collect();
+            let hops = g.scalar_mul_hop_batch(&set, &forward);
+            let reversed = g.scalar_mul_hop_batch(&set, &backward);
+            for (i, (a, k1, b, k2)) in cases.iter().enumerate() {
                 let expect = g.add(&g.scalar_mul(a, k1), &g.scalar_mul(b, k2));
                 let label = format!("{} k1={k1:?} k2={k2:?}", g.params().name);
-                assert_eq!(first, &expect, "{label}");
-                assert_eq!(second, &g.scalar_mul(b, k1), "{label}");
+                assert_eq!(hops[i].0, expect, "{label}");
+                assert_eq!(hops[i].1, g.scalar_mul(b, k1), "{label}");
+                assert_eq!(reversed[cases.len() - 1 - i], hops[i], "{label} reversed");
             }
         }
     }

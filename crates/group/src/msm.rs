@@ -116,78 +116,74 @@ pub(crate) fn plan(n: usize, bits: usize) -> Plan {
 /// odd-multiple tables hold 8 entries.
 const WNAF_WIDTH: u32 = 4;
 
-/// Width-[`WNAF_WIDTH`] non-adjacent form: LSB-first signed digits, each
-/// either zero or odd in `±{1, 3, …, 15}`, at most one nonzero digit in
-/// any four consecutive positions. Shared by the batch paths, which recode
-/// once and replay the digits, and by prepared hop scalars, which keep
-/// them until the hop runs.
-pub(crate) fn wnaf_digits(k: &BigUint) -> Vec<i8> {
-    let w = WNAF_WIDTH;
-    // Recoding runs twice per hop ciphertext, so it works on a flat limb
-    // copy with word-level window extraction instead of per-bit `BigUint`
-    // arithmetic (which allocates on every subtraction/shift).
-    let src = k.limbs();
-    let mut limbs = Vec::with_capacity(src.len() + 1);
-    limbs.extend_from_slice(src);
-    // Headroom: a negative digit adds 2^{w+1} back at the current position,
-    // whose carry can run one limb past the original top.
-    limbs.push(0);
-    let modulus = 1u64 << (w + 1);
-    let mask = modulus - 1;
-    let half = 1u64 << w;
-    let wu = w as usize;
-    // A w-NAF is at most one digit longer than the scalar.
-    let mut digits = Vec::with_capacity(k.bits() + 1);
-    let mut pos = 0usize;
-    let mut top = limbs.len(); // exclusive index of the highest live limb
+/// A digit buffer long enough for [`wnaf_digits`] of any scalar of at
+/// most four limbs — every curve order's width.
+pub(crate) const WNAF_MAX_DIGITS: usize = 4 * 64 + 1;
+
+/// Width-[`WNAF_WIDTH`] non-adjacent form of the little-endian limbs `k`:
+/// LSB-first signed digits, each either zero or odd in `±{1, 3, …, 15}`,
+/// at most one nonzero digit in any four consecutive positions, the last
+/// one nonzero (zero has no digits). Written into `out`, whose written
+/// prefix is returned; `k` may carry zero limbs above its top.
+///
+/// The one recoder: the batch ladders recode each scalar into a stack
+/// buffer just before replaying it, and the hop ladder recodes each
+/// prepared pair the same way. It reads `k` without copying it: a
+/// negative digit's borrow travels as a pending carry, and each run of
+/// zero digits is skipped a word at a time with `trailing_zeros` (of the
+/// complement while a carry is pending, whose run of ones it absorbs).
+/// No step branches on a digit's sign.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than `64·k.len() + 1` digits.
+pub(crate) fn wnaf_digits<'a>(k: &[u64], out: &'a mut [i8]) -> &'a [i8] {
+    const MASK: u64 = (1 << (WNAF_WIDTH + 1)) - 1;
+    const STEP: usize = WNAF_WIDTH as usize + 1;
+    let bits = 64 * k.len();
+    // Bits `p..p + 64` of `k`, zero past its top.
+    let word = |p: usize| {
+        let (i, off) = (p / 64, p % 64);
+        let lo = k.get(i).map_or(0, |&l| l >> off);
+        let hi = match off {
+            0 => 0,
+            _ => k.get(i + 1).map_or(0, |&l| l << (64 - off)),
+        };
+        lo | hi
+    };
+    // A digit can land one position past k's top bit.
+    let out = &mut out[..=bits];
+    out.fill(0);
+    // What is left to recode at `p` is `(k >> p) + carry`.
+    let (mut p, mut carry, mut len) = (0usize, 0u64, 0usize);
     loop {
-        while top > 0 && limbs[top - 1] == 0 {
-            top -= 1;
-        }
-        if pos >= 64 * top {
-            break;
-        }
-        let li = pos / 64;
-        let off = pos % 64;
-        if (limbs[li] >> off) & 1 == 0 {
-            digits.push(0);
-            pos += 1;
+        // Zero digits up to the next odd remainder: k's next set bit, or
+        // while a carry is pending, its next clear one.
+        let flip = carry.wrapping_neg();
+        let w = word(p) ^ flip;
+        let run = w.trailing_zeros() as usize;
+        if run == 64 {
+            if carry == 0 && p + 64 >= bits {
+                break;
+            }
+            p += 64;
             continue;
         }
-        // Lowest w+1 bits at `pos` as an unsigned value.
-        let mut window = limbs[li] >> off;
-        if off > 0 && li + 1 < limbs.len() {
-            window |= limbs[li + 1] << (64 - off);
-        }
-        let low = window & mask;
-        // Clear bits pos..=pos+w (both digit signs zero them).
-        limbs[li] &= !(mask << off);
-        if off + wu + 1 > 64 && li + 1 < limbs.len() {
-            limbs[li + 1] &= !(mask >> (64 - off));
-        }
-        if low >= half {
-            // Negative digit: add its magnitude back so the borrow
-            // propagates as a carry (2^{w+1} at the current position).
-            digits.push((low as i64 - modulus as i64) as i8);
-            let cpos = pos + wu + 1;
-            let mut ci = cpos / 64;
-            let mut add = 1u64 << (cpos % 64);
-            loop {
-                let (v, carried) = limbs[ci].overflowing_add(add);
-                limbs[ci] = v;
-                if !carried {
-                    break;
-                }
-                ci += 1;
-                add = 1;
-            }
-            top = top.max(ci + 1);
-        } else {
-            digits.push(low as i8);
-        }
-        pos += 1;
+        p += run;
+        let ahead = match run <= 64 - STEP {
+            true => (w ^ flip) >> run,
+            false => word(p),
+        };
+        // Odd, and at most 31: with a carry pending, bit `p` of k is clear.
+        // From 16 up the digit is negative and leaves a carry.
+        let window = (ahead & MASK) + carry;
+        carry = window >> WNAF_WIDTH;
+        out[p] = window as i8 - (carry << STEP) as i8;
+        len = p + 1;
+        // The digit clears its window: the next WNAF_WIDTH digits are zero.
+        p += STEP;
     }
-    digits
+    &out[..len]
 }
 
 /// The generic engine: dispatches on [`plan`] and returns the family's
@@ -348,19 +344,131 @@ mod tests {
         assert!(cost_at(4096, 1024) >= cost_at(4096, 160));
     }
 
-    #[test]
-    fn wnaf_digits_reconstruct_scalar() {
-        for v in [0u64, 1, 2, 3, 15, 16, 31, 170, 0xdead_beef, u64::MAX] {
-            let digits = wnaf_digits(&BigUint::from(v));
-            let mut acc: i128 = 0;
-            for (i, &d) in digits.iter().enumerate() {
-                acc += (d as i128) << i;
-                assert!(d == 0 || (d % 2 != 0 && d.unsigned_abs() < 16), "d={d}");
+    /// The recoder the limb recoder replaced, kept as its reference: it
+    /// copies the limbs and clears each digit's window in the copy,
+    /// propagating a negative digit's carry through the limbs at once.
+    fn reference_wnaf(k: &BigUint) -> Vec<i8> {
+        let w = WNAF_WIDTH;
+        let mut limbs = k.limbs().to_vec();
+        limbs.push(0);
+        let modulus = 1u64 << (w + 1);
+        let mask = modulus - 1;
+        let half = 1u64 << w;
+        let wu = w as usize;
+        let mut digits = Vec::new();
+        let mut pos = 0usize;
+        let mut top = limbs.len();
+        loop {
+            while top > 0 && limbs[top - 1] == 0 {
+                top -= 1;
             }
-            assert_eq!(acc, v as i128, "v={v}");
-            // Non-adjacency: no two nonzero digits within w positions.
-            for pair in digits.windows(4) {
-                assert!(pair.iter().filter(|&&d| d != 0).count() <= 1, "v={v}");
+            if pos >= 64 * top {
+                break;
+            }
+            let (li, off) = (pos / 64, pos % 64);
+            if (limbs[li] >> off) & 1 == 0 {
+                digits.push(0);
+                pos += 1;
+                continue;
+            }
+            let mut window = limbs[li] >> off;
+            if off > 0 && li + 1 < limbs.len() {
+                window |= limbs[li + 1] << (64 - off);
+            }
+            let low = window & mask;
+            limbs[li] &= !(mask << off);
+            if off + wu + 1 > 64 && li + 1 < limbs.len() {
+                limbs[li + 1] &= !(mask >> (64 - off));
+            }
+            if low >= half {
+                digits.push((low as i64 - modulus as i64) as i8);
+                let cpos = pos + wu + 1;
+                let mut ci = cpos / 64;
+                let mut add = 1u64 << (cpos % 64);
+                loop {
+                    let (v, carried) = limbs[ci].overflowing_add(add);
+                    limbs[ci] = v;
+                    if !carried {
+                        break;
+                    }
+                    ci += 1;
+                    add = 1;
+                }
+                top = top.max(ci + 1);
+            } else {
+                digits.push(low as i8);
+            }
+            pos += 1;
+        }
+        digits
+    }
+
+    /// `Σ dᵢ·2^i` split by sign: `(positive part, negative part)`.
+    fn reconstruct(digits: &[i8]) -> (BigUint, BigUint) {
+        let (mut pos, mut neg) = (BigUint::zero(), BigUint::zero());
+        for (i, &d) in digits.iter().enumerate() {
+            let term = BigUint::from(d.unsigned_abs() as u64).shl(i);
+            if d > 0 {
+                pos = &pos + &term;
+            } else {
+                neg = &neg + &term;
+            }
+        }
+        (pos, neg)
+    }
+
+    #[test]
+    fn limb_recoder_matches_the_reference_and_reconstructs() {
+        use crate::GroupKind;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        let one = BigUint::one();
+        for kind in [GroupKind::Ecc160, GroupKind::Ecc224, GroupKind::Ecc256] {
+            let q = kind.group().order().clone();
+            let width = q.limbs().len();
+            let mut ks: Vec<BigUint> = vec![
+                BigUint::zero(),
+                one.clone(),
+                &q - &one,
+                // Long zero runs: within a limb, across whole limbs, and
+                // below the top bit.
+                &BigUint::power_of_two(150) + &one,
+                &BigUint::power_of_two(64 * (width - 1)) + &BigUint::from(3u64),
+                BigUint::power_of_two(q.bits() - 1),
+                // Carries across a limb boundary: a negative digit near a
+                // limb's top whose carry runs through ones into the next.
+                BigUint::from_limbs(vec![u64::MAX; width - 1]),
+                BigUint::from_limbs(vec![0xf800_0000_0000_0000, u64::MAX, 1]),
+                BigUint::from_limbs(vec![0x1f << 60, 0x0f]),
+                BigUint::from(u64::MAX),
+                BigUint::from(0xdead_beefu64),
+            ];
+            ks.extend((0..200).map(|_| ppgr_bigint::random_below(&mut rng, &q)));
+            // One buffer for every scalar: each recoding must replace the
+            // last one's digits, longer or shorter.
+            let mut buf = [0i8; WNAF_MAX_DIGITS];
+            for k in ks.iter().filter(|k| **k < q) {
+                let want = reference_wnaf(k);
+                assert_eq!(wnaf_digits(k.limbs(), &mut buf), want, "{kind} k={k:?}");
+                // Zero limbs above the top recode alike: a hop set stores
+                // its scalars at the order's width.
+                let mut padded = k.limbs().to_vec();
+                padded.resize(width, 0);
+                let digits = wnaf_digits(&padded, &mut buf);
+                assert_eq!(digits, want, "{kind} padded k={k:?}");
+                let (pos, neg) = reconstruct(digits);
+                assert_eq!(pos, k + &neg, "{kind} k={k:?}");
+                assert!(digits.last().is_none_or(|&d| d != 0), "{kind} k={k:?}");
+                for &d in digits {
+                    assert!(d == 0 || (d % 2 != 0 && d.unsigned_abs() < 16), "d={d}");
+                }
+                // Non-adjacency: no two nonzero digits within w positions.
+                for run in digits.windows(WNAF_WIDTH as usize) {
+                    assert!(
+                        run.iter().filter(|&&d| d != 0).count() <= 1,
+                        "{kind} k={k:?}"
+                    );
+                }
             }
         }
     }

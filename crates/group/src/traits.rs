@@ -94,26 +94,88 @@ enum TableImpl {
     Ec(Arc<crate::ec::EcComb>),
 }
 
-/// A hop's `(r, −x·r)` scalar pair with the scalar-only work — the order
-/// reduction and the curve family's wNAF recoding — done ahead of time by
-/// [`Group::prepare_hop_scalars`]. Feeding these to
-/// [`Group::exp_hop_prepared_batch`] makes the online hop a pure
-/// variable-base ladder evaluation.
+/// One hop set's prepared randomizers: for each randomizer `r`, the pair
+/// `(r, −x·r mod q)` under the hop owner's key share `x`, both stored in
+/// one limb buffer at the group order's limb width (3 limbs on ECC-160, 4
+/// on ECC-224/256, 16/32/48 on DL). A randomizer costs `2·width` limbs —
+/// 48 B on ECC-160 — and a set one allocation, with no per-randomizer
+/// `Scalar` or digit string.
+///
+/// Built empty by [`Group::hop_scalars`], filled by [`HopScalars::push`]
+/// as the randomizers are drawn, and completed in place by
+/// [`Group::prepare_hop_scalars`]; [`Group::exp_hop_prepared_batch`]
+/// reads each pair by index. The curve family's signed-digit recoding is
+/// not stored: the hop ladder recodes each pair into two stack buffers
+/// just before it runs.
 ///
 /// Together `r` and `−x·r` give the hop party's key share `x`, so `{:?}`
 /// prints neither.
 #[derive(Clone, PartialEq, Eq)]
 pub struct HopScalars {
-    pub(crate) r: Scalar,
-    pub(crate) neg_xr: Scalar,
-    /// wNAF recodings of `(r, −x·r)` on the elliptic-curve family; an
-    /// empty digit vector encodes the zero scalar.
-    pub(crate) digits: Option<(Vec<i8>, Vec<i8>)>,
+    /// Limbs per scalar: the group order's limb count.
+    width: usize,
+    /// Per randomizer, `r` then `−x·r`, `width` little-endian limbs each.
+    limbs: Vec<u64>,
 }
 
 impl fmt::Debug for HopScalars {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("HopScalars(<redacted>)")
+    }
+}
+
+impl HopScalars {
+    /// The number of randomizers in the set.
+    pub fn len(&self) -> usize {
+        self.limbs.len() / (2 * self.width)
+    }
+
+    /// Returns `true` if the set holds no randomizer.
+    pub fn is_empty(&self) -> bool {
+        self.limbs.is_empty()
+    }
+
+    /// The bytes the set holds on the heap: its one buffer's capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.limbs.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Appends the randomizer `r`, a scalar of the group that made the
+    /// set. Its `−x·r` stays zero until [`Group::prepare_hop_scalars`]
+    /// fills it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is wider than the set's group order.
+    pub fn push(&mut self, r: &Scalar) {
+        let r = r.0.limbs();
+        assert!(
+            r.len() <= self.width,
+            "randomizer wider than the group order"
+        );
+        self.limbs.extend_from_slice(r);
+        let pair = 2 * self.width - r.len();
+        self.limbs.resize(self.limbs.len() + pair, 0);
+    }
+
+    /// Randomizer `i`'s `(r, −x·r)` limbs.
+    pub(crate) fn pair(&self, i: usize) -> (&[u64], &[u64]) {
+        let at = 2 * self.width * i;
+        self.limbs[at..at + 2 * self.width].split_at(self.width)
+    }
+}
+
+#[cfg(test)]
+impl HopScalars {
+    /// A set holding the `(r, s)` pairs as given, unprepared, at `width`
+    /// limbs per scalar: the ladder tests feed pairs no key share relates.
+    pub(crate) fn from_pairs(width: usize, pairs: &[(BigUint, BigUint)]) -> Self {
+        let mut limbs = Vec::with_capacity(2 * width * pairs.len());
+        for k in pairs.iter().flat_map(|(r, s)| [r, s]) {
+            limbs.extend_from_slice(k.limbs());
+            limbs.resize(limbs.len() + width - k.limbs().len(), 0);
+        }
+        HopScalars { width, limbs }
     }
 }
 
@@ -580,66 +642,81 @@ impl Group {
         }
     }
 
-    /// Prepares a hop's scalar pair ahead of time: for each randomizer `r`
-    /// the product `−x·r` with the hop owner's secret share, plus the
-    /// curve-side order reduction and wNAF recoding of both scalars. All
-    /// of this depends only on the scalars — never on the ciphertexts the
-    /// hop will eventually touch — so a precompute phase can run it before
-    /// any input exists and [`Group::exp_hop_prepared_batch`] can skip it
-    /// online.
-    pub fn prepare_hop_scalars(&self, secret: &Scalar, rs: &[Scalar]) -> Vec<HopScalars> {
-        rs.iter()
-            .map(|r| {
-                let neg_xr = self.scalar_neg(&self.scalar_mul(secret, r));
-                let digits = match &self.inner {
-                    GroupImpl::Dl(_) => None,
-                    GroupImpl::Ec(g) => {
-                        let recode = |k: &BigUint| {
-                            let k = k % g.order();
-                            if k.is_zero() {
-                                Vec::new()
-                            } else {
-                                crate::msm::wnaf_digits(&k)
-                            }
-                        };
-                        Some((recode(&r.0), recode(&neg_xr.0)))
-                    }
-                };
-                HopScalars {
-                    r: r.clone(),
-                    neg_xr,
-                    digits,
-                }
-            })
-            .collect()
+    /// A hop set's limbs per scalar: the group order's limb count.
+    fn hop_width(&self) -> usize {
+        self.order().limbs().len()
     }
 
-    /// Fused hop batch over scalars prepared by
-    /// [`Group::prepare_hop_scalars`]: for each `(a, prep, b)` returns
-    /// `(a^r·b^{−xr}, b^r)` — a re-randomized partial decryption and its
-    /// new `β` in one call. The elliptic-curve kernel runs both halves as
-    /// two lanes of one ladder in lockstep: the first shares its doublings
-    /// between both bases (Shamir's trick), the second reuses `b`'s
-    /// odd-multiple table and `r`'s stored recoding, and every result of
-    /// the batch is normalized through one field inversion; the DL family
-    /// pays one dual and one single ladder.
+    /// An empty hop set at this group's order width, with room for `len`
+    /// randomizers: filling it to `len` allocates nothing more.
+    pub fn hop_scalars(&self, len: usize) -> HopScalars {
+        let width = self.hop_width();
+        HopScalars {
+            width,
+            limbs: Vec::with_capacity(2 * width * len),
+        }
+    }
+
+    /// Prepares a hop set ahead of time: writes each randomizer's
+    /// `−x·r mod q` under the hop owner's secret share `x` in place,
+    /// beside its `r`. The product depends only on the scalars — never on
+    /// the ciphertexts the hop will eventually touch — so a precompute
+    /// phase pays it before any input exists, and
+    /// [`Group::exp_hop_prepared_batch`] runs only the ladders online.
     ///
     /// # Panics
     ///
-    /// Panics if any element belongs to the other group family, or if the
-    /// preparation was done by a group of the other family.
+    /// Panics if the set was made by a group of another order width.
+    pub fn prepare_hop_scalars(&self, secret: &Scalar, set: &mut HopScalars) {
+        let (q, width) = (self.order(), set.width);
+        assert_eq!(width, self.hop_width(), "hop set made by another group");
+        for pair in set.limbs.chunks_exact_mut(2 * width) {
+            let (r, neg_xr) = pair.split_at_mut(width);
+            let xr = &(&secret.0 * &BigUint::from_limbs(r.to_vec())) % q;
+            neg_xr.fill(0);
+            if !xr.is_zero() {
+                let v = q - &xr;
+                neg_xr[..v.limbs().len()].copy_from_slice(v.limbs());
+            }
+        }
+    }
+
+    /// Fused hop batch over the prepared set `set` (see
+    /// [`Group::prepare_hop_scalars`]): for each `(a, i, b)` returns
+    /// `(a^r·b^{−xr}, b^r)` for randomizer `i`'s pair — a re-randomized
+    /// partial decryption and its new `β` in one call. The elliptic-curve
+    /// kernel recodes each pair into two stack digit buffers and runs both
+    /// halves as two lanes of one ladder in lockstep: the first shares its
+    /// doublings between both bases (Shamir's trick), the second reuses
+    /// `b`'s odd-multiple table and `r`'s digits, and every result of the
+    /// batch is normalized through one field inversion; the DL family
+    /// builds its two exponents from the limbs and pays one dual and one
+    /// single ladder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element belongs to the other group family, if the set
+    /// was made by a group of another order width, or if an index is out
+    /// of range for the set.
     pub fn exp_hop_prepared_batch(
         &self,
-        items: &[(&Element, &HopScalars, &Element)],
+        set: &HopScalars,
+        items: &[(&Element, usize, &Element)],
     ) -> Vec<(Element, Element)> {
+        assert_eq!(set.width, self.hop_width(), "hop set made by another group");
         match &self.inner {
             GroupImpl::Dl(g) => items
                 .iter()
-                .map(|(a, hs, b)| match (a, b) {
-                    (Element::Dl(a), Element::Dl(b)) => (
-                        Element::Dl(g.pow_dual(a, &hs.r.0, b, &hs.neg_xr.0)),
-                        Element::Dl(g.pow(b, &hs.r.0)),
-                    ),
+                .map(|&(a, i, b)| match (a, b) {
+                    (Element::Dl(a), Element::Dl(b)) => {
+                        let (r, neg_xr) = set.pair(i);
+                        let r = BigUint::from_limbs(r.to_vec());
+                        let neg_xr = BigUint::from_limbs(neg_xr.to_vec());
+                        (
+                            Element::Dl(g.pow_dual(a, &r, b, &neg_xr)),
+                            Element::Dl(g.pow(b, &r)),
+                        )
+                    }
                     // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
                     _ => panic!(
                         "{}",
@@ -650,12 +727,10 @@ impl Group {
                 })
                 .collect(),
             GroupImpl::Ec(g) => {
-                let pts: Vec<(&EcPoint, &[i8], &EcPoint, &[i8])> = items
+                let pts: Vec<(&EcPoint, usize, &EcPoint)> = items
                     .iter()
-                    .map(|(a, hs, b)| match (a, hs.digits.as_ref(), b) {
-                        (Element::Ec(a), Some((d1, d2)), Element::Ec(b)) => {
-                            (a, d1.as_slice(), b, d2.as_slice())
-                        }
+                    .map(|&(a, i, b)| match (a, b) {
+                        (Element::Ec(a), Element::Ec(b)) => (a, i, b),
                         // tidy:allow(panic) — documented family-mismatch contract; mixing families is a caller bug, not input
                         _ => panic!(
                             "{}",
@@ -665,7 +740,7 @@ impl Group {
                         ),
                     })
                     .collect();
-                g.scalar_mul_hop_digits_batch(&pts)
+                g.scalar_mul_hop_batch(set, &pts)
                     .into_iter()
                     .map(|(x, y)| (Element::Ec(x), Element::Ec(y)))
                     .collect()
@@ -865,7 +940,8 @@ impl Group {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Element, GroupError, GroupKind, HopScalars};
+    use crate::{Element, GroupError, GroupKind, Scalar};
+    use ppgr_bigint::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -875,13 +951,49 @@ mod tests {
             let g = kind.group();
             let mut rng = StdRng::seed_from_u64(9);
             let x = g.random_nonzero_scalar(&mut rng);
-            let rs = [g.random_nonzero_scalar(&mut rng)];
-            let prep = g.prepare_hop_scalars(&x, &rs).remove(0);
+            let mut prep = g.hop_scalars(1);
+            prep.push(&g.random_nonzero_scalar(&mut rng));
+            g.prepare_hop_scalars(&x, &mut prep);
             let dump = format!("{prep:?}");
             assert_eq!(dump, "HopScalars(<redacted>)", "{kind}");
-            for scalar in [&prep.r, &prep.neg_xr] {
+            let (r, neg_xr) = prep.pair(0);
+            for limbs in [r, neg_xr] {
+                let scalar = Scalar(BigUint::from_limbs(limbs.to_vec()));
+                assert!(!scalar.is_zero(), "{kind}");
                 assert!(!dump.contains(&format!("{scalar:?}")), "{kind}: {dump}");
                 assert!(!dump.contains(&scalar.to_string()), "{kind}: {dump}");
+            }
+        }
+    }
+
+    #[test]
+    fn hop_sets_hold_two_order_widths_per_randomizer() {
+        for (kind, width) in [
+            (GroupKind::Ecc160, 3),
+            (GroupKind::Ecc224, 4),
+            (GroupKind::Ecc256, 4),
+            (GroupKind::Dl1024, 16),
+            (GroupKind::Dl2048, 32),
+            (GroupKind::Dl3072, 48),
+        ] {
+            let g = kind.group();
+            let mut rng = StdRng::seed_from_u64(10);
+            let x = g.random_nonzero_scalar(&mut rng);
+            let rs: Vec<Scalar> = (0..5).map(|_| g.random_nonzero_scalar(&mut rng)).collect();
+            let mut set = g.hop_scalars(rs.len());
+            assert!(set.is_empty(), "{kind}");
+            for r in &rs {
+                set.push(r);
+            }
+            assert_eq!(set.len(), rs.len(), "{kind}");
+            assert_eq!(set.heap_bytes(), rs.len() * 2 * width * 8, "{kind}");
+            g.prepare_hop_scalars(&x, &mut set);
+            assert_eq!(set.heap_bytes(), rs.len() * 2 * width * 8, "{kind}");
+            for (i, r) in rs.iter().enumerate() {
+                let (got_r, neg_xr) = set.pair(i);
+                let neg_xr = Scalar(BigUint::from_limbs(neg_xr.to_vec()));
+                assert_eq!(&BigUint::from_limbs(got_r.to_vec()), r.value(), "{kind}");
+                assert_eq!(neg_xr, g.scalar_neg(&g.scalar_mul(&x, r)), "{kind}");
             }
         }
     }
@@ -1026,7 +1138,7 @@ mod tests {
 
     #[test]
     fn fused_batch_apis_match_compositions() {
-        for kind in [GroupKind::Ecc160, GroupKind::Dl1024] {
+        for kind in GroupKind::all() {
             let g = kind.group();
             let mut rng = StdRng::seed_from_u64(45);
             let a = g.exp_gen(&g.random_scalar(&mut rng));
@@ -1050,7 +1162,9 @@ mod tests {
 
             // Every degenerate hop shape through the prepared kernel: the
             // normal case, a zero randomizer, a zero secret (so `−x·r` is
-            // zero too), an identity `α` and an identity `β`.
+            // zero too), an identity `α` and an identity `β`. A set is
+            // prepared under one secret, so each shape gets its own set,
+            // and the shapes under `x` also share one set and one batch.
             let shapes = [
                 (&a, &x, &s, &b),
                 (&a, &x, &zero, &b),
@@ -1058,22 +1172,35 @@ mod tests {
                 (&id, &x, &s, &b),
                 (&a, &x, &s, &id),
             ];
-            let preps: Vec<HopScalars> = shapes
-                .iter()
-                .flat_map(|(_, secret, r, _)| g.prepare_hop_scalars(secret, &[(*r).clone()]))
-                .collect();
-            let items: Vec<(&Element, &HopScalars, &Element)> = shapes
-                .iter()
-                .zip(&preps)
-                .map(|((alpha, _, _, beta), prep)| (*alpha, prep, *beta))
-                .collect();
-            let hops = g.exp_hop_prepared_batch(&items);
-            for ((alpha, secret, r, beta), out) in shapes.iter().zip(&hops) {
+            let expect = |(alpha, secret, r, beta): &(&Element, &Scalar, &Scalar, &Element)| {
                 let neg_xr = g.scalar_neg(&g.scalar_mul(secret, r));
-                let expect = g.op(&g.exp(alpha, r), &g.exp(beta, &neg_xr));
-                assert_eq!(out.0, expect, "{kind:?}");
-                assert_eq!(out.1, g.exp(beta, r), "{kind:?}");
+                (
+                    g.op(&g.exp(alpha, r), &g.exp(beta, &neg_xr)),
+                    g.exp(beta, r),
+                )
+            };
+            for shape in &shapes {
+                let (alpha, secret, r, beta) = *shape;
+                let mut set = g.hop_scalars(1);
+                set.push(r);
+                g.prepare_hop_scalars(secret, &mut set);
+                let hops = g.exp_hop_prepared_batch(&set, &[(alpha, 0, beta)]);
+                assert_eq!(hops, [expect(shape)], "{kind:?}");
             }
+            let under_x: Vec<_> = shapes.iter().filter(|(_, k, _, _)| *k == &x).collect();
+            let mut set = g.hop_scalars(under_x.len());
+            for (_, _, r, _) in &under_x {
+                set.push(r);
+            }
+            g.prepare_hop_scalars(&x, &mut set);
+            let items: Vec<(&Element, usize, &Element)> = under_x
+                .iter()
+                .enumerate()
+                .map(|(i, (alpha, _, _, beta))| (*alpha, i, *beta))
+                .collect();
+            let hops = g.exp_hop_prepared_batch(&set, &items);
+            let want: Vec<_> = under_x.iter().map(|shape| expect(shape)).collect();
+            assert_eq!(hops, want, "{kind:?}");
         }
     }
 }
