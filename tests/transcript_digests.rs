@@ -132,6 +132,30 @@ fn dl1024_transcripts_match_their_golden_digests() {
     );
 }
 
+#[test]
+fn dl2048_transcripts_match_their_golden_digests() {
+    check(
+        GroupKind::Dl2048,
+        &[3, 1, 2],
+        2,
+        0xD16E59,
+        "9e9c97da4195e9a619b82efb953c776d3c9f2aeefae918ac1bd27e71e41fb75a",
+        "3075a0de66b9cc6f542c0a022052302d15f18064881de9a0a2dac4d465bcd215",
+    );
+}
+
+#[test]
+fn dl3072_transcripts_match_their_golden_digests() {
+    check(
+        GroupKind::Dl3072,
+        &[2, 1],
+        2,
+        0xD16E5A,
+        "244645c815f54e59e23189a2a8cf57a0f4b9540a08e3f75c5fe620b2981b34eb",
+        "8f3aa0a9a4b73f4c3a49104131508ad039ef8df2f7fe06b60e429b47f4415f6b",
+    );
+}
+
 /// Digests a whole in-memory session of `n` participants: its masked
 /// gains, ranks, accepted submissions (party, claimed rank, gain, values)
 /// and traffic records (sender, receiver, bytes, label, in log order).
