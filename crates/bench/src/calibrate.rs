@@ -192,12 +192,20 @@ impl Calibration {
 mod tests {
     use super::*;
 
-    /// The fastest of five interleaved trials of each side. Alternating
-    /// the sides exposes both to the same host load, and the minimum drops
-    /// the trials a busy host slowed down.
+    /// The fastest of five interleaved trials of each side. Interleaving
+    /// exposes both sides to the same host load, each side goes first in
+    /// every other trial so neither always runs on a cold or a warm host,
+    /// and the minimum drops the trials a busy host slowed down.
     fn fastest_of(a: impl Fn() -> Duration, b: impl Fn() -> Duration) -> (Duration, Duration) {
-        (0..5).fold((Duration::MAX, Duration::MAX), |(fa, fb), _| {
-            (fa.min(a()), fb.min(b()))
+        (0..5).fold((Duration::MAX, Duration::MAX), |(fa, fb), trial| {
+            let (ta, tb) = match trial % 2 {
+                0 => (a(), b()),
+                _ => {
+                    let tb = b();
+                    (a(), tb)
+                }
+            };
+            (fa.min(ta), fb.min(tb))
         })
     }
 

@@ -6,15 +6,14 @@
 //!
 //! * [`BigUint`] — little-endian `u64`-limb unsigned integers with
 //!   schoolbook/Karatsuba multiplication and Knuth Algorithm D division.
-//! * [`Montgomery`] — Montgomery-form modular multiplication and windowed
-//!   modular exponentiation for odd moduli (the hot path of every ElGamal
-//!   operation in the framework).
-//! * [`Montgomery4`] — the same for moduli of at most four limbs, on a
-//!   32-byte `Copy` element: the curve fields. Its two kernels (P-160 and
-//!   four-limb CIOS) implement [`FieldKernel`], which also carries the
-//!   in-domain square root ([`FieldKernel::sqrt`]), and [`with_kernel!`]
-//!   runs code generic over that trait with the context's kernel picked
-//!   once.
+//! * [`Montgomery`] — the one Montgomery context, for every odd modulus of
+//!   at most 48 limbs (the hot path of every group operation in the
+//!   framework). It runs one of five kernels: P-160, or CIOS at 4, 16, 32
+//!   or 48 limbs, each implementing [`FieldKernel`] on elements of its own
+//!   width, with exponentiation, inversion, batch inversion and the square
+//!   root written once on the trait. [`with_kernel!`] runs code generic
+//!   over that trait with the context's kernel picked once, for the curve
+//!   fields' two kernels or the DL primes' three.
 //! * [`modular`] — free-standing modular helpers: inverse (binary extended
 //!   gcd), Jacobi symbol (binary, in place on limbs), Tonelli–Shanks square
 //!   roots on `BigUint`.
@@ -42,9 +41,9 @@
 mod arith;
 pub mod ct;
 mod fp;
+mod kernel;
 pub mod modular;
 mod montgomery;
-mod montgomery4;
 pub mod prime;
 mod random;
 pub mod secret;
@@ -52,8 +51,8 @@ mod uint;
 
 pub use ct::{ct_eq_limbs, ct_select_limb, ct_select_limbs};
 pub use fp::{Fp, FpCtx};
-pub use montgomery::{MontElem, Montgomery};
-pub use montgomery4::{CiosKernel, FieldKernel, Kernel, MontElem4, Montgomery4, P160Kernel};
+pub use kernel::{CiosKernel, FieldKernel, P160Kernel};
+pub use montgomery::{Kernel, Montgomery};
 pub use random::{random_below, random_bits, random_nbit};
 pub use secret::{Secret, Wipe};
 pub use uint::{BigUint, ParseBigUintError};

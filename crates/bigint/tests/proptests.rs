@@ -1,6 +1,6 @@
 //! Property-based tests for `ppgr-bigint` arithmetic invariants.
 
-use ppgr_bigint::{modular, with_kernel, BigUint, FieldKernel, Montgomery, Montgomery4};
+use ppgr_bigint::{modular, with_kernel, BigUint, FieldKernel, Montgomery};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary BigUint up to `limbs` limbs.
@@ -9,11 +9,16 @@ fn biguint(limbs: usize) -> impl Strategy<Value = BigUint> {
 }
 
 /// Strategy: an odd modulus of exactly 16, 32 or 48 limbs (the DL groups'
-/// widths, each with its own const-width kernel), two operands of the same
-/// width, which may exceed the modulus, and a 64-bit exponent.
+/// widths, each with a kernel of its own) or of 5–15 limbs (which the
+/// 16-limb kernel runs padded), two operands of the same width, which may
+/// exceed the modulus, and a 64-bit exponent.
 fn dl_width_case() -> impl Strategy<Value = (BigUint, BigUint, BigUint, u64)> {
     prop::collection::vec(any::<u64>(), 3 * 48 + 2).prop_map(|v| {
-        let width = 16 * (1 + (v[3 * 48] % 3) as usize);
+        let pick = v[3 * 48] % 4;
+        let width = match pick {
+            3 => 5 + (v[3 * 48] >> 2) as usize % 11,
+            _ => 16 * (1 + pick as usize),
+        };
         let mut m = v[..width].to_vec();
         m[0] |= 1;
         m[width - 1] |= 1 << 63;
@@ -29,12 +34,12 @@ fn dl_width_case() -> impl Strategy<Value = (BigUint, BigUint, BigUint, u64)> {
 }
 
 /// Square-and-multiply on plain `BigUint` products and remainders: the
-/// reference that shares no code with `Montgomery`.
-fn plain_modpow(base: &BigUint, exp: u64, m: &BigUint) -> BigUint {
+/// reference that shares no code with `Montgomery` or its kernels.
+fn plain_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
     let mut acc = BigUint::one() % m;
     let mut b = base % m;
-    for i in 0..64 - exp.leading_zeros() {
-        if exp >> i & 1 == 1 {
+    for i in 0..exp.bits() {
+        if exp.bit(i) {
             acc = &(&acc * &b) % m;
         }
         b = &(&b * &b) % m;
@@ -71,6 +76,25 @@ const DL_PRIMES: [&str; 2] = [
      15728E5A 8AACAA68 FFFFFFFF FFFFFFFF",
 ];
 
+/// The RFC 3526 3072-bit MODP safe prime.
+const MODP_3072: &str = "
+    FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1
+    29024E08 8A67CC74 020BBEA6 3B139B22 514A0879 8E3404DD
+    EF9519B3 CD3A431B 302B0A6D F25F1437 4FE1356D 6D51C245
+    E485B576 625E7EC6 F44C42E9 A637ED6B 0BFF5CB6 F406B7ED
+    EE386BFB 5A899FA5 AE9F2411 7C4B1FE6 49286651 ECE45B3D
+    C2007CB8 A163BF05 98DA4836 1C55D39A 69163FA8 FD24CF5F
+    83655D23 DCA3AD96 1C62F356 208552BB 9ED52907 7096966D
+    670C354E 4ABC9804 F1746C08 CA18217C 32905E46 2E36CE3B
+    E39E772C 180E8603 9B2783A2 EC07A28F B5C55DF0 6F4C52C9
+    DE2BCBF6 95581718 3995497C EA956AE5 15D22618 98FA0510
+    15728E5A 8AAAC42D AD33170D 04507A33 A85521AB DF1CBA64
+    ECFB8504 58DBEF0A 8AEA7157 5D060C7D B3970F85 A6E1E4C7
+    ABF5AE8C DB0933D7 1E8C94E0 4A25619D CEE3D226 1AD2EE6B
+    F12FFA06 D98A0864 D8760273 3EC86A64 521F2B18 177B200C
+    BBE11757 7A615D6C 770988C0 BAD946E2 08E24FA0 74E5AB31
+    43DB5BFC E0FD108E 4B82D120 A93AD2CA FFFFFFFF FFFFFFFF";
+
 fn prime(hex: &str) -> BigUint {
     BigUint::from_hex_str(hex).unwrap()
 }
@@ -85,10 +109,10 @@ fn all_primes() -> Vec<BigUint> {
 }
 
 /// Euler's criterion `a^((p−1)/2) mod p` as `-1`, `0` or `1`, computed with
-/// `Montgomery::pow`: the reference for the Jacobi symbol and the square
+/// [`plain_modpow`]: the reference for the Jacobi symbol and the square
 /// root modulo a prime.
 fn euler(a: &BigUint, p: &BigUint) -> i32 {
-    let e = Montgomery::new(p.clone()).pow(a, &p.shr(1));
+    let e = plain_modpow(a, &p.shr(1), p);
     if e.is_zero() {
         0
     } else if e.is_one() {
@@ -183,12 +207,22 @@ fn kernel_operand(p: &BigUint, pick: u8, random: &BigUint) -> BigUint {
 #[test]
 fn kernel_sqrt_of_zero_is_zero() {
     for hex in CURVE_PRIMES {
-        let f = Montgomery4::new(prime(hex));
-        assert_eq!(
-            with_kernel!(&f, |k| k.sqrt(&f.zero_elem())),
-            Some(f.zero_elem())
-        );
+        let f = Montgomery::new(prime(hex));
+        assert!(with_kernel!(curve: &f, |k| k.sqrt(&k.zero()) == Some(k.zero())));
     }
+}
+
+/// The moduli the wide kernels invert under: the three DL primes, and the
+/// Mersenne prime `2^521 − 1`, nine limbs, which the 16-limb kernel runs
+/// padded.
+fn wide_primes() -> Vec<BigUint> {
+    let m521 = &BigUint::power_of_two(521) - &BigUint::one();
+    DL_PRIMES
+        .iter()
+        .chain([&MODP_3072])
+        .map(|h| prime(h))
+        .chain([m521])
+        .collect()
 }
 
 proptest! {
@@ -212,7 +246,7 @@ proptest! {
     }
 
     #[test]
-    fn small_context_pow_matches_the_wide_one(
+    fn curve_kernel_pow_matches_plain_modpow(
         a in biguint(4),
         e in biguint(4),
         which in 0usize..3,
@@ -220,14 +254,14 @@ proptest! {
         // Exponents of every length up to 256 bits, so every top-window
         // width and the short-exponent path run.
         let p = prime(CURVE_PRIMES[which]);
-        let f = Montgomery4::new(p.clone());
+        let f = Montgomery::new(p.clone());
         let a = &a % &p;
-        let pow = with_kernel!(&f, |k| k.leave(&k.pow(&k.enter(&a), &e)));
-        prop_assert_eq!(pow, Montgomery::new(p).pow(&a, &e));
+        let pow = with_kernel!(curve: &f, |k| k.leave(&k.pow(&k.enter(&a), e.limbs())));
+        prop_assert_eq!(pow, plain_modpow(&a, &e, &p));
     }
 
     #[test]
-    fn field_kernels_match_the_wide_context(
+    fn curve_kernels_match_plain_arithmetic(
         which in 0usize..6,
         limbs in prop::collection::vec(any::<u64>(), 3),
         pick_a in any::<u8>(),
@@ -236,29 +270,69 @@ proptest! {
         b in biguint(4),
     ) {
         let p = kernel_modulus(which, &limbs);
-        let wide = Montgomery::new(p.clone());
         let (a, b) = (kernel_operand(&p, pick_a, &a), kernel_operand(&p, pick_b, &b));
-        let (wa, wb) = (wide.enter(&a), wide.enter(&b));
-        let f = Montgomery4::new(p.clone());
-        with_kernel!(&f, |k| {
+        let times = |k: u64, x: &BigUint| &(x * &BigUint::from(k)) % &p;
+        let f = Montgomery::new(p.clone());
+        with_kernel!(curve: &f, |k| {
             let (ka, kb) = (k.enter(&a), k.enter(&b));
             let results = [
-                (k.mul(&ka, &kb), wide.mmul(&wa, &wb), "mul"),
-                (k.sqr(&ka), wide.msqr(&wa), "sqr"),
-                (k.add(&ka, &kb), wide.madd(&wa, &wb), "add"),
-                (k.sub(&ka, &kb), wide.msub(&wa, &wb), "sub"),
-                (k.sub(&kb, &ka), wide.msub(&wb, &wa), "reversed sub"),
-                (k.small::<2>(&ka), wide.msmall(&wa, 2), "2·"),
-                (k.small::<3>(&ka), wide.msmall(&wa, 3), "3·"),
-                (k.small::<4>(&ka), wide.msmall(&wa, 4), "4·"),
-                (k.small::<8>(&ka), wide.msmall(&wa, 8), "8·"),
+                (k.mul(&ka, &kb), &(&a * &b) % &p, "mul"),
+                (k.sqr(&ka), &(&a * &a) % &p, "sqr"),
+                (k.add(&ka, &kb), &(&a + &b) % &p, "add"),
+                (k.sub(&ka, &kb), &(&(&a + &p) - &b) % &p, "sub"),
+                (k.sub(&kb, &ka), &(&(&b + &p) - &a) % &p, "reversed sub"),
+                (k.small::<2>(&ka), times(2, &a), "2·"),
+                (k.small::<3>(&ka), times(3, &a), "3·"),
+                (k.small::<4>(&ka), times(4, &a), "4·"),
+                (k.small::<8>(&ka), times(8, &a), "8·"),
             ];
             for (got, want, op) in results {
-                prop_assert_eq!(k.leave(&got), wide.leave(&want), "{} mod {:?}", op, p);
+                prop_assert_eq!(k.leave(&got), want, "{} mod {:?}", op, p);
                 // Results are canonical: the domain maps fix them.
                 prop_assert_eq!(k.enter(&k.leave(&got)), got, "{} mod {:?}", op, p);
             }
             prop_assert_eq!(k.leave(&k.one()), BigUint::one());
+        });
+    }
+
+    #[test]
+    fn wide_kernels_match_plain_arithmetic(case in dl_width_case()) {
+        let (m, a, b, e) = case;
+        let (a, b, e) = (&a % &m, &b % &m, BigUint::from(e));
+        let f = Montgomery::new(m.clone());
+        with_kernel!(dl: &f, |k| {
+            let (ka, kb) = (k.enter(&a), k.enter(&b));
+            let results = [
+                (k.mul(&ka, &kb), &(&a * &b) % &m, "mul"),
+                (k.sqr(&ka), &(&a * &a) % &m, "sqr"),
+                (k.pow(&ka, e.limbs()), plain_modpow(&a, &e, &m), "pow"),
+            ];
+            for (got, want, op) in results {
+                prop_assert_eq!(k.leave(&got), want, "{} mod {:?}", op, m);
+                prop_assert_eq!(k.enter(&k.leave(&got)), got, "{} mod {:?}", op, m);
+            }
+            prop_assert_eq!(k.leave(&k.one()), BigUint::one());
+        });
+    }
+
+    #[test]
+    fn wide_kernels_invert_like_the_extended_gcd(
+        which in 0usize..4,
+        values in prop::collection::vec(biguint(48), 1..5),
+    ) {
+        let p = &wide_primes()[which];
+        let values: Vec<BigUint> = values.iter().map(|v| v % p).filter(|v| !v.is_zero()).collect();
+        prop_assume!(!values.is_empty());
+        let f = Montgomery::new(p.clone());
+        with_kernel!(dl: &f, |k| {
+            let elems: Vec<_> = values.iter().map(|v| k.enter(v)).collect();
+            let batch = k.batch_inv(&elems);
+            prop_assert_eq!(batch.len(), elems.len());
+            for ((v, e), got) in values.iter().zip(&elems).zip(&batch) {
+                let want = v.modinv(p).unwrap();
+                prop_assert_eq!(&k.leave(&k.inv(e)), &want, "inv mod {:?}", p);
+                prop_assert_eq!(&k.leave(got), &want, "batch_inv mod {:?}", p);
+            }
         });
     }
 
@@ -268,11 +342,11 @@ proptest! {
         which in 0usize..3,
     ) {
         let p = prime(CURVE_PRIMES[which]);
-        let f = Montgomery4::new(p.clone());
+        let f = Montgomery::new(p.clone());
         let a = &a % &p;
-        let am = f.enter(&a);
-        let sqr = |x| with_kernel!(&f, |k| k.sqr(&x));
-        let sqrt = |x| with_kernel!(&f, |k| k.sqrt(&x));
+        let am = with_kernel!(curve: &f, |k| k.enter(&a));
+        let sqr = |x| with_kernel!(curve: &f, |k| k.sqr(&x));
+        let sqrt = |x| with_kernel!(curve: &f, |k| k.sqrt(&x));
         let square = sqr(am);
         let r = sqrt(square);
         prop_assert!(r.is_some(), "a square has a root");
@@ -372,10 +446,8 @@ proptest! {
         let wide_mont = Montgomery::new(wm.clone());
         prop_assert_eq!(wide_mont.mul(&wa, &wb), &(&wa * &wb) % &wm);
         prop_assert_eq!(wide_mont.sqr(&wa), &(&wa * &wa) % &wm);
-        prop_assert_eq!(
-            wide_mont.pow(&wa, &BigUint::from(e)),
-            plain_modpow(&wa, e, &wm)
-        );
+        let e = BigUint::from(e);
+        prop_assert_eq!(wide_mont.pow(&wa, &e), plain_modpow(&wa, &e, &wm));
         let m = if m.is_even() { &m + &BigUint::one() } else { m };
         prop_assume!(m > BigUint::one());
         let mont = Montgomery::new(m.clone());

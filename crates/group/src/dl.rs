@@ -6,9 +6,10 @@
 //! 1024 (RFC 2409 Oakley group 2), 2048 and 3072 bits, with generator
 //! `4 = 2²` (a residue, hence a generator of the order-`q` subgroup).
 
+use crate::msm::{msm, DlMsm};
 use crate::traits::DecodeElementError;
-use crate::Element;
-use ppgr_bigint::{modular, BigUint, MontElem, Montgomery};
+use crate::{Element, HopScalars};
+use ppgr_bigint::{modular, with_kernel, BigUint, FieldKernel, Montgomery};
 use std::sync::OnceLock;
 
 /// Named safe-prime parameter sets.
@@ -64,8 +65,9 @@ const MODP_3072: &str = "
     BBE11757 7A615D6C 770988C0 BAD946E2 08E24FA0 74E5AB31
     43DB5BFC E0FD108E 4B82D120 A93AD2CA FFFFFFFF FFFFFFFF";
 
-/// A fixed-base comb table for one subgroup element:
-/// `rows[i][d] = a^(d·16^i)` in Montgomery form.
+/// A fixed-base comb table for one subgroup element: row `i` holds
+/// `a^(d·16^i)` for `d = 1..15` in Montgomery form, each entry at the
+/// modulus's width — 16 limbs, 128 B, on DL-1024.
 ///
 /// Built with [`DlGroup::build_comb`]; afterwards every exponentiation by
 /// that base costs one Montgomery multiplication per 4 exponent bits and no
@@ -73,7 +75,8 @@ const MODP_3072: &str = "
 /// exponentiation. The build cost amortizes after a few exponentiations.
 #[derive(Debug)]
 pub struct DlComb {
-    rows: Vec<Vec<MontElem>>,
+    /// The rows' entries end to end.
+    limbs: Vec<u64>,
 }
 
 /// The quadratic-residue subgroup of a safe prime.
@@ -83,7 +86,8 @@ pub struct DlGroup {
     p: BigUint,
     q: BigUint,
     generator: Element,
-    mont: Montgomery,
+    /// Arithmetic mod `p`, on the CIOS kernel at `p`'s width.
+    pub(crate) mont: Montgomery,
     element_len: usize,
     /// Comb table for fixed-base exponentiation by the generator.
     gen_table: OnceLock<DlComb>,
@@ -114,40 +118,45 @@ impl DlGroup {
         }
     }
 
+    /// `a mod p` in the domain of `k`, this group's kernel.
+    pub(crate) fn enter<K: FieldKernel>(&self, k: K, a: &BigUint) -> K::Elem {
+        k.enter(&(a % &self.p))
+    }
+
     /// Builds a fixed-base comb table for `a` (an element below `p`).
     pub fn build_comb(&self, a: &BigUint) -> DlComb {
         let rows = self.q.bits().div_ceil(4);
-        let mut out = Vec::with_capacity(rows);
-        let mut base = self.mont.enter(&(a % &self.p));
-        for _ in 0..rows {
-            let mut row = Vec::with_capacity(16);
-            row.push(self.mont.one_elem());
-            for d in 1..16 {
-                let prev: &MontElem = &row[d - 1];
-                row.push(self.mont.mmul(prev, &base));
+        with_kernel!(dl: &self.mont, |k| {
+            // `entry` runs through a^1, …, a^15 of each row, ending on the
+            // next row's base a^16.
+            let mut entry = self.enter(k, a);
+            let mut limbs = Vec::with_capacity(rows * 15 * entry.len());
+            for _ in 0..rows {
+                let base = entry;
+                for _ in 0..15 {
+                    limbs.extend_from_slice(&entry);
+                    entry = k.mul(&entry, &base);
+                }
             }
-            // Next row's unit: base^16.
-            base = self.mont.mmul(&row[15], &base);
-            out.push(row);
-        }
-        DlComb { rows: out }
+            DlComb { limbs }
+        })
     }
 
     /// Fixed-base exponentiation via a prebuilt comb table: one Montgomery
     /// multiplication per 4 exponent bits, no squarings.
     pub fn pow_comb(&self, comb: &DlComb, e: &BigUint) -> BigUint {
         let e = e % &self.q;
-        let mut acc = self.mont.one_elem();
-        for (i, row) in comb.rows.iter().enumerate() {
-            let mut window = 0usize;
-            for k in 0..4 {
-                window |= (e.bit(4 * i + k) as usize) << k;
+        with_kernel!(dl: &self.mont, |k| {
+            let (entries, _) = comb.limbs.as_chunks();
+            let mut acc = k.one();
+            for (i, row) in entries.chunks_exact(15).enumerate() {
+                let window = (0..4).fold(0, |w, b| w | (e.bit(4 * i + b) as usize) << b);
+                if window != 0 {
+                    acc = k.mul(&acc, &row[window - 1]);
+                }
             }
-            if window != 0 {
-                acc = self.mont.mmul(&acc, &row[window]);
-            }
-        }
-        self.mont.leave(&acc)
+            k.leave(&acc)
+        })
     }
 
     fn gen_comb(&self) -> &DlComb {
@@ -158,57 +167,6 @@ impl DlGroup {
     /// Fixed-base exponentiation `g^e` via a lazily built comb table.
     pub(crate) fn pow_gen(&self, e: &BigUint) -> BigUint {
         self.pow_comb(self.gen_comb(), e)
-    }
-
-    /// Simultaneous double-base exponentiation `a^ea · b^eb` with one
-    /// shared squaring ladder (Shamir's trick) — roughly two-thirds the
-    /// cost of two independent exponentiations.
-    pub fn pow_dual(&self, a: &BigUint, ea: &BigUint, b: &BigUint, eb: &BigUint) -> BigUint {
-        let ea = ea % &self.q;
-        let eb = eb % &self.q;
-        if ea.is_zero() {
-            return self.pow(b, &eb);
-        }
-        if eb.is_zero() {
-            return self.pow(a, &ea);
-        }
-        let m = &self.mont;
-        let build_table = |base: &BigUint| {
-            let bm = m.enter(&(base % &self.p));
-            let mut table = Vec::with_capacity(16);
-            table.push(m.one_elem());
-            table.push(bm.clone());
-            for i in 2..16usize {
-                let prev = m.mmul(&table[i - 1], &bm);
-                table.push(prev);
-            }
-            table
-        };
-        let table_a = build_table(a);
-        let table_b = build_table(b);
-        let bits = ea.bits().max(eb.bits());
-        let windows = bits.div_ceil(4);
-        let mut acc: Option<MontElem> = None;
-        for w in (0..windows).rev() {
-            if let Some(v) = acc.as_mut() {
-                for _ in 0..4 {
-                    *v = m.msqr(v);
-                }
-            }
-            for (e, table) in [(&ea, &table_a), (&eb, &table_b)] {
-                let mut window = 0usize;
-                for k in 0..4 {
-                    window |= (e.bit(4 * w + k) as usize) << k;
-                }
-                if window != 0 {
-                    acc = Some(match acc {
-                        None => table[window].clone(),
-                        Some(v) => m.mmul(&v, &table[window]),
-                    });
-                }
-            }
-        }
-        m.leave(&acc.unwrap_or_else(|| m.one_elem()))
     }
 
     /// The named parameter set.
@@ -239,51 +197,66 @@ impl DlGroup {
         self.mont.pow(a, e)
     }
 
-    /// The Montgomery context for arithmetic mod `p` (for the in-crate
-    /// multi-exponentiation engine, which stays in the Montgomery domain
-    /// across all terms).
-    pub(crate) fn mont(&self) -> &Montgomery {
-        &self.mont
+    /// Fused multiply-and-exponentiate by one shared exponent:
+    /// `out[i] = cᵢ · bᵢ^e`, the exponent reduced mod `q` once and the
+    /// whole batch in the Montgomery domain.
+    pub(crate) fn pow_same_mul_batch(
+        &self,
+        factors: &[&BigUint],
+        bases: &[&BigUint],
+        e: &BigUint,
+    ) -> Vec<BigUint> {
+        let e = e % &self.q;
+        with_kernel!(dl: &self.mont, |k| {
+            factors
+                .iter()
+                .zip(bases)
+                .map(|(c, b)| {
+                    let power = k.pow(&self.enter(k, b), e.limbs());
+                    k.leave(&k.mul(&self.enter(k, c), &power))
+                })
+                .collect()
+        })
     }
 
-    /// Shared-recoding batch exponentiation: every base raised to the
-    /// *same* exponent. The exponent is reduced mod `q` once, its window
-    /// digits are recoded once ([`Montgomery::mpow_many`]), and the whole
-    /// batch stays in the Montgomery domain.
-    pub(crate) fn pow_same_batch(&self, bases: &[&BigUint], e: &BigUint) -> Vec<BigUint> {
-        let e = e % &self.q;
-        let ms: Vec<_> = bases
-            .iter()
-            .map(|b| self.mont.enter(&(*b % &self.p)))
-            .collect();
-        self.mont
-            .mpow_many(&ms, &e)
-            .iter()
-            .map(|m| self.mont.leave(m))
-            .collect()
+    /// Fused hop batch over a prepared set: each `(a, i, b)` yields
+    /// `(a^r·b^s, b^r)` for randomizer `i`'s pair `(r, s)`, read from the
+    /// set's limbs: the first a two-term multi-exponentiation (one shared
+    /// squaring ladder, Shamir's trick), the second one exponentiation.
+    pub(crate) fn hop_batch(
+        &self,
+        set: &HopScalars,
+        items: &[(&BigUint, usize, &BigUint)],
+    ) -> Vec<(BigUint, BigUint)> {
+        with_kernel!(dl: &self.mont, |k| {
+            items
+                .iter()
+                .map(|&(a, i, b)| {
+                    let (r, s) = set.pair(i);
+                    let bases = [self.enter(k, a), self.enter(k, b)];
+                    let masked = msm(&DlMsm(k), &bases, &[r, s]);
+                    (k.leave(&masked), k.leave(&k.pow(&bases[1], r)))
+                })
+                .collect()
+        })
     }
 
     pub(crate) fn inv(&self, a: &BigUint) -> BigUint {
         self.inv_batch(&[a]).remove(0)
     }
 
-    /// Inverts every element with one Fermat inversion on Montgomery limbs
-    /// (`p` is prime) plus three multiplications per element
-    /// ([`Montgomery::batch_minv`]); a single element costs one inversion.
+    /// Inverts every element with one Fermat inversion (`p` is prime) plus
+    /// three multiplications per element ([`FieldKernel::batch_inv`]); a
+    /// single element costs one inversion.
     ///
     /// # Panics
     ///
     /// Panics if an element is zero mod `p`; group elements are units.
     pub(crate) fn inv_batch(&self, elems: &[&BigUint]) -> Vec<BigUint> {
-        let ms: Vec<MontElem> = elems
-            .iter()
-            .map(|a| self.mont.enter(&(*a % &self.p)))
-            .collect();
-        self.mont
-            .batch_minv(&ms)
-            .iter()
-            .map(|m| self.mont.leave(m))
-            .collect()
+        with_kernel!(dl: &self.mont, |k| {
+            let ms: Vec<_> = elems.iter().map(|a| self.enter(k, a)).collect();
+            k.batch_inv(&ms).iter().map(|m| k.leave(m)).collect()
+        })
     }
 
     pub(crate) fn element_len(&self) -> usize {
@@ -359,7 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn pow_dual_matches_two_pows() {
+    fn two_term_multi_exp_matches_two_pows() {
+        // The hop's `a^r·b^s`: Straus over two bases, zero exponents
+        // included.
         let g = DlGroup::new(DlParams::Modp1024);
         let a = g.pow(&BigUint::from(4u64), &BigUint::from(123u64));
         let b = g.pow(&BigUint::from(4u64), &BigUint::from(45_678u64));
@@ -372,7 +347,8 @@ mod tests {
         ] {
             let (ea, eb) = (BigUint::from(ea), BigUint::from(eb));
             let expect = g.mul(&g.pow(&a, &ea), &g.pow(&b, &eb));
-            assert_eq!(g.pow_dual(&a, &ea, &b, &eb), expect, "ea={ea:?} eb={eb:?}");
+            let got = crate::msm::msm_dl(&g, &[(&a, &ea), (&b, &eb)]);
+            assert_eq!(got, expect, "ea={ea:?} eb={eb:?}");
         }
     }
 
@@ -388,6 +364,14 @@ mod tests {
         // Exponents reduce mod q: a^(q+1) = a.
         let q1 = g.order() + &BigUint::one();
         assert_eq!(g.pow_comb(&comb, &q1), a);
+    }
+
+    #[test]
+    fn dl1024_comb_entries_take_128_bytes() {
+        let g = DlGroup::new(DlParams::Modp1024);
+        let comb = g.build_comb(&BigUint::from(4u64));
+        let entries = 15 * g.order().bits().div_ceil(4);
+        assert_eq!(std::mem::size_of_val(comb.limbs.as_slice()), entries * 128);
     }
 
     #[test]

@@ -9,7 +9,24 @@
 use crate::msm::{wnaf_digits, WNAF_MAX_DIGITS};
 use crate::traits::DecodeElementError;
 use crate::{Element, HopScalars};
-use ppgr_bigint::{with_kernel, BigUint, FieldKernel, MontElem4, Montgomery4};
+use ppgr_bigint::{with_kernel, BigUint, FieldKernel, Montgomery};
+
+/// A field element of a shipped curve in its kernel's domain: four limbs,
+/// the width of both curve kernels.
+pub(crate) type Fe = [u64; 4];
+
+/// A kernel of a curve field: the P-160 kernel or CIOS at four limbs,
+/// whose elements are [`Fe`]. Curve code is generic over this, so no
+/// ladder is built at a DL width.
+pub(crate) trait CurveKernel: FieldKernel<Elem = Fe> {}
+
+impl<K: FieldKernel<Elem = Fe>> CurveKernel for K {}
+
+/// Whether a field element is zero, which every kernel keeps as all-zero
+/// limbs.
+fn is_zero(a: &Fe) -> bool {
+    *a == [0; 4]
+}
 
 /// Parameters of a named curve.
 #[derive(Clone, Debug)]
@@ -117,13 +134,13 @@ impl std::fmt::Debug for EcPoint {
 }
 
 /// A Jacobian point with Montgomery-form coordinates: `(X : Y : Z)`,
-/// representing affine `(X/Z², Y/Z³)`; `Z = 0` is infinity. `Default`
-/// is `(0 : 0 : 0)`, an infinity that only fills lane arrays.
+/// representing affine `(X/Z², Y/Z³)`; `Z = 0` is infinity, and the
+/// infinity the formulas return is `Default`'s `(0 : 0 : 0)`.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Jacobian {
-    pub(crate) x: MontElem4,
-    pub(crate) y: MontElem4,
-    pub(crate) z: MontElem4,
+    pub(crate) x: Fe,
+    pub(crate) y: Fe,
+    pub(crate) z: Fe,
 }
 
 /// An affine point with coordinates still *in* the Montgomery domain
@@ -135,8 +152,8 @@ pub(crate) struct Jacobian {
 /// table entry.
 #[derive(Clone, Copy, Debug)]
 struct MontAffine {
-    x: MontElem4,
-    y: MontElem4,
+    x: Fe,
+    y: Fe,
 }
 
 /// `[f(0), …, f(L − 1)]`, the one way the lane formulas build a lane
@@ -176,11 +193,11 @@ pub struct EcComb {
 #[derive(Debug)]
 pub struct EcGroup {
     params: CurveParams,
-    pub(crate) fp: Montgomery4,
+    pub(crate) fp: Montgomery,
     /// `a` in Montgomery form.
-    a_m: MontElem4,
+    a_m: Fe,
     /// `b` in Montgomery form.
-    b_m: MontElem4,
+    b_m: Fe,
     /// All shipped curves have `a = p − 3`, enabling the faster doubling
     /// `M = 3(X − Z²)(X + Z²)`.
     a_is_minus3: bool,
@@ -198,9 +215,8 @@ impl EcGroup {
     /// Panics if the base point does not satisfy the curve equation
     /// (defensive check on the constants).
     pub fn new(params: CurveParams) -> Self {
-        let fp = Montgomery4::new(params.p.clone());
-        let a_m = fp.enter(&params.a);
-        let b_m = fp.enter(&params.b);
+        let fp = Montgomery::new(params.p.clone());
+        let (a_m, b_m) = with_kernel!(curve: &fp, |k| (k.enter(&params.a), k.enter(&params.b)));
         let a_is_minus3 = {
             let three = BigUint::from(3u64);
             params.p.checked_sub(&three).as_ref() == Some(&params.a)
@@ -249,18 +265,18 @@ impl EcGroup {
         if x >= &self.params.p || y >= &self.params.p {
             return false;
         }
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             k.sqr(&k.enter(y)) == self.curve_rhs(k, &k.enter(x))
         })
     }
 
     /// `x³ + ax + b` for a Montgomery-form `x`.
-    fn curve_rhs<K: FieldKernel>(&self, k: K, x: &MontElem4) -> MontElem4 {
+    fn curve_rhs<K: CurveKernel>(&self, k: K, x: &Fe) -> Fe {
         let x3 = k.mul(&k.sqr(x), x);
         k.add(&k.add(&x3, &k.mul(&self.a_m, x)), &self.b_m)
     }
 
-    pub(crate) fn to_jacobian<K: FieldKernel>(&self, k: K, p: &EcPoint) -> Jacobian {
+    pub(crate) fn to_jacobian<K: CurveKernel>(&self, k: K, p: &EcPoint) -> Jacobian {
         match p.xy() {
             None => self.jac_infinity(),
             Some((x, y)) => Jacobian {
@@ -272,16 +288,11 @@ impl EcGroup {
     }
 
     pub(crate) fn jac_infinity(&self) -> Jacobian {
-        let f = &self.fp;
-        Jacobian {
-            x: f.one_elem(),
-            y: f.one_elem(),
-            z: f.zero_elem(),
-        }
+        Jacobian::default()
     }
 
     /// `(X/Z², Y/Z³)` for a finite `p` and `zi = 1/Z`.
-    fn normalize<K: FieldKernel>(&self, k: K, p: &Jacobian, zi: &MontElem4) -> MontAffine {
+    fn normalize<K: CurveKernel>(&self, k: K, p: &Jacobian, zi: &Fe) -> MontAffine {
         let zi2 = k.sqr(zi);
         let zi3 = k.mul(&zi2, zi);
         MontAffine {
@@ -290,8 +301,8 @@ impl EcGroup {
         }
     }
 
-    pub(crate) fn to_affine<K: FieldKernel>(&self, k: K, p: &Jacobian) -> EcPoint {
-        if self.fp.is_zero_elem(&p.z) {
+    pub(crate) fn to_affine<K: CurveKernel>(&self, k: K, p: &Jacobian) -> EcPoint {
+        if is_zero(&p.z) {
             return EcPoint::infinity();
         }
         // In-domain Fermat inversion: much faster than a BigUint extended
@@ -303,12 +314,11 @@ impl EcGroup {
     /// Normalizes many Jacobian points with a single field inversion
     /// (Montgomery's batch-inversion trick): three multiplications per
     /// point replace one inversion each.
-    fn to_affine_batch<K: FieldKernel>(&self, k: K, points: &[Jacobian]) -> Vec<EcPoint> {
-        let f = &self.fp;
+    fn to_affine_batch<K: CurveKernel>(&self, k: K, points: &[Jacobian]) -> Vec<EcPoint> {
         let finite: Vec<usize> = (0..points.len())
-            .filter(|&i| !f.is_zero_elem(&points[i].z))
+            .filter(|&i| !is_zero(&points[i].z))
             .collect();
-        let zs: Vec<MontElem4> = finite.iter().map(|&i| points[i].z).collect();
+        let zs: Vec<Fe> = finite.iter().map(|&i| points[i].z).collect();
         let z_invs = k.batch_inv(&zs);
         let mut out = vec![EcPoint::infinity(); points.len()];
         for (&i, zi) in finite.iter().zip(&z_invs) {
@@ -320,8 +330,8 @@ impl EcGroup {
 
     /// Normalizes finite Jacobian points to [`MontAffine`] form through one
     /// shared field inversion.
-    fn to_mont_affine_batch<K: FieldKernel>(&self, k: K, points: &[Jacobian]) -> Vec<MontAffine> {
-        let zs: Vec<MontElem4> = points.iter().map(|p| p.z).collect();
+    fn to_mont_affine_batch<K: CurveKernel>(&self, k: K, points: &[Jacobian]) -> Vec<MontAffine> {
+        let zs: Vec<Fe> = points.iter().map(|p| p.z).collect();
         let z_invs = k.batch_inv(&zs);
         points
             .iter()
@@ -339,13 +349,12 @@ impl EcGroup {
     /// trades two squarings and a multiplication for one multiplication.
     /// A lane at infinity or with `Y = 0` doubles to infinity.
     #[inline]
-    pub(crate) fn jac_double<K: FieldKernel, const L: usize>(
+    pub(crate) fn jac_double<K: CurveKernel, const L: usize>(
         &self,
         k: K,
         p: [&Jacobian; L],
     ) -> [Jacobian; L] {
-        let f = &self.fp;
-        let inf: [bool; L] = lanes(|i| f.is_zero_elem(&p[i].z) || f.is_zero_elem(&p[i].y));
+        let inf: [bool; L] = lanes(|i| is_zero(&p[i].z) || is_zero(&p[i].y));
         if inf.iter().all(|&b| b) {
             return [self.jac_infinity(); L];
         }
@@ -377,13 +386,21 @@ impl EcGroup {
         })
     }
 
+    /// One-lane [`Self::jac_double`], out of line: every ladder that
+    /// doubles one point at a time calls this one copy per kernel, and
+    /// only the hop's two-lane ladder inlines the formula.
+    #[inline(never)]
+    pub(crate) fn jac_double1<K: CurveKernel>(&self, k: K, p: &Jacobian) -> Jacobian {
+        let [d] = self.jac_double(k, [p]);
+        d
+    }
+
     /// General Jacobian addition.
-    pub(crate) fn jac_add<K: FieldKernel>(&self, k: K, p: &Jacobian, q: &Jacobian) -> Jacobian {
-        let f = &self.fp;
-        if f.is_zero_elem(&p.z) {
+    pub(crate) fn jac_add<K: CurveKernel>(&self, k: K, p: &Jacobian, q: &Jacobian) -> Jacobian {
+        if is_zero(&p.z) {
             return *q;
         }
-        if f.is_zero_elem(&q.z) {
+        if is_zero(&q.z) {
             return *p;
         }
         let z1z1 = k.sqr(&p.z);
@@ -394,10 +411,9 @@ impl EcGroup {
         let s2 = k.mul(&k.mul(&q.y, &p.z), &z1z1);
         let h = k.sub(&u2, &u1);
         let r = k.sub(&s2, &s1);
-        if f.is_zero_elem(&h) {
-            if f.is_zero_elem(&r) {
-                let [d] = self.jac_double(k, [p]);
-                return d;
+        if is_zero(&h) {
+            if is_zero(&r) {
+                return self.jac_double1(k, p);
             }
             return self.jac_infinity();
         }
@@ -421,16 +437,15 @@ impl EcGroup {
     /// makes signed (wNAF) digits free here. A lane where `P` is infinity
     /// yields `±Q`; one where `H = 0` (`P = ±Q`) yields `2P` or infinity.
     #[inline]
-    fn jac_add_mixed<K: FieldKernel, const L: usize>(
+    fn jac_add_mixed<K: CurveKernel, const L: usize>(
         &self,
         k: K,
         p: [&Jacobian; L],
         q: [&MontAffine; L],
         negate_q: [bool; L],
     ) -> [Jacobian; L] {
-        let f = &self.fp;
         let qy: [_; L] = lanes(|i| match negate_q[i] {
-            true => k.sub(&f.zero_elem(), &q[i].y),
+            true => k.sub(&k.zero(), &q[i].y),
             false => q[i].y,
         });
         let q_jac = |i: usize| Jacobian {
@@ -438,7 +453,7 @@ impl EcGroup {
             y: qy[i],
             z: k.one(),
         };
-        let at_inf: [bool; L] = lanes(|i| f.is_zero_elem(&p[i].z));
+        let at_inf: [bool; L] = lanes(|i| is_zero(&p[i].z));
         if at_inf.iter().all(|&b| b) {
             return lanes(q_jac);
         }
@@ -461,15 +476,14 @@ impl EcGroup {
         lanes(|i| {
             if at_inf[i] {
                 q_jac(i)
-            } else if !f.is_zero_elem(&h[i]) {
+            } else if !is_zero(&h[i]) {
                 Jacobian {
                     x: x3[i],
                     y: y3[i],
                     z: z3[i],
                 }
-            } else if f.is_zero_elem(&r[i]) {
-                let [d] = self.jac_double(k, [p[i]]);
-                d
+            } else if is_zero(&r[i]) {
+                self.jac_double1(k, p[i])
             } else {
                 self.jac_infinity()
             }
@@ -478,7 +492,7 @@ impl EcGroup {
 
     /// Affine point addition.
     pub fn add(&self, p: &EcPoint, q: &EcPoint) -> EcPoint {
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let sum = self.jac_add(k, &self.to_jacobian(k, p), &self.to_jacobian(k, q));
             self.to_affine(k, &sum)
         })
@@ -501,8 +515,8 @@ impl EcGroup {
 
     /// Core variable-base scalar multiplication with a 4-bit window; `e`
     /// must already be reduced modulo the group order.
-    fn scalar_mul_jac<K: FieldKernel>(&self, k: K, base: &Jacobian, e: &BigUint) -> Jacobian {
-        if e.is_zero() || self.fp.is_zero_elem(&base.z) {
+    fn scalar_mul_jac<K: CurveKernel>(&self, k: K, base: &Jacobian, e: &BigUint) -> Jacobian {
+        if e.is_zero() || is_zero(&base.z) {
             return self.jac_infinity();
         }
         let bits = e.bits();
@@ -511,7 +525,7 @@ impl EcGroup {
             // double-and-add beats amortizing a 15-addition window table.
             let mut acc = *base;
             for i in (0..bits - 1).rev() {
-                [acc] = self.jac_double(k, [&acc]);
+                acc = self.jac_double1(k, &acc);
                 if e.bit(i) {
                     acc = self.jac_add(k, &acc, base);
                 }
@@ -535,7 +549,7 @@ impl EcGroup {
                 None => table[window],
                 Some(mut a) => {
                     for _ in 0..take {
-                        [a] = self.jac_double(k, [&a]);
+                        a = self.jac_double1(k, &a);
                     }
                     if window != 0 {
                         a = self.jac_add(k, &a, &table[window]);
@@ -555,7 +569,7 @@ impl EcGroup {
         if e.is_zero() || p.is_infinity() {
             return EcPoint::infinity();
         }
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let jac = self.scalar_mul_jac(k, &self.to_jacobian(k, p), &e);
             self.to_affine(k, &jac)
         })
@@ -572,7 +586,7 @@ impl EcGroup {
             };
         }
         let rows = self.params.n.bits().div_ceil(4);
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let mut base = self.to_jacobian(k, p);
             let mut jacs = Vec::with_capacity(15 * rows);
             for _ in 0..rows {
@@ -589,7 +603,7 @@ impl EcGroup {
         })
     }
 
-    fn comb_mul_jac<K: FieldKernel>(&self, k: K, comb: &EcComb, e: &BigUint) -> Jacobian {
+    fn comb_mul_jac<K: CurveKernel>(&self, k: K, comb: &EcComb, e: &BigUint) -> Jacobian {
         let e = e % &self.params.n;
         let mut acc = self.jac_infinity();
         for (i, row) in comb.entries.chunks_exact(15).enumerate() {
@@ -607,7 +621,7 @@ impl EcGroup {
     /// Fixed-base scalar multiplication via a prebuilt comb table: one
     /// mixed addition per nonzero 4-bit window, no doublings.
     pub fn scalar_mul_comb(&self, comb: &EcComb, e: &BigUint) -> EcPoint {
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             self.to_affine(k, &self.comb_mul_jac(k, comb, e))
         })
     }
@@ -617,7 +631,7 @@ impl EcGroup {
     /// so callers holding scalars elsewhere (e.g. inside [`crate::Scalar`])
     /// never clone them just to batch.
     pub fn scalar_mul_comb_batch(&self, comb: &EcComb, es: &[&BigUint]) -> Vec<EcPoint> {
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let jacs: Vec<Jacobian> = es.iter().map(|e| self.comb_mul_jac(k, comb, e)).collect();
             self.to_affine_batch(k, &jacs)
         })
@@ -630,7 +644,7 @@ impl EcGroup {
     /// which is what lets the ladder use 8M+3S mixed additions instead of
     /// 12M+4S general ones without per-point inversion overhead.
     pub fn scalar_mul_batch(&self, pairs: &[(&EcPoint, &BigUint)]) -> Vec<EcPoint> {
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
             let plan: Vec<Option<(BigUint, usize)>> = pairs
                 .iter()
@@ -679,7 +693,7 @@ impl EcGroup {
         items: &[(&EcPoint, usize, &EcPoint)],
     ) -> Vec<(EcPoint, EcPoint)> {
         let nonzero = |k: &[u64]| k.iter().any(|&l| l != 0);
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
             let mut table_of = |p: &EcPoint, used: bool| {
                 (used && !p.is_infinity()).then(|| {
@@ -727,7 +741,7 @@ impl EcGroup {
     /// `[r·A + s·B, r·B]` from `r`'s and `s`'s digits against `A`'s and
     /// `B`'s tables, as the two lanes of [`Self::scalar_mul_hop_batch`]'s
     /// ladder.
-    fn hop_lanes<K: FieldKernel>(
+    fn hop_lanes<K: CurveKernel>(
         &self,
         k: K,
         r: &[i8],
@@ -746,7 +760,7 @@ impl EcGroup {
                     }
                 }
                 // Above r's top digit the second lane is still infinity.
-                None => [acc[0]] = self.jac_double(k, [&acc[0]]),
+                None => acc[0] = self.jac_double1(k, &acc[0]),
             }
             if let Some(&d) = s.get(i).filter(|&&d| d != 0) {
                 [acc[0]] = self.jac_add_mixed(k, [&acc[0]], [odd_entry(tb, d)], [d < 0]);
@@ -781,10 +795,10 @@ impl EcGroup {
     /// end to end: base `t`'s table is the `t`-th chunk of 8. Bases must
     /// be finite; every entry is then a nonzero multiple `d·P` with
     /// `d < n`, so none is infinity and the batch inversion is total.
-    fn wnaf_tables<K: FieldKernel>(&self, k: K, bases: &[Jacobian]) -> Vec<MontAffine> {
+    fn wnaf_tables<K: CurveKernel>(&self, k: K, bases: &[Jacobian]) -> Vec<MontAffine> {
         let mut jacs: Vec<Jacobian> = Vec::with_capacity(bases.len() * 8);
         for base in bases {
-            let [twice] = self.jac_double(k, [base]);
+            let twice = self.jac_double1(k, base);
             jacs.push(*base);
             for _ in 1..8 {
                 let next = self.jac_add(k, &jacs[jacs.len() - 1], &twice);
@@ -797,10 +811,10 @@ impl EcGroup {
     /// Replays LSB-first wNAF digits against a normalized odd-multiple
     /// table: doublings on the Jacobian accumulator, mixed additions for
     /// nonzero digits (negative digits negate the table entry for free).
-    fn wnaf_mul_jac<K: FieldKernel>(&self, k: K, digits: &[i8], table: &[MontAffine]) -> Jacobian {
+    fn wnaf_mul_jac<K: CurveKernel>(&self, k: K, digits: &[i8], table: &[MontAffine]) -> Jacobian {
         let mut acc = self.jac_infinity();
         for &d in digits.iter().rev() {
-            [acc] = self.jac_double(k, [&acc]);
+            acc = self.jac_double1(k, &acc);
             if d != 0 {
                 [acc] = self.jac_add_mixed(k, [&acc], [odd_entry(table, d)], [d < 0]);
             }
@@ -828,7 +842,7 @@ impl EcGroup {
         let e = e % &self.params.n;
         let mut digits = [0i8; WNAF_MAX_DIGITS];
         let digits = wnaf_digits(e.limbs(), &mut digits);
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
             let idxs: Vec<Option<usize>> = points
                 .iter()
@@ -873,7 +887,7 @@ impl EcGroup {
     /// loop. Homomorphic ciphertext algebra (re-randomization, gate
     /// outputs) is made of exactly these adds.
     pub fn add_batch(&self, pairs: &[(&EcPoint, &EcPoint)]) -> Vec<EcPoint> {
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let jacs: Vec<Jacobian> = pairs
                 .iter()
                 .map(|(p, q)| self.jac_add(k, &self.to_jacobian(k, p), &self.to_jacobian(k, q)))
@@ -888,7 +902,7 @@ impl EcGroup {
     /// caller chains [`EcGroup::add`]. The comparison circuit's suffix
     /// sums are exactly this shape.
     pub fn add_scan(&self, points: &[&EcPoint]) -> Vec<EcPoint> {
-        with_kernel!(&self.fp, |k| {
+        with_kernel!(curve: &self.fp, |k| {
             let mut acc = self.jac_infinity();
             let jacs: Vec<Jacobian> = points
                 .iter()
@@ -937,7 +951,7 @@ impl EcGroup {
                         reason: "x out of range",
                     });
                 }
-                let y = with_kernel!(&self.fp, |k| {
+                let y = with_kernel!(curve: &self.fp, |k| {
                     k.sqrt(&self.curve_rhs(k, &k.enter(&x)))
                         .map(|y| k.leave(&y))
                 })
@@ -1072,7 +1086,7 @@ mod tests {
 
     /// `m·G` as a Jacobian point with `Z ≠ 1` (computed as `2P − P`), and
     /// in normalized form.
-    fn jacobian_multiple<K: FieldKernel>(g: &EcGroup, k: K, m: u64) -> (Jacobian, MontAffine) {
+    fn jacobian_multiple<K: CurveKernel>(g: &EcGroup, k: K, m: u64) -> (Jacobian, MontAffine) {
         let p = g.to_jacobian(k, &g.scalar_mul(&gen_point(g), &BigUint::from(m)));
         let affine = MontAffine { x: p.x, y: p.y };
         let [twice] = g.jac_double(k, [&p]);
@@ -1080,14 +1094,14 @@ mod tests {
         (j, affine)
     }
 
-    fn coords(p: &Jacobian) -> [MontElem4; 3] {
+    fn coords(p: &Jacobian) -> [Fe; 3] {
         [p.x, p.y, p.z]
     }
 
     #[test]
     fn two_lanes_match_two_one_lane_calls() {
         for g in groups() {
-            with_kernel!(&g.fp, |k| {
+            with_kernel!(curve: &g.fp, |k| {
                 let (p, _) = jacobian_multiple(&g, k, 5);
                 let (q_jac, q) = jacobian_multiple(&g, k, 11);
                 let (_, other) = jacobian_multiple(&g, k, 29);
@@ -1123,7 +1137,7 @@ mod tests {
                 let [doubled] = g.jac_double(k, [&q_jac]);
                 assert_eq!(coords(&twice), coords(&doubled), "{name} P + P");
                 let [zero] = g.jac_add_mixed(k, [&q_jac], [&q], [true]);
-                assert!(g.fp.is_zero_elem(&zero.z), "{name} P − P");
+                assert!(is_zero(&zero.z), "{name} P − P");
             });
         }
     }

@@ -26,11 +26,11 @@
 //! Montgomery residues and leaves the domain once at the end.
 
 use crate::dl::DlGroup;
-use crate::ec::{EcGroup, EcPoint};
+use crate::ec::{CurveKernel, EcGroup, EcPoint};
 use ppgr_bigint::{with_kernel, BigUint, FieldKernel};
 
 /// The accumulator operations one family exposes to the generic engine.
-trait MsmOps {
+pub(crate) trait MsmOps {
     type Point: Clone;
     fn identity(&self) -> Self::Point;
     fn combine(&self, a: &Self::Point, b: &Self::Point) -> Self::Point;
@@ -39,7 +39,7 @@ trait MsmOps {
 
 struct EcMsm<'a, K>(&'a EcGroup, K);
 
-impl<K: FieldKernel> MsmOps for EcMsm<'_, K> {
+impl<K: CurveKernel> MsmOps for EcMsm<'_, K> {
     type Point = crate::ec::Jacobian;
 
     fn identity(&self) -> Self::Point {
@@ -51,26 +51,25 @@ impl<K: FieldKernel> MsmOps for EcMsm<'_, K> {
     }
 
     fn double(&self, a: &Self::Point) -> Self::Point {
-        let [d] = self.0.jac_double(self.1, [a]);
-        d
+        self.0.jac_double1(self.1, a)
     }
 }
 
-struct DlMsm<'a>(&'a DlGroup);
+pub(crate) struct DlMsm<K>(pub(crate) K);
 
-impl MsmOps for DlMsm<'_> {
-    type Point = ppgr_bigint::MontElem;
+impl<K: FieldKernel> MsmOps for DlMsm<K> {
+    type Point = K::Elem;
 
     fn identity(&self) -> Self::Point {
-        self.0.mont().one_elem()
+        self.0.one()
     }
 
     fn combine(&self, a: &Self::Point, b: &Self::Point) -> Self::Point {
-        self.0.mont().mmul(a, b)
+        self.0.mul(a, b)
     }
 
     fn double(&self, a: &Self::Point) -> Self::Point {
-        self.0.mont().msqr(a)
+        self.0.sqr(a)
     }
 }
 
@@ -186,12 +185,25 @@ pub(crate) fn wnaf_digits<'a>(k: &[u64], out: &'a mut [i8]) -> &'a [i8] {
     &out[..len]
 }
 
-/// The generic engine: dispatches on [`plan`] and returns the family's
-/// internal accumulator (Jacobian / Montgomery residue) so the caller
-/// controls the final (possibly batched) normalization.
-fn msm<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&BigUint]) -> G::Point {
+/// Bit `i` of the little-endian limbs `k`, zero past its top.
+fn bit(k: &[u64], i: usize) -> bool {
+    k.get(i / 64).is_some_and(|l| l >> (i % 64) & 1 == 1)
+}
+
+/// The bit length of the little-endian limbs `k`.
+fn bit_len(k: &[u64]) -> usize {
+    k.iter()
+        .rposition(|&l| l != 0)
+        .map_or(0, |i| 64 * (i + 1) - k[i].leading_zeros() as usize)
+}
+
+/// The generic engine over little-endian scalar limbs: dispatches on
+/// [`plan`] and returns the family's internal accumulator (Jacobian /
+/// Montgomery residue) so the caller controls the final (possibly batched)
+/// normalization.
+pub(crate) fn msm<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&[u64]]) -> G::Point {
     debug_assert_eq!(bases.len(), scalars.len());
-    let bits = scalars.iter().map(|s| s.bits()).max().unwrap_or(0);
+    let bits = scalars.iter().map(|k| bit_len(k)).max().unwrap_or(0);
     if bases.is_empty() || bits == 0 {
         return g.identity();
     }
@@ -201,7 +213,7 @@ fn msm<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&BigUint]) -> G::Point {
     }
 }
 
-fn straus<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&BigUint], bits: usize) -> G::Point {
+fn straus<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&[u64]], bits: usize) -> G::Point {
     // Per-base window tables: tables[i][d] = bᵢ^d for d in 0..16.
     let tables: Vec<Vec<G::Point>> = bases
         .iter()
@@ -227,7 +239,7 @@ fn straus<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&BigUint], bits: usiz
         for (table, k) in tables.iter().zip(scalars) {
             let mut window = 0usize;
             for b in 0..4 {
-                window |= (k.bit(4 * w + b) as usize) << b;
+                window |= (bit(k, 4 * w + b) as usize) << b;
             }
             if window != 0 {
                 acc = Some(match acc {
@@ -243,7 +255,7 @@ fn straus<G: MsmOps>(g: &G, bases: &[G::Point], scalars: &[&BigUint], bits: usiz
 fn pippenger<G: MsmOps>(
     g: &G,
     bases: &[G::Point],
-    scalars: &[&BigUint],
+    scalars: &[&[u64]],
     bits: usize,
     c: usize,
 ) -> G::Point {
@@ -262,7 +274,7 @@ fn pippenger<G: MsmOps>(
         for (p, k) in bases.iter().zip(scalars) {
             let mut d = 0usize;
             for t in 0..c {
-                d |= (k.bit(c * w + t) as usize) << t;
+                d |= (bit(k, c * w + t) as usize) << t;
             }
             if d != 0 {
                 let slot = &mut buckets[d - 1];
@@ -305,23 +317,21 @@ fn pippenger<G: MsmOps>(
 /// EC entry point: buckets accumulate in Jacobian coordinates; the single
 /// result is normalized through the Fermat-inversion affine conversion.
 pub(crate) fn msm_ec(g: &EcGroup, pairs: &[(&EcPoint, &BigUint)]) -> EcPoint {
-    let scalars: Vec<&BigUint> = pairs.iter().map(|&(_, e)| e).collect();
-    with_kernel!(&g.fp, |k| {
+    let scalars: Vec<&[u64]> = pairs.iter().map(|(_, e)| e.limbs()).collect();
+    with_kernel!(curve: &g.fp, |k| {
         let bases: Vec<_> = pairs.iter().map(|(p, _)| g.to_jacobian(k, p)).collect();
         g.to_affine(k, &msm(&EcMsm(g, k), &bases, &scalars))
     })
 }
 
-/// DL entry point: the whole evaluation stays in the Montgomery domain;
-/// one `enter` per base, one `leave` for the result.
+/// DL entry point: the whole evaluation stays in the Montgomery domain at
+/// the modulus's width; one `enter` per base, one `leave` for the result.
 pub(crate) fn msm_dl(g: &DlGroup, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-    let mont = g.mont();
-    let bases: Vec<_> = pairs
-        .iter()
-        .map(|(b, _)| mont.enter(&(*b % g.modulus())))
-        .collect();
-    let scalars: Vec<&BigUint> = pairs.iter().map(|&(_, k)| k).collect();
-    mont.leave(&msm(&DlMsm(g), &bases, &scalars))
+    let scalars: Vec<&[u64]> = pairs.iter().map(|(_, e)| e.limbs()).collect();
+    with_kernel!(dl: &g.mont, |k| {
+        let bases: Vec<_> = pairs.iter().map(|(b, _)| g.enter(k, b)).collect();
+        k.leave(&msm(&DlMsm(k), &bases, &scalars))
+    })
 }
 
 #[cfg(test)]
