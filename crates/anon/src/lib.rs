@@ -27,7 +27,7 @@
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mut session = AnonymousCollection::setup(GroupKind::Ecc160.group(), 3, &mut rng);
+//! let session = AnonymousCollection::setup(GroupKind::Ecc160.group(), 3, &mut rng);
 //! let onions = vec![
 //!     session.wrap(b"alpha", &mut rng).unwrap(),
 //!     session.wrap(b"bravo", &mut rng).unwrap(),

@@ -34,30 +34,18 @@ impl Error for MixError {}
 pub struct AnonymousCollection {
     group: Group,
     keys: Vec<KeyPair>,
-    /// Which mixers shuffle (all, in the honest protocol; the games
-    /// disable subsets to demonstrate the anonymity mechanism).
-    shuffling: Vec<bool>,
 }
 
 impl AnonymousCollection {
     /// Creates a session with `n` members, generating their keys.
     pub fn setup<R: Rng + ?Sized>(group: Group, n: usize, rng: &mut R) -> Self {
         let keys = (0..n).map(|_| KeyPair::generate(&group, rng)).collect();
-        AnonymousCollection {
-            group,
-            keys,
-            shuffling: vec![true; n],
-        }
+        AnonymousCollection { group, keys }
     }
 
     /// Number of members.
     pub fn members(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Disables mixer `i`'s shuffle (game harness only).
-    pub fn disable_shuffle(&mut self, mixer: usize) {
-        self.shuffling[mixer] = false;
     }
 
     /// Wraps a message in all `n` layers: outermost is member 0's key, so
@@ -88,6 +76,14 @@ impl AnonymousCollection {
         batch: Vec<Vec<u8>>,
         rng: &mut R,
     ) -> Result<Vec<Vec<u8>>, MixError> {
+        let mut out = self.strip(mixer, batch)?;
+        out.shuffle(rng);
+        Ok(out)
+    }
+
+    /// Strips mixer `mixer`'s layer from every onion, keeping the batch's
+    /// order.
+    fn strip(&self, mixer: usize, batch: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, MixError> {
         let mut out = Vec::with_capacity(batch.len());
         for onion in batch {
             let ct: HybridCiphertext =
@@ -95,9 +91,6 @@ impl AnonymousCollection {
             let inner = hybrid::decrypt(&self.group, self.keys[mixer].secret_key(), &ct)
                 .map_err(|e| MixError::Layer(mixer, e))?;
             out.push(inner);
-        }
-        if self.shuffling[mixer] {
-            out.shuffle(rng);
         }
         Ok(out)
     }
@@ -168,17 +161,18 @@ mod tests {
 
     #[test]
     fn single_honest_shuffler_suffices() {
-        // All mixers but one disabled: the marked message still moves.
+        // Mixers 0 and 2 only strip, mixer 1 mixes: the marked message
+        // still moves.
         let mut moved = false;
         for seed in 0..8 {
-            let (mut s, mut rng) = session(3, 100 + seed);
-            s.disable_shuffle(0);
-            s.disable_shuffle(2);
+            let (s, mut rng) = session(3, 100 + seed);
             let onions = vec![
                 s.wrap(b"marked", &mut rng).unwrap(),
                 s.wrap(b"x", &mut rng).unwrap(),
             ];
-            let got = s.mix_and_collect(onions, &mut rng).unwrap();
+            let batch = s.strip(0, onions).unwrap();
+            let batch = s.mix_step(1, batch, &mut rng).unwrap();
+            let got = s.strip(2, batch).unwrap();
             if got[0] != b"marked" {
                 moved = true;
             }
@@ -188,18 +182,17 @@ mod tests {
 
     #[test]
     fn no_shuffle_at_all_is_linkable() {
-        // Negative control: with every shuffle disabled, input order is
+        // Negative control: when every mixer only strips, input order is
         // preserved — the linking attack wins.
-        let (mut s, mut rng) = session(3, 42);
-        for i in 0..3 {
-            s.disable_shuffle(i);
-        }
-        let onions = vec![
+        let (s, mut rng) = session(3, 42);
+        let mut got = vec![
             s.wrap(b"first", &mut rng).unwrap(),
             s.wrap(b"second", &mut rng).unwrap(),
             s.wrap(b"third", &mut rng).unwrap(),
         ];
-        let got = s.mix_and_collect(onions, &mut rng).unwrap();
+        for mixer in 0..3 {
+            got = s.strip(mixer, got).unwrap();
+        }
         assert_eq!(
             got,
             vec![b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]

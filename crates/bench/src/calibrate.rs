@@ -68,10 +68,11 @@ pub fn chain_hop_time(kind: GroupKind, samples: u32) -> Duration {
         prep.push(&g.random_nonzero_scalar(&mut rng));
     }
     g.prepare_hop_scalars(kp.secret_key(), &mut prep);
+    let all: Vec<usize> = (0..cts.len()).collect();
     let mut out = Vec::with_capacity(cts.len());
-    scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, None, &mut out);
+    scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, &all, &mut out);
     let start = Instant::now();
-    scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, None, &mut out);
+    scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, &all, &mut out);
     let elapsed = start.elapsed();
     std::hint::black_box(out);
     elapsed / samples

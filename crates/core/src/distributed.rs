@@ -46,7 +46,7 @@ use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::offline::PartyStock;
 use crate::params::FrameworkParams;
 use crate::party::{InitiatorMachine, Machine, PartyMachine, Round, To, Wait};
-use crate::sorting::{SortError, SortOptions};
+use crate::sorting::SortError;
 use crate::submit::VerificationReport;
 use crate::wire::{decode_msg, encode_msg, parse_frame, AbortFrame, AbortKind, Frame};
 use bytes::Bytes;
@@ -666,8 +666,7 @@ fn participant_thread(
     let ctx = Ctx::new(net, me, n, budget);
     let group = params.group().group();
     let stock = PartyStock::mint(&group, params.seed(), n, l, me);
-    let options = SortOptions::default();
-    let party = PartyMachine::session(&params, me, info, stock, None, options, 1);
+    let party = PartyMachine::session(&params, me, info, stock, None, 1);
     let party = run_party(&ctx, &group, party)?;
     let rank = party.into_result().map(|(_, _, zeros)| zeros + 1);
     rank.ok_or_else(|| ctx.protocol(me, "the session ended without a rank"))
@@ -725,7 +724,7 @@ mod tests {
     use crate::attrs::Questionnaire;
     use crate::framework::GroupRanking;
     use crate::offline::{OfflineStock, StockFingerprint};
-    use crate::sorting::{SortMachine, SortStatus};
+    use crate::sorting::{SortMachine, SortOptions, SortStatus};
     use crate::timing::PartyTimer;
     use ppgr_bigint::BigUint;
     use ppgr_elgamal::Ciphertext;
@@ -822,8 +821,7 @@ mod tests {
                     let (me, group) = (idx + 1, kind.group());
                     let ctx = Ctx::new(FaultyMesh::passthrough(handle), me, n, budget);
                     let stock = PartyStock::mint(&group, seed, n, l, me);
-                    let options = SortOptions::default();
-                    let party = PartyMachine::new(&group, me, n, l, value, stock, None, options, 1);
+                    let party = PartyMachine::new(&group, me, value, stock, None, 1);
                     let party = run_party(&ctx, &group, party)?;
                     Ok(party.into_result().map(|(_, set, _)| set))
                 })
@@ -847,10 +845,7 @@ mod tests {
     ) -> Vec<Vec<Ciphertext>> {
         let fp = StockFingerprint::new(seed, values.len(), l, kind);
         let stock = OfflineStock::generate(fp, 1, || false).expect("never cancelled");
-        let options = SortOptions {
-            threads: 1,
-            ..SortOptions::default()
-        };
+        let options = SortOptions { threads: 1 };
         let mut machine = SortMachine::new(&kind.group(), values, l, options, stock).unwrap();
         let (log, mut timer) = (TrafficLog::new(), PartyTimer::new(values.len() + 1));
         while machine.step(&log, &mut timer).unwrap() == SortStatus::Pending {}

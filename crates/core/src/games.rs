@@ -2,18 +2,19 @@
 //!
 //! A reproduction cannot "run" a reduction proof, but it *can* implement
 //! the games and concrete attacks, then check that each attack succeeds
-//! exactly when the corresponding protocol mechanism is disabled:
+//! exactly when the corresponding protocol mechanism is skipped:
 //!
 //! * [`unlinkability_attack`] — the identity-linking attack of
 //!   Definition 7: a colluding set owner locates the zero in her returned
 //!   `τ` set and maps its position back to an opponent identity. It wins
-//!   with probability ≈ 1 when honest parties *skip the shuffle*, and
-//!   drops to coin-flipping when the shuffle is on — demonstrating the
-//!   shuffle is the load-bearing unlinkability mechanism.
+//!   with probability ≈ 1 when every hop *skips the shuffle*, and drops to
+//!   coin-flipping when the hops shuffle — demonstrating the shuffle is
+//!   the load-bearing unlinkability mechanism.
 //! * [`value_recovery_rate`] — gain leakage through un-randomized `τ`
-//!   values (Lemma 3's mechanism): with plaintext randomization disabled,
-//!   every `τ` is small enough to brute-force from `g^τ`; with it on,
-//!   non-zero plaintexts are uniform in the exponent and unrecoverable.
+//!   values (Lemma 3's mechanism): when every hop skips its randomizers,
+//!   every `τ` is small enough to brute-force from `g^τ`; when they
+//!   randomize, non-zero plaintexts are uniform in the exponent and
+//!   unrecoverable.
 //! * [`indcpa_statistic_advantage`] — an IND-CPA-style bit-guessing game
 //!   against the bitwise encryption (Lemma 2): a keyless statistic gets
 //!   ≈ 0 advantage while the keyed distinguisher (positive control) gets
@@ -21,12 +22,17 @@
 //! * [`interval_invariance_holds`] — Definition 5's observable: colluder
 //!   views (their ranks and zero counts) are identical for any two honest
 //!   values in the same interval of the adversary's values.
+//!
+//! A hop that skips a mechanism is not a protocol switch: the skipping
+//! party's offline stock is edited after minting — identity permutations,
+//! or randomizers of 1 — and every machine runs the one honest hop on it.
 
-use crate::sorting::{run_sort, SortOptions};
+use crate::offline::{OfflineStock, StockFingerprint};
+use crate::sorting::{run_on, SortOptions, SortOutcome, SortTrace};
 use crate::timing::PartyTimer;
 use ppgr_bigint::BigUint;
-use ppgr_elgamal::{ExpElGamal, JointKey, KeyPair};
-use ppgr_group::Group;
+use ppgr_elgamal::{Ciphertext, ExpElGamal, JointKey, KeyPair};
+use ppgr_group::{Group, Scalar};
 use ppgr_hash::HashDrbg;
 use ppgr_net::TrafficLog;
 use rand::{Rng, SeedableRng};
@@ -47,13 +53,37 @@ impl GameReport {
     }
 }
 
+/// One session on `values` (party order) whose stock `deviate` edits
+/// before the parties' machines run on it. The session seed is drawn from
+/// `rng` as [`run_sort`](crate::sorting::run_sort) draws it.
+fn play<R: Rng + ?Sized>(
+    group: &Group,
+    values: &[u64],
+    l: usize,
+    rng: &mut R,
+    deviate: impl FnOnce(&mut OfflineStock),
+) -> (SortOutcome, SortTrace) {
+    let values: Vec<BigUint> = values.iter().map(|&v| BigUint::from(v)).collect();
+    let fp = StockFingerprint::new(rng.gen(), values.len(), l, group.kind());
+    let mut stock = OfflineStock::generate(fp, 1, || false)
+        // tidy:allow(panic) — the never-cancelling hook makes None unreachable
+        .expect("generation with a never-cancelling hook always completes");
+    deviate(&mut stock);
+    let (log, mut timer) = (TrafficLog::new(), PartyTimer::new(values.len() + 1));
+    let options = SortOptions::default();
+    run_on(group, &values, l, options, stock, &log, &mut timer)
+        // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
+        .expect("valid game setup")
+}
+
 /// The identity-linking attack (Definition 7).
 ///
 /// Three parties: `P₁`, `P₂` honest, `P₃` the colluder (the maximum
 /// `n − 2` for `n = 3`). A hidden bit assigns `(v_hi, v_lo)` to
 /// `(P₁, P₂)` or `(P₂, P₁)`; `P₃`'s value lies strictly between. `P₃`
 /// decrypts her returned set and guesses from the *position* of the zero:
-/// block 0 ↔ opponent `P₁`, block 1 ↔ opponent `P₂`.
+/// block 0 ↔ opponent `P₁`, block 1 ↔ opponent `P₂`. With `shuffle`
+/// false, every party's hop skips its shuffle.
 pub fn unlinkability_attack(
     group: &Group,
     l: usize,
@@ -68,17 +98,11 @@ pub fn unlinkability_attack(
     for _ in 0..trials {
         let b = rng.gen_bool(0.5);
         let (p1, p2) = if b { (v_lo, v_hi) } else { (v_hi, v_lo) };
-        let values: Vec<BigUint> = [p1, p2, v_adv].iter().map(|&v| BigUint::from(v)).collect();
-        let log = TrafficLog::new();
-        let mut timer = PartyTimer::new(4);
-        let options = SortOptions {
-            shuffle,
-            randomize: true,
-            ..SortOptions::default()
-        };
-        let (_out, trace) = run_sort(group, &values, l, options, &mut rng, &log, &mut timer)
-            // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
-            .expect("valid game setup");
+        let (_, trace) = play(group, &[p1, p2, v_adv], l, &mut rng, |stock| {
+            if !shuffle {
+                (0..3).for_each(|party| stock.skip_shuffle(party));
+            }
+        });
 
         // The colluder is party 3 (index 2); she owns her secret key.
         let own_key = trace.keys[2].secret_key();
@@ -100,36 +124,32 @@ pub fn unlinkability_attack(
 /// Fraction of non-zero returned-set plaintexts the colluder can recover
 /// by brute-forcing the exponent up to `2l + 4` (the `τ` value bound).
 ///
-/// With `randomize = false` this is 1.0 — the protocol would leak every
-/// `τ` profile; with randomization it collapses to ≈ 0.
+/// When every party's hop skips its randomization (`randomize` false) this
+/// is 1.0 — the protocol would leak every `τ` profile; with randomization
+/// it collapses to ≈ 0.
 pub fn value_recovery_rate(group: &Group, l: usize, randomize: bool, seed: u64) -> f64 {
     let mut rng = HashDrbg::seed_from_u64(seed);
-    let scheme = ExpElGamal::new(group.clone());
-    let values: Vec<BigUint> = [40u64, 10, 25].iter().map(|&v| BigUint::from(v)).collect();
-    let log = TrafficLog::new();
-    let mut timer = PartyTimer::new(4);
-    let options = SortOptions {
-        shuffle: true,
-        randomize,
-        ..SortOptions::default()
-    };
-    let (_out, trace) = run_sort(group, &values, l, options, &mut rng, &log, &mut timer)
-        // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
-        .expect("valid game setup");
+    let (_, trace) = play(group, &[40, 10, 25], l, &mut rng, |stock| {
+        if !randomize {
+            (0..3).for_each(|party| stock.skip_randomization(group, party));
+        }
+    });
+    let (key, set) = (trace.keys[2].secret_key(), &trace.returned_sets[2]);
+    recovery(group, key, set, l)
+}
 
-    let own_key = trace.keys[2].secret_key();
-    let set = &trace.returned_sets[2];
+/// The share of `set`'s non-zero plaintexts under `key` that brute force
+/// up to `2l + 4` recovers.
+fn recovery(group: &Group, key: &Scalar, set: &[Ciphertext], l: usize) -> f64 {
+    let scheme = ExpElGamal::new(group.clone());
     let mut nonzero = 0u32;
     let mut recovered = 0u32;
     for ct in set {
-        if scheme.decrypts_to_zero(own_key, ct) {
+        if scheme.decrypts_to_zero(key, ct) {
             continue;
         }
         nonzero += 1;
-        if scheme
-            .decrypt_small(own_key, ct, 2 * l as u64 + 4)
-            .is_some()
-        {
+        if scheme.decrypt_small(key, ct, 2 * l as u64 + 4).is_some() {
             recovered += 1;
         }
     }
@@ -184,23 +204,8 @@ pub fn interval_invariance_holds(group: &Group, l: usize, seed: u64) -> bool {
         .iter()
         .map(|&honest| {
             let mut rng = HashDrbg::seed_from_u64(seed);
-            let values: Vec<BigUint> = [honest, adversary_values[0], adversary_values[1]]
-                .iter()
-                .map(|&v| BigUint::from(v))
-                .collect();
-            let log = TrafficLog::new();
-            let mut timer = PartyTimer::new(4);
-            let (out, trace) = run_sort(
-                group,
-                &values,
-                l,
-                SortOptions::default(),
-                &mut rng,
-                &log,
-                &mut timer,
-            )
-            // tidy:allow(panic) — game harness drives fixed valid setups, not attacker input
-            .expect("valid game setup");
+            let values = [honest, adversary_values[0], adversary_values[1]];
+            let (out, trace) = play(group, &values, l, &mut rng, |_| ());
             // Colluders are parties 2 and 3: observe their ranks and the
             // zero counts of their returned sets.
             let zeros: usize = (1..3)
@@ -221,8 +226,75 @@ pub fn interval_invariance_holds(group: &Group, l: usize, seed: u64) -> bool {
 mod tests {
     use super::*;
     use ppgr_group::GroupKind;
+    use std::collections::HashSet;
 
     const L: usize = 6;
+
+    /// `P₃`'s key pair and returned set in sessions on 10, 40, 25, one per
+    /// seed 0–7, each on a stock `deviate` edited.
+    fn colluder_views(
+        group: &Group,
+        deviate: impl Fn(&mut OfflineStock),
+    ) -> Vec<(KeyPair, Vec<Ciphertext>)> {
+        (0..8)
+            .map(|seed| {
+                let mut rng = HashDrbg::seed_from_u64(seed);
+                let (_, mut trace) = play(group, &[10, 40, 25], L, &mut rng, &deviate);
+                (
+                    trace.keys.swap_remove(2),
+                    trace.returned_sets.swap_remove(2),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_shuffling_hop_unlinks() {
+        // P₃'s set is hopped by P₁ and P₂ alone. While both skip their
+        // shuffles, its one zero (40 beats 25) stays where the comparison
+        // put it: the top bit of P₂'s block. If either shuffles, the zero
+        // moves across seeds.
+        let group = GroupKind::Ecc160.group();
+        let scheme = ExpElGamal::new(group.clone());
+        for skipping in [&[0, 1][..], &[0], &[1]] {
+            let views = colluder_views(&group, |stock| {
+                for &party in skipping {
+                    stock.skip_shuffle(party);
+                }
+            });
+            let positions: HashSet<usize> = views
+                .iter()
+                .map(|(key, set)| {
+                    let zero = |ct: &Ciphertext| scheme.decrypts_to_zero(key.secret_key(), ct);
+                    set.iter().position(zero).expect("40 beats 25")
+                })
+                .collect();
+            if skipping.len() == 2 {
+                assert_eq!(positions, HashSet::from([2 * L - 1]));
+            } else {
+                assert!(positions.len() > 1, "skipping {skipping:?}: {positions:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_randomizing_hop_hides_the_values() {
+        // Likewise, P₃ recovers every non-zero τ while neither P₁ nor P₂
+        // randomizes, and none once one of them does.
+        let group = GroupKind::Ecc160.group();
+        for skipping in [&[0, 1][..], &[0], &[1]] {
+            let views = colluder_views(&group, |stock| {
+                for &party in skipping {
+                    stock.skip_randomization(&group, party);
+                }
+            });
+            let want = if skipping.len() == 2 { 1.0 } else { 0.0 };
+            for (key, set) in views {
+                let rate = recovery(&group, key.secret_key(), &set, L);
+                assert_eq!(rate, want, "skipping {skipping:?}");
+            }
+        }
+    }
 
     #[test]
     fn linking_attack_wins_without_shuffle() {

@@ -31,12 +31,16 @@
 //! every mask. Proofs are not stocked: each party's machine assembles its
 //! own online, from its stocked nonce and the challenge shares it
 //! receives in the keygen exchange both drivers run. A stock's shape is a
-//! pure function of `(n, l)` — hop randomizers and permutations are
-//! minted even when a run disables randomization or shuffling — so a
-//! precompute pool can stock sessions knowing only their
-//! [`StockFingerprint`]. [`OfflineStock::generate`] is the one
-//! constructor; it serves pool lanes, a session's cold offline step and
-//! [`run_sort`](crate::sorting::run_sort).
+//! pure function of `(n, l)`, so a precompute pool can stock sessions
+//! knowing only their [`StockFingerprint`]. [`OfflineStock::generate`] is
+//! the one constructor; it serves pool lanes, a session's cold offline
+//! step and [`run_sort`](crate::sorting::run_sort).
+//!
+//! A party that deviates only in its own randomness is a stock edited
+//! after minting, and its machine runs the honest rounds on it:
+//! [`OfflineStock::corrupt_key_proof`] makes a bad prover, and the
+//! security games ([`crate::games`]) make a hop that skips its shuffle
+//! (identity permutations) or its randomization (randomizers of 1).
 //!
 //! Determinism: a session that receives a pool-generated stock and one
 //! that generates its own cold are bit-identical, and so are the two
@@ -341,6 +345,33 @@ impl OfflineStock {
     pub fn corrupt_key_proof(&mut self, group: &Group, party: usize) {
         if let Some(stock) = self.parties.get_mut(party) {
             ppgr_zkp::tamper::bump_nonce_commitment(group, &mut stock.nonce);
+        }
+    }
+
+    /// Makes `party`'s (0-based) hop keep every set's order: its stocked
+    /// permutations become the identity. No-op for a party the stock does
+    /// not hold.
+    pub(crate) fn skip_shuffle(&mut self, party: usize) {
+        if let Some(stock) = self.parties.get_mut(party) {
+            for (_, _, order) in &mut stock.hops {
+                *order = (0..order.len()).collect();
+            }
+        }
+    }
+
+    /// Makes `party`'s (0-based) hop skip its randomization: every
+    /// randomizer becomes 1, prepared under the party's share, so the hop
+    /// yields the bare partial decryption `(α·β^{−x}, β)`. No-op for a
+    /// party the stock does not hold.
+    pub(crate) fn skip_randomization(&mut self, group: &Group, party: usize) {
+        if let Some(stock) = self.parties.get_mut(party) {
+            let one = group.scalar_from_u64(1);
+            for (_, set, _) in &mut stock.hops {
+                let mut ones = group.hop_scalars(set.len());
+                (0..set.len()).for_each(|_| ones.push(&one));
+                group.prepare_hop_scalars(stock.keys.secret_key(), &mut ones);
+                *set = ones;
+            }
         }
     }
 

@@ -34,7 +34,7 @@ use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::gain::{draw_rho, initiator_vector, participant_vector, to_unsigned};
 use crate::offline::{party_streams, PartyStock};
 use crate::params::FrameworkParams;
-use crate::sorting::{chain_hop, count_zeros, tau_set, HopJob, KeygenVerifyJob, SortOptions};
+use crate::sorting::{chain_hop, count_zeros, tau_set, HopJob, KeygenVerifyJob};
 use crate::submit::{verify_submissions, Submission, VerificationReport};
 use crate::wire::Writer;
 use ppgr_bigint::{BigUint, Fp};
@@ -292,7 +292,6 @@ pub(crate) struct PartyMachine {
     l: usize,
     /// `β`: given, or unblinded in phase 1.
     value: BigUint,
-    options: SortOptions,
     workers: usize,
     acts: VecDeque<Act>,
     /// In a whole session: the dot product's round 1 until it is sent,
@@ -333,26 +332,25 @@ impl fmt::Debug for PartyMachine {
 }
 
 impl PartyMachine {
-    /// Party `me`'s phase 2 in an `n`-party session on `l`-bit values,
-    /// holding `value` and its stock, whose masks may be bare or filled.
+    /// Party `me`'s phase 2, holding `value` and its stock, whose masks
+    /// may be bare or filled. The stock gives the session's shape: one
+    /// challenge share per other party, so `n` parties, and one encryption
+    /// mask per bit, so `l`-bit values.
     ///
     /// `table` is a prepared table for the joint key, when the caller has
     /// one (the simulation's stock carries it); a table whose base is not
     /// the joint key the received shares combine to is an internal fault.
-    /// Without one the machine prepares its own. `options` and `workers`
-    /// are the hop's switches and every step's worker count.
-    #[allow(clippy::too_many_arguments)]
+    /// Without one the machine prepares its own. `workers` is every step's
+    /// worker count.
     pub(crate) fn new(
         group: &Group,
         me: usize,
-        n: usize,
-        l: usize,
         value: BigUint,
         stock: PartyStock,
         table: Option<FixedBaseTable>,
-        options: SortOptions,
         workers: usize,
     ) -> Self {
+        let (n, l) = (stock.shares.len() + 1, stock.enc.len());
         let PartyStock {
             keys,
             nonce,
@@ -376,7 +374,6 @@ impl PartyMachine {
             n,
             l,
             value,
-            options,
             workers,
             acts: script(me, n),
             round1: None,
@@ -400,30 +397,24 @@ impl PartyMachine {
     /// Party `me`'s whole session of `params` on its information vector
     /// `info`: phase 1, then phase 2 on its stock, then its submission.
     /// Round 1 of its dot product is computed here, from the party's
-    /// online stream — its only online draw. `table`, `options` and
-    /// `workers` are as for [`PartyMachine::new`].
+    /// online stream — its only online draw. `table` and `workers` are as
+    /// for [`PartyMachine::new`].
     pub(crate) fn session(
         params: &FrameworkParams,
         me: usize,
         info: InfoVector,
         stock: PartyStock,
         table: Option<FixedBaseTable>,
-        options: SortOptions,
         workers: usize,
     ) -> Self {
         let field = default_field();
         let w = participant_vector(&field, params.questionnaire(), &info);
         let mut online = party_streams(params.seed(), me).0;
         let (sender, round1) = DotProduct::new(field).sender_round1(&w, &mut online);
-        let (group, n, l) = (
-            params.group().group(),
-            params.participants(),
-            params.beta_bits(),
-        );
-        let beta = BigUint::zero();
-        let phase2 = Self::new(&group, me, n, l, beta, stock, table, options, workers);
+        let group = params.group().group();
+        let phase2 = Self::new(&group, me, BigUint::zero(), stock, table, workers);
         let mut acts = VecDeque::from([Act::Round1, Act::Unblind]);
-        acts.extend(script(me, n));
+        acts.extend(script(me, phase2.n));
         acts.push_back(Act::Submit);
         PartyMachine {
             acts,
@@ -640,15 +631,8 @@ impl Machine for PartyMachine {
                     }
                     self.sets = chain;
                 }
-                let (jobs, secret) = (std::mem::take(&mut self.hops), self.keys.secret_key());
-                chain_hop(
-                    &self.scheme,
-                    &mut self.sets,
-                    &jobs,
-                    secret,
-                    self.options,
-                    self.workers,
-                );
+                let jobs = std::mem::take(&mut self.hops);
+                chain_hop(&self.scheme, &mut self.sets, &jobs, self.workers);
                 if me < n {
                     send(
                         To::Party(me + 1),
@@ -927,9 +911,7 @@ mod tests {
                     (Some(other), 1) => Some(other.clone()),
                     _ => Some(joint.clone()),
                 };
-                let value = BigUint::from(value);
-                let options = SortOptions::default();
-                PartyMachine::new(&group, idx + 1, n, L, value, own, table, options, 1)
+                PartyMachine::new(&group, idx + 1, BigUint::from(value), own, table, 1)
             })
             .collect();
         Session {
@@ -1001,8 +983,7 @@ mod tests {
             .zip(infos)
             .map(|(me, info)| {
                 let stock = PartyStock::mint(&group, params.seed(), n, l, me);
-                let options = SortOptions::default();
-                PartyMachine::session(&params, me, info, stock, None, options, 1)
+                PartyMachine::session(&params, me, info, stock, None, 1)
             })
             .collect();
         (InitiatorMachine::new(&params, profile), parties)

@@ -3,7 +3,6 @@
 use ppgr_bigint::Secret;
 use ppgr_group::{Element, FixedBaseTable, Group, HopScalars, Scalar};
 use rand::Rng;
-use std::borrow::Cow;
 use std::fmt;
 
 /// An ElGamal ciphertext `(α, β)`.
@@ -136,13 +135,6 @@ impl MaskPair {
     }
 }
 
-/// The input indices a gather visits, in output order: `order` itself, or
-/// every index of `cts` when `None`. Callers index `cts` with them, so an
-/// out-of-range index panics there.
-fn gather<'a>(cts: &[Ciphertext], order: Option<&'a [usize]>) -> Cow<'a, [usize]> {
-    order.map_or_else(|| Cow::Owned((0..cts.len()).collect()), Cow::Borrowed)
-}
-
 impl fmt::Debug for MaskPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MaskPair")
@@ -216,22 +208,11 @@ impl ExpElGamal {
         rng: &mut R,
     ) -> Ciphertext {
         let r = self.group.random_scalar(rng);
-        self.encrypt_with_randomness(public_key, m, &r)
-    }
-
-    /// Encryption with caller-chosen randomness (used by tests and the
-    /// security-game simulator, never by honest protocol parties).
-    pub fn encrypt_with_randomness(
-        &self,
-        public_key: &Element,
-        m: &Scalar,
-        r: &Scalar,
-    ) -> Ciphertext {
         Ciphertext {
             alpha: self
                 .group
-                .op(&self.group.exp_gen(m), &self.group.exp(public_key, r)),
-            beta: self.group.exp_gen(r),
+                .op(&self.group.exp_gen(m), &self.group.exp(public_key, &r)),
+            beta: self.group.exp_gen(&r),
         }
     }
 
@@ -364,9 +345,8 @@ impl ExpElGamal {
     /// Gathered batch [`ExpElGamal::partial_decrypt`]: writes
     /// `out[j] = partial_decrypt(cts[order[j]])` into the caller's reusable
     /// buffer. `order` may select any subset of the indices in any order
-    /// (`out.len() == order.len()`), so a caller can fuse the chain hop's
-    /// shuffle into the output placement and split one set across workers;
-    /// `None` takes every ciphertext in input order.
+    /// (`out.len() == order.len()`), so a caller can split one set across
+    /// workers.
     ///
     /// The whole call shares one exponent: every new `α` is computed as
     /// `α·β^{q−x_j}` through [`Group::exp_same_mul_batch`], so the key
@@ -384,20 +364,19 @@ impl ExpElGamal {
         &self,
         cts: &[Ciphertext],
         secret_share: &Scalar,
-        order: Option<&[usize]>,
+        order: &[usize],
         out: &mut Vec<Ciphertext>,
     ) {
         let neg_share = self.group.scalar_neg(secret_share);
-        let picked = gather(cts, order);
-        let alphas: Vec<&Element> = picked.iter().map(|&i| &cts[i].alpha).collect();
-        let betas: Vec<&Element> = picked.iter().map(|&i| &cts[i].beta).collect();
+        let alphas: Vec<&Element> = order.iter().map(|&i| &cts[i].alpha).collect();
+        let betas: Vec<&Element> = order.iter().map(|&i| &cts[i].beta).collect();
         let new_alphas = self.group.exp_same_mul_batch(&alphas, &betas, &neg_share);
         out.clear();
-        out.reserve(picked.len());
+        out.reserve(order.len());
         out.extend(
             new_alphas
                 .into_iter()
-                .zip(picked.iter())
+                .zip(order)
                 .map(|(alpha, &i)| Ciphertext {
                     alpha,
                     beta: cts[i].beta.clone(),
@@ -419,8 +398,7 @@ impl ExpElGamal {
     /// for `i = order[j]`, where randomizer `i` of the set `prep` was
     /// prepared under the hop owner's secret share `x` by
     /// [`Group::prepare_hop_scalars`]. `order` may select any subset of the
-    /// indices in any order (`out.len() == order.len()`); `None` takes
-    /// every ciphertext in input order.
+    /// indices in any order (`out.len() == order.len()`).
     ///
     /// Each result is `(α^r·β^{−x·r}, β^r)` from one fused kernel call,
     /// which reads each `(r, −x·r)` pair from the set by index: the double
@@ -440,17 +418,16 @@ impl ExpElGamal {
         &self,
         cts: &[Ciphertext],
         prep: &HopScalars,
-        order: Option<&[usize]>,
+        order: &[usize],
         out: &mut Vec<Ciphertext>,
     ) {
         assert_eq!(cts.len(), prep.len(), "one randomizer per ciphertext");
-        let picked = gather(cts, order);
-        let items: Vec<(&Element, usize, &Element)> = picked
+        let items: Vec<(&Element, usize, &Element)> = order
             .iter()
             .map(|&i| (&cts[i].alpha, i, &cts[i].beta))
             .collect();
         out.clear();
-        out.reserve(picked.len());
+        out.reserve(order.len());
         out.extend(
             self.group
                 .exp_hop_prepared_batch(prep, &items)
@@ -664,7 +641,8 @@ mod tests {
             }
             group.prepare_hop_scalars(kp.secret_key(), &mut prep);
             let mut out = Vec::new();
-            scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, None, &mut out);
+            let all: Vec<usize> = (0..cts.len()).collect();
+            scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, &all, &mut out);
             assert_eq!(out, composed, "{kind} prepared hop");
         }
     }
@@ -700,12 +678,7 @@ mod tests {
             }
             group.prepare_hop_scalars(kp.secret_key(), &mut prep);
             let mut out = Vec::new();
-            scheme.partial_decrypt_randomize_prepared_gather_into(
-                &cts,
-                &prep,
-                Some(&perm),
-                &mut out,
-            );
+            scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, &perm, &mut out);
             assert_eq!(out, permuted, "{kind} gathered hop");
 
             // And the unrandomized gather matches partial_decrypt.
@@ -714,19 +687,45 @@ mod tests {
                 .map(|&i| scheme.partial_decrypt(&cts[i], kp.secret_key()))
                 .collect();
             let mut plain = Vec::new();
-            scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), Some(&perm), &mut plain);
+            scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), &perm, &mut plain);
             assert_eq!(plain, singles, "{kind} unrandomized gather");
 
             // A slice of the permutation selects a subset: the matching
             // slice of the full gather, for both gather entry points. The
             // buffers are reused, so each call must replace their contents.
             for (a, b) in [(0, 2), (2, 5), (1, 4), (3, 3)] {
-                let part = Some(&perm[a..b]);
+                let part = &perm[a..b];
                 scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, part, &mut out);
                 assert_eq!(out, permuted[a..b], "{kind} prepared gather {a}..{b}");
                 scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), part, &mut plain);
                 assert_eq!(plain, singles[a..b], "{kind} plain gather {a}..{b}");
             }
+        }
+    }
+
+    #[test]
+    fn unit_randomizer_hop_is_a_partial_decryption() {
+        // Randomizers of 1 make the fused hop `(α·β^{−x}, β)`: a hop that
+        // skips its randomization runs the one hop kernel on such a set,
+        // and must return the gathered partial decryption exactly.
+        for kind in GroupKind::all() {
+            let group = kind.group();
+            let mut rng = StdRng::seed_from_u64(13);
+            let kp = KeyPair::generate(&group, &mut rng);
+            let scheme = ExpElGamal::new(group.clone());
+            let cts: Vec<Ciphertext> = (0..5)
+                .map(|m| scheme.encrypt(kp.public_key(), &group.scalar_from_u64(m), &mut rng))
+                .collect();
+            let mut ones = group.hop_scalars(cts.len());
+            for _ in &cts {
+                ones.push(&group.scalar_from_u64(1));
+            }
+            group.prepare_hop_scalars(kp.secret_key(), &mut ones);
+            let perm = [3usize, 0, 4, 1, 2];
+            let (mut hopped, mut stripped) = (Vec::new(), Vec::new());
+            scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &ones, &perm, &mut hopped);
+            scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), &perm, &mut stripped);
+            assert_eq!(hopped, stripped, "{kind}");
         }
     }
 

@@ -210,10 +210,7 @@ impl Runtime {
     /// The sort options this pool builds sessions with: single-threaded,
     /// because the pool supplies the parallelism.
     fn session_options(&self) -> SortOptions {
-        SortOptions {
-            threads: 1,
-            ..SortOptions::default()
-        }
+        SortOptions { threads: 1 }
     }
 
     /// Submits a session for `params` with its seeded random population —

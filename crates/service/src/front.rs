@@ -274,10 +274,7 @@ impl Service {
             }
         }
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        let options = SortOptions {
-            threads: 1,
-            ..SortOptions::default()
-        };
+        let options = SortOptions { threads: 1 };
         let machine = GroupRanking::new(params)
             .with_random_population()
             .into_machine_with(options)

@@ -26,10 +26,7 @@ fn params_for(n: usize, seed: u64) -> FrameworkParams {
 
 /// Cold reference: the Offline phase generates the stock inline.
 fn cold_run(n: usize, seed: u64, workers: usize) -> Outcome {
-    let options = SortOptions {
-        threads: workers,
-        ..SortOptions::default()
-    };
+    let options = SortOptions { threads: workers };
     let mut machine = GroupRanking::new(params_for(n, seed))
         .with_random_population()
         .into_machine_with(options)
@@ -43,10 +40,7 @@ fn cold_run(n: usize, seed: u64, workers: usize) -> Outcome {
 /// Warm run: the stock is generated up front (the pool's refill path) and
 /// attached before the first step.
 fn warm_run(n: usize, seed: u64, workers: usize) -> Outcome {
-    let options = SortOptions {
-        threads: workers,
-        ..SortOptions::default()
-    };
+    let options = SortOptions { threads: workers };
     let mut machine = GroupRanking::new(params_for(n, seed))
         .with_random_population()
         .into_machine_with(options)

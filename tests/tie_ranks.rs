@@ -118,7 +118,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let run = |threads: usize| {
-            run_with(&values, 3, seed, SortOptions { threads, ..SortOptions::default() })
+            run_with(&values, 3, seed, SortOptions { threads })
         };
         let (ranks, returned, traffic) = run(1);
         for threads in [2, 3] {

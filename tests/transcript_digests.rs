@@ -54,10 +54,7 @@ fn machine_digest(
     threads: usize,
 ) -> String {
     let group = kind.group();
-    let options = SortOptions {
-        threads,
-        ..SortOptions::default()
-    };
+    let options = SortOptions { threads };
     let fp = StockFingerprint::new(seed, values.len(), l, kind);
     let stock = OfflineStock::generate(fp, threads, || false).expect("uncancelled generation");
     let mut machine = SortMachine::new(&group, values, l, options, stock).expect("valid session");
@@ -77,10 +74,7 @@ fn run_sort_digest(
     threads: usize,
 ) -> String {
     let group = kind.group();
-    let options = SortOptions {
-        threads,
-        ..SortOptions::default()
-    };
+    let options = SortOptions { threads };
     let log = TrafficLog::new();
     let mut timer = PartyTimer::new(values.len() + 1);
     let mut rng = StdRng::seed_from_u64(seed);
