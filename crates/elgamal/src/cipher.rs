@@ -332,56 +332,13 @@ impl ExpElGamal {
     /// Strips one layer of a joint-key encryption: `α ← α / β^{x_j}`.
     ///
     /// After every key-share holder has applied this, `α = g^m`
-    /// (paper Fig. 1, step 8, first bullet). The one-ciphertext reference
-    /// form of [`ExpElGamal::partial_decrypt_gather_into`].
+    /// (paper Fig. 1, step 8, first bullet).
     pub fn partial_decrypt(&self, a: &Ciphertext, secret_share: &Scalar) -> Ciphertext {
         let mask = self.group.exp(&a.beta, secret_share);
         Ciphertext {
             alpha: self.group.div(&a.alpha, &mask),
             beta: a.beta.clone(),
         }
-    }
-
-    /// Gathered batch [`ExpElGamal::partial_decrypt`]: writes
-    /// `out[j] = partial_decrypt(cts[order[j]])` into the caller's reusable
-    /// buffer. `order` may select any subset of the indices in any order
-    /// (`out.len() == order.len()`), so a caller can split one set across
-    /// workers.
-    ///
-    /// The whole call shares one exponent: every new `α` is computed as
-    /// `α·β^{q−x_j}` through [`Group::exp_same_mul_batch`], so the key
-    /// share's digit recoding is done once per call (not once per
-    /// ciphertext), the multiply by `α` is fused into the batched ladder
-    /// (no per-ciphertext affine addition, hence no per-ciphertext field
-    /// inversion on the EC family), and the DL family drops the division
-    /// (a Fermat inversion) entirely — `α·β^{−x}` and `α/β^{x}` are the
-    /// same group element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index in `order` is out of range for `cts`.
-    pub fn partial_decrypt_gather_into(
-        &self,
-        cts: &[Ciphertext],
-        secret_share: &Scalar,
-        order: &[usize],
-        out: &mut Vec<Ciphertext>,
-    ) {
-        let neg_share = self.group.scalar_neg(secret_share);
-        let alphas: Vec<&Element> = order.iter().map(|&i| &cts[i].alpha).collect();
-        let betas: Vec<&Element> = order.iter().map(|&i| &cts[i].beta).collect();
-        let new_alphas = self.group.exp_same_mul_batch(&alphas, &betas, &neg_share);
-        out.clear();
-        out.reserve(order.len());
-        out.extend(
-            new_alphas
-                .into_iter()
-                .zip(order)
-                .map(|(alpha, &i)| Ciphertext {
-                    alpha,
-                    beta: cts[i].beta.clone(),
-                }),
-        );
     }
 
     /// Multiplies the plaintext by `r` by raising both components:
@@ -681,24 +638,13 @@ mod tests {
             scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, &perm, &mut out);
             assert_eq!(out, permuted, "{kind} gathered hop");
 
-            // And the unrandomized gather matches partial_decrypt.
-            let singles: Vec<Ciphertext> = perm
-                .iter()
-                .map(|&i| scheme.partial_decrypt(&cts[i], kp.secret_key()))
-                .collect();
-            let mut plain = Vec::new();
-            scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), &perm, &mut plain);
-            assert_eq!(plain, singles, "{kind} unrandomized gather");
-
             // A slice of the permutation selects a subset: the matching
-            // slice of the full gather, for both gather entry points. The
-            // buffers are reused, so each call must replace their contents.
+            // slice of the full gather. The buffer is reused, so each call
+            // must replace its contents.
             for (a, b) in [(0, 2), (2, 5), (1, 4), (3, 3)] {
                 let part = &perm[a..b];
                 scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &prep, part, &mut out);
                 assert_eq!(out, permuted[a..b], "{kind} prepared gather {a}..{b}");
-                scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), part, &mut plain);
-                assert_eq!(plain, singles[a..b], "{kind} plain gather {a}..{b}");
             }
         }
     }
@@ -707,7 +653,7 @@ mod tests {
     fn unit_randomizer_hop_is_a_partial_decryption() {
         // Randomizers of 1 make the fused hop `(α·β^{−x}, β)`: a hop that
         // skips its randomization runs the one hop kernel on such a set,
-        // and must return the gathered partial decryption exactly.
+        // and must return each ciphertext's partial decryption exactly.
         for kind in GroupKind::all() {
             let group = kind.group();
             let mut rng = StdRng::seed_from_u64(13);
@@ -722,9 +668,12 @@ mod tests {
             }
             group.prepare_hop_scalars(kp.secret_key(), &mut ones);
             let perm = [3usize, 0, 4, 1, 2];
-            let (mut hopped, mut stripped) = (Vec::new(), Vec::new());
+            let mut hopped = Vec::new();
             scheme.partial_decrypt_randomize_prepared_gather_into(&cts, &ones, &perm, &mut hopped);
-            scheme.partial_decrypt_gather_into(&cts, kp.secret_key(), &perm, &mut stripped);
+            let stripped: Vec<Ciphertext> = perm
+                .iter()
+                .map(|&i| scheme.partial_decrypt(&cts[i], kp.secret_key()))
+                .collect();
             assert_eq!(hopped, stripped, "{kind}");
         }
     }

@@ -10,7 +10,6 @@ use crate::msm::{msm, DlMsm};
 use crate::traits::DecodeElementError;
 use crate::{Element, HopScalars};
 use ppgr_bigint::{modular, with_kernel, BigUint, FieldKernel, Montgomery};
-use std::sync::OnceLock;
 
 /// Named safe-prime parameter sets.
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
@@ -69,10 +68,11 @@ const MODP_3072: &str = "
 /// `a^(d·16^i)` for `d = 1..15` in Montgomery form, each entry at the
 /// modulus's width — 16 limbs, 128 B, on DL-1024.
 ///
-/// Built with [`DlGroup::build_comb`]; afterwards every exponentiation by
-/// that base costs one Montgomery multiplication per 4 exponent bits and no
-/// squarings — roughly a quarter the work of a generic windowed
-/// exponentiation. The build cost amortizes after a few exponentiations.
+/// Built with [`Group::prepare_base`](crate::Group::prepare_base);
+/// afterwards every exponentiation by that base costs one Montgomery
+/// multiplication per 4 exponent bits and no squarings — roughly a quarter
+/// the work of a generic windowed exponentiation. The build cost amortizes
+/// after a few exponentiations.
 #[derive(Debug)]
 pub struct DlComb {
     /// The rows' entries end to end.
@@ -89,8 +89,6 @@ pub struct DlGroup {
     /// Arithmetic mod `p`, on the CIOS kernel at `p`'s width.
     pub(crate) mont: Montgomery,
     element_len: usize,
-    /// Comb table for fixed-base exponentiation by the generator.
-    gen_table: OnceLock<DlComb>,
 }
 
 impl DlGroup {
@@ -114,7 +112,6 @@ impl DlGroup {
             generator: Element::Dl(BigUint::from(4u64)),
             mont,
             element_len,
-            gen_table: OnceLock::new(),
         }
     }
 
@@ -124,7 +121,7 @@ impl DlGroup {
     }
 
     /// Builds a fixed-base comb table for `a` (an element below `p`).
-    pub fn build_comb(&self, a: &BigUint) -> DlComb {
+    pub(crate) fn build_comb(&self, a: &BigUint) -> DlComb {
         let rows = self.q.bits().div_ceil(4);
         with_kernel!(dl: &self.mont, |k| {
             // `entry` runs through a^1, …, a^15 of each row, ending on the
@@ -144,7 +141,7 @@ impl DlGroup {
 
     /// Fixed-base exponentiation via a prebuilt comb table: one Montgomery
     /// multiplication per 4 exponent bits, no squarings.
-    pub fn pow_comb(&self, comb: &DlComb, e: &BigUint) -> BigUint {
+    pub(crate) fn pow_comb(&self, comb: &DlComb, e: &BigUint) -> BigUint {
         let e = e % &self.q;
         with_kernel!(dl: &self.mont, |k| {
             let (entries, _) = comb.limbs.as_chunks();
@@ -157,16 +154,6 @@ impl DlGroup {
             }
             k.leave(&acc)
         })
-    }
-
-    fn gen_comb(&self) -> &DlComb {
-        self.gen_table
-            .get_or_init(|| self.build_comb(&BigUint::from(4u64)))
-    }
-
-    /// Fixed-base exponentiation `g^e` via a lazily built comb table.
-    pub(crate) fn pow_gen(&self, e: &BigUint) -> BigUint {
-        self.pow_comb(self.gen_comb(), e)
     }
 
     /// The named parameter set.
@@ -195,28 +182,6 @@ impl DlGroup {
 
     pub(crate) fn pow(&self, a: &BigUint, e: &BigUint) -> BigUint {
         self.mont.pow(a, e)
-    }
-
-    /// Fused multiply-and-exponentiate by one shared exponent:
-    /// `out[i] = cᵢ · bᵢ^e`, the exponent reduced mod `q` once and the
-    /// whole batch in the Montgomery domain.
-    pub(crate) fn pow_same_mul_batch(
-        &self,
-        factors: &[&BigUint],
-        bases: &[&BigUint],
-        e: &BigUint,
-    ) -> Vec<BigUint> {
-        let e = e % &self.q;
-        with_kernel!(dl: &self.mont, |k| {
-            factors
-                .iter()
-                .zip(bases)
-                .map(|(c, b)| {
-                    let power = k.pow(&self.enter(k, b), e.limbs());
-                    k.leave(&k.mul(&self.enter(k, c), &power))
-                })
-                .collect()
-        })
     }
 
     /// Fused hop batch over a prepared set: each `(a, i, b)` yields

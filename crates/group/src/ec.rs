@@ -6,7 +6,7 @@
 //! elements kept in Montgomery form, which is what makes the ECC framework
 //! instantiation markedly faster than the DL one (the paper's Fig. 2/3).
 
-use crate::msm::{wnaf_digits, WNAF_MAX_DIGITS};
+use crate::msm::{msm_ec, wnaf_digits, WNAF_MAX_DIGITS};
 use crate::traits::DecodeElementError;
 use crate::{Element, HopScalars};
 use ppgr_bigint::{with_kernel, BigUint, FieldKernel, Montgomery};
@@ -177,7 +177,8 @@ fn odd_entry(table: &[MontAffine], d: i8) -> &MontAffine {
 /// `(d·16^i)·P` for `d = 1..15`, normalized to affine form through one
 /// batched field inversion when the table is built.
 ///
-/// Built once per base with [`EcGroup::build_comb`]; afterwards every
+/// Built once per base with
+/// [`Group::prepare_base`](crate::Group::prepare_base); afterwards every
 /// scalar multiplication by that base costs one mixed addition per nonzero
 /// four-bit window and no doublings. Building costs 16 general additions
 /// per row (≈ 41 rows for a 160-bit order) plus the normalization, so a
@@ -203,8 +204,6 @@ pub struct EcGroup {
     a_is_minus3: bool,
     generator: Element,
     element_len: usize,
-    /// Comb table for fixed-base scalar multiplication by the generator.
-    gen_table: std::sync::OnceLock<EcComb>,
 }
 
 impl EcGroup {
@@ -230,7 +229,6 @@ impl EcGroup {
             b_m,
             a_is_minus3,
             element_len,
-            gen_table: std::sync::OnceLock::new(),
         };
         let Element::Ec(base) = &g.generator else {
             // tidy:allow(panic) — the group's own generator is Element::Ec by construction
@@ -260,7 +258,7 @@ impl EcGroup {
     }
 
     /// Checks the affine curve equation `y² = x³ + ax + b`.
-    pub fn is_on_curve(&self, p: &EcPoint) -> bool {
+    pub(crate) fn is_on_curve(&self, p: &EcPoint) -> bool {
         let Some((x, y)) = p.xy() else { return true };
         if x >= &self.params.p || y >= &self.params.p {
             return false;
@@ -491,7 +489,7 @@ impl EcGroup {
     }
 
     /// Affine point addition.
-    pub fn add(&self, p: &EcPoint, q: &EcPoint) -> EcPoint {
+    pub(crate) fn add(&self, p: &EcPoint, q: &EcPoint) -> EcPoint {
         with_kernel!(curve: &self.fp, |k| {
             let sum = self.jac_add(k, &self.to_jacobian(k, p), &self.to_jacobian(k, q));
             self.to_affine(k, &sum)
@@ -499,7 +497,7 @@ impl EcGroup {
     }
 
     /// Point negation.
-    pub fn neg(&self, p: &EcPoint) -> EcPoint {
+    pub(crate) fn neg(&self, p: &EcPoint) -> EcPoint {
         match p.xy() {
             None => EcPoint::infinity(),
             Some((x, y)) => {
@@ -513,73 +511,16 @@ impl EcGroup {
         }
     }
 
-    /// Core variable-base scalar multiplication with a 4-bit window; `e`
-    /// must already be reduced modulo the group order.
-    fn scalar_mul_jac<K: CurveKernel>(&self, k: K, base: &Jacobian, e: &BigUint) -> Jacobian {
-        if e.is_zero() || is_zero(&base.z) {
-            return self.jac_infinity();
-        }
-        let bits = e.bits();
-        if bits <= 32 {
-            // Small scalars (circuit weights, decode probes): plain binary
-            // double-and-add beats amortizing a 15-addition window table.
-            let mut acc = *base;
-            for i in (0..bits - 1).rev() {
-                acc = self.jac_double1(k, &acc);
-                if e.bit(i) {
-                    acc = self.jac_add(k, &acc, base);
-                }
-            }
-            return acc;
-        }
-        // table[w] = w·P for w = 0..15.
-        let mut table = vec![self.jac_infinity(), *base];
-        for i in 2..16usize {
-            table.push(self.jac_add(k, &table[i - 1], base));
-        }
-        let mut acc: Option<Jacobian> = None;
-        let mut i = bits;
-        while i > 0 {
-            let take = if i.is_multiple_of(4) { 4 } else { i % 4 };
-            let mut window = 0usize;
-            for t in 0..take {
-                window = window << 1 | e.bit(i - 1 - t) as usize;
-            }
-            acc = Some(match acc {
-                None => table[window],
-                Some(mut a) => {
-                    for _ in 0..take {
-                        a = self.jac_double1(k, &a);
-                    }
-                    if window != 0 {
-                        a = self.jac_add(k, &a, &table[window]);
-                    }
-                    a
-                }
-            });
-            i -= take;
-        }
-        // tidy:allow(panic) — zero scalars return early above, so the window loop always assigns acc
-        acc.expect("nonzero scalar")
-    }
-
-    /// Scalar multiplication `e·P` with a 4-bit window.
-    pub fn scalar_mul(&self, p: &EcPoint, e: &BigUint) -> EcPoint {
-        let e = e % &self.params.n;
-        if e.is_zero() || p.is_infinity() {
-            return EcPoint::infinity();
-        }
-        with_kernel!(curve: &self.fp, |k| {
-            let jac = self.scalar_mul_jac(k, &self.to_jacobian(k, p), &e);
-            self.to_affine(k, &jac)
-        })
+    /// Scalar multiplication `e·P`: the MSM engine on one term.
+    pub(crate) fn scalar_mul(&self, p: &EcPoint, e: &BigUint) -> EcPoint {
+        msm_ec(self, &[(p, e)])
     }
 
     /// Builds a fixed-base comb table for `p`: row `i` holds `(d·16^i)·P`
     /// for `d = 1..15`. Each entry is a nonzero multiple of `P` below the
     /// prime order, so none is infinity and one batched inversion
     /// normalizes them all.
-    pub fn build_comb(&self, p: &EcPoint) -> EcComb {
+    pub(crate) fn build_comb(&self, p: &EcPoint) -> EcComb {
         if p.is_infinity() {
             return EcComb {
                 entries: Vec::new(),
@@ -618,19 +559,12 @@ impl EcGroup {
         acc
     }
 
-    /// Fixed-base scalar multiplication via a prebuilt comb table: one
-    /// mixed addition per nonzero 4-bit window, no doublings.
-    pub fn scalar_mul_comb(&self, comb: &EcComb, e: &BigUint) -> EcPoint {
-        with_kernel!(curve: &self.fp, |k| {
-            self.to_affine(k, &self.comb_mul_jac(k, comb, e))
-        })
-    }
-
-    /// Batch fixed-base multiplication: all results share one field
-    /// inversion for the final affine conversion. Takes scalar references
-    /// so callers holding scalars elsewhere (e.g. inside [`crate::Scalar`])
-    /// never clone them just to batch.
-    pub fn scalar_mul_comb_batch(&self, comb: &EcComb, es: &[&BigUint]) -> Vec<EcPoint> {
+    /// Fixed-base multiplication via a prebuilt comb table, one mixed
+    /// addition per nonzero 4-bit window and no doublings; all results
+    /// share one field inversion for the final affine conversion. Takes
+    /// scalar references so callers holding scalars elsewhere (e.g. inside
+    /// [`crate::Scalar`]) never clone them just to batch.
+    pub(crate) fn scalar_mul_comb_batch(&self, comb: &EcComb, es: &[&BigUint]) -> Vec<EcPoint> {
         with_kernel!(curve: &self.fp, |k| {
             let jacs: Vec<Jacobian> = es.iter().map(|e| self.comb_mul_jac(k, comb, e)).collect();
             self.to_affine_batch(k, &jacs)
@@ -643,7 +577,7 @@ impl EcGroup {
     /// itself shares a second inversion across *every table of the batch*,
     /// which is what lets the ladder use 8M+3S mixed additions instead of
     /// 12M+4S general ones without per-point inversion overhead.
-    pub fn scalar_mul_batch(&self, pairs: &[(&EcPoint, &BigUint)]) -> Vec<EcPoint> {
+    pub(crate) fn scalar_mul_batch(&self, pairs: &[(&EcPoint, &BigUint)]) -> Vec<EcPoint> {
         with_kernel!(curve: &self.fp, |k| {
             let mut bases: Vec<Jacobian> = Vec::new();
             let plan: Vec<Option<(BigUint, usize)>> = pairs
@@ -769,26 +703,6 @@ impl EcGroup {
         acc
     }
 
-    fn gen_comb(&self) -> &EcComb {
-        self.gen_table.get_or_init(|| {
-            let Element::Ec(gen) = &self.generator else {
-                // tidy:allow(panic) — the group's own generator is Element::Ec by construction
-                unreachable!()
-            };
-            self.build_comb(gen)
-        })
-    }
-
-    /// Fixed-base scalar multiplication `e·G` via a lazily built comb table.
-    pub fn scalar_mul_gen(&self, e: &BigUint) -> EcPoint {
-        self.scalar_mul_comb(self.gen_comb(), e)
-    }
-
-    /// Batch fixed-base multiplication by the generator.
-    pub fn scalar_mul_gen_batch(&self, es: &[&BigUint]) -> Vec<EcPoint> {
-        self.scalar_mul_comb_batch(self.gen_comb(), es)
-    }
-
     /// Builds width-4 wNAF odd-multiple tables `{1·P, 3·P, …, 15·P}` for
     /// every base at once, normalized to [`MontAffine`] form with ONE
     /// shared field inversion across all entries of all tables, and laid
@@ -822,71 +736,12 @@ impl EcGroup {
         acc
     }
 
-    /// Shared-recoding batch multiplication with a fused affine addend:
-    /// `out[i] = c[i] + e·p[i]`. The scalar's width-4 wNAF digits are
-    /// recoded once and replayed for every point, each point needing only
-    /// its odd-multiple table `{P, 3P, …, 15P}`. The addend lands as one
-    /// mixed addition on
-    /// the Jacobian accumulator *before* the shared normalization, so it
-    /// replaces a separate affine addition — and the full field inversion
-    /// that affine addition would pay per point — with three field
-    /// multiplications. This is the shape of a gathered partial
-    /// decryption: `α · β^{−x}` across a whole ciphertext set.
-    pub fn scalar_mul_same_mul_batch(
-        &self,
-        addends: &[&EcPoint],
-        points: &[&EcPoint],
-        e: &BigUint,
-    ) -> Vec<EcPoint> {
-        assert_eq!(addends.len(), points.len(), "one addend per point");
-        let e = e % &self.params.n;
-        let mut digits = [0i8; WNAF_MAX_DIGITS];
-        let digits = wnaf_digits(e.limbs(), &mut digits);
-        with_kernel!(curve: &self.fp, |k| {
-            let mut bases: Vec<Jacobian> = Vec::new();
-            let idxs: Vec<Option<usize>> = points
-                .iter()
-                .map(|p| {
-                    if digits.is_empty() || p.is_infinity() {
-                        return None;
-                    }
-                    bases.push(self.to_jacobian(k, p));
-                    Some(bases.len() - 1)
-                })
-                .collect();
-            let tables = self.wnaf_tables(k, &bases);
-            let tables: Vec<&[MontAffine]> = tables.chunks_exact(8).collect();
-            let jacs: Vec<Jacobian> = idxs
-                .iter()
-                .zip(addends)
-                .map(|(t, addend)| {
-                    let acc = match t {
-                        Some(t) => self.wnaf_mul_jac(k, digits, tables[*t]),
-                        None => self.jac_infinity(),
-                    };
-                    match addend.xy() {
-                        Some((x, y)) => {
-                            let c = MontAffine {
-                                x: k.enter(x),
-                                y: k.enter(y),
-                            };
-                            let [sum] = self.jac_add_mixed(k, [&acc], [&c], [false]);
-                            sum
-                        }
-                        None => acc,
-                    }
-                })
-                .collect();
-            self.to_affine_batch(k, &jacs)
-        })
-    }
-
     /// Batch affine addition: every `p + q` is computed in Jacobian form
     /// and all results share one field inversion for the final conversion,
     /// versus one inversion *per pair* when calling [`EcGroup::add`] in a
     /// loop. Homomorphic ciphertext algebra (re-randomization, gate
     /// outputs) is made of exactly these adds.
-    pub fn add_batch(&self, pairs: &[(&EcPoint, &EcPoint)]) -> Vec<EcPoint> {
+    pub(crate) fn add_batch(&self, pairs: &[(&EcPoint, &EcPoint)]) -> Vec<EcPoint> {
         with_kernel!(curve: &self.fp, |k| {
             let jacs: Vec<Jacobian> = pairs
                 .iter()
@@ -901,7 +756,7 @@ impl EcGroup {
     /// shares one field inversion, versus one inversion per prefix when a
     /// caller chains [`EcGroup::add`]. The comparison circuit's suffix
     /// sums are exactly this shape.
-    pub fn add_scan(&self, points: &[&EcPoint]) -> Vec<EcPoint> {
+    pub(crate) fn add_scan(&self, points: &[&EcPoint]) -> Vec<EcPoint> {
         with_kernel!(curve: &self.fp, |k| {
             let mut acc = self.jac_infinity();
             let jacs: Vec<Jacobian> = points
@@ -916,7 +771,7 @@ impl EcGroup {
     }
 
     /// SEC1 compressed encoding (`0x02/0x03 || x`); infinity is all zeros.
-    pub fn encode(&self, p: &EcPoint) -> Vec<u8> {
+    pub(crate) fn encode(&self, p: &EcPoint) -> Vec<u8> {
         let mut out = vec![0u8; self.element_len];
         let Some((x, y)) = p.xy() else { return out };
         out[0] = if y.is_even() { 0x02 } else { 0x03 };
@@ -928,7 +783,7 @@ impl EcGroup {
     /// Decodes a compressed point, recovering `y` as the square root of
     /// `x³ + ax + b` that [`FieldKernel::sqrt`] takes without leaving the
     /// field's Montgomery domain, negated if its parity is not the tag's.
-    pub fn decode(&self, bytes: &[u8]) -> Result<EcPoint, DecodeElementError> {
+    pub(crate) fn decode(&self, bytes: &[u8]) -> Result<EcPoint, DecodeElementError> {
         if bytes.len() != self.element_len {
             return Err(DecodeElementError {
                 reason: "wrong length",
@@ -1231,21 +1086,17 @@ mod tests {
             ks.extend((0..4).map(|_| ppgr_bigint::random_below(&mut rng, &n)));
             let refs: Vec<&BigUint> = ks.iter().collect();
             let batch = g.scalar_mul_comb_batch(&comb, &refs);
+            let one = |comb: &EcComb, k: &BigUint| g.scalar_mul_comb_batch(comb, &[k]).remove(0);
             for (k, got) in ks.iter().zip(&batch) {
                 let want = g.scalar_mul(&p, k);
-                assert_eq!(
-                    g.scalar_mul_comb(&comb, k),
-                    want,
-                    "{} k={k:?}",
-                    g.params().name
-                );
+                assert_eq!(one(&comb, k), want, "{} k={k:?}", g.params().name);
                 assert_eq!(got, &want, "{} batch k={k:?}", g.params().name);
             }
-            assert!(g.scalar_mul_comb(&comb, &n).is_infinity());
-            assert_eq!(g.scalar_mul_comb(&comb, &(&n + &BigUint::one())), p);
+            assert!(one(&comb, &n).is_infinity());
+            assert_eq!(one(&comb, &(&n + &BigUint::one())), p);
             // The point at infinity's table is empty and yields infinity.
             let inf = g.build_comb(&EcPoint::infinity());
-            assert!(g.scalar_mul_comb(&inf, &BigUint::from(5u64)).is_infinity());
+            assert!(one(&inf, &BigUint::from(5u64)).is_infinity());
         }
     }
 
@@ -1258,22 +1109,6 @@ mod tests {
             .iter()
             .map(|&k| BigUint::from(k))
             .collect();
-        let comb = g.build_comb(&q);
-        let k_refs: Vec<&BigUint> = ks.iter().collect();
-        let batch = g.scalar_mul_comb_batch(&comb, &k_refs);
-        for (k, got) in ks.iter().zip(&batch) {
-            assert_eq!(got, &g.scalar_mul(&q, k));
-        }
-        assert_eq!(g.scalar_mul_gen_batch(&k_refs)[2], g.scalar_mul(&p, &ks[2]));
-        let inf = EcPoint::infinity();
-        let same = g.scalar_mul_same_mul_batch(&[&inf, &inf, &p], &[&p, &q, &inf], &ks[3]);
-        assert_eq!(same[0], g.scalar_mul(&p, &ks[3]));
-        assert_eq!(same[1], g.scalar_mul(&q, &ks[3]));
-        assert_eq!(same[2], p);
-        assert!(g
-            .scalar_mul_same_mul_batch(&[&inf, &inf], &[&p, &q], &BigUint::zero())
-            .iter()
-            .all(EcPoint::is_infinity));
         let pairs: Vec<(&EcPoint, &BigUint)> = ks.iter().map(|k| (&q, k)).collect();
         let batch = g.scalar_mul_batch(&pairs);
         for (k, got) in ks.iter().zip(&batch) {

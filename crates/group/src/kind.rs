@@ -27,36 +27,27 @@ impl GroupKind {
     /// Returns (and caches) the group instance.
     ///
     /// Instances are process-wide singletons: the Montgomery contexts and
-    /// curve tables are shared by every protocol run.
+    /// the generator's comb table are shared by every protocol run.
     pub fn group(self) -> Group {
         static CACHE: OnceLock<[OnceLock<Group>; 6]> = OnceLock::new();
         let cache = CACHE.get_or_init(Default::default);
         cache[self.index()]
-            .get_or_init(|| match self {
-                GroupKind::Dl1024 => Group {
+            .get_or_init(|| {
+                let dl = |params| GroupImpl::Dl(Arc::new(DlGroup::new(params)));
+                let ec = |params| GroupImpl::Ec(Arc::new(EcGroup::new(params)));
+                let inner = match self {
+                    GroupKind::Dl1024 => dl(DlParams::Modp1024),
+                    GroupKind::Dl2048 => dl(DlParams::Modp2048),
+                    GroupKind::Dl3072 => dl(DlParams::Modp3072),
+                    GroupKind::Ecc160 => ec(CurveParams::secp160r1()),
+                    GroupKind::Ecc224 => ec(CurveParams::secp224r1()),
+                    GroupKind::Ecc256 => ec(CurveParams::secp256r1()),
+                };
+                Group {
                     kind: self,
-                    inner: GroupImpl::Dl(Arc::new(DlGroup::new(DlParams::Modp1024))),
-                },
-                GroupKind::Dl2048 => Group {
-                    kind: self,
-                    inner: GroupImpl::Dl(Arc::new(DlGroup::new(DlParams::Modp2048))),
-                },
-                GroupKind::Dl3072 => Group {
-                    kind: self,
-                    inner: GroupImpl::Dl(Arc::new(DlGroup::new(DlParams::Modp3072))),
-                },
-                GroupKind::Ecc160 => Group {
-                    kind: self,
-                    inner: GroupImpl::Ec(Arc::new(EcGroup::new(CurveParams::secp160r1()))),
-                },
-                GroupKind::Ecc224 => Group {
-                    kind: self,
-                    inner: GroupImpl::Ec(Arc::new(EcGroup::new(CurveParams::secp224r1()))),
-                },
-                GroupKind::Ecc256 => Group {
-                    kind: self,
-                    inner: GroupImpl::Ec(Arc::new(EcGroup::new(CurveParams::secp256r1()))),
-                },
+                    inner,
+                    gen_table: Default::default(),
+                }
             })
             .clone()
     }
@@ -181,6 +172,11 @@ mod tests {
         let b = GroupKind::Ecc160.group();
         assert_eq!(a.order(), b.order());
         assert_eq!(a.kind(), b.kind());
+        // One generator table for every clone: the first fixed-base call
+        // through either builds it for both.
+        assert!(Arc::ptr_eq(&a.gen_table, &b.gen_table));
+        let _ = a.exp_gen(&a.scalar_from_u64(2));
+        assert!(b.gen_table.get().is_some());
     }
 
     #[test]

@@ -93,7 +93,6 @@ const DECLASSIFIERS: &[&str] = &[
     "exp_gen_batch",
     "multi_exp",
     "try_multi_exp",
-    "exp_same_mul_batch",
     "exp_hop_prepared_batch",
     "exp_prepared",
     "exp_prepared_batch",
