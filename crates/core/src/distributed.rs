@@ -21,13 +21,24 @@
 //! module) that the in-memory
 //! [`SortMachine`](crate::sorting::SortMachine) drives too: they hold the
 //! dot-product exchange and its checks, the keygen exchange, the share
-//! echo, the structural set checks, every step's arithmetic (on one
-//! worker here) and the submissions with their checks and verification.
+//! echo, the structural set checks, every step's arithmetic and the
+//! submissions with their checks and verification.
 //! Every thread, the initiator's included, builds its party's machine — a
 //! participant after minting its stock — and drives it with one
 //! receive–advance–send loop, settling its keygen proofs through the
 //! [`KeygenVerifyJob`](crate::KeygenVerifyJob) the machine hands out. What
 //! this module adds is the transport: wire encoding, deadlines and blame.
+//!
+//! A participant's machine splits each step into one range per core, as
+//! the in-memory default does. Its helper threads come from one
+//! process-wide budget of one fewer than the host's cores, which bounds
+//! only the helpers a step adds, not the `n + 1` party threads. The chain
+//! hops one party at a time, so the party holding it finds the budget
+//! free and hops on every core. The comparison and the finish, which all
+//! parties run at once, find it mostly taken and run their ranges on
+//! their own threads. A session so runs at most `n + 1` party threads and
+//! `cores − 1` helpers, and the ranges, and so every byte, are the same
+//! however the helpers fall.
 //!
 //! # Fault tolerance
 //!
@@ -46,7 +57,7 @@ use crate::attrs::{InfoVector, InitiatorProfile};
 use crate::offline::PartyStock;
 use crate::params::FrameworkParams;
 use crate::party::{InitiatorMachine, Machine, PartyMachine, Round, To, Wait};
-use crate::sorting::SortError;
+use crate::sorting::{resolve_threads, SortError};
 use crate::submit::VerificationReport;
 use crate::wire::{decode_msg, encode_msg, parse_frame, AbortFrame, AbortKind, Frame};
 use bytes::Bytes;
@@ -666,7 +677,7 @@ fn participant_thread(
     let ctx = Ctx::new(net, me, n, budget);
     let group = params.group().group();
     let stock = PartyStock::mint(&group, params.seed(), n, l, me);
-    let party = PartyMachine::session(&params, me, info, stock, None, 1);
+    let party = PartyMachine::session(&params, me, info, stock, None, resolve_threads(0));
     let party = run_party(&ctx, &group, party)?;
     let rank = party.into_result().map(|(_, _, zeros)| zeros + 1);
     rank.ok_or_else(|| ctx.protocol(me, "the session ended without a rank"))
@@ -801,13 +812,15 @@ mod tests {
     }
 
     /// Phase 2 of the `seed` session on `values` over a channel mesh, one
-    /// thread per participant driving its machine with [`run_party`]:
-    /// every party's returned set, before its own decryption.
+    /// thread per participant driving its machine, built with `workers`,
+    /// with [`run_party`]: every party's returned set, before its own
+    /// decryption.
     fn mesh_returned_sets(
         kind: GroupKind,
         seed: u64,
         values: &[BigUint],
         l: usize,
+        workers: usize,
     ) -> Vec<Vec<Ciphertext>> {
         let n = values.len();
         let budget = PhaseBudget::uniform(Duration::from_secs(30));
@@ -821,7 +834,7 @@ mod tests {
                     let (me, group) = (idx + 1, kind.group());
                     let ctx = Ctx::new(FaultyMesh::passthrough(handle), me, n, budget);
                     let stock = PartyStock::mint(&group, seed, n, l, me);
-                    let party = PartyMachine::new(&group, me, value, stock, None, 1);
+                    let party = PartyMachine::new(&group, me, value, stock, None, workers);
                     let party = run_party(&ctx, &group, party)?;
                     Ok(party.into_result().map(|(_, set, _)| set))
                 })
@@ -852,6 +865,13 @@ mod tests {
         machine.into_result().unwrap().1.returned_sets
     }
 
+    /// The mesh's worker counts under test: the one every participant
+    /// thread builds its machine with, and 3, which puts a range boundary
+    /// inside a set even on a 2-core host.
+    fn mesh_workers() -> [usize; 2] {
+        [resolve_threads(0), 3]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -861,18 +881,22 @@ mod tests {
             raw in prop::collection::vec(0u64..64, 2..=4),
         ) {
             let values: Vec<BigUint> = raw.into_iter().map(BigUint::from).collect();
-            let mesh = mesh_returned_sets(GroupKind::Ecc160, seed, &values, 6);
             let memory = memory_returned_sets(GroupKind::Ecc160, seed, &values, 6);
-            prop_assert_eq!(mesh, memory);
+            for workers in mesh_workers() {
+                let mesh = mesh_returned_sets(GroupKind::Ecc160, seed, &values, 6, workers);
+                prop_assert_eq!(&mesh, &memory, "{} workers", workers);
+            }
         }
     }
 
     #[test]
     fn mesh_and_memory_runners_return_identical_sets_on_dl1024() {
         let values: Vec<BigUint> = [9u64, 3, 12].into_iter().map(BigUint::from).collect();
-        let mesh = mesh_returned_sets(GroupKind::Dl1024, 0xD16E58, &values, 4);
         let memory = memory_returned_sets(GroupKind::Dl1024, 0xD16E58, &values, 4);
-        assert_eq!(mesh, memory);
+        for workers in mesh_workers() {
+            let mesh = mesh_returned_sets(GroupKind::Dl1024, 0xD16E58, &values, 4, workers);
+            assert_eq!(mesh, memory, "{workers} workers");
+        }
     }
 
     #[test]

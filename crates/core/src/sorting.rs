@@ -56,6 +56,8 @@ use rand::Rng;
 use std::error::Error;
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Errors from the sorting protocol.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -127,15 +129,21 @@ pub struct SortOutcome {
 /// deviating party's stock, not by a switch here.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SortOptions {
-    /// Worker threads for each step's local crypto (`0` = one per
-    /// available core, `1` = serial). Every fanned-out step splits a flat
-    /// index space into near-equal contiguous ranges, one per worker: the
-    /// offline mint (its hop-scalar preparations and mask halves), the
-    /// comparison step (opponents, then the set's rerandomization masks),
-    /// each hop (the output positions of all `n − 1` foreign sets laid end
-    /// to end) and each party's finish (its own returned set). Every
-    /// random draw comes from the offline stock, drawn serially, so every
-    /// thread count produces bit-identical transcripts and ranks.
+    /// Workers for each step's local crypto (`0` = one per available
+    /// core, read once per process; `1` = serial). Every fanned-out step
+    /// splits a flat index space into near-equal contiguous ranges, one
+    /// per worker: the offline mint (its hop-scalar preparations and mask
+    /// halves), the comparison step (opponents, then the set's
+    /// rerandomization masks), each hop (the output positions of all
+    /// `n − 1` foreign sets laid end to end) and each party's finish (its
+    /// own returned set). The calling thread runs the first range; the
+    /// others run on helper threads drawn from one process-wide budget of
+    /// one fewer than the host's cores, or on the calling thread when none
+    /// is free. The budget bounds only those helpers, not the threads that
+    /// call in, such as a runtime's workers. Every random draw comes from
+    /// the offline stock, drawn serially, so every worker count, and every
+    /// split of the ranges between threads, produces bit-identical
+    /// transcripts and ranks.
     /// Only *local* work parallelizes: the hop-to-hop chain itself stays
     /// sequential because each hop must shuffle and re-randomize the
     /// previous hop's output before anyone else may see it — pipelining
@@ -260,26 +268,95 @@ pub fn verify_deferred_jobs(jobs: &[KeygenVerifyJob]) -> Vec<Result<(), SortErro
     verdicts
 }
 
-/// Resolves [`SortOptions::threads`] to a concrete worker count.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
+/// The host's cores, as [`std::thread::available_parallelism`] reports
+/// them on the process's first call (1 if it cannot tell). Both the
+/// default worker count and [`fan_out`]'s helper budget read this one
+/// value.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    })
+}
+
+/// Resolves [`SortOptions::threads`] to a concrete worker count: `0` is
+/// one worker per core, the core count read once per process. A count
+/// is how many ranges each step splits into; the threads that run them
+/// come from [`fan_out`]'s process-wide budget.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        cores()
     } else {
         threads
     }
 }
 
+/// The helper threads [`fan_out`] runs at this moment, process-wide. They
+/// are drawn from a budget of one fewer than [`cores`], since every caller
+/// works a range itself.
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Helper slots claimed from a budget whose claimed slots `busy` counts.
+/// Dropping the claim gives them back, also while a panic unwinds.
+struct Claim<'a> {
+    busy: &'a AtomicUsize,
+    slots: usize,
+}
+
+impl<'a> Claim<'a> {
+    /// As many of `want` slots as are free under `cap`; none if none are.
+    fn take(busy: &'a AtomicUsize, cap: usize, want: usize) -> Self {
+        let mut slots = 0;
+        // The count guards no data, only how many helpers run, so relaxed
+        // ordering suffices. A failed update leaves `slots` at zero.
+        let _ = busy.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |now| {
+            slots = want.min(cap.saturating_sub(now));
+            (slots > 0).then_some(now + slots)
+        });
+        Claim { busy, slots }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.busy.fetch_sub(self.slots, Ordering::Relaxed);
+    }
+}
+
 /// Splits the flat index space `0..total` into at most `workers`
 /// contiguous ranges of near-equal length (sizes differ by at most one)
-/// and runs `work` on each range on its own scoped thread — inline, with
-/// no spawn, when there is a single range. `take` builds each range's
-/// input on the calling thread, in range order, so it may split off owned
-/// or `&mut` data for the range. Returns the results in range order.
-/// `work` must draw no randomness — every draw is made serially before
-/// any worker starts, which keeps every worker count bit-identical.
+/// and runs `work` on each range. `take` builds each range's input on the
+/// calling thread, in range order, so it may split off owned or `&mut`
+/// data for the range. Returns the results in range order. `work` must
+/// draw no randomness — every draw is made serially before any range
+/// runs, which keeps every worker count bit-identical.
+///
+/// The ranges are exactly those `workers` asks for; only the threads that
+/// run them depend on the host and on other callers. Ranges after the
+/// first run on scoped helper threads claimed from one process-wide
+/// budget of one fewer than the host's cores. Range 0, and every range
+/// that found no free helper, runs on the calling thread, in order. A
+/// single range never spawns, and a process never runs more than
+/// `cores − 1` of these helpers at once, however many threads call in.
+/// The budget counts only the helpers added here, not the calling
+/// threads, so a caller that is itself one of many threads (a mesh
+/// party, a runtime worker) still works its own ranges.
 pub(crate) fn fan_out<T: Send, U: Send>(
+    total: usize,
+    workers: usize,
+    take: impl FnMut(Range<usize>) -> T,
+    work: impl Fn(T) -> U + Sync,
+) -> Vec<U> {
+    fan_out_within(&HELPERS, cores() - 1, total, workers, take, work)
+}
+
+/// [`fan_out`] with its helpers drawn from a budget of `cap` slots whose
+/// claimed slots `busy` counts.
+fn fan_out_within<T: Send, U: Send>(
+    busy: &AtomicUsize,
+    cap: usize,
     total: usize,
     workers: usize,
     take: impl FnMut(Range<usize>) -> T,
@@ -294,12 +371,20 @@ pub(crate) fn fan_out<T: Send, U: Send>(
     let Some(first) = inputs.next() else {
         return Vec::new();
     };
+    // Held until every helper has been joined.
+    let helpers = Claim::take(busy, cap, parts - 1);
     std::thread::scope(|s| {
-        let handles: Vec<_> = inputs.map(|input| s.spawn(|| work(input))).collect();
-        // The calling thread takes the first range itself.
+        let handles: Vec<_> = inputs
+            .by_ref()
+            .take(helpers.slots)
+            .map(|input| s.spawn(|| work(input)))
+            .collect();
+        // The calling thread takes the first range, then every range no
+        // helper took.
         let mut outs = vec![work(first)];
+        let rest: Vec<U> = inputs.map(&work).collect();
         for handle in handles {
-            // A worker that panicked (e.g. an assert in `work`) must not be
+            // A helper that panicked (e.g. an assert in `work`) must not be
             // swallowed into a bogus result; re-raise its payload on the
             // caller's thread instead.
             outs.push(
@@ -308,6 +393,7 @@ pub(crate) fn fan_out<T: Send, U: Send>(
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
             );
         }
+        outs.extend(rest);
         outs
     })
 }
@@ -923,6 +1009,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use std::collections::HashSet;
+    use std::sync::Barrier;
 
     fn sort_values(vals: &[u64], l: usize, seed: u64) -> SortOutcome {
         let group = GroupKind::Ecc160.group();
@@ -990,6 +1077,142 @@ mod tests {
         // Every party spent compute time.
         for p in 1..=n {
             assert!(timer.spent(p) > std::time::Duration::ZERO);
+        }
+    }
+
+    /// `fan_out_within` on a budget of `cap` with `held` slots already
+    /// claimed: each range and whether a helper ran it, and the claimed
+    /// count afterwards.
+    fn fan_out_held(
+        cap: usize,
+        held: usize,
+        total: usize,
+        workers: usize,
+    ) -> (Vec<(Range<usize>, bool)>, usize) {
+        let busy = AtomicUsize::new(0);
+        let hold = Claim::take(&busy, cap, held);
+        assert_eq!(hold.slots, held);
+        let caller = std::thread::current().id();
+        let out = fan_out_within(
+            &busy,
+            cap,
+            total,
+            workers,
+            |range| range,
+            |range| (range, std::thread::current().id() != caller),
+        );
+        (out, busy.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn fan_out_returns_every_range_once_in_order() {
+        let (cap, total) = (4, 13);
+        for workers in 1..=5 {
+            // No helper free, some free, all free.
+            for held in [cap, cap - 2, 0] {
+                let (out, after) = fan_out_held(cap, held, total, workers);
+                let ranges: Vec<Range<usize>> = out.iter().map(|(r, _)| r.clone()).collect();
+                let want: Vec<Range<usize>> = (0..workers)
+                    .map(|p| p * total / workers..(p + 1) * total / workers)
+                    .collect();
+                assert_eq!(ranges, want, "{workers} workers, {held} held");
+                let helped: Vec<bool> = out.iter().map(|&(_, h)| h).collect();
+                let free = (workers - 1).min(cap - held);
+                // Ranges 1..=free ran on helpers, the rest on the caller.
+                let expect: Vec<bool> = (0..workers).map(|p| (1..=free).contains(&p)).collect();
+                assert_eq!(helped, expect, "{workers} workers, {held} held");
+                assert_eq!(after, held, "slots returned");
+            }
+        }
+        // Fewer indices than workers: one range per index; none at all.
+        let (out, _) = fan_out_held(cap, 0, 3, 5);
+        assert_eq!(out.len(), 3);
+        let (out, _) = fan_out_held(cap, 0, 0, 5);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, 0..0);
+    }
+
+    #[test]
+    fn fan_out_callers_stay_within_the_budget() {
+        // Eight callers start together, each asking for four workers, and
+        // every helper they get stays busy until all eight have claimed
+        // theirs: every claim is made while every granted helper runs. The
+        // process-wide budget may also serve other tests meanwhile; that
+        // only leaves fewer helpers here.
+        const CALLERS: usize = 8;
+        let start = Barrier::new(CALLERS);
+        let (claimed, running, peak) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        std::thread::scope(|s| {
+            for _ in 0..CALLERS {
+                s.spawn(|| {
+                    let caller = std::thread::current().id();
+                    start.wait();
+                    let out = fan_out(
+                        8,
+                        4,
+                        |range| range,
+                        |range| {
+                            if std::thread::current().id() == caller {
+                                // Range 0 runs after the caller's claim.
+                                if range.start == 0 {
+                                    claimed.fetch_add(1, Ordering::SeqCst);
+                                }
+                                return range;
+                            }
+                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now, Ordering::SeqCst);
+                            while claimed.load(Ordering::SeqCst) < CALLERS {
+                                std::thread::yield_now();
+                            }
+                            running.fetch_sub(1, Ordering::SeqCst);
+                            range
+                        },
+                    );
+                    assert_eq!(out, [0..2, 2..4, 4..6, 6..8]);
+                });
+            }
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(
+            peak < cores(),
+            "{peak} helpers ran at once on {} cores",
+            cores()
+        );
+    }
+
+    #[test]
+    fn fan_out_reraises_a_panic_and_returns_its_slots() {
+        // Range 2 panics on a helper (nothing held) and on the caller
+        // (every slot held); range 0 always panics on the caller.
+        let cap = 4;
+        for (bad, held) in [(2, 0), (2, cap), (0, 0)] {
+            let busy = AtomicUsize::new(0);
+            let hold = Claim::take(&busy, cap, held);
+            let caught = std::panic::catch_unwind(|| {
+                fan_out_within(
+                    &busy,
+                    cap,
+                    4,
+                    4,
+                    |range| range,
+                    |range| assert_ne!(range.start, bad, "range {bad} failed"),
+                )
+            });
+            let payload = caught.expect_err("the panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted assert message");
+            assert!(
+                message.contains(&format!("range {bad} failed")),
+                "{message}"
+            );
+            assert_eq!(busy.load(Ordering::Relaxed), held, "slots returned");
+            drop(hold);
+            assert_eq!(busy.load(Ordering::Relaxed), 0);
         }
     }
 
