@@ -73,10 +73,18 @@ const MODP_3072: &str = "
 /// multiplication per 4 exponent bits and no squarings — roughly a quarter
 /// the work of a generic windowed exponentiation. The build cost amortizes
 /// after a few exponentiations.
-#[derive(Debug)]
 pub struct DlComb {
     /// The rows' entries end to end.
     limbs: Vec<u64>,
+    /// Limbs per entry: the width of the modulus's kernel.
+    width: usize,
+}
+
+impl DlComb {
+    /// The number of entries, 15 per row.
+    pub(crate) fn entries(&self) -> usize {
+        self.limbs.len() / self.width
+    }
 }
 
 /// The quadratic-residue subgroup of a safe prime.
@@ -135,7 +143,10 @@ impl DlGroup {
                     entry = k.mul(&entry, &base);
                 }
             }
-            DlComb { limbs }
+            DlComb {
+                limbs,
+                width: entry.len(),
+            }
         })
     }
 

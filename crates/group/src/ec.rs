@@ -183,11 +183,17 @@ fn odd_entry(table: &[MontAffine], d: i8) -> &MontAffine {
 /// four-bit window and no doublings. Building costs 16 general additions
 /// per row (≈ 41 rows for a 160-bit order) plus the normalization, so a
 /// table amortizes after a few scalar multiplications.
-#[derive(Debug)]
 pub struct EcComb {
     /// The rows, 15 entries each, concatenated; empty for the point at
     /// infinity.
     entries: Vec<MontAffine>,
+}
+
+impl EcComb {
+    /// The number of entries, 15 per row.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// A prime-order elliptic-curve group.

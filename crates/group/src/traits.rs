@@ -142,16 +142,32 @@ fn ec<'a, T: Family>(v: &'a T, operation: &'static str) -> &'a T::Ec {
 /// generator's table, which [`Group::exp_gen`] reads; any other table
 /// lives exactly as long as its holders — an offline stock, a sorting
 /// machine or a mesh party — keep it.
-#[derive(Clone, Debug)]
+///
+/// `{:?}` prints the table's shape, its base and entry count, not the
+/// entries: a DL-1024 table holds about 1.3 MB of them in hex.
+#[derive(Clone)]
 pub struct FixedBaseTable {
     base: Element,
     inner: TableImpl,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 enum TableImpl {
     Dl(Arc<crate::dl::DlComb>),
     Ec(Arc<crate::ec::EcComb>),
+}
+
+impl fmt::Debug for FixedBaseTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = match &self.inner {
+            TableImpl::Dl(comb) => comb.entries(),
+            TableImpl::Ec(comb) => comb.entries(),
+        };
+        f.debug_struct("FixedBaseTable")
+            .field("base", &self.base)
+            .field("entries", &entries)
+            .finish()
+    }
 }
 
 /// One hop set's prepared randomizers: for each randomizer `r`, the pair
@@ -814,10 +830,30 @@ impl Group {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Element, GroupError, GroupKind, Scalar};
+    use crate::{Element, Group, GroupError, GroupKind, Scalar};
     use ppgr_bigint::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn debug_of_a_group_prints_its_generator_table_by_shape() {
+        for kind in GroupKind::all() {
+            // A handle of its own, so no other test has built its table.
+            let g = Group {
+                gen_table: Default::default(),
+                ..kind.group()
+            };
+            let before = format!("{g:?}").len();
+            g.exp_gen(&g.scalar_from_u64(3));
+            let after = format!("{g:?}");
+            assert!(after.contains("entries"), "{kind}: no table in {after}");
+            assert!(
+                after.len() < 2 * before,
+                "{kind}: {before} B before the table, {} B after",
+                after.len()
+            );
+        }
+    }
 
     #[test]
     fn hop_scalars_debug_prints_neither_scalar() {
