@@ -301,8 +301,11 @@ fn bit_len(e: &[u64]) -> usize {
 pub trait FieldKernel: Copy {
     /// An element of the domain: a residue's limbs at the kernel's width,
     /// in Montgomery form (plain on [`P160Kernel`]). Zero is all-zero
-    /// limbs on every kernel.
-    type Elem: Copy + Eq + fmt::Debug;
+    /// limbs on every kernel. The limbs are readable and writable as a
+    /// slice, so a caller holding plain limbs narrower than the kernel
+    /// (a scalar at its order's width) moves them in and out without a
+    /// [`BigUint`].
+    type Elem: Copy + Eq + fmt::Debug + AsRef<[u64]> + AsMut<[u64]>;
 
     /// The context this kernel computes in.
     fn field(&self) -> &Montgomery;

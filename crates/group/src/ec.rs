@@ -291,6 +291,14 @@ impl EcGroup {
         }
     }
 
+    /// A finite point's affine coordinates, entered into the domain.
+    fn enter_affine<K: CurveKernel>(&self, k: K, (x, y): (&BigUint, &BigUint)) -> MontAffine {
+        MontAffine {
+            x: k.enter(x),
+            y: k.enter(y),
+        }
+    }
+
     pub(crate) fn jac_infinity(&self) -> Jacobian {
         Jacobian::default()
     }
@@ -578,22 +586,21 @@ impl EcGroup {
     }
 
     /// Batch variable-base multiplication: signed wNAF digits against
-    /// batch-normalized `MontAffine` tables (mixed additions), all
-    /// results sharing one final field inversion. The table normalization
-    /// itself shares a second inversion across *every table of the batch*,
-    /// which is what lets the ladder use 8M+3S mixed additions instead of
-    /// 12M+4S general ones without per-point inversion overhead.
+    /// affine `MontAffine` tables (mixed additions), all results sharing
+    /// one final field inversion. The tables are built in affine form by
+    /// [`Self::wnaf_tables`], whose eight rounds each share one inversion
+    /// across *every base of the batch*, which is what lets the ladder use
+    /// 8M+3S mixed additions instead of 12M+4S general ones without
+    /// per-point inversion overhead.
     pub(crate) fn scalar_mul_batch(&self, pairs: &[(&EcPoint, &BigUint)]) -> Vec<EcPoint> {
         with_kernel!(curve: &self.fp, |k| {
-            let mut bases: Vec<Jacobian> = Vec::new();
+            let mut bases: Vec<MontAffine> = Vec::new();
             let plan: Vec<Option<(BigUint, usize)>> = pairs
                 .iter()
                 .map(|(p, e)| {
                     let e = *e % &self.params.n;
-                    if e.is_zero() || p.is_infinity() {
-                        return None;
-                    }
-                    bases.push(self.to_jacobian(k, p));
+                    let xy = p.xy().filter(|_| !e.is_zero())?;
+                    bases.push(self.enter_affine(k, xy));
                     Some((e, bases.len() - 1))
                 })
                 .collect();
@@ -625,8 +632,9 @@ impl EcGroup {
     /// dependency chains, which the latency-bound field kernel overlaps.
     /// Each pair is recoded into two stack digit buffers just before its
     /// lanes run, so the set stores plain limbs. The odd-multiple tables
-    /// of every base, and then every result, are normalized through one
-    /// batched field inversion each.
+    /// of every base come from [`Self::wnaf_tables`] (eight rounds, one
+    /// inversion each, shared by the batch), and every result is
+    /// normalized through one more batched inversion.
     pub(crate) fn scalar_mul_hop_batch(
         &self,
         set: &HopScalars,
@@ -634,10 +642,10 @@ impl EcGroup {
     ) -> Vec<(EcPoint, EcPoint)> {
         let nonzero = |k: &[u64]| k.iter().any(|&l| l != 0);
         with_kernel!(curve: &self.fp, |k| {
-            let mut bases: Vec<Jacobian> = Vec::new();
+            let mut bases: Vec<MontAffine> = Vec::new();
             let mut table_of = |p: &EcPoint, used: bool| {
-                (used && !p.is_infinity()).then(|| {
-                    bases.push(self.to_jacobian(k, p));
+                p.xy().filter(|_| used).map(|xy| {
+                    bases.push(self.enter_affine(k, xy));
                     bases.len() - 1
                 })
             };
@@ -710,22 +718,61 @@ impl EcGroup {
     }
 
     /// Builds width-4 wNAF odd-multiple tables `{1·P, 3·P, …, 15·P}` for
-    /// every base at once, normalized to [`MontAffine`] form with ONE
-    /// shared field inversion across all entries of all tables, and laid
-    /// end to end: base `t`'s table is the `t`-th chunk of 8. Bases must
-    /// be finite; every entry is then a nonzero multiple `d·P` with
-    /// `d < n`, so none is infinity and the batch inversion is total.
-    fn wnaf_tables<K: CurveKernel>(&self, k: K, bases: &[Jacobian]) -> Vec<MontAffine> {
-        let mut jacs: Vec<Jacobian> = Vec::with_capacity(bases.len() * 8);
-        for base in bases {
-            let twice = self.jac_double1(k, base);
-            jacs.push(*base);
-            for _ in 1..8 {
-                let next = self.jac_add(k, &jacs[jacs.len() - 1], &twice);
-                jacs.push(next);
+    /// every base at once, in affine arithmetic, laid end to end: base
+    /// `t`'s table is the `t`-th chunk of 8.
+    ///
+    /// Eight rounds run across the whole batch, each sharing one
+    /// [`FieldKernel::batch_inv`] (Montgomery's simultaneous inversion):
+    /// first every `2P` (tangent slope, denominators `2y`), then seven
+    /// rounds of `(2j − 1)·P + 2P` (chord slopes, denominators
+    /// `x(2P) − x((2j − 1)·P)`). An entry costs three multiplications for
+    /// its share of the inversion plus two multiplications and a squaring,
+    /// where a Jacobian build paid a 12M+4S addition and a normalization.
+    /// Bases are finite points of prime order above 15, so `y ≠ 0` and
+    /// `(2j − 1)·P ≠ ±2P`: no denominator is zero, and `batch_inv`'s
+    /// assert is the guard if one ever were.
+    fn wnaf_tables<K: CurveKernel>(&self, k: K, bases: &[MontAffine]) -> Vec<MontAffine> {
+        let twice_inv = k.batch_inv(&bases.iter().map(|p| k.small::<2>(&p.y)).collect::<Vec<_>>());
+        let twice: Vec<MontAffine> = bases
+            .iter()
+            .zip(&twice_inv)
+            .map(|(p, inv)| {
+                let slope = k.mul(&k.add(&k.small::<3>(&k.sqr(&p.x)), &self.a_m), inv);
+                self.affine_step(k, slope, p, p)
+            })
+            .collect();
+        let mut tables: Vec<MontAffine> = bases.iter().flat_map(|&p| [p; 8]).collect();
+        let mut dens = Vec::with_capacity(bases.len());
+        for j in 1..8 {
+            dens.clear();
+            dens.extend(
+                tables
+                    .chunks_exact(8)
+                    .zip(&twice)
+                    .map(|(t, q)| k.sub(&q.x, &t[j - 1].x)),
+            );
+            let invs = k.batch_inv(&dens);
+            for ((t, q), inv) in tables.chunks_exact_mut(8).zip(&twice).zip(&invs) {
+                let slope = k.mul(&k.sub(&q.y, &t[j - 1].y), inv);
+                t[j] = self.affine_step(k, slope, &t[j - 1], q);
             }
         }
-        self.to_mont_affine_batch(k, &jacs)
+        tables
+    }
+
+    /// The affine sum of `p` and `q` (or `2p` when they are the same point)
+    /// given the slope of the line through them: `x = λ² − x_p − x_q`,
+    /// `y = λ(x_p − x) − y_p`.
+    fn affine_step<K: CurveKernel>(
+        &self,
+        k: K,
+        slope: Fe,
+        p: &MontAffine,
+        q: &MontAffine,
+    ) -> MontAffine {
+        let x = k.sub(&k.sub(&k.sqr(&slope), &p.x), &q.x);
+        let y = k.sub(&k.mul(&slope, &k.sub(&p.x, &x)), &p.y);
+        MontAffine { x, y }
     }
 
     /// Replays LSB-first wNAF digits against a normalized odd-multiple
@@ -1067,6 +1114,76 @@ mod tests {
                 assert_eq!(hops[i].1, g.scalar_mul(b, k1), "{label}");
                 assert_eq!(reversed[cases.len() - 1 - i], hops[i], "{label} reversed");
             }
+        }
+    }
+
+    /// The Jacobian table builder the round builder replaced: per base one
+    /// doubling and seven general additions, then one normalization of
+    /// every entry of the batch.
+    fn jacobian_wnaf_tables<K: CurveKernel>(
+        g: &EcGroup,
+        k: K,
+        bases: &[MontAffine],
+    ) -> Vec<MontAffine> {
+        let mut jacs: Vec<Jacobian> = Vec::with_capacity(bases.len() * 8);
+        for base in bases {
+            let base = Jacobian {
+                x: base.x,
+                y: base.y,
+                z: k.one(),
+            };
+            let twice = g.jac_double1(k, &base);
+            jacs.push(base);
+            for _ in 1..8 {
+                let next = g.jac_add(k, &jacs[jacs.len() - 1], &twice);
+                jacs.push(next);
+            }
+        }
+        g.to_mont_affine_batch(k, &jacs)
+    }
+
+    #[test]
+    fn wnaf_tables_match_the_jacobian_builder() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        for g in groups() {
+            let gen = gen_point(&g);
+            let p = g.scalar_mul(&gen, &BigUint::from(0xdead_beefu64));
+            let mut many = vec![gen.clone(), p.clone(), g.neg(&p), p.clone()];
+            many.extend(
+                (4..64)
+                    .map(|_| g.scalar_mul(&gen, &ppgr_bigint::random_below(&mut rng, g.order()))),
+            );
+            // The generator alone; a base beside its negation; a repeated
+            // base; 64 bases holding all three.
+            let batches = [
+                vec![gen.clone()],
+                vec![p.clone(), g.neg(&p)],
+                vec![p.clone(), gen.clone(), p.clone()],
+                many,
+            ];
+            with_kernel!(curve: &g.fp, |k| {
+                for batch in &batches {
+                    let bases: Vec<MontAffine> = batch
+                        .iter()
+                        .map(|pt| g.enter_affine(k, pt.xy().unwrap()))
+                        .collect();
+                    let got = g.wnaf_tables(k, &bases);
+                    let want = jacobian_wnaf_tables(&g, k, &bases);
+                    assert_eq!(got.len(), 8 * bases.len());
+                    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            (a.x, a.y),
+                            (b.x, b.y),
+                            "{} batch of {}, base {} entry {}",
+                            g.params().name,
+                            bases.len(),
+                            i / 8,
+                            i % 8
+                        );
+                    }
+                }
+            });
         }
     }
 

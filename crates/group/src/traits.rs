@@ -4,7 +4,7 @@ use crate::dl::DlGroup;
 use crate::ec::{EcGroup, EcPoint};
 use crate::kind::GroupKind;
 use crate::scalar::Scalar;
-use ppgr_bigint::{random_below, BigUint};
+use ppgr_bigint::{random_below, with_kernel, BigUint, FieldKernel, Montgomery};
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
@@ -576,21 +576,29 @@ impl Group {
     /// phase pays it before any input exists, and
     /// [`Group::exp_hop_prepared_batch`] runs only the ladders online.
     ///
+    /// The products run at the order's limb width and allocate nothing per
+    /// randomizer: `x` enters a [`Montgomery`] context for `q` once, as
+    /// `x·R`, so one kernel multiplication by a plain `r` leaves
+    /// `x·R·r·R⁻¹ = x·r`, and one kernel subtraction from zero gives
+    /// `q − x·r` (zero for zero).
+    ///
     /// # Panics
     ///
     /// Panics if the set was made by a group of another order width.
     pub fn prepare_hop_scalars(&self, secret: &Scalar, set: &mut HopScalars) {
-        let (q, width) = (self.order(), set.width);
+        let width = set.width;
         assert_eq!(width, self.hop_width(), "hop set made by another group");
-        for pair in set.limbs.chunks_exact_mut(2 * width) {
-            let (r, neg_xr) = pair.split_at_mut(width);
-            let xr = &(&secret.0 * &BigUint::from_limbs(r.to_vec())) % q;
-            neg_xr.fill(0);
-            if !xr.is_zero() {
-                let v = q - &xr;
-                neg_xr[..v.limbs().len()].copy_from_slice(v.limbs());
+        let field = Montgomery::new(self.order().clone());
+        with_kernel!(&field, |k| {
+            let x = k.enter(&secret.0);
+            let mut r = k.zero();
+            for pair in set.limbs.chunks_exact_mut(2 * width) {
+                let (r_limbs, neg_xr) = pair.split_at_mut(width);
+                r.as_mut()[..width].copy_from_slice(r_limbs);
+                let xr = k.mul(&x, &r);
+                neg_xr.copy_from_slice(&k.sub(&k.zero(), &xr).as_ref()[..width]);
             }
-        }
+        })
     }
 
     /// Fused hop batch over the prepared set `set` (see
@@ -889,7 +897,10 @@ mod tests {
             let g = kind.group();
             let mut rng = StdRng::seed_from_u64(10);
             let x = g.random_nonzero_scalar(&mut rng);
-            let rs: Vec<Scalar> = (0..5).map(|_| g.random_nonzero_scalar(&mut rng)).collect();
+            let top = Scalar(g.order() - &BigUint::one());
+            let mut rs: Vec<Scalar> = (0..5).map(|_| g.random_nonzero_scalar(&mut rng)).collect();
+            // The widest randomizer, and one whose product is `x` itself.
+            rs.extend([top.clone(), Scalar(BigUint::one())]);
             let mut set = g.hop_scalars(rs.len());
             assert!(set.is_empty(), "{kind}");
             for r in &rs {
@@ -897,13 +908,17 @@ mod tests {
             }
             assert_eq!(set.len(), rs.len(), "{kind}");
             assert_eq!(set.heap_bytes(), rs.len() * 2 * width * 8, "{kind}");
-            g.prepare_hop_scalars(&x, &mut set);
-            assert_eq!(set.heap_bytes(), rs.len() * 2 * width * 8, "{kind}");
-            for (i, r) in rs.iter().enumerate() {
-                let (got_r, neg_xr) = set.pair(i);
-                let neg_xr = Scalar(BigUint::from_limbs(neg_xr.to_vec()));
-                assert_eq!(&BigUint::from_limbs(got_r.to_vec()), r.value(), "{kind}");
-                assert_eq!(neg_xr, g.scalar_neg(&g.scalar_mul(&x, r)), "{kind}");
+            // A random share, then the widest one: a set prepared again
+            // overwrites its `−x·r` limbs.
+            for secret in [&x, &top] {
+                g.prepare_hop_scalars(secret, &mut set);
+                assert_eq!(set.heap_bytes(), rs.len() * 2 * width * 8, "{kind}");
+                for (i, r) in rs.iter().enumerate() {
+                    let (got_r, neg_xr) = set.pair(i);
+                    let neg_xr = Scalar(BigUint::from_limbs(neg_xr.to_vec()));
+                    assert_eq!(&BigUint::from_limbs(got_r.to_vec()), r.value(), "{kind}");
+                    assert_eq!(neg_xr, g.scalar_neg(&g.scalar_mul(secret, r)), "{kind}");
+                }
             }
         }
     }

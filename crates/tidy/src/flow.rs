@@ -25,7 +25,9 @@
 //! `Secret`. Struct literals are an aggregation boundary: building a
 //! value of a secret-bearing type is governed by the type-level rules
 //! (`derive(Debug)` ban, `Secret` fields), not by taint — the analysis is
-//! intraprocedural and stops there.
+//! intraprocedural and stops there. A `Self::…` call inside a function
+//! returning `Self` is the same boundary, so a constructor's result gets
+//! the verdict of the literal it could be rewritten as.
 //!
 //! # The three rule families
 //!
@@ -335,6 +337,12 @@ impl Flow<'_> {
         );
     }
 
+    /// True if `callee` is a `Self::…` path called inside a function
+    /// returning `Self`: a constructor of the value the function returns.
+    fn builds_self(&self, callee: &Expr) -> bool {
+        self.ret == Some("Self") && matches!(callee, Expr::Path(p, _) if p.starts_with("Self::"))
+    }
+
     fn escape_return(&mut self, line: u32, origin: &str) {
         let fn_name = self.fn_name;
         let ret = self.ret.unwrap_or("_");
@@ -466,6 +474,15 @@ impl Flow<'_> {
                 base_taint.or(index_taint)
             }
             Expr::Call { callee, args, .. } => {
+                if self.builds_self(callee) {
+                    // The same aggregation boundary as a `Self { … }`
+                    // literal, so `let m = Self::new(.., stock); m` and
+                    // `Self { .., ..Self::new(.., stock) }` get one verdict.
+                    for a in args {
+                        self.eval(a, env);
+                    }
+                    return None;
+                }
                 if callee_rewraps(callee) {
                     self.suppress_escape += 1;
                     for a in args {
@@ -805,6 +822,26 @@ mod tests {
     #[test]
     fn tainted_return_fires_escape() {
         let d = run("fn f(sk: &Scalar) -> Scalar {\n sk.double()\n}");
+        assert_eq!(d, vec![(2, "secret-escape")]);
+    }
+
+    #[test]
+    fn self_constructor_is_an_aggregation_boundary() {
+        // A `Self::` call bound then returned, and the same call as a
+        // struct-update base: one verdict for both spellings.
+        let d = run(
+            "fn f(id: u64, stock: PartyStock) -> Self {\n let m = Self::new(id, stock);\n m\n}",
+        );
+        assert!(d.is_empty(), "{d:?}");
+        let d = run(
+            "fn f(id: u64, stock: PartyStock) -> Self {\n Self { id, ..Self::new(id, stock) }\n}",
+        );
+        assert!(d.is_empty(), "{d:?}");
+        // Its arguments are still walked, as a literal's fields are.
+        let d = run("fn f(sk: &Scalar) -> Self {\n Self::new(sk.clone())\n}");
+        assert_eq!(d, vec![(2, "secret-escape")]);
+        // Through any other return type a `Self::` call carries taint.
+        let d = run("fn f(sk: &Scalar) -> Scalar {\n Self::double(sk)\n}");
         assert_eq!(d, vec![(2, "secret-escape")]);
     }
 

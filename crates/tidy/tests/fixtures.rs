@@ -263,10 +263,11 @@ fn secret_index_good_is_silent() {
 
 #[test]
 fn secret_escape_bad_fires_per_exit() {
-    // clone of an exposed nonce, plain-typed return, formatted derived
-    // binding (via an inline `{derived}` capture).
+    // clone of an exposed nonce, two plain-typed returns (one through a
+    // `Self::` call), formatted derived binding (via an inline
+    // `{derived}` capture).
     let rules = rules_for(PROTO, fixture!("secret_escape_bad.rs"));
-    assert_eq!(rules, vec!["secret-escape"; 3], "{rules:?}");
+    assert_eq!(rules, vec!["secret-escape"; 4], "{rules:?}");
 }
 
 #[test]

@@ -12,6 +12,14 @@ pub fn derive(sk: &Scalar) -> Scalar {
     sk.double()
 }
 
+impl Share {
+    /// A `Self::` call is a constructor only where the function returns
+    /// `Self`; through a plain type its result is secret-derived.
+    pub fn doubled(sk: &Scalar) -> Scalar {
+        Self::double(sk)
+    }
+}
+
 /// Formats a secret-*derived* binding (the lexical rule only sees
 /// registry names; this one is two steps removed).
 pub fn trace_state(sk: u64) {

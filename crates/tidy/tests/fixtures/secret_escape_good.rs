@@ -20,3 +20,19 @@ pub fn trace_state(sk: &[u8]) {
     let digest = sha256(sk);
     println!("state = {digest:?}");
 }
+
+/// Building `Self` from a party stock is an aggregation boundary however it
+/// is spelled: bound and returned, or as a struct-update base.
+impl Machine {
+    pub fn session(id: u64, stock: PartyStock) -> Self {
+        let m = Self::new(id, stock);
+        m
+    }
+
+    pub fn resumed(id: u64, stock: PartyStock) -> Self {
+        Self {
+            id,
+            ..Self::new(id, stock)
+        }
+    }
+}
