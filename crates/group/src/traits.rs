@@ -503,7 +503,8 @@ impl Group {
     /// share a single field inversion for the final affine conversion,
     /// versus one inversion per call when looping over [`Group::op`]. The
     /// DL family has no per-op inversion to amortize, so there it is just
-    /// the loop.
+    /// the loop: two kernel multiplications per product, one of them
+    /// entering the first operand.
     ///
     /// # Panics
     ///
@@ -529,7 +530,7 @@ impl Group {
     /// The elliptic-curve accumulator stays in Jacobian form and all
     /// prefixes share one field inversion; chaining [`Group::op`] pays one
     /// inversion per prefix. The DL family has nothing to amortize, so
-    /// there it is just the loop.
+    /// there it is just the loop, each prefix multiplying the last.
     ///
     /// # Panics
     ///
@@ -538,14 +539,13 @@ impl Group {
         const OP: &str = "op_scan";
         match &self.inner {
             GroupImpl::Dl(g) => {
-                let mut acc = BigUint::one();
-                items
-                    .iter()
-                    .map(|a| {
-                        acc = g.mul(&acc, dl(*a, OP));
-                        Element::Dl(acc.clone())
-                    })
-                    .collect()
+                let one = BigUint::one();
+                let mut out: Vec<BigUint> = Vec::with_capacity(items.len());
+                for a in items {
+                    let prefix = g.mul(out.last().unwrap_or(&one), dl(*a, OP));
+                    out.push(prefix);
+                }
+                out.into_iter().map(Element::Dl).collect()
             }
             GroupImpl::Ec(g) => {
                 let pts: Vec<&EcPoint> = items.iter().map(|a| ec(*a, OP)).collect();
@@ -604,14 +604,14 @@ impl Group {
     /// Fused hop batch over the prepared set `set` (see
     /// [`Group::prepare_hop_scalars`]): for each `(a, i, b)` returns
     /// `(a^r·b^{−xr}, b^r)` for randomizer `i`'s pair — a re-randomized
-    /// partial decryption and its new `β` in one call. The elliptic-curve
-    /// kernel recodes each pair into two stack digit buffers and runs both
-    /// halves as two lanes of one ladder in lockstep: the first shares its
-    /// doublings between both bases (Shamir's trick), the second reuses
-    /// `b`'s odd-multiple table and `r`'s digits, and every result of the
-    /// batch is normalized through one field inversion; the DL family
-    /// builds its two exponents from the limbs and pays one dual and one
-    /// single ladder.
+    /// partial decryption and its new `β` in one call. Both families run
+    /// both halves as two lanes of one ladder in lockstep: the first shares
+    /// its doublings (squarings) between both bases (Shamir's trick), the
+    /// second reuses `b`'s odd-multiple (odd-power) table and `r`'s digits.
+    /// The elliptic-curve kernel recodes each pair into two stack digit
+    /// buffers and normalizes every result of the batch through one field
+    /// inversion; the DL family reads each scalar's sliding windows
+    /// straight from the limbs and leaves the domain once per result.
     ///
     /// # Panics
     ///
@@ -1075,6 +1075,39 @@ mod tests {
                     "{own}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn dl_products_match_plain_arithmetic() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for kind in [GroupKind::Dl1024, GroupKind::Dl2048, GroupKind::Dl3072] {
+            let g = kind.group();
+            let q = g.order();
+            let p = &(q + q) + &BigUint::one();
+            let mut elems = vec![g.identity(), g.generator().clone()];
+            elems.extend((0..6).map(|_| g.exp_gen(&g.random_nonzero_scalar(&mut rng))));
+            let v = |e: &Element| match e {
+                Element::Dl(v) => v.clone(),
+                Element::Ec(_) => unreachable!(),
+            };
+            let pairs: Vec<(&Element, &Element)> = elems
+                .iter()
+                .flat_map(|a| elems.iter().map(move |b| (a, b)))
+                .collect();
+            let batch = g.op_batch(&pairs);
+            for ((a, b), got) in pairs.iter().zip(&batch) {
+                let want = &(&v(a) * &v(b)) % &p;
+                assert_eq!(v(&g.op(a, b)), want, "{kind}");
+                assert_eq!(v(got), want, "{kind}");
+            }
+            let items: Vec<&Element> = elems.iter().chain(elems.iter().rev()).collect();
+            let mut prefix = BigUint::one();
+            for (a, got) in items.iter().zip(g.op_scan(&items)) {
+                prefix = &(&prefix * &v(a)) % &p;
+                assert_eq!(v(&got), prefix, "{kind}");
+            }
+            assert!(g.op_scan(&[]).is_empty());
         }
     }
 
