@@ -18,6 +18,7 @@
 
 use crate::kernel::{CiosKernel, FieldKernel, P160Kernel, SqrtConsts, P160};
 use crate::uint::BigUint;
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Maximum modulus size in limbs (3072-bit DL group = 48 limbs).
@@ -187,35 +188,44 @@ impl Montgomery {
         }
     }
 
-    /// Modular multiplication `a·b mod n`.
+    /// `a mod n`, borrowed when `a` is below `n` already.
+    pub fn reduce<'a>(&self, a: &'a BigUint) -> Cow<'a, BigUint> {
+        match a < &self.n {
+            true => Cow::Borrowed(a),
+            false => Cow::Owned(a % &self.n),
+        }
+    }
+
+    /// Modular multiplication `a·b mod n` in two kernel multiplications:
+    /// `a` enters the domain as `a·R`, and one multiplication by the plain
+    /// limbs of `b` gives `a·R·b·R⁻¹ = a·b`, which is outside the domain
+    /// already and fully reduced.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.pow_mul(a, &[1], Some(b))
+        let (a, b) = (self.reduce(a), self.reduce(b));
+        with_kernel!(self, |k| {
+            let mut plain = k.zero();
+            plain.as_mut()[..b.limbs().len()].copy_from_slice(b.limbs());
+            BigUint::from_limbs(k.mul(&k.enter(&a), &plain).as_ref().to_vec())
+        })
     }
 
     /// Modular squaring `a² mod n`.
     pub fn sqr(&self, a: &BigUint) -> BigUint {
-        self.pow_mul(a, &[2], None)
+        self.pow_limbs(a, &[2])
     }
 
     /// Windowed modular exponentiation `base^exp mod n`
     /// ([`FieldKernel::pow`]).
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.pow_mul(base, exp.limbs(), None)
+        self.pow_limbs(base, exp.limbs())
     }
 
-    /// `base^exp · factor mod n` for the exponent limbs `exp`: the one
-    /// kernel match behind [`Self::mul`], [`Self::sqr`] and [`Self::pow`],
-    /// entering the domain once per operand and leaving it once.
-    fn pow_mul(&self, base: &BigUint, exp: &[u64], factor: Option<&BigUint>) -> BigUint {
-        let base = base % &self.n;
-        let factor = factor.map(|f| f % &self.n);
-        with_kernel!(self, |k| {
-            let mut x = k.pow(&k.enter(&base), exp);
-            if let Some(f) = &factor {
-                x = k.mul(&x, &k.enter(f));
-            }
-            k.leave(&x)
-        })
+    /// `base^exp mod n` for the exponent limbs `exp`: the one kernel match
+    /// behind [`Self::sqr`] and [`Self::pow`], entering the domain once and
+    /// leaving it once.
+    fn pow_limbs(&self, base: &BigUint, exp: &[u64]) -> BigUint {
+        let base = self.reduce(base);
+        with_kernel!(self, |k| k.leave(&k.pow(&k.enter(&base), exp)))
     }
 }
 
@@ -243,6 +253,45 @@ mod tests {
         let b = BigUint::from_dec_str("987654321987654321987654321").unwrap();
         assert_eq!(m.mul(&a, &b), &(&a * &b) % &n);
         assert_eq!(m.sqr(&a), &(&a * &a) % &n);
+    }
+
+    #[test]
+    fn mul_matches_plain_reduction_on_every_kernel() {
+        // The secp160r1 prime (the P-160 kernel, whose R is 1), the P-256
+        // prime, and odd moduli of 2, 16, 32 and 48 limbs: every kernel,
+        // and a modulus zero-padded to four limbs.
+        let mut moduli = vec![
+            BigUint::from_hex_str("ffffffffffffffffffffffffffffffff7fffffff").unwrap(),
+            BigUint::from_hex_str(
+                "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
+            )
+            .unwrap(),
+        ];
+        for limbs in [2, 16, 32, 48] {
+            let n = BigUint::power_of_two(64 * limbs).checked_sub(&BigUint::from(1105u64));
+            moduli.push(n.unwrap());
+        }
+        for n in moduli {
+            let m = Montgomery::new(n.clone());
+            let bits = n.bits();
+            let mid = &BigUint::power_of_two(bits * 2 / 3) + &BigUint::from(0x9e37_79b9u64);
+            // Operands at or above `n` take a remainder first.
+            let operands = [
+                BigUint::zero(),
+                BigUint::one(),
+                n.checked_sub(&BigUint::one()).unwrap(),
+                &(&n * &n) + &mid,
+                &n + &BigUint::from(7u64),
+                mid,
+                n.clone(),
+            ];
+            for a in &operands {
+                for b in &operands {
+                    assert_eq!(m.mul(a, b), &(a * b) % &n, "{bits}-bit modulus");
+                }
+                assert_eq!(m.sqr(a), &(a * a) % &n, "{bits}-bit modulus");
+            }
+        }
     }
 
     #[test]
