@@ -274,12 +274,10 @@ fn main() {
         batch_json.join(",\n"),
         msm_json.join(",\n")
     );
-    std::fs::write(&cfg.out, &json).expect("write BENCH_msm.json");
-    eprintln!("wrote {}", cfg.out);
-
     // Self-check (what CI's smoke lap asserts): every measurement is
     // positive and finite, and the full-size run clears the 2× gate the
-    // key-generation phase is rebuilt around.
+    // key-generation phase is rebuilt around. The record is written only
+    // after every check passes, so a failing run leaves `--out` as it was.
     for r in &batch_rows {
         assert!(r.per_proof_ms > 0.0 && r.batch_ms > 0.0 && r.speedup.is_finite());
         if !cfg.smoke {
@@ -297,4 +295,6 @@ fn main() {
     for field in ["\"schema\"", "\"config\"", "\"batch_verify\"", "\"msm\""] {
         assert!(json.contains(field), "JSON missing {field}");
     }
+    std::fs::write(&cfg.out, &json).expect("write BENCH_msm.json");
+    eprintln!("wrote {}", cfg.out);
 }

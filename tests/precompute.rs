@@ -14,7 +14,7 @@ use proptest::prelude::*;
 fn params_for(n: usize, seed: u64) -> FrameworkParams {
     FrameworkParams::builder(Questionnaire::synthetic(1, 2))
         .participants(n)
-        .top_k(1)
+        .top_k(2.min(n))
         .attr_bits(5)
         .weight_bits(2)
         .mask_bits(5)

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 fn params_for(n: usize, seed: u64) -> FrameworkParams {
     FrameworkParams::builder(Questionnaire::synthetic(1, 2))
         .participants(n)
-        .top_k(1)
+        .top_k(2.min(n))
         .attr_bits(5)
         .weight_bits(2)
         .mask_bits(5)
@@ -44,7 +44,7 @@ proptest! {
     /// bit-identical (ranks *and* traffic summary) to its solo run.
     #[test]
     fn service_stream_matches_solo_runs(
-        n in 2usize..=3,
+        n in 2usize..=4,
         base in 0u64..1_000_000,
         shards in 1usize..=3,
         workers in 1usize..=2,
